@@ -39,7 +39,12 @@ from repro.distributed.queries import (
     SitePartial,
 )
 from repro.distributed.scenario import RoundStats, StreamingScenario
-from repro.distributed.server import CentralServer, IncrementalServer
+from repro.distributed.server import (
+    CentralServer,
+    Decision,
+    IncrementalServer,
+    RoundCore,
+)
 from repro.distributed.site import ClientSite
 
 __all__ = [
@@ -72,6 +77,8 @@ __all__ = [
     "DistributedRunReport",
     "RoundPolicy",
     "CentralServer",
+    "Decision",
     "IncrementalServer",
+    "RoundCore",
     "ClientSite",
 ]

@@ -1,10 +1,11 @@
 """End-to-end orchestration of the DBDC protocol over the simulated network.
 
 :class:`DistributedRunner` wires :class:`~repro.distributed.site.ClientSite`
-objects, a :class:`~repro.distributed.server.CentralServer` and a
-:class:`~repro.distributed.network.SimulatedNetwork` into the four protocol
-steps of the paper's Figure 2, with the same runtime accounting the paper
-uses (sites run conceptually in parallel: overall = max local + global).
+objects, the :class:`~repro.distributed.server.RoundCore` round protocol
+and a :class:`~repro.distributed.network.SimulatedNetwork` into the four
+protocol steps of the paper's Figure 2, with the same runtime accounting
+the paper uses (sites run conceptually in parallel: overall = max local +
+global).
 
 This is the "whole system" view; :func:`repro.core.dbdc.run_dbdc` offers the
 same pipeline as a plain function when network accounting is not needed.
@@ -28,18 +29,18 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from repro.core.global_model import GlobalModelRepairer
 from repro.core.models import GlobalModel, LocalModel
 from repro.core.relabel import RELABEL_KERNELS, relabel_site
 from repro.core.shm import ShmArrayPool, ShmArrayRef
 from repro.data.distance import Metric
 from repro.distributed.network import SERVER, NetworkStats, SimulatedNetwork
 from repro.distributed.partition import partition, split
-from repro.distributed.server import CentralServer
+from repro.distributed.server import RoundCore
 from repro.distributed.site import ClientSite
 from repro.faults.plan import FaultPlan
 from repro.faults.transport import (
     BreakerPolicy,
+    DeliveryOutcome,
     ResilientTransport,
     TransportPolicy,
     TransportStats,
@@ -55,18 +56,67 @@ __all__ = [
     "RoundPolicy",
 ]
 
-#: Failure reasons a recovery round heals by re-uploading the local model.
-_UPLOAD_REASONS = frozenset(
-    {"crash_before_local", "link_failed", "deadline_missed", "quarantined"}
-)
-#: Failure reasons where the model is already admitted and only the
-#: broadcast + relabel leg is missing.
-_BROADCAST_REASONS = frozenset(
-    {"crash_after_send", "broadcast_lost", "broadcast_corrupt"}
-)
-
 _T = TypeVar("_T")
 _R = TypeVar("_R")
+
+
+class _DirectTransport:
+    """The transport of a run without faults: each message is sent once
+    over the network and no simulated clock runs (arrival = send time)."""
+
+    stats = None
+
+    def __init__(self, network: SimulatedNetwork) -> None:
+        self.network = network
+
+    def deliver(
+        self,
+        sender: int,
+        receiver: int,
+        kind: str,
+        payload: bytes,
+        *,
+        start_s: float = 0.0,
+        receiver_down: bool = False,
+    ) -> DeliveryOutcome:
+        message = self.network.send(sender, receiver, kind, payload)
+        return DeliveryOutcome(
+            delivered=True,
+            attempts=1,
+            sim_seconds=0.0,
+            arrival_s=start_s,
+            bytes_sent=message.n_bytes,
+        )
+
+
+def _no_sim_time(n_objects: int, slowdown: float = 1.0) -> float:
+    """Simulated local-phase time of a run without a simulated clock."""
+    return 0.0
+
+
+@dataclass
+class _RoundLog:
+    """Wall-clock marks and trace inputs of one protocol round."""
+
+    index: int
+    sim_start: float
+    wall_start: float
+    sim_end: float = 0.0
+    wall_end: float = 0.0
+    local_start: float = 0.0
+    compute_end: float = 0.0
+    upload_end: float = 0.0
+    global_start: float = 0.0
+    broadcast_start: float = 0.0
+    broadcast_end: float = 0.0
+    relabel_start: float = 0.0
+    relabel_compute_end: float = 0.0
+    relabel_end: float = 0.0
+    local_spans: list = field(default_factory=list)
+    relabel_spans: list = field(default_factory=list)
+    uploads: list = field(default_factory=list)
+    broadcasts: list = field(default_factory=list)
+    attrs: dict = field(default_factory=dict)
 
 
 def _local_clustering_task(site: ClientSite):
@@ -384,11 +434,13 @@ class RecoveryPolicy:
     chance to rejoin: crashed sites reboot (re-running their local phase
     if they never computed one; local state survives a crash-after-send),
     sites whose upload was lost, late or quarantined resubmit, and sites
-    that missed the broadcast receive it again.  The server folds late
-    models into the existing global model *incrementally*
-    (:class:`~repro.core.global_model.GlobalModelRepairer`) instead of
-    re-running the global DBSCAN, and re-broadcasts only when the repair
-    actually changed the model (recovered sites always receive it).
+    that missed the broadcast receive it again.  The round core folds
+    late models, sorted by site id, into the existing global model
+    *incrementally* (:class:`~repro.core.global_model.GlobalModelRepairer`)
+    instead of re-running the global DBSCAN — unless the base model has
+    no representatives, which it rebuilds — and re-broadcasts only when
+    the repair actually changed the model (recovered sites always
+    receive it).
 
     Site-crash decisions are *not* re-drawn in recovery rounds — a
     crashed site is assumed rebooted — but every transfer still rides the
@@ -510,13 +562,16 @@ class DistributedRunReport:
             relabel fan-out.
         relabel_cpu_seconds: CPU time summed over all sites' relabels.
         local_sim_seconds: simulated time at which the last *admitted*
-            local model arrived at the server (0 on the fault-free path,
-            which has no simulated timeline).
+            local model arrived at the server (0 without an active fault
+            plan, which runs no simulated clock).
         round_sim_seconds: simulated time at which the round's last
             transport activity finished — uploads, retries and broadcast
-            included (0 on the fault-free path).
+            included (0 without an active fault plan).
         participating_sites: sites whose local model the server admitted
-            into the global model, in arrival order.
+            into the global model, in admission order: round by round,
+            and within a round by simulated arrival time, ties broken by
+            site id (site order without an active plan).  The global
+            model itself is built and folded in site-id order.
         failed_sites: sites that missed some part of the round (crashed,
             link failed, deadline missed, or lost the broadcast), sorted.
             A site can appear in both lists: its model was merged but it
@@ -525,8 +580,9 @@ class DistributedRunReport:
         degraded: whether the round was degraded — any site failed (even
             after recovery), a site holds stale labels, or the server's
             quorum was missed.
-        transport_stats: detailed transport bookkeeping (``None`` for
-            fault-free runs, which bypass the resilient transport).
+        transport_stats: detailed transport bookkeeping (``None``
+            without an active fault plan, whose transport sends each
+            message once).
         recovered_sites: sites that failed the initial round but completed
             the protocol in a recovery round, sorted.  They appear in
             ``participating_sites`` too and *not* in ``failed_sites``.
@@ -743,14 +799,22 @@ class DistributedRunReport:
 class DistributedRunner:
     """Executes the four DBDC protocol steps over a simulated network.
 
-    With a ``fault_plan`` the run goes through the degraded-mode protocol
-    instead: messages travel via a :class:`ResilientTransport` (timeouts,
-    retries, backoff), the server applies the ``round_policy``'s deadline
-    and quorum, the global model is built from whichever local models
-    were admitted, and sites that missed the round fall back to their
-    local labels.  Without a plan (or with an inactive one) the runner
-    takes the exact legacy code path — reports are bit-identical to the
-    fault-free implementation.
+    Every run is one loop of rounds over the
+    :class:`~repro.distributed.server.RoundCore`: round 0 is the first
+    pass, recovery rounds are the rest.  With an active ``fault_plan``
+    messages travel via a :class:`ResilientTransport` (timeouts, retries,
+    backoff) on a simulated clock, the core applies the ``round_policy``'s
+    deadline and quorum, the global model is built from whichever local
+    models were admitted, and sites that missed the round fall back to
+    their local labels.  Without a plan (or with an inactive one) the
+    same loop runs over a transport that sends each message once and
+    advances no simulated clock, so every site is admitted in site order
+    and the report matches the paper's fault-free protocol bit for bit.
+    The global model is always built from the admitted models sorted by
+    site id, so a plan that only delays messages changes nothing.
+    ``participating_sites`` lists sites in admission order (see
+    :class:`DistributedRunReport`); ``transport_stats`` is ``None``
+    without an active plan.
 
     Args:
         config: run configuration.
@@ -910,12 +974,10 @@ class DistributedRunner:
         ):
             self._setup_shm_pool(sites)
         try:
-            if self.fault_plan is not None and self.fault_plan.is_active():
-                return self._run_degraded(sites, site_points, assignment)
-            return self._run_fault_free(sites, site_points, assignment)
+            return self._run(sites, site_points, assignment)
         finally:
-            # Normally a no-op: the run paths tear the pool down before
-            # assembling their report so the teardown cost is recorded.
+            # Normally a no-op: the run tears the pool down before
+            # assembling its report so the teardown cost is recorded.
             self._close_shm_pool()
 
     def _local_fanout(self, sites: list[ClientSite], observing: bool) -> list:
@@ -984,772 +1046,285 @@ class DistributedRunner:
             sum(p.shape[0] for p in site_points), dim
         )
 
-    def _run_fault_free(
+    def _run(
         self,
         sites: list[ClientSite],
         site_points: list[np.ndarray],
         assignment: np.ndarray | None,
     ) -> DistributedRunReport:
-        """The paper's protocol verbatim: every site answers, every
-        message arrives."""
-        tracer = self.tracer
-        metrics = self.metrics
-        observing = tracer is not None or metrics is not None
-        server = CentralServer(
-            self.config.eps_global,
-            metric=self.config.metric,
-            index_kind=self.config.index_kind,
-            metrics=metrics,
-        )
-        run_start = time.perf_counter()
-        # Steps 1+2: local clustering (possibly parallel) and model
-        # transmission.  The compute fans out; results are applied and sent
-        # in deterministic site order so reports match sequential runs.
-        local_start = time.perf_counter()
-        local_results = self._local_fanout(sites, observing)
-        compute_end = time.perf_counter()
-        local_wall_seconds = compute_end - local_start
-        local_cpu_seconds = 0.0
-        site_local_spans: list[dict] = []
-        upload_entries: list[tuple] = []
-        for site, result in zip(sites, local_results):
-            if observing:
-                outcome, wall_s, cpu_s, spans, worker_metrics = result
-                if metrics is not None:
-                    metrics.merge(worker_metrics)
-                site_local_spans.extend(spans)
-            else:
-                outcome, wall_s, cpu_s = result
-            local_cpu_seconds += cpu_s
-            model = site.apply_local_outcome(outcome, wall_s, cpu_s)
-            send_start = time.perf_counter() if tracer is not None else 0.0
-            message = self.network.send(
-                site.site_id, SERVER, "local_model", model.to_bytes()
-            )
-            if tracer is not None:
-                upload_entries.append(
-                    (
-                        send_start,
-                        time.perf_counter(),
-                        0.0,
-                        message.sim_seconds,
-                        {"site": site.site_id, "bytes": message.n_bytes},
-                    )
-                )
-            server.receive_local_model(model)
-        upload_end = time.perf_counter()
-        # Step 3: global model.
-        global_start = time.perf_counter()
-        global_model = server.build()
-        # Broadcast + step 4: every site relabels (possibly parallel).
-        payload = global_model.to_bytes()
-        broadcast_start = time.perf_counter()
-        broadcast_entries: list[tuple] = []
-        for site in sites:
-            send_start = time.perf_counter() if tracer is not None else 0.0
-            message = self.network.send(
-                SERVER, site.site_id, "global_model", payload
-            )
-            if tracer is not None:
-                broadcast_entries.append(
-                    (
-                        send_start,
-                        time.perf_counter(),
-                        0.0,
-                        message.sim_seconds,
-                        {"site": site.site_id, "bytes": message.n_bytes},
-                    )
-                )
-        broadcast_end = time.perf_counter()
-        relabel_start = time.perf_counter()
-        relabel_results = self._relabel_fanout(sites, global_model, observing)
-        relabel_end = time.perf_counter()
-        relabel_wall_seconds = relabel_end - relabel_start
-        relabel_cpu_seconds = 0.0
-        site_relabel_spans: list[dict] = []
-        for site, result in zip(sites, relabel_results):
-            if observing:
-                global_labels, stats, wall_s, cpu_s, spans = result
-                site_relabel_spans.extend(spans)
-            else:
-                global_labels, stats, wall_s, cpu_s = result
-            relabel_cpu_seconds += cpu_s
-            site.apply_relabel(global_labels, stats, wall_s, cpu_s)
-        self._close_shm_pool()
-        run_end = time.perf_counter()
+        """The protocol as one round loop over the round core.
 
-        if metrics is not None:
-            metrics.set("runner.participating_sites", len(sites))
-            metrics.set("runner.failed_sites", 0)
-        trace = None
-        if tracer is not None:
-            self._record_run_spans(
-                mode="fault_free",
-                n_sites=len(sites),
-                run_window=(run_start, run_end),
-                local_window=(local_start, compute_end, upload_end),
-                site_local_spans=site_local_spans,
-                upload_entries=upload_entries,
-                global_window=(global_start, server.global_seconds),
-                n_representatives=len(global_model),
-                broadcast_window=(broadcast_start, broadcast_end),
-                broadcast_entries=broadcast_entries,
-                relabel_window=(relabel_start, relabel_end, run_end),
-                site_relabel_spans=site_relabel_spans,
-            )
-            trace = trace_document(tracer, metrics)
-
-        raw_bytes, raw_seconds = self._raw_cost(site_points)
-        return DistributedRunReport(
-            sites=sites,
-            global_model=global_model,
-            network=self.network.stats(),
-            raw_bytes=raw_bytes,
-            raw_sim_seconds=raw_seconds,
-            max_local_wall_seconds=max(
-                site.times.local_wall_seconds for site in sites
-            ),
-            global_wall_seconds=server.global_seconds,
-            assignment=assignment,
-            local_wall_seconds=local_wall_seconds,
-            local_cpu_seconds=local_cpu_seconds,
-            relabel_wall_seconds=relabel_wall_seconds,
-            relabel_cpu_seconds=relabel_cpu_seconds,
-            participating_sites=[site.site_id for site in sites],
-            trace=trace,
-            effective_parallelism=self._effective_parallelism,
-            parallelism_fallback_reason=self._fallback_reason,
-            shm_bytes_shared=self._shm_bytes_shared,
-            shm_setup_seconds=self._shm_setup_seconds,
-            shm_teardown_seconds=self._shm_teardown_seconds,
-        )
-
-    def _record_run_spans(
-        self,
-        *,
-        mode: str,
-        n_sites: int,
-        run_window: tuple[float, float],
-        local_window: tuple[float, float, float],
-        site_local_spans: list[dict],
-        upload_entries: list[tuple],
-        global_window: tuple[float, float],
-        n_representatives: int,
-        broadcast_window: tuple[float, float],
-        broadcast_entries: list[tuple],
-        relabel_window: tuple[float, float, float],
-        site_relabel_spans: list[dict],
-        fallback_window: tuple[float, float] | None = None,
-        recovery_entries: list[dict] | None = None,
-    ) -> None:
-        """Assemble the run's span tree post-hoc from the *same*
-        ``perf_counter`` reads that produced the report's timing fields,
-        so trace and report reconcile exactly.
-
-        ``local_window`` / ``relabel_window`` are ``(start, compute_end,
-        phase_end)``; ``global_window`` is ``(start, duration)`` — the
-        duration is the server's own measurement.  Message entries are
-        ``(wall_start, wall_end, sim_start, sim_end, attrs)`` tuples.
+        Round 0 is the first pass: every site that did not crash computes
+        its local model and uploads it, the core admits what arrives, the
+        commit builds the global model, and the admitted sites receive it
+        and relabel.  Recovery rounds are the rest: every site still
+        failed or stale gets one more chance through the same steps —
+        crashed sites reboot and compute, unadmitted models are uploaded
+        again, the commit folds the new models in, and the model is
+        broadcast to the sites that need it.  Sites failed after the last
+        round fall back to their local labels.
         """
-        tracer = self.tracer
-        run_span = tracer.record(
-            "run",
-            wall_start=run_window[0],
-            wall_end=run_window[1],
-            attrs={"mode": mode, "n_sites": n_sites},
-        )
-        local_start, compute_end, upload_end = local_window
-        local_span = tracer.record(
-            "local_phase",
-            wall_start=local_start,
-            wall_end=upload_end,
-            parent=run_span,
-        )
-        compute_span = tracer.record(
-            "compute",
-            wall_start=local_start,
-            wall_end=compute_end,
-            parent=local_span,
-        )
-        _graft_worker_spans(compute_span, site_local_spans)
-        upload_span = tracer.record(
-            "upload",
-            wall_start=compute_end,
-            wall_end=upload_end,
-            parent=local_span,
-        )
-        for w0, w1, s0, s1, attrs in upload_entries:
-            tracer.record(
-                "send[local_model]",
-                wall_start=w0,
-                wall_end=w1,
-                sim_start=s0,
-                sim_end=s1,
-                attrs=attrs,
-                parent=upload_span,
-            )
-        global_start, global_seconds = global_window
-        tracer.record(
-            "global_phase",
-            wall_start=global_start,
-            wall_end=global_start + global_seconds,
-            attrs={"n_representatives": n_representatives},
-            parent=run_span,
-        )
-        broadcast_span = tracer.record(
-            "broadcast",
-            wall_start=broadcast_window[0],
-            wall_end=broadcast_window[1],
-            parent=run_span,
-        )
-        for w0, w1, s0, s1, attrs in broadcast_entries:
-            tracer.record(
-                "send[global_model]",
-                wall_start=w0,
-                wall_end=w1,
-                sim_start=s0,
-                sim_end=s1,
-                attrs=attrs,
-                parent=broadcast_span,
-            )
-        relabel_start, relabel_compute_end, relabel_end = relabel_window
-        relabel_span = tracer.record(
-            "relabel",
-            wall_start=relabel_start,
-            wall_end=relabel_end,
-            parent=run_span,
-        )
-        relabel_compute = tracer.record(
-            "compute",
-            wall_start=relabel_start,
-            wall_end=relabel_compute_end,
-            parent=relabel_span,
-        )
-        _graft_worker_spans(relabel_compute, site_relabel_spans)
-        for entry in recovery_entries or ():
-            round_span = tracer.record(
-                f"recovery_round[{entry['round_index']}]",
-                wall_start=entry["wall_start"],
-                wall_end=entry["wall_end"],
-                sim_start=entry["sim_start"],
-                sim_end=entry["sim_end"],
-                attrs=entry["attrs"],
-                parent=run_span,
-            )
-            _graft_worker_spans(
-                round_span,
-                entry["site_local_spans"] + entry["site_relabel_spans"],
-            )
-            for w0, w1, s0, s1, attrs in entry["send_entries"]:
-                tracer.record(
-                    f"send[{attrs.get('kind', 'message')}]",
-                    wall_start=w0,
-                    wall_end=w1,
-                    sim_start=s0,
-                    sim_end=s1,
-                    attrs=attrs,
-                    parent=round_span,
-                )
-        if fallback_window is not None:
-            tracer.record(
-                "degraded_fallback",
-                wall_start=fallback_window[0],
-                wall_end=fallback_window[1],
-                parent=run_span,
-            )
-
-    def _run_degraded(
-        self,
-        sites: list[ClientSite],
-        site_points: list[np.ndarray],
-        assignment: np.ndarray | None,
-    ) -> DistributedRunReport:
-        """The degraded-mode protocol: inject faults, retry, apply the
-        deadline/quorum policy, and fall back to local labels wherever
-        the round could not complete."""
         plan = self.fault_plan
         policy = self.round_policy
+        recovery = self.recovery_policy
         tracer = self.tracer
         metrics = self.metrics
         observing = tracer is not None or metrics is not None
-        transport = ResilientTransport(
-            self.network,
-            plan,
-            self.transport_policy,
-            breaker_policy=self.breaker_policy,
-            metrics=metrics,
-        )
-        server = CentralServer(
+        active = plan is not None and plan.is_active()
+        if active:
+            transport = ResilientTransport(
+                self.network,
+                plan,
+                self.transport_policy,
+                breaker_policy=self.breaker_policy,
+                metrics=metrics,
+            )
+            sim_local = policy.sim_local_seconds
+        else:
+            plan = FaultPlan.none()
+            transport = _DirectTransport(self.network)
+            sim_local = _no_sim_time
+        core = RoundCore(
             self.config.eps_global,
             metric=self.config.metric,
             index_kind=self.config.index_kind,
-            deadline_s=policy.deadline_s,
             quorum=policy.quorum,
             expected_sites=len(sites),
             metrics=metrics,
         )
-        behaviors = {site.site_id: plan.resolve_site(site.site_id) for site in sites}
-        failed: dict[int, str] = {}
-        retries = 0
-        round_sim_end = 0.0
-
-        run_start = time.perf_counter()
-        # Steps 1+2 over the sites that survive to compute at all.
-        computing = [
-            site
-            for site in sites
-            if not behaviors[site.site_id].crashes_before_local
-        ]
-        for site in sites:
-            if behaviors[site.site_id].crashes_before_local:
-                failed[site.site_id] = "crash_before_local"
-        local_start = time.perf_counter()
-        local_results = self._local_fanout(computing, observing)
-        compute_end = time.perf_counter()
-        local_wall_seconds = compute_end - local_start
-        local_cpu_seconds = 0.0
-        site_local_spans: list[dict] = []
-        upload_entries: list[tuple] = []
-        deliveries: list[tuple[float, int, LocalModel, bool]] = []
-        models_by_site: dict[int, LocalModel] = {}
-        for site, result in zip(computing, local_results):
-            if observing:
-                outcome, wall_s, cpu_s, spans, worker_metrics = result
-                if metrics is not None:
-                    metrics.merge(worker_metrics)
-                site_local_spans.extend(spans)
-            else:
-                outcome, wall_s, cpu_s = result
-            local_cpu_seconds += cpu_s
-            model = site.apply_local_outcome(outcome, wall_s, cpu_s)
-            models_by_site[site.site_id] = model
-            sim_local = policy.sim_local_seconds(
-                site.points.shape[0], behaviors[site.site_id].slowdown
-            )
-            send_start = time.perf_counter() if tracer is not None else 0.0
-            delivery = transport.deliver(
-                site.site_id,
-                SERVER,
-                "local_model",
-                model.to_bytes(),
-                start_s=sim_local,
-            )
-            if tracer is not None:
-                upload_entries.append(
-                    (
-                        send_start,
-                        time.perf_counter(),
-                        sim_local,
-                        delivery.arrival_s,
-                        {
-                            "site": site.site_id,
-                            "bytes": delivery.bytes_sent,
-                            "delivered": delivery.delivered,
-                            "attempts": delivery.attempts,
-                        },
-                    )
-                )
-            retries += delivery.retries
-            round_sim_end = max(round_sim_end, delivery.arrival_s)
-            if delivery.delivered:
-                deliveries.append(
-                    (
-                        delivery.arrival_s,
-                        site.site_id,
-                        model,
-                        delivery.checksum_ok,
-                    )
-                )
-            else:
-                failed[site.site_id] = "link_failed"
-        upload_end = time.perf_counter()
-
-        # Step 3: the server admits models in simulated-arrival order —
-        # integrity gate first (corrupt payloads are quarantined, never
-        # merged), then the round deadline — and builds the global model
-        # from whatever was admitted.
-        quarantined_total: set[int] = set()
-        deliveries.sort(key=lambda entry: (entry[0], entry[1]))
-        for arrival_s, site_id, model, checksum_ok in deliveries:
-            verdict = server.admit(
-                model, arrival_s=arrival_s, checksum_ok=checksum_ok
-            )
-            if verdict == "quarantined":
-                failed[site_id] = "quarantined"
-                quarantined_total.add(site_id)
-            elif verdict == "deadline_missed":
-                failed[site_id] = "deadline_missed"
-        global_start = time.perf_counter()
-        global_model = server.build(allow_empty=True)
-        participating = server.admitted_site_ids
-        participating_set = set(participating)
-
-        # Broadcast to the admitted sites that are still up; everyone else
-        # keeps local labels.  The broadcast leaves once the server built
-        # the model — after the last admitted arrival (simulated clock).
-        broadcast_start = max(
-            (
-                arrival_s
-                for arrival_s, site_id, __, __ok in deliveries
-                if site_id in participating_set
-            ),
-            default=0.0,
-        )
-        local_sim_seconds = broadcast_start
-        payload = global_model.to_bytes()
-        broadcast_wall_start = time.perf_counter()
-        broadcast_entries: list[tuple] = []
-        receivers: list[ClientSite] = []
-        for site in sites:
-            site_id = site.site_id
-            if site_id not in participating_set:
-                continue
-            # A crash-after-send site still gets its broadcast attempts —
-            # the server is not omniscient — they just can never land.
-            receiver_down = behaviors[site_id].crashes_after_send
-            send_start = time.perf_counter() if tracer is not None else 0.0
-            delivery = transport.deliver(
-                SERVER,
-                site_id,
-                "global_model",
-                payload,
-                start_s=broadcast_start,
-                receiver_down=receiver_down,
-            )
-            if tracer is not None:
-                broadcast_entries.append(
-                    (
-                        send_start,
-                        time.perf_counter(),
-                        broadcast_start,
-                        delivery.arrival_s,
-                        {
-                            "site": site_id,
-                            "bytes": delivery.bytes_sent,
-                            "delivered": delivery.delivered,
-                            "attempts": delivery.attempts,
-                        },
-                    )
-                )
-            retries += delivery.retries
-            round_sim_end = max(round_sim_end, delivery.arrival_s)
-            if receiver_down:
-                failed[site_id] = "crash_after_send"
-            elif delivery.delivered and delivery.checksum_ok:
-                receivers.append(site)
-            elif delivery.delivered:
-                # The bytes arrived but flipped in flight: the site must
-                # not apply a corrupt global model.
-                failed[site_id] = "broadcast_corrupt"
-            else:
-                failed[site_id] = "broadcast_lost"
-        broadcast_wall_end = time.perf_counter()
-
-        # Step 4 on the sites that actually hold the global model.
-        relabel_start = time.perf_counter()
-        relabel_results = self._relabel_fanout(receivers, global_model, observing)
-        relabel_compute_end = time.perf_counter()
-        relabel_wall_seconds = relabel_compute_end - relabel_start
-        relabel_cpu_seconds = 0.0
-        site_relabel_spans: list[dict] = []
-        for site, result in zip(receivers, relabel_results):
-            if observing:
-                global_labels, stats, wall_s, cpu_s, spans = result
-                site_relabel_spans.extend(spans)
-            else:
-                global_labels, stats, wall_s, cpu_s = result
-            relabel_cpu_seconds += cpu_s
-            site.apply_relabel(global_labels, stats, wall_s, cpu_s)
-        relabel_end = time.perf_counter()
-
-        # --- Recovery rounds (RecoveryPolicy). -------------------------
-        # Failed sites rejoin, the server heals the global model
-        # incrementally, stale receivers get the repaired model again.
-        # With ``max_recovery_rounds = 0`` (the default) nothing below
-        # runs and the round is bit-identical to the single-round
-        # protocol.
-        recovery = self.recovery_policy
-        recovery_rounds_stats: list[RecoveryRoundStats] = []
-        recovery_entries: list[dict] = []
+        sites_by_id = {site.site_id: site for site in sites}
+        behaviors = {site_id: plan.resolve_site(site_id) for site_id in sites_by_id}
+        failed = {
+            site_id: "crash_before_local"
+            for site_id, behavior in behaviors.items()
+            if behavior.crashes_before_local
+        }
+        models: dict[int, LocalModel] = {}
+        relabeled: set[int] = set()
         stale: set[int] = set()
         recovered_total: set[int] = set()
-        relabeled_sites = {site.site_id for site in receivers}
-        sites_by_id = {site.site_id: site for site in sites}
-        repairer: GlobalModelRepairer | None = None
-        rounds_used = 0
-        for round_index in range(1, recovery.max_recovery_rounds + 1):
-            reasons = dict(failed)
-            attempted = sorted(set(reasons) | stale)
-            if not attempted:
-                break
-            rounds_used += 1
-            round_wall_start = time.perf_counter()
-            round_start = round_sim_end + recovery.backoff_seconds(round_index)
+        quarantined_total: set[int] = set()
+        logs: list[_RoundLog] = []
+        recovery_rounds: list[RecoveryRoundStats] = []
+        retries = 0
+        round_sim_end = 0.0
+        local_cpu_seconds = 0.0
+        relabel_cpu_seconds = 0.0
+        global_model: GlobalModel | None = None
+
+        def deliver(entries, sender, receiver, kind, payload, start_s, down=False):
+            nonlocal retries, round_sim_last
+            send_start = time.perf_counter() if tracer is not None else 0.0
+            delivery = transport.deliver(
+                sender, receiver, kind, payload, start_s=start_s, receiver_down=down
+            )
+            if tracer is not None:
+                entries.append(
+                    (
+                        send_start,
+                        time.perf_counter(),
+                        start_s,
+                        delivery.arrival_s,
+                        {
+                            "site": receiver if sender == SERVER else sender,
+                            "kind": kind,
+                            "bytes": delivery.bytes_sent,
+                            "delivered": delivery.delivered,
+                            "attempts": delivery.attempts,
+                        },
+                    )
+                )
+            retries += delivery.retries
+            round_sim_last = max(round_sim_last, delivery.arrival_s)
+            return delivery
+
+        run_start = time.perf_counter()
+        for round_index in range(recovery.max_recovery_rounds + 1):
+            if round_index == 0:
+                attempted = [
+                    site_id for site_id in sites_by_id if site_id not in failed
+                ]
+                round_start = 0.0
+                deadline = policy.deadline_s
+            else:
+                attempted = sorted(set(failed) | stale)
+                if not attempted:
+                    break
+                round_start = round_sim_end + recovery.backoff_seconds(round_index)
+                deadline = recovery.deadline_s
+            log = _RoundLog(round_index, round_start, time.perf_counter())
             round_sim_last = round_start
             retries_before = retries
-            round_send_entries: list[tuple] = []
-            round_local_spans: list[dict] = []
-            round_relabel_spans: list[dict] = []
 
-            # Reboot: a site that crashed before its local phase runs it
-            # now (crash decisions are not re-drawn — the site is assumed
-            # back up — but its straggler slowdown still applies).
-            rebooting = [
-                sites_by_id[site_id]
-                for site_id in attempted
-                if reasons.get(site_id) == "crash_before_local"
+            # Steps 1+2: sites without a local model compute one (crashed
+            # sites reboot in recovery rounds: crash decisions are not
+            # re-drawn, straggler slowdowns still apply), and every site
+            # whose model the server has not admitted uploads it.
+            computing = [
+                sites_by_id[site_id] for site_id in attempted if site_id not in models
             ]
-            reboot_results = self._local_fanout(rebooting, observing)
-            fresh_compute: set[int] = set()
-            for site, result in zip(rebooting, reboot_results):
+            log.local_start = time.perf_counter()
+            results = self._local_fanout(computing, observing)
+            log.compute_end = time.perf_counter()
+            for site, result in zip(computing, results):
+                outcome, wall_s, cpu_s = result[:3]
                 if observing:
-                    outcome, wall_s, cpu_s, spans, worker_metrics = result
+                    log.local_spans.extend(result[3])
                     if metrics is not None:
-                        metrics.merge(worker_metrics)
-                    round_local_spans.extend(spans)
-                else:
-                    outcome, wall_s, cpu_s = result
+                        metrics.merge(result[4])
                 local_cpu_seconds += cpu_s
-                models_by_site[site.site_id] = site.apply_local_outcome(
-                    outcome, wall_s, cpu_s
-                )
-                fresh_compute.add(site.site_id)
-
-            # Re-upload: every upload-reason site resubmits its model
-            # through the same faulty transport (fresh sequence numbers,
-            # so the retry streams differ from the first round's).
-            round_deliveries: list[tuple[float, int, LocalModel, bool]] = []
-            rebroadcast_start = round_start
+                models[site.site_id] = site.apply_local_outcome(outcome, wall_s, cpu_s)
+            fresh = {site.site_id for site in computing}
+            admitted = set(core.admitted_site_ids)
+            deliveries: list[tuple[float, int, bool]] = []
             for site_id in attempted:
-                if reasons.get(site_id) not in _UPLOAD_REASONS:
+                if site_id in admitted:
                     continue
-                model = models_by_site[site_id]
-                start_s = round_start
-                if site_id in fresh_compute:
-                    start_s += policy.sim_local_seconds(
+                start_s = round_start + (
+                    sim_local(
                         sites_by_id[site_id].points.shape[0],
                         behaviors[site_id].slowdown,
                     )
-                send_start = time.perf_counter() if tracer is not None else 0.0
-                delivery = transport.deliver(
+                    if site_id in fresh
+                    else 0.0
+                )
+                delivery = deliver(
+                    log.uploads,
                     site_id,
                     SERVER,
                     "local_model",
-                    model.to_bytes(),
-                    start_s=start_s,
+                    models[site_id].to_bytes(),
+                    start_s,
                 )
-                if tracer is not None:
-                    round_send_entries.append(
-                        (
-                            send_start,
-                            time.perf_counter(),
-                            start_s,
-                            delivery.arrival_s,
-                            {
-                                "site": site_id,
-                                "kind": "local_model",
-                                "bytes": delivery.bytes_sent,
-                                "delivered": delivery.delivered,
-                                "attempts": delivery.attempts,
-                            },
-                        )
-                    )
-                retries += delivery.retries
-                round_sim_last = max(round_sim_last, delivery.arrival_s)
                 if delivery.delivered:
-                    round_deliveries.append(
-                        (
-                            delivery.arrival_s,
-                            site_id,
-                            model,
-                            delivery.checksum_ok,
-                        )
+                    deliveries.append(
+                        (delivery.arrival_s, site_id, delivery.checksum_ok)
                     )
                 else:
                     failed[site_id] = "link_failed"
+            log.upload_end = time.perf_counter()
 
-            # Admission under the per-round recovery deadline (relative
-            # to the round start; arrival exactly *at* it is admitted).
-            # Integrity first, as in the main round: a corrupt or invalid
-            # resubmission is quarantined regardless of when it arrived.
+            # Step 3: the core admits in simulated-arrival order (deadline
+            # relative to the round's start) and commits the round.
+            core.apply(
+                core.open_round(round_index, at_s=round_start, deadline_s=deadline)
+            )
+            broadcast_start = round_start
             round_quarantined: list[int] = []
-            admitted_models: list[tuple[int, LocalModel]] = []
-            round_deliveries.sort(key=lambda entry: (entry[0], entry[1]))
-            for arrival_s, site_id, model, checksum_ok in round_deliveries:
-                if not checksum_ok or model.validate():
-                    server.admit(
-                        model,
-                        arrival_s=arrival_s,
-                        checksum_ok=checksum_ok,
-                        enforce_deadline=False,
-                    )
-                    failed[site_id] = "quarantined"
+            for arrival_s, site_id, checksum_ok in sorted(deliveries):
+                decision = core.arrive(
+                    models[site_id], at_s=arrival_s, crc_ok=checksum_ok
+                )
+                core.apply(decision)
+                if decision.verdict == "admitted":
+                    broadcast_start = max(broadcast_start, arrival_s)
+                else:
+                    failed[site_id] = decision.verdict
+                if decision.verdict == "quarantined":
                     quarantined_total.add(site_id)
                     round_quarantined.append(site_id)
-                elif (
-                    recovery.deadline_s is not None
-                    and arrival_s - round_start > recovery.deadline_s
-                ):
-                    failed[site_id] = "deadline_missed"
-                else:
-                    server.admit(
-                        model, arrival_s=arrival_s, enforce_deadline=False
-                    )
-                    admitted_models.append((site_id, model))
-                    rebroadcast_start = max(rebroadcast_start, arrival_s)
+            n_before = len(global_model) if global_model is not None else 0
+            log.global_start = time.perf_counter()
+            global_model = core.apply(core.commit_round(round_index))
+            grew = len(global_model) > n_before
 
-            # Heal the global model incrementally with the late models —
-            # no from-scratch DBSCAN (the equivalence tests pin that the
-            # repaired partition matches a rebuild anyway).
-            model_changed = any(
-                len(model.representatives) for __, model in admitted_models
-            )
-            if admitted_models:
-                if len(global_model) == 0 and model_changed:
-                    # Nothing to repair onto: the base round admitted no
-                    # representatives, so eps_global never got a real
-                    # value.  A full rebuild re-derives the paper default.
-                    global_model = server.build(allow_empty=True)
-                    repairer = GlobalModelRepairer(
-                        global_model, metric=self.config.metric
-                    )
-                else:
-                    if repairer is None:
-                        repairer = GlobalModelRepairer(
-                            global_model, metric=self.config.metric
-                        )
-                    for __, model in admitted_models:
-                        global_model, __changed = repairer.add_model(model)
-
-            # Re-broadcast: recovering sites always get the model; every
-            # previously relabeled (or stale) site gets it again whenever
-            # the repair added representatives — new representatives can
-            # promote noise on *any* site (Definition 9), not just on the
-            # late one's.
-            need_broadcast = {
-                site_id
-                for site_id in attempted
-                if reasons.get(site_id) in _BROADCAST_REASONS
-            }
-            need_broadcast.update(site_id for site_id, __ in admitted_models)
-            need_broadcast.update(stale)
-            if model_changed:
-                need_broadcast.update(relabeled_sites)
+            # Broadcast to every attempted site the server holds a model
+            # of, and — when the model grew — to every relabeled site too:
+            # new representatives can promote noise on *any* site
+            # (Definition 9).  A crash-after-send site still gets its
+            # round-0 attempts — the server is not omniscient — they just
+            # never land.
+            admitted = set(core.admitted_site_ids)
+            receivers_needed = {site_id for site_id in attempted if site_id in admitted}
+            receivers_needed |= stale
+            if grew:
+                receivers_needed |= relabeled
             payload = global_model.to_bytes()
-            round_receivers: list[ClientSite] = []
-            for site_id in sorted(need_broadcast):
-                send_start = time.perf_counter() if tracer is not None else 0.0
-                delivery = transport.deliver(
+            log.broadcast_start = time.perf_counter()
+            receivers: list[ClientSite] = []
+            for site_id in sorted(receivers_needed):
+                down = round_index == 0 and behaviors[site_id].crashes_after_send
+                delivery = deliver(
+                    log.broadcasts,
                     SERVER,
                     site_id,
                     "global_model",
                     payload,
-                    start_s=rebroadcast_start,
+                    broadcast_start,
+                    down,
                 )
-                if tracer is not None:
-                    round_send_entries.append(
-                        (
-                            send_start,
-                            time.perf_counter(),
-                            rebroadcast_start,
-                            delivery.arrival_s,
-                            {
-                                "site": site_id,
-                                "kind": "global_model",
-                                "bytes": delivery.bytes_sent,
-                                "delivered": delivery.delivered,
-                                "attempts": delivery.attempts,
-                            },
-                        )
-                    )
-                retries += delivery.retries
-                round_sim_last = max(round_sim_last, delivery.arrival_s)
-                if delivery.delivered and delivery.checksum_ok:
-                    round_receivers.append(sites_by_id[site_id])
+                if down:
+                    failed[site_id] = "crash_after_send"
+                elif delivery.delivered and delivery.checksum_ok:
+                    receivers.append(sites_by_id[site_id])
+                elif site_id in relabeled and site_id not in failed:
+                    # A healthy site that misses a refresh is *stale*, not
+                    # failed: its old labels are internally consistent,
+                    # just out of date.  It is retried next round.
+                    stale.add(site_id)
                 else:
-                    reason = (
-                        "broadcast_corrupt"
-                        if delivery.delivered
-                        else "broadcast_lost"
+                    # Corrupt bytes must not be applied as a global model.
+                    failed[site_id] = (
+                        "broadcast_corrupt" if delivery.delivered else "broadcast_lost"
                     )
-                    if site_id in failed:
-                        failed[site_id] = reason
-                    else:
-                        # A healthy receiver that misses a refresh is
-                        # *stale*, not failed: its old labels are still
-                        # internally consistent, just out of date.  It is
-                        # retried next round and never fallback-wiped.
-                        stale.add(site_id)
+            log.broadcast_end = time.perf_counter()
 
-            # Step 4 for everyone who received the repaired model.
-            round_relabel_results = self._relabel_fanout(
-                round_receivers, global_model, observing
-            )
-            round_changed: list[int] = []
-            round_recovered: list[int] = []
-            for site, result in zip(round_receivers, round_relabel_results):
+            # Step 4 on the sites that hold the committed model.
+            log.relabel_start = time.perf_counter()
+            results = self._relabel_fanout(receivers, global_model, observing)
+            log.relabel_compute_end = time.perf_counter()
+            changed: list[int] = []
+            recovered: list[int] = []
+            for site, result in zip(receivers, results):
+                labels, stats, wall_s, cpu_s = result[:4]
                 if observing:
-                    global_labels, site_stats, wall_s, cpu_s, spans = result
-                    round_relabel_spans.extend(spans)
-                else:
-                    global_labels, site_stats, wall_s, cpu_s = result
+                    log.relabel_spans.extend(result[4])
                 relabel_cpu_seconds += cpu_s
                 site_id = site.site_id
-                old_labels = (
-                    site.global_labels if site_id in relabeled_sites else None
-                )
-                site.apply_relabel(global_labels, site_stats, wall_s, cpu_s)
+                old_labels = site.global_labels if site_id in relabeled else None
+                site.apply_relabel(labels, stats, wall_s, cpu_s)
                 if old_labels is None or not np.array_equal(
                     old_labels, site.global_labels
                 ):
-                    round_changed.append(site_id)
-                if site_id in failed:
-                    del failed[site_id]
+                    changed.append(site_id)
+                if failed.pop(site_id, None) is not None:
                     recovered_total.add(site_id)
-                    round_recovered.append(site_id)
+                    recovered.append(site_id)
                 stale.discard(site_id)
-                relabeled_sites.add(site_id)
+                relabeled.add(site_id)
+            log.relabel_end = time.perf_counter()
 
             round_sim_end = max(round_sim_end, round_sim_last)
-            round_wall_end = time.perf_counter()
-            recovery_rounds_stats.append(
-                RecoveryRoundStats(
-                    round_index=round_index,
-                    start_sim_seconds=round_start,
-                    end_sim_seconds=round_sim_last,
-                    wall_seconds=round_wall_end - round_wall_start,
-                    attempted_sites=attempted,
-                    recovered_sites=sorted(round_recovered),
-                    quarantined_sites=sorted(round_quarantined),
-                    rebroadcast_sites=sorted(need_broadcast),
-                    relabel_changed_sites=sorted(round_changed),
-                    still_failed_sites=sorted(failed),
-                    retries=retries - retries_before,
+            log.sim_end = round_sim_last
+            log.wall_end = time.perf_counter()
+            if round_index == 0:
+                local_sim_seconds = broadcast_start
+            else:
+                recovery_rounds.append(
+                    RecoveryRoundStats(
+                        round_index=round_index,
+                        start_sim_seconds=round_start,
+                        end_sim_seconds=round_sim_last,
+                        wall_seconds=log.wall_end - log.wall_start,
+                        attempted_sites=attempted,
+                        recovered_sites=sorted(recovered),
+                        quarantined_sites=sorted(round_quarantined),
+                        rebroadcast_sites=sorted(receivers_needed),
+                        relabel_changed_sites=sorted(changed),
+                        still_failed_sites=sorted(failed),
+                        retries=retries - retries_before,
+                    )
                 )
-            )
-            if metrics is not None:
-                metrics.inc("recovery.rounds")
-            if tracer is not None:
-                recovery_entries.append(
-                    {
-                        "round_index": round_index,
-                        "wall_start": round_wall_start,
-                        "wall_end": round_wall_end,
-                        "sim_start": round_start,
-                        "sim_end": round_sim_last,
-                        "attrs": {
-                            "attempted": len(attempted),
-                            "recovered": len(round_recovered),
-                            "rebroadcast": len(need_broadcast),
-                        },
-                        "site_local_spans": round_local_spans,
-                        "site_relabel_spans": round_relabel_spans,
-                        "send_entries": round_send_entries,
-                    }
-                )
+                log.attrs = {
+                    "attempted": len(attempted),
+                    "recovered": len(recovered),
+                    "rebroadcast": len(receivers_needed),
+                }
+                if metrics is not None:
+                    metrics.inc("recovery.rounds")
+            logs.append(log)
         if metrics is not None and recovered_total:
             metrics.set("recovery.recovered_sites", len(recovered_total))
-        participating = server.admitted_site_ids
 
         # Degraded fallback, in deterministic site order: fresh global ids
         # beyond everything the global model handed out.
@@ -1765,7 +1340,8 @@ class DistributedRunner:
         self._close_shm_pool()
         run_end = time.perf_counter()
 
-        degraded = bool(failed) or bool(stale) or not server.quorum_met
+        participating = core.admitted_site_ids
+        degraded = bool(failed) or bool(stale) or not core.quorum_met
         if metrics is not None:
             metrics.set("runner.participating_sites", len(participating))
             metrics.set("runner.failed_sites", len(failed))
@@ -1774,23 +1350,17 @@ class DistributedRunner:
         trace = None
         if tracer is not None:
             self._record_run_spans(
-                mode="degraded",
+                mode="degraded" if active else "fault_free",
                 n_sites=len(sites),
                 run_window=(run_start, run_end),
-                local_window=(local_start, compute_end, upload_end),
-                site_local_spans=site_local_spans,
-                upload_entries=upload_entries,
-                global_window=(global_start, server.global_seconds),
+                logs=logs,
+                global_seconds=core.global_seconds,
                 n_representatives=len(global_model),
-                broadcast_window=(broadcast_wall_start, broadcast_wall_end),
-                broadcast_entries=broadcast_entries,
-                relabel_window=(relabel_start, relabel_compute_end, relabel_end),
-                site_relabel_spans=site_relabel_spans,
-                fallback_window=(fallback_start, run_end),
-                recovery_entries=recovery_entries,
+                fallback_window=(fallback_start, run_end) if active else None,
             )
             trace = trace_document(tracer, metrics)
 
+        first = logs[0]
         raw_bytes, raw_seconds = self._raw_cost(site_points)
         return DistributedRunReport(
             sites=sites,
@@ -1801,11 +1371,11 @@ class DistributedRunner:
             max_local_wall_seconds=max(
                 site.times.local_wall_seconds for site in sites
             ),
-            global_wall_seconds=server.global_seconds,
+            global_wall_seconds=core.global_seconds,
             assignment=assignment,
-            local_wall_seconds=local_wall_seconds,
+            local_wall_seconds=first.compute_end - first.local_start,
             local_cpu_seconds=local_cpu_seconds,
-            relabel_wall_seconds=relabel_wall_seconds,
+            relabel_wall_seconds=first.relabel_compute_end - first.relabel_start,
             relabel_cpu_seconds=relabel_cpu_seconds,
             local_sim_seconds=local_sim_seconds,
             round_sim_seconds=round_sim_end,
@@ -1817,8 +1387,8 @@ class DistributedRunner:
             recovered_sites=sorted(recovered_total),
             quarantined_sites=sorted(quarantined_total),
             stale_sites=sorted(stale),
-            recovery_rounds_used=rounds_used,
-            recovery_rounds=recovery_rounds_stats,
+            recovery_rounds_used=len(recovery_rounds),
+            recovery_rounds=recovery_rounds,
             trace=trace,
             effective_parallelism=self._effective_parallelism,
             parallelism_fallback_reason=self._fallback_reason,
@@ -1826,6 +1396,115 @@ class DistributedRunner:
             shm_setup_seconds=self._shm_setup_seconds,
             shm_teardown_seconds=self._shm_teardown_seconds,
         )
+
+    def _record_run_spans(
+        self,
+        *,
+        mode: str,
+        n_sites: int,
+        run_window: tuple[float, float],
+        logs: list[_RoundLog],
+        global_seconds: float,
+        n_representatives: int,
+        fallback_window: tuple[float, float] | None,
+    ) -> None:
+        """Assemble the run's span tree post-hoc from the *same*
+        ``perf_counter`` reads that produced the report's timing fields,
+        so trace and report reconcile exactly.
+
+        Round 0 becomes the run's ``local_phase`` / ``global_phase`` /
+        ``broadcast`` / ``relabel`` spans (the global phase lasts the
+        server's own build measurement); every recovery round becomes one
+        ``recovery_round[i]`` span.  Message entries are ``(wall_start,
+        wall_end, sim_start, sim_end, attrs)`` tuples.
+        """
+        tracer = self.tracer
+        run_span = tracer.record(
+            "run",
+            wall_start=run_window[0],
+            wall_end=run_window[1],
+            attrs={"mode": mode, "n_sites": n_sites},
+        )
+
+        def sends(entries, parent) -> None:
+            for w0, w1, s0, s1, attrs in entries:
+                tracer.record(
+                    f"send[{attrs['kind']}]",
+                    wall_start=w0,
+                    wall_end=w1,
+                    sim_start=s0,
+                    sim_end=s1,
+                    attrs=attrs,
+                    parent=parent,
+                )
+
+        first = logs[0]
+        local_span = tracer.record(
+            "local_phase",
+            wall_start=first.local_start,
+            wall_end=first.upload_end,
+            parent=run_span,
+        )
+        compute_span = tracer.record(
+            "compute",
+            wall_start=first.local_start,
+            wall_end=first.compute_end,
+            parent=local_span,
+        )
+        _graft_worker_spans(compute_span, first.local_spans)
+        upload_span = tracer.record(
+            "upload",
+            wall_start=first.compute_end,
+            wall_end=first.upload_end,
+            parent=local_span,
+        )
+        sends(first.uploads, upload_span)
+        tracer.record(
+            "global_phase",
+            wall_start=first.global_start,
+            wall_end=first.global_start + global_seconds,
+            attrs={"n_representatives": n_representatives},
+            parent=run_span,
+        )
+        broadcast_span = tracer.record(
+            "broadcast",
+            wall_start=first.broadcast_start,
+            wall_end=first.broadcast_end,
+            parent=run_span,
+        )
+        sends(first.broadcasts, broadcast_span)
+        relabel_span = tracer.record(
+            "relabel",
+            wall_start=first.relabel_start,
+            wall_end=first.relabel_end,
+            parent=run_span,
+        )
+        relabel_compute = tracer.record(
+            "compute",
+            wall_start=first.relabel_start,
+            wall_end=first.relabel_compute_end,
+            parent=relabel_span,
+        )
+        _graft_worker_spans(relabel_compute, first.relabel_spans)
+        for log in logs[1:]:
+            round_span = tracer.record(
+                f"recovery_round[{log.index}]",
+                wall_start=log.wall_start,
+                wall_end=log.wall_end,
+                sim_start=log.sim_start,
+                sim_end=log.sim_end,
+                attrs=log.attrs,
+                parent=run_span,
+            )
+            _graft_worker_spans(round_span, log.local_spans + log.relabel_spans)
+            sends(log.uploads + log.broadcasts, round_span)
+        if fallback_window is not None:
+            tracer.record(
+                "degraded_fallback",
+                wall_start=fallback_window[0],
+                wall_end=fallback_window[1],
+                parent=run_span,
+            )
 
     def _map_over(self, task: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
         """Run ``task`` over ``items``, in order, possibly concurrently.

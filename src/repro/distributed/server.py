@@ -1,10 +1,21 @@
-"""The central server: collects local models, builds the global model.
+"""The central server: the paper's server, its round protocol core, and a
+streaming variant.
 
-Two server flavors are provided:
-
-* :class:`CentralServer` — the paper's mainline: wait for all local models,
-  run DBSCAN(``Eps_global``, ``MinPts_global = 2``) over the union of
-  representatives once.
+* :class:`CentralServer` — the paper's mainline: admit local models
+  through the integrity/deadline gate, then run DBSCAN(``Eps_global``,
+  ``MinPts_global = 2``) over the union of representatives once.
+* :class:`RoundCore` — the *sans-I/O* round protocol every entry point shares:
+  the in-process :class:`~repro.distributed.runner.DistributedRunner`,
+  the streaming oracle
+  :func:`~repro.distributed.streaming.run_streaming_session`, and the
+  socket :class:`~repro.service.server.DBDCService` with its write-ahead
+  journal.  It has no sockets, clock or files: events go in (round
+  opened at ``t``, model arrived at ``t``, commit requested),
+  :class:`Decision` objects come out, and :meth:`RoundCore.apply` turns a
+  decision into state.  A caller that journals writes each decision down
+  *between* deciding and applying, and recovery applies the decoded
+  records — so a replayed core equals an uninterrupted one by
+  construction.
 * :class:`IncrementalServer` — the extension Section 6 motivates ("the
   incremental version of DBSCAN allows us to start with the construction of
   the global model after the first representatives of any local model come
@@ -15,37 +26,72 @@ Two server flavors are provided:
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 from repro.clustering.incremental import IncrementalDBSCAN
 from repro.core.global_model import (
     MIN_PTS_GLOBAL,
     GlobalClusteringStats,
+    GlobalModelRepairer,
     build_global_model,
 )
 from repro.core.models import GlobalModel, LocalModel, Representative
 from repro.data.distance import Metric, get_metric
 
-__all__ = ["CentralServer", "IncrementalServer"]
+__all__ = ["CentralServer", "Decision", "IncrementalServer", "RoundCore"]
+
+
+def _by_site(models: list[LocalModel]) -> list[LocalModel]:
+    return sorted(models, key=lambda model: model.site_id)
+
+
+@dataclass(frozen=True)
+class Decision:
+    """One protocol decision of :class:`CentralServer` / :class:`RoundCore`.
+
+    Attributes:
+        verdict: what the sender is told — ``"admitted"``,
+            ``"quarantined"``, ``"deadline_missed"``, ``"duplicate"`` or
+            ``"no_round_open"`` for an arrival; ``"round_open"``,
+            ``"round_committed"`` or ``"bad_round"`` for a round event.
+        record: the journal record kind that makes the decision durable
+            (``"MODEL_ADMITTED"``, ``"QUARANTINE"``, ``"ROUND_OPEN"`` or
+            ``"ROUND_COMMIT"``); ``None`` when it changes no durable state.
+        round_index: the round it belongs to (``-1`` outside a session).
+        model: the arrived local model (arrivals).
+        detail: quarantine reason, or a human explanation of the verdict.
+        at_s: when the round opened (``ROUND_OPEN``), on the caller's clock.
+        deadline_s: admission deadline relative to ``at_s`` (``ROUND_OPEN``).
+    """
+
+    verdict: str
+    record: str | None = None
+    round_index: int = -1
+    model: LocalModel | None = None
+    detail: str = ""
+    at_s: float = 0.0
+    deadline_s: float | None = None
 
 
 class CentralServer:
-    """Batch server: one global clustering after all models arrived.
+    """Batch server: one global clustering over the admitted models.
 
-    The degraded-mode extension adds a *deadline + quorum* admission
-    policy: models that arrive (in simulated time) after ``deadline_s``
-    are rejected, and :attr:`quorum_met` reports whether enough of the
-    ``expected_sites`` made it.  The server always builds the global model
-    from whichever models were admitted — the paper's server "clusters
-    whatever representatives it receives" — the policy only *classifies*
-    the round as degraded or not.  Defaults keep the legacy behavior: no
-    deadline, no quorum.
+    The admission gate (:meth:`arrive`) checks, in this order: a payload
+    whose checksum failed, or a model that fails
+    :meth:`~repro.core.models.LocalModel.validate`, is ``quarantined`` —
+    poison regardless of when it arrived; a model arriving more than the
+    deadline after the round opened (time 0 here) is ``deadline_missed``
+    — arrival exactly *at* the deadline is admitted.  :meth:`build`
+    clusters every admitted model, sorted by site id, so the global model
+    does not depend on arrival order.  :attr:`quorum_met` only classifies
+    the round as degraded: the server clusters whatever it admitted —
+    "the server clusters whatever representatives it receives".
 
     Args:
         eps_global: merge radius; ``None`` → the paper's default (max ε_r).
         metric: distance metric.
         index_kind: neighbor index for the server-side DBSCAN.
-        deadline_s: simulated-time admission deadline (``None`` = never
-            reject).
+        deadline_s: admission deadline (``None`` = never reject).
         quorum: minimum fraction of expected sites that must be admitted
             for the round to count as healthy (``0`` = any).
         expected_sites: how many sites should report (``None`` → inferred
@@ -80,18 +126,69 @@ class CentralServer:
         self.rejected_models: list[LocalModel] = []
         # (model, reason) pairs the integrity gate refused — corrupt
         # payloads and semantically invalid models never reach the global
-        # DBSCAN; the runner turns them into recovery candidates.
+        # DBSCAN.
         self.quarantined_models: list[tuple[LocalModel, str]] = []
-        # Wall-clock seconds of the global DBSCAN (perf_counter delta).
+        # Wall-clock seconds of the last global DBSCAN (perf_counter delta).
         self.global_seconds = 0.0
+        self.n_builds = 0
+        # The open round's clock: arrival deadlines count from _opened_s.
+        self._opened_s = 0.0
+        self._round_deadline_s = deadline_s
         self._model: GlobalModel | None = None
         self._stats: GlobalClusteringStats | None = None
 
-    def quarantine(self, model: LocalModel, reason: str) -> None:
-        """Park a model the integrity gate refused (never merged)."""
-        self.quarantined_models.append((model, reason))
-        if self.metrics is not None:
-            self.metrics.inc("server.models_quarantined")
+    def arrive(
+        self,
+        model: LocalModel,
+        *,
+        at_s: float | None = 0.0,
+        crc_ok: bool = True,
+        round_index: int = -1,
+    ) -> Decision:
+        """The admission gate: decide on one arrived model (pure).
+
+        Args:
+            model: the site's local model.
+            at_s: arrival time on the caller's clock (``None`` = unknown:
+                no deadline applies).
+            crc_ok: whether the transport's checksum check passed.
+            round_index: the round the decision belongs to.
+        """
+        problems = ["checksum_mismatch"] if not crc_ok else model.validate()
+        if problems:
+            return Decision(
+                "quarantined", "QUARANTINE", round_index, model, "; ".join(problems)
+            )
+        deadline = self._round_deadline_s
+        if (
+            at_s is not None
+            and deadline is not None
+            and at_s - self._opened_s > deadline
+        ):
+            return Decision("deadline_missed", None, round_index, model)
+        return Decision("admitted", "MODEL_ADMITTED", round_index, model)
+
+    def apply(self, decision: Decision) -> GlobalModel | None:
+        """Turn one admission decision into state (returns ``None``)."""
+        model = decision.model
+        metrics = self.metrics
+        if decision.record == "MODEL_ADMITTED":
+            self.local_models.append(model)
+            self._model = None  # a new admission invalidates any build
+            if metrics is not None:
+                metrics.inc("server.models_admitted")
+                metrics.observe(
+                    "server.representatives_per_model", len(model.representatives)
+                )
+        elif decision.record == "QUARANTINE":
+            self.quarantined_models.append((model, decision.detail))
+            if metrics is not None:
+                metrics.inc("server.models_quarantined")
+        elif decision.verdict == "deadline_missed":
+            self.rejected_models.append(model)
+            if metrics is not None:
+                metrics.inc("server.models_rejected")
+        return None
 
     def admit(
         self,
@@ -101,58 +198,30 @@ class CentralServer:
         checksum_ok: bool = True,
         enforce_deadline: bool = True,
     ) -> str:
-        """Run the full admission gate on one local model.
-
-        Order matters: integrity first (a corrupt payload must not count
-        as a deadline miss — it is poison regardless of when it arrived),
-        then the round deadline.  Admission *at* the deadline succeeds;
-        only strictly later arrivals are rejected (``arrival_s >
-        deadline_s``, pinned by the round-policy edge-case tests).
+        """Run one local model through the gate and apply the decision.
 
         Args:
             model: the site's local model.
-            arrival_s: simulated arrival time.
+            arrival_s: arrival time, against the round's deadline.
             checksum_ok: whether the transport's CRC check passed.
-            enforce_deadline: apply the round deadline (recovery rounds
-                run their own per-round deadline and disable this one).
+            enforce_deadline: apply the round deadline.
 
         Returns:
-            ``"admitted"``, ``"quarantined"`` or ``"deadline_missed"``.
+            The verdict (``"admitted"``, ``"quarantined"``,
+            ``"deadline_missed"``, …).
         """
-        if not checksum_ok:
-            self.quarantine(model, "checksum_mismatch")
-            return "quarantined"
-        problems = model.validate()
-        if problems:
-            self.quarantine(model, "; ".join(problems))
-            return "quarantined"
-        if (
-            enforce_deadline
-            and self.deadline_s is not None
-            and arrival_s > self.deadline_s
-        ):
-            self.rejected_models.append(model)
-            if self.metrics is not None:
-                self.metrics.inc("server.models_rejected")
-            return "deadline_missed"
-        self.local_models.append(model)
-        self._model = None  # a new admission invalidates any built model
-        if self.metrics is not None:
-            self.metrics.inc("server.models_admitted")
-            self.metrics.observe(
-                "server.representatives_per_model", len(model.representatives)
-            )
-        return "admitted"
+        decision = self.arrive(
+            model,
+            at_s=arrival_s if enforce_deadline else None,
+            crc_ok=checksum_ok,
+        )
+        self.apply(decision)
+        return decision.verdict
 
     def receive_local_model(
         self, model: LocalModel, *, arrival_s: float = 0.0
     ) -> bool:
         """Store a site's local model (any arrival order).
-
-        Args:
-            model: the site's local model.
-            arrival_s: simulated arrival time, checked against the
-                deadline (irrelevant when no deadline is set).
 
         Returns:
             Whether the model was admitted into the round.
@@ -161,7 +230,7 @@ class CentralServer:
 
     @property
     def admitted_site_ids(self) -> list[int]:
-        """Sites whose models made the round, in arrival order."""
+        """Sites whose models were admitted, in admission order."""
         return [model.site_id for model in self.local_models]
 
     @property
@@ -185,15 +254,12 @@ class CentralServer:
         return len(self.local_models) / expected >= self.quorum
 
     def build(self, *, allow_empty: bool = False) -> GlobalModel:
-        """Step 3: cluster the admitted representatives into the global model.
+        """Step 3: cluster every admitted model, sorted by site id.
 
         Args:
             allow_empty: return an empty global model instead of raising
                 when no model was admitted (degraded-mode runs where every
                 site failed).
-
-        Returns:
-            The :class:`~repro.core.models.GlobalModel` to broadcast.
 
         Raises:
             RuntimeError: when no local model has arrived and
@@ -202,6 +268,7 @@ class CentralServer:
         if not self.local_models:
             if not allow_empty:
                 raise RuntimeError("no local models received")
+            self.n_builds += 1
             self._model = GlobalModel(
                 representatives=[],
                 global_labels=[],
@@ -212,12 +279,13 @@ class CentralServer:
             return self._model
         start = time.perf_counter()
         self._model, self._stats = build_global_model(
-            self.local_models,
+            _by_site(self.local_models),
             eps_global=self.eps_global,
             metric=self.metric,
             index_kind=self.index_kind,
         )
         self.global_seconds = time.perf_counter() - start
+        self.n_builds += 1
         if self.metrics is not None:
             self.metrics.inc("server.builds")
             self.metrics.set("server.representatives", len(self._model))
@@ -239,6 +307,215 @@ class CentralServer:
         if self._stats is None:
             raise RuntimeError("global model has not been built yet")
         return self._stats
+
+
+class RoundCore(CentralServer):
+    """The round protocol: the one object every caller feeds events to.
+
+    Without any :meth:`open_round` it is the one-shot
+    :class:`CentralServer` — an implicit round opened at time 0 under the
+    constructor's deadline — whose model :meth:`build` rebuilds.
+    :meth:`open_round` starts a *session* of numbered rounds, and
+    committing a round (:meth:`commit_round`) makes its models part of the
+    committed global model.  A round with no base model — none yet, or
+    one without representatives, so ``eps_global`` never got a real value
+    — commits by the site-sorted build over every admitted model; later
+    rounds fold their models, sorted by site id, into the base through
+    :class:`~repro.core.global_model.GlobalModelRepairer` with
+    ``eps_global`` frozen.
+
+    Before the gate, :meth:`arrive` answers a model from a site already
+    admitted as a ``duplicate`` (acknowledged, never merged twice) and,
+    inside a session, one arriving while no round is open as
+    ``no_round_open``.  Re-opening the open round and re-committing a
+    committed one are acknowledged and change nothing.
+
+    Takes :class:`CentralServer`'s arguments; ``expected_sites`` also
+    marks a session round holding that many models as :attr:`round_full`.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.n_repairs = 0
+        # Session state: the first applied ROUND_OPEN starts a session.
+        self.session = False
+        self.round_index: int | None = None
+        self.rounds_committed = 0
+        self.round_models: list[LocalModel] = []
+        self._admitted_ids: set[int] = set()
+        self._committed: GlobalModel | None = None
+        self._repairer: GlobalModelRepairer | None = None
+
+    # ------------------------------------------------------------------
+    # decisions (pure: they read state, never change it)
+    # ------------------------------------------------------------------
+    def arrive(
+        self, model: LocalModel, *, at_s: float | None = 0.0, crc_ok: bool = True
+    ) -> Decision:
+        """Decide on one arrived local model.
+
+        Args:
+            model: the site's local model.
+            at_s: arrival time on the caller's clock (``None`` = unknown:
+                no deadline applies).
+            crc_ok: whether the transport's checksum check passed.
+        """
+        index = self.round_index if self.session else -1
+        site = model.site_id
+        if crc_ok and site in self._admitted_ids:
+            return Decision(
+                "duplicate",
+                round_index=-1 if index is None else index,
+                model=model,
+                detail=f"duplicate upload from site {site} ignored",
+            )
+        if index is None:
+            return Decision(
+                "no_round_open",
+                model=model,
+                detail="streaming session active; send ROUND_OPEN first",
+            )
+        return super().arrive(model, at_s=at_s, crc_ok=crc_ok, round_index=index)
+
+    def open_round(
+        self,
+        round_index: int,
+        *,
+        at_s: float = 0.0,
+        deadline_s: float | None = None,
+    ) -> Decision:
+        """Decide on opening round ``round_index`` at time ``at_s``.
+
+        Args:
+            round_index: the round to open.
+            at_s: when it opens, on the caller's clock; arrival deadlines
+                count from here.
+            deadline_s: the round's admission deadline relative to
+                ``at_s`` (``None`` = never reject).
+        """
+        if self.round_index is not None:
+            if round_index == self.round_index:
+                return Decision(
+                    "round_open",
+                    round_index=round_index,
+                    detail=f"round {round_index} already open",
+                )
+            return Decision(
+                "bad_round",
+                round_index=round_index,
+                detail=f"round {self.round_index} is open; cannot open "
+                f"{round_index}",
+            )
+        if self.session and 0 <= round_index < self.rounds_committed:
+            # A reconnecting site may re-open a round that committed while
+            # its acknowledgement was lost: answer idempotently.
+            return Decision(
+                "round_committed",
+                round_index=round_index,
+                detail=f"round {round_index} already committed",
+            )
+        if round_index != self.rounds_committed:
+            return Decision(
+                "bad_round",
+                round_index=round_index,
+                detail=f"next round is {self.rounds_committed}, got {round_index}",
+            )
+        if not self.session and self.local_models:
+            return Decision(
+                "bad_round",
+                round_index=round_index,
+                detail="models were admitted outside a session; restart the "
+                "service to stream",
+            )
+        return Decision(
+            "round_open",
+            "ROUND_OPEN",
+            round_index,
+            detail=f"round {round_index} open",
+            at_s=at_s,
+            deadline_s=deadline_s,
+        )
+
+    def commit_round(self, round_index: int) -> Decision:
+        """Decide on committing round ``round_index``."""
+        if round_index == self.round_index:
+            return Decision(
+                "round_committed",
+                "ROUND_COMMIT",
+                round_index,
+                detail=f"round {round_index} committed",
+            )
+        if round_index < self.rounds_committed:
+            return Decision(
+                "round_committed",
+                round_index=round_index,
+                detail=f"round {round_index} already committed",
+            )
+        return Decision(
+            "bad_round",
+            round_index=round_index,
+            detail=f"cannot commit round {round_index} (open: "
+            f"{self.round_index}, committed: {self.rounds_committed})",
+        )
+
+    @property
+    def round_full(self) -> bool:
+        """Whether the open round holds ``expected_sites`` models."""
+        return (
+            self.round_index is not None
+            and self.expected_sites is not None
+            and len(self.round_models) >= self.expected_sites
+        )
+
+    # ------------------------------------------------------------------
+    # applying decisions
+    # ------------------------------------------------------------------
+    def apply(self, decision: Decision) -> GlobalModel | None:
+        """Turn one decision into state.
+
+        Returns:
+            The committed global model for a ``ROUND_COMMIT`` decision,
+            ``None`` otherwise.
+        """
+        record = decision.record
+        if record == "ROUND_OPEN":
+            self.session = True
+            self.round_index = decision.round_index
+            self.round_models = []
+            self._opened_s = decision.at_s
+            self._round_deadline_s = decision.deadline_s
+            return None
+        if record == "ROUND_COMMIT":
+            return self._commit()
+        super().apply(decision)
+        if record == "MODEL_ADMITTED":
+            self._admitted_ids.add(decision.model.site_id)
+            if self.session:
+                self.round_models.append(decision.model)
+        return None
+
+    def _commit(self) -> GlobalModel:
+        base = self._committed
+        if base is None or not len(base):
+            self._committed = self.build(allow_empty=True)
+            self._repairer = None
+        else:
+            if self._repairer is None:
+                self._repairer = GlobalModelRepairer(base, metric=self.metric)
+            for model in _by_site(self.round_models):
+                self._committed, __ = self._repairer.add_model(model)
+                self.n_repairs += 1
+        self.rounds_committed = self.round_index + 1
+        self.round_index = None
+        self.round_models = []
+        return self._committed
+
+    @property
+    def committed(self) -> GlobalModel | None:
+        """The global model reads are served from: the last committed
+        round's in a session, else the last build (``None`` before any,
+        and after a newer one-shot admission)."""
+        return self._committed if self.session else self._model
 
 
 class IncrementalServer:

@@ -2,11 +2,11 @@
 
 :func:`run_streaming_session` is the oracle the service-mode streaming
 tests pin against: N sequential incremental rounds run entirely in
-process, through exactly the code path the live service uses — round 0
-via the standard sorted :class:`~repro.distributed.server.CentralServer`
-build, every later round folded into the session model by
-:class:`~repro.core.global_model.GlobalModelRepairer`.  A socket session
-over :func:`~repro.service.worker.run_site_worker_session` must produce
+process as a sequence of events — open round ``r``, one arrival per
+site, commit — fed to the same
+:class:`~repro.distributed.server.RoundCore` the live
+service drives.  A socket session over
+:func:`~repro.service.worker.run_site_worker_session` must produce
 bit-identical labels.
 
 Each round's batches are clustered under *effective* site ids
@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.global_model import GlobalModelRepairer
 from repro.core.models import GlobalModel
-from repro.distributed.server import CentralServer
+from repro.distributed.server import RoundCore
 from repro.distributed.site import ClientSite
 
 __all__ = ["StreamingResult", "run_streaming_session"]
@@ -70,7 +69,7 @@ def run_streaming_session(
         eps_local: local DBSCAN ``Eps``.
         min_pts_local: local DBSCAN ``MinPts``.
         eps_global: server merge radius (``None`` → the paper default,
-            frozen at the round-0 value for all later rounds).
+            frozen at the value of the first round with representatives).
         scheme: local model scheme.
         metric: distance metric.
         index_kind: neighbor index kind.
@@ -92,10 +91,9 @@ def run_streaming_session(
                 f"expected {n_sites}"
             )
 
+    core = RoundCore(eps_global, metric=metric, index_kind=index_kind)
     sites: list[list[ClientSite]] = []
     model: GlobalModel | None = None
-    repairer: GlobalModelRepairer | None = None
-    n_repairs = 0
     for round_index, round_batches in enumerate(batches):
         round_sites = [
             ClientSite(
@@ -110,26 +108,10 @@ def run_streaming_session(
             )
             for site_index, batch in enumerate(round_batches)
         ]
-        models = [site.run_local_clustering() for site in round_sites]
-        models.sort(key=lambda local_model: local_model.site_id)
-        if repairer is None:
-            # Round 0: the one-shot sorted build, exactly as the service
-            # (and a single-round deployment) runs it.
-            server = CentralServer(
-                eps_global, metric=metric, index_kind=index_kind
-            )
-            for local_model in models:
-                server.admit(local_model)
-            server.local_models.sort(
-                key=lambda local_model: local_model.site_id
-            )
-            server.build(allow_empty=True)
-            model = server.model
-            repairer = GlobalModelRepairer(model, metric=metric)
-        else:
-            for local_model in models:
-                model, __ = repairer.add_model(local_model)
-                n_repairs += 1
+        core.apply(core.open_round(round_index))
+        for site in round_sites:
+            core.apply(core.arrive(site.run_local_clustering()))
+        model = core.apply(core.commit_round(round_index))
         sites.append(round_sites)
         # True streaming: every batch seen so far is relabeled against
         # the round's committed model.
@@ -146,5 +128,5 @@ def run_streaming_session(
         ],
         n_rounds=len(batches),
         n_sites=n_sites,
-        n_repairs=n_repairs,
+        n_repairs=core.n_repairs,
     )

@@ -187,8 +187,8 @@ class FaultPlan:
     # ------------------------------------------------------------------
     @classmethod
     def none(cls, seed: int = 0) -> "FaultPlan":
-        """A plan that injects nothing (the runner takes the exact
-        fault-free code path for it)."""
+        """A plan that injects nothing (the runner sends each message
+        once for it and runs no simulated clock)."""
         return cls(seed=seed)
 
     @classmethod

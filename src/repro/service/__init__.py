@@ -1,14 +1,16 @@
 """Service mode: DBDC as a live socket deployment.
 
 The subsystem promotes the simulated distributed protocol to a real
-one — same central server, same admission gate, same fault machinery —
-behind a versioned binary wire protocol:
+one — the same round protocol core
+(:class:`~repro.distributed.server.RoundCore`), the same fault
+machinery — behind a versioned binary wire protocol:
 
 * :mod:`repro.service.wire` — frame format and payload codecs.
 * :mod:`repro.service.transport` — the :class:`Transport` seam both
   :class:`~repro.distributed.network.SimulatedNetwork` and
   :class:`SocketTransport` implement.
-* :mod:`repro.service.server` — the asyncio :class:`DBDCService`.
+* :mod:`repro.service.server` — the asyncio :class:`DBDCService`, the
+  I/O shell around the round core.
 * :mod:`repro.service.journal` — the CRC-guarded write-ahead journal
   behind crash-restart recovery (:class:`WriteAheadJournal`).
 * :mod:`repro.service.client` — the blocking :class:`ServiceClient`.

@@ -1,10 +1,12 @@
 """Write-ahead journal backing :class:`~repro.service.server.DBDCService`.
 
-The service's protocol state — admitted local models, round opens and
-commits, quarantine decisions — is journaled to disk *before* any of it
-is acknowledged to a client, so a crashed server can be restarted and
-replayed into the exact state an uninterrupted run would hold (the
-recovery tests pin bit-identity per round).
+Each record is one decision of the round core
+(:class:`~repro.distributed.server.RoundCore`) that changed its state —
+an admitted local model, a round open or commit, a quarantine — written
+to disk *before* the decision is applied and acknowledged to a client,
+so a crashed server restarts by applying the same decisions to a fresh
+core and holds the exact state an uninterrupted run would (the recovery
+tests pin bit-identity per round).
 
 Record format (little-endian, length-prefixed, CRC-guarded)::
 
@@ -29,9 +31,9 @@ Two files live in the journal directory:
   ``snapshot_every_bytes`` at a safe point (no open round).
 
 Compaction preserves the *record stream* rather than derived state:
-recovery always replays records through the live admission/commit code
-path, so recovered state is trivially equivalent to never having
-crashed (only redundant EPOCH records are collapsed).  Every
+recovery always applies the full decision stream to the core, so
+recovered state is trivially equivalent to never having crashed (only
+redundant EPOCH records are collapsed).  Every
 truncation or corruption point yields a typed error —
 :class:`JournalTruncated` for a torn tail, :class:`JournalCorrupt` for
 bit damage — and recovery resumes from the last good record, never a
@@ -485,7 +487,7 @@ class WriteAheadJournal:
         between is recovered by the sequence-number dedup in
         :meth:`recover`.  Redundant EPOCH records collapse to the
         newest; everything else is preserved verbatim — replay always
-        runs the full record stream through the live code path.
+        applies the full decision stream to the core.
         """
         size = self.log_size
         if size == 0:

@@ -1,18 +1,20 @@
 """DBDC as a live asyncio socket service.
 
-:class:`DBDCService` hosts the unchanged
-:class:`~repro.distributed.server.CentralServer` behind the wire
-protocol of :mod:`repro.service.wire`: sites connect over TCP, upload
-local models (admitted through the same integrity/deadline gate the
-simulated path uses), await the global model, and issue label queries;
-operators probe health frames and scrape a plaintext HTTP endpoint
-serving the existing OpenMetrics exporter.
+:class:`DBDCService` is the I/O shell around the round protocol core,
+:class:`~repro.distributed.server.RoundCore`: sites connect over
+TCP (the wire protocol of :mod:`repro.service.wire`), upload local
+models, await the global model, and issue label queries; operators
+probe health frames and scrape a plaintext HTTP endpoint serving the
+existing OpenMetrics exporter.  Every protocol rule — admission, round
+open/commit and their idempotence, the commit rule, duplicate
+resubmissions — lives in the core, which the in-process runner and the
+streaming oracle drive too; the service turns frames into core events
+and core decisions into reply frames.
 
-Determinism contract: before every build the admitted models are
-stably sorted by site id.  A fault-free in-process run admits models in
-site order, so a socket run whose uploads race each other still builds
-the *same* global model — the bit-identical-labels guarantee the
-integration tests pin.
+Determinism contract: the core builds from the admitted models sorted
+by site id, so a socket run whose uploads race each other builds the
+*same* global model as an in-process run — the bit-identical-labels
+guarantee the integration tests pin.
 
 Concurrency model: one event loop owns all protocol state, so admission
 and build are race-free by construction; only the numpy-heavy label
@@ -24,30 +26,31 @@ waiters receive a typed ``shutting_down`` frame before their connection
 closes.
 
 Streaming sessions (ROUND_OPEN / ROUND_COMMIT / MODEL_DELTA) put the
-incremental protocol behind the same wire: round 0 commits through the
-standard sorted build, every later round folds its admitted models into
-the session model via
-:class:`~repro.core.global_model.GlobalModelRepairer` — representatives
-strictly append, so MODEL_DELTA replies are exact.  Sites submit each
-round's batch under a fresh *effective* site id, which keeps the
-``(site_id, local_cluster_id)`` inheritance keys of the relabel step
-collision-free across rounds.  See ``docs/service.md``.
+core's rounds behind the same wire: the first round with
+representatives commits by the site-sorted build, every later round
+folds into the session model — representatives strictly append, so
+MODEL_DELTA replies are exact.  Sites submit each round's batch under a
+fresh *effective* site id, which keeps the ``(site_id,
+local_cluster_id)`` inheritance keys of the relabel step collision-free
+across rounds.  See ``docs/service.md``.
 
-Durability (ISSUE 10): with ``journal_dir`` configured, every admitted
-model, round open/commit and quarantine decision is written to a
-CRC-guarded write-ahead journal (:mod:`repro.service.journal`) *before*
-it is acknowledged; :meth:`DBDCService.start` replays snapshot + journal
-through the very same admission/commit code path, so a crash-restarted
-server is bit-identical to one that never crashed.  Every status reply
-carries the server *epoch* (generation counter), duplicate session
-resubmissions are acknowledged idempotently, and bounded admission
-(``max_inflight_requests`` / ``max_connections``) sheds overload with
-typed ``overloaded`` replies carrying a retry hint.
+Durability: with ``journal_dir`` configured, each core decision that
+changes state (an admission, a quarantine, a round open or commit) is
+written to a CRC-guarded write-ahead journal
+(:mod:`repro.service.journal`) *before* it is applied and acknowledged;
+:meth:`DBDCService.start` applies the decoded records to a fresh core,
+so a crash-restarted server equals one that never crashed by
+construction.  Every status reply carries the server *epoch*
+(generation counter), duplicate resubmissions are acknowledged
+idempotently, and bounded admission (``max_inflight_requests`` /
+``max_connections``) sheds overload with typed ``overloaded`` replies
+carrying a retry hint.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import threading
 import time
 from dataclasses import dataclass, field
@@ -56,9 +59,9 @@ from functools import partial
 import numpy as np
 
 from repro.clustering.labels import NOISE
-from repro.core.global_model import GlobalModelRepairer
+from repro.core.models import LocalModel
 from repro.core.relabel import relabel_site
-from repro.distributed.server import CentralServer
+from repro.distributed.server import Decision, RoundCore
 from repro.obs import MetricsRegistry, NULL_TRACER, shift_span_times, trace_document
 from repro.obs.openmetrics import OPENMETRICS_CONTENT_TYPE, render_registry
 from repro.service import journal, wire
@@ -193,14 +196,10 @@ _WORK_KINDS = frozenset(
     }
 )
 
-
-@dataclass
-class _StreamRound:
-    """State of the streaming session's currently open round."""
-
-    index: int
-    opened_at_s: float
-    models: list = field(default_factory=list)
+#: Verdicts answered with an ACK frame; every other verdict is an ERROR.
+_ACK_VERDICTS = frozenset(
+    {"admitted", "duplicate", "round_open", "round_committed"}
+)
 
 
 class DBDCService:
@@ -209,8 +208,8 @@ class DBDCService:
     Args:
         config: service configuration.
         metrics: optional shared registry (fresh one otherwise); the
-            hosted ``CentralServer`` records its ``server.*`` metrics
-            into the same registry the HTTP endpoint serves.
+            round core records its ``server.*`` metrics into the same
+            registry the HTTP endpoint serves.
         tracer: optional :class:`~repro.obs.Tracer` for distributed
             tracing — the service records ``serve[...]`` /
             ``round_commit`` spans, accepts ``TRACE_UPLOAD`` span
@@ -231,7 +230,7 @@ class DBDCService:
         self.tracer = NULL_TRACER if tracer is None else tracer
         #: TRACE_UPLOAD documents from remote processes, merge inputs.
         self._remote_traces: list[dict] = []
-        self.server = CentralServer(
+        self.server = RoundCore(
             self.config.eps_global,
             metric=self.config.metric,
             index_kind=self.config.index_kind,
@@ -246,26 +245,16 @@ class DBDCService:
         self._busy: set[asyncio.Task] = set()
         self._built = asyncio.Event()
         self._shutdown = asyncio.Event()
-        self._model_dirty = False
-        self._n_builds = 0
         self._started_monotonic = 0.0
         self._frames_total = 0
         self._n_shutdown_notices = 0
-        # Streaming-session state: activated by the first ROUND_OPEN.
-        self._session_active = False
-        self._round: _StreamRound | None = None
-        self._rounds_committed = 0
-        self._repairer: GlobalModelRepairer | None = None
-        self._session_model = None
         self._commit_events: dict[int, asyncio.Event] = {}
-        self._n_repairs = 0
-        # Durability + overload state (ISSUE 10): the journal is only
-        # attached *after* recovery replay, so replaying never journals.
+        # Durability + overload state: the journal is only attached
+        # *after* recovery replay, so replaying never journals.
         self._journal: journal.WriteAheadJournal | None = None
         self._epoch = 0
         self._recovered_models = 0
         self._recovery_wall_s = 0.0
-        self._session_site_ids: set[int] = set()
         self._inflight = 0
         self._n_load_shed = 0
         self._n_connections_refused = 0
@@ -369,15 +358,14 @@ class DBDCService:
         )
 
     def _recover_from_journal(self) -> None:
-        """Replay snapshot + journal into live protocol state.
+        """Apply snapshot + journal to the round core.
 
-        Every record runs through the same admission/commit code path a
-        live request would take, so the recovered global model, round
-        state machine and commit events are bit-identical to a server
-        that never crashed (pinned per round by the recovery tests).
-        The journal is attached only after replay — recovery itself
-        never journals — and the new epoch is the first record of the
-        generation that just started.
+        Every record is a core decision that was journaled before it was
+        applied; recovery applies the same decisions in the same order,
+        so the recovered core equals one that never crashed.  The journal
+        is attached only after replay — recovery itself never journals —
+        and the new epoch is the first record of the generation that
+        just started.
         """
         start = time.perf_counter()
         wal = journal.WriteAheadJournal(
@@ -387,83 +375,73 @@ class DBDCService:
         )
         recovery = wal.recover()
         for record in recovery.records:
-            self._replay_record(record)
-        expected = self.config.expected_sites
-        if self._round is not None:
-            # The crash landed between the round's last journaled model
-            # and its commit record: an uninterrupted run would have
-            # auto-committed at that admission, so finish the job.
-            if expected is not None and len(self._round.models) >= expected:
-                self._commit_round()
-        elif (
-            not self._session_active
-            and expected is not None
-            and len(self.server.local_models) >= expected
-        ):
-            self._build_global_model()
+            if record.kind == journal.RecordKind.EPOCH:
+                self._epoch = max(self._epoch, journal.decode_epoch(record.payload))
+                continue
+            decision = self._decision_from_record(record)
+            self._apply(decision)
+            self._recovered_models += decision.record == "MODEL_ADMITTED"
         self._epoch += 1
         self._journal = wal
         wal.append(journal.RecordKind.EPOCH, journal.encode_epoch(self._epoch))
+        # The crash may have landed between a round's last admission and
+        # its commit: an uninterrupted run would have committed there.
+        self._settle()
         self._recovery_wall_s = time.perf_counter() - start
         self.metrics.set("service.epoch", self._epoch)
         self.metrics.set("service.recovery_wall_seconds", self._recovery_wall_s)
         self.metrics.set("service.recovered_models", self._recovered_models)
-        self.metrics.set("service.recovered_rounds", self._rounds_committed)
+        self.metrics.set("service.recovered_rounds", self.server.rounds_committed)
         self.metrics.set(
             "service.journal_truncated_bytes", recovery.truncated_bytes
         )
         self._journal_metrics()
 
-    def _replay_record(self, record: journal.Record) -> None:
-        """Apply one journal record through the live code path."""
+    def _decision_from_record(self, record: journal.Record) -> Decision:
+        """Decode one journal record back into the decision it logged."""
         kind = record.kind
-        if kind == journal.RecordKind.EPOCH:
-            self._epoch = max(self._epoch, journal.decode_epoch(record.payload))
-        elif kind == journal.RecordKind.ROUND_OPEN:
-            index = journal.decode_round_marker(record.payload)
-            self._session_active = True
-            self._round = _StreamRound(index=index, opened_at_s=self.uptime_s)
-            self.metrics.inc("service.rounds_opened")
-        elif kind == journal.RecordKind.ROUND_COMMIT:
-            index = journal.decode_round_marker(record.payload)
-            if self._round is not None and self._round.index == index:
-                self._commit_round()
-            # Already-committed indices are no-ops: the gap-closing
-            # auto-commit above may have run first.
-        elif kind == journal.RecordKind.MODEL_ADMITTED:
+        if kind == journal.RecordKind.MODEL_ADMITTED:
             round_index, payload = journal.decode_admitted(record.payload)
             model = wire.decode_local_model(payload)
-            # The deadline was enforced (and passed) before the record
-            # was written; re-checking it against the *restart* clock
-            # would wrongly reject every recovered model.
-            verdict = self.server.admit(
-                model, arrival_s=0.0, enforce_deadline=False
+            return Decision("admitted", "MODEL_ADMITTED", round_index, model)
+        if kind == journal.RecordKind.QUARANTINE:
+            round_index, site_id, reason = journal.decode_quarantine(
+                record.payload
             )
-            if verdict != "admitted":
-                return
-            self._recovered_models += 1
-            if round_index >= 0:
-                if self._round is None or self._round.index != round_index:
-                    return
-                self._round.models.append(self.server.local_models[-1])
-                self._session_site_ids.add(model.site_id)
-            else:
-                self._model_dirty = True
-        elif kind == journal.RecordKind.QUARANTINE:
-            __, site_id, reason = journal.decode_quarantine(record.payload)
-            self.server.quarantine(
-                _placeholder_model(site_id), reason or "replayed quarantine"
+            return Decision(
+                "quarantined",
+                "QUARANTINE",
+                round_index,
+                _placeholder_model(site_id),
+                reason,
             )
+        round_index = journal.decode_round_marker(record.payload)
+        if kind == journal.RecordKind.ROUND_OPEN:
+            # The open time is the restart clock: the original one did not
+            # survive the crash, and deadlines only count from here on.
+            return Decision(
+                "round_open",
+                "ROUND_OPEN",
+                round_index,
+                at_s=self.uptime_s,
+                deadline_s=self.config.deadline_s,
+            )
+        return Decision("round_committed", "ROUND_COMMIT", round_index)
 
-    def _journal_quarantine(
-        self, round_index: int, site_id: int, reason: str
-    ) -> None:
-        if self._journal is None:
+    def _journal_decision(self, decision: Decision, model_payload: bytes = b"") -> None:
+        """Make one decision durable (fsynced) before it is applied."""
+        if self._journal is None or decision.record is None:
             return
-        self._journal.append(
-            journal.RecordKind.QUARANTINE,
-            journal.encode_quarantine(round_index, site_id, reason),
-        )
+        kind = journal.RecordKind[decision.record]
+        if kind == journal.RecordKind.MODEL_ADMITTED:
+            payload = journal.encode_admitted(decision.round_index, model_payload)
+        elif kind == journal.RecordKind.QUARANTINE:
+            payload = journal.encode_quarantine(
+                decision.round_index, decision.model.site_id, decision.detail
+            )
+        else:
+            payload = journal.encode_round_marker(decision.round_index)
+        self._journal.append(kind, payload)
         self._journal_metrics()
 
     def _journal_metrics(self) -> None:
@@ -476,94 +454,99 @@ class DBDCService:
         self.metrics.set("service.journal_compactions", wal.compactions)
 
     # ------------------------------------------------------------------
-    # protocol state
+    # protocol state (owned by the round core)
     # ------------------------------------------------------------------
-    def _build_global_model(self) -> None:
-        """(Re)build the global model from the admitted models.
+    def _apply(self, decision: Decision) -> None:
+        """Apply one decision to the core and release what it unblocks."""
+        self.server.apply(decision)
+        if decision.record == "ROUND_OPEN":
+            self.metrics.inc("service.rounds_opened")
+        elif decision.record == "ROUND_COMMIT":
+            self._built.set()
+            self._commit_event(decision.round_index).set()
+            self.metrics.set(
+                "service.rounds_committed", self.server.rounds_committed
+            )
+            self.metrics.set("service.model_repairs", self.server.n_repairs)
+            self.metrics.set("service.model_builds", self.server.n_builds)
 
-        Admitted models are stably sorted by site id first so the build
-        is independent of upload arrival order — the property that makes
-        socket runs bit-identical to in-process runs.
-        """
-        self.server.local_models.sort(key=lambda model: model.site_id)
+    def _settle(self) -> None:
+        """Commit (session) or build (one-shot) once ``expected_sites``
+        models are in."""
+        server = self.server
+        expected = self.config.expected_sites
+        if server.round_full:
+            self._commit_round(server.round_index)
+        elif (
+            not server.session
+            and expected is not None
+            and server.committed is None
+            and len(server.local_models) >= expected
+        ):
+            self._build_global_model()
+
+    def _build_global_model(self) -> None:
+        """Build the one-shot global model from every admitted model."""
         self.server.build(allow_empty=True)
-        self._model_dirty = False
-        self._n_builds += 1
         self._built.set()
-        self.metrics.set("service.model_builds", self._n_builds)
+        self.metrics.set("service.model_builds", self.server.n_builds)
 
     def _current_model(self):
-        """The up-to-date global model, rebuilding if admissions landed
-        since the last build (``None`` when nothing was ever admitted).
+        """The up-to-date global model, rebuilding a one-shot model if
+        admissions landed since the last build (``None`` when nothing
+        was ever admitted).
 
-        In a streaming session the session model is authoritative — it
+        In a streaming session the committed model is authoritative — it
         only advances at round commits, never on individual admissions.
         """
-        if self._session_active:
-            return self._session_model
-        if self._model_dirty or not self._built.is_set():
-            if not self.server.local_models:
-                return None
+        server = self.server
+        if (
+            not server.session
+            and server.committed is None
+            and server.local_models
+        ):
             self._build_global_model()
-        return self.server.model
+        return server.committed
 
-    def _admit(self, frame: wire.Frame) -> tuple[str, str]:
-        """Run one upload through the unchanged admission gate.
+    def _admit(self, frame: wire.Frame) -> Decision:
+        """Run one upload through the core's admission gate.
 
-        In a streaming session the upload must land inside an open round:
-        the arrival clock restarts at ROUND_OPEN (round-scoped deadline),
-        admitted models are collected on the round, and the round
-        auto-commits once ``expected_sites`` models are in.
+        Durability before acknowledgement: the decision is journaled (and
+        fsynced) before it is applied — a crash after the append replays
+        it, a crash before it never acknowledged anything.  A session
+        round commits once ``expected_sites`` models are in.
         """
-        if self._session_active:
-            arrival_s = self.uptime_s - self._round.opened_at_s
-        else:
-            arrival_s = self.uptime_s
-        round_index = self._round.index if self._round is not None else -1
-        detail = ""
-        if frame.crc_ok:
-            try:
-                model = wire.decode_local_model(frame.payload)
-            except wire.WireError as error:
-                # The payload passed its CRC but does not parse: admit a
-                # placeholder so the quarantine bookkeeping names the site.
-                model = _placeholder_model(frame.site_id)
-                verdict = self.server.admit(model, checksum_ok=False)
-                detail = f"undecodable payload: {error}"
-            else:
-                verdict = self.server.admit(model, arrival_s=arrival_s)
-        else:
-            # Bit-flipped in flight: the admission gate quarantines it —
-            # same behavior, same code path, as the simulated transport.
-            model = _decode_or_placeholder(frame)
-            verdict = self.server.admit(
-                model, arrival_s=arrival_s, checksum_ok=False
+        crc_ok = frame.crc_ok
+        undecodable = ""
+        try:
+            model = wire.decode_local_model(frame.payload)
+        except wire.WireError as error:
+            # Admit a placeholder so the quarantine names the site.
+            model = _placeholder_model(frame.site_id)
+            if crc_ok:
+                undecodable = f"undecodable payload: {error}"
+            crc_ok = False
+        decision = self.server.arrive(model, at_s=self.uptime_s, crc_ok=crc_ok)
+        if undecodable and decision.verdict == "quarantined":
+            decision = dataclasses.replace(decision, detail=undecodable)
+        if decision.verdict == "duplicate":
+            self._n_duplicate_uploads += 1
+            self.metrics.set(
+                "service.duplicate_uploads", self._n_duplicate_uploads
             )
-        if verdict == "quarantined":
-            self._journal_quarantine(round_index, model.site_id, detail)
-        if verdict != "admitted":
-            return verdict, detail
-        # Durability before acknowledgement: the admission is journaled
-        # (and fsynced) before any bookkeeping that could produce an ACK
-        # or trigger a commit — a crash after this line replays the
-        # model, a crash before it never acknowledged anything.
-        if self._journal is not None:
-            self._journal.append(
-                journal.RecordKind.MODEL_ADMITTED,
-                journal.encode_admitted(round_index, frame.payload),
+        self._journal_decision(decision, frame.payload)
+        self._apply(decision)
+        self._settle()
+        return decision
+
+    def _reply_for(self, decision: Decision) -> tuple[wire.FrameKind, bytes]:
+        """The response frame of one core decision."""
+        if decision.verdict not in _ACK_VERDICTS:
+            return wire.FrameKind.ERROR, self._status(
+                decision.verdict, decision.detail
             )
-            self._journal_metrics()
-        expected = self.config.expected_sites
-        if self._session_active:
-            self._round.models.append(self.server.local_models[-1])
-            self._session_site_ids.add(model.site_id)
-            if expected is not None and len(self._round.models) >= expected:
-                self._commit_round()
-        else:
-            self._model_dirty = True
-            if expected is not None and len(self.server.local_models) >= expected:
-                self._build_global_model()
-        return verdict, detail
+        status = "admitted" if decision.verdict == "duplicate" else decision.verdict
+        return wire.FrameKind.ACK, self._status(status, decision.detail)
 
     # ------------------------------------------------------------------
     # streaming sessions
@@ -575,90 +558,26 @@ class DBDCService:
 
     def _open_round(self, round_index: int) -> tuple[wire.FrameKind, bytes]:
         """Handle ROUND_OPEN (idempotent for the currently open round)."""
-        if self._round is not None:
-            if round_index == self._round.index:
-                return wire.FrameKind.ACK, self._status(
-                    "round_open", f"round {round_index} already open"
-                )
-            return wire.FrameKind.ERROR, self._status(
-                "bad_round",
-                f"round {self._round.index} is open; cannot open "
-                f"{round_index}",
-            )
-        if self._session_active and 0 <= round_index < self._rounds_committed:
-            # A reconnecting worker may re-open a round that committed
-            # while its ACK was lost (crash or restart window): answer
-            # idempotently — its submit dedupes, its delta replays.
-            return wire.FrameKind.ACK, self._status(
-                "round_committed", f"round {round_index} already committed"
-            )
-        if round_index != self._rounds_committed:
-            return wire.FrameKind.ERROR, self._status(
-                "bad_round",
-                f"next round is {self._rounds_committed}, got {round_index}",
-            )
-        if not self._session_active and self.server.local_models:
-            # One-shot uploads already landed: a session cannot retrofit
-            # round semantics onto them.
-            return wire.FrameKind.ERROR, self._status(
-                "bad_round",
-                "models were admitted outside a session; restart the "
-                "service to stream",
-            )
-        if self._journal is not None:
-            self._journal.append(
-                journal.RecordKind.ROUND_OPEN,
-                journal.encode_round_marker(round_index),
-            )
-            self._journal_metrics()
-        self._session_active = True
-        self._round = _StreamRound(
-            index=round_index, opened_at_s=self.uptime_s
+        decision = self.server.open_round(
+            round_index, at_s=self.uptime_s, deadline_s=self.config.deadline_s
         )
-        self.metrics.inc("service.rounds_opened")
-        return wire.FrameKind.ACK, self._status(
-            "round_open", f"round {round_index} open"
-        )
+        self._journal_decision(decision)
+        self._apply(decision)
+        return self._reply_for(decision)
 
-    def _commit_round(self) -> None:
-        """Commit the open round into the session model.
+    def _commit_round(self, round_index: int) -> Decision:
+        """Commit a round through the core (explicit or automatic).
 
-        Round 0 goes through the standard sorted build — the exact code
-        path a one-shot deployment uses — and seeds the repairer; every
-        later round folds its models (sorted by effective site id) into
-        the session model incrementally.  ``eps_global`` freezes at the
-        round-0 radius, matching :class:`GlobalModelRepairer` semantics.
+        The commit decision is journaled before it is applied: a crash
+        mid-apply replays the record and re-derives the same model.
         """
-        round_ = self._round
-        assert round_ is not None
         commit_start = time.perf_counter()
-        if self._journal is not None:
-            # Journal the commit decision before applying it: a crash
-            # mid-apply replays the commit record and re-derives the
-            # exact same fold (replay runs this very method).
-            self._journal.append(
-                journal.RecordKind.ROUND_COMMIT,
-                journal.encode_round_marker(round_.index),
-            )
-        models = sorted(round_.models, key=lambda model: model.site_id)
-        if self._repairer is None:
-            # Round 0: server.local_models holds exactly this round's
-            # admitted models, so the one-shot build applies unchanged.
-            self._build_global_model()
-            self._session_model = self.server.model
-            self._repairer = GlobalModelRepairer(
-                self._session_model, metric=self.config.metric
-            )
-        else:
-            for model in models:
-                self._session_model, __ = self._repairer.add_model(model)
-                self._n_repairs += 1
-            self.metrics.set("service.model_repairs", self._n_repairs)
-        self._rounds_committed = round_.index + 1
-        self._round = None
-        self._built.set()
-        self._commit_event(round_.index).set()
-        self.metrics.set("service.rounds_committed", self._rounds_committed)
+        decision = self.server.commit_round(round_index)
+        if decision.record is None:
+            return decision
+        n_models = len(self.server.round_models)
+        self._journal_decision(decision)
+        self._apply(decision)
         if self._journal is not None:
             # Commit boundaries are the journal's safe points: no round
             # is open, so the snapshot captures a consistent prefix.
@@ -671,30 +590,11 @@ class DBDCService:
                 wall_end=time.perf_counter(),
                 attrs={
                     "process": "server",
-                    "round": round_.index,
-                    "n_models": len(models),
+                    "round": round_index,
+                    "n_models": n_models,
                 },
             )
-
-    def _handle_round_commit(
-        self, round_index: int
-    ) -> tuple[wire.FrameKind, bytes]:
-        """Handle an explicit ROUND_COMMIT (degraded/partial rounds)."""
-        if self._round is not None and round_index == self._round.index:
-            self._commit_round()
-            return wire.FrameKind.ACK, self._status(
-                "round_committed", f"round {round_index} committed"
-            )
-        if round_index < self._rounds_committed:
-            return wire.FrameKind.ACK, self._status(
-                "round_committed", f"round {round_index} already committed"
-            )
-        open_index = self._round.index if self._round is not None else None
-        return wire.FrameKind.ERROR, self._status(
-            "bad_round",
-            f"cannot commit round {round_index} (open: {open_index}, "
-            f"committed: {self._rounds_committed})",
-        )
+        return decision
 
     async def _wait_or_shutdown(
         self, event: asyncio.Event, timeout_s: float
@@ -982,47 +882,24 @@ class DBDCService:
     ) -> tuple[wire.FrameKind, bytes]:
         kind = frame.kind
         if kind == wire.FrameKind.LOCAL_MODEL:
-            if self._session_active and frame.crc_ok:
-                peeked = wire.peek_local_model_site(frame.payload)
-                if peeked is not None and peeked in self._session_site_ids:
-                    # Idempotent resubmission: the model was journaled
-                    # and admitted before a crash/disconnect ate the
-                    # ACK — re-acknowledge without re-admitting.
-                    self._n_duplicate_uploads += 1
-                    self.metrics.set(
-                        "service.duplicate_uploads", self._n_duplicate_uploads
-                    )
-                    return wire.FrameKind.ACK, self._status(
-                        "admitted",
-                        f"duplicate upload from site {peeked} ignored",
-                    )
-            if self._session_active and self._round is None:
-                return wire.FrameKind.ERROR, self._status(
-                    "no_round_open",
-                    "streaming session active; send ROUND_OPEN first",
-                )
-            round_index = self._round.index if self._round is not None else None
-            verdict, detail = self._admit(frame)
+            decision = self._admit(frame)
             if self.tracer.enabled:
                 attrs = {
                     "process": "server",
                     "site": int(frame.site_id),
-                    "verdict": verdict,
+                    "verdict": decision.verdict,
                     "payload_bytes": len(frame.payload),
                     **self._context_attrs(frame),
                 }
-                if round_index is not None:
-                    attrs["round"] = round_index
+                if decision.round_index >= 0:
+                    attrs["round"] = decision.round_index
                 self.tracer.record(
                     "serve[local_model]",
                     wall_start=recv_wall,
                     wall_end=time.perf_counter(),
                     attrs=attrs,
                 )
-            status_kind = (
-                wire.FrameKind.ACK if verdict == "admitted" else wire.FrameKind.ERROR
-            )
-            return status_kind, self._status(verdict, detail)
+            return self._reply_for(decision)
         if kind == wire.FrameKind.AWAIT_GLOBAL:
             timeout = min(
                 wire.decode_await_global(frame.payload),
@@ -1051,8 +928,8 @@ class DBDCService:
         if kind == wire.FrameKind.ROUND_OPEN:
             return self._open_round(wire.decode_round_open(frame.payload))
         if kind == wire.FrameKind.ROUND_COMMIT:
-            return self._handle_round_commit(
-                wire.decode_round_commit(frame.payload)
+            return self._reply_for(
+                self._commit_round(wire.decode_round_commit(frame.payload))
             )
         if kind == wire.FrameKind.MODEL_DELTA:
             round_index, known_reps, timeout_s = wire.decode_delta_request(
@@ -1069,7 +946,7 @@ class DBDCService:
                     "no_model",
                     f"round {round_index} not committed after {timeout:.3f}s",
                 )
-            model = self._session_model
+            model = self.server.committed
             if model is None:
                 return wire.FrameKind.ERROR, self._status(
                     "no_model", "session has no committed model"
@@ -1165,36 +1042,25 @@ class DBDCService:
 
     def health(self) -> dict:
         """The service's health document (HEALTH frames serve this)."""
-        built = self._built.is_set() and not self._model_dirty
-        if self._session_active:
-            # The session model is authoritative; the hosted server's own
-            # model slot is invalidated by every later-round admission.
-            n_representatives = (
-                len(self._session_model.representatives)
-                if self._session_model is not None
-                else 0
-            )
-        else:
-            n_representatives = len(self.server.model) if built else 0
+        server = self.server
+        model = server.committed
         return {
             "status": "serving" if not self._shutdown.is_set() else "stopping",
             "uptime_s": round(self.uptime_s, 6),
-            "sites_admitted": len(self.server.local_models),
-            "sites_quarantined": len(self.server.quarantined_models),
-            "sites_rejected": len(self.server.rejected_models),
+            "sites_admitted": len(server.local_models),
+            "sites_quarantined": len(server.quarantined_models),
+            "sites_rejected": len(server.rejected_models),
             "expected_sites": self.config.expected_sites,
-            "quorum_met": self.server.quorum_met,
-            "model_built": built,
-            "model_builds": self._n_builds,
-            "n_representatives": n_representatives,
+            "quorum_met": server.quorum_met,
+            "model_built": model is not None,
+            "model_builds": server.n_builds,
+            "n_representatives": len(model) if model is not None else 0,
             "connections_active": len(self._connections),
             "frames_total": self._frames_total,
             "protocol_version": wire.PROTOCOL_VERSION,
-            "session_active": self._session_active,
-            "rounds_committed": self._rounds_committed,
-            "round_open": (
-                self._round.index if self._round is not None else None
-            ),
+            "session_active": server.session,
+            "rounds_committed": server.rounds_committed,
+            "round_open": server.round_index,
             "shutdown_notices": self._n_shutdown_notices,
             "trace_uploads": len(self._remote_traces),
             "epoch": self._epoch,
@@ -1309,11 +1175,9 @@ class DBDCService:
                 pass
 
 
-def _placeholder_model(site_id: int):
+def _placeholder_model(site_id: int) -> LocalModel:
     """A minimal stand-in for an upload that would not even decode, so
     the quarantine bookkeeping can still name the offending site."""
-    from repro.core.models import LocalModel
-
     return LocalModel(
         site_id=max(int(site_id), 0),
         representatives=[],
@@ -1322,13 +1186,6 @@ def _placeholder_model(site_id: int):
         eps_local=0.0,
         min_pts_local=0,
     )
-
-
-def _decode_or_placeholder(frame: wire.Frame):
-    try:
-        return wire.decode_local_model(frame.payload)
-    except wire.WireError:
-        return _placeholder_model(frame.site_id)
 
 
 @dataclass

@@ -549,10 +549,9 @@ def decode_local_model(payload: bytes) -> LocalModel:
 def peek_local_model_site(payload: bytes) -> int | None:
     """The site id of a LOCAL_MODEL payload without a full decode.
 
-    The server's duplicate-resubmission check runs on every session
-    upload; the site id is the first header field, so peeking it skips
-    re-decoding the representative records.  ``None`` when the payload
-    is too short to carry one.
+    The site id is the first header field, so peeking it skips decoding
+    the representative records.  ``None`` when the payload is too short
+    to carry one.
     """
     if len(payload) < 4:
         return None

@@ -1,0 +1,296 @@
+"""Replaying the round core's decision log equals the live core.
+
+:class:`~repro.distributed.server.RoundCore` is the sans-I/O round
+protocol behind the in-process runner, the streaming oracle and the
+socket service, whose journal holds the core's decisions.  Generated
+schedules of opens, arrivals (valid, corrupt, invalid, duplicate, late)
+and commits drive a live core, and every schedule checks that:
+
+* applying the decision log to a fresh core reproduces the live state
+  at every record boundary (a journal cut anywhere replays cleanly);
+* a decision without a journal record — a duplicate, a late model, a
+  re-opened or re-committed round — changes no durable state;
+* the model folded round by round equals a from-scratch build up to
+  label names.
+
+The same replay runs once more through the service's real journal: a
+write-ahead log cut at every record boundary restarts to the state the
+live service had when it wrote that record.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.global_model import build_global_model
+from repro.core.models import LocalModel, Representative
+from repro.distributed.server import RoundCore
+from repro.service import ServiceConfig, journal, wire
+from repro.service.server import DBDCService
+
+DEADLINE_S = 1.0
+#: Representative positions on a coarse grid, so folds both merge and
+#: add singletons.
+_SPOTS = [(0.0, 0.0), (1.0, 0.0), (5.0, 5.0), (5.5, 5.0), (9.0, 0.0)]
+
+
+def _model(site_id: int, spots: list[int], *, claimed_site: int | None = None):
+    claimed = site_id if claimed_site is None else claimed_site
+    return LocalModel(
+        site_id=site_id,
+        representatives=[
+            Representative(
+                point=np.asarray(_SPOTS[spot]),
+                eps_range=0.8,
+                site_id=claimed,
+                local_cluster_id=i,
+            )
+            for i, spot in enumerate(spots)
+        ],
+        n_objects=len(spots),
+        scheme="rep_scor",
+        eps_local=0.5,
+        min_pts_local=2,
+    )
+
+
+_SPOT_LIST = st.lists(st.integers(0, len(_SPOTS) - 1), min_size=1, max_size=3)
+_ARRIVAL = st.tuples(
+    st.just("arrive"),
+    st.sampled_from(["valid", "valid", "corrupt", "invalid", "duplicate", "late"]),
+    # Mostly models with representatives; now and then an empty one.
+    st.one_of(_SPOT_LIST, _SPOT_LIST, _SPOT_LIST, st.just([])),
+)
+#: Round offsets relative to the next valid index: mostly valid, and now
+#: and then a stale or premature one.
+_OFFSET = st.sampled_from([0, 0, 0, -1, 1])
+#: One round: open, a few arrivals, commit.
+_ROUND = st.tuples(_OFFSET, st.lists(_ARRIVAL, max_size=5), _OFFSET).map(
+    lambda drawn: [("open", drawn[0]), *drawn[1], ("commit", drawn[2])]
+)
+_STEP = st.one_of(
+    st.tuples(st.just("open"), _OFFSET), _ARRIVAL, st.tuples(st.just("commit"), _OFFSET)
+)
+#: A schedule: maybe a few one-shot arrivals first (which make sessions
+#: impossible), then rounds, then loose steps in any order.
+_SCHEDULE = st.tuples(
+    st.one_of(st.just([]), st.just([]), st.just([]), st.lists(_ARRIVAL, max_size=2)),
+    st.lists(_ROUND, min_size=1, max_size=5),
+    st.lists(_STEP, max_size=6),
+).map(
+    lambda drawn: drawn[0]
+    + [step for round_ in drawn[1] for step in round_]
+    + drawn[2]
+)
+
+
+def _fingerprint(core: RoundCore):
+    model = core.committed
+    return (
+        None
+        if model is None
+        else (
+            model.eps_global,
+            model.global_labels.tolist(),
+            [(rep.site_id, rep.local_cluster_id) for rep in model.representatives],
+        ),
+        core.rounds_committed,
+        core.round_index,
+        core.admitted_site_ids,
+        [(model.site_id, reason) for model, reason in core.quarantined_models],
+        core.n_repairs,
+    )
+
+
+def _run_schedule(steps):
+    """Drive a live core through ``steps``; return its decision log and
+    the live fingerprint after every logged decision.  A decision without
+    a journal record must leave the fingerprint as it was."""
+    core = RoundCore(expected_sites=None)
+    log, snapshots = [], [_fingerprint(core)]
+    now = 0.0
+    next_site = 0
+    opened_at = 0.0
+    for step in steps:
+        now += 0.01  # a whole schedule stays inside one deadline
+        if step[0] == "open":
+            index = core.rounds_committed + step[1]
+            decision = core.open_round(index, at_s=now, deadline_s=DEADLINE_S)
+            if decision.record:
+                opened_at = now
+        elif step[0] == "commit":
+            target = core.round_index
+            index = (core.rounds_committed if target is None else target) + step[1]
+            decision = core.commit_round(index)
+        else:
+            __, kind, spots = step
+            at_s = now
+            crc_ok = True
+            if kind == "duplicate" and core.admitted_site_ids:
+                model = _model(core.admitted_site_ids[-1], spots)
+            else:
+                model = _model(
+                    next_site,
+                    spots,
+                    claimed_site=next_site + 1 if kind == "invalid" else None,
+                )
+                next_site += 1
+                crc_ok = kind != "corrupt"
+                if kind == "late":
+                    at_s = opened_at + DEADLINE_S + 0.5
+            decision = core.arrive(model, at_s=at_s, crc_ok=crc_ok)
+        core.apply(decision)
+        if decision.record is not None:
+            log.append(decision)
+            snapshots.append(_fingerprint(core))
+        else:
+            assert _fingerprint(core) == snapshots[-1], decision
+    return core, log, snapshots
+
+
+def _same_partition(a, b) -> bool:
+    """Whether two label vectors differ only by a renaming of ids."""
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len({x for x, __ in pairs}) == len({y for __, y in pairs})
+
+
+class TestReplayEqualsLive:
+    @settings(max_examples=150, deadline=None)
+    @given(steps=_SCHEDULE)
+    def test_decision_log_replays_to_the_live_core(self, steps):
+        live, log, snapshots = _run_schedule(steps)
+        for cut in range(len(log) + 1):
+            replayed = RoundCore(expected_sites=None)
+            for decision in log[:cut]:
+                replayed.apply(decision)
+            assert _fingerprint(replayed) == snapshots[cut]
+        assert snapshots[-1] == _fingerprint(live)
+
+    @settings(max_examples=100, deadline=None)
+    @given(steps=_SCHEDULE)
+    def test_folded_model_equals_a_rebuild(self, steps):
+        """Repair equals rebuild up to label names: the session model
+        the core folded round by round clusters its representatives as a
+        from-scratch build over every admitted model does (all
+        representatives share one radius, so the frozen ``eps_global``
+        is the rebuild's default too)."""
+        live, __, __ = _run_schedule(steps)
+        if live.round_index is not None:
+            live.apply(live.commit_round(live.round_index))
+        if not live.session:
+            return
+        rebuilt, __ = build_global_model(
+            sorted(live.local_models, key=lambda model: model.site_id)
+        )
+        folded = live.committed
+        assert [
+            (rep.site_id, rep.local_cluster_id) for rep in folded.representatives
+        ] == [(rep.site_id, rep.local_cluster_id) for rep in rebuilt.representatives]
+        assert folded.eps_global == rebuilt.eps_global
+        assert _same_partition(folded.global_labels, rebuilt.global_labels)
+
+    def test_schedule_exercises_every_verdict(self):
+        """The generator's vocabulary reaches every admission verdict."""
+        steps = [
+            ("open", 0),
+            ("arrive", "valid", [0, 1]),
+            ("arrive", "duplicate", [0]),
+            ("arrive", "corrupt", [2]),
+            ("arrive", "invalid", [3]),
+            ("arrive", "late", [4]),
+            ("commit", 0),
+            ("arrive", "valid", [2]),
+            ("open", 0),
+            ("open", 0),
+            ("arrive", "valid", [2, 3]),
+            ("commit", 0),
+            ("commit", -1),
+        ]
+        live, log, __ = _run_schedule(steps)
+        assert [d.record for d in log] == [
+            "ROUND_OPEN",
+            "MODEL_ADMITTED",
+            "QUARANTINE",
+            "QUARANTINE",
+            "ROUND_COMMIT",
+            "ROUND_OPEN",
+            "MODEL_ADMITTED",
+            "ROUND_COMMIT",
+        ]
+        assert live.rounds_committed == 2
+        assert live.n_repairs == 1
+        assert live.rejected_site_ids == [3]
+
+
+def _upload(model: LocalModel, *, corrupt: bool = False) -> wire.Frame:
+    data = bytearray(
+        wire.encode_frame(
+            wire.FrameKind.LOCAL_MODEL,
+            wire.encode_local_model(model),
+            site_id=model.site_id,
+        )
+    )
+    if corrupt:
+        data[-1] ^= 0xFF  # a representative byte: the site id survives
+    frame, __ = wire.decode_frame(bytes(data), verify_crc=False)
+    return frame
+
+
+def _booted(directory) -> DBDCService:
+    """A socket-free service recovered from the journal in ``directory``."""
+    service = DBDCService(
+        ServiceConfig(journal_dir=str(directory), metrics_port=None)
+    )
+    service._recover_from_journal()
+    return service
+
+
+class TestServiceJournalReplay:
+    def test_journal_cut_at_every_record_restarts_to_the_live_state(
+        self, tmp_path
+    ):
+        live = _booted(tmp_path / "live")
+        snapshots = [_fingerprint(live.server)]  # after the EPOCH record
+        steps = [
+            lambda: live._open_round(0),
+            lambda: live._admit(_upload(_model(0, [0, 1]))),
+            lambda: live._admit(_upload(_model(1, [2]), corrupt=True)),
+            # More representatives than objects: fails validate().
+            lambda: live._admit(
+                _upload(dataclasses.replace(_model(2, [3, 4]), n_objects=1))
+            ),
+            lambda: live._admit(_upload(_model(0, [4]))),  # duplicate
+            lambda: live._admit(_upload(_model(3, [2, 4]))),
+            lambda: live._commit_round(0),
+            lambda: live._open_round(1),
+            lambda: live._admit(_upload(_model(4, [1, 3]))),
+            lambda: live._commit_round(1),
+            lambda: live._open_round(2),
+            lambda: live._admit(_upload(_model(5, [0]))),
+        ]
+        for step in steps:
+            written = live._journal.records_written
+            step()
+            if live._journal.records_written > written:
+                snapshots.append(_fingerprint(live.server))
+        live._journal.close()
+        records = live._journal.recover().records
+        assert len(records) == len(snapshots) == 12
+        assert live.server.n_repairs == 1
+        assert live.server.quarantined_site_ids == [1, 2]
+        for cut in range(1, len(records) + 1):
+            directory = tmp_path / f"cut-{cut}"
+            directory.mkdir()
+            (directory / "wal.log").write_bytes(
+                b"".join(
+                    journal.encode_record(r.kind, r.seq, r.payload)
+                    for r in records[:cut]
+                )
+            )
+            restarted = _booted(directory)
+            assert _fingerprint(restarted.server) == snapshots[cut - 1], cut
+            restarted._journal.close()
