@@ -9,19 +9,17 @@ Usage::
     python -m repro.cli ablations
     python -m repro.cli all             # everything (sized for a laptop)
     python -m repro.cli run --dataset A --sites 4 --scheme rep_kmeans
-    python -m repro.cli bench           # hot-path perf -> BENCH_hotpaths.json
-    python -m repro chaos               # fault sweep  -> BENCH_chaos.json
-    python -m repro trace               # traced run   -> TRACE_run.json
-    python -m repro trace --smoke       # CI gate: schema + reconciliation
+    python -m repro scenario hotpaths   # any preset of repro.scenario
+    python -m repro scenario chaos-recovery --trials 3
     python -m repro runs list           # the run registry (.runs/)
     python -m repro runs regress --baseline baselines/run_smoke.json
     python -m repro serve               # live socket service (docs/service.md)
     python -m repro serve-worker --port 7171 --site-id 0
-    python -m repro serve-bench         # sustained-load bench -> BENCH_serve.json
 
-Every command (except ``runs`` itself and ``trace --smoke``) appends a
-schema-validated RunRecord to the registry (``.runs/``, gitignored) so
-perf and quality trajectories survive; ``--no-registry`` opts out.  The
+Every command (except ``runs`` itself) appends a schema-validated
+RunRecord to the registry (``.runs/``, gitignored) through
+:func:`repro.scenario.record`, so perf and quality trajectories
+survive; ``--no-registry`` opts out.  The
 figure commands print the same rows the paper reports;
 ``EXPERIMENTS.md`` records a captured run side by side with the paper's
 numbers.
@@ -76,9 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
             "figures",
             "all",
             "run",
-            "bench",
-            "chaos",
-            "trace",
         ],
         help="experiments to regenerate",
     )
@@ -92,7 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--sites", type=int, default=4, help="number of client sites (run)"
     )
     parser.add_argument(
-        "--dataset", default="A", help="data set name for 'run' (A/B/C)"
+        "--dataset",
+        default="A",
+        choices=["A", "B", "C"],
+        help="data set name for 'run'",
     )
     parser.add_argument(
         "--scheme",
@@ -108,117 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="figures", help="output directory for 'figures'"
     )
     parser.add_argument(
-        "--parallelism",
-        type=int,
-        default=4,
-        help="parallel local-phase width for 'bench'",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=1, help="best-of repeats for 'bench'"
-    )
-    parser.add_argument(
-        "--bench-out",
-        default="BENCH_hotpaths.json",
-        help="output JSON path for 'bench'",
-    )
-    parser.add_argument(
-        "--bench-cardinality",
-        default=None,
-        help="comma-separated cardinality sweep for 'bench' (first entry "
-        "runs the classic sections, every entry gets a memory-budgeted "
-        "scale pipeline); overrides --cardinality",
-    )
-    parser.add_argument(
-        "--strict-git",
-        action="store_true",
-        help="make 'bench' refuse to run on a dirty git tree",
-    )
-    parser.add_argument(
-        "--failure-probs",
-        default="0,0.125,0.25,0.375,0.5",
-        help="comma-separated failure probabilities for 'chaos'",
-    )
-    parser.add_argument(
-        "--chaos-mode",
-        default="sites",
-        choices=["sites", "links", "chaos"],
-        help="what fails in the 'chaos' sweep",
-    )
-    parser.add_argument(
-        "--trials",
-        type=int,
-        default=3,
-        help="fault seeds per probability for 'chaos'",
-    )
-    parser.add_argument(
-        "--chaos-out",
-        default="BENCH_chaos.json",
-        help="output JSON path for 'chaos'",
-    )
-    parser.add_argument(
-        "--recovery-rounds",
-        type=int,
-        default=0,
-        help="'chaos': recovery rounds per run (0 = abandon failed sites)",
-    )
-    parser.add_argument(
-        "--corrupt-rate",
-        type=float,
-        default=0.0,
-        help="'chaos': payload corruption probability layered on the mode",
-    )
-    parser.add_argument(
-        "--transport",
-        default="simulated",
-        choices=["simulated", "socket"],
-        help="'chaos': run the sweep over the simulated network or "
-        "against a live socket service with real fault injection",
-    )
-    parser.add_argument(
-        "--probe-messages",
-        type=int,
-        default=2,
-        help="'chaos --transport socket': health probes per site through "
-        "the same resilient link (gives circuit breakers traffic)",
-    )
-    parser.add_argument(
-        "--server-crashes",
-        type=int,
-        default=0,
-        help="'chaos --transport socket': hard-kill and restart the "
-        "journaled service this many times per trial between site "
-        "uploads (exercises write-ahead recovery)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="'trace': tiny run + schema/reconciliation validation (CI gate)",
-    )
-    parser.add_argument(
-        "--fault-intensity",
-        type=float,
-        default=0.0,
-        help="'trace': run the degraded protocol under chaos(intensity)",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default="TRACE_run.json",
-        help="output JSON path for 'trace'",
-    )
-    parser.add_argument(
-        "--chrome-out",
-        default=None,
-        help="'trace': also write Chrome trace_event JSON here",
-    )
-    parser.add_argument(
-        "--critical-path",
-        default=None,
-        metavar="TRACE_JSON",
-        help="'trace': read a merged session trace document (from "
-        "'serve-trace') and print the per-round critical-path report "
-        "instead of running anything",
-    )
-    parser.add_argument(
         "--registry",
         default=".runs",
         help="run registry root (RunRecords + artifacts)",
@@ -231,100 +118,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_single(args: argparse.Namespace) -> dict:
-    """The 'run' command: one DBDC execution with a quality report.
+def _spec(args: argparse.Namespace):
+    """The scenario spec of ``run``'s data set options."""
+    from repro.scenario import Scenario
 
-    Returns:
-        The run's flat RunRecord metrics (timings, quality, bytes).
-    """
-    from repro.data.datasets import load_dataset
-    from repro.experiments.common import central_reference, dataset_trial
-
-    data = load_dataset(args.dataset, cardinality=args.cardinality)
-    central, central_seconds = central_reference(
-        data.points, data.eps_local, data.min_pts
-    )
-    trial = dataset_trial(
-        data,
-        n_sites=args.sites,
+    return Scenario(
+        dataset=args.dataset,
+        cardinality=(args.cardinality,) if args.cardinality else (),
+        sites=args.sites,
         scheme=args.scheme,
         seed=args.seed,
-        central=central,
-        central_seconds=central_seconds,
     )
-    result = trial.run.result
-    print(f"data set {data.name}: {data.n} objects on {args.sites} sites")
-    print(
-        f"central DBSCAN: {central.n_clusters} clusters, "
-        f"{central.n_noise} noise, {central_seconds:.2f}s"
-    )
-    print(
-        f"DBDC({args.scheme}): {result.n_global_clusters} global clusters, "
-        f"{result.n_representatives} representatives "
-        f"({100 * result.representative_fraction:.1f}% of the data), "
-        f"Eps_global={result.eps_global_used:.2f}"
-    )
-    print(
-        f"runtime: max local {result.max_local_seconds:.2f}s + "
-        f"global {result.global_seconds:.2f}s = {result.overall_seconds:.2f}s "
-        f"(central: {central_seconds:.2f}s)"
-    )
-    print(
-        f"quality: P^I = {trial.quality.q_p1_percent:.1f}%  "
-        f"P^II = {trial.quality.q_p2_percent:.1f}%"
-    )
-    print(
-        f"transmission: {result.bytes_up} bytes up / "
-        f"{result.bytes_down} bytes down per site"
-    )
-    return {
-        "quality.q_p1_percent": trial.quality.q_p1_percent,
-        "quality.q_p2_percent": trial.quality.q_p2_percent,
-        "model.global_clusters_count": result.n_global_clusters,
-        "model.representatives_count": result.n_representatives,
-        "model.representative_fraction": result.representative_fraction,
-        "local.max_wall_seconds": result.max_local_seconds,
-        "global.wall_seconds": result.global_seconds,
-        "overall.wall_seconds": result.overall_seconds,
-        "central.wall_seconds": central_seconds,
-        "net.bytes_up_per_site": result.bytes_up,
-        "net.bytes_down_per_site": result.bytes_down,
-    }
 
 
-def _record_command(
-    args: argparse.Namespace,
-    command: str,
-    *,
-    metrics: dict | None = None,
-    wall_seconds: float | None = None,
-) -> None:
-    """Append one RunRecord for a CLI command (best effort).
+def _record_figure(args: argparse.Namespace, command: str, wall: float) -> None:
+    """Record a figure command's wall time with the options it reads."""
+    from repro.scenario import Report, record
 
-    Recording is observability, so it must never break the run: any
-    failure prints a warning and the command still succeeds.
-    """
-    if args.no_registry:
-        return
-    from repro.obs.registry import RunRegistry
-
-    metrics = dict(metrics or {})
-    if wall_seconds is not None:
-        metrics.setdefault("command.wall_seconds", wall_seconds)
-    try:
-        RunRegistry(args.registry).record(
-            command,
-            config={
-                "dataset": args.dataset,
-                "cardinality": args.cardinality,
-                "n_sites": args.sites,
-                "scheme": args.scheme,
-                "seed": args.seed,
-            },
-            metrics=metrics,
-        )
-    except Exception as error:  # never fail the run over bookkeeping
-        print(f"warning: could not record run: {error}", file=sys.stderr)
+    record(
+        Report(spec=None, command=command,
+               metrics={"command.wall_seconds": wall}),
+        args.registry,
+        config={
+            "dataset": args.dataset,
+            "cardinality": args.cardinality,
+            "n_sites": args.sites,
+            "scheme": args.scheme,
+            "seed": args.seed,
+        },
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -352,20 +174,20 @@ def main(argv: list[str] | None = None) -> int:
         from repro.service.cli import worker_main
 
         return worker_main(argv[1:])
-    if argv and argv[0] == "serve-bench":
-        from repro.service.bench import main as serve_bench_main
+    if argv and argv[0] == "scenario":
+        from repro.scenario import main as scenario_main
 
-        return serve_bench_main(argv[1:])
-    if argv and argv[0] == "serve-trace":
-        from repro.service.tracing import main as serve_trace_main
-
-        return serve_trace_main(argv[1:])
-    if argv and argv[0] == "serve-recovery-smoke":
-        from repro.service.recovery_smoke import main as recovery_smoke_main
-
-        return recovery_smoke_main(argv[1:])
-    args = build_parser().parse_args(argv)
+        return scenario_main(argv[1:])
+    parser = build_parser()
+    args = parser.parse_args(argv)
     commands = list(args.commands)
+    spec = None
+    if "run" in commands:
+        # Validate before any command prints.
+        try:
+            spec = _spec(args)
+        except ValueError as error:
+            parser.error(str(error))
     if "all" in commands:
         commands = [
             "fig6", "fig7a", "fig7b", "fig8", "fig9", "fig10", "fig11",
@@ -428,149 +250,20 @@ def main(argv: list[str] | None = None) -> int:
 
             print(run_baseline_comparison(seed=args.seed).to_text())
         elif command == "run":
-            run_metrics = _run_single(args)
-            _record_command(
-                args,
+            from repro.scenario import execute
+
+            status = execute(
+                spec,
                 "run",
-                metrics=run_metrics,
-                wall_seconds=time.perf_counter() - command_start,
+                registry=None if args.no_registry else args.registry,
             )
-        elif command == "bench":
-            from repro.perf.hotpaths import (
-                format_summary,
-                record_bench_run,
-                run_hotpath_bench,
-                write_report,
-            )
-
-            if args.bench_cardinality:
-                cardinality = [
-                    int(part)
-                    for part in str(args.bench_cardinality).split(",")
-                    if part.strip()
-                ]
-            else:
-                cardinality = args.cardinality or 20_000
-            report = run_hotpath_bench(
-                cardinality=cardinality,
-                n_sites=args.sites,
-                parallelism=args.parallelism,
-                repeats=args.repeats,
-                seed=args.seed,
-                strict_git=args.strict_git,
-            )
-            print(format_summary(report))
-            # Registry first (durable history), then the generated
-            # "latest" view with the run id stamped into its meta.
-            if not args.no_registry:
-                try:
-                    record = record_bench_run(report, args.registry)
-                    print(f"recorded {record['run_id']} in {args.registry}")
-                except Exception as error:
-                    print(
-                        f"warning: could not record run: {error}",
-                        file=sys.stderr,
-                    )
-            path = write_report(report, args.bench_out)
-            print(f"wrote {path}")
-        elif command == "chaos" and args.transport == "socket":
-            from repro.experiments.chaos import (
-                DEFAULT_SOCKET_CHAOS_PATH,
-                record_socket_chaos_run,
-                run_socket_chaos_sweep,
-                socket_chaos_table,
-                write_chaos_report,
-            )
-            from repro.faults.transport import BreakerPolicy
-
-            probs = tuple(
-                float(p) for p in args.failure_probs.split(",") if p.strip()
-            )
-            chaos_report = run_socket_chaos_sweep(
-                dataset=args.dataset,
-                cardinality=args.cardinality,
-                n_sites=args.sites,
-                failure_probs=probs,
-                trials=args.trials,
-                mode=args.chaos_mode,
-                scheme=args.scheme,
-                seed=args.seed,
-                corrupt_rate=args.corrupt_rate,
-                probe_messages=args.probe_messages,
-                server_crashes=args.server_crashes,
-                breaker_policy=BreakerPolicy(
-                    failure_threshold=2, cooldown_s=0.5
-                ),
-            )
-            print(socket_chaos_table(chaos_report).to_text())
-            if not args.no_registry:
-                try:
-                    record = record_socket_chaos_run(
-                        chaos_report, args.registry
-                    )
-                    print(f"recorded {record['run_id']} in {args.registry}")
-                except Exception as error:
-                    print(
-                        f"warning: could not record run: {error}",
-                        file=sys.stderr,
-                    )
-            out_path = (
-                args.chaos_out
-                if args.chaos_out != "BENCH_chaos.json"
-                else DEFAULT_SOCKET_CHAOS_PATH
-            )
-            path = write_chaos_report(chaos_report, out_path)
-            print(f"wrote {path}")
-        elif command == "chaos":
-            from repro.experiments.chaos import (
-                chaos_table,
-                record_chaos_run,
-                run_chaos_sweep,
-                write_chaos_report,
-            )
-
-            probs = tuple(
-                float(p) for p in args.failure_probs.split(",") if p.strip()
-            )
-            chaos_report = run_chaos_sweep(
-                dataset=args.dataset,
-                cardinality=args.cardinality,
-                n_sites=args.sites,
-                failure_probs=probs,
-                trials=args.trials,
-                mode=args.chaos_mode,
-                scheme=args.scheme,
-                seed=args.seed,
-                recovery_rounds=args.recovery_rounds,
-                corrupt_rate=args.corrupt_rate,
-            )
-            print(chaos_table(chaos_report).to_text())
-            if not args.no_registry:
-                try:
-                    record = record_chaos_run(chaos_report, args.registry)
-                    print(f"recorded {record['run_id']} in {args.registry}")
-                except Exception as error:
-                    print(
-                        f"warning: could not record run: {error}",
-                        file=sys.stderr,
-                    )
-            path = write_chaos_report(chaos_report, args.chaos_out)
-            print(f"wrote {path}")
-        elif command == "trace":
-            from repro.perf.tracing import run_trace_command
-
-            status = run_trace_command(args)
             if status:
                 return status
         if command in (
             "fig6", "fig7a", "fig7b", "fig8", "fig9", "fig10", "fig11",
             "ablations", "baselines", "figures",
-        ):
-            _record_command(
-                args,
-                command,
-                wall_seconds=time.perf_counter() - command_start,
-            )
+        ) and not args.no_registry:
+            _record_figure(args, command, time.perf_counter() - command_start)
         print()
     return 0
 

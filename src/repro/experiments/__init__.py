@@ -17,11 +17,6 @@ from repro.experiments.ablations import (
     run_transmission_ablation,
 )
 from repro.experiments.baselines import baseline_workloads, run_baseline_comparison
-from repro.experiments.chaos import (
-    chaos_table,
-    run_chaos_sweep,
-    write_chaos_report,
-)
 from repro.experiments.common import (
     DistributedTrial,
     central_reference,
@@ -63,7 +58,4 @@ __all__ = [
     "run_compression_tradeoff",
     "baseline_workloads",
     "run_baseline_comparison",
-    "chaos_table",
-    "run_chaos_sweep",
-    "write_chaos_report",
 ]

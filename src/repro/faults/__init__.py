@@ -12,8 +12,9 @@ plus the deadline/quorum policy of
 into a (possibly degraded) global clustering.
 
 See ``docs/fault_model.md`` for the fault taxonomy and the degraded-mode
-label guarantees, and ``repro.experiments.chaos`` for the quality-vs-
-failure-rate sweep built on top.
+label guarantees, and the ``chaos`` scenario presets
+(:mod:`repro.scenario`) for the quality-vs-failure-rate sweep built on
+top.
 """
 
 from repro.faults.integrity import crc_matches, payload_crc32

@@ -9,8 +9,12 @@ contract, and the wall-vs-simulated clock rules.
 
 from repro.obs.export import (
     TRACE_FORMAT_VERSION,
+    critical_path,
+    format_critical_path,
     load_trace_schema,
     phase_totals,
+    round_spans,
+    server_round_seconds,
     shift_span_times,
     to_chrome_trace,
     trace_document,
@@ -67,6 +71,10 @@ __all__ = [
     "write_trace",
     "write_chrome_trace",
     "phase_totals",
+    "round_spans",
+    "server_round_seconds",
+    "critical_path",
+    "format_critical_path",
     "load_trace_schema",
     "validate_trace",
     "validate_document",

@@ -3,7 +3,7 @@ per-phase totals and schema validation.
 
 The canonical artifact is the *trace document* — a plain dict with the
 span forest, the metrics snapshot and clock metadata — written by
-``python -m repro trace`` and embedded in ``DistributedRunReport.trace``.
+the traced scenario presets and embedded in ``DistributedRunReport.trace``.
 :func:`to_chrome_trace` converts it to the Chrome ``trace_event`` format
 (open in ``chrome://tracing`` or Perfetto): pid 1 shows the wall clock,
 pid 2 shows the simulated clock, and site-attributed spans get their own
@@ -28,6 +28,10 @@ __all__ = [
     "write_trace",
     "write_chrome_trace",
     "phase_totals",
+    "round_spans",
+    "server_round_seconds",
+    "critical_path",
+    "format_critical_path",
     "load_trace_schema",
     "validate_trace",
     "validate_document",
@@ -215,6 +219,98 @@ def phase_totals(doc: dict) -> dict:
                 entry["sim_seconds"] = 0.0
             entry["sim_seconds"] += span["sim_end"] - span["sim_start"]
     return totals
+
+
+def _duration(span: dict) -> float:
+    return span["wall_end"] - span["wall_start"]
+
+
+def round_spans(doc: dict) -> dict[tuple[int, int], dict]:
+    """``{(round, site): span}`` of the session workers' ``round`` spans."""
+    return {
+        (int(span["attrs"]["round"]), int(site)): span
+        for span, __, site, __parent, __process in _walk(doc.get("spans", []))
+        if span["name"] == "round" and site is not None
+    }
+
+
+def server_round_seconds(doc: dict) -> dict[int, dict[str, float]]:
+    """Per-round server seconds: admission / repair / broadcast.
+
+    ``serve[local_model]`` spans cover the whole admission branch; the
+    ``round_commit`` recorded inside the triggering admission is carved
+    out, so *admission* counts gate work only and *repair* the commit.
+    ``serve[model_delta]`` covers the delta encode (broadcast).
+    """
+    totals: dict[int, dict[str, float]] = {}
+    for span, __, __site, __parent, __process in _walk(doc.get("spans", [])):
+        if "round" not in span.get("attrs", {}):
+            continue
+        row = totals.setdefault(
+            int(span["attrs"]["round"]),
+            {"admission": 0.0, "repair": 0.0, "broadcast": 0.0},
+        )
+        if span["name"] == "serve[local_model]":
+            row["admission"] += _duration(span)
+        elif span["name"] == "round_commit":
+            row["repair"] += _duration(span)
+            row["admission"] -= _duration(span)
+        elif span["name"] == "serve[model_delta]":
+            row["broadcast"] += _duration(span)
+    for row in totals.values():
+        row["admission"] = max(row["admission"], 0.0)
+    return totals
+
+
+def critical_path(doc: dict) -> list[dict]:
+    """Per-round critical-path rows of a merged session trace.
+
+    For each round the *gating site* is the one whose round span is
+    longest (the round cannot commit before its slowest site), the
+    *gating phase* is that site's longest phase child, and the server
+    columns split the round's server work into admission, repair and
+    broadcast.
+    """
+    by_round: dict[int, list[tuple[int, dict]]] = {}
+    for (round_index, site_id), span in round_spans(doc).items():
+        by_round.setdefault(round_index, []).append((site_id, span))
+    server = server_round_seconds(doc)
+    rows: list[dict] = []
+    for round_index in sorted(by_round):
+        site_id, span = max(by_round[round_index], key=lambda p: _duration(p[1]))
+        children = span.get("children", [])
+        phase = max(children, key=_duration) if children else None
+        row = {
+            "round": round_index,
+            "gating_site": site_id,
+            "site_wall_seconds": _duration(span),
+            "gating_phase": phase["name"] if phase else "",
+            "phase_seconds": _duration(phase) if phase else 0.0,
+            "n_sites": len(by_round[round_index]),
+        }
+        seconds = server.get(
+            round_index, {"admission": 0.0, "repair": 0.0, "broadcast": 0.0}
+        )
+        row.update({f"server_{k}_seconds": v for k, v in seconds.items()})
+        rows.append(row)
+    return rows
+
+
+def format_critical_path(rows: list[dict]) -> str:
+    """Human-readable per-round critical-path report."""
+    if not rows:
+        return "critical path: no round spans in trace"
+    lines = ["round critical path (gating site / phase, server breakdown):"]
+    for row in rows:
+        lines.append(
+            f"  round {row['round']}: site {row['gating_site']} gates at "
+            f"{row['site_wall_seconds']:.4f}s "
+            f"({row['gating_phase']} {row['phase_seconds']:.4f}s); "
+            f"server admission {row['server_admission_seconds'] * 1e3:.2f}ms, "
+            f"repair {row['server_repair_seconds'] * 1e3:.2f}ms, "
+            f"broadcast {row['server_broadcast_seconds'] * 1e3:.2f}ms"
+        )
+    return "\n".join(lines)
 
 
 def load_trace_schema() -> dict:

@@ -7,8 +7,8 @@ records into a :class:`MetricsRegistry` when one is attached, and records
 nothing — not even an allocation — when none is.  The registry is deliberately
 tiny: three metric families, float values, power-of-two histogram
 buckets, and a JSON-ready :meth:`MetricsRegistry.to_dict` export that
-lands in ``DistributedRunReport.trace`` and the ``python -m repro trace``
-output.
+lands in ``DistributedRunReport.trace`` and the traced scenario
+presets' output.
 
 Metric names are dotted paths (``"index.region_queries"``); per-kind
 variants append the kind in brackets (``"transport.bytes[local_model]"``).

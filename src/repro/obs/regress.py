@@ -7,7 +7,9 @@ structured, antisymmetric metric diff of two records, and
 repeat cannot flip the verdict — under direction-aware per-metric rules:
 wall seconds going **up** is bad, Q_DBDC going **down** is bad, speedups
 going **down** are bad, and everything inside the per-rule relative/
-absolute threshold band is "unchanged".  Both functions are
+absolute threshold band is "unchanged".  A gated baseline metric the
+candidate does not report at all is **lost** and fails the gate too, so
+a harness that stops emitting a metric cannot pass by omission.  Both functions are
 deterministic for fixed inputs (pinned by a hypothesis test), which is
 what lets CI gate on ``python -m repro runs regress``.
 
@@ -262,9 +264,25 @@ class RegressionReport:
         }
 
     @property
+    def lost(self) -> dict[str, dict]:
+        """Gated baseline metrics the candidate does not report.
+
+        ``classify`` calls these ``missing``; a metric whose rule is
+        ``ignore`` (informational) is never lost.
+        """
+        return {
+            name: entry
+            for name, entry in self.entries.items()
+            if entry["verdict"] == "missing"
+            and entry["candidate"] is None
+            and entry["baseline"] is not None
+            and entry["direction"] != "ignore"
+        }
+
+    @property
     def ok(self) -> bool:
-        """``True`` when nothing regressed."""
-        return not self.regressions
+        """``True`` when nothing regressed and no gated metric was lost."""
+        return not self.regressions and not self.lost
 
     def to_text(self) -> str:
         """Human-readable report (regressions first)."""
@@ -275,6 +293,11 @@ class RegressionReport:
         ]
         order = {"regression": 0, "improvement": 1, "unchanged": 2,
                  "info": 3, "missing": 4}
+        lost = self.lost
+        for name in sorted(lost):
+            lines.append(
+                f"{'LOST':11s} {name}: {lost[name]['baseline']:g} -> absent"
+            )
         for name in sorted(
             self.entries, key=lambda n: (order[self.entries[n]["verdict"]], n)
         ):
@@ -296,6 +319,8 @@ class RegressionReport:
             )
             for verdict in order
         }
+        if lost:
+            counts["lost"] = len(lost)
         lines.append(
             "summary: "
             + ", ".join(f"{n} {verdict}" for verdict, n in counts.items() if n)

@@ -9,6 +9,7 @@ Subcommands::
     runs regress --baseline REF [...]        # noise-aware gate, exit 1
     runs gc      --keep N                    # prune old records+artifacts
     runs export  REF [--out FILE]            # OpenMetrics textfile
+    runs critical-path TRACE_JSON            # per-round gating site/phase
 
 ``REF`` is a run id (unique prefixes work), ``latest`` / ``latest~N``,
 or a path to a committed record file (JSON or JSONL; a JSONL baseline
@@ -24,6 +25,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.obs.export import critical_path, format_critical_path, validate_trace
 from repro.obs.openmetrics import render_run_record
 from repro.obs.regress import (
     DEFAULT_RULES,
@@ -106,6 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("export", help="OpenMetrics textfile export")
     p_exp.add_argument("ref", help="run id / latest[~N] / record file")
     p_exp.add_argument("--out", default=None, help="output path (default: stdout)")
+
+    p_cp = sub.add_parser(
+        "critical-path", help="per-round critical path of a merged session trace"
+    )
+    p_cp.add_argument("trace", help="a merged session trace JSON file")
     return parser
 
 
@@ -165,11 +172,16 @@ def _cmd_regress(registry: RunRegistry, args) -> int:
     candidates = registry.resolve(args.candidate)
     base_commands = {r["command"] for r in baselines}
     cand_commands = {r["command"] for r in candidates}
-    if base_commands != cand_commands:
+    # A scenario preset records under its own name, so a baseline from an
+    # older command is fine as long as the two share metric names.
+    shared = {n for r in baselines for n in r["metrics"]} & {
+        n for r in candidates for n in r["metrics"]
+    }
+    if base_commands != cand_commands and not shared:
         print(
             f"warning: comparing different commands "
-            f"({sorted(base_commands)} vs {sorted(cand_commands)}); "
-            f"most metrics will be missing on one side",
+            f"({sorted(base_commands)} vs {sorted(cand_commands)}) that "
+            f"share no metric",
             file=sys.stderr,
         )
     if args.last > 1 and len(candidates) == 1:
@@ -227,6 +239,16 @@ def _cmd_export(registry: RunRegistry, args) -> int:
     return 0
 
 
+def _cmd_critical_path(registry: RunRegistry, args) -> int:
+    doc = json.loads(Path(args.trace).read_text(encoding="utf-8"))
+    errors = validate_trace(doc)
+    for error in errors:
+        print(f"INVALID TRACE: {error}")
+    rows = critical_path(doc)
+    print(format_critical_path(rows))
+    return 0 if rows and not errors else 1
+
+
 _COMMANDS = {
     "list": _cmd_list,
     "show": _cmd_show,
@@ -234,6 +256,7 @@ _COMMANDS = {
     "regress": _cmd_regress,
     "gc": _cmd_gc,
     "export": _cmd_export,
+    "critical-path": _cmd_critical_path,
 }
 
 

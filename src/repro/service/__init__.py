@@ -19,15 +19,9 @@ machinery — behind a versioned binary wire protocol:
 * :mod:`repro.service.faulting` — socket-level fault injection
   (:class:`FaultingSocketTransport` replays the FaultPlan DSL against
   real connections).
-* :mod:`repro.service.bench` — the sustained-load bench behind
-  ``python -m repro serve-bench`` (plus the multi-process client sweep).
-* :mod:`repro.service.recovery_smoke` — the subprocess ``kill -9`` /
-  restart / resume drill behind ``python -m repro serve-recovery-smoke``
-  (plus the typed-overload query storm).
-* :mod:`repro.service.tracing` — distributed tracing of socket
-  sessions: the traced session runner, trace/result reconciliation and
-  the per-round critical-path analysis behind
-  ``python -m repro serve-trace``.
+
+The benchmark, smoke and crash-drill runs against the service are
+scenario presets (:mod:`repro.scenario`).
 
 See ``docs/service.md`` for the wire format tables, the
 streaming-session state machine and deployment topology.
@@ -48,13 +42,6 @@ from repro.service.journal import (
     WriteAheadJournal,
 )
 from repro.service.server import DBDCService, ServiceConfig, ServiceHandle
-from repro.service.tracing import (
-    SessionTraceReport,
-    critical_path,
-    format_critical_path,
-    reconcile_session_trace,
-    run_traced_socket_session,
-)
 from repro.service.transport import ServiceError, SocketTransport, Transport
 from repro.service.worker import (
     SiteSessionResult,
@@ -76,18 +63,13 @@ __all__ = [
     "ServiceConfig",
     "ServiceError",
     "ServiceHandle",
-    "SessionTraceReport",
     "SiteSessionResult",
     "SiteWorkerResult",
     "SocketTransport",
     "Transport",
     "WriteAheadJournal",
-    "critical_path",
-    "format_critical_path",
-    "reconcile_session_trace",
     "run_site_worker",
     "run_site_worker_session",
-    "run_traced_socket_session",
     "sync_clock",
     "upload_trace",
 ]

@@ -562,55 +562,3 @@ def run_site_worker_session(
     result.model = model
     result.wall_seconds = time.perf_counter() - start
     return result
-
-
-def run_site_worker_simple(
-    host: str,
-    port: int,
-    site_id: int,
-    points: np.ndarray,
-    *,
-    eps_local: float,
-    min_pts_local: int,
-    **kwargs,
-) -> SiteWorkerResult:
-    """Like :func:`run_site_worker` but over the plain blocking client —
-    no retry layer, for minimal-dependency deployments."""
-    start = time.perf_counter()
-    site = ClientSite(
-        site_id,
-        points,
-        eps_local=eps_local,
-        min_pts_local=min_pts_local,
-        **{
-            key: value
-            for key, value in kwargs.items()
-            if key in ("scheme", "metric", "index_kind", "relabel_kernel")
-        },
-    )
-    result = SiteWorkerResult(
-        site_id=site_id, verdict="failed", n_objects=int(points.shape[0])
-    )
-    timeout_s = float(kwargs.get("timeout_s", 30.0))
-    await_global_s = float(kwargs.get("await_global_s", 30.0))
-    try:
-        with ServiceClient(
-            host, port, site_id=site_id, timeout_s=timeout_s
-        ) as client:
-            model = site.run_local_clustering()
-            result.verdict = client.submit(model)
-            result.bytes_sent = client.transport.bytes_sent
-            result.upload_attempts = 1
-            site.receive_global_model(
-                client.await_global_model(await_global_s)
-            )
-            result.labels = site.global_labels
-    except ServiceError as error:
-        result.verdict = error.status
-        result.error = error.detail
-    except (OSError, wire.WireError) as error:
-        result.verdict = "failed"
-        result.error = f"{type(error).__name__}: {error}"
-    finally:
-        result.wall_seconds = time.perf_counter() - start
-    return result

@@ -1,20 +1,23 @@
-"""Chaos sweep tests: end-to-end run, quality degradation shape, CLI."""
+"""Chaos sweep tests (the ``chaos`` presets): end-to-end run, quality
+degradation shape, CLI."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+import repro.scenario as scenario
 from repro.cli import main
-from repro.experiments.chaos import chaos_table, run_chaos_sweep, write_chaos_report
+from repro.scenario import Scenario, report_document, run, summary, write_report
 
 # Small fig. 6 data set A slice — enough structure for stable quality
 # numbers, small enough for the fast tier.
-SWEEP_KWARGS = dict(
+SWEEP = Scenario(
     dataset="A",
-    cardinality=1200,
-    n_sites=8,
+    cardinality=(1200,),
+    sites=8,
     failure_probs=(0.0, 0.25, 0.5),
     trials=2,
     seed=42,
@@ -22,39 +25,67 @@ SWEEP_KWARGS = dict(
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    return run_chaos_sweep(**SWEEP_KWARGS)
+def sweep_and_trials():
+    """The sweep's report plus every trial's runner outcome."""
+    outcomes = []
+
+    class Recording(scenario.DistributedRunner):
+        def run(self, *args, **kwargs):
+            outcomes.append(super().run(*args, **kwargs))
+            return outcomes[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario, "DistributedRunner", Recording)
+        report = run(SWEEP, "chaos")
+    return report, outcomes
+
+
+@pytest.fixture(scope="module")
+def sweep(sweep_and_trials):
+    return sweep_and_trials[0]
+
+
+def _point(report, name: str, prob: float):
+    return report.metrics.get(f"chaos.{name}[p={prob:g}]")
 
 
 class TestRunChaosSweep:
-    def test_report_structure(self, sweep):
-        assert sweep["bench"] == "chaos"
-        assert sweep["meta"]["dataset"] == "A"
-        assert sweep["meta"]["n_sites"] == 8
-        assert len(sweep["sweep"]) == 3
-        for point in sweep["sweep"]:
-            assert len(point["trials"]) == 2
-            for trial in point["trials"]:
-                assert 0 <= trial["n_failed_sites"] <= 8
-                assert trial["n_participating"] + trial["n_failed_sites"] == 8
+    def test_report_structure(self, sweep, sweep_and_trials):
+        assert sweep.problems == []
+        trials = sweep_and_trials[1]
+        assert len(trials) == len(SWEEP.failure_probs) * SWEEP.trials
+        for outcome in trials:
+            assert 0 <= len(outcome.failed_sites) <= SWEEP.sites
+            assert (
+                len(outcome.participating_sites) + len(outcome.failed_sites)
+                == SWEEP.sites
+            )
+        assert "chaos.central_wall_seconds" in sweep.metrics
+        for prob in SWEEP.failure_probs:
+            assert 0.0 <= _point(sweep, "failed_fraction", prob) <= 1.0
+            assert 0 <= _point(sweep, "degraded_runs", prob) <= SWEEP.trials
+            for name in ("q_p1_overall_percent", "q_p2_overall_percent", "retries"):
+                assert _point(sweep, name, prob) is not None
 
     def test_zero_probability_is_healthy(self, sweep):
-        clean = sweep["sweep"][0]
-        assert clean["failure_prob"] == 0.0
-        assert clean["mean_failed_fraction"] == 0.0
-        assert clean["n_degraded"] == 0
-        assert clean["total_retries"] == 0
-        assert clean["mean_q_p2_overall"] > 50.0
+        assert _point(sweep, "failed_fraction", 0.0) == 0.0
+        assert _point(sweep, "degraded_runs", 0.0) == 0
+        assert _point(sweep, "retries", 0.0) == 0
+        assert _point(sweep, "q_p2_overall_percent", 0.0) > 50.0
 
     def test_quality_degrades_with_failures_noncatastrophically(self, sweep):
         """Sorted by failed-site fraction, overall P^II must decrease
         monotonically-ish: each step loses roughly the failed sites'
         share of the objects, never collapses below the surviving share."""
         points = sorted(
-            sweep["sweep"], key=lambda p: p["mean_failed_fraction"]
+            (
+                _point(sweep, "failed_fraction", p),
+                _point(sweep, "q_p2_overall_percent", p),
+            )
+            for p in SWEEP.failure_probs
         )
-        fractions = [p["mean_failed_fraction"] for p in points]
-        q_overall = [p["mean_q_p2_overall"] for p in points]
+        fractions = [frac for frac, __ in points]
+        q_overall = [q for __, q in points]
         assert fractions[0] < fractions[-1], "sweep injected no failures"
         healthy = q_overall[0]
         for prev, cur in zip(q_overall, q_overall[1:]):
@@ -68,67 +99,48 @@ class TestRunChaosSweep:
             assert q >= healthy * (1.0 - frac) - 20.0
 
     def test_surviving_sites_keep_quality(self, sweep):
-        points = [
-            p for p in sweep["sweep"] if p["mean_q_p2_surviving"] is not None
-        ]
-        healthy = sweep["sweep"][0]["mean_q_p2_overall"]
-        for point in points:
-            assert point["mean_q_p2_surviving"] > healthy - 15.0
+        healthy = _point(sweep, "q_p2_overall_percent", 0.0)
+        for prob in SWEEP.failure_probs:
+            surviving = _point(sweep, "q_p2_surviving_percent", prob)
+            if surviving is not None:
+                assert surviving > healthy - 15.0
 
     def test_deterministic_given_seed(self):
-        kwargs = dict(SWEEP_KWARGS, failure_probs=(0.5,), trials=1)
+        spec = replace(SWEEP, failure_probs=(0.5,), trials=1)
 
         def deterministic_part(report):
-            # meta and the per-phase breakdowns carry wall-clock timing;
-            # everything else in the sweep must repeat exactly.
-            sweep = []
-            for point in report["sweep"]:
-                point = dict(point)
-                point.pop("mean_phase_wall_seconds", None)
-                point["trials"] = [
-                    {
-                        k: v
-                        for k, v in trial.items()
-                        if k != "phase_wall_seconds"
-                    }
-                    for trial in point["trials"]
-                ]
-                sweep.append(point)
-            return sweep
+            # Wall clocks vary; everything else must repeat exactly.
+            return {k: v for k, v in report.metrics.items() if "seconds" not in k}
 
-        assert deterministic_part(run_chaos_sweep(**kwargs)) == (
-            deterministic_part(run_chaos_sweep(**kwargs))
-        )
+        assert deterministic_part(run(spec)) == deterministic_part(run(spec))
 
     def test_links_mode_retries(self):
-        report = run_chaos_sweep(
-            **dict(
-                SWEEP_KWARGS,
-                mode="links",
-                failure_probs=(0.5,),
-                trials=1,
-                n_sites=4,
-                cardinality=600,
-            )
-        )
-        assert report["sweep"][0]["total_retries"] > 0
+        report = run(replace(
+            SWEEP, fault_mode="links", failure_probs=(0.5,), trials=1, sites=4,
+            cardinality=(600,),
+        ))
+        assert _point(report, "retries", 0.5) > 0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="mode"):
-            run_chaos_sweep(**dict(SWEEP_KWARGS, mode="gremlins"))
+            replace(SWEEP, fault_mode="gremlins")
         with pytest.raises(ValueError, match="trials"):
-            run_chaos_sweep(**dict(SWEEP_KWARGS, trials=0))
+            replace(SWEEP, trials=0)
+        with pytest.raises(ValueError, match="in process"):
+            replace(SWEEP, recovery_rounds=1, server="thread")
 
     def test_table_renders(self, sweep):
-        text = chaos_table(sweep).to_text()
-        assert "Chaos" in text
-        assert "P^II overall" in text
+        text = summary(sweep)
+        assert "sites fault sweep" in text
+        assert "chaos.q_p2_overall_percent[p=0.25]" in text
+        assert text.endswith("verdict: ok")
 
     def test_write_report_round_trips(self, sweep, tmp_path):
-        path = write_chaos_report(sweep, str(tmp_path / "sub" / "chaos.json"))
+        path = write_report(sweep, str(tmp_path / "sub" / "chaos.json"))
         with open(path, encoding="utf-8") as handle:
             restored = json.load(handle)
-        assert restored == sweep
+        assert restored == json.loads(json.dumps(report_document(sweep)))
+        assert restored["metrics"] == sweep.metrics
 
 
 class TestChaosCli:
@@ -136,23 +148,20 @@ class TestChaosCli:
         out_path = tmp_path / "BENCH_chaos.json"
         code = main(
             [
+                "scenario",
                 "chaos",
-                "--cardinality",
-                "600",
-                "--sites",
-                "4",
-                "--trials",
-                "1",
-                "--failure-probs",
-                "0,0.5",
-                "--chaos-out",
-                str(out_path),
+                "--cardinality", "600",
+                "--sites", "4",
+                "--trials", "1",
+                "--failure-probs", "0,0.5",
+                "--out", str(out_path),
+                "--registry", str(tmp_path / ".runs"),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "Chaos" in out
+        assert "chaos.q_p2_overall_percent[p=0.5]" in out
         assert f"wrote {out_path}" in out
         report = json.loads(out_path.read_text(encoding="utf-8"))
-        assert report["bench"] == "chaos"
-        assert [p["failure_prob"] for p in report["sweep"]] == [0.0, 0.5]
+        assert report["scenario"] == "chaos"
+        assert report["spec"]["failure_probs"] == [0.0, 0.5]

@@ -1,196 +1,200 @@
-"""Tests for the hot-path benchmark module (repro.perf.hotpaths)."""
+"""Tests for the hot-path sections of the scenario runner (the
+``hotpaths`` / ``hotpaths-smoke`` presets)."""
 
 from __future__ import annotations
 
-import argparse
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import repro.perf.hotpaths as hotpaths
-from repro.perf.hotpaths import (
-    _normalize_cardinalities,
-    _parse_cardinality,
-    bench_relabel_kernels,
-    bench_scale_pipeline,
-    bench_shm_pool,
-    flat_metrics,
-    run_hotpath_bench,
+import repro.scenario as scenario
+from repro.scenario import PRESETS, SECTIONS, Scenario, build_parser, run
+
+SMALL = replace(
+    PRESETS["hotpaths-smoke"], cardinality=(400,), sites=2, parallelism=2, seed=11
 )
+PHASES = ("generate", "partition", "local", "global", "relabel")
+VARIANTS = ("sequential", "thread_x2", "process_x2")
 
 
 @pytest.fixture(scope="module")
 def small_report():
-    """One real (tiny) bench run shared by the section/metric tests."""
-    return run_hotpath_bench(
-        cardinality=400, n_sites=2, parallelism=2, seed=11
-    )
+    """One real (tiny) hot-path run shared by the section/metric tests."""
+    return run(SMALL, "hotpaths-smoke")
+
+
+def _sections(**overrides):
+    return run(replace(SMALL, **overrides), "hotpaths-smoke")
 
 
 class TestReportShape:
     def test_all_sections_present_at_small_primary(self, small_report):
-        for section in (
-            "region_queries",
-            "dbscan",
-            "local_phase",
-            "relabel_kernels",
-            "shm_pool",
-            "scale",
-            "meta",
-        ):
-            assert section in small_report
+        families = {name.split(".")[0] for name in small_report.metrics}
+        assert {
+            "region_queries", "dbscan", "local_phase", "relabel_kernels",
+            "shm", "scale",
+        } <= families
+        assert small_report.problems == []
 
     def test_meta_records_sweep_and_workers(self, small_report):
-        meta = small_report["meta"]
-        assert meta["cardinalities"] == [400]
-        assert meta["cardinality"] == 400
-        assert meta["effective_workers"] >= 1
-        assert "parallelism_fallback_reason" in meta
-        assert meta["parallelism"] == 2
+        config = small_report.spec.config()
+        assert config["cardinality"] == (400,)
+        assert config["parallelism"] == 2
+        assert config["sections"] == SECTIONS
+        for name in VARIANTS:
+            assert small_report.metrics[f"local_phase.effective_workers[{name}]"] >= 1
 
     def test_relabel_kernels_section(self, small_report):
-        row = small_report["relabel_kernels"]
-        assert row["labels_identical"] is True
-        assert row["reference_seconds"] > 0
-        assert row["vectorized_seconds"] > 0
-        assert row["n_representatives"] > 0
+        metrics = small_report.metrics
+        assert metrics["relabel_kernels.labels_identical"] == 1.0
+        assert metrics["relabel_kernels.wall_seconds[reference]"] > 0
+        assert metrics["relabel_kernels.wall_seconds[vectorized]"] > 0
+        assert metrics["relabel_kernels.representatives_count"] > 0
 
     def test_shm_pool_section(self, small_report):
-        row = small_report["shm_pool"]
-        assert row["roundtrip_ok"] is True
-        assert row["bytes_shared"] == 400 * 2 * 8
+        assert small_report.metrics["shm.roundtrip_ok"] == 1.0
+        assert small_report.metrics["shm.bytes_shared"] == 400 * 2 * 8
 
     def test_local_phase_stamps_effective_workers(self, small_report):
-        for name, row in small_report["local_phase"].items():
-            if name == "n_sites":
-                continue
-            assert row["effective_workers"] >= 1
-            assert "parallelism_fallback_reason" in row
+        for name in VARIANTS:
+            workers = small_report.metrics[f"local_phase.effective_workers[{name}]"]
+            assert workers >= 1
+            if name != "sequential" and workers < 2:
+                # A fallback is explained, not silent.
+                assert any(
+                    note.startswith(f"local phase {name}: fell back")
+                    for note in small_report.notes
+                )
 
     def test_scale_section_has_per_phase_budgets(self, small_report):
-        row = small_report["scale"]["400"]
-        assert set(row["phases"]) == {
-            "generate",
-            "partition",
-            "local",
-            "global",
-            "relabel",
-        }
-        for budget in row["phases"].values():
-            assert budget["wall_seconds"] >= 0
-            assert budget["tracemalloc_peak_mb"] >= 0
-            assert budget["rss_peak_mb"] > 0
-        assert row["total_wall_seconds"] == pytest.approx(
-            sum(b["wall_seconds"] for b in row["phases"].values())
+        metrics = small_report.metrics
+        for phase in PHASES:
+            assert metrics[f"scale.wall_seconds[400:{phase}]"] >= 0
+            assert metrics[f"scale.tracemalloc_peak_mb[400:{phase}]"] >= 0
+        assert metrics["scale.total_wall_seconds[400]"] == pytest.approx(
+            sum(metrics[f"scale.wall_seconds[400:{phase}]"] for phase in PHASES)
         )
-        assert row["peak_rss_mb"] > 0
-        assert row["n_global_clusters"] >= 1
+        assert metrics["scale.rss_peak_mb[400]"] > 0
+        assert metrics["scale.clusters_count[400]"] >= 1
 
     def test_flat_metrics_expose_gateable_names(self, small_report):
-        metrics = flat_metrics(small_report)
+        metrics = small_report.metrics
         assert metrics["relabel_kernels.labels_identical"] == 1.0
         assert metrics["shm.roundtrip_ok"] == 1.0
-        assert "relabel_kernels.wall_seconds[reference]" in metrics
-        assert "relabel_kernels.wall_seconds[vectorized]" in metrics
-        assert "scale.total_wall_seconds[400]" in metrics
-        assert "scale.tracemalloc_peak_mb[400:relabel]" in metrics
-        assert "scale.rss_peak_mb[400]" in metrics
-        assert "local_phase.effective_workers[sequential]" in metrics
-        assert "local_phase.relabel_wall_seconds[sequential]" in metrics
-        assert all(
-            value is None or np.isfinite(value) for value in metrics.values()
-        )
+        for name in (
+            "relabel_kernels.wall_seconds[reference]",
+            "relabel_kernels.wall_seconds[vectorized]",
+            "scale.total_wall_seconds[400]",
+            "scale.tracemalloc_peak_mb[400:relabel]",
+            "scale.rss_peak_mb[400]",
+            "local_phase.effective_workers[sequential]",
+            "local_phase.relabel_wall_seconds[sequential]",
+        ):
+            assert name in metrics
+        assert all(np.isfinite(value) for value in metrics.values())
 
     def test_flat_metrics_tolerate_missing_sections(self):
-        report = {
-            "scale": {
-                "10": {
-                    "total_wall_seconds": 1.0,
-                    "peak_rss_mb": 2.0,
-                    "n_global_clusters": 1,
-                    "n_covered": 3,
-                    "phases": {
-                        "local": {
-                            "wall_seconds": 1.0,
-                            "tracemalloc_peak_mb": 0.5,
-                            "rss_peak_mb": 2.0,
-                        }
-                    },
-                }
-            }
-        }
-        metrics = flat_metrics(report)
-        assert metrics["scale.total_wall_seconds[10]"] == 1.0
-        assert "relabel_kernels.speedup" not in metrics
+        report = _sections(sections=("scale",))
+        assert "scale.total_wall_seconds[400]" in report.metrics
+        assert not any(name.startswith("relabel_kernels") for name in report.metrics)
 
 
 class TestSweepSemantics:
     def test_large_primary_skips_classic_sections(self, monkeypatch):
-        monkeypatch.setattr(hotpaths, "_CLASSIC_MAX", 100)
-        monkeypatch.setattr(hotpaths, "_KERNELS_MAX", 100)
-        report = run_hotpath_bench(cardinality=300, n_sites=2, seed=11)
-        assert "region_queries" not in report
-        assert "relabel_kernels" not in report
-        assert "300" in report["scale"]
-        assert report["meta"]["cardinality"] == 300
+        monkeypatch.setattr(scenario, "_CLASSIC_MAX", 100)
+        monkeypatch.setattr(scenario, "_KERNELS_MAX", 100)
+        report = _sections(cardinality=(300,))
+        families = {name.split(".")[0] for name in report.metrics}
+        assert "region_queries" not in families
+        assert "relabel_kernels" not in families
+        assert "scale.total_wall_seconds[300]" in report.metrics
+        assert report.spec.cardinality == (300,)
+        skipped = [note for note in report.notes if note.startswith("skipped ")]
+        assert [note.split(":")[0] for note in skipped] == [
+            f"skipped {name}" for name in SECTIONS[:5]
+        ]
 
-    def test_sweep_runs_scale_per_entry(self, monkeypatch):
-        report = run_hotpath_bench(
-            cardinality=[300, 500],
-            n_sites=2,
-            seed=11,
-            kinds=("grid",),
-        )
-        assert report["meta"]["cardinalities"] == [300, 500]
-        assert set(report["scale"]) == {"300", "500"}
-        # Classic sections ran at the primary (first) entry only.
-        assert report["meta"]["cardinality"] == 300
+    def test_mid_primary_skips_only_classic_sections(self, monkeypatch):
+        monkeypatch.setattr(scenario, "_CLASSIC_MAX", 100)
+        report = _sections(cardinality=(300,))
+        families = {name.split(".")[0] for name in report.metrics}
+        assert not families & {"region_queries", "dbscan", "local_phase"}
+        assert {"relabel_kernels", "shm", "scale"} <= families
+        assert report.problems == []
+
+    def test_sweep_runs_scale_per_entry(self):
+        report = _sections(cardinality=(300, 500), sections=("dbscan", "scale"))
+        assert "scale.total_wall_seconds[300]" in report.metrics
+        assert "scale.total_wall_seconds[500]" in report.metrics
+        # The classic sections ran at the primary (first) entry only: one
+        # region query per object.
+        assert report.metrics["dbscan.region_queries_count[grid]"] == 300
 
     def test_rejects_bad_cardinalities(self):
         with pytest.raises(ValueError, match="positive"):
-            _normalize_cardinalities([100, 0])
+            Scenario(cardinality=(100, 0))
         with pytest.raises(ValueError, match="positive"):
-            _normalize_cardinalities([])
+            Scenario(cardinality=(-5,))
+        with pytest.raises(ValueError, match="sections"):
+            Scenario(sections=("region_queries", "warp_drive"))
+        with pytest.raises(ValueError, match="'scale' section"):
+            Scenario(cardinality=(300, 500), sections=("dbscan",))
+        with pytest.raises(ValueError, match="'scale' section"):
+            Scenario(cardinality=(300, 500))
 
     def test_parse_cardinality(self):
-        assert _parse_cardinality("20000") == [20000]
-        assert _parse_cardinality("300, 500 ,700") == [300, 500, 700]
-        with pytest.raises(argparse.ArgumentTypeError):
-            _parse_cardinality("lots")
+        parser = build_parser()
+        args = parser.parse_args(["hotpaths", "--cardinality", "20000"])
+        assert args.cardinality == (20000,)
+        args = parser.parse_args(["hotpaths", "--cardinality", "300, 500 ,700"])
+        assert args.cardinality == (300, 500, 700)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["hotpaths", "--cardinality", "lots"])
 
 
 class TestGitProvenance:
-    def test_strict_git_refuses_dirty_tree(self, monkeypatch):
+    def test_strict_git_refuses_dirty_tree(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            hotpaths,
-            "run_environment",
+            scenario, "run_environment",
             lambda: {"git_rev": "abc", "git_dirty": True},
         )
-        with pytest.raises(RuntimeError, match="dirty"):
-            run_hotpath_bench(cardinality=100, strict_git=True)
+        monkeypatch.setattr(scenario, "run", pytest.fail)
+        assert scenario.main(["hotpaths-smoke", "--strict-git", "--no-registry"]) == 2
+        assert "dirty" in capsys.readouterr().err
 
     def test_dirty_tree_warns_without_strict(self, monkeypatch, capsys):
-        environment = dict(hotpaths.run_environment())
-        environment["git_dirty"] = True
-        monkeypatch.setattr(hotpaths, "run_environment", lambda: environment)
-        run_hotpath_bench(cardinality=100, n_sites=2, kinds=("grid",))
+        environment = dict(scenario.run_environment(), git_dirty=True)
+        monkeypatch.setattr(scenario, "run_environment", lambda: environment)
+        spec = replace(SMALL, cardinality=(100,), sections=("shm_pool",))
+        assert scenario.execute(spec, "hotpaths-smoke", registry=None) == 0
         assert "dirty" in capsys.readouterr().err
 
 
 class TestStandaloneSections:
-    def test_relabel_kernels_asserts_identity(self, rng):
-        points = rng.normal(size=(300, 2))
-        row = bench_relabel_kernels(points, 0.5, 4, n_sites=2, seed=3)
-        assert row["labels_identical"] is True
+    def test_relabel_kernels_asserts_identity(self, monkeypatch):
+        spec = dict(cardinality=(300,), sections=("relabel_kernels",))
+        assert _sections(**spec).problems == []
+        # A kernel that diverges is a failed check, not a number.
+        relabel = scenario.relabel_site
 
-    def test_shm_pool_roundtrip(self, rng):
-        row = bench_shm_pool(rng.normal(size=(64, 2)), n_sites=4)
-        assert row["roundtrip_ok"] is True
-        assert row["n_arrays"] == 4
-        assert row["bytes_shared"] == 64 * 2 * 8
+        def broken(site, labels, model, *, site_id, kernel):
+            out, stats = relabel(site, labels, model, site_id=site_id, kernel=kernel)
+            return (out + 1 if kernel == "vectorized" else out), stats
+
+        monkeypatch.setattr(scenario, "relabel_site", broken)
+        report = _sections(**spec)
+        assert report.metrics["relabel_kernels.labels_identical"] == 0.0
+        assert report.problems == [
+            "vectorized relabel diverged from the reference kernel"
+        ]
+
+    def test_shm_pool_roundtrip(self):
+        report = _sections(cardinality=(64,), sites=4, sections=("shm_pool",))
+        assert report.metrics["shm.roundtrip_ok"] == 1.0
+        assert report.metrics["shm.bytes_shared"] == 64 * 2 * 8
 
     def test_scale_pipeline_budgets(self):
-        row = bench_scale_pipeline(250, n_sites=2, seed=5)
-        assert row["cardinality"] == 250
-        assert row["relabel_kernel"] == "vectorized"
-        assert len(row["phases"]) == 5
+        report = _sections(cardinality=(250,), sections=("scale",))
+        phases = [n for n in report.metrics if n.startswith("scale.wall_seconds[250:")]
+        assert len(phases) == 5

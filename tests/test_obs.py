@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import json
 import pickle
 import tracemalloc
@@ -26,7 +28,7 @@ from repro.obs import (
     trace_document,
     validate_trace,
 )
-from repro.perf.tracing import reconcile_trace
+from repro.scenario import PRESETS, reconcile_trace, run
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +360,14 @@ class TestRunnerIntegration:
         totals = phase_totals(doc)
         for phase in ("run", "local_phase", "global_phase", "relabel"):
             assert phase in totals
+        # The trace-smoke preset runs the same gates (schema, JSON
+        # round-trip, reconciliation, Chrome export, phase totals).
+        smoke = run(replace(PRESETS["trace-smoke"], cardinality=(600,)))
+        assert smoke.problems == []
+        _spans_well_nested(smoke.trace["spans"])
+        # And they bite: a stretched phase no longer reconciles.
+        report.global_wall_seconds *= 2
+        assert len(reconcile_trace(doc, report)) == 1
 
     def test_trace_chrome_export_valid(self, blobs):
         report = DistributedRunner(

@@ -118,6 +118,36 @@ class TestRegressGate:
         )
         assert code == 0
 
+    def test_lost_gated_metrics_fail_against_committed_baseline(
+        self, tmp_path, capsys
+    ):
+        baseline = json.loads(
+            open("baselines/service_smoke.json", encoding="utf-8").read()
+        )
+        lost = ("serve.labels_identical", "serve.query_failed")
+        root = tmp_path / ".runs"
+        RunRegistry(root).record(
+            "serve-bench",
+            metrics={
+                name: value
+                for name, value in baseline["metrics"].items()
+                if name not in lost
+            },
+            environment=_env(),
+        )
+        code = runs_main(
+            [
+                "--registry", str(root), "regress",
+                "--baseline", "baselines/service_smoke.json",
+                "--ignore-timing",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        for name in lost:
+            assert f"LOST        {name}:" in out
+        assert "verdict: REGRESSION" in out
+
     def test_ignore_timing_flag(self, tmp_path, capsys):
         root = tmp_path / ".runs"
         slow = dict(BASELINE_METRICS, **{"local.wall_seconds": 40.0})

@@ -120,6 +120,40 @@ class TestClassify:
         assert classify(rule, 1.0, None) == "missing"
 
 
+class TestLostMetrics:
+    def test_missing_gated_metric_fails_the_gate(self):
+        baseline = _record(BASE_METRICS)
+        candidate = _record(
+            {k: v for k, v in BASE_METRICS.items() if k != "quality.q_p2_percent"}
+        )
+        report = detect_regressions([baseline], [candidate])
+        assert set(report.lost) == {"quality.q_p2_percent"}
+        assert not report.regressions
+        assert not report.ok
+        text = report.to_text()
+        assert "LOST        quality.q_p2_percent: 97.5 -> absent" in text
+        assert text.endswith("verdict: REGRESSION")
+
+    def test_informational_and_timing_metrics_are_never_lost(self):
+        baseline = _record(BASE_METRICS)
+        dropped = ("model.representatives_count", "local.wall_seconds")
+        candidate = _record(
+            {k: v for k, v in BASE_METRICS.items() if k not in dropped}
+        )
+        # Informational rule: absent is fine even with timing on.
+        report = detect_regressions([baseline], [candidate])
+        assert set(report.lost) == {"local.wall_seconds"}
+        # Timing rules are dropped wholesale under include_timing=False.
+        report = detect_regressions([baseline], [candidate], include_timing=False)
+        assert report.lost == {}
+        assert report.ok
+
+    def test_new_candidate_metric_is_not_lost(self):
+        baseline = _record(BASE_METRICS)
+        candidate = _record(dict(BASE_METRICS, **{"extra.failed": 0.0}))
+        assert detect_regressions([baseline], [candidate]).ok
+
+
 class TestAcceptanceCriteria:
     """The three cases ISSUE.md requires to be covered by tests."""
 

@@ -1,45 +1,46 @@
-"""Tests for the service sustained-load bench (``repro.service.bench``)."""
+"""Tests for the live-service scenario (the ``service-smoke`` preset):
+uploads over sockets, query storm, scrape and crash drill."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.cli import main
 from repro.obs.regress import detect_regressions, rule_for
 from repro.obs.registry import RunRegistry
-from repro.service.bench import (
-    format_serve_summary,
-    main as serve_bench_main,
-    record_serve_bench,
-    run_serve_bench,
+from repro.scenario import PRESETS, record, report_document, run, summary
+
+SMALL = replace(
+    PRESETS["service-smoke"],
+    cardinality=(500,),
+    clients=3,
+    queries=9,
+    query_batch=64,
+    seed=11,
 )
 
 
 @pytest.fixture(scope="module")
 def small_report():
-    """One real (tiny) bench run shared by the assertions below."""
-    return run_serve_bench(
-        dataset="A",
-        cardinality=500,
-        n_sites=2,
-        n_clients=3,
-        n_queries=9,
-        query_batch=64,
-        seed=11,
-    )
+    """One real (tiny) service run shared by the assertions below."""
+    return run(SMALL, "service-smoke")
 
 
 class TestBenchReport:
     def test_correctness_gates_hold(self, small_report):
-        metrics = small_report["metrics"]
+        metrics = small_report.metrics
         assert metrics["serve.labels_identical"] == 1.0
         assert metrics["serve.scrape_roundtrip_ok"] == 1.0
+        assert metrics["serve.recovery_labels_identical"] == 1.0
         assert metrics["serve.upload_failed"] == 0.0
         assert metrics["serve.query_failed"] == 0.0
+        assert small_report.problems == []
 
     def test_load_metrics_are_populated(self, small_report):
-        metrics = small_report["metrics"]
+        metrics = small_report.metrics
         assert metrics["serve.queries_count"] == 9.0
         assert metrics["serve.labels_served_count"] == 9.0 * 64
         assert metrics["serve.query_throughput_rps"] > 0
@@ -50,18 +51,21 @@ class TestBenchReport:
             <= metrics["serve.query_max_wall_seconds"]
         )
         assert metrics["serve.bytes_up"] > 0
+        assert metrics["serve.journal_bytes"] > 0
 
     def test_health_document_rides_along(self, small_report):
-        assert small_report["health"]["sites_admitted"] == 2
-        assert small_report["health"]["model_built"] is True
+        assert small_report.metrics["serve.sites_admitted_count"] == 2
+        # The drill's restarted server replayed both admitted models.
+        assert small_report.metrics["serve.recovered_models_count"] == 2
 
     def test_report_is_json_able(self, small_report):
-        json.dumps(small_report)
+        json.dumps(report_document(small_report))
 
     def test_summary_mentions_the_gates(self, small_report):
-        text = format_serve_summary(small_report)
-        assert "bit-identical to simulated run: yes" in text
-        assert "strict-parsed:      yes" in text
+        text = summary(small_report)
+        assert "serve.labels_identical" in text
+        assert "serve.scrape_roundtrip_ok" in text
+        assert text.endswith("verdict: ok")
 
 
 class TestRegressWiring:
@@ -80,12 +84,12 @@ class TestRegressWiring:
 
     def test_identity_loss_is_a_regression_without_timing(self, small_report, tmp_path):
         record = RunRegistry(tmp_path / "runs").record(
-            "serve-bench", metrics=small_report["metrics"]
+            "service-smoke", metrics=small_report.metrics
         )
-        broken = dict(small_report["metrics"])
+        broken = dict(small_report.metrics)
         broken["serve.labels_identical"] = 0.0
         candidate = RunRegistry(tmp_path / "runs2").record(
-            "serve-bench", metrics=broken
+            "service-smoke", metrics=broken
         )
         report = detect_regressions(
             [record], [candidate], include_timing=False
@@ -94,43 +98,36 @@ class TestRegressWiring:
 
     def test_flat_rerun_passes_regress_without_timing(self, small_report, tmp_path):
         record = RunRegistry(tmp_path / "runs").record(
-            "serve-bench", metrics=small_report["metrics"]
+            "service-smoke", metrics=small_report.metrics
         )
         report = detect_regressions([record], [record], include_timing=False)
-        assert not report.regressions
+        assert report.ok
 
 
 class TestRecording:
     def test_record_lands_in_registry_with_artifact(self, small_report, tmp_path):
         root = tmp_path / "registry"
-        record = record_serve_bench(dict(small_report), str(root))
-        assert record["command"] == "serve-bench"
-        assert record["metrics"]["serve.labels_identical"] == 1.0
-        artifact = (
-            root / record["artifacts"]["BENCH_serve.json"]
-        )
+        stored = record(small_report, str(root))
+        assert stored["command"] == "service-smoke"
+        assert stored["metrics"]["serve.labels_identical"] == 1.0
+        assert stored["config"] == SMALL.config()
+        artifact = root / stored["artifacts"]["BENCH_service-smoke.json"]
         assert artifact.exists()
-        stored = json.loads(artifact.read_text())
-        assert stored["meta"]["n_sites"] == small_report["meta"]["n_sites"]
+        assert json.loads(artifact.read_text())["spec"]["sites"] == 2
 
     def test_cli_main_smoke(self, tmp_path, capsys):
-        status = serve_bench_main(
+        status = main(
             [
-                "--cardinality",
-                "400",
-                "--sites",
-                "2",
-                "--clients",
-                "2",
-                "--queries",
-                "4",
-                "--query-batch",
-                "32",
-                "--registry",
-                str(tmp_path / "runs"),
+                "scenario", "service-smoke",
+                "--cardinality", "400",
+                "--clients", "2",
+                "--queries", "4",
+                "--query-batch", "32",
+                "--out", str(tmp_path / "serve.json"),
+                "--registry", str(tmp_path / "runs"),
             ]
         )
         assert status == 0
         out = capsys.readouterr().out
-        assert "serve-bench:" in out
+        assert "scenario service-smoke:" in out
         assert "recorded" in out

@@ -12,6 +12,8 @@ run-to-run.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from repro.faults.transport import (
     ResilientTransport,
     TransportPolicy,
 )
+import repro.scenario as scenario
+from repro.scenario import Scenario, run
 from repro.service import (
     FaultingSocketTransport,
     ServiceConfig,
@@ -174,27 +178,35 @@ class TestBreakerOverSockets:
 
 
 class TestSocketChaosSweep:
-    def test_sweep_counters_reproduce_run_to_run(self):
-        from repro.experiments.chaos import (
-            flat_socket_metrics,
-            run_socket_chaos_sweep,
-        )
+    SPEC = Scenario(
+        dataset="A", cardinality=(200,), sites=2, server="thread",
+        fault_mode="links", failure_probs=(0.6,), seed=7,
+    )
 
-        kwargs = dict(
-            dataset="A",
-            cardinality=200,
-            n_sites=2,
-            failure_probs=(0.6,),
-            trials=1,
-            mode="links",
-            seed=7,
-            probe_messages=2,
-        )
-        first = flat_socket_metrics(run_socket_chaos_sweep(**kwargs))
-        second = flat_socket_metrics(run_socket_chaos_sweep(**kwargs))
-        assert first["socket_chaos.completed_identical"] == 1.0
+    def test_sweep_counters_reproduce_run_to_run(self):
+        first = run(self.SPEC).metrics
+        second = run(self.SPEC).metrics
         assert first["socket_chaos.retries[p=0.6]"] > 0
+        # No fault-free lane, nothing to compare with the runner.
+        assert "socket_chaos.completed_identical" not in first
         stable = [key for key in first if "seconds" not in key]
         assert {key: first[key] for key in stable} == {
             key: second[key] for key in stable
         }
+
+    def test_fault_free_lane_is_bit_identical_to_the_runner(self):
+        report = run(replace(self.SPEC, failure_probs=(0.0,)))
+        assert report.metrics["socket_chaos.completed_identical"] == 1.0
+        assert report.problems == []
+
+    def test_diverging_fault_free_lane_reads_zero(self, monkeypatch):
+        reference = scenario._reference_labels
+        monkeypatch.setattr(
+            scenario, "_reference_labels",
+            lambda spec, data: reference(spec, data) + 1,
+        )
+        report = run(replace(self.SPEC, failure_probs=(0.0, 0.6)))
+        assert report.metrics["socket_chaos.completed_identical"] == 0.0
+        assert report.problems == [
+            "a fault-free socket trial diverged from the runner"
+        ]

@@ -22,7 +22,7 @@ from repro.data.datasets import load_dataset
 from repro.distributed.site import ClientSite
 from repro.distributed.streaming import run_streaming_session
 from repro.service import ServiceClient, ServiceConfig, ServiceHandle
-from repro.service.recovery_smoke import run_overload_storm
+from repro.scenario import Scenario, run
 from repro.service.worker import run_site_worker_session
 
 N_SITES = 2
@@ -270,14 +270,15 @@ class TestOverloadProtection:
         concurrent query storm must shed with *typed* ``overloaded``
         replies carrying ``retry_after`` — never an untyped failure, a
         hung client, or a dropped query."""
-        storm = run_overload_storm(
-            points=stream_workload["data"].points[:160]
-        )
-        metrics = storm["metrics"]
-        assert metrics["recovery.overload_typed_ok"] == 1.0
-        assert metrics["recovery.overload_shed_count"] > 0
-        detail = storm["detail"]
-        assert detail["untyped"] == 0
-        assert metrics["recovery.overload_queries_count"] == float(
-            detail["expected_queries"]
-        )
+        data = stream_workload["data"]
+        report = run(Scenario(
+            cardinality=(data.n,), data_seed=SEED, sites=N_SITES,
+            server="thread", queries=48, clients=6, query_batch=160,
+            max_inflight=1,
+        ))
+        metrics = report.metrics
+        assert metrics["serve.overload_typed_ok"] == 1.0
+        assert metrics["serve.overload_shed_count"] > 0
+        assert metrics["serve.query_failed"] == 0.0
+        assert metrics["serve.queries_count"] == 48.0
+        assert report.problems == []

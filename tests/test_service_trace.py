@@ -1,7 +1,8 @@
 """Distributed tracing across the socket service.
 
-One traced multi-worker streaming session (module-scoped — real
-sockets, real threads) feeds most of the assertions:
+One traced multi-worker streaming session — the ``service-trace-smoke``
+scenario at a small size, module-scoped: real sockets, real threads —
+feeds most of the assertions:
 
 * the merged document is ONE trace — schema-valid, one trace id, every
   process (server + each site) present with a clock-offset estimate;
@@ -22,48 +23,60 @@ sockets, real threads) feeds most of the assertions:
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
 from repro.data.datasets import load_dataset
 from repro.distributed.network import SERVER, SimulatedNetwork
-from repro.distributed.streaming import run_streaming_session
-from repro.obs import MetricsRegistry, to_chrome_trace, validate_trace
+from repro.obs import (
+    MetricsRegistry,
+    critical_path,
+    format_critical_path,
+    round_spans,
+    to_chrome_trace,
+    validate_trace,
+)
+import repro.scenario as scenario
+from repro.scenario import PRESETS, ROUND_PHASES, reconcile_session_trace, run
 from repro.service import wire
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceConfig, ServiceHandle
-from repro.service.tracing import (
-    ROUND_PHASES,
-    critical_path,
-    format_critical_path,
-    reconcile_session_trace,
-    run_traced_socket_session,
-)
 from repro.service.transport import ServiceError, SocketTransport
 
 N_SITES = 2
 N_ROUNDS = 2
 SEED = 0
+SESSION = replace(
+    PRESETS["service-trace-smoke"],
+    cardinality=(480,),
+    sites=N_SITES,
+    rounds=N_ROUNDS,
+    data_seed=SEED,
+)
 
 
 @pytest.fixture(scope="module")
 def session_report():
     """One traced socket session shared by the whole module."""
-    return run_traced_socket_session(
-        dataset="A",
-        cardinality=480,
-        n_sites=N_SITES,
-        n_rounds=N_ROUNDS,
-        seed=SEED,
-    )
+    return run(SESSION, "service-trace-smoke")
+
+
+def _admissions(spans):
+    for span in spans:
+        if span["name"] == "serve[local_model]":
+            yield span
+        yield from _admissions(span.get("children", []))
 
 
 class TestMergedDocument:
     def test_schema_valid(self, session_report):
-        assert validate_trace(session_report.doc) == []
+        assert validate_trace(session_report.trace) == []
+        assert session_report.metrics["serve_trace.schema_ok"] == 1.0
 
     def test_one_trace_many_processes(self, session_report):
-        processes = session_report.doc["processes"]
+        processes = session_report.trace["processes"]
         expected = {"server"} | {f"site-{i}" for i in range(N_SITES)}
         assert expected <= set(processes)
         # The server anchors the merged timeline: offset exactly zero.
@@ -75,32 +88,45 @@ class TestMergedDocument:
             assert entry["n_spans"] >= 1
 
     def test_labels_bit_identical_with_tracing_on(self, session_report):
-        assert session_report.labels_identical
+        assert session_report.metrics["serve_trace.labels_identical"] == 1.0
+        assert session_report.metrics["serve_trace.model_identical"] == 1.0
 
     def test_every_worker_round_attributed(self, session_report):
-        assert reconcile_session_trace(session_report) == []
+        assert session_report.problems == []
+        assert session_report.metrics["serve_trace.attribution_ok"] == 1.0
 
     def test_phase_children_partition_each_round(self, session_report):
-        for result in session_report.results.values():
-            assert len(result.round_wall_seconds) == N_ROUNDS
-            for round_index in range(N_ROUNDS):
-                phases = result.round_phase_seconds[round_index]
-                assert set(phases) == set(ROUND_PHASES)
-                covered = sum(phases.values())
-                wall = result.round_wall_seconds[round_index]
-                assert covered == pytest.approx(wall, rel=1e-6)
+        rounds = round_spans(session_report.trace)
+        assert set(rounds) == {
+            (r, site) for r in range(N_ROUNDS) for site in range(N_SITES)
+        }
+        for span in rounds.values():
+            children = span["children"]
+            assert [child["name"] for child in children] == list(ROUND_PHASES)
+            covered = sum(c["wall_end"] - c["wall_start"] for c in children)
+            wall = span["wall_end"] - span["wall_start"]
+            assert covered == pytest.approx(wall, rel=1e-6)
+
+    def test_gate_catches_a_missing_round_span(self, session_report):
+        doc = session_report.trace
+        spans = round_spans(doc)
+        victim = spans[(N_ROUNDS - 1, 0)]
+        victim["name"] = "renamed"
+        try:
+            trace_id = int(next(_admissions(doc["spans"]))["attrs"]["trace_id"], 16)
+            problems = reconcile_session_trace(
+                doc, {0: SimpleNamespace(round_wall_seconds=[])},
+                N_SITES, N_ROUNDS, trace_id,
+            )
+        finally:
+            victim["name"] = "round"
+        assert problems == [f"round span missing for round {N_ROUNDS - 1} site 0"]
 
     def test_server_spans_carry_wire_context(self, session_report):
-        trace_hex = f"{session_report.trace_id:032x}"
-
-        def admissions(spans):
-            for span in spans:
-                if span["name"] == "serve[local_model]":
-                    yield span
-                yield from admissions(span.get("children", []))
-
-        spans = list(admissions(session_report.doc["spans"]))
+        spans = list(_admissions(session_report.trace["spans"]))
         assert len(spans) == N_SITES * N_ROUNDS
+        trace_hex = spans[0]["attrs"]["trace_id"]
+        assert int(trace_hex, 16) != 0
         for span in spans:
             assert span["attrs"]["trace_id"] == trace_hex
             # The parent is the worker's live session span, carried in
@@ -110,7 +136,7 @@ class TestMergedDocument:
 
 class TestCriticalPath:
     def test_every_round_names_gating_site_and_phase(self, session_report):
-        rows = critical_path(session_report.doc)
+        rows = critical_path(session_report.trace)
         assert [row["round"] for row in rows] == list(range(N_ROUNDS))
         for row in rows:
             assert 0 <= row["gating_site"] < N_SITES
@@ -122,7 +148,7 @@ class TestCriticalPath:
             assert row["server_broadcast_seconds"] >= 0.0
 
     def test_report_text_names_every_round(self, session_report):
-        text = format_critical_path(critical_path(session_report.doc))
+        text = format_critical_path(critical_path(session_report.trace))
         for round_index in range(N_ROUNDS):
             assert f"round {round_index}:" in text
         assert "gates at" in text
@@ -130,7 +156,7 @@ class TestCriticalPath:
 
 class TestChromeLanes:
     def test_every_process_gets_a_named_pid_lane(self, session_report):
-        chrome = to_chrome_trace(session_report.doc)
+        chrome = to_chrome_trace(session_report.trace)
         events = chrome["traceEvents"]
         lanes = {
             event["args"]["name"]: event["pid"]
@@ -147,7 +173,7 @@ class TestChromeLanes:
         assert all(pid >= 3 for pid in pids)
 
     def test_site_spans_land_on_their_process_lane(self, session_report):
-        chrome = to_chrome_trace(session_report.doc)
+        chrome = to_chrome_trace(session_report.trace)
         events = chrome["traceEvents"]
         lanes = {
             event["args"]["name"]: event["pid"]
@@ -246,23 +272,37 @@ class TestUntracedPathUnchanged:
         assert health["trace_uploads"] == 0
 
     def test_traced_labels_match_untraced_oracle(self, session_report):
-        """Tracing must be a pure observer: same model, same labels."""
-        data = load_dataset("A", cardinality=480, seed=SEED)
-        points = data.points
-        chunk = points.shape[0] // N_ROUNDS
-        batches = [
-            [
-                points[r * chunk : (r + 1) * chunk][i::N_SITES]
-                for i in range(N_SITES)
-            ]
-            for r in range(N_ROUNDS)
-        ]
-        oracle = run_streaming_session(
-            batches, eps_local=data.eps_local, min_pts_local=data.min_pts
-        )
-        for site_id, result in session_report.results.items():
-            for round_index in range(N_ROUNDS):
-                assert np.array_equal(
-                    result.labels[round_index],
-                    oracle.labels[round_index][site_id],
+        """Tracing must be a pure observer: the traced and the untraced
+        session both end bit-identical to the one streaming oracle."""
+        untraced = run(replace(SESSION, trace=False))
+        assert untraced.trace is None
+        for report in (session_report, untraced):
+            assert report.metrics["serve_trace.labels_identical"] == 1.0
+            assert report.metrics["serve_trace.model_identical"] == 1.0
+
+    @pytest.mark.parametrize("part", ["labels", "model"])
+    def test_diverging_oracle_reads_zero(self, monkeypatch, part):
+        """The session checks can fail: an oracle off by one label, or
+        by its merge radius, turns exactly that flag to 0."""
+        oracle_session = scenario.run_streaming_session
+
+        def skewed(*args, **kwargs):
+            oracle = oracle_session(*args, **kwargs)
+            if part == "labels":
+                oracle.labels[-1][0] = oracle.labels[-1][0] + 1
+            else:
+                oracle.model = replace(
+                    oracle.model, eps_global=2 * oracle.model.eps_global
                 )
+            return oracle
+
+        monkeypatch.setattr(scenario, "run_streaming_session", skewed)
+        report = run(replace(SESSION, trace=False))
+        assert {
+            name: report.metrics[f"serve_trace.{name}_identical"]
+            for name in ("labels", "model")
+        } == {"labels": float(part != "labels"), "model": float(part != "model")}
+        assert report.problems == [{
+            "labels": "session labels diverge from the streaming oracle",
+            "model": "final session model differs from the streaming oracle",
+        }[part]]
