@@ -17,27 +17,35 @@ protocol — the local-model builders receive every core point *in processing
 order* together with its neighborhood, exactly the information needed to
 pick specific core points on the fly.
 
-Two expansion strategies produce that identical processing order:
+The run is level-synchronous and produces exactly the classic loop's
+output (labels, core flags, ``n_region_queries``, the observer stream):
 
-* the classic one-seed-at-a-time loop (``batched=False``), which issues one
-  region query per popped seed, and
-* the default frontier-at-a-time loop (``batched=True``), which drains the
-  whole seed queue each round, answers it with **one** batched region query
-  (``NeighborIndex.region_query_batch``), and then applies the results in
-  the exact FIFO order the sequential loop would have used.
+1. **One counting pass.**  A single budgeted ``count_only`` batch query
+   sizes every object's ``Eps``-neighbourhood, which fixes the core mask
+   up front.  Noise is never queried on its own.
+2. **Clusters start at core objects, in processing order.**  Each
+   unlabelled core object opens the next cluster.
+3. **Breadth-first expansion, one index call per level.**  The rows of the
+   whole core frontier come from one ``region_query_batch`` call; the
+   observer sees each frontier object with its neighbour array, in order;
+   then every still-unlabelled object in those rows is claimed, in order
+   of first occurrence, and the claimed core objects form the next level.
 
-Because the seed queue is FIFO, one "round" of the sequential loop processes
-precisely the seeds that were enqueued before the round started — the
-frontier.  Region queries read only the immutable index, never the label
-array, so evaluating them up front cannot change any neighborhood.  Labels,
-core flags, ``n_region_queries`` and the observer event sequence are
-therefore bit-identical between the two strategies (guarded by
-``tests/test_dbscan_batched.py``).
+The classic loop pops seeds from a FIFO queue, so one "round" of it
+processes exactly the seeds enqueued during the previous round — one BFS
+level.  Within a level each core seed claims its unlabelled neighbours in
+ascending index order, skipping those an earlier seed of the level already
+claimed; concatenating the level's rows and keeping each unlabelled object
+at its first occurrence is that same sequence.  Non-core seeds expand
+nothing and emit nothing, so dropping them from the frontier changes no
+event, and each object is still charged one region query, as the classic
+loop charges it.  ``tests/test_dbscan_batched.py`` and
+``tests/test_dbscan_oracle.py`` pin the equivalence against the classic
+one-query-per-seed loop kept in ``tests/dbscan_oracle.py``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -46,6 +54,7 @@ import numpy as np
 from repro.clustering.labels import NOISE, UNCLASSIFIED, n_clusters
 from repro.data.distance import Metric, get_metric
 from repro.index import NeighborIndex, build_index
+from repro.index.base import PAIR_BUDGET_BYTES, _budget_runs
 
 __all__ = ["DBSCAN", "DBSCANResult", "DBSCANObserver", "dbscan"]
 
@@ -123,11 +132,6 @@ class DBSCAN:
         metric: distance metric name or instance.
         index_kind: neighbor index to build (``"auto"`` picks the grid for
             ``L_p`` metrics, see :func:`repro.index.build_index`).
-        batched: expand clusters frontier-at-a-time through batched region
-            queries (default).  ``False`` selects the classic one-query-per-
-            seed loop; both produce bit-identical results (see the module
-            docstring) — the sequential loop is kept as the equivalence
-            reference and benchmark baseline.
 
     Raises:
         ValueError: for non-positive ``eps`` or ``min_pts < 1``.
@@ -140,7 +144,6 @@ class DBSCAN:
         *,
         metric: str | Metric = "euclidean",
         index_kind: str = "auto",
-        batched: bool = True,
     ) -> None:
         if eps <= 0:
             raise ValueError(f"eps must be positive, got {eps}")
@@ -150,7 +153,6 @@ class DBSCAN:
         self.min_pts = int(min_pts)
         self.metric = get_metric(metric)
         self.index_kind = index_kind
-        self.batched = bool(batched)
 
     def fit(
         self,
@@ -185,44 +187,39 @@ class DBSCAN:
             index = build_index(
                 points, self.index_kind, metric=self.metric, eps=self.eps
             )
-        labels = np.full(n, UNCLASSIFIED, dtype=np.intp)
-        core_mask = np.zeros(n, dtype=bool)
         if order is None:
-            start_order: Sequence[int] = range(n)
+            start_order = np.arange(n, dtype=np.intp)
         else:
-            start_order = list(order)
-            if sorted(start_order) != list(range(n)):
+            start_order = np.asarray(list(order), dtype=np.intp)
+            if start_order.shape != (n,) or not np.array_equal(
+                np.sort(start_order), np.arange(n)
+            ):
                 raise ValueError("order must be a permutation of range(n)")
-        queries = 0
+        labels = np.full(n, UNCLASSIFIED, dtype=np.intp)
         next_cluster = 0
         observe_index = metrics is not None and hasattr(index, "attach_metrics")
         if observe_index:
             index.attach_metrics(metrics)
-        expand = self._expand_batched if self.batched else self._expand_sequential
         try:
-            for start in start_order:
+            counts = index.region_query_batch(
+                np.arange(n, dtype=np.intp), self.eps, count_only=True
+            )
+            core_mask = counts >= self.min_pts
+            for start in start_order[core_mask[start_order]].tolist():
                 if labels[start] != UNCLASSIFIED:
-                    continue
-                neighbors = index.region_query(start, self.eps)
-                queries += 1
-                if neighbors.size < self.min_pts:
-                    labels[start] = NOISE
                     continue
                 cluster_id = next_cluster
                 next_cluster += 1
                 if observer is not None:
-                    observer.on_cluster_start(cluster_id, int(start))
+                    observer.on_cluster_start(cluster_id, start)
                 labels[start] = cluster_id
-                core_mask[start] = True
-                if observer is not None:
-                    observer.on_core_point(int(start), cluster_id, neighbors)
-                queries += expand(
+                self._expand(
                     index,
-                    neighbors,
-                    int(start),
+                    np.asarray([start], dtype=np.intp),
                     cluster_id,
                     labels,
                     core_mask,
+                    counts,
                     observer,
                     metrics,
                 )
@@ -231,6 +228,9 @@ class DBSCAN:
                 # Detached so the registry (which holds a lock) never
                 # rides along when the result's index is pickled.
                 index.detach_metrics()
+        labels[labels == UNCLASSIFIED] = NOISE
+        # The classic loop's cost proxy: one region query per object.
+        queries = n
         if metrics is not None:
             metrics.inc("dbscan.runs")
             metrics.inc("dbscan.region_queries", queries)
@@ -244,135 +244,65 @@ class DBSCAN:
             index=index,
         )
 
-    def _expand_sequential(
+    def _expand(
         self,
         index: NeighborIndex,
-        neighbors: np.ndarray,
-        start: int,
+        frontier: np.ndarray,
         cluster_id: int,
         labels: np.ndarray,
         core_mask: np.ndarray,
+        counts: np.ndarray,
         observer: DBSCANObserver | None,
         metrics=None,
-    ) -> int:
-        """Classic expansion: one region query per popped seed.
+    ) -> None:
+        """Grow ``cluster_id`` level by level from a labelled core frontier.
 
-        Returns:
-            The number of region queries issued.
+        Each level fetches its rows with one ``region_query_batch`` call,
+        cut into blocks by ``PAIR_BUDGET_BYTES`` when the rows would be
+        larger (the neighbourhood sizes are known from the counting pass).
         """
-        seeds: deque[int] = deque()
-        self._absorb(neighbors, cluster_id, labels, seeds, exclude=start)
-        queries = 0
-        while seeds:
-            current = seeds.popleft()
-            current_neighbors = index.region_query(current, self.eps)
-            queries += 1
-            if current_neighbors.size < self.min_pts:
-                continue  # border object: keeps its label, expands nothing
-            core_mask[current] = True
-            if observer is not None:
-                observer.on_core_point(current, cluster_id, current_neighbors)
-            self._absorb(
-                current_neighbors, cluster_id, labels, seeds, exclude=current
-            )
-        return queries
-
-    def _expand_batched(
-        self,
-        index: NeighborIndex,
-        neighbors: np.ndarray,
-        start: int,
-        cluster_id: int,
-        labels: np.ndarray,
-        core_mask: np.ndarray,
-        observer: DBSCANObserver | None,
-        metrics=None,
-    ) -> int:
-        """Frontier expansion: one batched region query per BFS round.
-
-        Each round drains the entire seed queue (the frontier), answers it
-        with one ``region_query_batch`` call, and applies the results in
-        FIFO order — the order :meth:`_expand_sequential` would have used —
-        so every observable output is bit-identical to the classic loop.
-        Each batch still counts one region query per frontier member to
-        keep the paper's cost proxy comparable.
-
-        Returns:
-            The number of region queries issued.
-        """
-        frontier: list[int] = []
-        self._absorb_vectorized(neighbors, cluster_id, labels, frontier)
-        queries = 0
-        while frontier:
+        # A block's neighbours live in a few index-sized arrays at once
+        # (the rows, their concatenation, their labels, the claims).
+        row_budget = PAIR_BUDGET_BYTES // (8 * np.dtype(np.intp).itemsize)
+        while frontier.size:
             if metrics is not None:
-                metrics.observe("dbscan.frontier_batch_size", len(frontier))
-            batch = index.region_query_batch(
-                np.asarray(frontier, dtype=np.intp), self.eps
+                metrics.observe("dbscan.frontier_batch_size", frontier.size)
+            runs = _budget_runs(np.cumsum(counts[frontier]), row_budget)
+            frontier = np.concatenate(
+                [
+                    self._claim(
+                        index, frontier[lo:hi], cluster_id, labels, core_mask, observer
+                    )
+                    for lo, hi in runs
+                ]
             )
-            queries += len(frontier)
-            next_frontier: list[int] = []
-            for current, current_neighbors in zip(frontier, batch):
-                if current_neighbors.size < self.min_pts:
-                    continue  # border object: keeps its label, expands nothing
-                core_mask[current] = True
-                if observer is not None:
-                    observer.on_core_point(current, cluster_id, current_neighbors)
-                self._absorb_vectorized(
-                    current_neighbors, cluster_id, labels, next_frontier
-                )
-            frontier = next_frontier
-        return queries
 
-    @staticmethod
-    def _absorb(
-        neighbors: np.ndarray,
+    def _claim(
+        self,
+        index: NeighborIndex,
+        block: np.ndarray,
         cluster_id: int,
         labels: np.ndarray,
-        seeds: deque[int] | list[int],
-        *,
-        exclude: int,
-    ) -> None:
-        """Pull a core point's neighborhood into ``cluster_id``.
+        core_mask: np.ndarray,
+        observer: DBSCANObserver | None,
+    ) -> np.ndarray:
+        """Fetch the rows of one frontier block, report each frontier
+        object to the observer in order, and claim the rows' unlabelled
+        objects in order of first occurrence (see the module docstring).
 
-        Unclassified neighbors are claimed and scheduled for expansion
-        (appended to ``seeds`` in ascending index order — ``neighbors`` is
-        sorted); former noise objects become border members (they were
-        already proven non-core, so they are not re-expanded).
+        Returns:
+            The claimed core objects, in claim order: the next level.
         """
-        for j in neighbors:
-            if j == exclude:
-                continue
-            label = labels[j]
-            if label == UNCLASSIFIED:
-                labels[j] = cluster_id
-                seeds.append(int(j))
-            elif label == NOISE:
-                labels[j] = cluster_id
-
-    @staticmethod
-    def _absorb_vectorized(
-        neighbors: np.ndarray,
-        cluster_id: int,
-        labels: np.ndarray,
-        seeds: list[int],
-    ) -> None:
-        """Vectorized :meth:`_absorb` used by the frontier expansion.
-
-        Equivalent to the scalar loop: the indices within one neighborhood
-        are distinct, so claiming all unclassified neighbors (ascending,
-        ``neighbors`` is sorted) and then promoting all former-noise ones
-        performs the identical label transitions and seed appends.  The
-        expanding core point itself is already labeled ``cluster_id``, so
-        no ``exclude`` check is needed — it matches neither mask.
-        """
-        neighbor_labels = labels[neighbors]
-        fresh = neighbors[neighbor_labels == UNCLASSIFIED]
-        if fresh.size:
-            labels[fresh] = cluster_id
-            seeds.extend(fresh.tolist())
-        former_noise = neighbors[neighbor_labels == NOISE]
-        if former_noise.size:
-            labels[former_noise] = cluster_id
+        rows = index.region_query_batch(block, self.eps)
+        if observer is not None:
+            for current, neighbors in zip(block.tolist(), rows):
+                observer.on_core_point(current, cluster_id, neighbors)
+        reached = np.concatenate(rows)
+        fresh = reached[labels[reached] == UNCLASSIFIED]
+        __, first = np.unique(fresh, return_index=True)
+        fresh = fresh[np.sort(first)]
+        labels[fresh] = cluster_id
+        return fresh[core_mask[fresh]]
 
 
 def dbscan(
@@ -384,7 +314,6 @@ def dbscan(
     index_kind: str = "auto",
     index: NeighborIndex | None = None,
     observer: DBSCANObserver | None = None,
-    batched: bool = True,
     metrics=None,
 ) -> DBSCANResult:
     """Functional one-shot wrapper around :class:`DBSCAN`.
@@ -397,13 +326,11 @@ def dbscan(
         index_kind: neighbor index kind.
         index: optional pre-built index.
         observer: optional run observer.
-        batched: frontier-at-a-time expansion (default) or the classic
-            one-query-per-seed loop; results are bit-identical.
         metrics: optional :class:`~repro.obs.MetricsRegistry` (see
             :meth:`DBSCAN.fit`).
 
     Returns:
         A :class:`DBSCANResult`.
     """
-    runner = DBSCAN(eps, min_pts, metric=metric, index_kind=index_kind, batched=batched)
+    runner = DBSCAN(eps, min_pts, metric=metric, index_kind=index_kind)
     return runner.fit(points, index=index, observer=observer, metrics=metrics)

@@ -16,6 +16,14 @@ identified, it is not within ``Eps`` of an already-selected specific core
 point of its cluster.  This greedy rule satisfies all three conditions of
 Definition 6 and makes the selection a function of the processing order,
 which the paper points out explicitly.
+
+The collector never measures a distance: when it selects a point it marks
+that point's ``Eps``-neighbourhood (the row DBSCAN hands it) as covered,
+and a later core point is selected iff it is not covered.  That is the
+distance test, because the neighbour relation is bitwise symmetric (every
+metric kernel computes ``|p - q|`` and ``|q - p|`` from the same rounded
+coordinate differences), and because a core point within ``Eps`` of a
+selected core point belongs to that point's cluster.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from repro.index import NeighborIndex
 __all__ = [
     "SpecificCorePointCollector",
     "specific_eps_range",
+    "specific_eps_ranges",
     "verify_specific_core_set",
     "build_rep_scor_model",
     "build_rep_kmeans_model",
@@ -54,15 +63,15 @@ class SpecificCorePointCollector:
     Args:
         points: the site's point array (shape ``(n, d)``).
         eps: the local DBSCAN ``Eps``.
-        metric: distance metric (must match the DBSCAN run's).
+        metric: distance metric (must match the DBSCAN run's).  The
+            coverage test reads the run's neighbour rows, which were
+            computed at this ``eps`` under this metric.
     """
 
     def __init__(
         self, points: np.ndarray, eps: float, metric: str | Metric = "euclidean"
     ) -> None:
-        self._points = np.asarray(points, dtype=float)
-        self._eps = float(eps)
-        self._metric = get_metric(metric)
+        self._covered = np.zeros(np.asarray(points).shape[0], dtype=bool)
         self._scor: dict[int, list[int]] = defaultdict(list)
 
     def on_cluster_start(self, cluster_id: int, seed_index: int) -> None:
@@ -72,14 +81,10 @@ class SpecificCorePointCollector:
         self, index: int, cluster_id: int, neighbors: np.ndarray
     ) -> None:
         """Admit ``index`` into ``Scor`` iff no chosen point covers it."""
-        chosen = self._scor[cluster_id]
-        if chosen:
-            distances = self._metric.to_many(
-                self._points[index], self._points[chosen]
-            )
-            if bool((distances <= self._eps).any()):
-                return
-        chosen.append(index)
+        if self._covered[index]:
+            return
+        self._scor[cluster_id].append(index)
+        self._covered[neighbors] = True
 
     def specific_core_points(self) -> dict[int, np.ndarray]:
         """Mapping ``local cluster id -> Scor index array`` (selection order)."""
@@ -88,35 +93,58 @@ class SpecificCorePointCollector:
         }
 
 
+def specific_eps_ranges(
+    point_indices: np.ndarray, result: DBSCANResult
+) -> np.ndarray:
+    """Specific ε-ranges of many core points (Definition 7), batched.
+
+    ``ε_s = Eps + max{dist(s, s_i) | s_i ∈ Cor ∧ s_i ∈ N_Eps(s)}`` — the
+    maximum runs over *core* points inside ``s``'s ``Eps``-neighborhood, so
+    ``s`` also covers the neighborhoods of the core points it suppressed.
+    With no other core point nearby the range degenerates to ``Eps``.  All
+    neighbourhoods and their distances come from one batched index call;
+    the distances are bitwise those of ``metric.to_many``.
+
+    Args:
+        point_indices: indices of the specific core points.
+        result: the finished DBSCAN run (provides core flags and the index).
+
+    Returns:
+        The ε_s values, aligned with ``point_indices``.
+    """
+    point_indices = np.asarray(point_indices, dtype=np.intp)
+    if point_indices.size == 0:
+        return np.empty(0, dtype=float)
+    rows, distances = result.index.region_query_batch(
+        point_indices, result.eps, return_distances=True
+    )
+    sizes = np.fromiter((row.size for row in rows), dtype=np.intp, count=len(rows))
+    neighbors = np.concatenate(rows)
+    owner = np.repeat(point_indices, sizes)
+    others = result.core_mask[neighbors] & (neighbors != owner)
+    # Every row holds its own point, so no row is empty for reduceat.
+    reach = np.where(others, np.concatenate(distances), -np.inf)
+    farthest = np.maximum.reduceat(reach, np.cumsum(sizes) - sizes)
+    return np.where(np.isneginf(farthest), result.eps, result.eps + farthest)
+
+
 def specific_eps_range(
     point_index: int,
     result: DBSCANResult,
     *,
     metric: Metric,
 ) -> float:
-    """Specific ε-range of a core point (Definition 7).
-
-    ``ε_s = Eps + max{dist(s, s_i) | s_i ∈ Cor ∧ s_i ∈ N_Eps(s)}`` — the
-    maximum runs over *core* points inside ``s``'s ``Eps``-neighborhood, so
-    ``s`` also covers the neighborhoods of the core points it suppressed.
-    With no other core point nearby the range degenerates to ``Eps``.
+    """Specific ε-range of one core point (see :func:`specific_eps_ranges`).
 
     Args:
         point_index: index of the specific core point ``s``.
         result: the finished DBSCAN run (provides core flags and the index).
-        metric: distance metric.
+        metric: distance metric (the run's index already carries it).
 
     Returns:
         The ε_s value.
     """
-    neighbors = result.index.region_query(point_index, result.eps)
-    core_neighbors = neighbors[result.core_mask[neighbors]]
-    core_neighbors = core_neighbors[core_neighbors != point_index]
-    if core_neighbors.size == 0:
-        return result.eps
-    points = result.index.points
-    distances = metric.to_many(points[point_index], points[core_neighbors])
-    return float(result.eps + distances.max())
+    return float(specific_eps_ranges(np.asarray([point_index]), result)[0])
 
 
 def verify_specific_core_set(
@@ -268,17 +296,23 @@ def build_rep_scor_model(
         points, eps, min_pts, resolved, index_kind, index, tracer, metrics
     )
     derive_start = time.perf_counter() if tracer is not None else 0.0
-    representatives = []
-    for cid in sorted(scor_map):
-        for s in scor_map[cid]:
-            representatives.append(
-                Representative(
-                    point=points[s].copy(),
-                    eps_range=specific_eps_range(int(s), result, metric=resolved),
-                    site_id=site_id,
-                    local_cluster_id=cid,
-                )
-            )
+    cluster_ids = sorted(scor_map)
+    chosen = (
+        np.concatenate([scor_map[cid] for cid in cluster_ids])
+        if cluster_ids
+        else np.empty(0, dtype=np.intp)
+    )
+    eps_ranges = specific_eps_ranges(chosen, result).tolist()
+    owners = [cid for cid in cluster_ids for __ in scor_map[cid]]
+    representatives = [
+        Representative(
+            point=points[s].copy(),
+            eps_range=eps_range,
+            site_id=site_id,
+            local_cluster_id=cid,
+        )
+        for s, eps_range, cid in zip(chosen.tolist(), eps_ranges, owners)
+    ]
     _record_derive_span(tracer, derive_start, "rep_scor", len(representatives))
     model = LocalModel(
         site_id=site_id,

@@ -23,8 +23,8 @@ Two interchangeable kernels implement the coverage step, selected by the
   ``(m, n)`` distance matrix in chunks — O(n·m) work regardless of how
   little of the site each representative actually covers;
 * ``"vectorized"`` builds a uniform grid over the site's points once and
-  answers **one batched range query for all representatives** (the PR-1
-  batched query plan), then assigns labels with pure-numpy sorting: the
+  answers **one batched range query for all representatives** (the
+  grid's cell-pair join), then assigns labels with pure-numpy sorting: the
   per-object nearest covering representative falls out of a single
   ``lexsort``/``searchsorted`` pass over the (object, distance,
   representative) hit triplets.  Work is proportional to the number of
@@ -276,9 +276,9 @@ def _relabel_site_vectorized(
 
     # One batched range-query plan answers every representative's
     # max-ε_r neighborhood at once and hands back the hit distances it
-    # already evaluated (a `Metric.matrix` row is bitwise equal to the
-    # `to_many` row the dense reference sweep computes, so no recompute
-    # is needed); representatives with a smaller ε_r are then filtered
+    # already evaluated (the join's `Metric.paired` distances are bitwise
+    # the `to_many` values the dense reference sweep computes, so no
+    # recompute is needed); representatives with a smaller ε_r are then filtered
     # exactly in one vectorized pass.
     index = GridIndex(points, metric, cell_size=max_eps)
     neighborhoods, neighborhood_distances = index.range_query_batch(

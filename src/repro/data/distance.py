@@ -8,11 +8,12 @@ metric abstraction the rest of the library builds on:
 * scalar pairwise distances (``pairwise``),
 * vectorized one-to-many kernels (``to_many``) which the spatial indexes and
   the brute-force scans rely on for speed,
-* vectorized many-to-many kernels (``to_matrix``) which the batched query
-  layer uses to evaluate whole query groups in one numpy call — these are
-  written so that every entry is bitwise identical to the corresponding
-  ``to_many`` row (same subtraction, same reduction order), which the
-  batched DBSCAN path relies on for exact equivalence,
+* vectorized many-to-many kernels (``to_matrix``) and row-paired kernels
+  (``to_pairs``, one distance per ``(query, point)`` row pair) which the
+  batched query layer uses to evaluate whole query blocks in one numpy
+  call — these are written so that every entry is bitwise identical to
+  the corresponding ``to_many`` entry (same subtraction, same reduction
+  order), which DBSCAN's exact equivalence to the classic loop relies on,
 * a small registry so metrics can be selected by name from configuration
   objects and the CLI.
 
@@ -54,6 +55,9 @@ class Metric:
         to_matrix: optional ``f(Q, X) -> ndarray`` of shape ``(len(Q),
             len(X))``; row ``i`` must be bitwise identical to
             ``to_many(Q[i], X)``.  ``None`` falls back to a row loop.
+        to_pairs: optional ``f(Q, X) -> ndarray`` of shape ``(len(Q),)``
+            with ``out[i] = d(Q[i], X[i])``, bitwise identical to
+            ``to_many(Q[i], X[i:i+1])``.  ``None`` falls back to a row loop.
     """
 
     name: str
@@ -61,6 +65,7 @@ class Metric:
     to_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
     to_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    to_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def matrix(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Full distance matrix between two point sets.
@@ -90,6 +95,29 @@ class Metric:
         else:
             for i, row in enumerate(left):
                 out[i] = self.to_many(row, right)
+        return out
+
+    def paired(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Row-paired distances ``out[i] = d(left[i], right[i])``.
+
+        Each entry is bitwise equal to ``to_many(left[i], right[i:i+1])``,
+        so a query answered through one flat array of ``(query, point)``
+        pairs sees exactly the distances of a per-query sweep.
+
+        Args:
+            left: array of shape ``(k, d)``.
+            right: array of shape ``(k, d)``.
+
+        Returns:
+            Array of shape ``(k,)``.
+        """
+        left = np.asarray(left, dtype=float)
+        right = np.asarray(right, dtype=float)
+        if self.to_pairs is not None:
+            return self.to_pairs(left, right)
+        out = np.empty(left.shape[0], dtype=float)
+        for i, row in enumerate(left):
+            out[i] = self.to_many(row, right[i : i + 1])[0]
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -164,10 +192,45 @@ def _chebyshev_matrix(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.abs(_broadcast_diff(queries, points)).max(axis=2)
 
 
-euclidean = Metric("euclidean", _euclidean_pair, _euclidean_many, to_matrix=_euclidean_matrix)
-squared_euclidean = Metric("squared_euclidean", _squared_pair, _squared_many, to_matrix=_squared_matrix)
-manhattan = Metric("manhattan", _manhattan_pair, _manhattan_many, to_matrix=_manhattan_matrix)
-chebyshev = Metric("chebyshev", _chebyshev_pair, _chebyshev_many, to_matrix=_chebyshev_matrix)
+# Row-paired kernels: ``points - queries`` row by row is the ``to_many``
+# subtraction (``points - p``) and the reduction over the last axis of a
+# contiguous ``(k, d)`` array is the ``to_many`` reduction, so each entry
+# is bitwise equal to the one-to-many kernel's.
+
+def _euclidean_pairs(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    diff = points - queries
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _squared_pairs(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    diff = points - queries
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _manhattan_pairs(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    return np.abs(points - queries).sum(axis=1)
+
+
+def _chebyshev_pairs(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    return np.abs(points - queries).max(axis=1)
+
+
+euclidean = Metric(
+    "euclidean", _euclidean_pair, _euclidean_many,
+    to_matrix=_euclidean_matrix, to_pairs=_euclidean_pairs,
+)
+squared_euclidean = Metric(
+    "squared_euclidean", _squared_pair, _squared_many,
+    to_matrix=_squared_matrix, to_pairs=_squared_pairs,
+)
+manhattan = Metric(
+    "manhattan", _manhattan_pair, _manhattan_many,
+    to_matrix=_manhattan_matrix, to_pairs=_manhattan_pairs,
+)
+chebyshev = Metric(
+    "chebyshev", _chebyshev_pair, _chebyshev_many,
+    to_matrix=_chebyshev_matrix, to_pairs=_chebyshev_pairs,
+)
 
 
 def minkowski_metric(p: float) -> Metric:

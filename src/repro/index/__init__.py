@@ -12,9 +12,11 @@ structures, all built from scratch:
 Use :func:`~repro.index.factory.build_index` to construct one by name.
 
 All indexes also answer *batched* queries (``range_query_batch`` /
-``region_query_batch``): brute, grid and kd-tree override the generic
-fallback with vectorized group evaluation, which is what DBSCAN's
-frontier-parallel expansion rides on (see ``docs/performance.md``).
+``region_query_batch``, optionally with hit distances or just counts):
+brute and kd-tree override the generic fallback with vectorized group
+evaluation, and the grid answers every query through one vectorized
+cell-pair join — what DBSCAN's level-synchronous expansion rides on (see
+``docs/performance.md``).
 """
 
 from repro.index.base import NeighborIndex

@@ -14,14 +14,20 @@ An index is built once over an immutable point set and answers:
   definition of ``N_Eps(q)`` in the paper),
 * ``range_query(q, eps)`` — same for an arbitrary query point ``q``,
 * ``range_query_batch(Q, eps)`` / ``region_query_batch(indices, eps)`` —
-  the batched forms: one call answers a whole group of queries and returns
-  one index array per query.  The generic fallback defined here simply
-  loops; :class:`~repro.index.brute.BruteForceIndex`,
+  the batched forms: one call answers a whole block of queries and returns
+  one index array per query (with ``return_distances=True`` also the hit
+  distances, with ``count_only=True`` just the neighbour counts).  The
+  generic fallback defined here simply loops;
+  :class:`~repro.index.brute.BruteForceIndex`,
   :class:`~repro.index.grid.GridIndex` and
   :class:`~repro.index.kdtree.KDTreeIndex` override it with genuinely
   vectorized sweeps.  Batched results are contractually identical
   (element-wise ``array_equal``) to the per-query results — DBSCAN's
-  frontier expansion relies on this.
+  level-synchronous expansion relies on this.
+
+Indexed points must be finite: a NaN or infinite coordinate has no cell,
+no bounding box and no meaningful distance, so every index refuses it at
+build time instead of answering queries with silently corrupted results.
 """
 
 from __future__ import annotations
@@ -33,7 +39,29 @@ import numpy as np
 
 from repro.data.distance import Metric, get_metric
 
-__all__ = ["NeighborIndex"]
+__all__ = ["NeighborIndex", "PAIR_BUDGET_BYTES"]
+
+#: Bytes one vectorized query pass may allocate — the ~32 MB bound
+#: ``Metric.matrix`` already uses.  The grid join sizes its passes of
+#: ``(query, candidate)`` pairs from it, and DBSCAN sizes the neighbour
+#: rows it fetches per call from it.
+PAIR_BUDGET_BYTES = 32 * 2**20
+
+
+def _budget_runs(ends: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Cut consecutive items, whose sizes are given as running totals
+    ``ends``, into ``(lo, hi)`` runs of at most ``budget`` in total; an
+    item over the budget runs alone."""
+    m = ends.size
+    if m == 0 or ends[-1] <= budget:
+        return [(0, m)]
+    bounds, lo = [], 0
+    while lo < m:
+        base = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, base + budget, side="right")), lo + 1)
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
 
 
 def _as_query_batch(queries: np.ndarray, dim: int) -> np.ndarray:
@@ -72,6 +100,12 @@ class NeighborIndex(abc.ABC):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
             raise ValueError(f"points must be a 2-D array, got shape {points.shape}")
+        if not np.isfinite(points).all():
+            bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+            raise ValueError(
+                f"points must be finite; {bad.size} row(s) hold NaN or "
+                f"infinite coordinates (first: row {int(bad[0])})"
+            )
         self._points = points
         self._metric = get_metric(metric)
 
@@ -141,7 +175,14 @@ class NeighborIndex(abc.ABC):
             Sorted integer array of matching indices.
         """
 
-    def range_query_batch(self, queries: np.ndarray, eps: float) -> list[np.ndarray]:
+    def range_query_batch(
+        self,
+        queries: np.ndarray,
+        eps: float,
+        *,
+        return_distances: bool = False,
+        count_only: bool = False,
+    ):
         """Answer many range queries at once.
 
         The generic fallback loops over :meth:`range_query`; subclasses
@@ -152,39 +193,94 @@ class NeighborIndex(abc.ABC):
             queries: array of shape ``(q, d)`` (an empty array is allowed
                 and yields an empty list).
             eps: neighborhood radius (inclusive), shared by all queries.
+            return_distances: also return each query's hit distances,
+                bitwise equal to ``metric.to_many(query, points[hits])``.
+            count_only: return just the ``intp`` array of hit counts.
 
         Returns:
-            A list of ``q`` sorted integer index arrays, one per query row.
+            A list of ``q`` sorted integer index arrays, one per query
+            row; ``(hits, distances)`` lists with ``return_distances``;
+            an array of ``q`` counts with ``count_only``.
         """
         dim = self._points.shape[1] if self._points.ndim == 2 else 0
         queries = _as_query_batch(queries, dim)
-        return [self.range_query(query, eps) for query in queries]
+        hits = [self.range_query(query, eps) for query in queries]
+        return self._batch_result(queries, hits, return_distances, count_only)
 
-    def region_query_batch(self, indices: np.ndarray, eps: float) -> list[np.ndarray]:
+    def _batch_result(
+        self,
+        queries: np.ndarray,
+        hits: list[np.ndarray],
+        return_distances: bool,
+        count_only: bool,
+    ):
+        """Shape per-query hit arrays into the requested batch result."""
+        if count_only:
+            return np.fromiter((h.size for h in hits), dtype=np.intp, count=len(hits))
+        if return_distances:
+            distances = [
+                self._metric.to_many(query, self._points[h])
+                for query, h in zip(queries, hits)
+            ]
+            return hits, distances
+        return hits
+
+    def region_query_batch(
+        self,
+        indices: np.ndarray,
+        eps: float,
+        *,
+        return_distances: bool = False,
+        count_only: bool = False,
+    ):
         """``N_Eps`` of many indexed points at once.
 
         Args:
             indices: integer array of row indices into the indexed set.
             eps: neighborhood radius (inclusive), shared by all queries.
+            return_distances: also return the hit distances (see
+                :meth:`range_query_batch`).
+            count_only: return just the neighbourhood sizes.
 
         Returns:
             A list of sorted integer index arrays, one per entry of
-            ``indices``; element ``k`` equals ``region_query(indices[k], eps)``.
+            ``indices``; element ``k`` equals ``region_query(indices[k],
+            eps)``.  ``return_distances`` and ``count_only`` reshape it
+            as in :meth:`range_query_batch`.
         """
         indices = np.asarray(indices, dtype=np.intp)
         if indices.size == 0:
-            return []
+            return self._batch_result(
+                np.empty((0, self._points.shape[1])), [], return_distances, count_only
+            )
         if self._obs_metrics is None:
-            return self.range_query_batch(self._points[indices], eps)
+            return self._region_batch(indices, eps, return_distances, count_only)
         start = time.perf_counter()
-        results = self.range_query_batch(self._points[indices], eps)
+        results = self._region_batch(indices, eps, return_distances, count_only)
+        if count_only:
+            counts = results
+        else:
+            hits = results[0] if return_distances else results
+            counts = [result.size for result in hits]
         self._record_queries(
-            len(results),
-            time.perf_counter() - start,
-            [result.size for result in results],
-            batch=True,
+            indices.size, time.perf_counter() - start, counts, batch=True
         )
         return results
+
+    def _region_batch(
+        self,
+        indices: np.ndarray,
+        eps: float,
+        return_distances: bool,
+        count_only: bool,
+    ):
+        """The uninstrumented body of :meth:`region_query_batch`."""
+        return self.range_query_batch(
+            self._points[indices],
+            eps,
+            return_distances=return_distances,
+            count_only=count_only,
+        )
 
     def count_in_range(self, query: np.ndarray, eps: float) -> int:
         """Number of indexed points within ``eps`` of ``query``."""

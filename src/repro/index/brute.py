@@ -75,18 +75,25 @@ class BruteForceIndex(NeighborIndex):
         self._proj_points = self._points[self._proj_order]
         self._proj_values = self._proj_points[:, self._proj_dim]
 
-    def range_query_batch(self, queries: np.ndarray, eps: float) -> list[np.ndarray]:
+    def range_query_batch(
+        self,
+        queries: np.ndarray,
+        eps: float,
+        *,
+        return_distances: bool = False,
+        count_only: bool = False,
+    ):
         dim = self._points.shape[1] if self._points.ndim == 2 else 0
         queries = _as_query_batch(queries, dim)
         n_queries = queries.shape[0]
-        if n_queries == 0:
-            return []
-        if len(self) == 0:
-            return [np.empty(0, dtype=np.intp) for _ in range(n_queries)]
+        if n_queries == 0 or len(self) == 0:
+            hits = [np.empty(0, dtype=np.intp) for _ in range(n_queries)]
+            return self._batch_result(queries, hits, return_distances, count_only)
         reach = self._projection_reach(eps)
         if reach is None:
             # Non-L_p metric: no valid coordinate bound, full scan per query.
-            return [self.range_query(query, eps) for query in queries]
+            hits = [self.range_query(query, eps) for query in queries]
+            return self._batch_result(queries, hits, return_distances, count_only)
         self._ensure_projection()
         assert self._proj_values is not None  # for type checkers
         projected = queries[:, self._proj_dim]
@@ -102,4 +109,4 @@ class BruteForceIndex(NeighborIndex):
             hits = candidates[distances <= eps]
             hits.sort()
             out.append(hits)
-        return out
+        return self._batch_result(queries, out, return_distances, count_only)

@@ -13,11 +13,32 @@ reuse it with radii different from the build radius — only the constant
 factor changes, never correctness.
 
 Cell storage is structure-of-arrays in CSR style: one flat ``intp`` array
-holds every point index grouped by cell (ascending within each cell), and a
-``cell key -> (start, stop)`` table slices into it.  The layout is built in
-one vectorized ``lexsort`` pass — no per-point python loop, no per-cell list
-objects — so a 10^6-point build is a sort, not a million dict appends, and a
-multi-cell gather is a handful of array slices instead of list concatenation.
+holds every point index grouped by cell (ascending within each cell), and
+an offsets array slices it per occupied cell; the occupied cells are kept
+in lexicographic order of their integer coordinates.  The layout is built
+in one vectorized ``lexsort`` pass — no per-point python loop, no per-cell
+list objects.
+
+Every query — single, batched, counted — is answered by one **cell-pair
+join** that runs in a fixed number of NumPy passes per block of queries:
+
+1. a *neighbour table* lists, for every occupied cell, the occupied cells
+   within the ring reach of the build radius; it is built once, at
+   construction (cells reached by other radii, or by query points outside
+   the occupied cells, are looked up per call the same way);
+2. the block's ``(query, candidate)`` pairs are generated with two ragged
+   ``repeat``/``arange`` expansions: query → its cell's neighbour cells →
+   their points (each cell's candidate list is sorted once, so every
+   query's hits come out ascending);
+3. one row-paired distance kernel (:meth:`Metric.paired`, bitwise equal to
+   ``Metric.to_many``) filters the pairs;
+4. the survivors already sit in CSR order: a flat hit array plus per-query
+   row offsets.
+
+A block is cut into passes of at most ``PAIR_BUDGET_BYTES`` worth of pairs,
+so one call allocates a bounded amount however large the block.  The index
+is immutable after construction, so concurrent queries from several threads
+need no locking.
 """
 
 from __future__ import annotations
@@ -27,11 +48,21 @@ import math
 import numpy as np
 
 from repro.data.distance import Metric
-from repro.index.base import NeighborIndex, _as_query_batch
+from repro.index.base import (
+    PAIR_BUDGET_BYTES,
+    NeighborIndex,
+    _as_query_batch,
+    _budget_runs,
+)
 
 __all__ = ["GridIndex"]
 
 _GRID_METRICS = {"euclidean", "manhattan", "chebyshev", "squared_euclidean"}
+
+# Linearized cell keys (row-major over the occupied extent) are used only
+# while the extent's cell count stays below this; beyond it the neighbour
+# lookup compares coordinate rows instead, so a key can never overflow.
+_KEY_LIMIT = 2**62
 
 
 class GridIndex(NeighborIndex):
@@ -47,8 +78,8 @@ class GridIndex(NeighborIndex):
             radius (DBSCAN's ``Eps``) for single-ring queries.
 
     Raises:
-        ValueError: if ``cell_size`` is not positive or the metric is not
-            grid-compatible.
+        ValueError: if ``cell_size`` is not positive, the metric is not
+            grid-compatible or a point has a non-finite coordinate.
     """
 
     def __init__(
@@ -67,19 +98,30 @@ class GridIndex(NeighborIndex):
                 f"got {self._metric.name!r}"
             )
         self._cell_size = float(cell_size)
-        # CSR cell storage: ``_flat`` holds point indices grouped by cell,
-        # ``_cells`` maps a cell's integer coordinates to its
-        # ``(start, stop)`` slice of ``_flat``.
-        self._flat: np.ndarray = np.empty(0, dtype=np.intp)
-        self._cells: dict[tuple[int, ...], tuple[int, int]] = {}
-        if len(self) > 0:
-            self._origin = self._points.min(axis=0)
-            coords = np.floor(
-                (self._points - self._origin) / self._cell_size
-            ).astype(np.int64)
-            self._flat, self._cells = _build_csr(coords)
-        else:
-            self._origin = np.zeros(points.shape[1] if points.ndim == 2 else 0)
+        n, dim = self._points.shape
+        self._origin = self._points.min(axis=0) if n else np.zeros(dim)
+        coords = np.floor((self._points - self._origin) / self._cell_size).astype(
+            np.int64
+        )
+        # CSR cell storage: cell ``c`` (coordinates ``_cell_coords[c]``)
+        # holds ``_flat[_cell_start[c]:_cell_start[c + 1]]``.
+        self._flat, self._cell_coords, self._cell_start, self._point_cell = (
+            _build_csr(coords)
+        )
+        self._cell_sizes = np.diff(self._cell_start)
+        self._extent = (
+            self._cell_coords.max(axis=0) + 1
+            if len(self._cell_coords)
+            else np.zeros(dim, dtype=np.int64)
+        )
+        self._strides, self._keys = _linear_keys(self._cell_coords, self._extent)
+        # Bytes one pair costs in a join pass: two gathered coordinate
+        # rows and their difference, plus the index and distance arrays.
+        self._pair_budget = max(1, PAIR_BUDGET_BYTES // (24 * dim + 40))
+        self._rings0 = self._rings(self._cell_size)
+        self._table = self._with_sizes(
+            *self._neighbour_cells(self._cell_coords, self._rings0)
+        )
 
     @property
     def cell_size(self) -> float:
@@ -89,29 +131,21 @@ class GridIndex(NeighborIndex):
     @property
     def n_occupied_cells(self) -> int:
         """Number of non-empty grid cells."""
-        return len(self._cells)
+        return len(self._cell_coords)
 
-    def _gather_cells(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        """All point indices in the occupied cells of the box ``[low, high]``."""
-        spans = [range(int(lo), int(hi) + 1) for lo, hi in zip(low, high)]
-        total_cells = math.prod(len(span) for span in spans)
-        if total_cells > max(4 * len(self._cells), 64):
-            # The query cube covers more cells than exist: iterate occupied
-            # cells instead of the (possibly huge) cartesian product.
-            slices = [
-                bounds
-                for key, bounds in self._cells.items()
-                if all(lo <= k <= hi for k, lo, hi in zip(key, low, high))
-            ]
-        else:
-            slices = []
-            for key in _iter_keys(spans):
-                bounds = self._cells.get(key)
-                if bounds is not None:
-                    slices.append(bounds)
-        if not slices:
-            return np.empty(0, dtype=np.intp)
-        return np.concatenate([self._flat[start:stop] for start, stop in slices])
+    @property
+    def _cells(self) -> dict[tuple[int, ...], tuple[int, int]]:
+        """``cell key -> (start, stop)`` slice table over ``_flat``.
+
+        Built on access for inspection; queries work on the arrays.
+        """
+        bounds = self._cell_start.tolist()
+        return {
+            key: (start, stop)
+            for key, start, stop in zip(
+                map(tuple, self._cell_coords.tolist()), bounds[:-1], bounds[1:]
+            )
+        }
 
     def _coordinate_reach(self, eps: float) -> float:
         """Half-width of the ``L_inf`` cube containing the ``eps``-ball.
@@ -127,27 +161,198 @@ class GridIndex(NeighborIndex):
             return math.sqrt(eps)
         return eps
 
-    def _candidate_indices(self, query: np.ndarray, eps: float) -> np.ndarray:
-        """All point indices in cells intersecting the ``eps``-cube of ``query``."""
-        # The eps-ball of every supported metric is contained in the
-        # L_inf cube of half-width _coordinate_reach(eps), so scanning the
-        # cells overlapping that cube is sufficient for exactness.
+    def _rings(self, eps: float) -> int:
+        """Cell rings around a query's own cell that can hold hits."""
         reach = self._coordinate_reach(eps)
-        low = np.floor((query - reach - self._origin) / self._cell_size).astype(np.int64)
-        high = np.floor((query + reach - self._origin) / self._cell_size).astype(np.int64)
-        return self._gather_cells(low, high)
+        return int(math.ceil(reach / self._cell_size)) if reach > 0 else 0
 
+    # ------------------------------------------------------------------
+    # the cell-pair join
+    # ------------------------------------------------------------------
+    def _neighbour_cells(
+        self, cells: np.ndarray, rings: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Occupied cells within ``rings`` of each row of ``cells``.
+
+        ``cells`` holds integer cell coordinates, occupied or not (query
+        cells are clipped to at most one ring outside the occupied extent,
+        so the arithmetic cannot overflow).  Returns CSR ``(offsets,
+        cell ids)`` with ids ascending within each row.  A stencil of
+        ``(2 rings + 1)^d`` key lookups is used while it is smaller than
+        the occupied cell count and the keys fit; otherwise every occupied
+        cell is compared with the row (the high-dimensional case).
+        """
+        m, dim = cells.shape
+        n_cells = len(self._cell_coords)
+        if m == 0 or n_cells == 0:
+            return np.zeros(m + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
+        span = 2 * rings + 1
+        rows: list[np.ndarray] = []
+        found: list[np.ndarray] = []
+        if self._keys is not None and span**dim <= n_cells:
+            stencil = _stencil(rings, dim)
+            step = max(1, self._pair_budget // len(stencil))
+            for lo in range(0, m, step):
+                near = cells[lo : lo + step, None, :] + stencil[None, :, :]
+                inside = ((near >= 0) & (near < self._extent)).all(axis=2)
+                keys = near @ self._strides
+                pos = np.searchsorted(self._keys, keys)
+                np.minimum(pos, n_cells - 1, out=pos)
+                row, col = np.nonzero(inside & (self._keys[pos] == keys))
+                rows.append(row + lo)
+                found.append(pos[row, col])
+        else:
+            step = max(1, self._pair_budget // n_cells)
+            for lo in range(0, m, step):
+                block = cells[lo : lo + step, None, :]
+                gap = np.abs(self._cell_coords[None, :, :] - block)
+                row, cell = np.nonzero((gap <= rings).all(axis=2))
+                rows.append(row + lo)
+                found.append(cell)
+        row = np.concatenate(rows)
+        offsets = np.searchsorted(row, np.arange(m + 1)).astype(np.intp)
+        return offsets, np.concatenate(found).astype(np.intp)
+
+    def _with_sizes(
+        self, offsets: np.ndarray, neighbours: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A neighbour CSR plus each row's candidate count (the points of
+        its neighbour cells)."""
+        through = _through(self._cell_sizes[neighbours])
+        return offsets, neighbours, through[offsets[1:]] - through[offsets[:-1]]
+
+    def _query_groups(
+        self, queries: np.ndarray, rings: int, cells: np.ndarray | None
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Group the queries by cell: the group of each query, and per
+        group its neighbour cells (CSR) and candidate count.
+
+        ``cells`` gives the occupied cell of each query when the queries
+        are indexed points; at the build radius those cells' rows of the
+        prebuilt neighbour table are the groups.  Other queries are
+        grouped by their (possibly unoccupied) cell, whose neighbour cells
+        are looked up for this call.  Non-finite queries land in a final
+        group without neighbours (they can match nothing).
+        """
+        if cells is not None:
+            if rings == self._rings0:
+                return cells, self._table
+            groups, group_of = np.unique(cells, return_inverse=True)
+            table = self._neighbour_cells(self._cell_coords[groups], rings)
+            return group_of.reshape(-1), self._with_sizes(*table)
+        finite = np.isfinite(queries).all(axis=1)
+        scaled = np.floor((queries[finite] - self._origin) / self._cell_size)
+        np.clip(scaled, -rings - 1, self._extent + rings, out=scaled)
+        coords = scaled.astype(np.int64)
+        if len(coords) <= 1:
+            unique, inverse = coords, np.zeros(len(coords), dtype=np.intp)
+        else:
+            unique, inverse = np.unique(coords, axis=0, return_inverse=True)
+        offsets, neighbours = self._neighbour_cells(unique, rings)
+        group_of = np.full(queries.shape[0], len(unique), dtype=np.intp)
+        group_of[finite] = inverse.reshape(-1)
+        return group_of, self._with_sizes(np.append(offsets, offsets[-1]), neighbours)
+
+    def _join(
+        self,
+        queries: np.ndarray,
+        eps: float,
+        *,
+        cells: np.ndarray | None = None,
+        distances: bool = False,
+        count_only: bool = False,
+    ):
+        """Answer a block of range queries through the cell-pair join.
+
+        Returns the ``intp`` hit counts with ``count_only``, otherwise
+        ``(hits, offsets, hit distances or None)`` in CSR form: row ``k``
+        is ``hits[offsets[k]:offsets[k + 1]]``, ascending.
+        """
+        m = queries.shape[0]
+        counts = np.zeros(m, dtype=np.intp)
+        if m == 0 or len(self) == 0:
+            if count_only:
+                return counts
+            return np.empty(0, dtype=np.intp), np.zeros(m + 1, dtype=np.intp), (
+                np.empty(0, dtype=float) if distances else None
+            )
+        group_of, (offsets, neighbours, group_size) = self._query_groups(
+            queries, self._rings(eps), cells
+        )
+        pairs = group_size[group_of]
+        hits, dists = [], []
+        for lo, hi in _budget_runs(pairs.cumsum(), self._pair_budget):
+            counts[lo:hi], pass_hits, pass_dists = self._pass(
+                queries[lo:hi],
+                eps,
+                _take_rows(offsets, neighbours, group_of[lo:hi]),
+                pairs[lo:hi],
+                rows=not count_only,
+                distances=distances,
+            )
+            hits.append(pass_hits)
+            dists.append(pass_dists)
+        if count_only:
+            return counts
+        flat = np.concatenate(hits)
+        return flat, _through(counts), np.concatenate(dists) if distances else None
+
+    def _pass(
+        self,
+        queries: np.ndarray,
+        eps: float,
+        cells: tuple[np.ndarray, np.ndarray],
+        pairs: np.ndarray,
+        *,
+        rows: bool,
+        distances: bool,
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """One budgeted pass: every query against the points of its
+        neighbour cells (``cells``: per-query CSR of cell ids).
+
+        Returns the hit counts and, with ``rows``, the hits (ascending
+        within each query) and, with ``distances``, their distances.  Its
+        temporaries die with the call, so passes never overlap in memory.
+        """
+        seg_through, segs = cells
+        pair_through = _through(self._cell_sizes[segs])
+        pair_point = self._flat[_ranges(self._cell_start[segs], pair_through)]
+        # ``take`` and ``repeat`` gather rows far faster than fancy
+        # indexing; the queries are already in pair order.
+        d = self._metric.paired(
+            np.repeat(queries, pairs, axis=0),
+            np.take(self._points, pair_point, axis=0),
+        )
+        hit = d <= eps
+        counts = np.diff(_through(hit)[pair_through[seg_through]])
+        if not rows:
+            return counts, None, None
+        # One sort puts every query's hits in ascending order.
+        row = np.repeat(np.arange(len(queries), dtype=np.int64), counts)
+        row *= len(self)
+        key = pair_point[hit] + row
+        if not distances:
+            key.sort()
+            return counts, key - row, None
+        order = key.argsort()
+        return counts, key[order] - row, d[hit][order]
+
+    def _answer(self, joined, return_distances: bool, count_only: bool):
+        """Shape a join result into the batch API's return value."""
+        if count_only:
+            return joined
+        flat, offsets, dists = joined
+        hits = _split(flat, offsets)
+        return (hits, _split(dists, offsets)) if return_distances else hits
+
+    # ------------------------------------------------------------------
+    # the NeighborIndex API: thin views over the join
+    # ------------------------------------------------------------------
     def range_query(self, query: np.ndarray, eps: float) -> np.ndarray:
-        if len(self) == 0:
-            return np.empty(0, dtype=np.intp)
-        query = np.asarray(query, dtype=float)
-        candidates = self._candidate_indices(query, eps)
-        if candidates.size == 0:
-            return candidates
-        distances = self._metric.to_many(query, self._points[candidates])
-        hits = candidates[distances <= eps]
-        hits.sort()
-        return hits
+        dim = self._points.shape[1]
+        query = np.asarray(query, dtype=float).reshape(1, dim)
+        flat, __, __ = self._join(query, eps)
+        return flat
 
     def range_query_batch(
         self,
@@ -155,105 +360,133 @@ class GridIndex(NeighborIndex):
         eps: float,
         *,
         return_distances: bool = False,
-    ) -> list[np.ndarray] | tuple[list[np.ndarray], list[np.ndarray]]:
-        """Vectorized batch queries: group by grid cell, evaluate per group.
-
-        Queries living in the same cell share one candidate neighborhood
-        (the occupied cells within ``ceil(eps / cell)`` rings — a superset
-        of each individual query's ``eps``-cube, so exactness is
-        preserved), which is gathered once and evaluated with a single
-        vectorized distance-matrix call per group.
+        count_only: bool = False,
+    ):
+        """Vectorized batch queries through the cell-pair join.
 
         Args:
             queries: ``(m, d)`` query points.
             eps: query radius.
-            return_distances: also return each query's hit distances.  A
-                ``Metric.matrix`` row is bitwise equal to the
-                corresponding ``Metric.to_many`` call (same subtraction
-                and reduction order), so callers get the exact per-query
-                distances for free instead of recomputing them — this is
-                what the vectorized relabel kernel builds on.
+            return_distances: also return each query's hit distances —
+                the join already evaluated them with a kernel bitwise
+                equal to ``Metric.to_many``, so callers (the vectorized
+                relabel kernel) need not recompute them.
+            count_only: return just the ``intp`` hit counts.
 
         Returns:
-            The per-query hit arrays, or ``(hits, distances)`` lists when
-            ``return_distances`` is true (``distances[i]`` aligned with
-            ``hits[i]``).
+            The per-query hit arrays, ``(hits, distances)`` lists when
+            ``return_distances`` is true, or the counts.
         """
-        dim = self._points.shape[1] if self._points.ndim == 2 else 0
-        queries = _as_query_batch(queries, dim)
-        n_queries = queries.shape[0]
-        empty = np.empty(0, dtype=np.intp)
-        empty_distances = np.empty(0, dtype=float)
-        out: list[np.ndarray] = [empty] * n_queries
-        distances_out: list[np.ndarray] = [empty_distances] * n_queries
-        if n_queries == 0 or len(self) == 0:
-            return (out, distances_out) if return_distances else out
-        reach = self._coordinate_reach(eps)
-        reach_cells = int(math.ceil(reach / self._cell_size)) if reach > 0 else 0
-        coords = np.floor((queries - self._origin) / self._cell_size).astype(np.int64)
-        for key, members in _group_rows(coords).items():
-            cell = np.asarray(key, dtype=np.int64)
-            candidates = self._gather_cells(cell - reach_cells, cell + reach_cells)
-            if candidates.size == 0:
-                continue
-            candidates.sort()
-            distances = self._metric.matrix(queries[members], self._points[candidates])
-            rows, cols = np.nonzero(distances <= eps)
-            bounds = np.searchsorted(rows, np.arange(len(members) + 1))
-            values = distances[rows, cols] if return_distances else None
-            for r, i in enumerate(members):
-                span = slice(bounds[r], bounds[r + 1])
-                out[i] = candidates[cols[span]]
-                if values is not None:
-                    distances_out[i] = values[span]
-        return (out, distances_out) if return_distances else out
+        queries = _as_query_batch(queries, self._points.shape[1])
+        joined = self._join(
+            queries, eps, distances=return_distances, count_only=count_only
+        )
+        return self._answer(joined, return_distances, count_only)
+
+    def _region_batch(
+        self,
+        indices: np.ndarray,
+        eps: float,
+        return_distances: bool,
+        count_only: bool,
+    ):
+        joined = self._join(
+            self._points[indices],
+            eps,
+            cells=self._point_cell[indices],
+            distances=return_distances,
+            count_only=count_only,
+        )
+        return self._answer(joined, return_distances, count_only)
 
 
 def _build_csr(
     coords: np.ndarray,
-) -> tuple[np.ndarray, dict[tuple[int, ...], tuple[int, int]]]:
-    """Group row indices of ``coords`` by identical rows, vectorized.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows of ``coords`` by identical cell, vectorized.
 
     Returns the flat point-index array (grouped by cell, ascending within
-    each cell thanks to the stable sort) and the ``key -> (start, stop)``
-    slice table over it.
+    each cell thanks to the stable sort), the occupied cells' coordinates
+    (lexicographic order), the cell offsets into the flat array and the
+    cell id of every point.
     """
-    n = coords.shape[0]
-    if coords.ndim != 2 or coords.shape[1] == 0:
+    n, dim = coords.shape
+    if n == 0:
+        return (
+            np.empty(0, dtype=np.intp),
+            np.empty((0, dim), dtype=np.int64),
+            np.zeros(1, dtype=np.intp),
+            np.empty(0, dtype=np.intp),
+        )
+    if dim == 0:
         # Zero-dimensional points: everything lives in the single () cell.
-        return np.arange(n, dtype=np.intp), {(): (0, n)}
+        return (
+            np.arange(n, dtype=np.intp),
+            np.empty((1, 0), dtype=np.int64),
+            np.asarray([0, n], dtype=np.intp),
+            np.zeros(n, dtype=np.intp),
+        )
     # lexsort keys run last-to-first, so reversing the columns sorts rows
     # lexicographically; the sort is stable, keeping point indices
-    # ascending inside each cell (the order the old per-cell lists had).
+    # ascending inside each cell.
     order = np.lexsort(coords.T[::-1]).astype(np.intp)
     sorted_coords = coords[order]
-    change = np.any(sorted_coords[1:] != sorted_coords[:-1], axis=1)
-    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-    stops = np.concatenate((starts[1:], [n]))
-    cells = {
-        key: bounds
-        for key, bounds in zip(
-            map(tuple, sorted_coords[starts].tolist()),
-            zip(starts.tolist(), stops.tolist()),
-        )
-    }
-    return order, cells
+    first = np.ones(n, dtype=bool)
+    first[1:] = np.any(sorted_coords[1:] != sorted_coords[:-1], axis=1)
+    starts = np.append(np.flatnonzero(first), n).astype(np.intp)
+    point_cell = np.empty(n, dtype=np.intp)
+    point_cell[order] = np.cumsum(first) - 1
+    return order, sorted_coords[first], starts, point_cell
 
 
-def _group_rows(coords: np.ndarray) -> dict[tuple[int, ...], list[int]]:
-    """Group query indices by identical coordinate rows (batch planning)."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, key in enumerate(map(tuple, coords.tolist())):
-        groups.setdefault(key, []).append(i)
-    return groups
+def _linear_keys(
+    cells: np.ndarray, extent: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Row-major strides and keys of the occupied cells, or ``(None,
+    None)`` when the extent's cell count would not fit the key range."""
+    sizes = [int(size) for size in extent]
+    if math.prod(sizes) >= _KEY_LIMIT:
+        return None, None
+    strides = np.asarray(
+        [math.prod(sizes[k + 1 :]) for k in range(len(sizes))], dtype=np.int64
+    )
+    # Lexicographic cell order is ascending key order, so the keys are
+    # sorted and ``searchsorted`` can look cells up.
+    return strides, cells @ strides
 
 
-def _iter_keys(spans: list[range]):
-    """Yield every integer coordinate tuple in the cartesian product of spans."""
-    if not spans:
-        yield ()
-        return
-    head, *tail = spans
-    for value in head:
-        for rest in _iter_keys(tail):
-            yield (value, *rest)
+def _stencil(rings: int, dim: int) -> np.ndarray:
+    """All integer offsets in ``[-rings, rings]^dim``, lexicographic."""
+    if dim == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    axis = np.arange(-rings, rings + 1, dtype=np.int64)
+    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, dim)
+
+
+def _through(lengths: np.ndarray) -> np.ndarray:
+    """Running totals with a leading zero: CSR offsets of ``lengths``."""
+    out = np.zeros(lengths.size + 1, dtype=np.intp)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _ranges(starts: np.ndarray, through: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + l)`` for every start ``s`` and
+    length ``l`` (given as the running totals ``through``)."""
+    lengths = np.diff(through)
+    return np.repeat(starts - through[:-1], lengths) + np.arange(through[-1])
+
+
+def _take_rows(
+    offsets: np.ndarray, values: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR sub-table of the selected ``rows``."""
+    through = _through(offsets[rows + 1] - offsets[rows])
+    return through, values[_ranges(offsets[rows], through)]
+
+
+def _split(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
+    """Per-row views of a CSR array."""
+    bounds = offsets.tolist()
+    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]

@@ -127,7 +127,14 @@ class KDTreeIndex(NeighborIndex):
         out.sort()
         return out
 
-    def range_query_batch(self, queries: np.ndarray, eps: float) -> list[np.ndarray]:
+    def range_query_batch(
+        self,
+        queries: np.ndarray,
+        eps: float,
+        *,
+        return_distances: bool = False,
+        count_only: bool = False,
+    ):
         """Batched range queries via one shared tree traversal.
 
         The whole query group descends the tree together: at every split
@@ -139,11 +146,11 @@ class KDTreeIndex(NeighborIndex):
         dim = self._points.shape[1] if self._points.ndim == 2 else 0
         queries = _as_query_batch(queries, dim)
         n_queries = queries.shape[0]
-        if n_queries == 0:
-            return []
         empty = np.empty(0, dtype=np.intp)
-        if len(self) == 0:
-            return [empty for _ in range(n_queries)]
+        if n_queries == 0 or len(self) == 0:
+            return self._batch_result(
+                queries, [empty] * n_queries, return_distances, count_only
+            )
         hits: list[list[np.ndarray]] = [[] for _ in range(n_queries)]
         stack: list[tuple[int, np.ndarray]] = [
             (self._root, np.arange(n_queries, dtype=np.intp))
@@ -177,7 +184,7 @@ class KDTreeIndex(NeighborIndex):
             merged = np.concatenate(parts)
             merged.sort()
             out.append(merged)
-        return out
+        return self._batch_result(queries, out, return_distances, count_only)
 
     def knn_query(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``k`` nearest indexed points to ``query``.

@@ -122,8 +122,8 @@ ROUND_PHASES = ("open_round", "local_dbscan", "upload", "await_delta", "relabel"
 _INDEX_KINDS = ("brute", "grid", "kdtree")
 
 #: Largest primary cardinality the classic sections run at: the
-#: brute-force index and the one-query-per-seed DBSCAN loop are
-#: quadratic-ish and pointless to time at 10^6.
+#: brute-force index and the per-query loops are quadratic-ish and
+#: pointless to time at 10^6.
 _CLASSIC_MAX = 50_000
 #: Largest primary cardinality the relabel-kernel comparison (it runs the
 #: dense O(n·m) reference sweep on purpose) and the shm pool run at.
@@ -645,7 +645,8 @@ def _relabel_all(site_points, outcomes, global_model, kernel: str):
 def _hot_paths(spec: Scenario, report: Report) -> None:
     """Single vs. batched vs. parallel execution, and memory at scale.
 
-    Every timed pair also checks its outputs agree; a divergence is a
+    Every timed pair or set also checks its outputs agree (DBSCAN over
+    every index kind against the brute-force index); a divergence is a
     problem, not a number.  The ``scale`` section runs the whole pipeline
     per swept cardinality under tracemalloc (its walls are upper bounds).
     Above ``_CLASSIC_MAX`` primary points the classic sections are
@@ -690,27 +691,25 @@ def _hot_paths(spec: Scenario, report: Report) -> None:
             put("region_queries.batched_seconds", batched, kind)
             put("region_queries.speedup", single / batched, kind)
     if "dbscan" in sections:
+        # Every index kind must reproduce the brute-force index's run
+        # (``_INDEX_KINDS`` starts with "brute").
+        runs = {}
         for kind in _INDEX_KINDS:
             index = build_index(points, kind, eps=eps)
-            single, classic = _best_of(
-                lambda: DBSCAN(eps, min_pts, batched=False).fit(points, index=index),
-                repeats,
+            seconds, result = _best_of(
+                lambda: DBSCAN(eps, min_pts).fit(points, index=index), repeats
             )
-            batched, frontier = _best_of(
-                lambda: DBSCAN(eps, min_pts, batched=True).fit(points, index=index),
-                repeats,
-            )
+            runs[kind] = result
+            brute = runs["brute"]
             report.check(
-                np.array_equal(classic.labels, frontier.labels)
-                and np.array_equal(classic.core_mask, frontier.core_mask)
-                and classic.n_region_queries == frontier.n_region_queries,
-                f"frontier-batched DBSCAN ({kind}) diverged from the classic loop",
+                np.array_equal(result.labels, brute.labels)
+                and np.array_equal(result.core_mask, brute.core_mask)
+                and result.n_region_queries == brute.n_region_queries,
+                f"DBSCAN over the {kind} index diverged from the brute-force index",
             )
-            put("dbscan.single_seconds", single, kind)
-            put("dbscan.batched_seconds", batched, kind)
-            put("dbscan.speedup", single / batched, kind)
-            put("dbscan.clusters_count", classic.n_clusters, kind)
-            put("dbscan.region_queries_count", classic.n_region_queries, kind)
+            put("dbscan.fit_seconds", seconds, kind)
+            put("dbscan.clusters_count", result.n_clusters, kind)
+            put("dbscan.region_queries_count", result.n_region_queries, kind)
     if "local_phase" in sections:
         # Each variant stamps the runner's post-fallback worker count: on
         # one CPU a parallel config legitimately runs sequentially.

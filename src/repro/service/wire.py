@@ -633,7 +633,13 @@ def encode_points(points: np.ndarray) -> bytes:
 
 @_codec_guard("invalid point-array payload")
 def decode_points(payload: bytes) -> np.ndarray:
-    """Inverse of :func:`encode_points`."""
+    """Inverse of :func:`encode_points`.
+
+    Raises:
+        CodecError: on a size mismatch, or when a coordinate is NaN or
+            infinite (no index can place such a point, so a label query
+            carrying one is refused as a whole).
+    """
     rows, dim = _ARRAY_HEADER.unpack_from(payload, 0)
     expected = _ARRAY_HEADER.size + rows * dim * 8
     if len(payload) != expected:
@@ -641,7 +647,14 @@ def decode_points(payload: bytes) -> np.ndarray:
             f"payload is {len(payload)} bytes, header declares {expected}"
         )
     data = np.frombuffer(payload, dtype="<f8", offset=_ARRAY_HEADER.size)
-    return data.reshape(rows, dim).astype(float)
+    points = data.reshape(rows, dim).astype(float)
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise CodecError(
+            f"{int((~finite).sum())} of {rows} points have non-finite "
+            f"coordinates (first: row {int(np.flatnonzero(~finite)[0])})"
+        )
+    return points
 
 
 def encode_labels(labels: np.ndarray) -> bytes:

@@ -1,11 +1,12 @@
-"""Equivalence guard: frontier-batched DBSCAN == classic single-query DBSCAN.
+"""Equivalence guard: level-synchronous DBSCAN == the classic DBSCAN loop.
 
-The frontier expansion (``batched=True``, the default) must be
-*bit-identical* to the reference one-query-per-seed loop in every
-observable: labels, core mask, ``n_region_queries`` and the complete
-observer event sequence.  Checked on the paper's A/B/C-style data sets and
-on adversarial small layouts (exact-integer coordinates with boundary
-distances, custom processing orders).
+``DBSCAN.fit`` (one counting pass, then one batched region query per BFS
+level) must be *bit-identical* to the classic one-query-per-seed loop
+(``tests/dbscan_oracle.py``) in every observable: labels, core mask,
+``n_region_queries`` and the complete observer event sequence.  Checked on
+the paper's A/B/C-style data sets and on adversarial small layouts
+(exact-integer coordinates with boundary distances, custom processing
+orders).
 """
 
 from __future__ import annotations
@@ -16,34 +17,21 @@ import pytest
 from repro.clustering.dbscan import DBSCAN
 from repro.data.datasets import load_dataset
 from repro.index import build_index
+from tests.dbscan_oracle import RecordingObserver, classic_dbscan
 
 
-class RecordingObserver:
-    """Captures the full event stream, including neighbor array contents."""
-
-    def __init__(self) -> None:
-        self.events: list[tuple] = []
-
-    def on_cluster_start(self, cluster_id: int, seed_index: int) -> None:
-        self.events.append(("start", cluster_id, seed_index))
-
-    def on_core_point(self, index, cluster_id, neighbors) -> None:
-        self.events.append(("core", index, cluster_id, tuple(neighbors.tolist())))
+def _run_both(points, eps, min_pts, *, index_kind="auto", order=None, index=None):
+    oracle_obs = RecordingObserver()
+    oracle = classic_dbscan(points, eps, min_pts, order=order, observer=oracle_obs)
+    observer = RecordingObserver()
+    runner = DBSCAN(eps, min_pts, index_kind=index_kind)
+    result = runner.fit(points, observer=observer, order=order, index=index)
+    return (oracle, oracle_obs), (result, observer)
 
 
-def _run_both(points, eps, min_pts, *, index_kind="auto", order=None):
-    results = []
-    for batched in (False, True):
-        observer = RecordingObserver()
-        runner = DBSCAN(eps, min_pts, index_kind=index_kind, batched=batched)
-        result = runner.fit(points, observer=observer, order=order)
-        results.append((result, observer))
-    return results
-
-
-def _assert_identical(points, eps, min_pts, *, index_kind="auto", order=None):
+def _assert_identical(points, eps, min_pts, *, index_kind="auto", order=None, index=None):
     (ref, ref_obs), (bat, bat_obs) = _run_both(
-        points, eps, min_pts, index_kind=index_kind, order=order
+        points, eps, min_pts, index_kind=index_kind, order=order, index=index
     )
     assert np.array_equal(ref.labels, bat.labels)
     assert np.array_equal(ref.core_mask, bat.core_mask)
@@ -81,14 +69,11 @@ def test_equivalence_with_custom_order(small_blobs):
 
 
 def test_equivalence_with_prebuilt_shared_index(small_blobs):
-    """Both strategies reuse one prebuilt index (the DBDC site pattern)."""
+    """Both runs reuse one prebuilt index (the DBDC site pattern)."""
     points, __ = small_blobs
     index = build_index(points, "grid", eps=1.2)
-    ref = DBSCAN(1.2, 5, batched=False).fit(points, index=index)
-    bat = DBSCAN(1.2, 5, batched=True).fit(points, index=index)
-    assert np.array_equal(ref.labels, bat.labels)
-    assert np.array_equal(ref.core_mask, bat.core_mask)
-    assert ref.n_region_queries == bat.n_region_queries
+    _assert_identical(points, 1.2, 5, index=index)
+    _assert_identical(points, 1.2, 5, index=index)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,0 +1,251 @@
+"""Hypothesis suite: ``DBSCAN.fit`` and the REP_Scor model vs. the classic oracle.
+
+Every index kind and every grid metric, on generated data built to hit
+the hard cases: Gaussian blobs under uniform noise, exact duplicates,
+integer lattices whose neighbour distances equal ``eps`` exactly, random
+``eps``/``MinPts``, custom processing orders, and dimensions up to 12 whose
+cell-coordinate extent overflows a 64-bit linear key.  The oracle is the
+classic one-region-query-per-seed loop over a full distance scan
+(``tests/dbscan_oracle.py``); labels, core mask, ``n_region_queries`` and
+the whole observer stream (neighbour arrays included) must be equal, and
+``build_rep_scor_model`` must choose the Scor sets and ε-ranges the
+distance-based collector chooses.
+"""
+
+from __future__ import annotations
+
+import importlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.clustering.dbscan import DBSCAN
+from repro.core.local import build_rep_scor_model
+from repro.data.distance import get_metric
+from repro.index import GridIndex, build_index
+from tests.dbscan_oracle import (
+    DistanceCollector,
+    RecordingObserver,
+    classic_dbscan,
+    distance_eps_range,
+)
+
+# (index kind, metric) pairs each index answers exactly (the pairs of
+# tests/test_index_batch.py): squared_euclidean is grid/brute only.
+KIND_METRICS = [
+    ("brute", "euclidean"),
+    ("brute", "squared_euclidean"),
+    ("grid", "euclidean"),
+    ("grid", "manhattan"),
+    ("grid", "chebyshev"),
+    ("grid", "squared_euclidean"),
+    ("kdtree", "euclidean"),
+    ("kdtree", "manhattan"),
+    ("kdtree", "chebyshev"),
+    ("rtree", "euclidean"),
+    ("rtree", "manhattan"),
+    ("mtree", "euclidean"),
+    ("mtree", "manhattan"),
+]
+
+GRID_METRICS = ["euclidean", "manhattan", "chebyshev", "squared_euclidean"]
+
+SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@st.composite
+def blob_sets(draw, max_dim=4):
+    """Blobs + uniform noise (+ exact duplicates), random eps and MinPts."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    dim = draw(st.integers(1, max_dim))
+    n_blobs = draw(st.integers(1, 4))
+    rng = np.random.default_rng(seed)
+    parts = [
+        rng.normal(
+            rng.uniform(-10, 10, size=dim),
+            rng.uniform(0.2, 1.5),
+            size=(int(rng.integers(5, 40)), dim),
+        )
+        for __ in range(n_blobs)
+    ]
+    parts.append(rng.uniform(-12, 12, size=(int(rng.integers(0, 30)), dim)))
+    points = np.concatenate(parts)
+    if draw(st.booleans()):
+        copies = points[rng.integers(0, len(points), size=8)]
+        points = np.concatenate([points, copies])
+    eps = draw(st.floats(0.05, 4.0))
+    min_pts = draw(st.integers(1, 10))
+    return points, eps, min_pts
+
+
+@st.composite
+def lattices(draw):
+    """Integer lattice points scaled by a power of two: many neighbour
+    distances equal ``eps`` exactly (axis steps, Manhattan diagonals)."""
+    dim = draw(st.integers(1, 3))
+    side = draw(st.integers(2, 6))
+    scale = 2.0 ** draw(st.integers(-3, 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    grid = np.stack(np.meshgrid(*[np.arange(side)] * dim, indexing="ij"), -1)
+    points = grid.reshape(-1, dim).astype(float)
+    keep = rng.random(len(points)) < draw(st.floats(0.4, 1.0))
+    points = points[keep] if keep.any() else points[:1]
+    steps = draw(st.integers(1, 2))
+    return points * scale, steps * scale, draw(st.integers(1, 6))
+
+
+def _order(draw_order, n, seed):
+    if not draw_order:
+        return None
+    return np.random.default_rng(seed).permutation(n).tolist()
+
+
+def _lattice_eps(metric: str, step: float) -> float:
+    # squared_euclidean thresholds squared distances: an axis step of
+    # ``step`` sits exactly at eps = step**2 (exact for powers of two).
+    return step * step if metric == "squared_euclidean" else step
+
+
+def _assert_matches_oracle(points, eps, min_pts, kind, metric, order):
+    oracle_obs = RecordingObserver()
+    oracle = classic_dbscan(
+        points, eps, min_pts, metric=metric, order=order, observer=oracle_obs
+    )
+    observer = RecordingObserver()
+    result = DBSCAN(eps, min_pts, metric=metric, index_kind=kind).fit(
+        points, observer=observer, order=order
+    )
+    assert np.array_equal(result.labels, oracle.labels)
+    assert np.array_equal(result.core_mask, oracle.core_mask)
+    assert result.n_region_queries == oracle.n_region_queries == len(points)
+    assert observer.events == oracle_obs.events
+
+
+@pytest.mark.parametrize("kind,metric", KIND_METRICS)
+@SETTINGS
+@given(data=blob_sets(), custom_order=st.booleans(), seed=st.integers(0, 999))
+def test_blobs_match_classic_oracle(kind, metric, data, custom_order, seed):
+    points, eps, min_pts = data
+    if metric == "squared_euclidean":
+        eps = eps * eps  # covers eps < 1, where sqrt(eps) > eps
+    _assert_matches_oracle(
+        points, eps, min_pts, kind, metric, _order(custom_order, len(points), seed)
+    )
+
+
+@pytest.mark.parametrize("kind,metric", KIND_METRICS)
+@SETTINGS
+@given(data=lattices(), custom_order=st.booleans(), seed=st.integers(0, 999))
+def test_lattices_match_classic_oracle(kind, metric, data, custom_order, seed):
+    points, step, min_pts = data
+    eps = _lattice_eps(metric, step)
+    _assert_matches_oracle(
+        points, eps, min_pts, kind, metric, _order(custom_order, len(points), seed)
+    )
+
+
+@pytest.mark.parametrize("metric", GRID_METRICS)
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), dim=st.integers(5, 12), min_pts=st.integers(1, 4)
+)
+def test_high_dimensions_beyond_linear_keys(metric, seed, dim, min_pts):
+    """Wide sparse clouds in up to 12-D: the occupied extent's cell count
+    exceeds 2^63, so no linearized key may be formed."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0, 1e5, size=(3, dim))
+    points = np.concatenate(
+        [rng.normal(c, 0.3, size=(20, dim)) for c in centres]
+        + [rng.uniform(0, 1e5, size=(15, dim))]
+    )
+    eps = 1.5 if metric != "squared_euclidean" else 2.25
+    index = build_index(points, "grid", metric=metric, eps=eps)
+    extent = index._cell_coords.max(axis=0) + 1
+    assert math.prod(int(e) for e in extent) > 2**63
+    _assert_matches_oracle(points, eps, min_pts, "grid", metric, None)
+
+
+@pytest.mark.parametrize("metric", GRID_METRICS)
+@SETTINGS
+@given(data=blob_sets(max_dim=12), cell_factor=st.sampled_from([0.3, 1.0, 2.5]))
+def test_grid_join_rows_counts_and_distances(metric, data, cell_factor):
+    """The join's three forms agree with a full scan, bitwise — at the
+    build radius (prebuilt neighbour table) and at other radii."""
+    points, eps, __ = data
+    resolved = get_metric(metric)
+    index = GridIndex(points, resolved, cell_size=eps * cell_factor)
+    picks = np.arange(0, len(points), 3)
+    rows, distances = index.region_query_batch(picks, eps, return_distances=True)
+    counts = index.region_query_batch(picks, eps, count_only=True)
+    for i, row, dist, count in zip(picks, rows, distances, counts):
+        full = resolved.to_many(points[i], points)
+        expected = np.flatnonzero(full <= eps)
+        assert np.array_equal(row, expected)
+        assert np.array_equal(dist, full[expected])
+        assert count == expected.size
+
+
+def test_budget_cuts_change_nothing(monkeypatch):
+    """Join passes and BFS row blocks cut at tiny budgets give the uncut
+    results: the same rows and distances, the same DBSCAN run."""
+    rng = np.random.default_rng(4)
+    points = np.concatenate(
+        [rng.normal(0, 1, size=(150, 2)), rng.uniform(-5, 5, size=(50, 2))]
+    )
+    whole = GridIndex(points, cell_size=0.4)
+    cut = GridIndex(points, cell_size=0.4)
+    cut._pair_budget = 25
+    ids = np.arange(len(points))
+    for eps in (0.4, 1.3):
+        rows, dists = whole.region_query_batch(ids, eps, return_distances=True)
+        cut_rows, cut_dists = cut.region_query_batch(ids, eps, return_distances=True)
+        assert all(np.array_equal(a, b) for a, b in zip(rows, cut_rows))
+        assert all(np.array_equal(a, b) for a, b in zip(dists, cut_dists))
+    dbscan_module = importlib.import_module("repro.clustering.dbscan")
+    # Row blocks of 40 neighbours: most BFS levels take several calls.
+    monkeypatch.setattr(dbscan_module, "PAIR_BUDGET_BYTES", 8 * 8 * 40)
+    oracle_obs, observer = RecordingObserver(), RecordingObserver()
+    oracle = classic_dbscan(points, 0.4, 4, observer=oracle_obs)
+    result = DBSCAN(0.4, 4).fit(points, index=cut, observer=observer)
+    assert np.array_equal(result.labels, oracle.labels)
+    assert np.array_equal(result.core_mask, oracle.core_mask)
+    assert observer.events == oracle_obs.events
+
+
+@pytest.mark.parametrize("kind,metric", [
+    ("grid", "euclidean"),
+    ("grid", "manhattan"),
+    ("grid", "squared_euclidean"),
+    ("kdtree", "euclidean"),
+    ("brute", "chebyshev"),
+])
+@SETTINGS
+@given(data=st.one_of(blob_sets(), lattices()))
+def test_rep_scor_model_matches_distance_collector(kind, metric, data):
+    points, eps, min_pts = data
+    if metric == "squared_euclidean":
+        eps = eps * eps
+    collector = DistanceCollector(points, eps, metric)
+    oracle = classic_dbscan(points, eps, min_pts, metric=metric, observer=collector)
+    outcome = build_rep_scor_model(
+        points, eps, min_pts, metric=metric, index_kind=kind
+    )
+    assert np.array_equal(outcome.clustering.labels, oracle.labels)
+    expected = dict(collector.scor)
+    got = {cid: s.tolist() for cid, s in outcome.specific_core_points.items()}
+    assert got == expected
+    expected_ranges = [
+        distance_eps_range(points, s, eps, oracle.core_mask, metric)
+        for cid in sorted(expected)
+        for s in expected[cid]
+    ]
+    got_ranges = [rep.eps_range for rep in outcome.model.representatives]
+    assert got_ranges == expected_ranges

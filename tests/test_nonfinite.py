@@ -1,0 +1,99 @@
+"""Non-finite coordinates are refused, never silently clustered.
+
+A NaN or infinite coordinate has no grid cell and no meaningful distance.
+Left in, one such row used to corrupt the grid's cell keys and ring
+bounds: DBSCAN split 199 ordinary points into dozens of spurious clusters
+and a label query's other rows changed labels.  Every index now refuses
+the row when it is built, the wire codec refuses it on decode, and the
+service answers such a label query with a typed error and keeps serving.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.clustering.dbscan import dbscan
+from repro.clustering.labels import NOISE
+from repro.core.global_model import build_global_model
+from repro.core.local import build_local_model
+from repro.core.relabel import relabel_site
+from repro.data.datasets import load_dataset
+from repro.index import available_indexes, build_index
+from repro.service import ServiceClient, ServiceConfig, ServiceError, ServiceHandle, wire
+from repro.service.worker import run_site_worker
+
+BAD_VALUES = [np.nan, -np.inf, np.inf]
+
+
+def _gaussian_with(bad: float) -> np.ndarray:
+    points = np.random.default_rng(3).normal(size=(200, 2))
+    points[17, 1] = bad
+    return points
+
+
+@pytest.mark.parametrize("kind", available_indexes())
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_every_index_refuses_non_finite_points(kind, bad):
+    with pytest.raises(ValueError, match="finite"):
+        build_index(_gaussian_with(bad), kind, eps=0.3)
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_dbscan_refuses_instead_of_splitting_clusters(bad):
+    with pytest.raises(ValueError, match="finite"):
+        dbscan(_gaussian_with(bad), 0.3, 4)
+
+
+@pytest.mark.parametrize("kind", ["brute", "grid", "kdtree"])
+def test_non_finite_query_rows_match_nothing(kind):
+    """A non-finite *query* (not an indexed point) matches nothing and
+    leaves the other rows of its batch alone."""
+    points = np.random.default_rng(3).normal(size=(200, 2))
+    index = build_index(points, kind, eps=0.3)
+    queries = points[:6].copy()
+    queries[2, 0] = np.nan
+    queries[4, 1] = -np.inf
+    rows = index.range_query_batch(queries, 0.3)
+    for i, row in enumerate(rows):
+        expected = [] if i in (2, 4) else index.range_query(points[i], 0.3)
+        assert np.array_equal(row, expected)
+
+
+def test_vectorized_relabel_refuses_a_nan_row():
+    data = load_dataset("A", cardinality=400, seed=5)
+    model, __ = build_global_model(
+        [build_local_model(data.points, data.eps_local, data.min_pts).model]
+    )
+    queries = data.points[:256].copy()
+    queries[9] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        relabel_site(queries, np.full(256, NOISE, dtype=np.intp), model)
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_decode_points_refuses_non_finite(bad):
+    points = np.zeros((4, 3))
+    points[2, 0] = bad
+    with pytest.raises(wire.CodecError, match="non-finite"):
+        wire.decode_points(wire.encode_points(points))
+
+
+def test_service_answers_nan_query_with_typed_error_and_keeps_serving():
+    data = load_dataset("A", cardinality=300, seed=5)
+    with ServiceHandle.start(ServiceConfig(expected_sites=1)) as handle:
+        result = run_site_worker(
+            handle.host, handle.port, 0, data.points,
+            eps_local=data.eps_local, min_pts_local=data.min_pts,
+        )
+        assert result.verdict == "admitted"
+        queries = data.points[:64].copy()
+        with ServiceClient(handle.host, handle.port) as client:
+            expected = client.query(queries)
+            queries[5, 1] = np.nan
+            with pytest.raises(ServiceError) as excinfo:
+                client.query(queries)
+            assert excinfo.value.status == "bad_request"
+            assert "non-finite" in excinfo.value.detail
+            # The same connection still gets answers.
+            assert np.array_equal(client.query(data.points[:64]), expected)
