@@ -11,6 +11,13 @@ The server receives the local models — sets of ``(r, ε_r)`` pairs — and
 Representatives that DBSCAN leaves as noise are *not* noise in the global
 model — "each specific local representative forms a cluster on its own" —
 so they receive singleton global cluster ids.
+
+At ``MinPts_global = 2`` every representative with a neighbour is a core
+object, so that DBSCAN is exactly the connected components of the
+ε_global graph, its noise being the isolated representatives.  The build
+and the repair (:class:`GlobalModelRepairer`) therefore both compute
+components: one neighbour index, one batched region query, and a
+vectorized union (:func:`_component_roots`).
 """
 
 from __future__ import annotations
@@ -19,16 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clustering.dbscan import dbscan
 from repro.clustering.labels import NOISE
 from repro.clustering.optics import extract_dbscan_clustering, optics
 from repro.core.models import GlobalModel, LocalModel, Representative
 from repro.data.distance import Metric, get_metric
+from repro.index import build_index
 
 __all__ = [
     "default_eps_global",
     "build_global_model",
     "build_global_model_via_optics",
+    "FoldStats",
     "GlobalClusteringStats",
     "GlobalModelRepairer",
 ]
@@ -84,6 +92,55 @@ def _promote_singletons(labels: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _neighbour_pairs(
+    points: np.ndarray,
+    queries: np.ndarray,
+    eps: float,
+    metric: Metric,
+    index_kind: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(query, neighbour)`` pair of one batched region query.
+
+    ``queries`` are row indices into ``points``; each is paired with every
+    row within ``eps`` of it (itself included).  A degenerate radius
+    (``eps <= 0``) merges nothing, so it yields no pair and builds no
+    index.
+    """
+    if eps <= 0 or not queries.size:
+        none = np.empty(0, dtype=np.intp)
+        return none, none
+    index = build_index(points, index_kind, metric=metric, eps=eps)
+    rows = index.region_query_batch(queries, eps)
+    sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    return np.repeat(queries, sizes), np.concatenate(rows).astype(np.intp)
+
+
+def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest node of every node's connected component.
+
+    ``n`` nodes joined by the undirected edges ``(u[k], v[k])``.  Each
+    round hooks every root that shares an edge with a smaller root onto
+    the smallest such root, then jumps every pointer to its root; edges
+    inside one tree drop out.  A pointer only ever points to a smaller
+    node, so a tree's root is its smallest member.  All of it is array
+    passes: no Python step per node or per edge.
+    """
+    parent = np.arange(n, dtype=np.intp)
+    while u.size:
+        a, b = parent[u], parent[v]
+        cross = a != b
+        if not cross.any():
+            break
+        u, v, a, b = u[cross], v[cross], a[cross], b[cross]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    return parent
+
+
 def build_global_model(
     local_models: list[LocalModel],
     *,
@@ -93,12 +150,18 @@ def build_global_model(
 ) -> tuple[GlobalModel, GlobalClusteringStats]:
     """Merge local models into the global model (Section 6).
 
+    The representatives' connected components under ``eps_global`` are
+    numbered as DBSCAN(``eps_global``, 2) numbers them: the components of
+    two or more representatives by their lowest-index member, then the
+    singletons (DBSCAN's noise) in index order.
+
     Args:
         local_models: local models from all sites (any order).
         eps_global: merge radius; defaults to
-            :func:`default_eps_global` (≈ ``2·Eps_local``).
+            :func:`default_eps_global` (≈ ``2·Eps_local``).  At
+            ``eps_global <= 0`` nothing merges.
         metric: distance metric (must match the sites').
-        index_kind: neighbor index kind for the server-side DBSCAN.
+        index_kind: neighbor index kind for the server-side join.
 
     Returns:
         ``(global_model, stats)``.
@@ -107,31 +170,22 @@ def build_global_model(
     representatives = _collect_representatives(local_models)
     if eps_global is None:
         eps_global = default_eps_global(local_models)
-    if not representatives:
-        model = GlobalModel(
-            representatives=[],
-            global_labels=np.empty(0, dtype=np.intp),
-            eps_global=float(eps_global),
-            min_pts_global=MIN_PTS_GLOBAL,
+    n = len(representatives)
+    labels = np.empty(0, dtype=np.intp)
+    n_merged = n_singletons = 0
+    if n:
+        points = np.asarray([rep.point for rep in representatives])
+        nodes = np.arange(n, dtype=np.intp)
+        roots = _component_roots(
+            n, *_neighbour_pairs(points, nodes, eps_global, resolved, index_kind)
         )
-        return model, GlobalClusteringStats(0, 0, 0, float(eps_global))
-    points = np.asarray([rep.point for rep in representatives])
-    if eps_global <= 0:
-        # Degenerate radius: nothing can merge; all singletons.
-        labels = np.arange(len(representatives), dtype=np.intp)
-        n_merged = 0
-        n_singletons = len(representatives)
-    else:
-        result = dbscan(
-            points,
-            eps_global,
-            MIN_PTS_GLOBAL,
-            metric=resolved,
-            index_kind=index_kind,
-        )
-        n_singletons = result.n_noise
-        n_merged = result.n_clusters
-        labels = _promote_singletons(result.labels)
+        size = np.bincount(roots, minlength=n)
+        merged = size[roots] >= 2
+        n_merged = int(np.count_nonzero(size >= 2))
+        n_singletons = n - int(np.count_nonzero(merged))
+        # Merged components sort by their root, singletons after them.
+        rank = np.where(merged, roots, n + nodes)
+        labels = np.unique(rank, return_inverse=True)[1].reshape(-1)
     model = GlobalModel(
         representatives=representatives,
         global_labels=labels,
@@ -139,7 +193,7 @@ def build_global_model(
         min_pts_global=MIN_PTS_GLOBAL,
     )
     stats = GlobalClusteringStats(
-        n_representatives=len(representatives),
+        n_representatives=n,
         n_merged_clusters=n_merged,
         n_singletons=n_singletons,
         eps_global=float(eps_global),
@@ -147,29 +201,45 @@ def build_global_model(
     return model, stats
 
 
+@dataclass(frozen=True)
+class FoldStats:
+    """What the last :meth:`GlobalModelRepairer.add_model` fold changed.
+
+    Attributes:
+        n_clusters: global clusters in the repaired model.
+        label_churn: pre-existing representatives whose label changed.
+        cluster_merges: pre-existing cluster ids absorbed into a smaller
+            one.
+    """
+
+    n_clusters: int
+    label_churn: int = 0
+    cluster_merges: int = 0
+
+
 class GlobalModelRepairer:
-    """Incrementally fold late local models into an existing global model.
+    """Fold late local models into an existing global model.
 
-    The recovery rounds of the degraded protocol (``RecoveryPolicy``) need
-    the server to *heal* its global model when a failed site finally
-    delivers, without re-running the global DBSCAN from scratch — exactly
-    the property Section 6 of the paper (and the incremental DBSCAN it
-    cites) promises.  This class wraps
-    :class:`~repro.clustering.incremental.IncrementalDBSCAN` around a
-    built :class:`~repro.core.models.GlobalModel` and inserts late
-    representatives one by one.
+    The recovery rounds of the degraded protocol (``RecoveryPolicy``) and
+    every session round after the first need the server to *grow* its
+    global model when new local models arrive, without re-clustering
+    every representative — the property Section 6 of the paper (and the
+    incremental DBSCAN it cites) promises.
 
-    Because ``MinPts_global = 2``, every non-noise representative is a
-    core object (its ε-neighborhood holds itself plus at least one other),
-    so DBSCAN's border ambiguity cannot arise: the maintained partition is
-    *exactly* the partition a from-scratch rebuild over the same
-    representatives would produce, differing only in label names (the
-    equivalence regression tests pin this).
+    Because ``MinPts_global = 2`` the global model is the connected
+    components of the ε_global graph, so a fold is a components problem
+    too: each existing cluster enters as one node, each new
+    representative as another, and one index over the maintained
+    representatives joins only the new ones against it.  The maintained
+    partition is therefore *exactly* the partition a from-scratch rebuild
+    over the same representatives would produce, differing only in label
+    names (the equivalence tests pin this).
 
-    Label names are kept *stable* on purpose: clusters that existed before
-    an insertion keep their ids (a merge adopts the smallest participating
-    id), and genuinely new clusters get fresh ids beyond everything handed
-    out so far.  Sites that are not re-broadcast therefore never hold a
+    Label names are kept *stable* on purpose: a component holding existing
+    clusters takes the smallest of their ids (a merge adopts the smallest
+    participating id), and a component of new representatives only takes
+    a fresh id beyond everything handed out so far, in order of its
+    lowest member.  Sites that are not re-broadcast therefore never hold a
     label the repaired model re-used for something else.
 
     ``eps_global`` stays frozen at the base model's radius: the paper's
@@ -179,77 +249,37 @@ class GlobalModelRepairer:
     drift instead.
 
     Args:
-        model: the global model to repair (usually the round's build).
+        model: the global model to repair (usually the round's build; an
+            empty one starts from nothing).
         metric: distance metric (must match the server's).
+        index_kind: neighbor index kind for the join (the build's).
     """
 
     def __init__(
-        self, model: GlobalModel, *, metric: str | Metric = "euclidean"
+        self,
+        model: GlobalModel,
+        *,
+        metric: str | Metric = "euclidean",
+        index_kind: str = "auto",
     ) -> None:
         self.metric = get_metric(metric)
+        self.index_kind = index_kind
         self.eps_global = float(model.eps_global)
         self._representatives: list[Representative] = list(model.representatives)
+        self._points = model.points()
         self._labels = np.asarray(model.global_labels, dtype=np.intp).copy()
         self._next_fresh = (
             int(self._labels.max()) + 1 if self._labels.size else 0
         )
-        self._incremental: "object | None" = None
+        self.last_fold = FoldStats(n_clusters=model.n_global_clusters)
 
     @property
     def n_representatives(self) -> int:
         """Representatives currently in the maintained model."""
         return len(self._representatives)
 
-    def _ensure_incremental(self, dim: int):
-        """Build the incremental structure lazily, seeded with the base
-        model's representatives (cost is paid once, on the first repair)."""
-        from repro.clustering.incremental import IncrementalDBSCAN
-
-        if self._incremental is None:
-            inc = IncrementalDBSCAN(
-                self.eps_global, MIN_PTS_GLOBAL, dim, metric=self.metric
-            )
-            for rep in self._representatives:
-                inc.insert(rep.point)
-            self._incremental = inc
-        return self._incremental
-
-    def _canonical_labels(self, raw: np.ndarray, n_prev: int) -> np.ndarray:
-        """Map the incremental structure's raw labels onto stable ids.
-
-        Insertions can only grow or merge clusters — never split them —
-        so every pre-existing cluster's representatives still share one
-        raw label; a raw cluster adopts the smallest previous id among
-        its members (merges collapse onto the smallest), raw clusters
-        without previous members get fresh ids, and noise representatives
-        are singletons (old ones keep their singleton id).
-        """
-        prev = self._labels
-        canonical = np.empty(raw.size, dtype=np.intp)
-        target: dict[int, int] = {}
-        for i in range(n_prev):
-            r = int(raw[i])
-            if r >= 0 and (r not in target or int(prev[i]) < target[r]):
-                target[r] = int(prev[i])
-        next_fresh = self._next_fresh
-        for i in range(raw.size):
-            r = int(raw[i])
-            if r < 0:
-                if i < n_prev:
-                    canonical[i] = prev[i]
-                else:
-                    canonical[i] = next_fresh
-                    next_fresh += 1
-            else:
-                if r not in target:
-                    target[r] = next_fresh
-                    next_fresh += 1
-                canonical[i] = target[r]
-        self._next_fresh = next_fresh
-        return canonical
-
     def add_model(self, model: LocalModel) -> tuple[GlobalModel, bool]:
-        """Insert one late local model and return the repaired global model.
+        """Fold one late local model in and return the repaired global model.
 
         Args:
             model: the late site's local model.
@@ -259,32 +289,52 @@ class GlobalModelRepairer:
             any *pre-existing* representative's global label changed (a
             late representative merged old clusters), which is what forces
             a re-broadcast to previously relabeled sites.
+            :attr:`last_fold` says what else the fold changed.
         """
-        new_reps = list(model.representatives)
-        n_prev = len(self._representatives)
+        return self.add_representatives(list(model.representatives))
+
+    def add_representatives(
+        self, new_reps: list[Representative]
+    ) -> tuple[GlobalModel, bool]:
+        """Fold representatives in, appended in order (see :meth:`add_model`)."""
         if not new_reps:
+            self.last_fold = FoldStats(self.last_fold.n_clusters)
             return self.model(), False
-        if self.eps_global <= 0:
-            # Degenerate radius: nothing can merge, late representatives
-            # become singletons; no existing label moves.
-            fresh = np.arange(
-                self._next_fresh, self._next_fresh + len(new_reps), dtype=np.intp
-            )
-            self._next_fresh += len(new_reps)
-            self._labels = np.concatenate([self._labels, fresh])
-            self._representatives.extend(new_reps)
-            return self.model(), False
-        inc = self._ensure_incremental(new_reps[0].point.size)
-        for rep in new_reps:
-            inc.insert(rep.point)
+        n_prev, m = len(self._representatives), len(new_reps)
+        new_points = np.asarray([rep.point for rep in new_reps], dtype=float)
+        points = (
+            np.concatenate([self._points, new_points]) if n_prev else new_points
+        )
+        # Nodes: the k existing clusters in id order, then the new
+        # representatives in index order.
+        ids, cluster_of = np.unique(self._labels, return_inverse=True)
+        k = ids.size
+        node = np.concatenate([cluster_of.reshape(-1), k + np.arange(m)])
+        u, v = _neighbour_pairs(
+            points,
+            np.arange(n_prev, n_prev + m, dtype=np.intp),
+            self.eps_global,
+            self.metric,
+            self.index_kind,
+        )
+        roots = _component_roots(k + m, node[u], node[v])
+        # A component with existing clusters is rooted at the smallest of
+        # them; the others are rooted at their lowest new member, which
+        # orders their fresh ids.
+        heads = roots[k:] == np.arange(k, k + m)
+        n_fresh = int(np.count_nonzero(heads))
+        names = np.empty(k + m, dtype=np.intp)
+        names[:k] = ids
+        names[k:][heads] = self._next_fresh + np.arange(n_fresh)
+        labels = names[roots[node]]
+        churn = int(np.count_nonzero(labels[:n_prev] != self._labels))
+        merges = int(np.count_nonzero(roots[:k] != np.arange(k)))
+        self._next_fresh += n_fresh
         self._representatives.extend(new_reps)
-        # live_indices is insertion-ordered (no deletions happen here), so
-        # raw labels align with self._representatives.
-        raw = inc.labels()
-        canonical = self._canonical_labels(raw, n_prev)
-        relabeled = bool((canonical[:n_prev] != self._labels[:n_prev]).any())
-        self._labels = canonical
-        return self.model(), relabeled
+        self._points = points
+        self._labels = labels
+        self.last_fold = FoldStats(k - merges + n_fresh, churn, merges)
+        return self.model(), churn > 0
 
     def model(self) -> GlobalModel:
         """The maintained global model (stable labels, no noise)."""

@@ -19,8 +19,8 @@ streaming variant.
 * :class:`IncrementalServer` — the extension Section 6 motivates ("the
   incremental version of DBSCAN allows us to start with the construction of
   the global model after the first representatives of any local model come
-  in"): representatives are inserted into an incremental DBSCAN as they
-  arrive, so a consistent global model is available at any time.
+  in"): representatives are folded into a global model as they arrive, so
+  a consistent global model is available at any time.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.clustering.incremental import IncrementalDBSCAN
 from repro.core.global_model import (
-    MIN_PTS_GLOBAL,
     GlobalClusteringStats,
     GlobalModelRepairer,
     build_global_model,
@@ -90,7 +88,7 @@ class CentralServer:
     Args:
         eps_global: merge radius; ``None`` → the paper's default (max ε_r).
         metric: distance metric.
-        index_kind: neighbor index for the server-side DBSCAN.
+        index_kind: neighbor index for the global build and its folds.
         deadline_s: admission deadline (``None`` = never reject).
         quorum: minimum fraction of expected sites that must be admitted
             for the round to count as healthy (``0`` = any).
@@ -322,7 +320,10 @@ class RoundCore(CentralServer):
     — commits by the site-sorted build over every admitted model; later
     rounds fold their models, sorted by site id, into the base through
     :class:`~repro.core.global_model.GlobalModelRepairer` with
-    ``eps_global`` frozen.
+    ``eps_global`` frozen, over the build's ``index_kind``.  Every commit
+    sets the ``server.representatives`` and ``server.clusters`` gauges of
+    the committed model and adds what it changed to the
+    ``server.label_churn`` and ``server.cluster_merges`` counters.
 
     Before the gate, :meth:`arrive` answers a model from a site already
     admitted as a ``duplicate`` (acknowledged, never merged twice) and,
@@ -496,15 +497,29 @@ class RoundCore(CentralServer):
 
     def _commit(self) -> GlobalModel:
         base = self._committed
+        churn = merges = 0
         if base is None or not len(base):
             self._committed = self.build(allow_empty=True)
             self._repairer = None
+            stats = self._stats
+            n_clusters = stats.n_merged_clusters + stats.n_singletons if stats else 0
         else:
-            if self._repairer is None:
-                self._repairer = GlobalModelRepairer(base, metric=self.metric)
+            repairer = self._repairer
+            if repairer is None:
+                repairer = self._repairer = GlobalModelRepairer(
+                    base, metric=self.metric, index_kind=self.index_kind
+                )
             for model in _by_site(self.round_models):
-                self._committed, __ = self._repairer.add_model(model)
+                self._committed, __ = repairer.add_model(model)
                 self.n_repairs += 1
+                churn += repairer.last_fold.label_churn
+                merges += repairer.last_fold.cluster_merges
+            n_clusters = repairer.last_fold.n_clusters
+        if self.metrics is not None:
+            self.metrics.set("server.representatives", len(self._committed))
+            self.metrics.set("server.clusters", n_clusters)
+            self.metrics.inc("server.label_churn", churn)
+            self.metrics.inc("server.cluster_merges", merges)
         self.rounds_committed = self.round_index + 1
         self.round_index = None
         self.round_models = []
@@ -520,7 +535,12 @@ class RoundCore(CentralServer):
 
 class IncrementalServer:
     """Streaming server: the global clustering is maintained as
-    representatives arrive (incremental DBSCAN under the hood).
+    representatives arrive.
+
+    It is a :class:`~repro.core.global_model.GlobalModelRepairer` over an
+    empty base: what arrived since the last :meth:`snapshot` is folded in
+    by it, so every snapshot keeps the cluster ids the previous one handed
+    out and partitions the representatives exactly as a batch build would.
 
     Unlike :class:`CentralServer`, the merge radius must be fixed up front —
     the paper's ε_r-derived default needs all models, a streaming server
@@ -543,45 +563,44 @@ class IncrementalServer:
         if eps_global <= 0:
             raise ValueError(f"eps_global must be positive, got {eps_global}")
         self.eps_global = float(eps_global)
+        self.dim = int(dim)
         self.metric = get_metric(metric)
-        self._incremental = IncrementalDBSCAN(
-            eps_global, MIN_PTS_GLOBAL, dim, metric=self.metric
+        self._repairer = GlobalModelRepairer(
+            GlobalModel([], [], self.eps_global),
+            metric=self.metric,
         )
-        self._representatives: list[Representative] = []
+        self._pending: list[Representative] = []
 
     def receive_representative(self, rep: Representative) -> None:
-        """Insert one representative into the evolving global clustering."""
-        self._incremental.insert(rep.point)
-        self._representatives.append(rep)
+        """Add one representative to the evolving global clustering.
+
+        Raises:
+            ValueError: if its point is not of shape ``(dim,)``.
+        """
+        if rep.point.shape != (self.dim,):
+            raise ValueError(
+                f"expected a ({self.dim},) point, got shape {rep.point.shape}"
+            )
+        self._pending.append(rep)
 
     def receive_local_model(self, model: LocalModel) -> None:
-        """Insert all representatives of one local model."""
+        """Add all representatives of one local model."""
         for rep in model.representatives:
             self.receive_representative(rep)
 
     @property
     def n_representatives(self) -> int:
-        """Representatives inserted so far."""
-        return len(self._representatives)
+        """Representatives received so far."""
+        return self._repairer.n_representatives + len(self._pending)
 
     def snapshot(self) -> GlobalModel:
         """A consistent global model over everything received so far.
 
-        DBSCAN-noise representatives are promoted to singleton clusters,
-        exactly as in the batch server.
+        Isolated representatives are singleton clusters, exactly as in the
+        batch server.
 
         Returns:
             A :class:`~repro.core.models.GlobalModel`.
         """
-        labels = self._incremental.labels().copy()
-        next_id = int(labels.max()) + 1 if (labels >= 0).any() else 0
-        for i, label in enumerate(labels):
-            if label < 0:
-                labels[i] = next_id
-                next_id += 1
-        return GlobalModel(
-            representatives=list(self._representatives),
-            global_labels=labels,
-            eps_global=self.eps_global,
-            min_pts_global=MIN_PTS_GLOBAL,
-        )
+        pending, self._pending = self._pending, []
+        return self._repairer.add_representatives(pending)[0]

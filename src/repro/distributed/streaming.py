@@ -59,6 +59,7 @@ def run_streaming_session(
     metric: str = "euclidean",
     index_kind: str = "auto",
     relabel_kernel: str = "auto",
+    metrics=None,
 ) -> StreamingResult:
     """Run N sequential incremental rounds entirely in process.
 
@@ -74,6 +75,9 @@ def run_streaming_session(
         metric: distance metric.
         index_kind: neighbor index kind.
         relabel_kernel: coverage kernel for the update step.
+        metrics: optional :class:`~repro.obs.MetricsRegistry`; the round
+            core records its ``server.*`` metrics into it, as the
+            service's does.
 
     Returns:
         A :class:`StreamingResult` with the final model and per-batch
@@ -91,7 +95,9 @@ def run_streaming_session(
                 f"expected {n_sites}"
             )
 
-    core = RoundCore(eps_global, metric=metric, index_kind=index_kind)
+    core = RoundCore(
+        eps_global, metric=metric, index_kind=index_kind, metrics=metrics
+    )
     sites: list[list[ClientSite]] = []
     model: GlobalModel | None = None
     for round_index, round_batches in enumerate(batches):

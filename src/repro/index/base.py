@@ -33,6 +33,7 @@ build time instead of answering queries with silently corrupted results.
 from __future__ import annotations
 
 import abc
+import math
 import time
 
 import numpy as np
@@ -46,6 +47,21 @@ __all__ = ["NeighborIndex", "PAIR_BUDGET_BYTES"]
 #: ``(query, candidate)`` pairs from it, and DBSCAN sizes the neighbour
 #: rows it fetches per call from it.
 PAIR_BUDGET_BYTES = 32 * 2**20
+
+
+def coordinate_reach(metric: Metric, eps: float) -> float:
+    """Half-width of the ``L_inf`` cube containing the ``eps``-ball.
+
+    For euclidean/manhattan/chebyshev that is ``eps`` itself; for
+    squared_euclidean the ball of squared radius ``eps`` has coordinate
+    half-width ``sqrt(eps)`` (larger than ``eps`` when ``eps < 1`` —
+    using ``eps`` there would silently drop true neighbors).
+    """
+    if eps <= 0:
+        return 0.0
+    if metric.name == "squared_euclidean":
+        return math.sqrt(eps)
+    return eps
 
 
 def _budget_runs(ends: np.ndarray, budget: int) -> list[tuple[int, int]]:

@@ -9,6 +9,9 @@ removed in ``O(1)`` while range queries stay exact.
 
 Indices handed out by :meth:`DynamicGridIndex.insert` are stable for the
 lifetime of the structure; removed slots are tombstoned, never reused.
+Like every static index, it refuses a point with a non-finite coordinate,
+and it scans the ``L_inf`` cube that holds the query ball under the same
+rule as :class:`~repro.index.grid.GridIndex`.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from collections import defaultdict
 import numpy as np
 
 from repro.data.distance import Metric, get_metric
+from repro.index.base import coordinate_reach
 
 __all__ = ["DynamicGridIndex"]
 
@@ -67,10 +71,17 @@ class DynamicGridIndex:
         return tuple(np.floor(point / self._cell_size).astype(np.int64))
 
     def insert(self, point: np.ndarray) -> int:
-        """Add ``point``; returns its stable index."""
+        """Add ``point``; returns its stable index.
+
+        Raises:
+            ValueError: for a point of the wrong shape or with a NaN or
+                infinite coordinate.
+        """
         point = np.asarray(point, dtype=float)
         if point.shape != (self._dim,):
             raise ValueError(f"expected a ({self._dim},) point, got shape {point.shape}")
+        if not np.isfinite(point).all():
+            raise ValueError(f"points must be finite, got {point!r}")
         idx = len(self._points)
         self._points.append(point)
         self._alive.append(True)
@@ -132,8 +143,9 @@ class DynamicGridIndex:
         if self._n_alive == 0:
             return np.empty(0, dtype=np.intp)
         query = np.asarray(query, dtype=float)
-        low = np.floor((query - eps) / self._cell_size).astype(np.int64)
-        high = np.floor((query + eps) / self._cell_size).astype(np.int64)
+        reach = coordinate_reach(self._metric, eps)
+        low = np.floor((query - reach) / self._cell_size).astype(np.int64)
+        high = np.floor((query + reach) / self._cell_size).astype(np.int64)
         cube = 1
         for lo, hi in zip(low, high):
             cube *= int(hi - lo) + 1

@@ -53,6 +53,7 @@ from repro.index.base import (
     NeighborIndex,
     _as_query_batch,
     _budget_runs,
+    coordinate_reach,
 )
 
 __all__ = ["GridIndex"]
@@ -147,23 +148,9 @@ class GridIndex(NeighborIndex):
             )
         }
 
-    def _coordinate_reach(self, eps: float) -> float:
-        """Half-width of the ``L_inf`` cube containing the ``eps``-ball.
-
-        For euclidean/manhattan/chebyshev that is ``eps`` itself; for
-        squared_euclidean the ball of squared radius ``eps`` has coordinate
-        half-width ``sqrt(eps)`` (larger than ``eps`` when ``eps < 1`` —
-        using ``eps`` there would silently drop true neighbors).
-        """
-        if eps <= 0:
-            return 0.0
-        if self._metric.name == "squared_euclidean":
-            return math.sqrt(eps)
-        return eps
-
     def _rings(self, eps: float) -> int:
         """Cell rings around a query's own cell that can hold hits."""
-        reach = self._coordinate_reach(eps)
+        reach = coordinate_reach(self._metric, eps)
         return int(math.ceil(reach / self._cell_size)) if reach > 0 else 0
 
     # ------------------------------------------------------------------

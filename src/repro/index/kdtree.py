@@ -15,7 +15,7 @@ import heapq
 import numpy as np
 
 from repro.data.distance import Metric
-from repro.index.base import NeighborIndex, _as_query_batch
+from repro.index.base import NeighborIndex, _as_query_batch, coordinate_reach
 
 __all__ = ["KDTreeIndex"]
 
@@ -101,6 +101,7 @@ class KDTreeIndex(NeighborIndex):
         if len(self) == 0:
             return np.empty(0, dtype=np.intp)
         query = np.asarray(query, dtype=float)
+        reach = coordinate_reach(self._metric, eps)
         hits: list[np.ndarray] = []
         stack = [self._root]
         while stack:
@@ -116,10 +117,11 @@ class KDTreeIndex(NeighborIndex):
                 continue
             delta = query[dim] - self._split_val[node]
             # A child can only contain points within eps of the query if the
-            # query's eps-cube crosses the splitting hyperplane.
-            if delta <= eps:
+            # cube holding the query's eps-ball crosses the splitting
+            # hyperplane.
+            if delta <= reach:
                 stack.append(self._left[node])
-            if delta >= -eps:
+            if delta >= -reach:
                 stack.append(self._right[node])
         if not hits:
             return np.empty(0, dtype=np.intp)
@@ -151,6 +153,7 @@ class KDTreeIndex(NeighborIndex):
             return self._batch_result(
                 queries, [empty] * n_queries, return_distances, count_only
             )
+        reach = coordinate_reach(self._metric, eps)
         hits: list[list[np.ndarray]] = [[] for _ in range(n_queries)]
         stack: list[tuple[int, np.ndarray]] = [
             (self._root, np.arange(n_queries, dtype=np.intp))
@@ -170,8 +173,8 @@ class KDTreeIndex(NeighborIndex):
                         hits[group[r]].append(match)
                 continue
             delta = queries[group, dim_] - self._split_val[node]
-            left = group[delta <= eps]
-            right = group[delta >= -eps]
+            left = group[delta <= reach]
+            right = group[delta >= -reach]
             if left.size:
                 stack.append((self._left[node], left))
             if right.size:

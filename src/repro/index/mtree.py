@@ -11,7 +11,12 @@ kernel-induced metric).
 This is the bulk-loaded variant: leaf entries store objects with their
 distance to the parent routing object; inner nodes store routing objects
 with covering radii.  Range queries prune with the classic M-tree
-inequality ``|d(q, parent) - d(parent, child)| > eps + r_child``.
+inequality ``|d(q, parent) - d(parent, child)| > eps + r_child``.  The
+pruning distances must obey the triangle inequality: squared_euclidean
+does not, so it prunes on their square roots (the euclidean distance)
+against ``sqrt(eps)``.  Every pruning test leaves a relative slack of
+``_SLACK`` so that rounding never prunes an exact tie; the final test is
+the exact ``d(q, x) <= eps``.
 """
 
 from __future__ import annotations
@@ -19,9 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.distance import Metric
-from repro.index.base import NeighborIndex
+from repro.index.base import NeighborIndex, coordinate_reach
 
 __all__ = ["MTreeIndex"]
+
+#: Relative slack of the pruning tests, far above the rounding error of a
+#: distance and far below any gap pruning relies on.
+_SLACK = 1e-9
 
 
 class _MNode:
@@ -80,8 +89,24 @@ class MTreeIndex(NeighborIndex):
     # ------------------------------------------------------------------
     # bulk load: recursive k-router partitioning
     # ------------------------------------------------------------------
+    def _prune_distance(self, distances):
+        """Distances in the pruning space (square roots for
+        squared_euclidean, whose values break the triangle inequality)."""
+        if self._metric.name == "squared_euclidean":
+            return np.sqrt(distances)
+        return distances
+
     def _distances(self, router: int, members: np.ndarray) -> np.ndarray:
-        return self._metric.to_many(self._points[router], self._points[members])
+        return self._prune_distance(
+            self._metric.to_many(self._points[router], self._points[members])
+        )
+
+    def _router_distance(self, query: np.ndarray, node: _MNode) -> float:
+        return float(
+            self._prune_distance(
+                self._metric.pairwise(query, self._points[node.router])
+            )
+        )
 
     def _build(self, members: np.ndarray) -> _MNode:
         router = int(members[0])
@@ -159,20 +184,25 @@ class MTreeIndex(NeighborIndex):
         if self._root is None:
             return np.empty(0, dtype=np.intp)
         query = np.asarray(query, dtype=float)
+        reach = coordinate_reach(self._metric, eps)
         hits: list[np.ndarray] = []
         # Stack of (node, distance from query to the node's router).
-        root_dist = float(self._metric.pairwise(query, self._points[self._root.router]))
-        stack: list[tuple[_MNode, float]] = [(self._root, root_dist)]
+        stack = [(self._root, self._router_distance(query, self._root))]
         while stack:
             node, d_router = stack.pop()
             # Covering-radius pruning: nothing in this subtree can be
-            # within eps if the query is farther than radius + eps.
-            if d_router > node.radius + eps:
+            # within eps if the query is farther than radius + reach.
+            if d_router - node.radius - reach > _SLACK * (
+                d_router + node.radius + reach
+            ):
                 continue
             if node.is_leaf:
-                # Pre-filter by |d(q,router) - d(router,entry)| <= eps
+                # Pre-filter by |d(q,router) - d(router,entry)| <= reach
                 # before paying for exact distances.
-                plausible = np.abs(node.entry_dists - d_router) <= eps
+                dists = node.entry_dists
+                plausible = np.abs(dists - d_router) - reach <= _SLACK * (
+                    dists + d_router + reach
+                )
                 candidates = node.entries[plausible]
                 if candidates.size:
                     exact = self._metric.to_many(query, self._points[candidates])
@@ -181,10 +211,7 @@ class MTreeIndex(NeighborIndex):
                         hits.append(match)
                 continue
             for child in node.children:
-                d_child = float(
-                    self._metric.pairwise(query, self._points[child.router])
-                )
-                stack.append((child, d_child))
+                stack.append((child, self._router_distance(query, child)))
         if not hits:
             return np.empty(0, dtype=np.intp)
         out = np.concatenate(hits)

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.clustering.dbscan import DBSCAN
 from repro.clustering.labels import NOISE
-from repro.core.global_model import build_global_model
+from repro.core.global_model import GlobalModelRepairer, build_global_model
 from repro.core.local import build_local_model
 from repro.core.relabel import relabel_site
 from repro.core.shm import ShmArrayPool, attach_array
@@ -112,6 +112,7 @@ SECTIONS = (
     "dbscan",
     "local_phase",
     "relabel_kernels",
+    "global_model",
     "shm_pool",
     "scale",
 )
@@ -126,7 +127,8 @@ _INDEX_KINDS = ("brute", "grid", "kdtree")
 #: pointless to time at 10^6.
 _CLASSIC_MAX = 50_000
 #: Largest primary cardinality the relabel-kernel comparison (it runs the
-#: dense O(n·m) reference sweep on purpose) and the shm pool run at.
+#: dense O(n·m) reference sweep on purpose), the global-model section and
+#: the shm pool run at.
 _KERNELS_MAX = 200_000
 
 #: Health probes each socket-sweep site sends through its resilient link
@@ -642,6 +644,19 @@ def _relabel_all(site_points, outcomes, global_model, kernel: str):
     ]
 
 
+def _fold_all(base, models):
+    repairer = GlobalModelRepairer(base)
+    for model in models:
+        repairer.add_model(model)
+    return repairer.model()
+
+
+def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two label arrays partition their items alike."""
+    pairs = np.unique(np.stack([a, b]), axis=1).shape[1]
+    return pairs == np.unique(a).size == np.unique(b).size
+
+
 def _hot_paths(spec: Scenario, report: Report) -> None:
     """Single vs. batched vs. parallel execution, and memory at scale.
 
@@ -658,7 +673,7 @@ def _hot_paths(spec: Scenario, report: Report) -> None:
     primary = spec.cardinality[0] if spec.cardinality else 0
     for limit, heavy in (
         (_CLASSIC_MAX, ("region_queries", "dbscan", "local_phase")),
-        (_KERNELS_MAX, ("relabel_kernels", "shm_pool")),
+        (_KERNELS_MAX, ("relabel_kernels", "global_model", "shm_pool")),
     ):
         if primary > limit:
             report.notes += [
@@ -766,6 +781,27 @@ def _hot_paths(spec: Scenario, report: Report) -> None:
         put("relabel_kernels.covered_count",
             sum(stats.n_covered for __, stats in outputs["vectorized"]))
         put("relabel_kernels.representatives_count", len(global_model))
+    if "global_model" in sections:
+        # The server's two paths over one set of representatives: build 4
+        # of 12 sites, fold the other 8 in site order, and check the fold
+        # partitions them like a rebuild of all 12 at the frozen radius.
+        models = [outcome.model for outcome in _local_models(
+            split(points, partition(points, 12, "uniform_random", spec.seed)),
+            eps, min_pts,
+        )]
+        seconds, (base, __) = _best_of(
+            lambda: build_global_model(models[:4]), repeats
+        )
+        put("global_model.build_seconds", seconds)
+        seconds, folded = _best_of(lambda: _fold_all(base, models[4:]), repeats)
+        put("global_model.fold_seconds", seconds)
+        rebuilt, __ = build_global_model(models, eps_global=base.eps_global)
+        put("global_model.representatives_count", len(folded))
+        put("global_model.clusters_count", folded.n_global_clusters)
+        put("global_model.fold_equals_rebuild", report.check(
+            _same_partition(folded.global_labels, rebuilt.global_labels),
+            "folding 8 sites into a 4-site global model diverged from the rebuild",
+        ))
     if "shm_pool" in sections:
         parts = [part for part in np.array_split(points, spec.sites) if part.size]
         start = time.perf_counter()

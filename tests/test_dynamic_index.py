@@ -49,6 +49,21 @@ class TestInsertRemove:
         with pytest.raises(ValueError, match="expected"):
             grid.insert([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_insert_non_finite_raises(self, bad):
+        grid = DynamicGridIndex(2, cell_size=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            grid.insert([0.0, bad])
+        assert len(grid) == 0
+
+    def test_squared_euclidean_reaches_sqrt_eps(self):
+        """Squared distance 0.49 <= ε 0.5 with a coordinate gap of 0.7:
+        the scan must cover √ε, not ε, around the query."""
+        grid = DynamicGridIndex(2, cell_size=0.5, metric="squared_euclidean")
+        grid.insert([0.49, 0.0])
+        grid.insert([1.19, 0.0])
+        assert list(grid.region_query(0, 0.5)) == [0, 1]
+
     def test_remove_tombstones(self):
         grid = DynamicGridIndex(2, cell_size=1.0)
         a = grid.insert([0.0, 0.0])

@@ -33,7 +33,7 @@ class TestReportShape:
         families = {name.split(".")[0] for name in small_report.metrics}
         assert {
             "region_queries", "dbscan", "local_phase", "relabel_kernels",
-            "shm", "scale",
+            "global_model", "shm", "scale",
         } <= families
         assert small_report.problems == []
 
@@ -51,6 +51,16 @@ class TestReportShape:
         assert metrics["relabel_kernels.wall_seconds[reference]"] > 0
         assert metrics["relabel_kernels.wall_seconds[vectorized]"] > 0
         assert metrics["relabel_kernels.representatives_count"] > 0
+
+    def test_global_model_section(self, small_report):
+        metrics = small_report.metrics
+        assert metrics["global_model.fold_equals_rebuild"] == 1.0
+        assert metrics["global_model.build_seconds"] > 0
+        assert metrics["global_model.fold_seconds"] > 0
+        assert metrics["global_model.representatives_count"] > 0
+        assert 1 <= metrics["global_model.clusters_count"] <= metrics[
+            "global_model.representatives_count"
+        ]
 
     def test_shm_pool_section(self, small_report):
         assert small_report.metrics["shm.roundtrip_ok"] == 1.0
@@ -112,7 +122,7 @@ class TestSweepSemantics:
         assert report.spec.cardinality == (300,)
         skipped = [note for note in report.notes if note.startswith("skipped ")]
         assert [note.split(":")[0] for note in skipped] == [
-            f"skipped {name}" for name in SECTIONS[:5]
+            f"skipped {name}" for name in SECTIONS[:6]
         ]
 
     def test_mid_primary_skips_only_classic_sections(self, monkeypatch):

@@ -22,7 +22,7 @@ def assert_equivalent_to_batch(inc: IncrementalDBSCAN) -> None:
     points = inc.points()
     if points.size == 0:
         return
-    batch = dbscan(points, inc.eps, inc.min_pts, index_kind="brute")
+    batch = dbscan(points, inc.eps, inc.min_pts, metric=inc.metric, index_kind="brute")
     live = inc.live_indices()
     inc_labels = inc.labels()
     inc_core = np.asarray([inc.is_core(int(i)) for i in live])
@@ -219,6 +219,25 @@ class TestStreamEquivalence:
             else:
                 p = rng.uniform(-3, 3, size=2)
                 live.append(inc.insert(p))
+        assert_equivalent_to_batch(inc)
+
+    @pytest.mark.parametrize(
+        "metric", ["euclidean", "manhattan", "chebyshev", "squared_euclidean"]
+    )
+    @given(seed=st.integers(0, 50_000), eps=st.floats(0.2, 1.5))
+    @settings(max_examples=20, deadline=None)
+    def test_every_grid_metric(self, metric, seed, eps):
+        """The grid metrics, squared_euclidean below ε 1 included: its
+        ball reaches √ε > ε along an axis."""
+        rng = np.random.default_rng(seed)
+        min_pts = int(rng.integers(2, 5))
+        inc = IncrementalDBSCAN(eps, min_pts, 2, metric=metric)
+        live: list[int] = []
+        for __ in range(int(rng.integers(10, 40))):
+            if live and rng.random() < 0.3:
+                inc.delete(live.pop(int(rng.integers(len(live)))))
+            else:
+                live.append(inc.insert(rng.uniform(-2, 2, size=2)))
         assert_equivalent_to_batch(inc)
 
     @given(seed=st.integers(0, 50_000))

@@ -326,3 +326,34 @@ class TestGridCSRStorage:
             expected = brute.range_query(query, eps)
             np.testing.assert_array_equal(index.range_query(query, eps), expected)
             np.testing.assert_array_equal(np.sort(batch_hits), expected)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev", "squared_euclidean"])
+@pytest.mark.parametrize("kind", ["grid", "kdtree", "rtree", "mtree"])
+class TestEveryKindEveryGridMetric:
+    """Every index answers every grid metric exactly: squared_euclidean
+    below ε 1 (its ball reaches √ε > ε along an axis) and lattices whose
+    neighbours sit at exactly ε, where rounding decides the ties."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        spacing=st.sampled_from([0.1, 0.3, 0.5, 1.0]),
+        lattice=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_region_queries_match_brute_force(self, kind, metric, seed, spacing, lattice):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 80))
+        if lattice:
+            points = rng.integers(0, 6, size=(n, dim)) * spacing
+            eps = spacing * spacing if metric == "squared_euclidean" else spacing
+        else:
+            points = rng.uniform(-2, 2, size=(n, dim))
+            eps = float(rng.uniform(0.05, 1.5))
+        index = build_index(
+            points, kind, metric=metric, eps=eps, leaf_size=4, node_capacity=4
+        )
+        oracle = BruteForceIndex(points, metric)
+        for got, i in zip(index.region_query_batch(np.arange(n), eps), range(n)):
+            np.testing.assert_array_equal(got, oracle.range_query(points[i], eps))

@@ -18,6 +18,7 @@ import pytest
 
 from repro.data.datasets import load_dataset
 from repro.distributed.streaming import run_streaming_session
+from repro.obs import MetricsRegistry
 from repro.service import (
     ServiceClient,
     ServiceConfig,
@@ -42,10 +43,19 @@ def stream_workload():
     for round_index in range(N_ROUNDS):
         block = points[round_index * chunk : (round_index + 1) * chunk]
         batches.append([block[i::N_SITES] for i in range(N_SITES)])
+    registry = MetricsRegistry()
     oracle = run_streaming_session(
-        batches, eps_local=data.eps_local, min_pts_local=data.min_pts
+        batches,
+        eps_local=data.eps_local,
+        min_pts_local=data.min_pts,
+        metrics=registry,
     )
-    return {"data": data, "batches": batches, "oracle": oracle}
+    return {
+        "data": data,
+        "batches": batches,
+        "oracle": oracle,
+        "oracle_metrics": registry.to_dict(),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -80,12 +90,13 @@ def socket_session(stream_workload):
         with ServiceClient(handle.host, handle.port) as client:
             health = client.health()
             full_model = client.await_global_model(timeout_s=5.0)
-        gauges = handle.service.metrics.to_dict()["gauges"]
+        snapshot = handle.service.metrics.to_dict()
     return {
         "results": results,
         "health": health,
         "full_model": full_model,
-        "gauges": gauges,
+        "gauges": snapshot["gauges"],
+        "counters": snapshot["counters"],
     }
 
 
@@ -153,6 +164,19 @@ class TestStreamingBitIdentity:
         oracle = stream_workload["oracle"]
         assert oracle.n_repairs == (N_ROUNDS - 1) * N_SITES
         assert gauges["service.model_repairs"] == oracle.n_repairs
+
+
+    def test_model_gauges_match_the_oracle(self, stream_workload, socket_session):
+        """The service reports the model it serves, as the oracle does."""
+        oracle = stream_workload["oracle"]
+        expected = stream_workload["oracle_metrics"]
+        gauges, counters = socket_session["gauges"], socket_session["counters"]
+        assert gauges["server.representatives"] == len(oracle.model)
+        assert gauges["server.clusters"] == oracle.model.n_global_clusters
+        for name in ("server.representatives", "server.clusters"):
+            assert gauges[name] == expected["gauges"][name]
+        for name in ("server.label_churn", "server.cluster_merges"):
+            assert counters[name] == expected["counters"][name]
 
 
 class TestRoundProtocolErrors:
