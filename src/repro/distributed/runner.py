@@ -21,7 +21,6 @@ to a sequential run except for wall-clock timing fields.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -46,6 +45,7 @@ from repro.faults.transport import (
     TransportStats,
 )
 from repro.obs import MetricsRegistry, Span, Tracer, trace_document
+from repro.obs.registry import usable_cpu_count
 
 __all__ = [
     "DistributedRunConfig",
@@ -58,6 +58,12 @@ __all__ = [
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
+
+#: A parallel fan-out engages only when the largest site holds at least
+#: this many objects: below it, worker startup dominates the work being
+#: distributed (the committed 20k bench showed process_x4 at a 0.76x
+#: *slowdown*).
+FALLBACK_MIN_POINTS = 20_000
 
 
 class _DirectTransport:
@@ -328,23 +334,15 @@ class DistributedRunConfig:
         relabel_kernel: coverage kernel of the update step (``"auto"`` /
             ``"vectorized"`` / ``"reference"``); every kernel produces
             bit-identical labels, the knob only trades constants.
-        auto_fallback: when true (default), a parallel run silently
-            degrades to sequential execution whenever parallelism cannot
-            win: a single-CPU box, or every site below
-            ``fallback_min_points`` objects (worker startup + pickling
-            then dominates — the committed 20k bench showed process_x4 at
-            a 0.76x *slowdown*).  The decision lands on the report as
-            :attr:`DistributedRunReport.effective_parallelism` /
-            ``parallelism_fallback_reason``.  Results are identical
-            either way; only wall-clock timing changes.
-        fallback_min_points: the largest site must hold at least this
-            many objects for parallel fan-out to engage (with
-            ``auto_fallback``).
-        shared_memory: ``"auto"`` (default) / ``"on"`` / ``"off"`` —
-            whether process-backend fan-outs pass site arrays through
-            ``multiprocessing.shared_memory`` (zero-copy attach) instead
-            of pickling them per task.  Ignored by the thread backend,
-            which already shares the address space.
+
+    A parallel run degrades to sequential execution whenever parallelism
+    cannot win: one usable CPU, or every site below
+    :data:`FALLBACK_MIN_POINTS` objects.  The decision lands on the report
+    as :attr:`DistributedRunReport.effective_parallelism` /
+    ``parallelism_fallback_reason``; results are identical either way.
+    Process-backend fan-outs pass site arrays through
+    ``multiprocessing.shared_memory`` (zero-copy attach) instead of
+    pickling them per task.
     """
 
     eps_local: float
@@ -358,9 +356,6 @@ class DistributedRunConfig:
     parallelism: int = 1
     parallel_backend: str = "thread"
     relabel_kernel: str = "auto"
-    auto_fallback: bool = True
-    fallback_min_points: int = 20_000
-    shared_memory: str = "auto"
 
     def __post_init__(self) -> None:
         if self.parallelism < 1:
@@ -374,15 +369,6 @@ class DistributedRunConfig:
             raise ValueError(
                 f"unknown relabel_kernel {self.relabel_kernel!r}; "
                 f"known: {RELABEL_KERNELS}"
-            )
-        if self.fallback_min_points < 0:
-            raise ValueError(
-                f"fallback_min_points must be >= 0, got {self.fallback_min_points}"
-            )
-        if self.shared_memory not in ("auto", "on", "off"):
-            raise ValueError(
-                f"shared_memory must be 'auto', 'on' or 'off', "
-                f"got {self.shared_memory!r}"
             )
 
 
@@ -887,20 +873,20 @@ class DistributedRunner:
     ) -> tuple[int, str | None]:
         """Decide how many workers the fan-outs actually get.
 
-        With ``auto_fallback`` a parallel config degrades to sequential
-        execution when parallelism cannot win: one CPU, or every site's
-        work below the ``fallback_min_points`` threshold.  Results are
-        identical either way — only scheduling changes.
+        A parallel config degrades to sequential execution when
+        parallelism cannot win: one usable CPU, or every site's work
+        below :data:`FALLBACK_MIN_POINTS`.  Results are identical either
+        way — only scheduling changes.
         """
         config = self.config
-        if config.parallelism <= 1 or not config.auto_fallback:
+        if config.parallelism <= 1:
             return config.parallelism, None
-        if (os.cpu_count() or 1) <= 1:
+        if (usable_cpu_count() or 1) <= 1:
             return 1, "single_cpu"
         largest = max(
             (np.asarray(points).shape[0] for points in site_points), default=0
         )
-        if largest < config.fallback_min_points:
+        if largest < FALLBACK_MIN_POINTS:
             return 1, "small_sites"
         return config.parallelism, None
 
@@ -970,7 +956,6 @@ class DistributedRunner:
             self._effective_parallelism > 1
             and len(sites) > 1
             and self.config.parallel_backend == "process"
-            and self.config.shared_memory != "off"
         ):
             self._setup_shm_pool(sites)
         try:

@@ -106,10 +106,19 @@ def utc_now_iso() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def usable_cpu_count() -> int | None:
+    """CPUs this process may run on: the size of its affinity set where
+    the OS keeps one (a ``taskset``-pinned process sees only its pinned
+    CPUs), else ``os.cpu_count()`` (``None`` when even that is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def run_environment(cwd=None) -> dict:
     """Provenance block shared by RunRecords and the BENCH ``meta``
-    stamps: git revision + dirtiness, python/numpy versions, cpu count,
-    platform string."""
+    stamps: git revision + dirtiness, python/numpy versions, usable cpu
+    count, platform string."""
     try:
         import numpy
 
@@ -121,7 +130,7 @@ def run_environment(cwd=None) -> dict:
         "git_dirty": _git_dirty(cwd),
         "python": _platform.python_version(),
         "numpy": numpy_version,
-        "cpu_count": os.cpu_count(),
+        "cpu_count": usable_cpu_count(),
         "platform": _platform.platform(),
     }
 

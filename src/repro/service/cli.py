@@ -75,19 +75,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "recovery; replayed on startup when it already holds state)",
     )
     parser.add_argument(
-        "--no-journal-fsync",
-        action="store_true",
-        help="skip the per-record fsync (faster, loses the power-failure "
-        "guarantee; process crashes are still covered)",
-    )
-    parser.add_argument(
-        "--snapshot-bytes",
-        type=int,
-        default=4 * 1024 * 1024,
-        help="compact the journal into a snapshot once the log exceeds "
-        "this many bytes",
-    )
-    parser.add_argument(
         "--max-inflight",
         type=int,
         default=None,
@@ -127,8 +114,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         quorum=args.quorum,
         idle_timeout_s=args.idle_timeout,
         journal_dir=args.journal_dir,
-        journal_fsync=not args.no_journal_fsync,
-        journal_snapshot_bytes=args.snapshot_bytes,
         max_inflight_requests=args.max_inflight,
         max_connections=args.max_connections,
         retry_after_s=args.retry_after,

@@ -18,23 +18,14 @@ Record format (little-endian, length-prefixed, CRC-guarded)::
 The CRC covers ``kind + seq + length + payload`` — a flipped kind or
 sequence byte is caught even though the payloads of, say, ROUND_OPEN
 and ROUND_COMMIT are interchangeable.  Every record carries a strictly
-increasing sequence number; replay deduplicates on it, which makes the
-compaction rename window crash-safe (a crash between the snapshot
-rename and the log truncation leaves duplicate records that replay
-skips instead of applying twice).
+increasing sequence number; a record that does not raise it is damage.
 
-Two files live in the journal directory:
-
-- ``wal.log`` — the append-only tail, fsynced per record by default.
-- ``wal.snapshot`` — the compacted prefix, rewritten atomically
-  (tmp + fsync + rename) whenever the log outgrows
-  ``snapshot_every_bytes`` at a safe point (no open round).
-
-Compaction preserves the *record stream* rather than derived state:
-recovery always applies the full decision stream to the core, so
-recovered state is trivially equivalent to never having crashed (only
-redundant EPOCH records are collapsed).  Every
-truncation or corruption point yields a typed error —
+The journal is one append-only file, ``wal.log``, fsynced after every
+record.  It is never compacted: replay always applies the full decision
+stream to the core, so recovered state is trivially equivalent to never
+having crashed.  Bounding its size would take a snapshot of derived
+state (the committed model and the admitted set), which this module does
+not write.  Every truncation or corruption point yields a typed error —
 :class:`JournalTruncated` for a torn tail, :class:`JournalCorrupt` for
 bit damage — and recovery resumes from the last good record, never a
 wrong one.
@@ -147,20 +138,14 @@ class JournalRecovery:
     """What :meth:`WriteAheadJournal.recover` reconstructed.
 
     Attributes:
-        records: the deduplicated record stream to replay, in order.
-        snapshot_error: typed error the snapshot scan stopped at.
+        records: the intact record stream to replay, in order.
         log_error: typed error the log scan stopped at.
-        truncated_bytes: torn/damaged log bytes discarded by the repair.
-        gap: true when the snapshot lost records *and* the log does not
-            continue contiguously — the log tail was unreachable and
-            was discarded rather than replayed out of order.
+        truncated_bytes: torn/damaged log bytes cut off by the repair.
     """
 
     records: list
-    snapshot_error: JournalError | None = None
     log_error: JournalError | None = None
     truncated_bytes: int = 0
-    gap: bool = False
 
 
 def encode_record(kind: RecordKind, seq: int, payload: bytes) -> bytes:
@@ -338,40 +323,18 @@ def decode_quarantine(payload: bytes) -> tuple[int, int, str]:
 
 
 class WriteAheadJournal:
-    """The service's durable record stream (``wal.log`` + ``wal.snapshot``).
+    """The service's durable record stream: one append-only ``wal.log``.
 
     Args:
-        directory: where the journal files live (created if missing).
-        fsync: fsync the log after every appended record (the
-            durability-before-acknowledgement guarantee; turn off only
-            for benches that measure the fsync cost itself).
-        snapshot_every_bytes: compact once the log outgrows this.
+        directory: where the log lives (created if missing).
     """
 
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        *,
-        fsync: bool = True,
-        snapshot_every_bytes: int = 4 * 1024 * 1024,
-    ) -> None:
-        if snapshot_every_bytes <= 0:
-            raise ValueError(
-                "snapshot_every_bytes must be positive, got "
-                f"{snapshot_every_bytes}"
-            )
+    def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.log_path = self.directory / "wal.log"
-        self.snapshot_path = self.directory / "wal.snapshot"
-        self._tmp_path = self.directory / "wal.snapshot.tmp"
-        self.fsync = bool(fsync)
-        self.snapshot_every_bytes = int(snapshot_every_bytes)
         self.bytes_written = 0
         self.records_written = 0
-        self.fsync_count = 0
-        self.compactions = 0
-        self.last_recovery: JournalRecovery | None = None
         self._fh = None
         self._next_seq = 1
 
@@ -379,66 +342,37 @@ class WriteAheadJournal:
     # recovery
     # ------------------------------------------------------------------
     def recover(self) -> JournalRecovery:
-        """Scan snapshot + log, repair the torn tail, return the replay.
+        """Scan the log, cut off its torn tail, return the replay.
 
-        The log is truncated to its intact prefix (the snapshot is
-        written atomically, so it is never repaired in place).  A stale
-        compaction temp file is removed.  Records already covered by the
-        snapshot are deduplicated by sequence number — the crash window
-        between the snapshot rename and the log truncation therefore
-        replays each record exactly once.
+        The damaged tail is truncated in place and fsynced: the repair
+        writes no record bytes, so a failure while it runs cannot lose
+        the intact prefix.
+
+        Raises:
+            JournalError: the directory holds a ``wal.snapshot``.  Older
+                journals compacted their prefix into that file, so its
+                records are not in the log, and replaying the log alone
+                would silently drop them.
         """
-        self._tmp_path.unlink(missing_ok=True)
-        snap_bytes = (
-            self.snapshot_path.read_bytes()
-            if self.snapshot_path.exists()
-            else b""
-        )
+        snapshot = self.directory / "wal.snapshot"
+        if snapshot.exists():
+            raise JournalError(
+                f"{snapshot} holds records that are not in wal.log; "
+                "this journal replays wal.log alone and refuses to drop them"
+            )
         log_bytes = (
             self.log_path.read_bytes() if self.log_path.exists() else b""
         )
-        snap = scan_records(snap_bytes)
         log = scan_records(log_bytes)
-        last_snap_seq = snap.records[-1].seq if snap.records else 0
-        fresh = [r for r in log.records if r.seq > last_snap_seq]
-        gap = False
-        if snap.error is not None and fresh:
-            # The snapshot lost records off its tail; the log only
-            # continues the stream if its first fresh record is the very
-            # next sequence number — otherwise replaying it would skip
-            # state and silently diverge.
-            if fresh[0].seq != last_snap_seq + 1:
-                gap = True
-                fresh = []
-        records = list(snap.records) + fresh
-        highest = max(
-            last_snap_seq,
-            log.records[-1].seq if log.records else 0,
-        )
-        self._next_seq = highest + 1
         truncated = len(log_bytes) - log.valid_bytes
-        if gap:
-            # The surviving log records are unreachable without their
-            # predecessors: drop them so later appends extend a
-            # consistent stream.
-            with open(self.log_path, "wb") as fh:
-                fh.flush()
+        if truncated:
+            with open(self.log_path, "r+b") as fh:
+                fh.truncate(log.valid_bytes)
                 os.fsync(fh.fileno())
-            truncated = len(log_bytes)
-        elif truncated:
-            with open(self.log_path, "wb") as fh:
-                fh.write(log_bytes[: log.valid_bytes])
-                fh.flush()
-                os.fsync(fh.fileno())
-        recovery = JournalRecovery(
-            records=records,
-            snapshot_error=snap.error,
-            log_error=log.error,
-            truncated_bytes=truncated,
-            gap=gap,
+        self._next_seq = log.records[-1].seq + 1 if log.records else 1
+        return JournalRecovery(
+            records=log.records, log_error=log.error, truncated_bytes=truncated
         )
-        self.last_recovery = recovery
-        return recovery
 
     # ------------------------------------------------------------------
     # appending
@@ -451,97 +385,19 @@ class WriteAheadJournal:
     def append(self, kind: RecordKind, payload: bytes) -> int:
         """Durably append one record; returns its sequence number.
 
-        The record is flushed (and fsynced unless disabled) before this
-        returns — the caller may acknowledge the client afterwards.
+        The record is flushed and fsynced before this returns — the
+        caller may acknowledge the client afterwards.
         """
         seq = self._next_seq
         record = encode_record(kind, seq, payload)
         fh = self._handle()
         fh.write(record)
         fh.flush()
-        if self.fsync:
-            os.fsync(fh.fileno())
-            self.fsync_count += 1
+        os.fsync(fh.fileno())
         self._next_seq += 1
         self.bytes_written += len(record)
         self.records_written += 1
         return seq
-
-    @property
-    def log_size(self) -> int:
-        """Current size of the append log in bytes."""
-        try:
-            return self.log_path.stat().st_size
-        except OSError:
-            return 0
-
-    # ------------------------------------------------------------------
-    # compaction
-    # ------------------------------------------------------------------
-    def maybe_compact(self, *, force: bool = False) -> bool:
-        """Fold the log into the snapshot when it has outgrown the cap.
-
-        Only call at a safe point (no round open): the snapshot is
-        written to a temp file, fsynced, atomically renamed over the old
-        one, and only then is the log truncated.  A crash anywhere in
-        between is recovered by the sequence-number dedup in
-        :meth:`recover`.  Redundant EPOCH records collapse to the
-        newest; everything else is preserved verbatim — replay always
-        applies the full decision stream to the core.
-        """
-        size = self.log_size
-        if size == 0:
-            return False
-        if not force and size < self.snapshot_every_bytes:
-            return False
-        if self._fh is not None:
-            self._fh.flush()
-        snap_bytes = (
-            self.snapshot_path.read_bytes()
-            if self.snapshot_path.exists()
-            else b""
-        )
-        log_bytes = self.log_path.read_bytes()
-        snap = scan_records(snap_bytes)
-        log = scan_records(log_bytes)
-        if snap.error is not None or log.error is not None:
-            raise (snap.error or log.error)
-        last_snap_seq = snap.records[-1].seq if snap.records else 0
-        merged = list(snap.records) + [
-            r for r in log.records if r.seq > last_snap_seq
-        ]
-        epochs = [r for r in merged if r.kind == RecordKind.EPOCH]
-        if len(epochs) > 1:
-            keep = epochs[-1]  # epoch grows with seq: last is the max
-            merged = [
-                r for r in merged if r.kind != RecordKind.EPOCH or r is keep
-            ]
-        with open(self._tmp_path, "wb") as fh:
-            for record in merged:
-                fh.write(encode_record(record.kind, record.seq, record.payload))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(self._tmp_path, self.snapshot_path)
-        self._sync_directory()
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        with open(self.log_path, "wb") as fh:
-            fh.flush()
-            os.fsync(fh.fileno())
-        self.compactions += 1
-        return True
-
-    def _sync_directory(self) -> None:
-        """Make the snapshot rename durable (fsync the directory)."""
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:
-            return  # platform without directory fds: best effort
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
     def close(self) -> None:
         """Close the append handle (idempotent)."""

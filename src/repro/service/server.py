@@ -102,13 +102,9 @@ class ServiceConfig:
         journal_dir: directory of the write-ahead journal; ``None``
             disables durability (the pre-journal behavior).  When set,
             every admitted model, round open/commit and quarantine
-            decision is journaled *before* it is acknowledged, and
-            :meth:`DBDCService.start` replays snapshot + journal so a
+            decision is journaled (fsynced) *before* it is acknowledged,
+            and :meth:`DBDCService.start` replays the journal so a
             restarted server is bit-identical to one that never crashed.
-        journal_fsync: fsync the journal per record (the durability
-            guarantee; disable only to measure the fsync cost).
-        journal_snapshot_bytes: compact the journal into its snapshot
-            once the log outgrows this (at round-commit safe points).
         max_inflight_requests: cap on concurrently dispatching *work*
             frames (LOCAL_MODEL / LABEL_QUERY / TRACE_UPLOAD); excess
             requests are shed with a typed ``overloaded`` reply carrying
@@ -138,8 +134,6 @@ class ServiceConfig:
     max_frame_bytes: int = wire.DEFAULT_MAX_PAYLOAD
     shutdown_grace_s: float = 5.0
     journal_dir: str | None = None
-    journal_fsync: bool = True
-    journal_snapshot_bytes: int = 4 * 1024 * 1024
     max_inflight_requests: int | None = None
     max_connections: int | None = None
     retry_after_s: float = 0.05
@@ -162,11 +156,6 @@ class ServiceConfig:
         if self.shutdown_grace_s < 0:
             raise ValueError(
                 f"shutdown_grace_s must be >= 0, got {self.shutdown_grace_s}"
-            )
-        if self.journal_snapshot_bytes <= 0:
-            raise ValueError(
-                "journal_snapshot_bytes must be positive, got "
-                f"{self.journal_snapshot_bytes}"
             )
         if (
             self.max_inflight_requests is not None
@@ -284,8 +273,8 @@ class DBDCService:
     async def start(self) -> None:
         """Bind the protocol and metrics listeners.
 
-        With a ``journal_dir`` configured, the snapshot + journal are
-        replayed *before* the listeners bind: no client can observe a
+        With a ``journal_dir`` configured, the journal is replayed
+        *before* the listeners bind: no client can observe a
         half-recovered server.
         """
         self._started_monotonic = time.monotonic()
@@ -358,7 +347,7 @@ class DBDCService:
         )
 
     def _recover_from_journal(self) -> None:
-        """Apply snapshot + journal to the round core.
+        """Apply the journal to the round core.
 
         Every record is a core decision that was journaled before it was
         applied; recovery applies the same decisions in the same order,
@@ -368,11 +357,7 @@ class DBDCService:
         just started.
         """
         start = time.perf_counter()
-        wal = journal.WriteAheadJournal(
-            self.config.journal_dir,
-            fsync=self.config.journal_fsync,
-            snapshot_every_bytes=self.config.journal_snapshot_bytes,
-        )
+        wal = journal.WriteAheadJournal(self.config.journal_dir)
         recovery = wal.recover()
         for record in recovery.records:
             if record.kind == journal.RecordKind.EPOCH:
@@ -449,9 +434,7 @@ class DBDCService:
         if wal is None:
             return
         self.metrics.set("service.journal_bytes", wal.bytes_written)
-        self.metrics.set("service.journal_fsyncs", wal.fsync_count)
         self.metrics.set("service.journal_records", wal.records_written)
-        self.metrics.set("service.journal_compactions", wal.compactions)
 
     # ------------------------------------------------------------------
     # protocol state (owned by the round core)
@@ -578,11 +561,6 @@ class DBDCService:
         n_models = len(self.server.round_models)
         self._journal_decision(decision)
         self._apply(decision)
-        if self._journal is not None:
-            # Commit boundaries are the journal's safe points: no round
-            # is open, so the snapshot captures a consistent prefix.
-            self._journal.maybe_compact()
-            self._journal_metrics()
         if self.tracer.enabled:
             self.tracer.record(
                 "round_commit",
@@ -1273,7 +1251,7 @@ class ServiceHandle:
         """Hard-kill the service thread — a crash, not a shutdown.
 
         The event loop is stopped dead between callbacks: no drain, no
-        shutdown notices, no journal compaction or close.  Connections
+        shutdown notices, no journal close.  Connections
         are severed mid-whatever and clients see raw socket errors —
         exactly what a ``kill -9`` of a service process produces, which
         is what the crash-recovery tests simulate in-process.  The

@@ -1,20 +1,24 @@
-"""Torture tests for the write-ahead journal (ISSUE 10, satellite 3).
+"""Torture tests for the write-ahead journal.
 
 The journal's contract: *every* truncation and corruption point yields a
 typed error — :class:`JournalTruncated` for a torn tail,
 :class:`JournalCorrupt` for bit damage — and recovery replays exactly
 the intact record prefix, never a damaged or out-of-order record.  The
 suite drives that contract at every byte offset of a known-good stream,
-then property-tests it under hypothesis, and pins the compaction
-rename-window dedupe that makes crash-during-compaction safe.
+then property-tests it under hypothesis, checks that cutting a torn
+tail cannot lose the intact prefix even when the disk is full, and that
+a leftover ``wal.snapshot`` is refused rather than half-replayed.
 """
 
 from __future__ import annotations
+
+import errno
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.service import journal as journal_module
 from repro.service.journal import (
     MAX_RECORD_PAYLOAD,
     RECORD_HEADER_SIZE,
@@ -224,7 +228,6 @@ class TestWriteAheadJournal:
             RecordKind.MODEL_ADMITTED,
         ]
         assert recovery.truncated_bytes == 0
-        assert recovery.snapshot_error is None
         assert recovery.log_error is None
         # Appends continue the sequence, not restart it.
         seq = fresh.append(RecordKind.ROUND_COMMIT, encode_round_marker(0))
@@ -270,87 +273,67 @@ class TestWriteAheadJournal:
             assert again.records == recovery.records
         log_path.write_bytes(intact)
 
-    def test_rename_window_dedupe(self, tmp_path):
-        """Records present in both snapshot and log (the compaction
-        crash window) replay exactly once, by sequence number."""
-        records = [
-            (RecordKind.EPOCH, encode_epoch(1)),
-            (RecordKind.ROUND_OPEN, encode_round_marker(0)),
-            (RecordKind.MODEL_ADMITTED, encode_admitted(0, b"m0")),
-            (RecordKind.ROUND_COMMIT, encode_round_marker(0)),
-        ]
-        snapshot = b"".join(
-            encode_record(kind, seq, payload)
-            for seq, (kind, payload) in enumerate(records[:3], start=1)
-        )
-        log = b"".join(
-            encode_record(kind, seq, payload)
-            for seq, (kind, payload) in enumerate(records[:4], start=1)
-        )
+    def test_torn_tail_repair_writes_no_record_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        """Cutting the torn tail must not rewrite the intact prefix: with
+        every write to the log failing (a full disk), recovery still
+        replays all acknowledged records and leaves them on disk."""
+        with WriteAheadJournal(tmp_path) as journal:
+            for index in range(3):
+                journal.append(
+                    RecordKind.MODEL_ADMITTED,
+                    encode_admitted(index, b"model-%d" % index),
+                )
+        log_path = tmp_path / "wal.log"
+        intact = log_path.read_bytes()
+        log_path.write_bytes(intact + intact[: RECORD_HEADER_SIZE + 2])
+
+        class FullDisk:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._fh.close()
+
+        def full_disk_open(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            return FullDisk(fh) if set(mode) & set("wa+") else fh
+
+        with monkeypatch.context() as patch:
+            patch.setattr(journal_module, "open", full_disk_open, raising=False)
+            recovery = WriteAheadJournal(tmp_path).recover()
+        assert [decode_admitted(r.payload)[0] for r in recovery.records] == [0, 1, 2]
+        assert isinstance(recovery.log_error, JournalTruncated)
+        assert log_path.read_bytes() == intact
+        again = WriteAheadJournal(tmp_path).recover()
+        assert again.records == recovery.records
+        assert again.log_error is None
+
+    def test_leftover_snapshot_is_refused_not_half_replayed(self, tmp_path):
+        """A ``wal.snapshot`` holds a compacted prefix whose records are
+        not in ``wal.log``: recovery raises a typed error naming the file
+        instead of replaying the log alone, and touches neither file."""
+        snapshot = encode_record(RecordKind.EPOCH, 1, encode_epoch(1))
+        snapshot += encode_record(RecordKind.ROUND_OPEN, 2, encode_round_marker(0))
+        # The log continues the stream and even has a torn tail to repair.
+        log = encode_record(RecordKind.ROUND_COMMIT, 3, encode_round_marker(0))
+        log += log[:5]
         (tmp_path / "wal.snapshot").write_bytes(snapshot)
         (tmp_path / "wal.log").write_bytes(log)
-        recovery = WriteAheadJournal(tmp_path).recover()
-        assert [r.seq for r in recovery.records] == [1, 2, 3, 4]
-        assert not recovery.gap
-
-    def test_gap_discards_unreachable_log_tail(self, tmp_path):
-        """A torn snapshot with a non-contiguous log must not replay the
-        log out of order: the unreachable tail is discarded, flagged."""
-        snap = encode_record(RecordKind.EPOCH, 1, encode_epoch(1))
-        # Damage the snapshot's tail record.
-        torn = snap + encode_record(
-            RecordKind.ROUND_OPEN, 2, encode_round_marker(0)
-        )
-        (tmp_path / "wal.snapshot").write_bytes(torn[:-1])
-        # The log continues at seq 4 — records 2 and 3 are gone forever.
-        (tmp_path / "wal.log").write_bytes(
-            encode_record(RecordKind.ROUND_COMMIT, 4, encode_round_marker(0))
-        )
-        recovery = WriteAheadJournal(tmp_path).recover()
-        assert recovery.gap
-        assert [r.seq for r in recovery.records] == [1]
-        assert isinstance(recovery.snapshot_error, JournalTruncated)
-        assert (tmp_path / "wal.log").read_bytes() == b""
-
-    def test_compaction_preserves_stream_and_collapses_epochs(self, tmp_path):
-        with WriteAheadJournal(tmp_path, snapshot_every_bytes=64) as journal:
-            journal.append(RecordKind.EPOCH, encode_epoch(1))
-            journal.append(RecordKind.ROUND_OPEN, encode_round_marker(0))
-            journal.append(RecordKind.MODEL_ADMITTED, encode_admitted(0, b"m"))
-            journal.append(RecordKind.ROUND_COMMIT, encode_round_marker(0))
-            journal.append(RecordKind.EPOCH, encode_epoch(2))
-            assert journal.maybe_compact()
-            assert journal.compactions == 1
-            assert journal.log_size == 0
-        recovery = WriteAheadJournal(tmp_path).recover()
-        kinds = [r.kind for r in recovery.records]
-        # Only the newest EPOCH survives; everything else is verbatim.
-        assert kinds == [
-            RecordKind.ROUND_OPEN,
-            RecordKind.MODEL_ADMITTED,
-            RecordKind.ROUND_COMMIT,
-            RecordKind.EPOCH,
-        ]
-        assert decode_epoch(recovery.records[-1].payload) == 2
-        # Sequence numbers keep rising across the compaction.
-        fresh = WriteAheadJournal(tmp_path)
-        fresh.recover()
-        assert fresh.append(RecordKind.ROUND_OPEN, encode_round_marker(1)) == 6
-
-    def test_compact_below_threshold_is_a_no_op(self, tmp_path):
-        with WriteAheadJournal(tmp_path, snapshot_every_bytes=1 << 20) as wal:
-            wal.append(RecordKind.EPOCH, encode_epoch(1))
-            assert not wal.maybe_compact()
-            assert wal.maybe_compact(force=True)
-
-    def test_stale_tmp_file_removed_on_recover(self, tmp_path):
-        (tmp_path / "wal.snapshot.tmp").write_bytes(b"half-written garbage")
-        WriteAheadJournal(tmp_path).recover()
-        assert not (tmp_path / "wal.snapshot.tmp").exists()
-
-    def test_rejects_bad_snapshot_cap(self, tmp_path):
-        with pytest.raises(ValueError, match="positive"):
-            WriteAheadJournal(tmp_path, snapshot_every_bytes=0)
+        with pytest.raises(JournalError, match="wal.snapshot"):
+            WriteAheadJournal(tmp_path).recover()
+        assert (tmp_path / "wal.snapshot").read_bytes() == snapshot
+        assert (tmp_path / "wal.log").read_bytes() == log
 
     @settings(max_examples=25, deadline=None)
     @given(

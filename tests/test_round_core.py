@@ -14,8 +14,9 @@ and commits drive a live core, and every schedule checks that:
   label names.
 
 The same replay runs once more through the service's real journal: a
-write-ahead log cut at every record boundary restarts to the state the
-live service had when it wrote that record.
+write-ahead log that spans three server generations, cut at every
+record boundary, restarts to the state the live service had when it
+wrote that record.
 """
 
 from __future__ import annotations
@@ -253,8 +254,21 @@ class TestServiceJournalReplay:
     def test_journal_cut_at_every_record_restarts_to_the_live_state(
         self, tmp_path
     ):
-        live = _booted(tmp_path / "live")
+        """One ``wal.log`` spans three server generations: a restart
+        between rounds and one mid-round each replay to the state the
+        live service had, and a cut at every record boundary of the
+        whole log restarts to the live state at that record."""
+        directory = tmp_path / "live"
+        live = _booted(directory)
         snapshots = [_fingerprint(live.server)]  # after the EPOCH record
+
+        def restart():
+            nonlocal live
+            before = _fingerprint(live.server)
+            live._journal.close()
+            live = _booted(directory)
+            assert _fingerprint(live.server) == before
+
         steps = [
             lambda: live._open_round(0),
             lambda: live._admit(_upload(_model(0, [0, 1]))),
@@ -266,31 +280,39 @@ class TestServiceJournalReplay:
             lambda: live._admit(_upload(_model(0, [4]))),  # duplicate
             lambda: live._admit(_upload(_model(3, [2, 4]))),
             lambda: live._commit_round(0),
+            restart,  # between rounds
             lambda: live._open_round(1),
             lambda: live._admit(_upload(_model(4, [1, 3]))),
+            restart,  # mid-round
             lambda: live._commit_round(1),
             lambda: live._open_round(2),
             lambda: live._admit(_upload(_model(5, [0]))),
         ]
         for step in steps:
-            written = live._journal.records_written
+            journal_before = live._journal
+            written = journal_before.records_written
             step()
-            if live._journal.records_written > written:
+            if live._journal is not journal_before or (
+                live._journal.records_written > written
+            ):
                 snapshots.append(_fingerprint(live.server))
         live._journal.close()
+        assert live._epoch == 3
+        assert [path.name for path in directory.iterdir()] == ["wal.log"]
         records = live._journal.recover().records
-        assert len(records) == len(snapshots) == 12
+        assert len(records) == len(snapshots) == 14
+        assert [r.kind for r in records].count(journal.RecordKind.EPOCH) == 3
         assert live.server.n_repairs == 1
         assert live.server.quarantined_site_ids == [1, 2]
         for cut in range(1, len(records) + 1):
-            directory = tmp_path / f"cut-{cut}"
-            directory.mkdir()
-            (directory / "wal.log").write_bytes(
+            cut_dir = tmp_path / f"cut-{cut}"
+            cut_dir.mkdir()
+            (cut_dir / "wal.log").write_bytes(
                 b"".join(
                     journal.encode_record(r.kind, r.seq, r.payload)
                     for r in records[:cut]
                 )
             )
-            restarted = _booted(directory)
+            restarted = _booted(cut_dir)
             assert _fingerprint(restarted.server) == snapshots[cut - 1], cut
             restarted._journal.close()

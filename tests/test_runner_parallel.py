@@ -154,7 +154,15 @@ def test_labels_in_original_order_validates_assignment(blobs):
 def _patch_cpus(monkeypatch, n):
     import repro.distributed.runner as runner_mod
 
-    monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: n)
+    monkeypatch.setattr(runner_mod, "usable_cpu_count", lambda: n)
+
+
+def _force_width(monkeypatch):
+    """Let a parallel config keep its width: several CPUs, no size floor."""
+    import repro.distributed.runner as runner_mod
+
+    _patch_cpus(monkeypatch, 8)
+    monkeypatch.setattr(runner_mod, "FALLBACK_MIN_POINTS", 0)
 
 
 def test_auto_fallback_single_cpu(blobs, monkeypatch):
@@ -162,6 +170,23 @@ def test_auto_fallback_single_cpu(blobs, monkeypatch):
     report = _run(blobs, _config(parallelism=4))
     assert report.effective_parallelism == 1
     assert report.parallelism_fallback_reason == "single_cpu"
+
+
+def test_auto_fallback_counts_only_the_cpus_the_process_may_use(
+    blobs, monkeypatch
+):
+    """A process pinned to one CPU (``taskset -c 0``) on a many-CPU box
+    falls back as single-CPU, and its run records stamp one CPU."""
+    import os
+
+    from repro.obs import run_environment
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    report = _run(blobs, _config(parallelism=4))
+    assert report.effective_parallelism == 1
+    assert report.parallelism_fallback_reason == "single_cpu"
+    assert run_environment()["cpu_count"] == 1
 
 
 def test_auto_fallback_small_sites(blobs, monkeypatch):
@@ -173,15 +198,8 @@ def test_auto_fallback_small_sites(blobs, monkeypatch):
 
 
 def test_auto_fallback_can_be_disabled(blobs, monkeypatch):
-    _patch_cpus(monkeypatch, 8)
-    report = _run(blobs, _config(parallelism=4, auto_fallback=False))
-    assert report.effective_parallelism == 4
-    assert report.parallelism_fallback_reason is None
-
-
-def test_fallback_threshold_is_tunable(blobs, monkeypatch):
-    _patch_cpus(monkeypatch, 8)
-    report = _run(blobs, _config(parallelism=4, fallback_min_points=10))
+    _force_width(monkeypatch)
+    report = _run(blobs, _config(parallelism=4))
     assert report.effective_parallelism == 4
     assert report.parallelism_fallback_reason is None
 
@@ -190,7 +208,9 @@ def test_fallback_run_matches_parallel_run(blobs, monkeypatch):
     """The fallback decision may change *when* work runs, never results."""
     _patch_cpus(monkeypatch, 8)
     fell_back = _run(blobs, _config(parallelism=4))
-    forced = _run(blobs, _config(parallelism=4, auto_fallback=False))
+    _force_width(monkeypatch)
+    forced = _run(blobs, _config(parallelism=4))
+    assert forced.parallelism_fallback_reason is None
     _assert_reports_equal(fell_back, forced)
 
 
@@ -209,17 +229,10 @@ def test_fallback_fields_in_flat_metrics(blobs):
     assert "shm.teardown_seconds" in metrics
 
 
-def test_process_shm_matches_sequential(blobs):
+def test_process_shm_matches_sequential(blobs, monkeypatch):
     reference = _run(blobs, _config(parallelism=1))
-    candidate = _run(
-        blobs,
-        _config(
-            parallelism=2,
-            parallel_backend="process",
-            auto_fallback=False,
-            shared_memory="on",
-        ),
-    )
+    _force_width(monkeypatch)
+    candidate = _run(blobs, _config(parallelism=2, parallel_backend="process"))
     _assert_reports_equal(reference, candidate)
     assert candidate.effective_parallelism == 2
     # Point arrays for the local phase + labels for the relabel phase
@@ -230,45 +243,16 @@ def test_process_shm_matches_sequential(blobs):
     assert reference.shm_bytes_shared == 0
 
 
-def test_process_shm_off_matches_on(blobs):
-    on = _run(
-        blobs,
-        _config(
-            parallelism=2,
-            parallel_backend="process",
-            auto_fallback=False,
-            shared_memory="on",
-        ),
-    )
-    off = _run(
-        blobs,
-        _config(
-            parallelism=2,
-            parallel_backend="process",
-            auto_fallback=False,
-            shared_memory="off",
-        ),
-    )
-    _assert_reports_equal(on, off)
-    assert off.shm_bytes_shared == 0
-
-
 def test_thread_backend_never_uses_shm(blobs, monkeypatch):
-    _patch_cpus(monkeypatch, 8)
-    report = _run(
-        blobs,
-        _config(parallelism=4, auto_fallback=False, shared_memory="on"),
-    )
+    _force_width(monkeypatch)
+    report = _run(blobs, _config(parallelism=4))
+    assert report.effective_parallelism == 4
     assert report.shm_bytes_shared == 0
 
 
 def test_config_rejects_bad_new_knobs():
     with pytest.raises(ValueError, match="relabel_kernel"):
         _config(relabel_kernel="warp")
-    with pytest.raises(ValueError, match="fallback_min_points"):
-        _config(fallback_min_points=-1)
-    with pytest.raises(ValueError, match="shared_memory"):
-        _config(shared_memory="maybe")
 
 
 @pytest.mark.parametrize("kernel", ["reference", "vectorized"])

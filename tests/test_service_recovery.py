@@ -1,4 +1,4 @@
-"""Crash-restart recovery and overload protection (ISSUE 10).
+"""Crash-restart recovery and overload protection.
 
 The pinned guarantee: kill the server (event loop torn down, no
 shutdown grace) after round ``k`` of an N-round streaming socket
@@ -6,7 +6,7 @@ session, restart it from the write-ahead journal on the same port, let
 the workers reconnect and finish — and every per-round label array plus
 the final global model is **bit-identical** to an uninterrupted
 in-process streaming run.  Around it: epoch surfacing, idempotent
-resubmission, snapshot-compaction equivalence, and the typed
+resubmission, a kill after two committed rounds, and the typed
 ``overloaded`` shed path under a query storm.
 """
 
@@ -72,9 +72,7 @@ def stream_workload():
     return {"data": data, "batches": batches, "oracle": oracle}
 
 
-def _run_crash_session(
-    workload, journal_dir, *, kill_after_round=0, snapshot_bytes=4 * 1024 * 1024
-):
+def _run_crash_session(workload, journal_dir, *, kill_after_round=0):
     """An N-round session with an in-flight server kill + journal restart.
 
     All workers rendezvous at the end of round ``kill_after_round``
@@ -88,7 +86,6 @@ def _run_crash_session(
         metrics_port=None,
         port=_free_port(),
         journal_dir=str(journal_dir),
-        journal_snapshot_bytes=snapshot_bytes,
     )
     handles = [ServiceHandle.start(config)]
     barrier = threading.Barrier(N_SITES, timeout=60)
@@ -208,18 +205,16 @@ class TestCrashRestartBitIdentity:
         assert gauges["service.journal_truncated_bytes"] == 0.0
 
 
-class TestSnapshotCompactionEquivalence:
-    def test_recovery_through_snapshot_is_bit_identical(
+class TestKillAfterRoundOne:
+    def test_two_committed_rounds_replay_bit_identical(
         self, stream_workload, tmp_path_factory
     ):
-        """With a tiny snapshot cap every commit compacts, so the
-        restart replays snapshot + log instead of a bare log — and the
-        outcome must not change by a bit."""
+        """A kill after round 1 makes the restart replay two committed
+        rounds from the log — and the outcome must not change by a bit."""
         session = _run_crash_session(
             stream_workload,
-            tmp_path_factory.mktemp("wal-compact"),
+            tmp_path_factory.mktemp("wal-round-1"),
             kill_after_round=1,
-            snapshot_bytes=64,
         )
         oracle = stream_workload["oracle"]
         for site_id, result in session["results"].items():
@@ -230,9 +225,8 @@ class TestSnapshotCompactionEquivalence:
                     oracle.labels[round_index][site_id],
                 )
             assert _models_identical(result.model, oracle.model)
-        assert session["gauges"]["service.journal_compactions"] >= 1.0
-        # Killing after round 1 replays both committed rounds.
         assert session["health"]["recovered_models"] == 2 * N_SITES
+        assert session["gauges"]["service.recovered_rounds"] == 2.0
 
 
 class TestIdempotentResubmission:
