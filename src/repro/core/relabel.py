@@ -22,33 +22,48 @@ Two interchangeable kernels implement the coverage step, selected by the
 * ``"reference"`` (:func:`relabel_site_reference`) sweeps a dense
   ``(m, n)`` distance matrix in chunks — O(n·m) work regardless of how
   little of the site each representative actually covers;
-* ``"vectorized"`` builds a uniform grid over the site's points once and
-  answers **one batched range query for all representatives** (the
-  grid's cell-pair join), then assigns labels with pure-numpy sorting: the
-  per-object nearest covering representative falls out of a single
-  ``lexsort``/``searchsorted`` pass over the (object, distance,
-  representative) hit triplets.  Work is proportional to the number of
-  actual coverage hits, which is what makes 10^6-point relabels feasible.
+* ``"vectorized"`` is a **fold** over the model's representatives.  A
+  :class:`CoverMemo` keeps, per object, the index and distance of its
+  nearest covering representative over the model prefix it has seen, and
+  a new model folds in only the representatives it appends: one uniform
+  grid over them (cell edge: their largest ε_r), the site's objects as
+  the queries of one cell-pair join (:meth:`GridIndex.join`), whose flat
+  hit rows arrive grouped by object.  Per object, the hits within each
+  representative's own ε_r are kept, and the first hit at the row
+  minimum replaces the kept cover only when it is strictly nearer.  A
+  full relabel is the same fold from an empty memo.  Work is
+  proportional to the coverage hits of the appended representatives,
+  which is what makes 10^6-point relabels and per-round session relabels
+  cheap.
 
-Both kernels are **bit-identical**: the batched path computes every
-surviving distance with the same float kernel (`Metric.to_many`) and
-breaks distance ties toward the lowest representative index, exactly like
-the reference argmin.  ``"auto"`` picks the vectorized kernel whenever the
-metric supports grid indexing and falls back to the reference otherwise.
+Both kernels are **bit-identical**: the join computes every distance with
+a kernel bitwise equal to ``Metric.to_many`` (and ``d(p, q)`` is bitwise
+``d(q, p)``), the minimum is a comparison, and ties go to the lowest
+representative index exactly like the reference argmin — within one fold
+because each object's hits ascend by representative index, across folds
+because the kept cover precedes every appended representative.  A fold
+never changes the prefix it extends, so the nearest cover over the union
+is the kept cover or an appended one.  ``"auto"`` picks the vectorized
+kernel whenever the metric supports grid indexing and falls back to the
+reference otherwise.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.clustering.labels import NOISE, validate_labels
-from repro.core.models import GlobalModel
+from repro.core.models import GlobalModel, Representative
 from repro.data.distance import Metric, get_metric
+from repro.index.base import require_finite
+from repro.index.grid import GridIndex
 
 __all__ = [
     "RELABEL_KERNELS",
+    "CoverMemo",
     "RelabelStats",
     "relabel_site",
     "relabel_site_reference",
@@ -85,15 +100,95 @@ class RelabelStats:
     n_local_clusters_merged: int
 
 
-def _empty_stats(n: int, out: np.ndarray) -> RelabelStats:
-    return RelabelStats(
-        n_objects=n,
-        n_covered=0,
-        n_noise_promoted=0,
-        n_inherited=0,
-        n_still_noise=int(np.count_nonzero(out == NOISE)),
-        n_local_clusters_merged=0,
-    )
+class CoverMemo:
+    """Per object, the nearest covering representative over a model
+    prefix: the state the vectorized kernel folds forward.
+
+    A caller that relabels the same points against a growing model (a
+    streaming site) owns one memo and passes it to every
+    :func:`relabel_site` call, which advances it in place.  The memo is
+    bound to the points array, the metric and the model prefix it was
+    built over, the prefix compared representative by representative by
+    identity.  Any other input — other points, another metric, a shorter
+    model, a rebuilt or refetched one — restarts it from empty, so a memo
+    never answers for anything it was not built from.  It assumes the
+    bound points array is not modified in place.
+
+    Attributes:
+        nearest: per object, the model index of its nearest covering
+            representative, ``-1`` where none covers it.
+        distance: the distance to that representative, ``inf`` where none
+            covers the object.
+    """
+
+    def __init__(self) -> None:
+        self._points: np.ndarray | None = None
+        self._metric: Metric | None = None
+        self._prefix: tuple[Representative, ...] = ()
+        self.nearest = np.empty(0, dtype=np.intp)
+        self.distance = np.empty(0)
+
+    def fold(
+        self, points: np.ndarray, metric: Metric, model: GlobalModel
+    ) -> None:
+        """Advance the memo over ``model``: fold in the representatives
+        beyond its prefix, or all of them after a restart."""
+        reps = model.representatives
+        base = len(self._prefix)
+        if not (
+            points is self._points
+            and metric is self._metric
+            and len(reps) >= base
+            and all(map(operator.is_, self._prefix, reps))
+        ):
+            self._points, self._metric, base = points, metric, 0
+            self.nearest = np.full(points.shape[0], -1, dtype=np.intp)
+            self.distance = np.full(points.shape[0], np.inf)
+        if base < len(reps) and points.shape[0]:
+            self._fold_in(points, metric, reps[base:], base)
+        self._prefix = tuple(reps)
+
+    def _fold_in(
+        self,
+        points: np.ndarray,
+        metric: Metric,
+        appended: list[Representative],
+        base: int,
+    ) -> None:
+        """One grid over the appended representatives, the points as its
+        queries; an appended cover replaces a kept one only when strictly
+        nearer, so distance ties keep the lower model index."""
+        rep_points = np.asarray([rep.point for rep in appended], dtype=float)
+        ranges = np.asarray([rep.eps_range for rep in appended], dtype=float)
+        reach = float(ranges.max())
+        hits, offsets, distances = GridIndex(
+            rep_points, metric, cell_size=reach
+        ).join(points, reach, distances=True)
+        objects = np.repeat(
+            np.arange(points.shape[0], dtype=np.intp), np.diff(offsets)
+        )
+        keep = distances <= ranges[hits]
+        hits, distances, objects = hits[keep], distances[keep], objects[keep]
+        if not objects.size:
+            return
+        # Rows are objects, each ascending by representative index: the
+        # first hit at the row minimum (a comparison, no rounding) is the
+        # lowest-index nearest appended cover, as the reference argmin.
+        starts = np.flatnonzero(
+            np.concatenate(([True], objects[1:] != objects[:-1]))
+        )
+        sizes = np.diff(np.append(starts, objects.size))
+        at_min = distances == np.repeat(
+            np.minimum.reduceat(distances, starts), sizes
+        )
+        winners = np.minimum.reduceat(
+            np.where(at_min, np.arange(objects.size), objects.size), starts
+        )
+        won = objects[starts]
+        nearer = distances[winners] < self.distance[won]
+        winners, won = winners[nearer], won[nearer]
+        self.nearest[won] = base + hits[winners]
+        self.distance[won] = distances[winners]
 
 
 def _apply_inheritance(
@@ -161,15 +256,18 @@ def _count_merged(
     """Merge accounting: how many of this site's local clusters now share
     a global id with another local cluster of the same site.  The summed
     ``(len(locals) - 1)`` over shared globals equals the number of
-    distinct (global, local) pairs minus the number of distinct globals.
+    distinct (global, local) pairs minus the number of distinct globals;
+    each pair is counted as one integer key, ``global * (max local + 1) +
+    local``.
     """
     if site_id is None:
         return 0
     counted = (local_labels >= 0) & (out != NOISE)
     if not np.any(counted):
         return 0
-    pairs = np.unique(np.stack([out[counted], local_labels[counted]]), axis=1)
-    return int(pairs.shape[1] - np.unique(pairs[0]).size)
+    globals_, locals_ = out[counted], local_labels[counted]
+    pairs = np.unique(globals_ * (int(locals_.max()) + 1) + locals_).size
+    return pairs - int(np.unique(globals_).size)
 
 
 def _finish(
@@ -223,7 +321,9 @@ def relabel_site_reference(
     out = np.full(n, NOISE, dtype=np.intp)
     m = len(global_model)
     if m == 0 or n == 0:
-        return out, _empty_stats(n, out)
+        return _finish(
+            points, local_labels, out, 0, global_model, site_id, resolved
+        )
 
     rep_points = global_model.points()
     rep_ranges = global_model.eps_ranges()
@@ -243,85 +343,6 @@ def relabel_site_reference(
     n_covered = int(np.count_nonzero(np.isfinite(best_distance)))
     return _finish(
         points, local_labels, out, n_covered, global_model, site_id, resolved
-    )
-
-
-def _relabel_site_vectorized(
-    points: np.ndarray,
-    local_labels: np.ndarray,
-    global_model: GlobalModel,
-    *,
-    site_id: int | None,
-    metric: Metric,
-) -> tuple[np.ndarray, RelabelStats]:
-    """Batched broadcast-relabel kernel (see the module docstring).
-
-    One grid-index build over the site's points, one batched range query
-    for all representatives at the maximum ε_r, then a per-representative
-    exact filter and a single lexsort pass assigning every covered object
-    its nearest representative's global label.
-    """
-    from repro.index.grid import GridIndex
-
-    n = points.shape[0]
-    out = np.full(n, NOISE, dtype=np.intp)
-    m = len(global_model)
-    if m == 0 or n == 0:
-        return out, _empty_stats(n, out)
-
-    rep_points = np.ascontiguousarray(global_model.points(), dtype=float)
-    rep_ranges = global_model.eps_ranges()
-    rep_labels = global_model.global_labels
-    max_eps = float(rep_ranges.max())
-
-    # One batched range-query plan answers every representative's
-    # max-ε_r neighborhood at once and hands back the hit distances it
-    # already evaluated (the join's `Metric.paired` distances are bitwise
-    # the `to_many` values the dense reference sweep computes, so no
-    # recompute is needed); representatives with a smaller ε_r are then filtered
-    # exactly in one vectorized pass.
-    index = GridIndex(points, metric, cell_size=max_eps)
-    neighborhoods, neighborhood_distances = index.range_query_batch(
-        rep_points, max_eps, return_distances=True
-    )
-
-    counts = np.asarray([members.size for members in neighborhoods])
-    objects = np.concatenate(neighborhoods) if counts.sum() else np.empty(0, np.intp)
-    distances = np.concatenate(neighborhood_distances) if counts.sum() else np.empty(0)
-    reps = np.repeat(np.arange(m, dtype=np.intp), counts)
-    keep = distances <= rep_ranges[reps]
-    objects, distances, reps = objects[keep], distances[keep], reps[keep]
-
-    n_covered = 0
-    if objects.size > 0:
-        # Group hits by object with one stable integer sort.  The hit
-        # stream is representative-major, so after the stable sort each
-        # object's hits still appear in ascending representative index —
-        # the reference kernel's tie-break order.
-        order = np.argsort(objects, kind="stable")
-        objects = objects[order]
-        distances = distances[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], objects[1:] != objects[:-1]))
-        )
-        sizes = np.diff(np.append(starts, objects.size))
-        # Per-object minimum distance (a comparison, not arithmetic — no
-        # rounding), then the first hit matching it per group: the
-        # nearest representative, exact ties toward the lowest index,
-        # bitwise the reference kernel's masked argmin.
-        nearest = np.minimum.reduceat(distances, starts)
-        is_nearest = np.flatnonzero(distances == np.repeat(nearest, sizes))
-        nearest_objects = objects[is_nearest]
-        first = np.flatnonzero(
-            np.concatenate(
-                ([True], nearest_objects[1:] != nearest_objects[:-1])
-            )
-        )
-        winners = is_nearest[first]
-        out[objects[winners]] = rep_labels[reps[order[winners]]]
-        n_covered = int(starts.size)
-    return _finish(
-        points, local_labels, out, n_covered, global_model, site_id, metric
     )
 
 
@@ -354,6 +375,7 @@ def relabel_site(
     site_id: int | None = None,
     metric: str | Metric = "euclidean",
     kernel: str = "auto",
+    memo: CoverMemo | None = None,
 ) -> tuple[np.ndarray, RelabelStats]:
     """Relabel one site's objects with global cluster ids.
 
@@ -368,26 +390,36 @@ def relabel_site(
         kernel: coverage kernel — ``"auto"`` (default), ``"vectorized"``
             or ``"reference"``.  All kernels produce bit-identical labels
             and stats; the knob only trades constant factors.
+        memo: a caller-owned :class:`CoverMemo` for these points, which
+            the vectorized kernel advances in place: a model that extends
+            the memo's prefix costs a join of only its appended
+            representatives.  ``None`` folds from an empty memo (a full
+            relabel).  The reference kernel ignores it.
 
     Returns:
         ``(global_labels, stats)`` where ``global_labels`` holds global
         cluster ids (noise = -1).
 
     Raises:
-        ValueError: for unknown kernels or mismatched label counts.
+        ValueError: for unknown kernels, mismatched label counts or a
+            point with a NaN or infinite coordinate.
     """
-    chosen = resolve_relabel_kernel(kernel, metric)
-    if chosen == "reference":
-        return relabel_site_reference(
-            points, local_labels, global_model, site_id=site_id, metric=metric
-        )
     resolved = get_metric(metric)
     points = np.asarray(points, dtype=float)
-    local_labels = validate_labels(local_labels)
-    if local_labels.size != points.shape[0]:
-        raise ValueError(
-            f"{points.shape[0]} points but {local_labels.size} local labels"
+    require_finite(points)
+    if resolve_relabel_kernel(kernel, resolved) == "reference":
+        return relabel_site_reference(
+            points, local_labels, global_model, site_id=site_id, metric=resolved
         )
-    return _relabel_site_vectorized(
-        points, local_labels, global_model, site_id=site_id, metric=resolved
+    local_labels = validate_labels(local_labels)
+    n = points.shape[0]
+    if local_labels.size != n:
+        raise ValueError(f"{n} points but {local_labels.size} local labels")
+    memo = CoverMemo() if memo is None else memo
+    memo.fold(points, resolved, global_model)
+    covered = np.flatnonzero(memo.nearest >= 0)
+    out = np.full(n, NOISE, dtype=np.intp)
+    out[covered] = global_model.global_labels[memo.nearest[covered]]
+    return _finish(
+        points, local_labels, out, covered.size, global_model, site_id, resolved
     )

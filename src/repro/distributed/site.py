@@ -16,7 +16,7 @@ import numpy as np
 from repro.clustering.labels import NOISE
 from repro.core.local import LocalClusteringOutcome, build_local_model
 from repro.core.models import GlobalModel, LocalModel
-from repro.core.relabel import RelabelStats, relabel_site
+from repro.core.relabel import CoverMemo, RelabelStats, relabel_site
 from repro.data.distance import Metric, get_metric
 
 __all__ = ["ClientSite"]
@@ -85,15 +85,18 @@ class ClientSite:
         self._outcome: LocalClusteringOutcome | None = None
         self._global_labels: np.ndarray | None = None
         self._relabel_stats: RelabelStats | None = None
+        self._cover_memo: CoverMemo | None = None
 
     # ------------------------------------------------------------------
     # protocol steps
     #
-    # Each step is split into a side-effect-free ``compute_*`` part and an
-    # ``apply_*`` part that stores the result on the site.  The split lets
+    # Each step is split into a ``compute_*`` part and an ``apply_*`` part
+    # that stores the result on the site.  The split lets
     # DistributedRunner fan the compute out over worker threads *or worker
     # processes* (where mutations of a pickled copy would be lost) and
-    # apply the returned results to the driver's site objects.
+    # apply the returned results to the runner's own site objects.  The only
+    # state a compute part touches is the relabel cover memo, a cache
+    # whose loss costs a full relabel, never a different label.
     # ------------------------------------------------------------------
     def compute_local_clustering(
         self, *, tracer=None, metrics=None
@@ -151,20 +154,25 @@ class ClientSite:
     def compute_relabel(
         self, model: GlobalModel
     ) -> tuple[np.ndarray, RelabelStats, float, float]:
-        """Pure part of step 4: compute global labels for this site.
+        """Compute part of step 4: global labels for this site.
 
         Args:
             model: the broadcast global model.
 
         Returns:
-            ``(global_labels, stats, wall_seconds, cpu_seconds)`` —
-            nothing is stored.
+            ``(global_labels, stats, wall_seconds, cpu_seconds)``.  The
+            call advances the site's cover memo (allocated on the first
+            relabel), so a model that appends to the last one relabeled
+            joins only its new representatives; :meth:`apply_relabel`
+            still stores the labels.
 
         Raises:
             RuntimeError: when called before :meth:`run_local_clustering`.
         """
         if self._outcome is None:
             raise RuntimeError("run_local_clustering must run before relabeling")
+        if self._cover_memo is None:
+            self._cover_memo = CoverMemo()
         wall_start = time.perf_counter()
         cpu_start = time.thread_time()
         global_labels, stats = relabel_site(
@@ -174,6 +182,7 @@ class ClientSite:
             site_id=self.site_id,
             metric=self.metric,
             kernel=self.relabel_kernel,
+            memo=self._cover_memo,
         )
         return (
             global_labels,

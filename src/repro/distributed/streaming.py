@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.models import GlobalModel
+from repro.core.relabel import relabel_site
 from repro.distributed.server import RoundCore
 from repro.distributed.site import ClientSite
 
@@ -120,10 +121,20 @@ def run_streaming_session(
         model = core.apply(core.commit_round(round_index))
         sites.append(round_sites)
         # True streaming: every batch seen so far is relabeled against
-        # the round's committed model.
+        # the round's committed model — from scratch, without the site's
+        # cover memo, so the oracle shares no fold state with the sites
+        # it checks.
         for earlier in sites:
             for site in earlier:
-                site.receive_global_model(model)
+                labels, stats = relabel_site(
+                    site.points,
+                    site.local_outcome.clustering.labels,
+                    model,
+                    site_id=site.site_id,
+                    metric=site.metric,
+                    kernel=relabel_kernel,
+                )
+                site.apply_relabel(labels, stats, 0.0)
 
     assert model is not None
     return StreamingResult(

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.data.distance import Metric, get_metric
 
-__all__ = ["NeighborIndex", "PAIR_BUDGET_BYTES"]
+__all__ = ["NeighborIndex", "PAIR_BUDGET_BYTES", "require_finite"]
 
 #: Bytes one vectorized query pass may allocate — the ~32 MB bound
 #: ``Metric.matrix`` already uses.  The grid join sizes its passes of
@@ -80,6 +80,21 @@ def _budget_runs(ends: np.ndarray, budget: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def require_finite(points: np.ndarray) -> None:
+    """Refuse a float point array holding a NaN or infinite coordinate.
+
+    Raises:
+        ValueError: naming how many rows are bad and the first of them.
+    """
+    if not np.isfinite(points).all():
+        rows = np.isfinite(points).reshape(len(points), -1).all(axis=1)
+        bad = np.flatnonzero(~rows)
+        raise ValueError(
+            f"points must be finite; {bad.size} row(s) hold NaN or "
+            f"infinite coordinates (first: row {int(bad[0])})"
+        )
+
+
 def _as_query_batch(queries: np.ndarray, dim: int) -> np.ndarray:
     """Normalize a batch of query points to a float array of shape ``(q, d)``.
 
@@ -116,12 +131,7 @@ class NeighborIndex(abc.ABC):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
             raise ValueError(f"points must be a 2-D array, got shape {points.shape}")
-        if not np.isfinite(points).all():
-            bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-            raise ValueError(
-                f"points must be finite; {bad.size} row(s) hold NaN or "
-                f"infinite coordinates (first: row {int(bad[0])})"
-            )
+        require_finite(points)
         self._points = points
         self._metric = get_metric(metric)
 

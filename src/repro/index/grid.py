@@ -33,7 +33,7 @@ join** that runs in a fixed number of NumPy passes per block of queries:
 3. one row-paired distance kernel (:meth:`Metric.paired`, bitwise equal to
    ``Metric.to_many``) filters the pairs;
 4. the survivors already sit in CSR order: a flat hit array plus per-query
-   row offsets.
+   row offsets (:meth:`GridIndex.join` returns them as they are).
 
 A block is cut into passes of at most ``PAIR_BUDGET_BYTES`` worth of pairs,
 so one call allocates a bounded amount however large the block.  The index
@@ -231,7 +231,16 @@ class GridIndex(NeighborIndex):
         scaled = np.floor((queries[finite] - self._origin) / self._cell_size)
         np.clip(scaled, -rings - 1, self._extent + rings, out=scaled)
         coords = scaled.astype(np.int64)
-        if len(coords) <= 1:
+        # Group by one row-major key per cell of the clipped box: a 1-D
+        # ``unique`` in the rows' lexicographic order, far cheaper than a
+        # row-wise one, which is left for boxes beyond the key range.
+        __, keys = _linear_keys(coords + rings + 1, self._extent + 2 * rings + 2)
+        if keys is not None:
+            __, first, inverse = np.unique(
+                keys, return_index=True, return_inverse=True
+            )
+            unique = coords[first]
+        elif len(coords) <= 1:
             unique, inverse = coords, np.zeros(len(coords), dtype=np.intp)
         else:
             unique, inverse = np.unique(coords, axis=0, return_inverse=True)
@@ -240,7 +249,7 @@ class GridIndex(NeighborIndex):
         group_of[finite] = inverse.reshape(-1)
         return group_of, self._with_sizes(np.append(offsets, offsets[-1]), neighbours)
 
-    def _join(
+    def join(
         self,
         queries: np.ndarray,
         eps: float,
@@ -251,9 +260,25 @@ class GridIndex(NeighborIndex):
     ):
         """Answer a block of range queries through the cell-pair join.
 
-        Returns the ``intp`` hit counts with ``count_only``, otherwise
-        ``(hits, offsets, hit distances or None)`` in CSR form: row ``k``
-        is ``hits[offsets[k]:offsets[k + 1]]``, ascending.
+        The flat form of :meth:`range_query_batch`: callers that reduce
+        the hits with NumPy (the relabel fold) read the CSR arrays
+        directly instead of one array per query.
+
+        Args:
+            queries: ``(m, d)`` float query points.  A row with a NaN or
+                infinite coordinate matches nothing.
+            eps: query radius.
+            cells: the occupied cell id of each query when the queries
+                are indexed points (how :meth:`region_query_batch` calls
+                it); ``None`` for any other queries.
+            distances: also return the hit distances (bitwise
+                ``Metric.to_many``).
+            count_only: return just the ``intp`` hit counts.
+
+        Returns:
+            The hit counts with ``count_only``, otherwise ``(hits,
+            offsets, hit distances or None)`` in CSR form: row ``k`` is
+            ``hits[offsets[k]:offsets[k + 1]]``, ascending.
         """
         m = queries.shape[0]
         counts = np.zeros(m, dtype=np.intp)
@@ -338,7 +363,7 @@ class GridIndex(NeighborIndex):
     def range_query(self, query: np.ndarray, eps: float) -> np.ndarray:
         dim = self._points.shape[1]
         query = np.asarray(query, dtype=float).reshape(1, dim)
-        flat, __, __ = self._join(query, eps)
+        flat, __, __ = self.join(query, eps)
         return flat
 
     def range_query_batch(
@@ -356,8 +381,8 @@ class GridIndex(NeighborIndex):
             eps: query radius.
             return_distances: also return each query's hit distances —
                 the join already evaluated them with a kernel bitwise
-                equal to ``Metric.to_many``, so callers (the vectorized
-                relabel kernel) need not recompute them.
+                equal to ``Metric.to_many``, so callers need not
+                recompute them.
             count_only: return just the ``intp`` hit counts.
 
         Returns:
@@ -365,7 +390,7 @@ class GridIndex(NeighborIndex):
             ``return_distances`` is true, or the counts.
         """
         queries = _as_query_batch(queries, self._points.shape[1])
-        joined = self._join(
+        joined = self.join(
             queries, eps, distances=return_distances, count_only=count_only
         )
         return self._answer(joined, return_distances, count_only)
@@ -377,7 +402,7 @@ class GridIndex(NeighborIndex):
         return_distances: bool,
         count_only: bool,
     ):
-        joined = self._join(
+        joined = self.join(
             self._points[indices],
             eps,
             cells=self._point_cell[indices],

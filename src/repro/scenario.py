@@ -48,7 +48,7 @@ from repro.clustering.dbscan import DBSCAN
 from repro.clustering.labels import NOISE
 from repro.core.global_model import GlobalModelRepairer, build_global_model
 from repro.core.local import build_local_model
-from repro.core.relabel import relabel_site
+from repro.core.relabel import CoverMemo, relabel_site
 from repro.core.shm import ShmArrayPool, attach_array
 from repro.data.datasets import load_dataset
 from repro.distributed.partition import partition, split
@@ -651,6 +651,20 @@ def _fold_all(base, models):
     return repairer.model()
 
 
+def _relabel_fold_identical(site_points, outcomes, base, folded) -> bool:
+    """Whether each site, relabeled through one cover memo against
+    ``base`` and then against ``folded``, matches a fresh relabel against
+    ``folded`` in labels and stats."""
+    for i, (site, outcome) in enumerate(zip(site_points, outcomes)):
+        labels, memo = outcome.clustering.labels, CoverMemo()
+        relabel_site(site, labels, base, site_id=i, memo=memo)
+        got = relabel_site(site, labels, folded, site_id=i, memo=memo)
+        fresh = relabel_site(site, labels, folded, site_id=i)
+        if not (np.array_equal(got[0], fresh[0]) and got[1] == fresh[1]):
+            return False
+    return True
+
+
 def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two label arrays partition their items alike."""
     pairs = np.unique(np.stack([a, b]), axis=1).shape[1]
@@ -785,10 +799,13 @@ def _hot_paths(spec: Scenario, report: Report) -> None:
         # The server's two paths over one set of representatives: build 4
         # of 12 sites, fold the other 8 in site order, and check the fold
         # partitions them like a rebuild of all 12 at the frozen radius.
-        models = [outcome.model for outcome in _local_models(
-            split(points, partition(points, 12, "uniform_random", spec.seed)),
-            eps, min_pts,
-        )]
+        # The 4 base sites' relabel folds the same way: through a cover
+        # memo from the base model to the folded one.
+        fold_sites = split(
+            points, partition(points, 12, "uniform_random", spec.seed)
+        )
+        outcomes = _local_models(fold_sites, eps, min_pts)
+        models = [outcome.model for outcome in outcomes]
         seconds, (base, __) = _best_of(
             lambda: build_global_model(models[:4]), repeats
         )
@@ -801,6 +818,11 @@ def _hot_paths(spec: Scenario, report: Report) -> None:
         put("global_model.fold_equals_rebuild", report.check(
             _same_partition(folded.global_labels, rebuilt.global_labels),
             "folding 8 sites into a 4-site global model diverged from the rebuild",
+        ))
+        put("global_model.relabel_fold_identical", report.check(
+            _relabel_fold_identical(fold_sites[:4], outcomes, base, folded),
+            "relabeling the 4 base sites through a cover memo diverged from "
+            "a fresh relabel against the folded model",
         ))
     if "shm_pool" in sections:
         parts = [part for part in np.array_split(points, spec.sites) if part.size]

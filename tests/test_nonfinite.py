@@ -4,8 +4,9 @@ A NaN or infinite coordinate has no grid cell and no meaningful distance.
 Left in, one such row used to corrupt the grid's cell keys and ring
 bounds: DBSCAN split 199 ordinary points into dozens of spurious clusters
 and a label query's other rows changed labels.  Every index now refuses
-the row when it is built, the wire codec refuses it on decode, and the
-service answers such a label query with a typed error and keeps serving.
+the row when it is built, every relabel kernel refuses a site holding
+one, the wire codec refuses it on decode, and the service answers such a
+label query with a typed error and keeps serving.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.core.global_model import build_global_model
 from repro.core.local import build_local_model
 from repro.core.relabel import relabel_site
 from repro.data.datasets import load_dataset
+from repro.data.distance import minkowski_metric
 from repro.index import available_indexes, build_index
 from repro.service import ServiceClient, ServiceConfig, ServiceError, ServiceHandle, wire
 from repro.service.worker import run_site_worker
@@ -60,7 +62,19 @@ def test_non_finite_query_rows_match_nothing(kind):
         assert np.array_equal(row, expected)
 
 
-def test_vectorized_relabel_refuses_a_nan_row():
+@pytest.mark.parametrize(
+    "kernel, metric",
+    [
+        ("auto", "euclidean"),
+        ("reference", "euclidean"),
+        # ``auto`` resolves to the reference kernel off the grid metrics.
+        ("auto", minkowski_metric(3)),
+    ],
+    ids=["vectorized", "reference", "minkowski3-auto"],
+)
+def test_vectorized_relabel_refuses_a_nan_row(kernel, metric):
+    """Every kernel refuses the row, not only the one whose index happens
+    to be built over the site's points."""
     data = load_dataset("A", cardinality=400, seed=5)
     model, __ = build_global_model(
         [build_local_model(data.points, data.eps_local, data.min_pts).model]
@@ -68,7 +82,10 @@ def test_vectorized_relabel_refuses_a_nan_row():
     queries = data.points[:256].copy()
     queries[9] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        relabel_site(queries, np.full(256, NOISE, dtype=np.intp), model)
+        relabel_site(
+            queries, np.full(256, NOISE, dtype=np.intp), model,
+            kernel=kernel, metric=metric,
+        )
 
 
 @pytest.mark.parametrize("bad", BAD_VALUES)

@@ -1,0 +1,312 @@
+"""The relabel fold: a site's cover memo ≡ a fresh relabel, every round.
+
+:func:`~repro.core.relabel.relabel_site` keeps, per object, the nearest
+covering representative over the model prefix a
+:class:`~repro.core.relabel.CoverMemo` has seen, and a model that
+extends that prefix folds in only its appended representatives.  The
+contract is bit-identity with a relabel from scratch:
+
+* generated streaming sessions drive the round core (open round, arrive,
+  commit) with random batches per site and round — clumped and
+  scattered points, and integer lattices where a representative lies at
+  exactly ε_r from an object or several lie at equal distance — and
+  after every commit each batch seen so far, relabeled through its
+  site's memo, equals a fresh :func:`relabel_site` and
+  :func:`relabel_site_reference` in labels, :class:`RelabelStats` and
+  the memo's own state;
+* a memo faced with anything it was not built from — a rebuilt model,
+  other points, another metric, a shorter model — restarts from empty.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.global_model import GlobalModelRepairer, build_global_model
+from repro.core.local import build_local_model
+from repro.core.models import GlobalModel, Representative
+from repro.core.relabel import CoverMemo, relabel_site, relabel_site_reference
+from repro.distributed.server import RoundCore
+from repro.distributed.site import ClientSite
+
+GRID_METRICS = ["euclidean", "manhattan", "chebyshev", "squared_euclidean"]
+
+
+def _batch(rng, layout: str, n: int) -> np.ndarray:
+    if layout == "lattice":
+        return rng.integers(0, 6, size=(n, 2)).astype(float)
+    # Clumps around a few shared centres, so later rounds' representatives
+    # land between earlier clusters and folds merge them.
+    centres = np.asarray([[0.0, 0.0], [3.0, 0.0], [6.0, 1.0]])
+    clumped = centres[rng.integers(0, 3, n // 2)] + rng.normal(
+        0, 0.6, size=(n // 2, 2)
+    )
+    scattered = rng.uniform(-3, 9, size=(n - n // 2, 2))
+    return np.concatenate([clumped, scattered])
+
+
+def _fresh(points, labels, model, site_id, metric):
+    memo = CoverMemo()
+    fresh = relabel_site(
+        points, labels, model, site_id=site_id, metric=metric, memo=memo
+    )
+    reference = relabel_site_reference(
+        points, labels, model, site_id=site_id, metric=metric
+    )
+    return fresh, reference, memo
+
+
+def _assert_identical(got, *expected):
+    for labels, stats in expected:
+        np.testing.assert_array_equal(got[0], labels)
+        assert got[1] == stats
+
+
+def _assert_same_memo(memo, fresh):
+    np.testing.assert_array_equal(memo.nearest, fresh.nearest)
+    np.testing.assert_array_equal(memo.distance, fresh.distance)
+
+
+@given(
+    seed=st.integers(0, 100_000),
+    layout=st.sampled_from(["clumped", "lattice"]),
+    metric=st.sampled_from(GRID_METRICS),
+    n_sites=st.integers(1, 3),
+    n_rounds=st.integers(2, 4),
+    sizes=st.lists(st.integers(0, 60), min_size=12, max_size=12),
+    min_pts=st.integers(2, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_generated_session_folds_equal_fresh_relabels(
+    seed, layout, metric, n_sites, n_rounds, sizes, min_pts
+):
+    rng = np.random.default_rng(seed)
+    eps = 1.0 if layout == "lattice" else 0.8
+    core = RoundCore(None, metric=metric)
+    seen: list[ClientSite] = []
+    for round_index in range(n_rounds):
+        core.apply(core.open_round(round_index))
+        for site_index in range(n_sites):
+            n = sizes[round_index * n_sites + site_index]
+            site = ClientSite(
+                site_index + round_index * n_sites,
+                _batch(rng, layout, n),
+                eps_local=eps,
+                min_pts_local=min_pts,
+                metric=metric,
+            )
+            core.apply(core.arrive(site.run_local_clustering()))
+            seen.append(site)
+        model = core.apply(core.commit_round(round_index))
+        for site in seen:
+            site.receive_global_model(model)
+            fresh, reference, memo = _fresh(
+                site.points,
+                site.local_outcome.clustering.labels,
+                model,
+                site.site_id,
+                metric,
+            )
+            _assert_identical(
+                (site.global_labels, site.relabel_stats), fresh, reference
+            )
+            _assert_same_memo(site._cover_memo, memo)
+
+
+# ----------------------------------------------------------------------
+# directed cases
+# ----------------------------------------------------------------------
+def _rep(x, y, eps_range=1.0, site_id=0, local_cluster_id=0):
+    return Representative(np.asarray([x, y], dtype=float), eps_range, site_id,
+                          local_cluster_id)
+
+
+def _model(reps, labels):
+    return GlobalModel(list(reps), np.asarray(labels), eps_global=1.0)
+
+
+def _relabel(points, model, memo, metric="euclidean"):
+    labels = np.full(points.shape[0], -1, dtype=np.intp)
+    return relabel_site(points, labels, model, metric=metric, memo=memo)
+
+
+def _assert_fresh(points, model, memo, metric="euclidean"):
+    """``memo`` is in the state of a fold from empty over ``model``."""
+    fresh = CoverMemo()
+    _relabel(points, model, fresh, metric)
+    _assert_same_memo(memo, fresh)
+
+
+POINTS = np.asarray([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [5.0, 5.0]])
+
+
+def test_a_tie_across_folds_keeps_the_kept_cover():
+    """An appended representative exactly as near as the kept one does
+    not replace it (the reference argmin keeps the lower index)."""
+    kept = _rep(0.0, 1.0)
+    base = _model([kept], [0])
+    memo = CoverMemo()
+    _relabel(POINTS, base, memo)
+    grown = _model([kept, _rep(0.0, -1.0)], [0, 1])
+    labels, stats = _relabel(POINTS, grown, memo)
+    assert labels[0] == 0 and memo.nearest[0] == 0
+    np.testing.assert_array_equal(
+        labels, relabel_site_reference(POINTS, np.full(4, -1), grown)[0]
+    )
+    assert stats == relabel_site(POINTS, np.full(4, -1), grown)[1]
+
+
+def test_a_strictly_nearer_appended_cover_wins():
+    kept = _rep(0.0, 1.0, eps_range=1.5)
+    memo = CoverMemo()
+    _relabel(POINTS, _model([kept], [0]), memo)
+    grown = _model([kept, _rep(0.5, 0.0)], [0, 1])
+    labels, __ = _relabel(POINTS, grown, memo)
+    assert labels[0] == 1 and labels[1] == 1
+    _assert_fresh(POINTS, grown, memo)
+
+
+def test_a_merge_reaches_objects_whose_cover_did_not_change():
+    left, right = _rep(0.0, 0.0), _rep(2.0, 0.0)
+    memo = CoverMemo()
+    labels, __ = _relabel(POINTS, _model([left, right], [0, 1]), memo)
+    assert labels.tolist() == [0, 0, 1, -1]
+    # The fold appends a far representative and merges the two clusters.
+    merged = _model([left, right, _rep(9.0, 9.0)], [0, 0, 2])
+    labels, __ = _relabel(POINTS, merged, memo)
+    assert labels.tolist() == [0, 0, 0, -1]
+
+
+def test_a_rebuilt_model_restarts_the_memo():
+    """Equal representatives that are not the memo's own objects — a
+    rebuild commit or a refetched model — are not trusted as its prefix."""
+    reps = [_rep(0.0, 0.0), _rep(2.0, 0.0)]
+    memo = CoverMemo()
+    _relabel(POINTS, _model(reps, [0, 1]), memo)
+    # The same count of leading representatives, rebuilt in another
+    # order: trusting the prefix would keep covers that now point at the
+    # wrong representatives.
+    rebuilt = _model(
+        [dataclasses.replace(reps[1]), dataclasses.replace(reps[0]),
+         _rep(5.0, 5.0)],
+        [0, 1, 2],
+    )
+    labels, __ = _relabel(POINTS, rebuilt, memo)
+    assert labels.tolist() == [1, 0, 0, 2]
+    _assert_fresh(POINTS, rebuilt, memo)
+
+
+def test_other_points_restart_the_memo():
+    reps = [_rep(0.0, 0.0), _rep(2.0, 0.0)]
+    memo = CoverMemo()
+    _relabel(POINTS, _model(reps[:1], [0]), memo)
+    shifted = POINTS + [2.0, 0.0]
+    model = _model(reps, [0, 1])
+    labels, __ = _relabel(shifted, model, memo)
+    assert labels.tolist() == [1, 1, -1, -1]
+    _assert_fresh(shifted, model, memo)
+
+
+def test_another_metric_restarts_the_memo():
+    reps = [_rep(0.0, 0.0, eps_range=1.2), _rep(5.0, 5.0)]
+    points = np.asarray([[1.0, 1.0], [3.0, 3.0]])
+    memo = CoverMemo()
+    labels, __ = _relabel(points, _model(reps[:1], [0]), memo, "chebyshev")
+    assert labels.tolist() == [0, -1]
+    model = _model(reps, [0, 1])
+    labels, __ = _relabel(points, model, memo, "euclidean")
+    assert labels.tolist() == [-1, -1]
+    _assert_fresh(points, model, memo, "euclidean")
+
+
+def test_a_shorter_model_restarts_the_memo():
+    reps = [_rep(0.0, 0.0), _rep(1.0, 0.0), _rep(2.0, 0.0)]
+    memo = CoverMemo()
+    _relabel(POINTS, _model(reps, [0, 1, 2]), memo)
+    shorter = _model(reps[:1], [0])
+    labels, __ = _relabel(POINTS, shorter, memo)
+    assert labels.tolist() == [0, 0, -1, -1]
+    _assert_fresh(POINTS, shorter, memo)
+
+
+def test_an_empty_model_between_two_folds():
+    reps = [_rep(0.0, 0.0), _rep(2.0, 0.0)]
+    memo = CoverMemo()
+    _relabel(POINTS, _model(reps[:1], [0]), memo)
+    labels, stats = _relabel(POINTS, _model([], []), memo)
+    assert labels.tolist() == [-1] * 4 and stats.n_covered == 0
+    model = _model(reps, [0, 1])
+    labels, __ = _relabel(POINTS, model, memo)
+    assert labels.tolist() == [0, 0, 1, -1]
+    _assert_fresh(POINTS, model, memo)
+
+
+def test_a_zero_point_site():
+    empty = np.empty((0, 2))
+    memo = CoverMemo()
+    for reps in ([_rep(0.0, 0.0)], [_rep(0.0, 0.0), _rep(1.0, 1.0)]):
+        model = _model(reps, list(range(len(reps))))
+        labels, stats = _relabel(empty, model, memo)
+        assert labels.size == 0 and stats.n_objects == 0
+        assert stats == relabel_site_reference(empty, labels, model)[1]
+
+
+@pytest.mark.parametrize("metric", GRID_METRICS)
+def test_a_repairer_fold_of_every_site_model_equals_fresh(metric):
+    """Sites relabeled against a base model, then against the repairer's
+    fold of more sites (whose model keeps the base's representatives as
+    its prefix), match a fresh relabel against the fold."""
+    rng = np.random.default_rng(7)
+    sites = [_batch(rng, "clumped", 80) for __ in range(6)]
+    outcomes = [
+        build_local_model(points, 0.8, 3, site_id=i, metric=metric)
+        for i, points in enumerate(sites)
+    ]
+    base, __ = build_global_model([o.model for o in outcomes[:3]], metric=metric)
+    repairer = GlobalModelRepairer(base, metric=metric)
+    for outcome in outcomes[3:]:
+        repairer.add_model(outcome.model)
+    folded = repairer.model()
+    assert all(a is b for a, b in zip(base.representatives, folded.representatives))
+    for i, (points, outcome) in enumerate(zip(sites[:3], outcomes)):
+        memo = CoverMemo()
+        labels = outcome.clustering.labels
+        relabel_site(points, labels, base, site_id=i, metric=metric, memo=memo)
+        got = relabel_site(
+            points, labels, folded, site_id=i, metric=metric, memo=memo
+        )
+        fresh, reference, fresh_memo = _fresh(points, labels, folded, i, metric)
+        _assert_identical(got, fresh, reference)
+        _assert_same_memo(memo, fresh_memo)
+
+
+def test_the_reference_kernel_ignores_the_memo():
+    memo = CoverMemo()
+    model = _model([_rep(0.0, 0.0)], [0])
+    labels = np.full(4, -1)
+    got = relabel_site(POINTS, labels, model, kernel="reference", memo=memo)
+    np.testing.assert_array_equal(got[0], [0, 0, -1, -1])
+    assert memo.nearest.size == 0
+
+
+def test_client_site_keeps_one_memo_across_relabels():
+    points = _batch(np.random.default_rng(3), "clumped", 60)
+    site = ClientSite(0, points, eps_local=0.8, min_pts_local=3)
+    local = site.run_local_clustering()
+    repairer = GlobalModelRepairer(build_global_model([local])[0])
+    site.receive_global_model(repairer.model())
+    memo = site._cover_memo
+    other = ClientSite(1, points + 0.3, eps_local=0.8, min_pts_local=3)
+    repairer.add_model(other.run_local_clustering())
+    site.receive_global_model(repairer.model())
+    assert site._cover_memo is memo
+    _assert_same_memo(memo, _fresh(
+        points, site.local_outcome.clustering.labels, repairer.model(), 0,
+        "euclidean",
+    )[2])
+
