@@ -20,16 +20,25 @@ pick specific core points on the fly.
 The run is level-synchronous and produces exactly the classic loop's
 output (labels, core flags, ``n_region_queries``, the observer stream):
 
-1. **One counting pass.**  A single budgeted ``count_only`` batch query
-   sizes every object's ``Eps``-neighbourhood, which fixes the core mask
-   up front.  Noise is never queried on its own.
+1. **Every row up front, when it fits.**  The index bounds the hits of a
+   region query of every object (:meth:`NeighborIndex.candidate_pairs`;
+   the grid sums its cell-pair candidates, other indexes answer n²).
+   When the bound is within one BFS row block (``PAIR_BUDGET_BYTES //
+   64`` neighbour entries), a single ``region_query_batch`` call fetches
+   the whole ``Eps``-neighbourhood graph: the row lengths fix the core
+   mask, and every BFS level reads its rows from the graph.  Larger
+   inputs keep the budgeted path: one ``count_only`` call sizes every
+   neighbourhood, and each level fetches its own rows.  Noise is never
+   queried on its own on either path.
 2. **Clusters start at core objects, in processing order.**  Each
    unlabelled core object opens the next cluster.
-3. **Breadth-first expansion, one index call per level.**  The rows of the
-   whole core frontier come from one ``region_query_batch`` call; the
-   observer sees each frontier object with its neighbour array, in order;
-   then every still-unlabelled object in those rows is claimed, in order
-   of first occurrence, and the claimed core objects form the next level.
+3. **Breadth-first expansion, one row fetch per level.**  The rows of the
+   whole core frontier come from the graph or from one
+   ``region_query_batch`` call; the observer sees each frontier object
+   with its neighbour array, in order; then every still-unlabelled object
+   in those rows is claimed, in order of first occurrence, and the
+   claimed core objects form the next level.  Both row sources feed this
+   one expansion.
 
 The classic loop pops seeds from a FIFO queue, so one "round" of it
 processes exactly the seeds enqueued during the previous round — one BFS
@@ -41,13 +50,15 @@ nothing and emit nothing, so dropping them from the frontier changes no
 event, and each object is still charged one region query, as the classic
 loop charges it.  ``tests/test_dbscan_batched.py`` and
 ``tests/test_dbscan_oracle.py`` pin the equivalence against the classic
-one-query-per-seed loop kept in ``tests/dbscan_oracle.py``.
+one-query-per-seed loop kept in ``tests/dbscan_oracle.py``, on both row
+sources.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -56,7 +67,45 @@ from repro.data.distance import Metric, get_metric
 from repro.index import NeighborIndex, build_index
 from repro.index.base import PAIR_BUDGET_BYTES, _budget_runs
 
-__all__ = ["DBSCAN", "DBSCANResult", "DBSCANObserver", "dbscan"]
+__all__ = [
+    "DBSCAN",
+    "DBSCANResult",
+    "DBSCANObserver",
+    "dbscan",
+    "density_parameters",
+]
+
+
+def density_parameters(
+    eps: float,
+    min_pts: int,
+    *,
+    eps_name: str = "eps",
+    min_pts_name: str = "min_pts",
+) -> tuple[float, int]:
+    """Check DBSCAN's two parameters and return them as ``(float, int)``.
+
+    ``Eps`` must be positive and finite; ``MinPts`` a whole number of at
+    least one (whole-valued floats and NumPy integers are accepted).
+
+    Raises:
+        ValueError: naming the offending parameter (``eps_name`` or
+            ``min_pts_name``) and its value.
+    """
+    radius = float(eps)
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"{eps_name} must be positive and finite, got {eps}")
+    count = float(min_pts)
+    if not (count.is_integer() and count >= 1):
+        raise ValueError(f"{min_pts_name} must be a whole number >= 1, got {min_pts}")
+    return radius, int(count)
+
+
+def _row_budget() -> int:
+    """Neighbour entries one BFS row block may hold.  A block's neighbours
+    live in a few index-sized arrays at once (the rows, their
+    concatenation, their labels, the claims)."""
+    return PAIR_BUDGET_BYTES // (8 * np.dtype(np.intp).itemsize)
 
 
 class DBSCANObserver(Protocol):
@@ -134,7 +183,8 @@ class DBSCAN:
             ``L_p`` metrics, see :func:`repro.index.build_index`).
 
     Raises:
-        ValueError: for non-positive ``eps`` or ``min_pts < 1``.
+        ValueError: for a non-positive or non-finite ``eps``, or a
+            ``min_pts`` that is not a whole number ``>= 1``.
     """
 
     def __init__(
@@ -145,12 +195,7 @@ class DBSCAN:
         metric: str | Metric = "euclidean",
         index_kind: str = "auto",
     ) -> None:
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        if min_pts < 1:
-            raise ValueError(f"min_pts must be >= 1, got {min_pts}")
-        self.eps = float(eps)
-        self.min_pts = int(min_pts)
+        self.eps, self.min_pts = density_parameters(eps, min_pts)
         self.metric = get_metric(metric)
         self.index_kind = index_kind
 
@@ -167,8 +212,9 @@ class DBSCAN:
 
         Args:
             points: array of shape ``(n, d)``.
-            index: pre-built neighbor index over the same points (built
-                automatically when omitted).
+            index: pre-built neighbor index over the same points
+                (``points`` itself or an equal array); built automatically
+                when omitted.
             observer: optional event sink (see :class:`DBSCANObserver`).
             order: processing order of start objects; defaults to
                 ascending index.  Must be a permutation of ``range(n)``.
@@ -180,12 +226,21 @@ class DBSCAN:
 
         Returns:
             A :class:`DBSCANResult`.
+
+        Raises:
+            ValueError: if ``index`` holds other points than ``points``,
+                or ``order`` is not a permutation.
         """
         points = np.asarray(points, dtype=float)
         n = points.shape[0] if points.ndim == 2 else 0
         if index is None:
             index = build_index(
                 points, self.index_kind, metric=self.metric, eps=self.eps
+            )
+        elif index.points is not points and not np.array_equal(index.points, points):
+            raise ValueError(
+                f"the index holds other points (shape {index.points.shape}) "
+                f"than the fit clusters (shape {points.shape})"
             )
         if order is None:
             start_order = np.arange(n, dtype=np.intp)
@@ -201,9 +256,23 @@ class DBSCAN:
         if observe_index:
             index.attach_metrics(metrics)
         try:
-            counts = index.region_query_batch(
-                np.arange(n, dtype=np.intp), self.eps, count_only=True
-            )
+            everyone = np.arange(n, dtype=np.intp)
+            if index.candidate_pairs(self.eps) <= _row_budget():
+                # The whole graph fits one row block: fetch it once, read
+                # the counts off its row lengths and every level's rows
+                # out of it.
+                graph = index.region_query_batch(everyone, self.eps)
+                counts = np.fromiter(map(len, graph), dtype=np.intp, count=n)
+
+                def rows(block: np.ndarray) -> list[np.ndarray]:
+                    return [graph[i] for i in block.tolist()]
+
+            else:
+                counts = index.region_query_batch(everyone, self.eps, count_only=True)
+
+                def rows(block: np.ndarray) -> list[np.ndarray]:
+                    return index.region_query_batch(block, self.eps)
+
             core_mask = counts >= self.min_pts
             for start in start_order[core_mask[start_order]].tolist():
                 if labels[start] != UNCLASSIFIED:
@@ -214,7 +283,7 @@ class DBSCAN:
                     observer.on_cluster_start(cluster_id, start)
                 labels[start] = cluster_id
                 self._expand(
-                    index,
+                    rows,
                     np.asarray([start], dtype=np.intp),
                     cluster_id,
                     labels,
@@ -246,7 +315,7 @@ class DBSCAN:
 
     def _expand(
         self,
-        index: NeighborIndex,
+        rows: Callable[[np.ndarray], list[np.ndarray]],
         frontier: np.ndarray,
         cluster_id: int,
         labels: np.ndarray,
@@ -257,13 +326,12 @@ class DBSCAN:
     ) -> None:
         """Grow ``cluster_id`` level by level from a labelled core frontier.
 
-        Each level fetches its rows with one ``region_query_batch`` call,
-        cut into blocks by ``PAIR_BUDGET_BYTES`` when the rows would be
-        larger (the neighbourhood sizes are known from the counting pass).
+        Each level takes its rows from ``rows`` (the held graph, or one
+        ``region_query_batch`` call), cut into blocks of at most one row
+        budget of neighbour entries when the rows would be larger (the
+        neighbourhood sizes are known up front).
         """
-        # A block's neighbours live in a few index-sized arrays at once
-        # (the rows, their concatenation, their labels, the claims).
-        row_budget = PAIR_BUDGET_BYTES // (8 * np.dtype(np.intp).itemsize)
+        row_budget = _row_budget()
         while frontier.size:
             if metrics is not None:
                 metrics.observe("dbscan.frontier_batch_size", frontier.size)
@@ -271,7 +339,7 @@ class DBSCAN:
             frontier = np.concatenate(
                 [
                     self._claim(
-                        index, frontier[lo:hi], cluster_id, labels, core_mask, observer
+                        rows, frontier[lo:hi], cluster_id, labels, core_mask, observer
                     )
                     for lo, hi in runs
                 ]
@@ -279,7 +347,7 @@ class DBSCAN:
 
     def _claim(
         self,
-        index: NeighborIndex,
+        rows: Callable[[np.ndarray], list[np.ndarray]],
         block: np.ndarray,
         cluster_id: int,
         labels: np.ndarray,
@@ -293,11 +361,11 @@ class DBSCAN:
         Returns:
             The claimed core objects, in claim order: the next level.
         """
-        rows = index.region_query_batch(block, self.eps)
+        block_rows = rows(block)
         if observer is not None:
-            for current, neighbors in zip(block.tolist(), rows):
+            for current, neighbors in zip(block.tolist(), block_rows):
                 observer.on_core_point(current, cluster_id, neighbors)
-        reached = np.concatenate(rows)
+        reached = np.concatenate(block_rows)
         fresh = reached[labels[reached] == UNCLASSIFIED]
         __, first = np.unique(fresh, return_index=True)
         fresh = fresh[np.sort(first)]

@@ -24,6 +24,7 @@ from collections import deque
 
 import numpy as np
 
+from repro.clustering.dbscan import density_parameters
 from repro.clustering.labels import NOISE
 from repro.data.distance import Metric, get_metric
 from repro.index.dynamic import DynamicGridIndex
@@ -52,12 +53,7 @@ class IncrementalDBSCAN:
         *,
         metric: str | Metric = "euclidean",
     ) -> None:
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        if min_pts < 1:
-            raise ValueError(f"min_pts must be >= 1, got {min_pts}")
-        self.eps = float(eps)
-        self.min_pts = int(min_pts)
+        self.eps, self.min_pts = density_parameters(eps, min_pts)
         self.metric = get_metric(metric)
         self._grid = DynamicGridIndex(dim, cell_size=self.eps, metric=self.metric)
         self._labels: dict[int, int] = {}

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.clustering.dbscan import density_parameters
 from repro.clustering.labels import NOISE
 from repro.core.global_model import (
     GlobalClusteringStats,
@@ -70,12 +71,12 @@ class DBDCConfig:
     relabel_kernel: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.eps_local <= 0:
-            raise ValueError(f"eps_local must be positive, got {self.eps_local}")
-        if self.min_pts_local < 1:
-            raise ValueError(
-                f"min_pts_local must be >= 1, got {self.min_pts_local}"
-            )
+        density_parameters(
+            self.eps_local,
+            self.min_pts_local,
+            eps_name="eps_local",
+            min_pts_name="min_pts_local",
+        )
         if self.scheme not in LOCAL_MODEL_SCHEMES:
             raise ValueError(
                 f"unknown scheme {self.scheme!r}; known: {LOCAL_MODEL_SCHEMES}"

@@ -24,6 +24,11 @@ An index is built once over an immutable point set and answers:
   vectorized sweeps.  Batched results are contractually identical
   (element-wise ``array_equal``) to the per-query results — DBSCAN's
   level-synchronous expansion relies on this.
+* ``candidate_pairs(eps)`` — an upper bound on the total hits of a region
+  query of every indexed point, known before any distance is computed:
+  n² here, the grid's cell-pair candidate count in
+  :class:`~repro.index.grid.GridIndex`.  DBSCAN fetches the whole
+  neighbourhood graph in one call when the bound fits its row budget.
 
 Indexed points must be finite: a NaN or infinite coordinate has no cell,
 no bounding box and no meaningful distance, so every index refuses it at
@@ -45,7 +50,7 @@ __all__ = ["NeighborIndex", "PAIR_BUDGET_BYTES", "require_finite"]
 #: Bytes one vectorized query pass may allocate — the ~32 MB bound
 #: ``Metric.matrix`` already uses.  The grid join sizes its passes of
 #: ``(query, candidate)`` pairs from it, and DBSCAN sizes the neighbour
-#: rows it fetches per call from it.
+#: rows it fetches or holds at once from it.
 PAIR_BUDGET_BYTES = 32 * 2**20
 
 
@@ -307,6 +312,14 @@ class NeighborIndex(abc.ABC):
             return_distances=return_distances,
             count_only=count_only,
         )
+
+    def candidate_pairs(self, eps: float) -> int:
+        """An upper bound on ``sum(len(region_query(i, eps)) for every i)``.
+
+        Cheap and computed before any distance: the generic bound is
+        ``n²``; indexes that prune by structure override it.
+        """
+        return len(self) ** 2
 
     def count_in_range(self, query: np.ndarray, eps: float) -> int:
         """Number of indexed points within ``eps`` of ``query``."""

@@ -360,6 +360,15 @@ class GridIndex(NeighborIndex):
     # ------------------------------------------------------------------
     # the NeighborIndex API: thin views over the join
     # ------------------------------------------------------------------
+    def candidate_pairs(self, eps: float) -> int:
+        """The pairs the join evaluates for a region query of every
+        indexed point: each point against the points of its cell's
+        neighbour cells (the prebuilt table at the build radius)."""
+        group_of, (__, __, group_size) = self._query_groups(
+            self._points, self._rings(eps), self._point_cell
+        )
+        return int(group_size[group_of].sum())
+
     def range_query(self, query: np.ndarray, eps: float) -> np.ndarray:
         dim = self._points.shape[1]
         query = np.asarray(query, dtype=float).reshape(1, dim)

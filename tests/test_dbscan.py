@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.clustering.dbscan import DBSCAN, dbscan
+from repro.clustering.incremental import IncrementalDBSCAN
 from repro.clustering.labels import NOISE
+from repro.core.dbdc import DBDCConfig
+from repro.index import build_index
 from tests.conftest import brute_force_neighbors
+
+# The three places DBSCAN's parameters enter, as (eps, min_pts) -> object.
+PARAMETER_OWNERS = {
+    "DBSCAN": lambda eps, min_pts: DBSCAN(eps, min_pts),
+    "IncrementalDBSCAN": lambda eps, min_pts: IncrementalDBSCAN(
+        eps, min_pts, dim=2
+    ),
+    "DBDCConfig": lambda eps, min_pts: DBDCConfig(
+        eps_local=eps, min_pts_local=min_pts
+    ),
+}
 
 
 class TestParameterValidation:
@@ -22,6 +38,64 @@ class TestParameterValidation:
     def test_rejects_bad_order(self, tiny_grid_points):
         with pytest.raises(ValueError, match="permutation"):
             DBSCAN(1.5, 3).fit(tiny_grid_points, order=[0, 0, 1, 2, 3, 4, 5])
+
+    @pytest.mark.parametrize("owner", sorted(PARAMETER_OWNERS))
+    @pytest.mark.parametrize(
+        "eps,min_pts,bad",
+        [
+            (math.nan, 3, "eps"),
+            (math.inf, 3, "eps"),
+            (0.5, 2.7, "min_pts"),
+            (0.5, math.nan, "min_pts"),
+            (0.5, math.inf, "min_pts"),
+        ],
+    )
+    def test_rejects_non_finite_eps_and_fractional_min_pts(
+        self, owner, eps, min_pts, bad
+    ):
+        with pytest.raises(ValueError, match=rf"{bad}\w* must be"):
+            PARAMETER_OWNERS[owner](eps, min_pts)
+
+    @pytest.mark.parametrize("owner", sorted(PARAMETER_OWNERS))
+    @pytest.mark.parametrize(
+        "eps,min_pts",
+        [(np.float64(1.5), np.int64(3)), (1.5, 3.0), (np.float32(1.5), np.int32(3))],
+    )
+    def test_accepts_whole_valued_floats_and_numpy_integers(
+        self, owner, eps, min_pts
+    ):
+        PARAMETER_OWNERS[owner](eps, min_pts)
+
+    def test_whole_valued_min_pts_runs_as_an_int(self, tiny_grid_points):
+        runner = DBSCAN(np.float64(1.5), 3.0)
+        assert type(runner.min_pts) is int and runner.min_pts == 3
+        expected = dbscan(tiny_grid_points, 1.5, 3)
+        assert np.array_equal(runner.fit(tiny_grid_points).labels, expected.labels)
+
+
+class TestPrebuiltIndex:
+    @staticmethod
+    def _points(n, seed=0):
+        return np.random.default_rng(seed).normal(0, 1, size=(n, 2))
+
+    @pytest.mark.parametrize(
+        "fit_n,index_n,index_seed",
+        [(30, 60, 0), (60, 30, 0), (30, 30, 1)],
+        ids=["index-larger", "index-smaller", "same-shape-other-points"],
+    )
+    def test_refuses_an_index_over_other_points(self, fit_n, index_n, index_seed):
+        index = build_index(self._points(index_n, index_seed), "grid", eps=0.5)
+        with pytest.raises(
+            ValueError, match=rf"\({index_n}, 2\).*\({fit_n}, 2\)"
+        ):
+            DBSCAN(0.5, 3).fit(self._points(fit_n), index=index)
+
+    def test_accepts_an_index_over_an_equal_copy(self):
+        points = self._points(60)
+        index = build_index(points.copy(), "grid", eps=0.5)
+        result = DBSCAN(0.5, 3).fit(points, index=index)
+        assert result.index is index
+        assert np.array_equal(result.labels, dbscan(points, 0.5, 3).labels)
 
 
 class TestTinyLayout:

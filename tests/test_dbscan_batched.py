@@ -1,12 +1,14 @@
 """Equivalence guard: level-synchronous DBSCAN == the classic DBSCAN loop.
 
-``DBSCAN.fit`` (one counting pass, then one batched region query per BFS
-level) must be *bit-identical* to the classic one-query-per-seed loop
-(``tests/dbscan_oracle.py``) in every observable: labels, core mask,
-``n_region_queries`` and the complete observer event sequence.  Checked on
-the paper's A/B/C-style data sets and on adversarial small layouts
-(exact-integer coordinates with boundary distances, custom processing
-orders).
+``DBSCAN.fit`` (the whole neighbourhood graph in one batched region query
+when the index's pair bound fits one row block, otherwise a counting pass
+and one batched region query per BFS level) must be *bit-identical* to the
+classic one-query-per-seed loop (``tests/dbscan_oracle.py``) in every
+observable: labels, core mask, ``n_region_queries`` and the complete
+observer event sequence.  Checked on the paper's A/B/C-style data sets and
+on adversarial small layouts (exact-integer coordinates with boundary
+distances, custom processing orders).  Two pins fix which sizes take
+which path.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clustering.dbscan import DBSCAN
+from repro.clustering.dbscan import DBSCAN, _row_budget
 from repro.data.datasets import load_dataset
 from repro.index import build_index
+from repro.obs import MetricsRegistry
 from tests.dbscan_oracle import RecordingObserver, classic_dbscan
 
 
@@ -98,3 +101,44 @@ def test_equivalence_at_scale(index_kind):
     _assert_identical(
         data.points, data.eps_local, data.min_pts, index_kind=index_kind
     )
+
+
+def _index_calls(points, eps, min_pts, kind):
+    """Fit over a fresh ``kind`` index under a metrics registry; returns
+    the registry's export and the index's pair bound."""
+    index = build_index(points, kind, eps=eps)
+    metrics = MetricsRegistry()
+    DBSCAN(eps, min_pts).fit(
+        points, index=index, observer=RecordingObserver(), metrics=metrics
+    )
+    return metrics.to_dict(), index.candidate_pairs(eps)
+
+
+def test_a_fit_under_the_pair_bound_makes_one_index_call():
+    """A data set A site's share on the grid: the pair bound is within one
+    row block, so the fit fetches the whole graph in one batched call of n
+    queries; the frontier histogram still records every BFS level."""
+    data = load_dataset("A", cardinality=2175)
+    n = data.points.shape[0]
+    exported, bound = _index_calls(
+        data.points, data.eps_local, data.min_pts, "grid"
+    )
+    assert bound <= _row_budget()
+    counters, histograms = exported["counters"], exported["histograms"]
+    assert counters["index.batch_queries"] == 1
+    assert counters["index.region_queries"] == n
+    assert histograms["index.neighbors_per_query"]["count"] == n
+    assert histograms["dbscan.frontier_batch_size"]["count"] > 1
+
+
+def test_a_fit_over_the_pair_bound_fetches_rows_per_level():
+    """The brute-force index bounds the graph by n², over one row block at
+    this size: a counting call, then one call per BFS level."""
+    data = load_dataset("A", cardinality=800)
+    exported, bound = _index_calls(
+        data.points, data.eps_local, data.min_pts, "brute"
+    )
+    assert bound > _row_budget()
+    counters, histograms = exported["counters"], exported["histograms"]
+    levels = histograms["dbscan.frontier_batch_size"]["count"]
+    assert counters["index.batch_queries"] == 1 + levels

@@ -10,6 +10,11 @@ classic one-region-query-per-seed loop over a full distance scan
 the whole observer stream (neighbour arrays included) must be equal, and
 ``build_rep_scor_model`` must choose the Scor sets and ε-ranges the
 distance-based collector chooses.
+
+Every case runs on both of the fit's row sources: the whole
+neighbourhood graph from one index call (what these small inputs get by
+the size rule), and the per-level path, forced by overstating the index's
+pair bound.  The bound itself is checked against the true hit total.
 """
 
 from __future__ import annotations
@@ -22,10 +27,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.clustering.dbscan import DBSCAN
+from repro.clustering.dbscan import DBSCAN, _row_budget
 from repro.core.local import build_rep_scor_model
 from repro.data.distance import get_metric
 from repro.index import GridIndex, build_index
+from repro.obs import MetricsRegistry
 from tests.dbscan_oracle import (
     DistanceCollector,
     RecordingObserver,
@@ -114,19 +120,43 @@ def _lattice_eps(metric: str, step: float) -> float:
     return step * step if metric == "squared_euclidean" else step
 
 
+def _count_calls(index) -> list[tuple[int, bool]]:
+    """Record every ``region_query_batch`` call on ``index`` as
+    ``(number of queries, count_only)``."""
+    calls = []
+    batch = index.region_query_batch
+
+    def counted(indices, radius, **kwargs):
+        calls.append((len(indices), kwargs.get("count_only", False)))
+        return batch(indices, radius, **kwargs)
+
+    index.region_query_batch = counted
+    return calls
+
+
 def _assert_matches_oracle(points, eps, min_pts, kind, metric, order):
     oracle_obs = RecordingObserver()
     oracle = classic_dbscan(
         points, eps, min_pts, metric=metric, order=order, observer=oracle_obs
     )
-    observer = RecordingObserver()
-    result = DBSCAN(eps, min_pts, metric=metric, index_kind=kind).fit(
-        points, observer=observer, order=order
-    )
-    assert np.array_equal(result.labels, oracle.labels)
-    assert np.array_equal(result.core_mask, oracle.core_mask)
-    assert result.n_region_queries == oracle.n_region_queries == len(points)
-    assert observer.events == oracle_obs.events
+    for per_level in (False, True):
+        index = build_index(points, kind, metric=metric, eps=eps)
+        calls = _count_calls(index)
+        if per_level:
+            # An overstated pair bound forces the per-level path.
+            index.candidate_pairs = lambda radius: _row_budget() + 1
+        observer = RecordingObserver()
+        result = DBSCAN(eps, min_pts, metric=metric, index_kind=kind).fit(
+            points, index=index, observer=observer, order=order
+        )
+        assert np.array_equal(result.labels, oracle.labels)
+        assert np.array_equal(result.core_mask, oracle.core_mask)
+        assert result.n_region_queries == oracle.n_region_queries == len(points)
+        assert observer.events == oracle_obs.events
+        # One call for the whole graph, or a counting call and then one
+        # call per BFS level.
+        modes = [count_only for __, count_only in calls]
+        assert modes == ([True] + [False] * (len(modes) - 1) if per_level else [False])
 
 
 @pytest.mark.parametrize("kind,metric", KIND_METRICS)
@@ -193,6 +223,28 @@ def test_grid_join_rows_counts_and_distances(metric, data, cell_factor):
         assert count == expected.size
 
 
+@pytest.mark.parametrize("kind,metric", KIND_METRICS)
+@SETTINGS
+@given(
+    data=st.one_of(blob_sets(), lattices()),
+    factor=st.sampled_from([1.0, 0.3, 0.7, 1.5, 2.5]),
+)
+def test_candidate_pairs_bound_the_true_hits(kind, metric, data, factor):
+    """``candidate_pairs`` never understates the hits of a region query of
+    every point, at the build radius and at other radii (a lower bound
+    could let a graph over the row budget be fetched whole)."""
+    points, eps, __ = data
+    if metric == "squared_euclidean":
+        eps = eps * eps
+    index = build_index(points, kind, metric=metric, eps=eps)
+    resolved = get_metric(metric)
+    radius = eps * factor
+    truth = sum(
+        int(np.count_nonzero(resolved.to_many(p, points) <= radius)) for p in points
+    )
+    assert truth <= index.candidate_pairs(radius) <= len(points) ** 2
+
+
 def test_budget_cuts_change_nothing(monkeypatch):
     """Join passes and BFS row blocks cut at tiny budgets give the uncut
     results: the same rows and distances, the same DBSCAN run."""
@@ -210,14 +262,22 @@ def test_budget_cuts_change_nothing(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(rows, cut_rows))
         assert all(np.array_equal(a, b) for a, b in zip(dists, cut_dists))
     dbscan_module = importlib.import_module("repro.clustering.dbscan")
-    # Row blocks of 40 neighbours: most BFS levels take several calls.
+    # Row blocks of 40 neighbours: far below the graph's pair bound, so
+    # the fit takes the per-level path, and most levels take several calls.
     monkeypatch.setattr(dbscan_module, "PAIR_BUDGET_BYTES", 8 * 8 * 40)
+    assert cut.candidate_pairs(0.4) > 40
+    calls = _count_calls(cut)
+    metrics = MetricsRegistry()
     oracle_obs, observer = RecordingObserver(), RecordingObserver()
     oracle = classic_dbscan(points, 0.4, 4, observer=oracle_obs)
-    result = DBSCAN(0.4, 4).fit(points, index=cut, observer=observer)
+    result = DBSCAN(0.4, 4).fit(points, index=cut, observer=observer, metrics=metrics)
     assert np.array_equal(result.labels, oracle.labels)
     assert np.array_equal(result.core_mask, oracle.core_mask)
     assert observer.events == oracle_obs.events
+    # The counting call, then more row calls than BFS levels: cut blocks.
+    levels = metrics.to_dict()["histograms"]["dbscan.frontier_batch_size"]["count"]
+    assert calls[0] == (len(points), True)
+    assert len(calls) - 1 > levels
 
 
 @pytest.mark.parametrize("kind,metric", [
