@@ -15,7 +15,7 @@ network-cost accounting in :mod:`repro.distributed.network`.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -214,12 +214,20 @@ class GlobalModel:
             on its own").
         eps_global: the ``Eps_global`` the server clustered with.
         min_pts_global: always 2 in the paper.
+
+    A model is never changed in place: a repair or a fold builds a new
+    one.  The relabel step (:mod:`repro.core.relabel`) relies on that: it
+    derives its state from a model once and keeps it in a private slot
+    that equality, ``repr`` and pickling leave out.
     """
 
     representatives: list[Representative]
     global_labels: np.ndarray
     eps_global: float
     min_pts_global: int = 2
+    _relabel_state: object = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.global_labels = np.asarray(self.global_labels, dtype=np.intp)
@@ -233,6 +241,10 @@ class GlobalModel:
 
     def __len__(self) -> int:
         return len(self.representatives)
+
+    def __getstate__(self) -> dict:
+        # Derived state stays behind: a pickle is the model's value only.
+        return {**self.__dict__, "_relabel_state": None}
 
     @property
     def n_global_clusters(self) -> int:

@@ -31,10 +31,14 @@ Two interchangeable kernels implement the coverage step, selected by the
   hit rows arrive grouped by object.  Per object, the hits within each
   representative's own ε_r are kept, and the first hit at the row
   minimum replaces the kept cover only when it is strictly nearer.  A
-  full relabel is the same fold from an empty memo.  Work is
-  proportional to the coverage hits of the appended representatives,
-  which is what makes 10^6-point relabels and per-round session relabels
-  cheap.
+  full relabel is the same fold from an empty memo.  The grid depends
+  on the model alone, so each model builds it once per ``(first folded
+  index, metric)`` and keeps it with its stacked representative arrays:
+  the label queries against one committed model, the sites relabeled
+  against one broadcast and a session's folds of one commit share it.
+  Work is proportional to the coverage hits of the appended
+  representatives, which is what makes 10^6-point relabels and
+  per-round session relabels cheap.
 
 Both kernels are **bit-identical**: the join computes every distance with
 a kernel bitwise equal to ``Metric.to_many`` (and ``d(p, q)`` is bitwise
@@ -51,6 +55,7 @@ reference otherwise.
 from __future__ import annotations
 
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +72,7 @@ __all__ = [
     "RelabelStats",
     "relabel_site",
     "relabel_site_reference",
+    "require_model_dimensionality",
 ]
 
 RELABEL_KERNELS = ("auto", "reference", "vectorized")
@@ -74,6 +80,11 @@ RELABEL_KERNELS = ("auto", "reference", "vectorized")
 #: Metrics whose ε-balls are bounded by L_inf cubes — the grid-index
 #: family (mirrors ``repro.index.grid._GRID_METRICS``).
 _GRID_METRICS = {"euclidean", "manhattan", "chebyshev", "squared_euclidean"}
+
+#: Held while a model's relabel state is derived or one of its cover
+#: grids is built, so concurrent relabels against one model (the
+#: service's executor threads, the runner's thread pool) build each once.
+_BUILD_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -98,6 +109,61 @@ class RelabelStats:
     n_inherited: int
     n_still_noise: int
     n_local_clusters_merged: int
+
+
+class _RelabelState:
+    """What a relabel reads from one :class:`GlobalModel` alone.
+
+    The representatives' points, ε-ranges, site ids and local cluster ids
+    are stacked once, read-only.  The cover grid over
+    ``representatives[start:]`` (cell edge: that slice's largest ε_r) is
+    built on first use per ``(start, metric)`` and kept: a fold from an
+    empty memo reads the one at 0, a fold over what a commit appended the
+    one at the previous model's length.  The metric is keyed by identity
+    and held with its grid, as :class:`CoverMemo` holds it.
+    """
+
+    def __init__(self, model: GlobalModel) -> None:
+        reps = model.representatives
+        self.points = _read_only(model.points())
+        self.ranges = _read_only(model.eps_ranges())
+        self.site_ids = _read_only(
+            np.asarray([rep.site_id for rep in reps], dtype=np.intp)
+        )
+        self.local_ids = _read_only(
+            np.asarray([rep.local_cluster_id for rep in reps], dtype=np.intp)
+        )
+        self._grids: dict[tuple[int, int], tuple[Metric, GridIndex]] = {}
+
+    def grid(self, start: int, metric: Metric) -> GridIndex:
+        """The cover grid over the representatives from ``start`` on."""
+        key = (start, id(metric))
+        entry = self._grids.get(key)
+        if entry is None:
+            with _BUILD_LOCK:
+                entry = self._grids.get(key)
+                if entry is None:
+                    cell = float(self.ranges[start:].max())
+                    grid = GridIndex(self.points[start:], metric, cell_size=cell)
+                    entry = self._grids[key] = (metric, grid)
+        return entry[1]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _state_of(model: GlobalModel) -> _RelabelState:
+    """The model's relabel state, derived on first use and kept in its
+    private slot (a model is never changed in place)."""
+    state = model._relabel_state
+    if state is None:
+        with _BUILD_LOCK:
+            state = model._relabel_state
+            if state is None:
+                state = model._relabel_state = _RelabelState(model)
+    return state
 
 
 class CoverMemo:
@@ -145,25 +211,25 @@ class CoverMemo:
             self.nearest = np.full(points.shape[0], -1, dtype=np.intp)
             self.distance = np.full(points.shape[0], np.inf)
         if base < len(reps) and points.shape[0]:
-            self._fold_in(points, metric, reps[base:], base)
+            self._fold_in(points, metric, _state_of(model), base)
         self._prefix = tuple(reps)
 
     def _fold_in(
         self,
         points: np.ndarray,
         metric: Metric,
-        appended: list[Representative],
+        state: _RelabelState,
         base: int,
     ) -> None:
-        """One grid over the appended representatives, the points as its
-        queries; an appended cover replaces a kept one only when strictly
-        nearer, so distance ties keep the lower model index."""
-        rep_points = np.asarray([rep.point for rep in appended], dtype=float)
-        ranges = np.asarray([rep.eps_range for rep in appended], dtype=float)
-        reach = float(ranges.max())
-        hits, offsets, distances = GridIndex(
-            rep_points, metric, cell_size=reach
-        ).join(points, reach, distances=True)
+        """The model's grid over the representatives from ``base`` on,
+        the points as its queries; an appended cover replaces a kept one
+        only when strictly nearer, so distance ties keep the lower model
+        index."""
+        ranges = state.ranges[base:]
+        grid = state.grid(base, metric)
+        hits, offsets, distances = grid.join(
+            points, grid.cell_size, distances=True
+        )
         objects = np.repeat(
             np.arange(points.shape[0], dtype=np.intp), np.diff(offsets)
         )
@@ -196,7 +262,8 @@ def _apply_inheritance(
     local_labels: np.ndarray,
     out: np.ndarray,
     was_noise: np.ndarray,
-    global_model: GlobalModel,
+    rep_labels: np.ndarray,
+    state: _RelabelState,
     site_id: int | None,
     metric: Metric,
 ) -> int:
@@ -214,23 +281,13 @@ def _apply_inheritance(
     """
     if site_id is None:
         return 0
-    rep_labels = global_model.global_labels
-    own = [
-        j
-        for j, rep in enumerate(global_model.representatives)
-        if rep.site_id == site_id
-    ]
+    own = np.flatnonzero(state.site_ids == site_id)
     uncovered = np.flatnonzero((out == NOISE) & ~was_noise)
-    if not own or not uncovered.size:
+    if not own.size or not uncovered.size:
         return 0
-    own_local = np.asarray(
-        [global_model.representatives[j].local_cluster_id for j in own],
-        dtype=np.intp,
-    )
+    own_local = state.local_ids[own]
     own_labels = rep_labels[own]
-    own_points = np.asarray(
-        [global_model.representatives[j].point for j in own], dtype=float
-    )
+    own_points = state.points[own]
     n_inherited = 0
     uncovered_locals = local_labels[uncovered]
     for local_id in np.unique(uncovered_locals):
@@ -276,6 +333,7 @@ def _finish(
     out: np.ndarray,
     n_covered: int,
     global_model: GlobalModel,
+    state: _RelabelState,
     site_id: int | None,
     metric: Metric,
 ) -> tuple[np.ndarray, RelabelStats]:
@@ -283,7 +341,8 @@ def _finish(
     was_noise = local_labels == NOISE
     n_noise_promoted = int(np.count_nonzero(was_noise & (out != NOISE)))
     n_inherited = _apply_inheritance(
-        points, local_labels, out, was_noise, global_model, site_id, metric
+        points, local_labels, out, was_noise, global_model.global_labels,
+        state, site_id, metric,
     )
     stats = RelabelStats(
         n_objects=points.shape[0],
@@ -310,23 +369,27 @@ def relabel_site_reference(
     distance-matrix sweep, chunked over the (possibly large) site data so
     the ``(m, chunk)`` matrix stays small.  Distance ties pick the lowest
     representative index (argmin), matching the historical first-wins
-    scan.  See :func:`relabel_site` for the argument contract.
+    scan.  It derives the model's arrays afresh on every call and reads
+    nothing the model keeps.  See :func:`relabel_site` for the argument
+    contract.
     """
     resolved = get_metric(metric)
     points = np.asarray(points, dtype=float)
+    require_model_dimensionality(points, global_model)
     local_labels = validate_labels(local_labels)
     n = points.shape[0]
     if local_labels.size != n:
         raise ValueError(f"{n} points but {local_labels.size} local labels")
     out = np.full(n, NOISE, dtype=np.intp)
+    state = _RelabelState(global_model)
     m = len(global_model)
     if m == 0 or n == 0:
         return _finish(
-            points, local_labels, out, 0, global_model, site_id, resolved
+            points, local_labels, out, 0, global_model, state, site_id, resolved
         )
 
-    rep_points = global_model.points()
-    rep_ranges = global_model.eps_ranges()
+    rep_points = state.points
+    rep_ranges = state.ranges
     rep_labels = global_model.global_labels
 
     best_distance = np.full(n, np.inf)
@@ -342,8 +405,29 @@ def relabel_site_reference(
         best_distance[start:stop] = best
     n_covered = int(np.count_nonzero(np.isfinite(best_distance)))
     return _finish(
-        points, local_labels, out, n_covered, global_model, site_id, resolved
+        points, local_labels, out, n_covered, global_model, state, site_id,
+        resolved,
     )
+
+
+def require_model_dimensionality(
+    points: np.ndarray, global_model: GlobalModel
+) -> None:
+    """Refuse points whose dimensionality differs from a non-empty
+    model's representatives (an empty batch or model passes).
+
+    Raises:
+        ValueError: naming the points' shape and the model's
+            dimensionality.
+    """
+    if not len(global_model) or not len(points):
+        return
+    dim = global_model.representatives[0].point.size
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ValueError(
+            f"points of shape {points.shape} do not match the model's "
+            f"{dim}-dimensional representatives"
+        )
 
 
 def resolve_relabel_kernel(
@@ -401,12 +485,14 @@ def relabel_site(
         cluster ids (noise = -1).
 
     Raises:
-        ValueError: for unknown kernels, mismatched label counts or a
-            point with a NaN or infinite coordinate.
+        ValueError: for unknown kernels, mismatched label counts, a point
+            with a NaN or infinite coordinate or points of another
+            dimensionality than a non-empty model's.
     """
     resolved = get_metric(metric)
     points = np.asarray(points, dtype=float)
     require_finite(points)
+    require_model_dimensionality(points, global_model)
     if resolve_relabel_kernel(kernel, resolved) == "reference":
         return relabel_site_reference(
             points, local_labels, global_model, site_id=site_id, metric=resolved
@@ -421,5 +507,6 @@ def relabel_site(
     out = np.full(n, NOISE, dtype=np.intp)
     out[covered] = global_model.global_labels[memo.nearest[covered]]
     return _finish(
-        points, local_labels, out, covered.size, global_model, site_id, resolved
+        points, local_labels, out, covered.size, global_model,
+        _state_of(global_model), site_id, resolved,
     )

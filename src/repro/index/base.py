@@ -105,12 +105,21 @@ def _as_query_batch(queries: np.ndarray, dim: int) -> np.ndarray:
 
     Accepts an empty list/array (→ shape ``(0, dim)``) so callers can issue
     degenerate batches without special-casing.
+
+    Raises:
+        ValueError: for a non-empty batch that is not 2-D or whose column
+            count is not the index's ``dim``.
     """
     out = np.asarray(queries, dtype=float)
     if out.size == 0:
         return np.empty((0, dim), dtype=float)
     if out.ndim != 2:
         raise ValueError(f"queries must be a 2-D array, got shape {out.shape}")
+    if out.shape[1] != dim:
+        raise ValueError(
+            f"queries have {out.shape[1]} columns but the index holds "
+            f"{dim}-dimensional points"
+        )
     return out
 
 

@@ -60,7 +60,7 @@ import numpy as np
 
 from repro.clustering.labels import NOISE
 from repro.core.models import LocalModel
-from repro.core.relabel import relabel_site
+from repro.core.relabel import relabel_site, require_model_dimensionality
 from repro.distributed.server import Decision, RoundCore
 from repro.obs import MetricsRegistry, NULL_TRACER, shift_span_times, trace_document
 from repro.obs.openmetrics import OPENMETRICS_CONTENT_TYPE, render_registry
@@ -300,12 +300,24 @@ class DBDCService:
         (parked in a read, no request in flight) are cancelled.
         """
         self._shutdown.set()
-        for listener in (self._asyncio_server, self._http_server):
-            if listener is not None:
-                listener.close()
-        for listener in (self._asyncio_server, self._http_server):
-            if listener is not None:
-                await listener.wait_closed()
+        listeners = [
+            listener
+            for listener in (self._asyncio_server, self._http_server)
+            if listener is not None
+        ]
+        # asyncio builds an accepted connection's transport one loop
+        # pass after the accept, and fails the build (leaking the
+        # socket) if the server was closed in between.  So stop
+        # accepting first, give pending accepts that pass, then close.
+        loop = asyncio.get_running_loop()
+        for listener in listeners:
+            for sock in listener.sockets:
+                loop.remove_reader(sock)
+        await asyncio.sleep(0)
+        for listener in listeners:
+            listener.close()
+        for listener in listeners:
+            await listener.wait_closed()
         busy = {task for task in self._busy if not task.done()}
         if busy:
             await asyncio.wait(busy, timeout=self.config.shutdown_grace_s)
@@ -633,6 +645,9 @@ class DBDCService:
             task = asyncio.ensure_future(self._serve_connection(reader, writer))
         self._connections.add(task)
         task.add_done_callback(self._connections.discard)
+        # A task that :meth:`stop` cancels before its first step never
+        # runs its own ``finally``; its socket is closed when it ends.
+        task.add_done_callback(lambda __: writer.close())
 
     async def _refuse_connection(self, writer: asyncio.StreamWriter) -> None:
         """Turn one connection away with a typed ``overloaded`` frame —
@@ -962,6 +977,12 @@ class DBDCService:
                 return wire.FrameKind.ERROR, self._status(
                     "no_model", "no local model admitted yet"
                 )
+            try:
+                require_model_dimensionality(points, model)
+            except ValueError as error:
+                return wire.FrameKind.ERROR, self._status(
+                    "bad_request", str(error)
+                )
             start = time.perf_counter()
             # Pure-coverage relabel (no local clustering to inherit from)
             # on a model snapshot, off the loop thread.
@@ -1251,12 +1272,15 @@ class ServiceHandle:
         """Hard-kill the service thread — a crash, not a shutdown.
 
         The event loop is stopped dead between callbacks: no drain, no
-        shutdown notices, no journal close.  Connections
+        shutdown notices.  Connections
         are severed mid-whatever and clients see raw socket errors —
         exactly what a ``kill -9`` of a service process produces, which
         is what the crash-recovery tests simulate in-process.  The
         journal directory is left as the crash left it; a new
-        :meth:`start` against the same directory replays it.
+        :meth:`start` against the same directory replays it.  What the
+        OS would reclaim from a killed process — the listening sockets
+        and the journal's file handle — is released afterwards, writing
+        nothing.
         """
         self._killed = True
         loop = self._loop
@@ -1284,6 +1308,10 @@ class ServiceHandle:
                     listener.close()
                 except (OSError, RuntimeError):
                     pass
+        # The journal's append handle likewise: every append already
+        # flushed and fsynced its record, so closing it writes nothing.
+        if self.service._journal is not None:
+            self.service._journal.close()
 
     def stop(self, timeout_s: float = 10.0) -> None:
         """Request shutdown and join the service thread."""

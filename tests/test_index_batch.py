@@ -92,6 +92,18 @@ def test_empty_query_batch(kind):
     assert index.region_query_batch(np.empty(0, dtype=np.intp), 1.0) == []
 
 
+@pytest.mark.parametrize("kind", ["brute", "grid", "kdtree", "rtree", "mtree"])
+@pytest.mark.parametrize("columns", [1, 3])
+def test_batch_of_another_dimensionality_is_refused(kind, columns):
+    """The grid used to broadcast a one-column batch against its 2-D
+    origin and answer it; brute force and the kd-tree raised a bare
+    IndexError."""
+    index = build_index(_point_set(4), kind, eps=BUILD_EPS)
+    with pytest.raises(ValueError, match=f"{columns} columns .* 2-dimensional"):
+        index.range_query_batch(np.full((5, columns), 0.5), 1.0)
+    assert index.range_query_batch(np.empty((0, columns)), 1.0) == []
+
+
 @pytest.mark.parametrize("kind", ["brute", "grid", "kdtree"])
 def test_batch_on_empty_index(kind):
     index = build_index(np.empty((0, 2)), kind, eps=BUILD_EPS)

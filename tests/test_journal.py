@@ -220,17 +220,17 @@ class TestWriteAheadJournal:
             journal.append(RecordKind.EPOCH, encode_epoch(1))
             journal.append(RecordKind.ROUND_OPEN, encode_round_marker(0))
             journal.append(RecordKind.MODEL_ADMITTED, encode_admitted(0, b"m"))
-        fresh = WriteAheadJournal(tmp_path)
-        recovery = fresh.recover()
-        assert [r.kind for r in recovery.records] == [
-            RecordKind.EPOCH,
-            RecordKind.ROUND_OPEN,
-            RecordKind.MODEL_ADMITTED,
-        ]
-        assert recovery.truncated_bytes == 0
-        assert recovery.log_error is None
-        # Appends continue the sequence, not restart it.
-        seq = fresh.append(RecordKind.ROUND_COMMIT, encode_round_marker(0))
+        with WriteAheadJournal(tmp_path) as fresh:
+            recovery = fresh.recover()
+            assert [r.kind for r in recovery.records] == [
+                RecordKind.EPOCH,
+                RecordKind.ROUND_OPEN,
+                RecordKind.MODEL_ADMITTED,
+            ]
+            assert recovery.truncated_bytes == 0
+            assert recovery.log_error is None
+            # Appends continue the sequence, not restart it.
+            seq = fresh.append(RecordKind.ROUND_COMMIT, encode_round_marker(0))
         assert seq == 4
 
     def test_recover_truncates_torn_tail(self, tmp_path):

@@ -1,0 +1,300 @@
+"""The relabel state a global model keeps: derived once, read by every
+relabel against it.
+
+:func:`~repro.core.relabel.relabel_site` reads the stacked representative
+arrays and, per ``(start, metric)``, the cover grid over
+``representatives[start:]`` from state the model derives on first use.
+The contract pinned here:
+
+* many relabels against one model build one grid per ``(start,
+  metric)``; a session-shaped sequence builds two per commit (folds from
+  the previous model's length and from 0), and two metrics build two;
+* threads relabelling one fresh model at once build each grid once and
+  all equal :func:`~repro.core.relabel.relabel_site_reference`, which
+  reads none of the kept state;
+* the kept arrays are read-only and equal a fresh stack;
+* the state stays out of pickles, equality and ``repr``;
+* points of another dimensionality than a non-empty model's are refused.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+import sys
+import threading
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from repro.core import relabel
+from repro.core.global_model import GlobalModelRepairer, build_global_model
+from repro.core.local import build_local_model
+from repro.core.models import GlobalModel, Representative
+from repro.core.relabel import CoverMemo, relabel_site, relabel_site_reference
+from repro.data.distance import get_metric
+from repro.index.grid import GridIndex
+from repro.obs.registry import usable_cpu_count
+
+
+@pytest.fixture()
+def grid_builds(monkeypatch):
+    """``(representatives, metric name)`` of every cover grid the relabel
+    module builds while the test runs."""
+    builds: list[tuple[int, str]] = []
+
+    class CountingGrid(GridIndex):
+        def __init__(self, points, metric, *, cell_size):
+            super().__init__(points, metric, cell_size=cell_size)
+            builds.append((len(points), self.metric.name))
+
+    monkeypatch.setattr(relabel, "GridIndex", CountingGrid)
+    return builds
+
+
+def _sites(seed: int, n_sites: int, n: int = 90) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    centres = np.asarray([[0.0, 0.0], [3.0, 0.0], [6.0, 1.0]])
+    return [
+        np.concatenate(
+            [
+                centres[rng.integers(0, 3, n // 2)]
+                + rng.normal(0, 0.6, size=(n // 2, 2)),
+                rng.uniform(-3, 9, size=(n - n // 2, 2)),
+            ]
+        )
+        for __ in range(n_sites)
+    ]
+
+
+def _outcomes(sites, metric="euclidean"):
+    return [
+        build_local_model(points, 0.8, 3, site_id=i, metric=metric)
+        for i, points in enumerate(sites)
+    ]
+
+
+def _session(seed: int = 5, metric: str = "euclidean"):
+    """A base model over three sites and its fold of three more, which
+    keeps the base's representatives as its prefix."""
+    sites = _sites(seed, 6)
+    outcomes = _outcomes(sites, metric)
+    base, __ = build_global_model(
+        [o.model for o in outcomes[:3]], metric=metric
+    )
+    repairer = GlobalModelRepairer(base, metric=metric)
+    for outcome in outcomes[3:]:
+        repairer.add_model(outcome.model)
+    return sites, outcomes, base, repairer.model()
+
+
+def _reference(points, labels, model, site_id, metric="euclidean"):
+    return relabel_site_reference(
+        points, labels, model, site_id=site_id, metric=metric
+    )
+
+
+def _assert_equal(got, expected):
+    np.testing.assert_array_equal(got[0], expected[0])
+    assert got[1] == expected[1]
+
+
+def test_relabels_against_one_model_build_one_grid(grid_builds):
+    sites = _sites(1, 4)
+    outcomes = _outcomes(sites)
+    model, __ = build_global_model([o.model for o in outcomes])
+    for __ in range(3):
+        for i, (points, outcome) in enumerate(zip(sites, outcomes)):
+            labels = outcome.clustering.labels
+            got = relabel_site(points, labels, model, site_id=i)
+            _assert_equal(got, _reference(points, labels, model, i))
+    assert grid_builds == [(len(model), "euclidean")]
+
+
+def test_a_session_commit_builds_one_grid_per_fold_start(grid_builds):
+    """Sites seen before the commit fold from the previous model's length,
+    a new site folds from 0: two grids over the commit, however many
+    sites relabel against it."""
+    sites, outcomes, base, folded = _session()
+    memos = [CoverMemo() for __ in range(3)]
+    for i, memo in enumerate(memos):
+        relabel_site(
+            sites[i], outcomes[i].clustering.labels, base, site_id=i, memo=memo
+        )
+    assert grid_builds == [(len(base), "euclidean")]
+    grid_builds.clear()
+    for i in range(6):
+        labels = outcomes[i].clustering.labels
+        memo = memos[i] if i < 3 else CoverMemo()
+        got = relabel_site(sites[i], labels, folded, site_id=i, memo=memo)
+        _assert_equal(got, _reference(sites[i], labels, folded, i))
+    appended = len(folded) - len(base)
+    assert grid_builds == [(appended, "euclidean"), (len(folded), "euclidean")]
+
+
+def test_each_metric_builds_its_own_grid(grid_builds):
+    """One model relabeled under two metrics: the chebyshev ball covers
+    points the euclidean ball of the same ε_r misses."""
+    reps = [
+        Representative(np.asarray([0.0, 0.0]), 1.0, 0, 0),
+        Representative(np.asarray([4.0, 0.0]), 1.0, 1, 0),
+    ]
+    model = GlobalModel(reps, np.asarray([0, 1]), eps_global=1.0)
+    points = np.asarray([[0.9, 0.9], [0.5, 0.0], [4.8, 0.8], [2.0, 2.0]])
+    noise = np.full(4, -1)
+    expected = {"euclidean": [-1, 0, -1, -1], "chebyshev": [0, 0, 1, -1]}
+    for metric in ("euclidean", "chebyshev", "euclidean", "chebyshev"):
+        got = relabel_site(points, noise, model, metric=metric)
+        _assert_equal(got, _reference(points, noise, model, None, metric))
+        assert got[0].tolist() == expected[metric]
+    assert grid_builds == [(2, "euclidean"), (2, "chebyshev")]
+
+
+def test_concurrent_relabels_of_a_fresh_model_build_each_grid_once(grid_builds):
+    """More threads than cores, switching often, relabel one fresh model
+    at once under two metrics and from two fold starts: every result
+    equals the reference and each ``(start, metric)`` grid is built
+    once."""
+    sites, outcomes, base, folded = _session(seed=11)
+    metrics = [get_metric("euclidean"), get_metric("chebyshev")]
+    n_threads = max(8, 2 * (usable_cpu_count() or 1) + 2)
+    jobs = []
+    for k in range(n_threads):
+        i = k % len(sites)
+        metric = metrics[k % 2]
+        memo = CoverMemo()
+        if i < 3 and k % 4 < 2:
+            # Primed on the base model: the fold starts past its prefix.
+            relabel_site(
+                sites[i], outcomes[i].clustering.labels, base,
+                site_id=i, metric=metric, memo=memo,
+            )
+        jobs.append((i, metric, memo))
+    grid_builds.clear()
+    barrier = threading.Barrier(n_threads)
+    results: list = [None] * n_threads
+    errors: list[BaseException] = []
+
+    def work(k: int) -> None:
+        i, metric, memo = jobs[k]
+        try:
+            barrier.wait(timeout=30)
+            results[k] = relabel_site(
+                sites[i], outcomes[i].clustering.labels, folded,
+                site_id=i, metric=metric, memo=memo,
+            )
+        except Exception as error:  # surfaced by the assertion below
+            errors.append(error)
+
+    threads = [
+        threading.Thread(target=work, args=(k,)) for k in range(n_threads)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    for (i, metric, __), got in zip(jobs, results):
+        labels = outcomes[i].clustering.labels
+        _assert_equal(got, _reference(sites[i], labels, folded, i, metric))
+    appended = len(folded) - len(base)
+    assert Counter(grid_builds) == {
+        (len(folded), "euclidean"): 1,
+        (len(folded), "chebyshev"): 1,
+        (appended, "euclidean"): 1,
+        (appended, "chebyshev"): 1,
+    }
+
+
+def test_kept_arrays_are_read_only_and_equal_a_fresh_stack():
+    sites, outcomes, __, model = _session()
+    relabel_site(sites[0], outcomes[0].clustering.labels, model, site_id=0)
+    state = model._relabel_state
+    fresh = {
+        "points": model.points(),
+        "ranges": model.eps_ranges(),
+        "site_ids": [rep.site_id for rep in model.representatives],
+        "local_ids": [rep.local_cluster_id for rep in model.representatives],
+    }
+    for name, expected in fresh.items():
+        kept = getattr(state, name)
+        assert not kept.flags.writeable, name
+        np.testing.assert_array_equal(kept, expected)
+        with pytest.raises(ValueError):
+            kept[0] = 0
+    # Public callers still own what the model hands them.
+    points = model.points()
+    assert points.flags.writeable and not np.shares_memory(points, state.points)
+    assert not np.shares_memory(model.eps_ranges(), state.ranges)
+
+
+def test_the_state_stays_out_of_pickles_and_repr():
+    sites, outcomes, __, model = _session()
+    before = pickle.dumps(model)
+    text = repr(model)
+    got = relabel_site(sites[4], outcomes[4].clustering.labels, model, site_id=4)
+    assert model._relabel_state is not None
+    after = pickle.dumps(model)
+    assert len(after) == len(before)
+    assert repr(model) == text
+    restored = pickle.loads(after)
+    assert restored._relabel_state is None
+    _assert_equal(
+        relabel_site(
+            sites[4], outcomes[4].clustering.labels, restored, site_id=4
+        ),
+        got,
+    )
+
+
+def test_the_state_stays_out_of_equality():
+    # One label, so the label arrays compare to a plain truth value.
+    model = GlobalModel(
+        [Representative(np.asarray([0.0, 0.0]), 1.0, 0, 0)],
+        np.asarray([0]),
+        eps_global=1.0,
+    )
+    twin = copy.copy(model)
+    relabel_site(np.zeros((3, 2)), np.full(3, -1), model)
+    assert model._relabel_state is not None and twin._relabel_state is None
+    assert model == twin
+
+
+class TestDimensionality:
+    MODEL = GlobalModel(
+        [Representative(np.asarray([48.0, 48.0]), 5.0, 0, 0)],
+        np.asarray([10]),
+        eps_global=5.0,
+    )
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    @pytest.mark.parametrize("kernel", ["vectorized", "reference"])
+    def test_points_of_another_dimensionality_are_refused(self, columns, kernel):
+        points = np.full((5, columns), 48.0)
+        with pytest.raises(ValueError, match="2-dimensional"):
+            relabel_site(points, np.full(5, -1), self.MODEL, kernel=kernel)
+        with pytest.raises(ValueError, match="2-dimensional"):
+            relabel_site_reference(points, np.full(5, -1), self.MODEL)
+
+    def test_a_flat_point_array_is_refused(self):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            relabel_site(np.full(2, 48.0), np.full(2, -1), self.MODEL)
+
+    def test_an_empty_batch_and_an_empty_model_still_relabel(self):
+        labels, stats = relabel_site(
+            np.empty((0, 2)), np.empty(0, dtype=np.intp), self.MODEL
+        )
+        assert labels.size == 0 and stats.n_objects == 0
+        empty = GlobalModel([], np.empty(0, dtype=int), eps_global=1.0)
+        for columns in (1, 3):
+            labels, __ = relabel_site(
+                np.zeros((4, columns)), np.full(4, -1), empty
+            )
+            assert labels.tolist() == [-1] * 4

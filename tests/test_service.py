@@ -120,6 +120,26 @@ class TestEndToEnd:
         )
         assert np.array_equal(served, expected)
 
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_a_query_of_another_dimensionality_is_a_bad_request(
+        self, service, workload, columns
+    ):
+        """A one-column query used to get labels back (broadcast against
+        the 2-D model) and a three-column one an ``internal_error``."""
+        run_workers(service, workload)
+        points = workload["data"].points
+        with ServiceClient(service.host, service.port) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.query(np.full((5, columns), 48.0))
+            assert excinfo.value.status == "bad_request"
+            assert "2-dimensional" in excinfo.value.detail
+            # The connection survives; empty and well-formed queries answer.
+            assert client.query(np.empty((0, 2))).size == 0
+            assert client.query(points[:5]).size == 5
+        counters = service.service.metrics.to_dict()["counters"]
+        assert counters.get("service.internal_errors", 0) == 0
+        assert counters["service.labels_served"] == 5
+
     def test_health_and_metrics_frames(self, service, workload):
         run_workers(service, workload)
         with ServiceClient(service.host, service.port) as client:
@@ -147,7 +167,9 @@ class TestEndToEnd:
         url = f"http://{service.host}:{service.metrics_port}/nope"
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(url, timeout=10)
-        assert excinfo.value.code == 404
+        # The error carries the open response; close it with its socket.
+        with excinfo.value:
+            assert excinfo.value.code == 404
 
 
 class TestAdmissionGate:

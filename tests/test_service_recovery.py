@@ -12,6 +12,7 @@ resubmission, a kill after two committed rounds, and the typed
 
 from __future__ import annotations
 
+import os
 import socket
 import threading
 
@@ -227,6 +228,42 @@ class TestKillAfterRoundOne:
             assert _models_identical(result.model, oracle.model)
         assert session["health"]["recovered_models"] == 2 * N_SITES
         assert session["gauges"]["service.recovered_rounds"] == 2.0
+
+
+def _open_handles(path) -> int:
+    """This process's file descriptors open on ``path``."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}") == str(path)
+        except OSError:
+            pass  # the descriptor closed while listing
+    return count
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+class TestKillReleasesTheJournal:
+    def test_kill_closes_the_log_handle_and_writes_nothing(self, tmp_path):
+        """The OS closes a killed process's files; ``kill()`` releases
+        the journal's append handle the same way, writing nothing."""
+        config = ServiceConfig(
+            expected_sites=N_SITES, metrics_port=None, journal_dir=str(tmp_path)
+        )
+        log = (tmp_path / "wal.log").resolve()
+        handle = ServiceHandle.start(config)
+        with ServiceClient(handle.host, handle.port) as client:
+            assert client.open_round(0) == "round_open"
+        written = log.read_bytes()
+        assert written and _open_handles(log) == 1
+        handle.kill()
+        assert _open_handles(log) == 0
+        assert log.read_bytes() == written
+        with ServiceHandle.start(config) as restarted:
+            with ServiceClient(restarted.host, restarted.port) as client:
+                assert client.open_round(0) == "round_open"
+                assert client.server_epoch == 2
 
 
 class TestIdempotentResubmission:
