@@ -33,7 +33,6 @@ from repro.core import (
     GlobalModel,
     LocalModel,
     PartitionedDBDCResult,
-    Representative,
     build_global_model,
     build_local_model,
     default_eps_global,
@@ -57,7 +56,6 @@ __all__ = [
     "PartitionedDBDCResult",
     "GlobalModel",
     "LocalModel",
-    "Representative",
     "build_global_model",
     "build_local_model",
     "default_eps_global",

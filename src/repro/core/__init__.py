@@ -33,7 +33,7 @@ from repro.core.local import (
     specific_eps_range,
     verify_specific_core_set,
 )
-from repro.core.models import GlobalModel, LocalModel, Representative
+from repro.core.models import GlobalModel, LocalModel
 from repro.core.relabel import (
     RELABEL_KERNELS,
     RelabelStats,
@@ -63,7 +63,6 @@ __all__ = [
     "verify_specific_core_set",
     "GlobalModel",
     "LocalModel",
-    "Representative",
     "RELABEL_KERNELS",
     "RelabelStats",
     "relabel_site",

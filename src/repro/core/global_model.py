@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.clustering.labels import NOISE
 from repro.clustering.optics import extract_dbscan_clustering, optics
-from repro.core.models import GlobalModel, LocalModel, Representative
+from repro.core.models import GlobalModel, LocalModel, stack_columns
 from repro.data.distance import Metric, get_metric
 from repro.index import build_index
 
@@ -72,13 +72,6 @@ def default_eps_global(local_models: list[LocalModel]) -> float:
     """
     ranges = [model.max_eps_range for model in local_models if len(model)]
     return max(ranges) if ranges else 0.0
-
-
-def _collect_representatives(local_models: list[LocalModel]) -> list[Representative]:
-    reps: list[Representative] = []
-    for model in local_models:
-        reps.extend(model.representatives)
-    return reps
 
 
 def _promote_singletons(labels: np.ndarray) -> np.ndarray:
@@ -167,14 +160,14 @@ def build_global_model(
         ``(global_model, stats)``.
     """
     resolved = get_metric(metric)
-    representatives = _collect_representatives(local_models)
+    columns = stack_columns(local_models)
     if eps_global is None:
         eps_global = default_eps_global(local_models)
-    n = len(representatives)
+    points = columns[0]
+    n = points.shape[0]
     labels = np.empty(0, dtype=np.intp)
     n_merged = n_singletons = 0
     if n:
-        points = np.asarray([rep.point for rep in representatives])
         nodes = np.arange(n, dtype=np.intp)
         roots = _component_roots(
             n, *_neighbour_pairs(points, nodes, eps_global, resolved, index_kind)
@@ -187,7 +180,7 @@ def build_global_model(
         rank = np.where(merged, roots, n + nodes)
         labels = np.unique(rank, return_inverse=True)[1].reshape(-1)
     model = GlobalModel(
-        representatives=representatives,
+        *columns,
         global_labels=labels,
         eps_global=float(eps_global),
         min_pts_global=MIN_PTS_GLOBAL,
@@ -230,8 +223,9 @@ class GlobalModelRepairer:
     components of the ε_global graph, so a fold is a components problem
     too: each existing cluster enters as one node, each new
     representative as another, and one index over the maintained
-    representatives joins only the new ones against it.  The maintained
-    partition is therefore *exactly* the partition a from-scratch rebuild
+    representatives joins only the new ones against it; their columns are
+    appended to the maintained model's.  The maintained partition is
+    therefore *exactly* the partition a from-scratch rebuild
     over the same representatives would produce, differing only in label
     names (the equivalence tests pin this).
 
@@ -265,18 +259,15 @@ class GlobalModelRepairer:
         self.metric = get_metric(metric)
         self.index_kind = index_kind
         self.eps_global = float(model.eps_global)
-        self._representatives: list[Representative] = list(model.representatives)
-        self._points = model.points()
-        self._labels = np.asarray(model.global_labels, dtype=np.intp).copy()
-        self._next_fresh = (
-            int(self._labels.max()) + 1 if self._labels.size else 0
-        )
+        self._model = model
+        labels = model.global_labels
+        self._next_fresh = int(labels.max()) + 1 if labels.size else 0
         self.last_fold = FoldStats(n_clusters=model.n_global_clusters)
 
     @property
     def n_representatives(self) -> int:
         """Representatives currently in the maintained model."""
-        return len(self._representatives)
+        return len(self._model)
 
     def add_model(self, model: LocalModel) -> tuple[GlobalModel, bool]:
         """Fold one late local model in and return the repaired global model.
@@ -291,27 +282,25 @@ class GlobalModelRepairer:
             a re-broadcast to previously relabeled sites.
             :attr:`last_fold` says what else the fold changed.
         """
-        return self.add_representatives(list(model.representatives))
+        return self.add_models([model])
 
-    def add_representatives(
-        self, new_reps: list[Representative]
-    ) -> tuple[GlobalModel, bool]:
-        """Fold representatives in, appended in order (see :meth:`add_model`)."""
-        if not new_reps:
+    def add_models(self, models: list[LocalModel]) -> tuple[GlobalModel, bool]:
+        """Fold the representatives of ``models`` in as one fold, appended
+        in order (see :meth:`add_model`)."""
+        base = self._model
+        columns = stack_columns([base, *models])
+        n_prev = len(base)
+        m = columns[1].size - n_prev
+        if not m:
             self.last_fold = FoldStats(self.last_fold.n_clusters)
-            return self.model(), False
-        n_prev, m = len(self._representatives), len(new_reps)
-        new_points = np.asarray([rep.point for rep in new_reps], dtype=float)
-        points = (
-            np.concatenate([self._points, new_points]) if n_prev else new_points
-        )
+            return base, False
         # Nodes: the k existing clusters in id order, then the new
         # representatives in index order.
-        ids, cluster_of = np.unique(self._labels, return_inverse=True)
+        ids, cluster_of = np.unique(base.global_labels, return_inverse=True)
         k = ids.size
         node = np.concatenate([cluster_of.reshape(-1), k + np.arange(m)])
         u, v = _neighbour_pairs(
-            points,
+            columns[0],
             np.arange(n_prev, n_prev + m, dtype=np.intp),
             self.eps_global,
             self.metric,
@@ -327,23 +316,21 @@ class GlobalModelRepairer:
         names[:k] = ids
         names[k:][heads] = self._next_fresh + np.arange(n_fresh)
         labels = names[roots[node]]
-        churn = int(np.count_nonzero(labels[:n_prev] != self._labels))
+        churn = int(np.count_nonzero(labels[:n_prev] != base.global_labels))
         merges = int(np.count_nonzero(roots[:k] != np.arange(k)))
         self._next_fresh += n_fresh
-        self._representatives.extend(new_reps)
-        self._points = points
-        self._labels = labels
-        self.last_fold = FoldStats(k - merges + n_fresh, churn, merges)
-        return self.model(), churn > 0
-
-    def model(self) -> GlobalModel:
-        """The maintained global model (stable labels, no noise)."""
-        return GlobalModel(
-            representatives=list(self._representatives),
-            global_labels=self._labels.copy(),
+        self._model = GlobalModel(
+            *columns,
+            global_labels=labels,
             eps_global=self.eps_global,
             min_pts_global=MIN_PTS_GLOBAL,
         )
+        self.last_fold = FoldStats(k - merges + n_fresh, churn, merges)
+        return self._model, churn > 0
+
+    def model(self) -> GlobalModel:
+        """The maintained global model (stable labels, no noise)."""
+        return self._model
 
 
 def build_global_model_via_optics(
@@ -370,23 +357,23 @@ def build_global_model_via_optics(
         ``eps_cut`` up to border ambiguity.
     """
     resolved = get_metric(metric)
-    representatives = _collect_representatives(local_models)
-    if not representatives:
+    columns = stack_columns(local_models)
+    points = columns[0]
+    if not points.shape[0]:
         return build_global_model(local_models, eps_global=eps_cut, metric=resolved)
-    points = np.asarray([rep.point for rep in representatives])
     ordering = optics(points, eps_max, MIN_PTS_GLOBAL, metric=resolved)
     labels = extract_dbscan_clustering(ordering, eps_cut)
     n_singletons = int(np.count_nonzero(labels == NOISE))
     n_merged = int(np.unique(labels[labels >= 0]).size)
     labels = _promote_singletons(labels)
     model = GlobalModel(
-        representatives=representatives,
+        *columns,
         global_labels=labels,
         eps_global=float(eps_cut),
         min_pts_global=MIN_PTS_GLOBAL,
     )
     stats = GlobalClusteringStats(
-        n_representatives=len(representatives),
+        n_representatives=points.shape[0],
         n_merged_clusters=n_merged,
         n_singletons=n_singletons,
         eps_global=float(eps_cut),

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.clustering.dbscan import DBSCAN, DBSCANResult
 from repro.clustering.kmeans import lloyd_iterations
-from repro.core.models import LocalModel, Representative
+from repro.core.models import LocalModel
 from repro.data.distance import Metric, get_metric
 from repro.index import NeighborIndex
 
@@ -302,21 +302,16 @@ def build_rep_scor_model(
         if cluster_ids
         else np.empty(0, dtype=np.intp)
     )
-    eps_ranges = specific_eps_ranges(chosen, result).tolist()
-    owners = [cid for cid in cluster_ids for __ in scor_map[cid]]
-    representatives = [
-        Representative(
-            point=points[s].copy(),
-            eps_range=eps_range,
-            site_id=site_id,
-            local_cluster_id=cid,
-        )
-        for s, eps_range, cid in zip(chosen.tolist(), eps_ranges, owners)
-    ]
-    _record_derive_span(tracer, derive_start, "rep_scor", len(representatives))
+    owners = np.repeat(
+        np.asarray(cluster_ids, dtype=np.intp),
+        [scor_map[cid].size for cid in cluster_ids],
+    )
+    _record_derive_span(tracer, derive_start, "rep_scor", chosen.size)
     model = LocalModel(
         site_id=site_id,
-        representatives=representatives,
+        points=points[chosen],
+        eps_ranges=specific_eps_ranges(chosen, result),
+        local_cluster_ids=owners,
         n_objects=points.shape[0],
         scheme="rep_scor",
         eps_local=float(eps),
@@ -356,7 +351,7 @@ def build_rep_kmeans_model(
         points, eps, min_pts, resolved, index_kind, index, tracer, metrics
     )
     derive_start = time.perf_counter() if tracer is not None else 0.0
-    representatives = []
+    centroids, radii, owners = [], [], []
     for cid in sorted(scor_map):
         members = result.members(cid)
         seeds = points[scor_map[cid]]
@@ -365,22 +360,22 @@ def build_rep_kmeans_model(
         )
         for j in range(km.k):
             # A degenerate cell (empty, or every member exactly on the
-            # centroid) has radius 0, which Representative rejects; the
-            # smallest positive float keeps the old "covers only exact
+            # centroid) has radius 0, which a model rejects; the smallest
+            # positive float keeps the old "covers only exact
             # coincidences" semantics while satisfying ε_r > 0.
-            radius = max(km.radius_of(j, points[members]), np.finfo(float).tiny)
-            representatives.append(
-                Representative(
-                    point=km.centroids[j].copy(),
-                    eps_range=radius,
-                    site_id=site_id,
-                    local_cluster_id=cid,
-                )
+            radii.append(
+                max(km.radius_of(j, points[members]), np.finfo(float).tiny)
             )
-    _record_derive_span(tracer, derive_start, "rep_kmeans", len(representatives))
+        centroids.append(km.centroids)
+        owners += [cid] * km.k
+    _record_derive_span(tracer, derive_start, "rep_kmeans", len(radii))
     model = LocalModel(
         site_id=site_id,
-        representatives=representatives,
+        points=(
+            np.concatenate(centroids) if centroids else np.empty((0, 0))
+        ),
+        eps_ranges=radii,
+        local_cluster_ids=owners,
         n_objects=points.shape[0],
         scheme="rep_kmeans",
         eps_local=float(eps),
@@ -465,7 +460,7 @@ def build_rep_scor_from_clustering(
     scor_map = select_specific_core_points(
         points, labels, core_mask, eps, metric=resolved
     )
-    representatives = []
+    chosen, eps_ranges, owners = [], [], []
     for cid in sorted(scor_map):
         for s in scor_map[cid]:
             # Definition 7 without a prebuilt index: scan for core
@@ -475,17 +470,14 @@ def build_rep_scor_from_clustering(
                 (distances <= eps) & core_mask & (np.arange(points.shape[0]) != s)
             )
             eps_range = eps + (distances[nearby_cores].max() if nearby_cores.size else 0.0)
-            representatives.append(
-                Representative(
-                    point=points[s].copy(),
-                    eps_range=float(eps_range),
-                    site_id=site_id,
-                    local_cluster_id=int(cid),
-                )
-            )
+            chosen.append(s)
+            eps_ranges.append(float(eps_range))
+            owners.append(int(cid))
     return LocalModel(
         site_id=site_id,
-        representatives=representatives,
+        points=points[chosen] if chosen else np.empty((0, 0)),
+        eps_ranges=eps_ranges,
+        local_cluster_ids=owners,
         n_objects=points.shape[0],
         scheme="rep_scor",
         eps_local=float(eps),

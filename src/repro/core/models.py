@@ -1,10 +1,19 @@
 """Model types exchanged between DBDC sites and the server.
 
 A *local model* (Sections 5-6) is the aggregated information a client site
-transmits instead of its raw data: a set of pairs ``(r, ε_r)`` where ``r``
-is a representative point and ``ε_r`` the specific ε-range describing the
-area ``r`` stands for.  The *global model* is the server's clustering of all
-representatives: every representative carries a global cluster id.
+transmits instead of its raw data: a table of pairs ``(r, ε_r)`` where
+``r`` is a representative point and ``ε_r`` the specific ε-range
+describing the area ``r`` stands for.  The *global model* is the server's
+clustering of all representatives: every representative carries a global
+cluster id.
+
+Both models are that table, held as columns: ``points`` ``(m, d)``,
+``eps_ranges``, ``site_ids`` and ``local_cluster_ids`` (plus
+``global_labels`` on a global model).  A constructor copies its inputs
+into owned, read-only arrays checked once (:func:`model_columns`); a
+model is never changed in place, and one without representatives has
+points of shape ``(0, 0)``.  Two models are equal when their scalars and
+their columns are.
 
 Both models know how to serialize themselves to bytes — not for real
 networking (the sites are simulated in-process) but because the paper's
@@ -16,136 +25,241 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["Representative", "LocalModel", "GlobalModel"]
+__all__ = [
+    "LocalModel",
+    "GlobalModel",
+    "model_columns",
+    "stack_columns",
+    "record_dtype",
+    "pack_records",
+]
 
 _HEADER = struct.Struct("<III")  # site id, number of reps, dimensionality
+_COLUMNS = ("points", "eps_ranges", "site_ids", "local_cluster_ids")
+#: The accounting record of ``to_bytes``: an id, ε_r, the coordinates.
+_ACCOUNTING_ID = "<u4"
 
 
-@dataclass(frozen=True)
-class Representative:
-    """One ``(r, ε_r)`` pair of a local model.
+def model_columns(
+    points, eps_ranges, site_ids, local_cluster_ids
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Owned, read-only copies of one table of representatives, checked.
 
-    Attributes:
-        point: the representative's coordinates (a concrete local object for
-            ``REP_Scor``, a k-means centroid for ``REP_kMeans``).
-        eps_range: the specific ε-range ``ε_r`` — radius of the area this
-            representative describes (Definitions 7 / Section 5.2).
-        site_id: originating site.
-        local_cluster_id: id of the local cluster the representative
-            describes (site-scoped).
+    Corrupt payloads must fail loudly here, not poison the global DBSCAN:
+    NaN/inf coordinates break every distance function, and a non-positive
+    ε-range describes no area at all (Def. 7 gives every representative a
+    strictly positive specific ε-range).
+
+    Raises:
+        ValueError: for points that are not 2-D, columns of unequal
+            length, a non-finite coordinate or a non-finite or
+            non-positive ε-range.
     """
+    points = np.array(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"points must be 2-D, got shape {points.shape}")
+    m = len(points)
+    columns = (
+        points,
+        np.array(eps_ranges, dtype=float),
+        np.array(site_ids, dtype=np.intp),
+        np.array(local_cluster_ids, dtype=np.intp),
+    )
+    for name, column in zip(_COLUMNS[1:], columns[1:]):
+        if column.shape != (m,):
+            raise ValueError(f"{name} has shape {column.shape}, expected ({m},)")
+    ranges = columns[1]
+    if not m:
+        columns = (points.reshape(0, 0), *columns[1:])
+    elif not np.isfinite(points).all():
+        row = ~np.isfinite(points).all(axis=1)
+        raise ValueError(
+            f"representative coordinates must be finite, got {points[row][0]!r}"
+        )
+    # NaN fails every comparison, so both reductions catch it.
+    elif not (ranges.min() > 0 and ranges.max() < np.inf):
+        bad = ~((ranges > 0) & (ranges < np.inf))
+        raise ValueError(f"eps_range must be > 0, got {ranges[bad][0]}")
+    for column in columns:
+        column.setflags(write=False)
+    return columns
 
-    point: np.ndarray
-    eps_range: float
-    site_id: int
-    local_cluster_id: int
 
-    def __post_init__(self) -> None:
-        point = np.asarray(self.point, dtype=float)
-        object.__setattr__(self, "point", point)
-        # Corrupt payloads must fail loudly at construction, not poison the
-        # global DBSCAN: NaN/inf coordinates break every distance function,
-        # and a non-positive ε-range describes no area at all (Def. 7 gives
-        # every representative a strictly positive specific ε-range).
-        if not np.isfinite(point).all():
-            raise ValueError(
-                f"representative coordinates must be finite, got {point!r}"
+def stack_columns(parts) -> tuple[np.ndarray, ...]:
+    """The ``points``, ``eps_ranges``, ``site_ids`` and
+    ``local_cluster_ids`` of ``parts`` (models or deltas), concatenated
+    in order; parts without representatives are skipped."""
+    parts = [part for part in parts if len(part.eps_ranges)]
+    if not parts:
+        return np.empty((0, 0)), np.empty(0), *np.empty((2, 0), dtype=np.intp)
+    return tuple(
+        np.concatenate([getattr(part, name) for part in parts]) for name in _COLUMNS
+    )
+
+
+@lru_cache(maxsize=64)
+def record_dtype(fields: tuple[tuple[str, str], ...], dim: int) -> np.dtype:
+    """A packed little-endian record: ``fields`` (name, type) in order,
+    then ``dim`` float64 coordinates in the field ``points``."""
+    return np.dtype([*fields, ("points", "<f8", (dim,))])
+
+
+def pack_records(dtype: np.dtype, columns) -> bytes:
+    """One packed ``dtype`` record per representative, each field read
+    from the attribute of ``columns`` that it names.
+
+    Raises:
+        ValueError: when an id does not fit its integer field (NumPy's
+            cast would wrap it silently).
+    """
+    n = len(columns.eps_ranges)
+    records = np.empty(n, dtype=dtype)
+    for name in dtype.names:
+        values = getattr(columns, name)
+        kind = dtype.fields[name][0]
+        if n and kind.kind in "iu" and not np.can_cast(values.dtype, kind):
+            info = np.iinfo(kind)
+            if not info.min <= values.min() <= values.max() <= info.max:
+                bad = values[(values < info.min) | (values > info.max)][0]
+                raise ValueError(f"{name} value {bad} does not fit a {kind.str} field")
+        records[name] = values
+    return records.tobytes()
+
+
+class _Table:
+    """What both models share: the columns, value equality, and
+    read-only columns after a copy or an unpickle."""
+
+    _scalars: tuple[str, ...] = ()
+    _columns: tuple[str, ...] = _COLUMNS
+
+    def __len__(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def dim(self) -> int:
+        """Coordinates per representative (0 for an empty model)."""
+        return self.points.shape[1]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name) for name in self._scalars
+        ) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self._columns
+        )
+
+    __hash__ = None
+
+    def _check_columns(self) -> None:
+        self.points, self.eps_ranges, self.site_ids, self.local_cluster_ids = (
+            model_columns(
+                self.points, self.eps_ranges, self.site_ids, self.local_cluster_ids
             )
-        if not np.isfinite(self.eps_range) or self.eps_range <= 0:
-            raise ValueError(f"eps_range must be > 0, got {self.eps_range}")
+        )
 
-    def covers(self, point: np.ndarray, metric) -> bool:
-        """Whether ``point`` lies in this representative's ε_r-neighborhood."""
-        return bool(metric.pairwise(self.point, point) <= self.eps_range)
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for name in self._columns:
+            getattr(self, name).setflags(write=False)
+
+    def _accounting_bytes(self, site_id: int, ids: str) -> bytes:
+        """Header (site id, count, dim), then per representative the id
+        column ``ids`` (uint32), ε_r (float64) and the coordinates."""
+        dtype = record_dtype(((ids, _ACCOUNTING_ID), ("eps_ranges", "<f8")), self.dim)
+        header = _HEADER.pack(site_id, len(self), self.dim)
+        return header + pack_records(dtype, self)
 
 
-@dataclass
-class LocalModel:
+@dataclass(eq=False)
+class LocalModel(_Table):
     """Everything one site sends to the server.
 
     Attributes:
         site_id: originating site.
-        representatives: the ``(r, ε_r)`` pairs (``LocalModel_k`` in §5).
+        points: representative coordinates ``(m, d)`` (concrete local
+            objects for ``REP_Scor``, k-means centroids for
+            ``REP_kMeans``).
+        eps_ranges: the specific ε-range ``ε_r`` of each representative —
+            the radius of the area it describes (Definition 7 / §5.2).
+        local_cluster_ids: the site-scoped local cluster each
+            representative describes.
         n_objects: number of objects on the site (reporting only; the paper
             quotes the representative share of the data volume).
         scheme: ``"rep_scor"`` or ``"rep_kmeans"``.
         eps_local: the site's DBSCAN ``Eps``.
         min_pts_local: the site's DBSCAN ``MinPts``.
+        site_ids: originating site per representative; defaults to
+            ``site_id`` on every row (a regional aggregate keeps its
+            sources' ids).
     """
 
     site_id: int
-    representatives: list[Representative]
+    points: np.ndarray
+    eps_ranges: np.ndarray
+    local_cluster_ids: np.ndarray
     n_objects: int
     scheme: str
     eps_local: float
     min_pts_local: int
+    site_ids: np.ndarray | None = None
 
-    def __len__(self) -> int:
-        return len(self.representatives)
+    _scalars = ("site_id", "n_objects", "scheme", "eps_local", "min_pts_local")
+
+    def __post_init__(self) -> None:
+        if self.site_ids is None:
+            self.site_ids = np.full(np.shape(self.eps_ranges), self.site_id)
+        self._check_columns()
 
     @property
     def n_local_clusters(self) -> int:
         """Number of local clusters the model describes."""
-        return len({rep.local_cluster_id for rep in self.representatives})
+        return int(np.unique(self.local_cluster_ids).size)
 
     @property
     def max_eps_range(self) -> float:
         """Largest ε_r in the model (feeds the ``Eps_global`` default)."""
-        if not self.representatives:
-            return 0.0
-        return max(rep.eps_range for rep in self.representatives)
-
-    def points(self) -> np.ndarray:
-        """Representative coordinates stacked into an ``(m, d)`` array."""
-        if not self.representatives:
-            return np.empty((0, 0))
-        return np.asarray([rep.point for rep in self.representatives])
-
-    def eps_ranges(self) -> np.ndarray:
-        """The ε_r values aligned with :meth:`points`."""
-        return np.asarray([rep.eps_range for rep in self.representatives])
+        return float(self.eps_ranges.max()) if len(self) else 0.0
 
     def validate(self) -> list[str]:
         """Semantic admission checks beyond what construction enforces.
 
-        :class:`Representative` already rejects NaN/inf coordinates and
-        non-positive ε-ranges at construction; this method covers the
-        cross-field consistency a server must check before merging a model
-        it did not build itself (see ``CentralServer.admit``):
+        Construction already rejects NaN/inf coordinates, non-positive
+        ε-ranges and rows of another dimensionality; this method covers
+        the cross-field consistency a server must check before merging a
+        model it did not build itself (see ``CentralServer.admit``):
 
         * the site id is a valid client id (non-negative),
         * every representative claims the model's site id,
-        * all representatives share one dimensionality,
         * the declared object count can actually produce this many
           representatives (each representative stands for at least one
-          object, so ``len(representatives) <= n_objects`` whenever a
-          count is declared).
+          object, so ``len(model) <= n_objects`` whenever a count is
+          declared).
 
         Returns:
             A list of human-readable problems; empty means admissible.
         """
-        problems: list[str] = []
+        problems = []
         if self.site_id < 0:
             problems.append(f"negative site id {self.site_id}")
         if self.n_objects < 0:
             problems.append(f"negative object count {self.n_objects}")
-        dims = {rep.point.size for rep in self.representatives}
-        if len(dims) > 1:
-            problems.append(f"mixed representative dimensionalities {sorted(dims)}")
-        for rep in self.representatives:
-            if rep.site_id != self.site_id:
-                problems.append(
-                    f"representative claims site {rep.site_id}, "
-                    f"model claims site {self.site_id}"
-                )
-                break
-        if self.n_objects > 0 and len(self.representatives) > self.n_objects:
+        foreign = np.flatnonzero(self.site_ids != self.site_id)
+        if foreign.size:
             problems.append(
-                f"{len(self.representatives)} representatives declared for "
-                f"only {self.n_objects} objects"
+                f"representative claims site {int(self.site_ids[foreign[0]])}, "
+                f"model claims site {self.site_id}"
+            )
+        if self.n_objects > 0 and len(self) > self.n_objects:
+            problems.append(
+                f"{len(self)} representatives declared for only "
+                f"{self.n_objects} objects"
             )
         return problems
 
@@ -155,15 +269,11 @@ class LocalModel:
         Layout: header (site id, count, dim) then per representative the
         local cluster id (uint32), ε_r (float64) and coordinates (float64
         each) — the minimal wire content of ``LocalModel_k``.
+
+        Raises:
+            ValueError: when a local cluster id does not fit a uint32.
         """
-        dim = self.representatives[0].point.size if self.representatives else 0
-        chunks = [_HEADER.pack(self.site_id, len(self.representatives), dim)]
-        record = struct.Struct(f"<Id{dim}d")
-        for rep in self.representatives:
-            chunks.append(
-                record.pack(rep.local_cluster_id, rep.eps_range, *rep.point)
-            )
-        return b"".join(chunks)
+        return self._accounting_bytes(self.site_id, "local_cluster_ids")
 
     @classmethod
     def from_bytes(
@@ -177,23 +287,15 @@ class LocalModel:
     ) -> "LocalModel":
         """Inverse of :meth:`to_bytes` (metadata fields are not on the wire)."""
         site_id, count, dim = _HEADER.unpack_from(payload, 0)
-        record = struct.Struct(f"<Id{dim}d")
-        offset = _HEADER.size
-        reps = []
-        for __ in range(count):
-            values = record.unpack_from(payload, offset)
-            offset += record.size
-            reps.append(
-                Representative(
-                    point=np.asarray(values[2:], dtype=float),
-                    eps_range=values[1],
-                    site_id=site_id,
-                    local_cluster_id=values[0],
-                )
-            )
+        dtype = record_dtype(
+            (("local_cluster_ids", _ACCOUNTING_ID), ("eps_ranges", "<f8")), dim
+        )
+        records = np.frombuffer(payload, dtype, count=count, offset=_HEADER.size)
         return cls(
             site_id=site_id,
-            representatives=reps,
+            points=records["points"],
+            eps_ranges=records["eps_ranges"],
+            local_cluster_ids=records["local_cluster_ids"],
             n_objects=n_objects,
             scheme=scheme,
             eps_local=eps_local,
@@ -201,13 +303,16 @@ class LocalModel:
         )
 
 
-@dataclass
-class GlobalModel:
+@dataclass(eq=False)
+class GlobalModel(_Table):
     """The server's clustering of all local representatives (§6).
 
     Attributes:
-        representatives: all representatives from all sites, in server
+        points: all representatives from all sites, ``(m, d)``, in server
             processing order.
+        eps_ranges: their specific ε-ranges.
+        site_ids: their originating sites.
+        local_cluster_ids: their site-scoped local cluster ids.
         global_labels: global cluster id per representative (no noise —
             every representative belongs to a global cluster, singletons
             included: "each specific local representative forms a cluster
@@ -217,63 +322,52 @@ class GlobalModel:
 
     A model is never changed in place: a repair or a fold builds a new
     one.  The relabel step (:mod:`repro.core.relabel`) relies on that: it
-    derives its state from a model once and keeps it in a private slot
-    that equality, ``repr`` and pickling leave out.
+    keeps the cover grids it builds over a model in a private slot that
+    equality, ``repr`` and pickling leave out.
     """
 
-    representatives: list[Representative]
+    points: np.ndarray
+    eps_ranges: np.ndarray
+    site_ids: np.ndarray
+    local_cluster_ids: np.ndarray
     global_labels: np.ndarray
     eps_global: float
     min_pts_global: int = 2
-    _relabel_state: object = field(
-        default=None, init=False, repr=False, compare=False
+    _cover_grids: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        self.global_labels = np.asarray(self.global_labels, dtype=np.intp)
-        if len(self.representatives) != self.global_labels.size:
-            raise ValueError(
-                f"{len(self.representatives)} representatives but "
-                f"{self.global_labels.size} labels"
-            )
-        if self.global_labels.size and self.global_labels.min() < 0:
-            raise ValueError("global labels must be non-negative (no noise)")
+    _scalars = ("eps_global", "min_pts_global")
+    _columns = (*_COLUMNS, "global_labels")
 
-    def __len__(self) -> int:
-        return len(self.representatives)
+    def __post_init__(self) -> None:
+        self._check_columns()
+        labels = np.array(self.global_labels, dtype=np.intp)
+        if labels.shape != (len(self),):
+            raise ValueError(f"{len(self)} representatives but {labels.size} labels")
+        if labels.size and labels.min() < 0:
+            raise ValueError("global labels must be non-negative (no noise)")
+        labels.setflags(write=False)
+        self.global_labels = labels
 
     def __getstate__(self) -> dict:
         # Derived state stays behind: a pickle is the model's value only.
-        return {**self.__dict__, "_relabel_state": None}
+        return {**self.__dict__, "_cover_grids": {}}
 
     @property
     def n_global_clusters(self) -> int:
         """Number of distinct global clusters."""
         return int(np.unique(self.global_labels).size) if len(self) else 0
 
-    def points(self) -> np.ndarray:
-        """Representative coordinates stacked into an ``(m, d)`` array."""
-        if not self.representatives:
-            return np.empty((0, 0))
-        return np.asarray([rep.point for rep in self.representatives])
-
-    def eps_ranges(self) -> np.ndarray:
-        """The ε_r values aligned with :meth:`points`."""
-        return np.asarray([rep.eps_range for rep in self.representatives])
-
-    def members_of(self, global_id: int) -> list[Representative]:
-        """Representatives assigned to ``global_id``."""
-        return [
-            rep
-            for rep, label in zip(self.representatives, self.global_labels)
-            if label == global_id
-        ]
+    def members_of(self, global_id: int) -> np.ndarray:
+        """Row indices of the representatives assigned to ``global_id``."""
+        return np.flatnonzero(self.global_labels == global_id)
 
     def to_bytes(self) -> bytes:
-        """Serialize for transmission-size accounting (broadcast payload)."""
-        dim = self.representatives[0].point.size if self.representatives else 0
-        chunks = [_HEADER.pack(0, len(self.representatives), dim)]
-        record = struct.Struct(f"<Id{dim}d")
-        for rep, label in zip(self.representatives, self.global_labels):
-            chunks.append(record.pack(int(label), rep.eps_range, *rep.point))
-        return b"".join(chunks)
+        """Serialize for transmission-size accounting (broadcast payload):
+        the local layout with the global label as the id.
+
+        Raises:
+            ValueError: when a global label does not fit a uint32.
+        """
+        return self._accounting_bytes(0, "global_labels")

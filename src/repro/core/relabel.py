@@ -33,9 +33,9 @@ Two interchangeable kernels implement the coverage step, selected by the
   minimum replaces the kept cover only when it is strictly nearer.  A
   full relabel is the same fold from an empty memo.  The grid depends
   on the model alone, so each model builds it once per ``(first folded
-  index, metric)`` and keeps it with its stacked representative arrays:
-  the label queries against one committed model, the sites relabeled
-  against one broadcast and a session's folds of one commit share it.
+  index, metric)`` and keeps it beside its columns: the label queries
+  against one committed model, the sites relabeled against one broadcast
+  and a session's folds of one commit share it.
   Work is proportional to the coverage hits of the appended
   representatives, which is what makes 10^6-point relabels and
   per-round session relabels cheap.
@@ -54,14 +54,13 @@ reference otherwise.
 
 from __future__ import annotations
 
-import operator
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.clustering.labels import NOISE, validate_labels
-from repro.core.models import GlobalModel, Representative
+from repro.core.models import GlobalModel
 from repro.data.distance import Metric, get_metric
 from repro.index.base import require_finite
 from repro.index.grid import GridIndex
@@ -81,9 +80,9 @@ RELABEL_KERNELS = ("auto", "reference", "vectorized")
 #: family (mirrors ``repro.index.grid._GRID_METRICS``).
 _GRID_METRICS = {"euclidean", "manhattan", "chebyshev", "squared_euclidean"}
 
-#: Held while a model's relabel state is derived or one of its cover
-#: grids is built, so concurrent relabels against one model (the
-#: service's executor threads, the runner's thread pool) build each once.
+#: Held while one of a model's cover grids is built, so concurrent
+#: relabels against one model (the service's executor threads, the
+#: runner's thread pool) build each once.
 _BUILD_LOCK = threading.Lock()
 
 
@@ -111,59 +110,25 @@ class RelabelStats:
     n_local_clusters_merged: int
 
 
-class _RelabelState:
-    """What a relabel reads from one :class:`GlobalModel` alone.
-
-    The representatives' points, ε-ranges, site ids and local cluster ids
-    are stacked once, read-only.  The cover grid over
-    ``representatives[start:]`` (cell edge: that slice's largest ε_r) is
-    built on first use per ``(start, metric)`` and kept: a fold from an
-    empty memo reads the one at 0, a fold over what a commit appended the
-    one at the previous model's length.  The metric is keyed by identity
-    and held with its grid, as :class:`CoverMemo` holds it.
-    """
-
-    def __init__(self, model: GlobalModel) -> None:
-        reps = model.representatives
-        self.points = _read_only(model.points())
-        self.ranges = _read_only(model.eps_ranges())
-        self.site_ids = _read_only(
-            np.asarray([rep.site_id for rep in reps], dtype=np.intp)
-        )
-        self.local_ids = _read_only(
-            np.asarray([rep.local_cluster_id for rep in reps], dtype=np.intp)
-        )
-        self._grids: dict[tuple[int, int], tuple[Metric, GridIndex]] = {}
-
-    def grid(self, start: int, metric: Metric) -> GridIndex:
-        """The cover grid over the representatives from ``start`` on."""
-        key = (start, id(metric))
-        entry = self._grids.get(key)
-        if entry is None:
-            with _BUILD_LOCK:
-                entry = self._grids.get(key)
-                if entry is None:
-                    cell = float(self.ranges[start:].max())
-                    grid = GridIndex(self.points[start:], metric, cell_size=cell)
-                    entry = self._grids[key] = (metric, grid)
-        return entry[1]
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-def _state_of(model: GlobalModel) -> _RelabelState:
-    """The model's relabel state, derived on first use and kept in its
-    private slot (a model is never changed in place)."""
-    state = model._relabel_state
-    if state is None:
+def _cover_grid(model: GlobalModel, start: int, metric: Metric) -> GridIndex:
+    """The cover grid over the model's representatives from ``start`` on
+    (cell edge: their largest ε_r), built on first use per ``(start,
+    metric)`` and kept in the model's private slot (a model is never
+    changed in place).  A fold from an empty memo reads the one at 0, a
+    fold over what a commit appended the one at the previous model's
+    length.  The metric is keyed by identity and held with its grid, as
+    :class:`CoverMemo` holds it."""
+    grids = model._cover_grids
+    key = (start, id(metric))
+    entry = grids.get(key)
+    if entry is None:
         with _BUILD_LOCK:
-            state = model._relabel_state
-            if state is None:
-                state = model._relabel_state = _RelabelState(model)
-    return state
+            entry = grids.get(key)
+            if entry is None:
+                cell = float(model.eps_ranges[start:].max())
+                grid = GridIndex(model.points[start:], metric, cell_size=cell)
+                entry = grids[key] = (metric, grid)
+    return entry[1]
 
 
 class CoverMemo:
@@ -173,10 +138,15 @@ class CoverMemo:
     A caller that relabels the same points against a growing model (a
     streaming site) owns one memo and passes it to every
     :func:`relabel_site` call, which advances it in place.  The memo is
-    bound to the points array, the metric and the model prefix it was
-    built over, the prefix compared representative by representative by
-    identity.  Any other input — other points, another metric, a shorter
-    model, a rebuilt or refetched one — restarts it from empty, so a memo
+    bound to the points array and the metric by identity, and to the
+    model prefix it was built over by value: the new model's leading
+    points and ε-ranges must equal the ones it folded
+    (``np.array_equal``).  That is sound because the nearest cover over a
+    prefix depends only on its points, its ranges and the metric; labels,
+    site ids and local cluster ids are read from the new model.  So an
+    equal model refetched from scratch continues the memo, and anything
+    else — other points, another metric, a shorter model, a prefix that
+    differs in one coordinate or one ε_r — restarts it from empty: a memo
     never answers for anything it was not built from.  It assumes the
     bound points array is not modified in place.
 
@@ -190,7 +160,8 @@ class CoverMemo:
     def __init__(self) -> None:
         self._points: np.ndarray | None = None
         self._metric: Metric | None = None
-        self._prefix: tuple[Representative, ...] = ()
+        self._prefix_points = np.empty((0, 0))
+        self._prefix_ranges = np.empty(0)
         self.nearest = np.empty(0, dtype=np.intp)
         self.distance = np.empty(0)
 
@@ -199,34 +170,35 @@ class CoverMemo:
     ) -> None:
         """Advance the memo over ``model``: fold in the representatives
         beyond its prefix, or all of them after a restart."""
-        reps = model.representatives
-        base = len(self._prefix)
+        base = self._prefix_ranges.size
         if not (
             points is self._points
             and metric is self._metric
-            and len(reps) >= base
-            and all(map(operator.is_, self._prefix, reps))
+            and len(model) >= base
+            and np.array_equal(model.eps_ranges[:base], self._prefix_ranges)
+            and np.array_equal(model.points[:base], self._prefix_points)
         ):
             self._points, self._metric, base = points, metric, 0
             self.nearest = np.full(points.shape[0], -1, dtype=np.intp)
             self.distance = np.full(points.shape[0], np.inf)
-        if base < len(reps) and points.shape[0]:
-            self._fold_in(points, metric, _state_of(model), base)
-        self._prefix = tuple(reps)
+        if base < len(model) and points.shape[0]:
+            self._fold_in(points, metric, model, base)
+        self._prefix_points = model.points
+        self._prefix_ranges = model.eps_ranges
 
     def _fold_in(
         self,
         points: np.ndarray,
         metric: Metric,
-        state: _RelabelState,
+        model: GlobalModel,
         base: int,
     ) -> None:
         """The model's grid over the representatives from ``base`` on,
         the points as its queries; an appended cover replaces a kept one
         only when strictly nearer, so distance ties keep the lower model
         index."""
-        ranges = state.ranges[base:]
-        grid = state.grid(base, metric)
+        ranges = model.eps_ranges[base:]
+        grid = _cover_grid(model, base, metric)
         hits, offsets, distances = grid.join(
             points, grid.cell_size, distances=True
         )
@@ -262,8 +234,7 @@ def _apply_inheritance(
     local_labels: np.ndarray,
     out: np.ndarray,
     was_noise: np.ndarray,
-    rep_labels: np.ndarray,
-    state: _RelabelState,
+    model: GlobalModel,
     site_id: int | None,
     metric: Metric,
 ) -> int:
@@ -281,13 +252,13 @@ def _apply_inheritance(
     """
     if site_id is None:
         return 0
-    own = np.flatnonzero(state.site_ids == site_id)
+    own = np.flatnonzero(model.site_ids == site_id)
     uncovered = np.flatnonzero((out == NOISE) & ~was_noise)
     if not own.size or not uncovered.size:
         return 0
-    own_local = state.local_ids[own]
-    own_labels = rep_labels[own]
-    own_points = state.points[own]
+    own_local = model.local_cluster_ids[own]
+    own_labels = model.global_labels[own]
+    own_points = model.points[own]
     n_inherited = 0
     uncovered_locals = local_labels[uncovered]
     for local_id in np.unique(uncovered_locals):
@@ -333,7 +304,6 @@ def _finish(
     out: np.ndarray,
     n_covered: int,
     global_model: GlobalModel,
-    state: _RelabelState,
     site_id: int | None,
     metric: Metric,
 ) -> tuple[np.ndarray, RelabelStats]:
@@ -341,8 +311,7 @@ def _finish(
     was_noise = local_labels == NOISE
     n_noise_promoted = int(np.count_nonzero(was_noise & (out != NOISE)))
     n_inherited = _apply_inheritance(
-        points, local_labels, out, was_noise, global_model.global_labels,
-        state, site_id, metric,
+        points, local_labels, out, was_noise, global_model, site_id, metric
     )
     stats = RelabelStats(
         n_objects=points.shape[0],
@@ -369,8 +338,8 @@ def relabel_site_reference(
     distance-matrix sweep, chunked over the (possibly large) site data so
     the ``(m, chunk)`` matrix stays small.  Distance ties pick the lowest
     representative index (argmin), matching the historical first-wins
-    scan.  It derives the model's arrays afresh on every call and reads
-    nothing the model keeps.  See :func:`relabel_site` for the argument
+    scan.  It reads the model's columns and none of the grids the model
+    keeps.  See :func:`relabel_site` for the argument
     contract.
     """
     resolved = get_metric(metric)
@@ -381,15 +350,14 @@ def relabel_site_reference(
     if local_labels.size != n:
         raise ValueError(f"{n} points but {local_labels.size} local labels")
     out = np.full(n, NOISE, dtype=np.intp)
-    state = _RelabelState(global_model)
     m = len(global_model)
     if m == 0 or n == 0:
         return _finish(
-            points, local_labels, out, 0, global_model, state, site_id, resolved
+            points, local_labels, out, 0, global_model, site_id, resolved
         )
 
-    rep_points = state.points
-    rep_ranges = state.ranges
+    rep_points = global_model.points
+    rep_ranges = global_model.eps_ranges
     rep_labels = global_model.global_labels
 
     best_distance = np.full(n, np.inf)
@@ -405,8 +373,7 @@ def relabel_site_reference(
         best_distance[start:stop] = best
     n_covered = int(np.count_nonzero(np.isfinite(best_distance)))
     return _finish(
-        points, local_labels, out, n_covered, global_model, state, site_id,
-        resolved,
+        points, local_labels, out, n_covered, global_model, site_id, resolved
     )
 
 
@@ -422,7 +389,7 @@ def require_model_dimensionality(
     """
     if not len(global_model) or not len(points):
         return
-    dim = global_model.representatives[0].point.size
+    dim = global_model.dim
     if points.ndim != 2 or points.shape[1] != dim:
         raise ValueError(
             f"points of shape {points.shape} do not match the model's "
@@ -507,6 +474,5 @@ def relabel_site(
     out = np.full(n, NOISE, dtype=np.intp)
     out[covered] = global_model.global_labels[memo.nearest[covered]]
     return _finish(
-        points, local_labels, out, covered.size, global_model,
-        _state_of(global_model), site_id, resolved,
+        points, local_labels, out, covered.size, global_model, site_id, resolved
     )

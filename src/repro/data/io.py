@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.models import GlobalModel, LocalModel, Representative
+from repro.core.models import GlobalModel, LocalModel
 
 __all__ = [
     "save_points",
@@ -112,22 +112,24 @@ def load_labels_csv(path: str | Path) -> np.ndarray:
 # ----------------------------------------------------------------------
 # models
 # ----------------------------------------------------------------------
-def _rep_to_dict(rep: Representative) -> dict:
-    return {
-        "point": [float(x) for x in rep.point],
-        "eps_range": float(rep.eps_range),
-        "site_id": int(rep.site_id),
-        "local_cluster_id": int(rep.local_cluster_id),
+_ROW_KEYS = ("point", "eps_range", "site_id", "local_cluster_id")
+_COLUMNS = ("points", "eps_ranges", "site_ids", "local_cluster_ids")
+
+
+def _rows_to_dicts(model: LocalModel | GlobalModel) -> list[dict]:
+    """One JSON object per representative (the file format is row-wise)."""
+    columns = (getattr(model, name).tolist() for name in _COLUMNS)
+    return [dict(zip(_ROW_KEYS, row)) for row in zip(*columns)]
+
+
+def _columns_from_dicts(rows: list[dict]) -> dict:
+    """The model columns of :func:`_rows_to_dicts`' rows."""
+    columns = {
+        name: [row[key] for row in rows] for key, name in zip(_ROW_KEYS, _COLUMNS)
     }
-
-
-def _rep_from_dict(data: dict) -> Representative:
-    return Representative(
-        point=np.asarray(data["point"], dtype=float),
-        eps_range=float(data["eps_range"]),
-        site_id=int(data["site_id"]),
-        local_cluster_id=int(data["local_cluster_id"]),
-    )
+    if not rows:
+        columns["points"] = np.empty((0, 0))
+    return columns
 
 
 def local_model_to_dict(model: LocalModel) -> dict:
@@ -139,7 +141,7 @@ def local_model_to_dict(model: LocalModel) -> dict:
         "scheme": model.scheme,
         "eps_local": model.eps_local,
         "min_pts_local": model.min_pts_local,
-        "representatives": [_rep_to_dict(rep) for rep in model.representatives],
+        "representatives": _rows_to_dicts(model),
     }
 
 
@@ -153,7 +155,7 @@ def local_model_from_dict(data: dict) -> LocalModel:
         raise ValueError(f"not a local model payload: kind={data.get('kind')!r}")
     return LocalModel(
         site_id=int(data["site_id"]),
-        representatives=[_rep_from_dict(r) for r in data["representatives"]],
+        **_columns_from_dicts(data["representatives"]),
         n_objects=int(data["n_objects"]),
         scheme=str(data["scheme"]),
         eps_local=float(data["eps_local"]),
@@ -178,7 +180,7 @@ def global_model_to_dict(model: GlobalModel) -> dict:
         "eps_global": model.eps_global,
         "min_pts_global": model.min_pts_global,
         "global_labels": [int(label) for label in model.global_labels],
-        "representatives": [_rep_to_dict(rep) for rep in model.representatives],
+        "representatives": _rows_to_dicts(model),
     }
 
 
@@ -191,7 +193,7 @@ def global_model_from_dict(data: dict) -> GlobalModel:
     if data.get("kind") != "global_model":
         raise ValueError(f"not a global model payload: kind={data.get('kind')!r}")
     return GlobalModel(
-        representatives=[_rep_from_dict(r) for r in data["representatives"]],
+        **_columns_from_dicts(data["representatives"]),
         global_labels=np.asarray(data["global_labels"], dtype=np.intp),
         eps_global=float(data["eps_global"]),
         min_pts_global=int(data["min_pts_global"]),

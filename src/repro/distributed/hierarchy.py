@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.global_model import build_global_model
-from repro.core.models import GlobalModel, LocalModel, Representative
+from repro.core.models import GlobalModel, LocalModel, stack_columns
 from repro.data.distance import Metric, get_metric
 from repro.distributed.network import SERVER, NetworkStats, SimulatedNetwork
 from repro.distributed.site import ClientSite
@@ -71,44 +71,33 @@ def condense_models(
         inputs covered, usually with far fewer representatives.
     """
     resolved = get_metric(metric)
-    kept_points: list[np.ndarray] = []
+    points, eps_ranges, site_ids, local_ids = stack_columns(models)
+    kept: list[int] = []
     kept_ranges: list[float] = []
-    kept_sources: list[Representative] = []
-    n_objects = 0
-    for model in models:
-        n_objects += model.n_objects
-        for rep in model.representatives:
-            if kept_points:
-                distances = resolved.to_many(rep.point, np.asarray(kept_points))
-                nearest = int(np.argmin(distances))
-                if distances[nearest] <= radius:
-                    kept_ranges[nearest] = max(
-                        kept_ranges[nearest],
-                        float(distances[nearest]) + rep.eps_range,
-                    )
-                    continue
-            kept_points.append(rep.point)
-            kept_ranges.append(rep.eps_range)
-            kept_sources.append(rep)
-    representatives = [
-        Representative(
-            point=point,
-            eps_range=eps_range,
-            site_id=source.site_id,
-            local_cluster_id=source.local_cluster_id,
-        )
-        for point, eps_range, source in zip(kept_points, kept_ranges, kept_sources)
-    ]
+    for i, (point, eps_range) in enumerate(zip(points, eps_ranges.tolist())):
+        if kept:
+            distances = resolved.to_many(point, points[kept])
+            nearest = int(np.argmin(distances))
+            if distances[nearest] <= radius:
+                kept_ranges[nearest] = max(
+                    kept_ranges[nearest], float(distances[nearest]) + eps_range
+                )
+                continue
+        kept.append(i)
+        kept_ranges.append(eps_range)
     scheme = models[0].scheme if models else "rep_scor"
     eps_local = models[0].eps_local if models else 0.0
     min_pts = models[0].min_pts_local if models else 0
     return LocalModel(
         site_id=region_id,
-        representatives=representatives,
-        n_objects=n_objects,
+        points=points[kept],
+        eps_ranges=kept_ranges,
+        local_cluster_ids=local_ids[kept],
+        n_objects=sum(model.n_objects for model in models),
         scheme=scheme,
         eps_local=eps_local,
         min_pts_local=min_pts,
+        site_ids=site_ids[kept],
     )
 
 
@@ -264,12 +253,13 @@ def run_hierarchical_dbdc(
                 site_models, condense_radius, region_id=region_id, metric=resolved
             )
         else:
-            merged_reps = [
-                rep for model in site_models for rep in model.representatives
-            ]
+            points, eps_ranges, site_ids, local_ids = stack_columns(site_models)
             condensed = LocalModel(
                 site_id=region_id,
-                representatives=merged_reps,
+                points=points,
+                eps_ranges=eps_ranges,
+                local_cluster_ids=local_ids,
+                site_ids=site_ids,
                 n_objects=sum(m.n_objects for m in site_models),
                 scheme=scheme,
                 eps_local=eps_local,

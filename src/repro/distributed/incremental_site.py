@@ -64,12 +64,10 @@ def _coverage_misses(
     """How many of ``sources``' reps no rep of ``targets`` covers."""
     if not len(targets):
         return len(sources)
-    target_points = targets.points()
-    target_ranges = targets.eps_ranges()
     misses = 0
-    for rep in sources.representatives:
-        distances = metric.to_many(rep.point, target_points)
-        if not bool((distances <= target_ranges).any()):
+    for point in sources.points:
+        distances = metric.to_many(point, targets.points)
+        if not bool((distances <= targets.eps_ranges).any()):
             misses += 1
     return misses
 

@@ -28,12 +28,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.global_model import (
     GlobalClusteringStats,
     GlobalModelRepairer,
     build_global_model,
 )
-from repro.core.models import GlobalModel, LocalModel, Representative
+from repro.core.models import GlobalModel, LocalModel
 from repro.data.distance import Metric, get_metric
 
 __all__ = ["CentralServer", "Decision", "IncrementalServer", "RoundCore"]
@@ -75,15 +77,18 @@ class CentralServer:
     """Batch server: one global clustering over the admitted models.
 
     The admission gate (:meth:`arrive`) checks, in this order: a payload
-    whose checksum failed, or a model that fails
-    :meth:`~repro.core.models.LocalModel.validate`, is ``quarantined`` —
-    poison regardless of when it arrived; a model arriving more than the
-    deadline after the round opened (time 0 here) is ``deadline_missed``
-    — arrival exactly *at* the deadline is admitted.  :meth:`build`
-    clusters every admitted model, sorted by site id, so the global model
-    does not depend on arrival order.  :attr:`quorum_met` only classifies
-    the round as degraded: the server clusters whatever it admitted —
-    "the server clusters whatever representatives it receives".
+    whose checksum failed, a model that fails
+    :meth:`~repro.core.models.LocalModel.validate`, or a non-empty model
+    without coordinates or of another dimensionality than the first
+    admitted non-empty one (so than every admitted and committed one) is
+    ``quarantined`` — poison regardless of when it arrived; a model
+    arriving more than the deadline after the round opened (time 0 here)
+    is ``deadline_missed`` — arrival exactly *at* the deadline is
+    admitted.  :meth:`build` clusters every admitted model, sorted by
+    site id, so the global model does not depend on arrival order.
+    :attr:`quorum_met` only classifies the round as degraded: the server
+    clusters whatever it admitted — "the server clusters whatever
+    representatives it receives".
 
     Args:
         eps_global: merge radius; ``None`` → the paper's default (max ε_r).
@@ -153,6 +158,8 @@ class CentralServer:
             round_index: the round the decision belongs to.
         """
         problems = ["checksum_mismatch"] if not crc_ok else model.validate()
+        if not problems and len(model):
+            problems = self._dimensionality_problems(model)
         if problems:
             return Decision(
                 "quarantined", "QUARANTINE", round_index, model, "; ".join(problems)
@@ -166,6 +173,16 @@ class CentralServer:
             return Decision("deadline_missed", None, round_index, model)
         return Decision("admitted", "MODEL_ADMITTED", round_index, model)
 
+    def _dimensionality_problems(self, model: LocalModel) -> list[str]:
+        """A non-empty model needs coordinates, as many as every admitted
+        one has: the representatives of one global model share a space."""
+        if not model.dim:
+            return ["representatives have no coordinates"]
+        dim = next((m.dim for m in self.local_models if len(m)), model.dim)
+        if model.dim != dim:
+            return [f"dimensionality {model.dim} differs from the session's {dim}"]
+        return []
+
     def apply(self, decision: Decision) -> GlobalModel | None:
         """Turn one admission decision into state (returns ``None``)."""
         model = decision.model
@@ -175,9 +192,7 @@ class CentralServer:
             self._model = None  # a new admission invalidates any build
             if metrics is not None:
                 metrics.inc("server.models_admitted")
-                metrics.observe(
-                    "server.representatives_per_model", len(model.representatives)
-                )
+                metrics.observe("server.representatives_per_model", len(model))
         elif decision.record == "QUARANTINE":
             self.quarantined_models.append((model, decision.detail))
             if metrics is not None:
@@ -268,8 +283,7 @@ class CentralServer:
                 raise RuntimeError("no local models received")
             self.n_builds += 1
             self._model = GlobalModel(
-                representatives=[],
-                global_labels=[],
+                np.empty((0, 0)), [], [], [], [],
                 eps_global=float(self.eps_global or 0.0),
             )
             self._stats = None
@@ -566,32 +580,26 @@ class IncrementalServer:
         self.dim = int(dim)
         self.metric = get_metric(metric)
         self._repairer = GlobalModelRepairer(
-            GlobalModel([], [], self.eps_global),
+            GlobalModel(np.empty((0, 0)), [], [], [], [], self.eps_global),
             metric=self.metric,
         )
-        self._pending: list[Representative] = []
-
-    def receive_representative(self, rep: Representative) -> None:
-        """Add one representative to the evolving global clustering.
-
-        Raises:
-            ValueError: if its point is not of shape ``(dim,)``.
-        """
-        if rep.point.shape != (self.dim,):
-            raise ValueError(
-                f"expected a ({self.dim},) point, got shape {rep.point.shape}"
-            )
-        self._pending.append(rep)
+        self._pending: list[LocalModel] = []
 
     def receive_local_model(self, model: LocalModel) -> None:
-        """Add all representatives of one local model."""
-        for rep in model.representatives:
-            self.receive_representative(rep)
+        """Add all representatives of one local model to the evolving
+        global clustering.
+
+        Raises:
+            ValueError: if a non-empty model's points are not ``dim``-D.
+        """
+        if len(model) and model.dim != self.dim:
+            raise ValueError(f"expected {self.dim}-D points, got {model.dim}-D")
+        self._pending.append(model)
 
     @property
     def n_representatives(self) -> int:
         """Representatives received so far."""
-        return self._repairer.n_representatives + len(self._pending)
+        return self._repairer.n_representatives + sum(map(len, self._pending))
 
     def snapshot(self) -> GlobalModel:
         """A consistent global model over everything received so far.
@@ -603,4 +611,4 @@ class IncrementalServer:
             A :class:`~repro.core.models.GlobalModel`.
         """
         pending, self._pending = self._pending, []
-        return self._repairer.add_representatives(pending)[0]
+        return self._repairer.add_models(pending)[0]

@@ -1185,22 +1185,6 @@ def _in_threads(target, n: int) -> None:
         thread.join(120.0)
 
 
-def _models_identical(model, oracle) -> bool:
-    """Bit-identity of two global models: every representative's
-    identity and point, every global label, the merge radius."""
-    return (
-        model.eps_global == oracle.eps_global
-        and np.array_equal(model.global_labels, oracle.global_labels)
-        and len(model.representatives) == len(oracle.representatives)
-        and all(
-            a.site_id == b.site_id
-            and a.local_cluster_id == b.local_cluster_id
-            and np.array_equal(a.point, b.point)
-            for a, b in zip(model.representatives, oracle.representatives)
-        )
-    )
-
-
 def _session(spec: Scenario, report: Report) -> None:
     """An N-round streaming session over sockets, every round checked
     against the in-process streaming oracle.
@@ -1270,7 +1254,7 @@ def _session(spec: Scenario, report: Report) -> None:
         ))
         report.put("model_identical", report.check(
             complete and results[0].model is not None
-            and _models_identical(results[0].model, oracle.model),
+            and results[0].model == oracle.model,
             "final session model differs from the streaming oracle",
         ))
         report.put("verdicts_ok", report.check(

@@ -268,9 +268,7 @@ class ServiceClient:
                 when the service stops first, ``"bad_delta"`` when
                 ``known_model`` is not a prefix of the server's model.
         """
-        known = (
-            0 if known_model is None else len(known_model.representatives)
-        )
+        known = 0 if known_model is None else len(known_model)
         response = self.transport.request(
             wire.FrameKind.MODEL_DELTA,
             wire.encode_delta_request(round_index, known, timeout_s),

@@ -944,11 +944,10 @@ class DBDCService:
                 return wire.FrameKind.ERROR, self._status(
                     "no_model", "session has no committed model"
                 )
-            if not 0 <= known_reps <= len(model.representatives):
+            if not 0 <= known_reps <= len(model):
                 return wire.FrameKind.ERROR, self._status(
                     "bad_delta",
-                    f"known_reps {known_reps} out of range "
-                    f"[0, {len(model.representatives)}]",
+                    f"known_reps {known_reps} out of range [0, {len(model)}]",
                 )
             encode_start = time.perf_counter()
             delta = wire.delta_from_model(model, known_reps)
@@ -1179,7 +1178,9 @@ def _placeholder_model(site_id: int) -> LocalModel:
     the quarantine bookkeeping can still name the offending site."""
     return LocalModel(
         site_id=max(int(site_id), 0),
-        representatives=[],
+        points=np.empty((0, 0)),
+        eps_ranges=[],
+        local_cluster_ids=[],
         n_objects=0,
         scheme="unknown",
         eps_local=0.0,

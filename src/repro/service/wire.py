@@ -55,7 +55,14 @@ from enum import IntEnum
 
 import numpy as np
 
-from repro.core.models import GlobalModel, LocalModel, Representative
+from repro.core.models import (
+    GlobalModel,
+    LocalModel,
+    model_columns,
+    pack_records,
+    record_dtype,
+    stack_columns,
+)
 from repro.faults.integrity import crc_matches, payload_crc32
 
 __all__ = [
@@ -434,6 +441,13 @@ def decode_frame(
 _LOCAL_HEADER = struct.Struct("<iqdIIIH")  # site, n_objects, eps, min_pts,
 #                                            n_reps, dim, scheme length
 _GLOBAL_HEADER = struct.Struct("<dIII")    # eps_global, min_pts, n_reps, dim
+# One packed record per representative, after the header.  Coordinates
+# follow as ``<{dim}d`` (``record_dtype`` appends them).
+_EPS = ("eps_ranges", "<f8")
+_IDS = (("site_ids", "<i4"), ("local_cluster_ids", "<i4"))
+_LOCAL_RECORD = (("local_cluster_ids", "<i4"), _EPS)
+_GLOBAL_RECORD = (*_IDS, ("global_labels", "<i8"), _EPS)
+_DELTA_RECORD = (*_IDS, _EPS)
 _ARRAY_HEADER = struct.Struct("<II")       # rows, dim
 _COUNT = struct.Struct("<I")
 _TIMEOUT = struct.Struct("<d")
@@ -478,27 +492,41 @@ def encode_local_model(model: LocalModel) -> bytes:
     """Serialize a full :class:`LocalModel` — unlike the accounting-only
     ``LocalModel.to_bytes``, the metadata (object count, scheme, local
     DBSCAN parameters) rides along, so the server reconstructs exactly
-    what the site built."""
-    dim = model.representatives[0].point.size if model.representatives else 0
-    record = struct.Struct(f"<id{dim}d")
+    what the site built.
+
+    Raises:
+        ValueError: when a local cluster id does not fit an int32, or the
+            scheme name is too long.
+    """
     scheme = model.scheme.encode("utf-8")
     if len(scheme) > 0xFFFF:
         raise ValueError(f"scheme name too long for the wire ({len(scheme)} bytes)")
-    chunks = [
-        _LOCAL_HEADER.pack(
-            model.site_id,
-            model.n_objects,
-            model.eps_local,
-            model.min_pts_local,
-            len(model.representatives),
-            dim,
-            len(scheme),
-        ),
-        scheme,
-    ]
-    for rep in model.representatives:
-        chunks.append(record.pack(rep.local_cluster_id, rep.eps_range, *rep.point))
-    return b"".join(chunks)
+    header = _LOCAL_HEADER.pack(
+        model.site_id,
+        model.n_objects,
+        model.eps_local,
+        model.min_pts_local,
+        len(model),
+        model.dim,
+        len(scheme),
+    )
+    return header + scheme + pack_records(record_dtype(_LOCAL_RECORD, model.dim), model)
+
+
+def _record_columns(
+    payload: bytes, offset: int, fields, n: int, dim: int, trailer: int = 0
+) -> dict[str, np.ndarray]:
+    """The columns of the ``n`` packed records of ``fields`` at
+    ``offset`` (views of ``payload``), once the payload's size is exactly
+    theirs plus ``trailer`` bytes."""
+    dtype = record_dtype(fields, dim)
+    expected = offset + n * dtype.itemsize + trailer
+    if len(payload) != expected:
+        raise CodecError(
+            f"payload is {len(payload)} bytes, header declares {expected}"
+        )
+    records = np.frombuffer(payload, dtype, count=n, offset=offset)
+    return {name: records[name] for name in dtype.names}
 
 
 @_codec_guard("invalid LocalModel payload")
@@ -518,27 +546,9 @@ def decode_local_model(payload: bytes) -> LocalModel:
         raise CodecError(f"scheme string of {scheme_len} bytes truncated")
     scheme = payload[offset : offset + scheme_len].decode("utf-8")
     offset += scheme_len
-    record = struct.Struct(f"<id{dim}d")
-    expected = offset + n_reps * record.size
-    if len(payload) != expected:
-        raise CodecError(
-            f"payload is {len(payload)} bytes, header declares {expected}"
-        )
-    reps = []
-    for __ in range(n_reps):
-        values = record.unpack_from(payload, offset)
-        offset += record.size
-        reps.append(
-            Representative(
-                point=np.asarray(values[2:], dtype=float),
-                eps_range=values[1],
-                site_id=site_id,
-                local_cluster_id=values[0],
-            )
-        )
     return LocalModel(
         site_id=site_id,
-        representatives=reps,
+        **_record_columns(payload, offset, _LOCAL_RECORD, n_reps, dim),
         n_objects=n_objects,
         scheme=scheme,
         eps_local=eps_local,
@@ -566,58 +576,22 @@ def encode_global_model(model: GlobalModel) -> bytes:
     receiving site reconstructs the model the server built bit for bit —
     the precondition for the socket path's relabel step matching the
     in-process run exactly.
+
+    Raises:
+        ValueError: when a site or local cluster id does not fit an int32.
     """
-    dim = model.representatives[0].point.size if model.representatives else 0
-    record = struct.Struct(f"<iiqd{dim}d")
-    chunks = [
-        _GLOBAL_HEADER.pack(
-            model.eps_global,
-            model.min_pts_global,
-            len(model.representatives),
-            dim,
-        )
-    ]
-    for rep, label in zip(model.representatives, model.global_labels):
-        chunks.append(
-            record.pack(
-                rep.site_id,
-                rep.local_cluster_id,
-                int(label),
-                rep.eps_range,
-                *rep.point,
-            )
-        )
-    return b"".join(chunks)
+    header = _GLOBAL_HEADER.pack(
+        model.eps_global, model.min_pts_global, len(model), model.dim
+    )
+    return header + pack_records(record_dtype(_GLOBAL_RECORD, model.dim), model)
 
 
 @_codec_guard("invalid GlobalModel payload")
 def decode_global_model(payload: bytes) -> GlobalModel:
     """Inverse of :func:`encode_global_model`."""
     eps_global, min_pts_global, n_reps, dim = _GLOBAL_HEADER.unpack_from(payload, 0)
-    record = struct.Struct(f"<iiqd{dim}d")
-    expected = _GLOBAL_HEADER.size + n_reps * record.size
-    if len(payload) != expected:
-        raise CodecError(
-            f"payload is {len(payload)} bytes, header declares {expected}"
-        )
-    offset = _GLOBAL_HEADER.size
-    reps = []
-    labels = np.empty(n_reps, dtype=np.intp)
-    for i in range(n_reps):
-        values = record.unpack_from(payload, offset)
-        offset += record.size
-        reps.append(
-            Representative(
-                point=np.asarray(values[4:], dtype=float),
-                eps_range=values[3],
-                site_id=values[0],
-                local_cluster_id=values[1],
-            )
-        )
-        labels[i] = values[2]
     return GlobalModel(
-        representatives=reps,
-        global_labels=labels,
+        **_record_columns(payload, _GLOBAL_HEADER.size, _GLOBAL_RECORD, n_reps, dim),
         eps_global=eps_global,
         min_pts_global=int(min_pts_global),
     )
@@ -805,10 +779,11 @@ class ModelDelta:
         min_pts_global: the server's ``MinPts_global``.
         base_count: representatives the receiver already holds — the
             unchanged prefix the delta builds on.
-        new_representatives: representatives appended since
-            ``base_count`` (order preserved).
+        points, eps_ranges, site_ids, local_cluster_ids: the columns of
+            the representatives appended since ``base_count`` (order
+            preserved), copied and checked as a model's are.
         labels: global labels of the *entire* repaired model, length
-            ``base_count + len(new_representatives)`` — labels of old
+            ``base_count`` plus the appended count — labels of old
             representatives may change (merges), so the full vector
             always rides along.
     """
@@ -816,8 +791,17 @@ class ModelDelta:
     eps_global: float
     min_pts_global: int
     base_count: int
-    new_representatives: list[Representative]
+    points: np.ndarray
+    eps_ranges: np.ndarray
+    site_ids: np.ndarray
+    local_cluster_ids: np.ndarray
     labels: np.ndarray
+
+    def __post_init__(self) -> None:
+        names = ("points", "eps_ranges", "site_ids", "local_cluster_ids")
+        columns = model_columns(*(getattr(self, name) for name in names))
+        for name, column in zip(names, columns):
+            object.__setattr__(self, name, column)
 
 
 def encode_round_open(round_index: int) -> bytes:
@@ -874,33 +858,26 @@ def decode_delta_request(payload: bytes) -> tuple[int, int, float]:
 
 
 def encode_model_delta(delta: ModelDelta) -> bytes:
-    """Serialize a MODEL_DELTA reply."""
-    reps = delta.new_representatives
-    dim = reps[0].point.size if reps else 0
-    record = struct.Struct(f"<iid{dim}d")
+    """Serialize a MODEL_DELTA reply.
+
+    Raises:
+        ValueError: when the label vector does not cover the model, or a
+            site or local cluster id does not fit an int32.
+    """
+    n_new, dim = delta.points.shape
     labels = np.ascontiguousarray(delta.labels, dtype="<i8")
     if labels.ndim != 1:
         raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.size != delta.base_count + len(reps):
+    if labels.size != delta.base_count + n_new:
         raise ValueError(
             f"label vector has {labels.size} entries, model has "
-            f"{delta.base_count + len(reps)} representatives"
+            f"{delta.base_count + n_new} representatives"
         )
-    chunks = [
-        _DELTA_HEADER.pack(
-            delta.eps_global,
-            delta.min_pts_global,
-            delta.base_count,
-            len(reps),
-            dim,
-        )
-    ]
-    for rep in reps:
-        chunks.append(
-            record.pack(rep.site_id, rep.local_cluster_id, rep.eps_range, *rep.point)
-        )
-    chunks.append(labels.tobytes())
-    return b"".join(chunks)
+    header = _DELTA_HEADER.pack(
+        delta.eps_global, delta.min_pts_global, delta.base_count, n_new, dim
+    )
+    records = pack_records(record_dtype(_DELTA_RECORD, dim), delta)
+    return header + records + labels.tobytes()
 
 
 @_codec_guard("invalid MODEL_DELTA payload")
@@ -909,35 +886,17 @@ def decode_model_delta(payload: bytes) -> ModelDelta:
     eps_global, min_pts, base_count, n_new, dim = _DELTA_HEADER.unpack_from(
         payload, 0
     )
-    record = struct.Struct(f"<iid{dim}d")
-    labels_offset = _DELTA_HEADER.size + n_new * record.size
-    expected = labels_offset + (base_count + n_new) * 8
-    if len(payload) != expected:
-        raise CodecError(
-            f"payload is {len(payload)} bytes, header declares {expected}"
-        )
-    offset = _DELTA_HEADER.size
-    reps = []
-    for __ in range(n_new):
-        values = record.unpack_from(payload, offset)
-        offset += record.size
-        reps.append(
-            Representative(
-                point=np.asarray(values[3:], dtype=float),
-                eps_range=values[2],
-                site_id=values[0],
-                local_cluster_id=values[1],
-            )
-        )
-    labels = np.frombuffer(payload, dtype="<i8", offset=labels_offset).astype(
-        np.intp
+    labels_size = (base_count + n_new) * 8
+    columns = _record_columns(
+        payload, _DELTA_HEADER.size, _DELTA_RECORD, n_new, dim, labels_size
     )
+    labels = np.frombuffer(payload, dtype="<i8", offset=len(payload) - labels_size)
     return ModelDelta(
         eps_global=float(eps_global),
         min_pts_global=int(min_pts),
         base_count=int(base_count),
-        new_representatives=reps,
-        labels=labels,
+        **columns,
+        labels=labels.astype(np.intp, copy=False),
     )
 
 
@@ -949,7 +908,7 @@ def delta_from_model(model: GlobalModel, known_reps: int) -> ModelDelta:
         ValueError: when ``known_reps`` exceeds the model (the client
             claims to know more than exists — a protocol violation).
     """
-    n = len(model.representatives)
+    n = len(model)
     if not 0 <= known_reps <= n:
         raise ValueError(
             f"known_reps {known_reps} out of range for a model of {n} "
@@ -959,8 +918,11 @@ def delta_from_model(model: GlobalModel, known_reps: int) -> ModelDelta:
         eps_global=float(model.eps_global),
         min_pts_global=int(model.min_pts_global),
         base_count=int(known_reps),
-        new_representatives=list(model.representatives[known_reps:]),
-        labels=np.asarray(model.global_labels, dtype=np.intp).copy(),
+        points=model.points[known_reps:],
+        eps_ranges=model.eps_ranges[known_reps:],
+        site_ids=model.site_ids[known_reps:],
+        local_cluster_ids=model.local_cluster_ids[known_reps:],
+        labels=model.global_labels.copy(),
     )
 
 
@@ -977,24 +939,29 @@ def apply_model_delta(
 
     Raises:
         CodecError: when the delta does not extend ``known_model``
-            (mismatched prefix length) — the client must refetch with
-            ``known_reps=0``.
+            (mismatched prefix length or dimensionality) — the client
+            must refetch with ``known_reps=0``.
     """
-    known = [] if known_model is None else list(known_model.representatives)
-    if len(known) != delta.base_count:
+    known = 0 if known_model is None else len(known_model)
+    if known != delta.base_count:
         raise CodecError(
             f"delta builds on {delta.base_count} representatives, client "
-            f"holds {len(known)}"
+            f"holds {known}"
         )
-    reps = known + list(delta.new_representatives)
-    if len(reps) != delta.labels.size:
+    if known and len(delta.eps_ranges) and known_model.dim != delta.points.shape[1]:
         raise CodecError(
-            f"reconstructed model has {len(reps)} representatives but "
+            f"delta of dimensionality {delta.points.shape[1]} does not extend "
+            f"a {known_model.dim}-dimensional model"
+        )
+    columns = stack_columns([delta] if known_model is None else [known_model, delta])
+    if columns[1].size != delta.labels.size:
+        raise CodecError(
+            f"reconstructed model has {columns[1].size} representatives but "
             f"{delta.labels.size} labels"
         )
     return GlobalModel(
-        representatives=reps,
-        global_labels=np.asarray(delta.labels, dtype=np.intp).copy(),
+        *columns,
+        global_labels=delta.labels,
         eps_global=delta.eps_global,
         min_pts_global=delta.min_pts_global,
     )

@@ -27,6 +27,7 @@ from repro.core.global_model import (
 )
 from repro.core.models import GlobalModel, LocalModel
 from repro.data.distance import get_metric
+from tests.model_rows import global_model, rows_of
 
 
 def _promote(labels: np.ndarray) -> np.ndarray:
@@ -47,7 +48,7 @@ def oracle_build(
     index_kind: str = "auto",
 ) -> tuple[GlobalModel, GlobalClusteringStats]:
     """The global build through DBSCAN over the representatives."""
-    representatives = [rep for model in local_models for rep in model.representatives]
+    representatives = [rep for model in local_models for rep in rows_of(model)]
     if eps_global is None:
         eps_global = default_eps_global(local_models)
     n = len(representatives)
@@ -58,7 +59,7 @@ def oracle_build(
         labels = np.arange(n, dtype=np.intp)
         n_merged, n_singletons = 0, n
     else:
-        points = np.asarray([rep.point for rep in representatives])
+        points = np.asarray([rep.point for rep in representatives], dtype=float)
         result = dbscan(
             points,
             eps_global,
@@ -68,7 +69,7 @@ def oracle_build(
         )
         labels = _promote(result.labels)
         n_merged, n_singletons = result.n_clusters, result.n_noise
-    model = GlobalModel(representatives, labels, float(eps_global), MIN_PTS_GLOBAL)
+    model = global_model(representatives, labels, float(eps_global), MIN_PTS_GLOBAL)
     stats = GlobalClusteringStats(n, n_merged, n_singletons, float(eps_global))
     return model, stats
 
@@ -79,7 +80,7 @@ class OracleRepairer:
     def __init__(self, model: GlobalModel, *, metric="euclidean") -> None:
         self.metric = get_metric(metric)
         self.eps_global = float(model.eps_global)
-        self._representatives = list(model.representatives)
+        self._representatives = rows_of(model)
         self._labels = np.asarray(model.global_labels, dtype=np.intp).copy()
         self._next_fresh = int(self._labels.max()) + 1 if self._labels.size else 0
         self._incremental: IncrementalDBSCAN | None = None
@@ -110,7 +111,7 @@ class OracleRepairer:
         return canonical
 
     def add_model(self, model: LocalModel) -> tuple[GlobalModel, bool]:
-        new_reps = list(model.representatives)
+        new_reps = rows_of(model)
         n_prev = len(self._representatives)
         if not new_reps:
             return self.model(), False
@@ -126,13 +127,13 @@ class OracleRepairer:
             self._incremental = IncrementalDBSCAN(
                 self.eps_global,
                 MIN_PTS_GLOBAL,
-                new_reps[0].point.size,
+                len(new_reps[0].point),
                 metric=self.metric,
             )
             for rep in self._representatives:
-                self._incremental.insert(rep.point)
+                self._incremental.insert(np.asarray(rep.point))
         for rep in new_reps:
-            self._incremental.insert(rep.point)
+            self._incremental.insert(np.asarray(rep.point))
         self._representatives.extend(new_reps)
         canonical = self._canonical_labels(self._incremental.labels(), n_prev)
         relabeled = bool((canonical[:n_prev] != self._labels[:n_prev]).any())
@@ -140,9 +141,6 @@ class OracleRepairer:
         return self.model(), relabeled
 
     def model(self) -> GlobalModel:
-        return GlobalModel(
-            list(self._representatives),
-            self._labels.copy(),
-            self.eps_global,
-            MIN_PTS_GLOBAL,
+        return global_model(
+            self._representatives, self._labels, self.eps_global, MIN_PTS_GLOBAL
         )

@@ -11,6 +11,7 @@ from repro.core.local import build_rep_scor_model
 from repro.data.distance import manhattan
 from repro.data.generators import gaussian_blobs
 from repro.distributed.hierarchy import condense_models
+from tests.model_rows import covers
 
 
 class TestCondenseUnderManhattan:
@@ -20,14 +21,8 @@ class TestCondenseUnderManhattan:
         condensed = condense_models([model], 1.2, metric="manhattan")
         assert len(condensed) <= len(model)
         for point in points[::5]:
-            before = any(
-                rep.covers(point, manhattan) for rep in model.representatives
-            )
-            if before:
-                assert any(
-                    rep.covers(point, manhattan)
-                    for rep in condensed.representatives
-                )
+            if covers(model, point, manhattan):
+                assert covers(condensed, point, manhattan)
 
 
 class TestDegenerateData:

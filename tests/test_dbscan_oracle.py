@@ -307,5 +307,5 @@ def test_rep_scor_model_matches_distance_collector(kind, metric, data):
         for cid in sorted(expected)
         for s in expected[cid]
     ]
-    got_ranges = [rep.eps_range for rep in outcome.model.representatives]
+    got_ranges = outcome.model.eps_ranges.tolist()
     assert got_ranges == expected_ranges

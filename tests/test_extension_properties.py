@@ -13,6 +13,7 @@ from repro.data.distance import euclidean
 from repro.data.generators import gaussian_blobs
 from repro.distributed.hierarchy import condense_models
 from repro.distributed.incremental_site import model_drift
+from tests.model_rows import covers
 
 
 def _site_models(seed: int, n_sites: int, eps: float):
@@ -43,17 +44,9 @@ def test_condensation_preserves_coverage(seed, radius_factor):
     assert len(condensed) <= sum(len(m) for m in models)
     for pts in points_per_site:
         for point in pts[::11]:
-            before = any(
-                rep.covers(point, euclidean)
-                for model in models
-                for rep in model.representatives
-            )
+            before = any(covers(model, point, euclidean) for model in models)
             if before:
-                after = any(
-                    rep.covers(point, euclidean)
-                    for rep in condensed.representatives
-                )
-                assert after
+                assert covers(condensed, point, euclidean)
 
 
 @given(seed=st.integers(0, 20_000))

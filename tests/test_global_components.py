@@ -29,12 +29,13 @@ from hypothesis import strategies as st
 
 from repro.clustering.incremental import IncrementalDBSCAN
 from repro.core.global_model import GlobalModelRepairer, build_global_model
-from repro.core.models import LocalModel, Representative
+from repro.core.models import LocalModel
 from repro.data.distance import minkowski_metric
 from repro.distributed.server import IncrementalServer, RoundCore
 from repro.distributed.streaming import run_streaming_session
 from repro.obs import MetricsRegistry
 from tests.global_model_oracle import OracleRepairer, oracle_build
+from tests.model_rows import Row, local_model
 
 KINDS = ("auto", "brute", "grid", "kdtree", "rtree", "mtree")
 GRID_METRICS = ("euclidean", "manhattan", "chebyshev", "squared_euclidean")
@@ -49,11 +50,8 @@ SETTINGS = settings(
 
 
 def _model(site_id: int, points) -> LocalModel:
-    reps = [
-        Representative(np.asarray(point, dtype=float), 1.0, site_id, i)
-        for i, point in enumerate(points)
-    ]
-    return LocalModel(site_id, reps, len(reps), "rep_scor", 1.0, 3)
+    reps = [Row(tuple(point), 1.0, site_id, i) for i, point in enumerate(points)]
+    return local_model(site_id, reps, len(reps), "rep_scor", 1.0, 3)
 
 
 def _canonical(labels) -> np.ndarray:
@@ -171,7 +169,7 @@ class TestFold:
     def test_incremental_server_snapshot_equals_build(self, case, snapshots):
         metric, eps, models = case
         assume(eps > 0)
-        dim = next((len(m.representatives[0].point) for m in models if len(m)), 1)
+        dim = next((m.dim for m in models if len(m)), 1)
         server = IncrementalServer(eps, dim, metric=metric)
         for model, snapshot in zip(models, snapshots):
             server.receive_local_model(model)
@@ -238,9 +236,14 @@ class TestMinkowski:
             batches, eps_local=1.0, min_pts_local=4, metric=metric
         )
         assert result.n_repairs == 2
-        reps = result.model.representatives
+        model = result.model
         rebuilt, __ = build_global_model(
-            [LocalModel(0, reps, len(reps), "rep_scor", 1.0, 4)],
+            [
+                LocalModel(
+                    0, model.points, model.eps_ranges, model.local_cluster_ids,
+                    len(model), "rep_scor", 1.0, 4, site_ids=model.site_ids,
+                )
+            ],
             eps_global=result.model.eps_global,
             metric=metric,
         )

@@ -11,20 +11,12 @@ from repro.core.global_model import (
     build_global_model_via_optics,
     default_eps_global,
 )
-from repro.core.models import LocalModel, Representative
+from tests.model_rows import Row, local_model
 
 
 def _model(site_id, reps):
-    return LocalModel(
-        site_id=site_id,
-        representatives=[
-            Representative(np.asarray(p, dtype=float), eps, site_id, cid)
-            for p, eps, cid in reps
-        ],
-        n_objects=100,
-        scheme="rep_scor",
-        eps_local=1.0,
-        min_pts_local=5,
+    return local_model(
+        site_id, [Row(tuple(p), eps, site_id, cid) for p, eps, cid in reps]
     )
 
 
@@ -92,8 +84,8 @@ class TestBuildGlobalModel:
         m1 = _model(0, [([0, 0], 1.0, 0)])
         m2 = _model(1, [([5, 5], 1.0, 0)])
         model, __ = build_global_model([m1, m2], eps_global=1.0)
-        assert model.representatives[0].site_id == 0
-        assert model.representatives[1].site_id == 1
+        assert model.site_ids[0] == 0
+        assert model.site_ids[1] == 1
 
     def test_stats_counts_consistent(self):
         models = [

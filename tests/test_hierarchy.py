@@ -14,6 +14,7 @@ from repro.data.generators import gaussian_blobs
 from repro.distributed.hierarchy import condense_models, run_hierarchical_dbdc
 from repro.distributed.partition import split, uniform_random
 from repro.quality import evaluate_quality
+from tests.model_rows import covers
 
 
 @pytest.fixture(scope="module")
@@ -60,16 +61,9 @@ class TestCondenseModels:
         models = self._models(workload)
         condensed = condense_models(models, EPS)
         for point in workload[::7]:
-            covered_before = any(
-                rep.covers(point, euclidean)
-                for model in models
-                for rep in model.representatives
-            )
+            covered_before = any(covers(model, point, euclidean) for model in models)
             if covered_before:
-                assert any(
-                    rep.covers(point, euclidean)
-                    for rep in condensed.representatives
-                )
+                assert covers(condensed, point, euclidean)
 
     def test_radius_zero_keeps_everything(self, workload):
         models = self._models(workload)

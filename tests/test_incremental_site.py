@@ -49,8 +49,8 @@ class TestSelectionFromState:
         assert model.site_id == 2
         assert model.n_local_clusters == outcome.model.n_local_clusters
         # ε-ranges bounded as per Definition 7.
-        for rep in model.representatives:
-            assert 1.0 <= rep.eps_range <= 2.0 + 1e-9
+        for eps_range in model.eps_ranges:
+            assert 1.0 <= eps_range <= 2.0 + 1e-9
 
 
 class TestDriftMeasure:
@@ -86,7 +86,7 @@ class TestDriftMeasure:
     def test_empty_models(self, blob):
         from repro.core.models import LocalModel
 
-        empty = LocalModel(0, [], 0, "rep_scor", 1.0, 4)
+        empty = LocalModel(0, np.empty((0, 0)), [], [], 0, "rep_scor", 1.0, 4)
         assert model_drift(empty, empty).drift == 0.0
         nonempty = self._model(blob)
         assert model_drift(empty, nonempty).uncovered_fraction == 1.0

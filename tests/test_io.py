@@ -79,9 +79,8 @@ class TestLocalModelJson:
         assert restored.site_id == local_model.site_id
         assert restored.scheme == local_model.scheme
         assert len(restored) == len(local_model)
-        for a, b in zip(local_model.representatives, restored.representatives):
-            np.testing.assert_allclose(a.point, b.point)
-            assert a.eps_range == pytest.approx(b.eps_range)
+        np.testing.assert_allclose(local_model.points, restored.points)
+        np.testing.assert_allclose(local_model.eps_ranges, restored.eps_ranges)
 
     def test_file_roundtrip(self, tmp_path, local_model):
         path = tmp_path / "model.json"

@@ -18,6 +18,7 @@ from repro.core.local import (
 )
 from repro.data.distance import euclidean
 from repro.data.generators import gaussian_blobs
+from tests.model_rows import rows_of
 
 
 @pytest.fixture
@@ -77,7 +78,7 @@ class TestSpecificEpsRanges:
         outcome = build_rep_scor_model(blob_site, 1.0, 5)
         result = outcome.clustering
         for rep, (cid, scor) in zip(
-            outcome.model.representatives,
+            rows_of(outcome.model),
             [
                 (cid, s)
                 for cid in sorted(outcome.specific_core_points)
@@ -94,13 +95,13 @@ class TestSpecificEpsRanges:
 
     def test_range_at_least_eps(self, blob_site):
         outcome = build_rep_scor_model(blob_site, 1.0, 5)
-        for rep in outcome.model.representatives:
+        for rep in rows_of(outcome.model):
             assert rep.eps_range >= 1.0
 
     def test_range_at_most_two_eps(self, blob_site):
         """ε_s = Eps + max dist to core in N_Eps(s) ≤ 2·Eps."""
         outcome = build_rep_scor_model(blob_site, 1.0, 5)
-        for rep in outcome.model.representatives:
+        for rep in rows_of(outcome.model):
             assert rep.eps_range <= 2.0 + 1e-9
 
     def test_isolated_core_gets_plain_eps(self):
@@ -113,7 +114,7 @@ class TestSpecificEpsRanges:
 class TestRepScorModel:
     def test_representatives_are_actual_objects(self, blob_site):
         outcome = build_rep_scor_model(blob_site, 1.0, 5, site_id=3)
-        for rep in outcome.model.representatives:
+        for rep in rows_of(outcome.model):
             distances = np.linalg.norm(blob_site - rep.point, axis=1)
             assert distances.min() == pytest.approx(0.0, abs=1e-12)
             assert rep.site_id == 3
@@ -147,7 +148,7 @@ class TestRepKMeansModel:
 
     def test_centroids_inside_cluster_bbox(self, blob_site):
         outcome = build_rep_kmeans_model(blob_site, 1.0, 5)
-        for rep in outcome.model.representatives:
+        for rep in rows_of(outcome.model):
             members = outcome.clustering.members(rep.local_cluster_id)
             low = blob_site[members].min(axis=0) - 1e-9
             high = blob_site[members].max(axis=0) + 1e-9
@@ -160,7 +161,7 @@ class TestRepKMeansModel:
         for cid in range(outcome.clustering.n_clusters):
             members = outcome.clustering.members(cid)
             reps = [
-                r for r in outcome.model.representatives if r.local_cluster_id == cid
+                r for r in rows_of(outcome.model) if r.local_cluster_id == cid
             ]
             for obj in blob_site[members]:
                 assert any(

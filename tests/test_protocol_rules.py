@@ -53,9 +53,10 @@ def empty_first_round():
 def _assert_same_model(model, expected):
     assert model.eps_global == expected.eps_global
     np.testing.assert_array_equal(model.global_labels, expected.global_labels)
-    assert [
-        (rep.site_id, rep.local_cluster_id) for rep in model.representatives
-    ] == [(rep.site_id, rep.local_cluster_id) for rep in expected.representatives]
+    np.testing.assert_array_equal(model.site_ids, expected.site_ids)
+    np.testing.assert_array_equal(
+        model.local_cluster_ids, expected.local_cluster_ids
+    )
 
 
 class TestEmptyBaseRebuilds:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.clustering.labels import NOISE
 from repro.core.global_model import GlobalModelRepairer, build_global_model
-from repro.core.models import GlobalModel, LocalModel, Representative
+from repro.core.models import GlobalModel
 from repro.data.generators import gaussian_blobs
 from repro.distributed.partition import split, uniform_random
 from repro.distributed.runner import (
@@ -33,6 +33,7 @@ from repro.distributed.runner import (
 )
 from repro.distributed.server import CentralServer
 from repro.faults import FaultPlan, LinkFaults, SiteFaults
+from tests.model_rows import Row, local_model
 
 N_SITES = 8
 
@@ -57,30 +58,22 @@ def _partition(model: GlobalModel) -> set[frozenset]:
     """A model's partition keyed by representative identity (so two models
     holding the same representatives in different orders compare equal)."""
     groups: dict[int, set] = {}
-    for rep, label in zip(model.representatives, model.global_labels):
-        key = (rep.site_id, rep.local_cluster_id, rep.point.tobytes())
-        groups.setdefault(int(label), set()).add(key)
+    for site_id, local_id, point, label in zip(
+        model.site_ids.tolist(),
+        model.local_cluster_ids.tolist(),
+        model.points,
+        model.global_labels.tolist(),
+    ):
+        groups.setdefault(label, set()).add((site_id, local_id, point.tobytes()))
     return {frozenset(members) for members in groups.values()}
 
 
 def _rep(x, y, eps_range=1.0, site_id=0, local_cluster_id=0):
-    return Representative(
-        point=np.asarray([x, y], dtype=float),
-        eps_range=eps_range,
-        site_id=site_id,
-        local_cluster_id=local_cluster_id,
-    )
+    return Row((x, y), eps_range, site_id, local_cluster_id)
 
 
 def _model(site_id, reps, n_objects=100):
-    return LocalModel(
-        site_id=site_id,
-        representatives=reps,
-        n_objects=n_objects,
-        scheme="rep_scor",
-        eps_local=1.0,
-        min_pts_local=5,
-    )
+    return local_model(site_id, reps, n_objects=n_objects)
 
 
 @pytest.fixture(scope="module")

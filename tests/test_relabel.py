@@ -6,16 +6,13 @@ import numpy as np
 import pytest
 
 from repro.clustering.labels import NOISE
-from repro.core.models import GlobalModel, Representative
 from repro.core.relabel import relabel_site
+from tests.model_rows import Row, global_model
 
 
 def _global_model(reps_spec, labels, eps_global=2.0):
-    reps = [
-        Representative(np.asarray(p, dtype=float), eps, site, cid)
-        for p, eps, site, cid in reps_spec
-    ]
-    return GlobalModel(reps, np.asarray(labels), eps_global=eps_global)
+    reps = [Row(tuple(p), eps, site, cid) for p, eps, site, cid in reps_spec]
+    return global_model(reps, labels, eps_global=eps_global)
 
 
 class TestFigure5Scenario:
@@ -122,7 +119,7 @@ class TestCoverageRules:
 class TestEdgeCases:
     def test_empty_global_model(self):
         points = np.asarray([[0.0, 0.0]])
-        model = GlobalModel([], np.empty(0, dtype=int), eps_global=1.0)
+        model = global_model([], [], eps_global=1.0)
         out, stats = relabel_site(points, np.asarray([0]), model, site_id=0)
         assert out[0] == NOISE
         assert stats.n_covered == 0

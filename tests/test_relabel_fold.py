@@ -14,13 +14,14 @@ contract is bit-identity with a relabel from scratch:
   site's memo, equals a fresh :func:`relabel_site` and
   :func:`relabel_site_reference` in labels, :class:`RelabelStats` and
   the memo's own state;
-* a memo faced with anything it was not built from — a rebuilt model,
-  other points, another metric, a shorter model — restarts from empty.
+* the memo binds to its model prefix by value: an equal model refetched
+  from scratch continues it, and anything it was not built from — a
+  prefix rebuilt in another order or differing in one coordinate or one
+  ε_r, other points, another metric, a shorter model — restarts it from
+  empty.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -29,10 +30,11 @@ from hypothesis import strategies as st
 
 from repro.core.global_model import GlobalModelRepairer, build_global_model
 from repro.core.local import build_local_model
-from repro.core.models import GlobalModel, Representative
 from repro.core.relabel import CoverMemo, relabel_site, relabel_site_reference
 from repro.distributed.server import RoundCore
 from repro.distributed.site import ClientSite
+from repro.service import wire
+from tests.model_rows import Row, global_model, rows_of
 
 GRID_METRICS = ["euclidean", "manhattan", "chebyshev", "squared_euclidean"]
 
@@ -122,12 +124,11 @@ def test_generated_session_folds_equal_fresh_relabels(
 # directed cases
 # ----------------------------------------------------------------------
 def _rep(x, y, eps_range=1.0, site_id=0, local_cluster_id=0):
-    return Representative(np.asarray([x, y], dtype=float), eps_range, site_id,
-                          local_cluster_id)
+    return Row((x, y), eps_range, site_id, local_cluster_id)
 
 
 def _model(reps, labels):
-    return GlobalModel(list(reps), np.asarray(labels), eps_global=1.0)
+    return global_model(reps, labels, eps_global=1.0)
 
 
 def _relabel(points, model, memo, metric="euclidean"):
@@ -183,22 +184,83 @@ def test_a_merge_reaches_objects_whose_cover_did_not_change():
 
 
 def test_a_rebuilt_model_restarts_the_memo():
-    """Equal representatives that are not the memo's own objects — a
-    rebuild commit or a refetched model — are not trusted as its prefix."""
+    """A rebuild commit that reorders the representatives keeps the
+    memo's prefix length but not its value, so it restarts the memo."""
     reps = [_rep(0.0, 0.0), _rep(2.0, 0.0)]
     memo = CoverMemo()
     _relabel(POINTS, _model(reps, [0, 1]), memo)
     # The same count of leading representatives, rebuilt in another
     # order: trusting the prefix would keep covers that now point at the
     # wrong representatives.
-    rebuilt = _model(
-        [dataclasses.replace(reps[1]), dataclasses.replace(reps[0]),
-         _rep(5.0, 5.0)],
-        [0, 1, 2],
-    )
+    rebuilt = _model([reps[1], reps[0], _rep(5.0, 5.0)], [0, 1, 2])
     labels, __ = _relabel(POINTS, rebuilt, memo)
     assert labels.tolist() == [1, 0, 0, 2]
     _assert_fresh(POINTS, rebuilt, memo)
+
+
+@pytest.fixture()
+def fold_starts(monkeypatch):
+    """The first folded model index of every join the memos run."""
+    starts: list[int] = []
+    fold_in = CoverMemo._fold_in
+
+    def spy(self, points, metric, model, base):
+        starts.append(base)
+        return fold_in(self, points, metric, model, base)
+
+    monkeypatch.setattr(CoverMemo, "_fold_in", spy)
+    return starts
+
+
+def _refetched(model, known=None):
+    """``model`` as a client rebuilds it from MODEL_DELTA payloads: a new
+    object, from ``known`` (``None``: a fetch with ``known_reps=0``)."""
+    n = 0 if known is None else len(known)
+    payload = wire.encode_model_delta(wire.delta_from_model(model, n))
+    return wire.apply_model_delta(known, wire.decode_model_delta(payload))
+
+
+def test_an_equal_model_refetched_from_scratch_continues_the_memo(fold_starts):
+    reps = [_rep(0.0, 0.0), _rep(2.0, 0.0), _rep(5.0, 5.0)]
+    base = _model(reps[:2], [0, 1])
+    memo = CoverMemo()
+    _relabel(POINTS, base, memo)
+    refetched = _refetched(base)
+    assert refetched is not base and refetched == base
+    labels, stats = _relabel(POINTS, refetched, memo)
+    grown = _refetched(_model(reps, [0, 0, 2]))
+    grown_labels, __ = _relabel(POINTS, grown, memo)
+    # The refetch joined nothing; the grown refetch joined only its tail.
+    assert fold_starts == [0, 2]
+    for model, got in ((refetched, (labels, stats)), (grown, (grown_labels,))):
+        expected = relabel_site_reference(POINTS, np.full(4, -1), model)
+        np.testing.assert_array_equal(got[0], expected[0])
+    assert stats == relabel_site_reference(POINTS, np.full(4, -1), base)[1]
+    _assert_fresh(POINTS, grown, memo)
+
+
+@pytest.mark.parametrize(
+    "changed",
+    [
+        _rep(-1.0, 0.0),  # one coordinate of the first representative
+        _rep(0.0, 0.0, eps_range=0.5),  # its ε_r alone
+    ],
+    ids=["coordinate", "eps_range"],
+)
+def test_a_prefix_differing_in_one_value_restarts_the_memo(fold_starts, changed):
+    reps = [_rep(0.0, 0.0), _rep(2.0, 0.0)]
+    memo = CoverMemo()
+    _relabel(POINTS, _model(reps, [0, 1]), memo)
+    model = _model([changed, reps[1], _rep(5.0, 5.0)], [0, 1, 2])
+    labels, stats = _relabel(POINTS, model, memo)
+    assert fold_starts == [0, 0]
+    # Kept, the old cover of (1, 0) — the first representative at
+    # distance 1 — would survive; it no longer covers that object.
+    assert labels.tolist() == [0, 1, 1, 2]
+    expected = relabel_site_reference(POINTS, np.full(4, -1), model)
+    np.testing.assert_array_equal(labels, expected[0])
+    assert stats == expected[1]
+    _assert_fresh(POINTS, model, memo)
 
 
 def test_other_points_restart_the_memo():
@@ -272,7 +334,7 @@ def test_a_repairer_fold_of_every_site_model_equals_fresh(metric):
     for outcome in outcomes[3:]:
         repairer.add_model(outcome.model)
     folded = repairer.model()
-    assert all(a is b for a, b in zip(base.representatives, folded.representatives))
+    assert rows_of(folded)[: len(base)] == rows_of(base)
     for i, (points, outcome) in enumerate(zip(sites[:3], outcomes)):
         memo = CoverMemo()
         labels = outcome.clustering.labels

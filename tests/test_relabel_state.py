@@ -1,10 +1,10 @@
 """The relabel state a global model keeps: derived once, read by every
 relabel against it.
 
-:func:`~repro.core.relabel.relabel_site` reads the stacked representative
-arrays and, per ``(start, metric)``, the cover grid over
-``representatives[start:]`` from state the model derives on first use.
-The contract pinned here:
+:func:`~repro.core.relabel.relabel_site` reads the model's columns and,
+per ``(start, metric)``, the cover grid over the representatives from
+``start`` on, which the model builds on first use and keeps.  The
+contract pinned here:
 
 * many relabels against one model build one grid per ``(start,
   metric)``; a session-shaped sequence builds two per commit (folds from
@@ -12,8 +12,8 @@ The contract pinned here:
 * threads relabelling one fresh model at once build each grid once and
   all equal :func:`~repro.core.relabel.relabel_site_reference`, which
   reads none of the kept state;
-* the kept arrays are read-only and equal a fresh stack;
-* the state stays out of pickles, equality and ``repr``;
+* the columns are read-only and equal a fresh stack of the local models;
+* the grids stay out of pickles, equality and ``repr``;
 * points of another dimensionality than a non-empty model's are refused.
 """
 
@@ -31,11 +31,12 @@ import pytest
 from repro.core import relabel
 from repro.core.global_model import GlobalModelRepairer, build_global_model
 from repro.core.local import build_local_model
-from repro.core.models import GlobalModel, Representative
+from repro.core.models import stack_columns
 from repro.core.relabel import CoverMemo, relabel_site, relabel_site_reference
 from repro.data.distance import get_metric
 from repro.index.grid import GridIndex
 from repro.obs.registry import usable_cpu_count
+from tests.model_rows import Row, global_model
 
 
 @pytest.fixture()
@@ -136,11 +137,8 @@ def test_a_session_commit_builds_one_grid_per_fold_start(grid_builds):
 def test_each_metric_builds_its_own_grid(grid_builds):
     """One model relabeled under two metrics: the chebyshev ball covers
     points the euclidean ball of the same ε_r misses."""
-    reps = [
-        Representative(np.asarray([0.0, 0.0]), 1.0, 0, 0),
-        Representative(np.asarray([4.0, 0.0]), 1.0, 1, 0),
-    ]
-    model = GlobalModel(reps, np.asarray([0, 1]), eps_global=1.0)
+    reps = [Row((0.0, 0.0), 1.0, 0, 0), Row((4.0, 0.0), 1.0, 1, 0)]
+    model = global_model(reps, [0, 1], eps_global=1.0)
     points = np.asarray([[0.9, 0.9], [0.5, 0.0], [4.8, 0.8], [2.0, 2.0]])
     noise = np.full(4, -1)
     expected = {"euclidean": [-1, 0, -1, -1], "chebyshev": [0, 0, 1, -1]}
@@ -214,25 +212,21 @@ def test_concurrent_relabels_of_a_fresh_model_build_each_grid_once(grid_builds):
 
 
 def test_kept_arrays_are_read_only_and_equal_a_fresh_stack():
+    """The columns a relabel reads are the model's own: read-only, equal
+    to a fresh stack of the local models (base sites, then the folded
+    ones) and sharing no memory with them."""
     sites, outcomes, __, model = _session()
     relabel_site(sites[0], outcomes[0].clustering.labels, model, site_id=0)
-    state = model._relabel_state
-    fresh = {
-        "points": model.points(),
-        "ranges": model.eps_ranges(),
-        "site_ids": [rep.site_id for rep in model.representatives],
-        "local_ids": [rep.local_cluster_id for rep in model.representatives],
-    }
-    for name, expected in fresh.items():
-        kept = getattr(state, name)
+    local_models = [outcome.model for outcome in outcomes]
+    names = ("points", "eps_ranges", "site_ids", "local_cluster_ids")
+    for name, expected in zip(names, stack_columns(local_models)):
+        kept = getattr(model, name)
         assert not kept.flags.writeable, name
         np.testing.assert_array_equal(kept, expected)
         with pytest.raises(ValueError):
             kept[0] = 0
-    # Public callers still own what the model hands them.
-    points = model.points()
-    assert points.flags.writeable and not np.shares_memory(points, state.points)
-    assert not np.shares_memory(model.eps_ranges(), state.ranges)
+        for local in local_models:
+            assert not np.shares_memory(kept, getattr(local, name)), name
 
 
 def test_the_state_stays_out_of_pickles_and_repr():
@@ -240,12 +234,12 @@ def test_the_state_stays_out_of_pickles_and_repr():
     before = pickle.dumps(model)
     text = repr(model)
     got = relabel_site(sites[4], outcomes[4].clustering.labels, model, site_id=4)
-    assert model._relabel_state is not None
+    assert model._cover_grids
     after = pickle.dumps(model)
     assert len(after) == len(before)
     assert repr(model) == text
     restored = pickle.loads(after)
-    assert restored._relabel_state is None
+    assert restored._cover_grids == {}
     _assert_equal(
         relabel_site(
             sites[4], outcomes[4].clustering.labels, restored, site_id=4
@@ -255,24 +249,17 @@ def test_the_state_stays_out_of_pickles_and_repr():
 
 
 def test_the_state_stays_out_of_equality():
-    # One label, so the label arrays compare to a plain truth value.
-    model = GlobalModel(
-        [Representative(np.asarray([0.0, 0.0]), 1.0, 0, 0)],
-        np.asarray([0]),
-        eps_global=1.0,
+    model = global_model(
+        [Row((0.0, 0.0), 1.0, 0, 0), Row((3.0, 0.0), 1.0, 1, 0)], [0, 1]
     )
     twin = copy.copy(model)
     relabel_site(np.zeros((3, 2)), np.full(3, -1), model)
-    assert model._relabel_state is not None and twin._relabel_state is None
+    assert model._cover_grids and twin._cover_grids == {}
     assert model == twin
 
 
 class TestDimensionality:
-    MODEL = GlobalModel(
-        [Representative(np.asarray([48.0, 48.0]), 5.0, 0, 0)],
-        np.asarray([10]),
-        eps_global=5.0,
-    )
+    MODEL = global_model([Row((48.0, 48.0), 5.0, 0, 0)], [10], eps_global=5.0)
 
     @pytest.mark.parametrize("columns", [1, 3])
     @pytest.mark.parametrize("kernel", ["vectorized", "reference"])
@@ -292,7 +279,7 @@ class TestDimensionality:
             np.empty((0, 2)), np.empty(0, dtype=np.intp), self.MODEL
         )
         assert labels.size == 0 and stats.n_objects == 0
-        empty = GlobalModel([], np.empty(0, dtype=int), eps_global=1.0)
+        empty = global_model([], [], eps_global=1.0)
         for columns in (1, 3):
             labels, __ = relabel_site(
                 np.zeros((4, columns)), np.full(4, -1), empty

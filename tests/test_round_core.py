@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.global_model import build_global_model
-from repro.core.models import LocalModel, Representative
+from repro.core.models import LocalModel
 from repro.distributed.server import RoundCore
 from repro.service import ServiceConfig, journal, wire
 from repro.service.server import DBDCService
@@ -43,15 +43,10 @@ def _model(site_id: int, spots: list[int], *, claimed_site: int | None = None):
     claimed = site_id if claimed_site is None else claimed_site
     return LocalModel(
         site_id=site_id,
-        representatives=[
-            Representative(
-                point=np.asarray(_SPOTS[spot]),
-                eps_range=0.8,
-                site_id=claimed,
-                local_cluster_id=i,
-            )
-            for i, spot in enumerate(spots)
-        ],
+        points=np.asarray([_SPOTS[spot] for spot in spots]).reshape(len(spots), 2),
+        eps_ranges=[0.8] * len(spots),
+        local_cluster_ids=list(range(len(spots))),
+        site_ids=[claimed] * len(spots),
         n_objects=len(spots),
         scheme="rep_scor",
         eps_local=0.5,
@@ -97,7 +92,7 @@ def _fingerprint(core: RoundCore):
         else (
             model.eps_global,
             model.global_labels.tolist(),
-            [(rep.site_id, rep.local_cluster_id) for rep in model.representatives],
+            list(zip(model.site_ids.tolist(), model.local_cluster_ids.tolist())),
         ),
         core.rounds_committed,
         core.round_index,
@@ -188,9 +183,10 @@ class TestReplayEqualsLive:
             sorted(live.local_models, key=lambda model: model.site_id)
         )
         folded = live.committed
-        assert [
-            (rep.site_id, rep.local_cluster_id) for rep in folded.representatives
-        ] == [(rep.site_id, rep.local_cluster_id) for rep in rebuilt.representatives]
+        np.testing.assert_array_equal(folded.site_ids, rebuilt.site_ids)
+        np.testing.assert_array_equal(
+            folded.local_cluster_ids, rebuilt.local_cluster_ids
+        )
         assert folded.eps_global == rebuilt.eps_global
         assert _same_partition(folded.global_labels, rebuilt.global_labels)
 
@@ -316,3 +312,68 @@ class TestServiceJournalReplay:
             restarted = _booted(cut_dir)
             assert _fingerprint(restarted.server) == snapshots[cut - 1], cut
             restarted._journal.close()
+
+
+def _cube(site_id: int, dim: int, n: int = 3) -> LocalModel:
+    """``n`` representatives of ``dim`` coordinates each."""
+    return LocalModel(
+        site_id=site_id,
+        points=np.arange(n * dim, dtype=float).reshape(n, dim),
+        eps_ranges=[0.8] * n,
+        local_cluster_ids=list(range(n)),
+        n_objects=n,
+        scheme="rep_scor",
+        eps_local=0.5,
+        min_pts_local=2,
+    )
+
+
+class TestDimensionalityGate:
+    """Every representative of one global model shares one space: a
+    non-empty model of another dimensionality than the admitted ones, or
+    one without coordinates, is quarantined with its reason and never
+    reaches the build or a fold."""
+
+    def _arrive(self, core: RoundCore, model: LocalModel):
+        decision = core.arrive(model)
+        core.apply(decision)
+        return decision
+
+    def test_one_shot(self):
+        core = RoundCore(None)
+        assert self._arrive(core, _cube(0, 2)).verdict == "admitted"
+        deep = self._arrive(core, _cube(1, 3))
+        assert deep.verdict == "quarantined"
+        assert deep.detail == "dimensionality 3 differs from the session's 2"
+        flat = self._arrive(core, _cube(2, 0))
+        assert flat.verdict == "quarantined"
+        assert flat.detail == "representatives have no coordinates"
+        assert self._arrive(core, _cube(3, 5, n=0)).verdict == "admitted"
+        assert self._arrive(core, _cube(4, 2)).verdict == "admitted"
+        model = core.build()
+        assert model.dim == 2 and len(model) == 6
+        assert core.quarantined_site_ids == [1, 2]
+
+    def test_a_session_round_one_fold(self):
+        core = RoundCore(None)
+        core.apply(core.open_round(0))
+        assert self._arrive(core, _cube(0, 2)).verdict == "admitted"
+        committed = core.apply(core.commit_round(0))
+        core.apply(core.open_round(1))
+        deep = self._arrive(core, _cube(1, 3))
+        assert deep.verdict == "quarantined"
+        assert deep.detail == "dimensionality 3 differs from the session's 2"
+        assert self._arrive(core, _cube(2, 2)).verdict == "admitted"
+        folded = core.apply(core.commit_round(1))
+        assert folded.dim == 2 and len(folded) == len(committed) + 3
+        assert core.quarantined_site_ids == [1]
+
+    def test_the_first_non_empty_model_sets_the_dimensionality(self):
+        core = RoundCore(None)
+        core.apply(core.open_round(0))
+        assert self._arrive(core, _cube(0, 4, n=0)).verdict == "admitted"
+        core.apply(core.commit_round(0))
+        core.apply(core.open_round(1))
+        assert self._arrive(core, _cube(1, 3)).verdict == "admitted"
+        assert self._arrive(core, _cube(2, 2)).verdict == "quarantined"
+        assert core.apply(core.commit_round(1)).dim == 3

@@ -309,18 +309,13 @@ class TestLifecycle:
 
 
 def _tiny_local_model(site_id: int):
-    from repro.core.models import LocalModel, Representative
+    from repro.core.models import LocalModel
 
     return LocalModel(
         site_id=site_id,
-        representatives=[
-            Representative(
-                point=np.asarray([0.0, 0.0]),
-                eps_range=1.0,
-                site_id=site_id,
-                local_cluster_id=0,
-            )
-        ],
+        points=[[0.0, 0.0]],
+        eps_ranges=[1.0],
+        local_cluster_ids=[0],
         n_objects=1,
         scheme="rep_scor",
         eps_local=1.0,

@@ -22,7 +22,8 @@ import pytest
 from repro.data.datasets import load_dataset
 from repro.distributed.site import ClientSite
 from repro.distributed.streaming import run_streaming_session
-from repro.service import ServiceClient, ServiceConfig, ServiceHandle
+from repro.core.models import LocalModel
+from repro.service import ServiceClient, ServiceConfig, ServiceError, ServiceHandle
 from repro.scenario import Scenario, run
 from repro.service.worker import run_site_worker_session
 
@@ -41,20 +42,8 @@ def _free_port() -> int:
 
 
 def _models_identical(model, oracle_model) -> bool:
-    if model is None:
-        return False
-    if model.eps_global != oracle_model.eps_global:
-        return False
-    if not np.array_equal(model.global_labels, oracle_model.global_labels):
-        return False
-    if len(model.representatives) != len(oracle_model.representatives):
-        return False
-    return all(
-        a.site_id == b.site_id
-        and a.local_cluster_id == b.local_cluster_id
-        and np.array_equal(a.point, b.point)
-        for a, b in zip(model.representatives, oracle_model.representatives)
-    )
+    """Every column (points, ε-ranges, ids, labels) and scalar equal."""
+    return model is not None and model == oracle_model
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +253,47 @@ class TestKillReleasesTheJournal:
             with ServiceClient(restarted.host, restarted.port) as client:
                 assert client.open_round(0) == "round_open"
                 assert client.server_epoch == 2
+
+
+class TestDimensionalityGate:
+    def test_another_dimensionality_is_quarantined_and_replayed(self, tmp_path):
+        """A 3-D upload after a 2-D one is quarantined, journaled with
+        its reason; label queries keep answering, also after a restart
+        from the journal."""
+        config = ServiceConfig(
+            expected_sites=2, metrics_port=None, journal_dir=str(tmp_path)
+        )
+
+        def model(site_id, dim):
+            points = np.asarray([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
+            return LocalModel(
+                site_id, points[:, :dim], [1.0] * 3, [0, 0, 1], 3, "rep_scor", 0.5, 2
+            )
+
+        queries = np.asarray([[0.5, 0.0], [5.0, 5.5], [9.0, 9.0]])
+        with ServiceHandle.start(config) as handle:
+            with ServiceClient(handle.host, handle.port, site_id=0) as client:
+                assert client.submit(model(0, 2)) == "admitted"
+            with ServiceClient(handle.host, handle.port, site_id=1) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit(model(1, 3))
+                assert excinfo.value.status == "quarantined"
+                assert "dimensionality 3 differs from the session's 2" in str(
+                    excinfo.value
+                )
+                labels = client.query(queries)
+                health = client.health()
+            counters = handle.service.metrics.to_dict()["counters"]
+        assert labels.tolist() == [0, 1, -1]
+        assert health["model_built"] and health["sites_quarantined"] == 1
+        assert "service.internal_errors" not in counters
+        with ServiceHandle.start(config) as restarted:
+            with ServiceClient(restarted.host, restarted.port) as client:
+                np.testing.assert_array_equal(client.query(queries), labels)
+                health = client.health()
+            counters = restarted.service.metrics.to_dict()["counters"]
+        assert health["model_built"] and health["sites_quarantined"] == 1
+        assert "service.internal_errors" not in counters
 
 
 class TestIdempotentResubmission:

@@ -131,15 +131,13 @@ class TestStreamingBitIdentity:
             assert np.array_equal(
                 model.global_labels, oracle.model.global_labels
             )
-            assert len(model.representatives) == len(
-                oracle.model.representatives
+            assert len(model) == len(oracle.model)
+            assert np.array_equal(model.site_ids, oracle.model.site_ids)
+            assert np.array_equal(
+                model.local_cluster_ids, oracle.model.local_cluster_ids
             )
-            for a, b in zip(
-                model.representatives, oracle.model.representatives
-            ):
-                assert a.site_id == b.site_id
-                assert a.local_cluster_id == b.local_cluster_id
-                assert np.array_equal(a.point, b.point)
+            assert np.array_equal(model.points, oracle.model.points)
+            assert model == oracle.model
 
     def test_delta_chain_equals_full_fetch(self, socket_session):
         """A fresh AWAIT_GLOBAL fetch returns exactly the model the
@@ -149,9 +147,7 @@ class TestStreamingBitIdentity:
             assert np.array_equal(
                 full.global_labels, result.model.global_labels
             )
-            assert len(full.representatives) == len(
-                result.model.representatives
-            )
+            assert len(full) == len(result.model)
 
     def test_session_bookkeeping(self, stream_workload, socket_session):
         health = socket_session["health"]
@@ -221,7 +217,7 @@ class TestRoundProtocolErrors:
                 assert client.commit_round(0) == "round_committed"
                 assert client.commit_round(0) == "round_committed"  # idem.
                 model = client.await_model_delta(0, None, timeout_s=5.0)
-                assert len(model.representatives) == 1
+                assert len(model) == 1
 
     def test_delta_claiming_unknown_reps_is_bad_delta(self):
         with ServiceHandle.start(
@@ -246,18 +242,13 @@ class TestRoundProtocolErrors:
 
 
 def _tiny_model(site_id: int):
-    from repro.core.models import LocalModel, Representative
+    from repro.core.models import LocalModel
 
     return LocalModel(
         site_id=site_id,
-        representatives=[
-            Representative(
-                point=np.asarray([0.0, 0.0]),
-                eps_range=1.0,
-                site_id=site_id,
-                local_cluster_id=0,
-            )
-        ],
+        points=[[0.0, 0.0]],
+        eps_ranges=[1.0],
+        local_cluster_ids=[0],
         n_objects=1,
         scheme="rep_scor",
         eps_local=1.0,

@@ -1,12 +1,16 @@
 """Property tests of the service wire protocol (``repro.service.wire``).
 
-Two guarantees, fuzzed per codec:
+Four guarantees, fuzzed per codec:
 
 * **round trip** — ``decode(encode(x))`` reconstructs ``x`` bit for bit
   (float64 coordinates, int ids, labels, strings);
 * **typed failure** — every truncated or corrupted buffer raises a
   :class:`~repro.service.wire.WireError` subclass (never a hang, never a
-  silently wrong object, never a raw ``struct.error`` escaping).
+  silently wrong object, never a raw ``struct.error`` escaping);
+* **fixed bytes** — the model payloads and the accounting ``to_bytes``
+  equal golden hex pinned from the per-record ``struct`` codecs;
+* **one layout** — the packed codecs give the bytes and the columns of
+  those ``struct`` codecs (``tests/wire_oracle.py``) on generated models.
 """
 
 from __future__ import annotations
@@ -16,8 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.models import GlobalModel, LocalModel, Representative
+from repro.core.models import GlobalModel, LocalModel
 from repro.service import wire
+from tests import wire_oracle
+from tests.model_rows import Row, global_model, local_model, rows_of
 
 # ----------------------------------------------------------------------
 # strategies
@@ -34,11 +40,19 @@ uint31 = st.integers(min_value=0, max_value=2**31 - 1)
 frame_kinds = st.sampled_from(list(wire.FrameKind))
 
 
+#: Coordinates with the bit patterns a value compare would blur: signed
+#: zeros, subnormals and the extremes of the finite range.
+edge_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308]
+)
+
+
 @st.composite
-def representatives(draw, dim: int, site_id: int | None = None):
-    point = np.asarray(draw(st.lists(finite, min_size=dim, max_size=dim)))
-    return Representative(
-        point=point,
+def representatives(
+    draw, dim: int, site_id: int | None = None, coordinates=finite
+):
+    return Row(
+        point=tuple(draw(st.lists(coordinates, min_size=dim, max_size=dim))),
         eps_range=draw(positive),
         site_id=draw(int32) if site_id is None else site_id,
         local_cluster_id=draw(int32),
@@ -46,15 +60,19 @@ def representatives(draw, dim: int, site_id: int | None = None):
 
 
 @st.composite
-def local_models(draw):
+def local_models(draw, max_dim=4, max_size=8, coordinates=finite):
     site_id = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    dim = draw(st.integers(min_value=1, max_value=4))
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
     reps = draw(
-        st.lists(representatives(dim, site_id=site_id), min_size=0, max_size=8)
+        st.lists(
+            representatives(dim, site_id=site_id, coordinates=coordinates),
+            min_size=0,
+            max_size=max_size,
+        )
     )
-    return LocalModel(
-        site_id=site_id,
-        representatives=reps,
+    return local_model(
+        site_id,
+        reps,
         n_objects=draw(st.integers(min_value=0, max_value=2**40)),
         scheme=draw(st.sampled_from(["rep_scor", "rep_kmeans", "custom-σ"])),
         eps_local=draw(positive),
@@ -63,9 +81,15 @@ def local_models(draw):
 
 
 @st.composite
-def global_models(draw):
-    dim = draw(st.integers(min_value=1, max_value=4))
-    reps = draw(st.lists(representatives(dim), min_size=0, max_size=8))
+def global_models(draw, max_dim=4, max_size=8, coordinates=finite):
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
+    reps = draw(
+        st.lists(
+            representatives(dim, coordinates=coordinates),
+            min_size=0,
+            max_size=max_size,
+        )
+    )
     labels = draw(
         st.lists(
             st.integers(min_value=0, max_value=2**40),
@@ -73,19 +97,21 @@ def global_models(draw):
             max_size=len(reps),
         )
     )
-    return GlobalModel(
-        representatives=reps,
-        global_labels=np.asarray(labels, dtype=np.intp),
+    return global_model(
+        reps,
+        labels,
         eps_global=draw(positive),
         min_pts_global=draw(st.integers(min_value=1, max_value=100)),
     )
 
 
-def assert_reps_equal(a: Representative, b: Representative) -> None:
-    assert a.site_id == b.site_id
-    assert a.local_cluster_id == b.local_cluster_id
-    assert a.eps_range == b.eps_range  # exact: float64 both sides
-    assert np.array_equal(a.point, b.point)
+def assert_columns_equal(a, b, names=("points", "eps_ranges", "site_ids",
+                                      "local_cluster_ids")) -> None:
+    """Exact: float64 and int columns on both sides, bit for bit."""
+    for name in names:
+        x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
+        assert x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
 
 
 # ----------------------------------------------------------------------
@@ -292,9 +318,9 @@ class TestCodecRoundTrips:
         assert decoded.scheme == model.scheme
         assert decoded.eps_local == model.eps_local
         assert decoded.min_pts_local == model.min_pts_local
-        assert len(decoded.representatives) == len(model.representatives)
-        for a, b in zip(decoded.representatives, model.representatives):
-            assert_reps_equal(a, b)
+        assert len(decoded) == len(model)
+        assert_columns_equal(decoded, model)
+        assert decoded == model
 
     @settings(max_examples=50, deadline=None)
     @given(model=global_models())
@@ -303,8 +329,8 @@ class TestCodecRoundTrips:
         assert decoded.eps_global == model.eps_global
         assert decoded.min_pts_global == model.min_pts_global
         assert np.array_equal(decoded.global_labels, model.global_labels)
-        for a, b in zip(decoded.representatives, model.representatives):
-            assert_reps_equal(a, b)
+        assert_columns_equal(decoded, model)
+        assert decoded == model
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -473,38 +499,30 @@ class TestSessionCodecs:
     @settings(max_examples=50, deadline=None)
     @given(model=global_models(), data=st.data())
     def test_model_delta_reconstructs_the_model(self, model, data):
-        known = data.draw(
-            st.integers(min_value=0, max_value=len(model.representatives))
-        )
+        known = data.draw(st.integers(min_value=0, max_value=len(model)))
         delta = wire.delta_from_model(model, known)
         decoded = wire.decode_model_delta(wire.encode_model_delta(delta))
         assert decoded.base_count == known
         assert decoded.eps_global == delta.eps_global
         assert decoded.min_pts_global == delta.min_pts_global
         assert np.array_equal(decoded.labels, model.global_labels)
-        assert len(decoded.new_representatives) == (
-            len(model.representatives) - known
-        )
-        for a, b in zip(
-            decoded.new_representatives, model.representatives[known:]
-        ):
-            assert_reps_equal(a, b)
+        assert len(decoded.eps_ranges) == len(model) - known
+        tail = global_model(rows_of(model)[known:], model.global_labels[known:])
+        assert_columns_equal(decoded, tail)
         known_model = None
         if known:
-            known_model = GlobalModel(
-                representatives=list(model.representatives[:known]),
-                global_labels=np.asarray(
-                    model.global_labels[:known], dtype=np.intp
-                ),
+            known_model = global_model(
+                rows_of(model)[:known],
+                model.global_labels[:known],
                 eps_global=model.eps_global,
                 min_pts_global=model.min_pts_global,
             )
         rebuilt = wire.apply_model_delta(known_model, decoded)
         assert np.array_equal(rebuilt.global_labels, model.global_labels)
         assert rebuilt.eps_global == model.eps_global
-        assert len(rebuilt.representatives) == len(model.representatives)
-        for a, b in zip(rebuilt.representatives, model.representatives):
-            assert_reps_equal(a, b)
+        assert len(rebuilt) == len(model)
+        assert_columns_equal(rebuilt, model)
+        assert rebuilt == model
 
     def test_known_reps_out_of_range_rejected_both_ends(self):
         model = _two_rep_model()
@@ -519,6 +537,13 @@ class TestSessionCodecs:
         # A client holding nothing cannot apply a delta built on one rep.
         with pytest.raises(wire.CodecError):
             wire.apply_model_delta(None, delta)
+
+    def test_a_delta_of_another_dimensionality_is_a_typed_error(self):
+        deep = global_model(
+            [Row((float(i), 0.0, 0.0), 1.0, i, 0) for i in range(3)], [0, 1, 2]
+        )
+        with pytest.raises(wire.CodecError, match="dimensionality 3"):
+            wire.apply_model_delta(_two_rep_model(), wire.delta_from_model(deep, 2))
 
     @settings(max_examples=60, deadline=None)
     @given(kind=frame_kinds, site_id=int32, payload=st.binary(max_size=256))
@@ -536,17 +561,9 @@ class TestSessionCodecs:
 
 
 def _two_rep_model() -> GlobalModel:
-    return GlobalModel(
-        representatives=[
-            Representative(
-                point=np.asarray([float(i), 0.0]),
-                eps_range=1.0,
-                site_id=i,
-                local_cluster_id=0,
-            )
-            for i in range(2)
-        ],
-        global_labels=np.asarray([0, 1], dtype=np.intp),
+    return global_model(
+        [Row((float(i), 0.0), 1.0, i, 0) for i in range(2)],
+        [0, 1],
         eps_global=2.0,
     )
 
@@ -556,16 +573,9 @@ CODEC_SAMPLES = [
     (
         "local_model",
         lambda: wire.encode_local_model(
-            LocalModel(
-                site_id=1,
-                representatives=[
-                    Representative(
-                        point=np.asarray([0.5, -1.5]),
-                        eps_range=0.75,
-                        site_id=1,
-                        local_cluster_id=0,
-                    )
-                ],
+            local_model(
+                1,
+                [Row((0.5, -1.5), 0.75, 1, 0)],
                 n_objects=10,
                 scheme="rep_scor",
                 eps_local=1.2,
@@ -577,18 +587,7 @@ CODEC_SAMPLES = [
     (
         "global_model",
         lambda: wire.encode_global_model(
-            GlobalModel(
-                representatives=[
-                    Representative(
-                        point=np.asarray([2.0, 3.0]),
-                        eps_range=1.5,
-                        site_id=0,
-                        local_cluster_id=2,
-                    )
-                ],
-                global_labels=np.asarray([0], dtype=np.intp),
-                eps_global=3.0,
-            )
+            global_model([Row((2.0, 3.0), 1.5, 0, 2)], [0], eps_global=3.0)
         ),
         wire.decode_global_model,
     ),
@@ -656,16 +655,9 @@ class TestCodecFuzz:
         # A NaN coordinate or non-positive eps_range must never survive
         # decoding — the model layer's validation runs at construction
         # and the codec wraps it in CodecError.
-        model = LocalModel(
-            site_id=0,
-            representatives=[
-                Representative(
-                    point=np.asarray([1.0, 2.0]),
-                    eps_range=1.0,
-                    site_id=0,
-                    local_cluster_id=0,
-                )
-            ],
+        model = local_model(
+            0,
+            [Row((1.0, 2.0), 1.0, 0, 0)],
             n_objects=5,
             scheme="rep_scor",
             eps_local=1.0,
@@ -710,3 +702,346 @@ class TestSharedIntegrityHelpers:
         message = SimulatedNetwork().send(0, -1, "local_model", b"payload")
         assert message.payload_crc == payload_crc32(b"payload")
         assert message.payload_crc == wire.payload_crc32(b"payload")
+
+
+# ----------------------------------------------------------------------
+# golden bytes: the model layouts, pinned from the per-record codecs
+# ----------------------------------------------------------------------
+
+#: Local models by name: (site id, rows, n_objects, scheme, eps_local,
+#: min_pts_local).  Ids span int32, coordinates include -0.0, a
+#: subnormal and 1e300.
+GOLDEN_LOCAL = {
+    "local_1d": (3, [Row((1.5,), 0.25, 3, 0), Row((-0.0,), 2.0, 3, 7)],
+                 40, "rep_scor", 0.5, 4),
+    "local_2d": (0, [Row((0.5, -1.5), 0.75, 0, 2**31 - 1),
+                     Row((5e-324, 1e300), 1e-9, 0, -(2**31)),
+                     Row((2.0, 3.0), 3.5, 0, 0)],
+                 10, "rep_kmeans", 1.2, 5),
+    "local_3d": (2**31 - 1, [Row((1.0, 2.0, 3.0), 0.125, 2**31 - 1, 1)],
+                 1, "custom-σ", 0.3, 2),
+    "local_empty": (5, [], 0, "rep_scor", 1.0, 3),
+}
+#: Global models by name: (rows, labels, eps_global, min_pts_global).
+GOLDEN_GLOBAL = {
+    "global_1d": ([Row((3.0,), 1.0, 0, 0), Row((4.5,), 1.0, 1, 0)], [1, 0], 1.5, 2),
+    "global_2d": ([Row((0.5, -1.5), 1.0, 0, 3),
+                   Row((-0.0, 2.25), 0.5, 1, -(2**31)),
+                   Row((1e-310, 4.0), 2.0, 2**31 - 1, 0)],
+                  [0, 0, 2**40], 2.5, 2),
+    "global_3d": ([Row((1.0, 2.0, 3.0), 0.5, 7, 1), Row((4.0, 5.0, 6.0), 0.75, 8, 2)],
+                  [5, 6], 3.0, 3),
+    "global_empty": ([], [], 0.0, 2),
+}
+
+
+def _golden_local(name: str) -> LocalModel:
+    site_id, rows, n_objects, scheme, eps_local, min_pts = GOLDEN_LOCAL[name]
+    return local_model(site_id, rows, n_objects, scheme, eps_local, min_pts)
+
+
+def _golden_global(name: str) -> GlobalModel:
+    rows, labels, eps_global, min_pts = GOLDEN_GLOBAL[name]
+    return global_model(rows, labels, eps_global, min_pts)
+
+
+GOLDEN_LOCAL_MODEL = {
+    "local_1d": (
+        "030000002800000000000000000000000000e03f040000000200000001000000"
+        "08007265705f73636f7200000000000000000000d03f000000000000f83f0700"
+        "000000000000000000400000000000000080"
+    ),
+    "local_2d": (
+        "000000000a00000000000000333333333333f33f050000000300000002000000"
+        "0a007265705f6b6d65616e73ffffff7f000000000000e83f000000000000e03f"
+        "000000000000f8bf0000008095d626e80b2e113e01000000000000009c750088"
+        "3ce4377e000000000000000000000c4000000000000000400000000000000840"
+    ),
+    "local_3d": (
+        "ffffff7f0100000000000000333333333333d33f020000000100000003000000"
+        "0900637573746f6d2dcf8301000000000000000000c03f000000000000f03f00"
+        "000000000000400000000000000840"
+    ),
+    "local_empty": (
+        "050000000000000000000000000000000000f03f030000000000000000000000"
+        "08007265705f73636f72"
+    ),
+}
+GOLDEN_GLOBAL_MODEL = {
+    "global_1d": (
+        "000000000000f83f020000000200000001000000000000000000000001000000"
+        "00000000000000000000f03f0000000000000840010000000000000000000000"
+        "00000000000000000000f03f0000000000001240"
+    ),
+    "global_2d": (
+        "0000000000000440020000000300000002000000000000000300000000000000"
+        "00000000000000000000f03f000000000000e03f000000000000f8bf01000000"
+        "000000800000000000000000000000000000e03f000000000000008000000000"
+        "00000240ffffff7f00000000000000000001000000000000000000402be6708b"
+        "681200000000000000001040"
+    ),
+    "global_3d": (
+        "0000000000000840030000000200000003000000070000000100000005000000"
+        "00000000000000000000e03f000000000000f03f000000000000004000000000"
+        "0000084008000000020000000600000000000000000000000000e83f00000000"
+        "0000104000000000000014400000000000001840"
+    ),
+    "global_empty": "0000000000000000020000000000000000000000",
+}
+#: (model, base_count) → MODEL_DELTA payload; base 3 of ``global_2d``
+#: is an empty tail, whose header says dimensionality 0.
+GOLDEN_MODEL_DELTA = {
+    ("global_2d", 0): (
+        "0000000000000440020000000000000003000000020000000000000003000000"
+        "000000000000f03f000000000000e03f000000000000f8bf0100000000000080"
+        "000000000000e03f00000000000000800000000000000240ffffff7f00000000"
+        "00000000000000402be6708b6812000000000000000010400000000000000000"
+        "00000000000000000000000000010000"
+    ),
+    ("global_2d", 2): (
+        "000000000000044002000000020000000100000002000000ffffff7f00000000"
+        "00000000000000402be6708b6812000000000000000010400000000000000000"
+        "00000000000000000000000000010000"
+    ),
+    ("global_2d", 3): (
+        "0000000000000440020000000300000000000000000000000000000000000000"
+        "00000000000000000000000000010000"
+    ),
+    ("global_3d", 1): (
+        "0000000000000840030000000100000001000000030000000800000002000000"
+        "000000000000e83f000000000000104000000000000014400000000000001840"
+        "05000000000000000600000000000000"
+    ),
+    ("global_empty", 0): "000000000000000002000000000000000000000000000000",
+    ("global_1d", 0): (
+        "000000000000f83f020000000000000002000000010000000000000000000000"
+        "000000000000f03f00000000000008400100000000000000000000000000f03f"
+        "000000000000124001000000000000000000000000000000"
+    ),
+}
+GOLDEN_LOCAL_TO_BYTES = {
+    "local_1d": (
+        "03000000020000000100000000000000000000000000d03f000000000000f83f"
+        "0700000000000000000000400000000000000080"
+    ),
+    "local_3d": (
+        "ffffff7f010000000300000001000000000000000000c03f000000000000f03f"
+        "00000000000000400000000000000840"
+    ),
+    "local_empty": "050000000000000000000000",
+}
+GOLDEN_GLOBAL_TO_BYTES = {
+    "global_1d": (
+        "00000000020000000100000001000000000000000000f03f0000000000000840"
+        "00000000000000000000f03f0000000000001240"
+    ),
+    "global_3d": (
+        "00000000020000000300000005000000000000000000e03f000000000000f03f"
+        "0000000000000040000000000000084006000000000000000000e83f00000000"
+        "0000104000000000000014400000000000001840"
+    ),
+    "global_empty": "000000000000000000000000",
+}
+
+
+class TestGoldenBytes:
+    """Every model payload is byte-identical to the per-record ``struct``
+    layout it replaced, and decodes back to the model it came from."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_LOCAL_MODEL))
+    def test_local_model(self, name):
+        model = _golden_local(name)
+        payload = wire.encode_local_model(model)
+        assert payload.hex() == GOLDEN_LOCAL_MODEL[name]
+        assert wire.decode_local_model(payload) == model
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GLOBAL_MODEL))
+    def test_global_model(self, name):
+        model = _golden_global(name)
+        payload = wire.encode_global_model(model)
+        assert payload.hex() == GOLDEN_GLOBAL_MODEL[name]
+        assert wire.decode_global_model(payload) == model
+
+    @pytest.mark.parametrize(
+        "name,known", sorted(GOLDEN_MODEL_DELTA), ids=str
+    )
+    def test_model_delta(self, name, known):
+        model = _golden_global(name)
+        payload = wire.encode_model_delta(wire.delta_from_model(model, known))
+        assert payload.hex() == GOLDEN_MODEL_DELTA[(name, known)]
+        prefix = global_model(
+            rows_of(model)[:known], model.global_labels[:known],
+            model.eps_global, model.min_pts_global,
+        )
+        decoded = wire.decode_model_delta(payload)
+        assert decoded.base_count == known
+        assert wire.apply_model_delta(prefix if known else None, decoded) == model
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_LOCAL_TO_BYTES))
+    def test_local_model_to_bytes(self, name):
+        model = _golden_local(name)
+        assert model.to_bytes().hex() == GOLDEN_LOCAL_TO_BYTES[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GLOBAL_TO_BYTES))
+    def test_global_model_to_bytes(self, name):
+        model = _golden_global(name)
+        assert model.to_bytes().hex() == GOLDEN_GLOBAL_TO_BYTES[name]
+
+
+# ----------------------------------------------------------------------
+# the packed codecs against the per-record struct oracle
+# ----------------------------------------------------------------------
+
+oracle_coordinates = st.one_of(finite, edge_floats)
+ORACLE_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+class TestAgainstTheStructOracle:
+    @ORACLE_SETTINGS
+    @given(model=local_models(max_dim=5, max_size=50, coordinates=oracle_coordinates))
+    def test_local_model(self, model):
+        payload = wire.encode_local_model(model)
+        assert payload == wire_oracle.encode_local_model(model)
+        header, columns = wire_oracle.decode_local_model(payload)
+        decoded = wire.decode_local_model(payload)
+        assert header == (
+            decoded.site_id, decoded.n_objects, decoded.eps_local,
+            decoded.min_pts_local, decoded.scheme,
+        )
+        assert_columns_equal(decoded, _namespace(columns),
+                             ("points", "eps_ranges", "local_cluster_ids"))
+
+    @ORACLE_SETTINGS
+    @given(model=global_models(max_dim=5, max_size=50, coordinates=oracle_coordinates))
+    def test_global_model(self, model):
+        payload = wire.encode_global_model(model)
+        assert payload == wire_oracle.encode_global_model(model)
+        header, columns = wire_oracle.decode_global_model(payload)
+        decoded = wire.decode_global_model(payload)
+        assert header == (decoded.eps_global, decoded.min_pts_global)
+        assert_columns_equal(
+            decoded, _namespace(columns),
+            ("points", "eps_ranges", "site_ids", "local_cluster_ids",
+             "global_labels"),
+        )
+
+    @ORACLE_SETTINGS
+    @given(
+        model=global_models(max_dim=5, max_size=50, coordinates=oracle_coordinates),
+        data=st.data(),
+    )
+    def test_model_delta(self, model, data):
+        known = data.draw(st.integers(min_value=0, max_value=len(model)))
+        delta = wire.delta_from_model(model, known)
+        payload = wire.encode_model_delta(delta)
+        assert payload == wire_oracle.encode_model_delta(delta)
+        header, columns = wire_oracle.decode_model_delta(payload)
+        decoded = wire.decode_model_delta(payload)
+        assert header == (decoded.eps_global, decoded.min_pts_global, known)
+        assert_columns_equal(
+            decoded, _namespace(columns),
+            ("points", "eps_ranges", "site_ids", "local_cluster_ids", "labels"),
+        )
+
+    @ORACLE_SETTINGS
+    @given(model=local_models(max_dim=5, max_size=50, coordinates=oracle_coordinates))
+    def test_accounting_bytes(self, model):
+        ids = np.abs(model.local_cluster_ids)
+        unsigned = LocalModel(
+            model.site_id, model.points, model.eps_ranges, ids,
+            model.n_objects, model.scheme, model.eps_local, model.min_pts_local,
+        )
+        assert unsigned.to_bytes() == wire_oracle.accounting_bytes(
+            model.site_id, ids, unsigned
+        )
+        labelled = GlobalModel(
+            model.points, model.eps_ranges, model.site_ids,
+            model.local_cluster_ids, ids, eps_global=1.0,
+        )
+        assert labelled.to_bytes() == wire_oracle.accounting_bytes(0, ids, labelled)
+
+
+def _namespace(columns: dict):
+    from types import SimpleNamespace
+
+    return SimpleNamespace(**columns)
+
+
+# ----------------------------------------------------------------------
+# refusals: truncation, poison values, ids outside their fields
+# ----------------------------------------------------------------------
+
+MODEL_PAYLOADS = (
+    [("local", n, wire.decode_local_model) for n in sorted(GOLDEN_LOCAL_MODEL)]
+    + [("global", n, wire.decode_global_model) for n in sorted(GOLDEN_GLOBAL_MODEL)]
+    + [("delta", k, wire.decode_model_delta) for k in sorted(GOLDEN_MODEL_DELTA)]
+)
+_GOLDEN = {"local": GOLDEN_LOCAL_MODEL, "global": GOLDEN_GLOBAL_MODEL,
+           "delta": GOLDEN_MODEL_DELTA}
+
+
+class TestModelCodecRefusals:
+    @pytest.mark.parametrize("layout,name,decode", MODEL_PAYLOADS, ids=str)
+    def test_every_truncation_raises(self, layout, name, decode):
+        payload = bytes.fromhex(_GOLDEN[layout][name])
+        for cut in range(len(payload)):
+            with pytest.raises((wire.FrameTruncated, wire.CodecError)):
+                decode(payload[:cut])
+
+    @pytest.mark.parametrize("poison", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_coordinate_is_a_codec_error(self, poison):
+        # The last 8 bytes of each record-carrying payload are the last
+        # coordinate of the last record (MODEL_DELTA: before the labels).
+        local = bytearray(bytes.fromhex(GOLDEN_LOCAL_MODEL["local_3d"]))
+        local[-8:] = np.float64(poison).tobytes()
+        with pytest.raises(wire.CodecError, match="finite"):
+            wire.decode_local_model(bytes(local))
+        glob = bytearray(bytes.fromhex(GOLDEN_GLOBAL_MODEL["global_3d"]))
+        glob[-8:] = np.float64(poison).tobytes()
+        with pytest.raises(wire.CodecError, match="finite"):
+            wire.decode_global_model(bytes(glob))
+        delta = bytearray(bytes.fromhex(GOLDEN_MODEL_DELTA[("global_3d", 1)]))
+        delta[-24:-16] = np.float64(poison).tobytes()
+        with pytest.raises(wire.CodecError, match="finite"):
+            wire.decode_model_delta(bytes(delta))
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_a_non_positive_eps_range_is_a_codec_error(self, eps):
+        # ε_r precedes the coordinates in every record.
+        local = bytearray(bytes.fromhex(GOLDEN_LOCAL_MODEL["local_3d"]))
+        local[-32:-24] = np.float64(eps).tobytes()
+        with pytest.raises(wire.CodecError, match="eps_range"):
+            wire.decode_local_model(bytes(local))
+        glob = bytearray(bytes.fromhex(GOLDEN_GLOBAL_MODEL["global_3d"]))
+        glob[-32:-24] = np.float64(eps).tobytes()
+        with pytest.raises(wire.CodecError, match="eps_range"):
+            wire.decode_global_model(bytes(glob))
+        delta = bytearray(bytes.fromhex(GOLDEN_MODEL_DELTA[("global_3d", 1)]))
+        delta[-48:-40] = np.float64(eps).tobytes()
+        with pytest.raises(wire.CodecError, match="eps_range"):
+            wire.decode_model_delta(bytes(delta))
+
+    @pytest.mark.parametrize("value", [-(2**31) - 1, 2**31])
+    def test_ids_outside_int32_are_refused_on_encode(self, value):
+        with pytest.raises(ValueError, match="local_cluster_ids"):
+            wire.encode_local_model(local_model(0, [Row((0.0,), 1.0, 0, value)]))
+        for row, field in [
+            (Row((0.0,), 1.0, value, 0), "site_ids"),
+            (Row((0.0,), 1.0, 0, value), "local_cluster_ids"),
+        ]:
+            model = global_model([row], [0])
+            with pytest.raises(ValueError, match=field):
+                wire.encode_global_model(model)
+            with pytest.raises(ValueError, match=field):
+                wire.encode_model_delta(wire.delta_from_model(model, 0))
+
+    @pytest.mark.parametrize("value", [-(2**31), 2**31 - 1])
+    def test_int32_boundary_ids_pass(self, value):
+        local = local_model(0, [Row((0.0,), 1.0, 0, value)])
+        assert wire.decode_local_model(wire.encode_local_model(local)) == local
+        model = global_model([Row((0.0,), 1.0, value, value)], [0])
+        assert wire.decode_global_model(wire.encode_global_model(model)) == model
+        delta = wire.decode_model_delta(
+            wire.encode_model_delta(wire.delta_from_model(model, 0))
+        )
+        assert wire.apply_model_delta(None, delta) == model
