@@ -27,25 +27,25 @@ Two interchangeable kernels implement the coverage step, selected by the
   nearest covering representative over the model prefix it has seen, and
   a new model folds in only the representatives it appends: one uniform
   grid over them (cell edge: their largest ε_r), the site's objects as
-  the queries of one cell-pair join (:meth:`GridIndex.join`), whose flat
-  hit rows arrive grouped by object.  Per object, the hits within each
-  representative's own ε_r are kept, and the first hit at the row
-  minimum replaces the kept cover only when it is strictly nearer.  A
-  full relabel is the same fold from an empty memo.  The grid depends
+  the queries of one reducing cell-pair join (:meth:`GridIndex.join`
+  with ``radii``), which hands back, per object, the nearest appended
+  representative within its own ε_r and that distance — no hit list.
+  It replaces the kept cover only when it is strictly nearer.  A full
+  relabel is the same fold from an empty memo.  The grid depends
   on the model alone, so each model builds it once per ``(first folded
   index, metric)`` and keeps it beside its columns: the label queries
   against one committed model, the sites relabeled against one broadcast
   and a session's folds of one commit share it.
-  Work is proportional to the coverage hits of the appended
-  representatives, which is what makes 10^6-point relabels and
+  Work is proportional to the candidate pairs of the appended
+  representatives' cells, which is what makes 10^6-point relabels and
   per-round session relabels cheap.
 
 Both kernels are **bit-identical**: the join computes every distance with
 a kernel bitwise equal to ``Metric.to_many`` (and ``d(p, q)`` is bitwise
 ``d(q, p)``), the minimum is a comparison, and ties go to the lowest
 representative index exactly like the reference argmin — within one fold
-because each object's hits ascend by representative index, across folds
-because the kept cover precedes every appended representative.  A fold
+because the join takes the lowest index at each object's minimum, across
+folds because the kept cover precedes every appended representative.  A fold
 never changes the prefix it extends, so the nearest cover over the union
 is the kept cover or an appended one.  ``"auto"`` picks the vectorized
 kernel whenever the metric supports grid indexing and falls back to the
@@ -194,39 +194,17 @@ class CoverMemo:
         base: int,
     ) -> None:
         """The model's grid over the representatives from ``base`` on,
-        the points as its queries; an appended cover replaces a kept one
-        only when strictly nearer, so distance ties keep the lower model
-        index."""
-        ranges = model.eps_ranges[base:]
+        the points as the queries of its reducing join (each
+        representative covers its own ε_r); an appended cover replaces a
+        kept one only when strictly nearer, so distance ties keep the
+        lower model index."""
         grid = _cover_grid(model, base, metric)
-        hits, offsets, distances = grid.join(
-            points, grid.cell_size, distances=True
+        nearest, distance = grid.join(
+            points, grid.cell_size, radii=model.eps_ranges[base:]
         )
-        objects = np.repeat(
-            np.arange(points.shape[0], dtype=np.intp), np.diff(offsets)
-        )
-        keep = distances <= ranges[hits]
-        hits, distances, objects = hits[keep], distances[keep], objects[keep]
-        if not objects.size:
-            return
-        # Rows are objects, each ascending by representative index: the
-        # first hit at the row minimum (a comparison, no rounding) is the
-        # lowest-index nearest appended cover, as the reference argmin.
-        starts = np.flatnonzero(
-            np.concatenate(([True], objects[1:] != objects[:-1]))
-        )
-        sizes = np.diff(np.append(starts, objects.size))
-        at_min = distances == np.repeat(
-            np.minimum.reduceat(distances, starts), sizes
-        )
-        winners = np.minimum.reduceat(
-            np.where(at_min, np.arange(objects.size), objects.size), starts
-        )
-        won = objects[starts]
-        nearer = distances[winners] < self.distance[won]
-        winners, won = winners[nearer], won[nearer]
-        self.nearest[won] = base + hits[winners]
-        self.distance[won] = distances[winners]
+        nearer = np.flatnonzero(distance < self.distance)
+        self.nearest[nearer] = base + nearest[nearer]
+        self.distance[nearer] = distance[nearer]
 
 
 def _apply_inheritance(

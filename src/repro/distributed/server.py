@@ -158,8 +158,8 @@ class CentralServer:
             round_index: the round the decision belongs to.
         """
         problems = ["checksum_mismatch"] if not crc_ok else model.validate()
-        if not problems and len(model):
-            problems = self._dimensionality_problems(model)
+        if not problems:
+            problems = self.dimensionality_problems(model)
         if problems:
             return Decision(
                 "quarantined", "QUARANTINE", round_index, model, "; ".join(problems)
@@ -173,9 +173,12 @@ class CentralServer:
             return Decision("deadline_missed", None, round_index, model)
         return Decision("admitted", "MODEL_ADMITTED", round_index, model)
 
-    def _dimensionality_problems(self, model: LocalModel) -> list[str]:
+    def dimensionality_problems(self, model: LocalModel) -> list[str]:
         """A non-empty model needs coordinates, as many as every admitted
-        one has: the representatives of one global model share a space."""
+        one has: the representatives of one global model share a space.
+        An empty model has none to check."""
+        if not len(model):
+            return []
         if not model.dim:
             return ["representatives have no coordinates"]
         dim = next((m.dim for m in self.local_models if len(m)), model.dim)

@@ -23,22 +23,27 @@ Every query — single, batched, counted — is answered by one **cell-pair
 join** that runs in a fixed number of NumPy passes per block of queries:
 
 1. a *neighbour table* lists, for every occupied cell, the occupied cells
-   within the ring reach of the build radius; it is built once, at
-   construction (cells reached by other radii, or by query points outside
-   the occupied cells, are looked up per call the same way);
+   within the ring reach of the build radius; it is built once, by the
+   first query of indexed points at that radius, so a grid queried only
+   with other points never builds it (cells reached by other radii, or by
+   query points outside the occupied cells, are looked up per call the
+   same way);
 2. the block's ``(query, candidate)`` pairs are generated with two ragged
    ``repeat``/``arange`` expansions: query → its cell's neighbour cells →
-   their points (each cell's candidate list is sorted once, so every
-   query's hits come out ascending);
+   their points, so the pairs arrive grouped by query;
 3. one row-paired distance kernel (:meth:`Metric.paired`, bitwise equal to
    ``Metric.to_many``) filters the pairs;
-4. the survivors already sit in CSR order: a flat hit array plus per-query
-   row offsets (:meth:`GridIndex.join` returns them as they are).
+4. one sort puts the survivors in CSR order: a flat hit array, ascending
+   within each query, plus per-query row offsets (:meth:`GridIndex.join`
+   returns them as they are).  The join's reducing mode lists no hits:
+   two ``np.minimum.reduceat`` over each query's pairs give its nearest
+   point within that point's own radius (the relabel fold's cover).
 
 A block is cut into passes of at most ``PAIR_BUDGET_BYTES`` worth of pairs,
-so one call allocates a bounded amount however large the block.  The index
-is immutable after construction, so concurrent queries from several threads
-need no locking.
+so one call allocates a bounded amount however large the block.  Only the
+neighbour table is filled in after construction, and it is a pure function
+of the points: threads that race to build it build equal tables, so
+concurrent queries need no locking.
 """
 
 from __future__ import annotations
@@ -120,9 +125,8 @@ class GridIndex(NeighborIndex):
         # rows and their difference, plus the index and distance arrays.
         self._pair_budget = max(1, PAIR_BUDGET_BYTES // (24 * dim + 40))
         self._rings0 = self._rings(self._cell_size)
-        self._table = self._with_sizes(
-            *self._neighbour_cells(self._cell_coords, self._rings0)
-        )
+        # The neighbour table at the build radius, built on first use.
+        self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def cell_size(self) -> float:
@@ -216,13 +220,19 @@ class GridIndex(NeighborIndex):
 
         ``cells`` gives the occupied cell of each query when the queries
         are indexed points; at the build radius those cells' rows of the
-        prebuilt neighbour table are the groups.  Other queries are
+        neighbour table are the groups.  Other queries are
         grouped by their (possibly unoccupied) cell, whose neighbour cells
         are looked up for this call.  Non-finite queries land in a final
         group without neighbours (they can match nothing).
         """
         if cells is not None:
             if rings == self._rings0:
+                if self._table is None:
+                    # A pure function of the points: threads that race
+                    # here build equal tables.
+                    self._table = self._with_sizes(
+                        *self._neighbour_cells(self._cell_coords, rings)
+                    )
                 return cells, self._table
             groups, group_of = np.unique(cells, return_inverse=True)
             table = self._neighbour_cells(self._cell_coords[groups], rings)
@@ -257,12 +267,15 @@ class GridIndex(NeighborIndex):
         cells: np.ndarray | None = None,
         distances: bool = False,
         count_only: bool = False,
+        radii: np.ndarray | None = None,
     ):
         """Answer a block of range queries through the cell-pair join.
 
         The flat form of :meth:`range_query_batch`: callers that reduce
-        the hits with NumPy (the relabel fold) read the CSR arrays
-        directly instead of one array per query.
+        the hits with NumPy read the CSR arrays directly instead of one
+        array per query.  With ``radii`` the join reduces instead: per
+        query, the nearest indexed point within that point's own radius
+        (the relabel fold's nearest covering representative).
 
         Args:
             queries: ``(m, d)`` float query points.  A row with a NaN or
@@ -274,15 +287,35 @@ class GridIndex(NeighborIndex):
             distances: also return the hit distances (bitwise
                 ``Metric.to_many``).
             count_only: return just the ``intp`` hit counts.
+            radii: one radius per indexed point: point ``j`` matches a
+                query within ``radii[j]`` of it.  A radius above ``eps``
+                is cut to ``eps``, the reach of the candidate cells.
 
         Returns:
-            The hit counts with ``count_only``, otherwise ``(hits,
-            offsets, hit distances or None)`` in CSR form: row ``k`` is
+            With ``radii``, ``(nearest, distance)``: per query, the index
+            of the nearest matching point (the lowest index on a distance
+            tie) and that distance (bitwise ``Metric.to_many``), ``-1``
+            and ``inf`` where no point matches.  Otherwise the hit counts
+            with ``count_only``, or ``(hits, offsets, hit distances or
+            None)`` in CSR form: row ``k`` is
             ``hits[offsets[k]:offsets[k + 1]]``, ascending.
+
+        Raises:
+            ValueError: if ``radii`` is not one value per indexed point.
         """
         m = queries.shape[0]
+        if radii is not None:
+            radii = np.asarray(radii, dtype=float)
+            if radii.shape != (len(self),):
+                raise ValueError(
+                    f"radii of shape {radii.shape} for {len(self)} indexed points"
+                )
+            radii = np.minimum(radii, eps)
+            nearest, nearest_distance = np.full(m, -1, np.intp), np.full(m, np.inf)
         counts = np.zeros(m, dtype=np.intp)
         if m == 0 or len(self) == 0:
+            if radii is not None:
+                return nearest, nearest_distance
             if count_only:
                 return counts
             return np.empty(0, dtype=np.intp), np.zeros(m + 1, dtype=np.intp), (
@@ -294,37 +327,45 @@ class GridIndex(NeighborIndex):
         pairs = group_size[group_of]
         hits, dists = [], []
         for lo, hi in _budget_runs(pairs.cumsum(), self._pair_budget):
-            counts[lo:hi], pass_hits, pass_dists = self._pass(
+            grouped = self._pairs(
                 queries[lo:hi],
-                eps,
                 _take_rows(offsets, neighbours, group_of[lo:hi]),
                 pairs[lo:hi],
-                rows=not count_only,
-                distances=distances,
+            )
+            if radii is not None:
+                self._nearest(
+                    grouped,
+                    pairs[lo:hi],
+                    radii,
+                    nearest[lo:hi],
+                    nearest_distance[lo:hi],
+                )
+                continue
+            counts[lo:hi], pass_hits, pass_dists = self._hits(
+                grouped, eps, rows=not count_only, distances=distances
             )
             hits.append(pass_hits)
             dists.append(pass_dists)
+        if radii is not None:
+            return nearest, nearest_distance
         if count_only:
             return counts
         flat = np.concatenate(hits)
         return flat, _through(counts), np.concatenate(dists) if distances else None
 
-    def _pass(
+    def _pairs(
         self,
         queries: np.ndarray,
-        eps: float,
         cells: tuple[np.ndarray, np.ndarray],
         pairs: np.ndarray,
-        *,
-        rows: bool,
-        distances: bool,
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """One budgeted pass: every query against the points of its
-        neighbour cells (``cells``: per-query CSR of cell ids).
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One budgeted pass's pairs: every query against the points of
+        its neighbour cells (``cells``: per-query CSR of cell ids; the
+        query has ``pairs`` candidates).
 
-        Returns the hit counts and, with ``rows``, the hits (ascending
-        within each query) and, with ``distances``, their distances.  Its
-        temporaries die with the call, so passes never overlap in memory.
+        Returns the per-query pair offsets, each pair's point and its
+        distance, the pairs grouped by query.  The temporaries die with
+        the pass, so passes never overlap in memory.
         """
         seg_through, segs = cells
         pair_through = _through(self._cell_sizes[segs])
@@ -335,12 +376,26 @@ class GridIndex(NeighborIndex):
             np.repeat(queries, pairs, axis=0),
             np.take(self._points, pair_point, axis=0),
         )
+        return pair_through[seg_through], pair_point, d
+
+    def _hits(
+        self,
+        grouped: tuple[np.ndarray, np.ndarray, np.ndarray],
+        eps: float,
+        *,
+        rows: bool,
+        distances: bool,
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """The hit counts of a pass's pairs within ``eps`` and, with
+        ``rows``, the hits (ascending within each query) and, with
+        ``distances``, their distances."""
+        query_through, pair_point, d = grouped
         hit = d <= eps
-        counts = np.diff(_through(hit)[pair_through[seg_through]])
+        counts = np.diff(_through(hit)[query_through])
         if not rows:
             return counts, None, None
         # One sort puts every query's hits in ascending order.
-        row = np.repeat(np.arange(len(queries), dtype=np.int64), counts)
+        row = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
         row *= len(self)
         key = pair_point[hit] + row
         if not distances:
@@ -348,6 +403,39 @@ class GridIndex(NeighborIndex):
             return counts, key - row, None
         order = key.argsort()
         return counts, key[order] - row, d[hit][order]
+
+    def _nearest(
+        self,
+        grouped: tuple[np.ndarray, np.ndarray, np.ndarray],
+        pairs: np.ndarray,
+        radii: np.ndarray,
+        nearest: np.ndarray,
+        distance: np.ndarray,
+    ) -> None:
+        """Write, per query of a pass, the nearest point within its own
+        radius into ``nearest`` and that distance into ``distance`` (left
+        at ``-1``/``inf`` where none).
+
+        Works in place on the pass's arrays: a pair beyond its point's
+        radius reads as ``inf``, then the first ``reduceat`` over the
+        query groups takes each minimum distance, and the second the
+        lowest point index at it (a group's pairs are not in index order
+        across cells), the pairs off the minimum reading as ``n``.
+        ``reduceat`` reads one element for an empty group, so only
+        queries with pairs are reduced.
+        """
+        query_through, pair_point, d = grouped
+        has_pairs = np.flatnonzero(pairs)
+        if not has_pairs.size:
+            return
+        d[d > np.take(radii, pair_point)] = np.inf
+        starts = query_through[has_pairs]
+        best = np.minimum.reduceat(d, starts)
+        pair_point[d != np.repeat(best, pairs[has_pairs])] = len(self)
+        lowest = np.minimum.reduceat(pair_point, starts)
+        covered = np.isfinite(best)
+        nearest[has_pairs[covered]] = lowest[covered]
+        distance[has_pairs[covered]] = best[covered]
 
     def _answer(self, joined, return_distances: bool, count_only: bool):
         """Shape a join result into the batch API's return value."""

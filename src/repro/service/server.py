@@ -363,10 +363,12 @@ class DBDCService:
 
         Every record is a core decision that was journaled before it was
         applied; recovery applies the same decisions in the same order,
-        so the recovered core equals one that never crashed.  The journal
-        is attached only after replay — recovery itself never journals —
-        and the new epoch is the first record of the generation that
-        just started.
+        so the recovered core equals one that never crashed.  A recorded
+        admission the gate's dimensionality check now refuses (a journal
+        written before that check) is applied as the quarantine the gate
+        would have recorded.  The journal is attached only after replay —
+        recovery itself never journals — and the new epoch is the first
+        record of the generation that just started.
         """
         start = time.perf_counter()
         wal = journal.WriteAheadJournal(self.config.journal_dir)
@@ -395,11 +397,22 @@ class DBDCService:
         self._journal_metrics()
 
     def _decision_from_record(self, record: journal.Record) -> Decision:
-        """Decode one journal record back into the decision it logged."""
+        """Decode one journal record back into the decision it logged, or,
+        for an admission the dimensionality check refuses, into the
+        quarantine the gate would have recorded."""
         kind = record.kind
         if kind == journal.RecordKind.MODEL_ADMITTED:
             round_index, payload = journal.decode_admitted(record.payload)
             model = wire.decode_local_model(payload)
+            problems = self.server.dimensionality_problems(model)
+            if problems:
+                return Decision(
+                    "quarantined",
+                    "QUARANTINE",
+                    round_index,
+                    model,
+                    "; ".join(problems),
+                )
             return Decision("admitted", "MODEL_ADMITTED", round_index, model)
         if kind == journal.RecordKind.QUARANTINE:
             round_index, site_id, reason = journal.decode_quarantine(
@@ -710,27 +723,23 @@ class DBDCService:
                 f"connection closed mid-header ({len(error.partial)} bytes)"
             ) from error
         # Validate the header (magic/version/kind/length) before reading
-        # the payload; CRC verdicts are delegated to the handlers so a
-        # corrupt upload can be quarantined instead of dropped.
-        try:
-            frame, __ = wire.decode_frame(
-                header,
-                max_payload=self.config.max_frame_bytes,
-                verify_crc=False,
-            )
-            return frame  # zero-payload frame: already complete
-        except wire.FrameTruncated:
-            pass  # header valid, payload still on the wire
-        declared = wire.declared_payload_len(header)
-        try:
-            payload = await asyncio.wait_for(
-                reader.readexactly(declared), max(deadline - loop.time(), 0.0)
-            )
-        except asyncio.IncompleteReadError as error:
-            raise wire.FrameTruncated(
-                f"connection closed mid-payload "
-                f"({len(error.partial)}/{declared} bytes)"
-            ) from error
+        # the payload, then decode the whole frame once; CRC verdicts are
+        # delegated to the handlers so a corrupt upload can be
+        # quarantined instead of dropped.
+        declared = wire.declared_payload_len(
+            header, max_payload=self.config.max_frame_bytes
+        )
+        payload = b""
+        if declared:
+            try:
+                payload = await asyncio.wait_for(
+                    reader.readexactly(declared), max(deadline - loop.time(), 0.0)
+                )
+            except asyncio.IncompleteReadError as error:
+                raise wire.FrameTruncated(
+                    f"connection closed mid-payload "
+                    f"({len(error.partial)}/{declared} bytes)"
+                ) from error
         frame, __ = wire.decode_frame(
             header + payload,
             max_payload=self.config.max_frame_bytes,

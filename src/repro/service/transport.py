@@ -201,18 +201,9 @@ class SocketTransport:
         """Read one complete frame (CRC verified; typed errors, no hangs
         beyond the socket timeout)."""
         header = self._read_exactly(wire.HEADER_SIZE)
-        # Parse the header alone first so a corrupt length field raises
-        # before any payload read is attempted.
-        try:
-            frame, __ = wire.decode_frame(header, max_payload=self.max_payload)
-            return frame  # zero-payload frame: already complete
-        except wire.FrameTruncated:
-            pass
-        declared = wire.declared_payload_len(header)
-        if declared > self.max_payload:
-            raise wire.FrameTooLarge(
-                f"declared payload {declared} exceeds cap {self.max_payload}"
-            )
+        # A corrupt header or length field raises before any payload
+        # read is attempted; then the whole frame is decoded once.
+        declared = wire.declared_payload_len(header, max_payload=self.max_payload)
         payload = self._read_exactly(declared)
         frame, __ = wire.decode_frame(header + payload, max_payload=self.max_payload)
         return frame

@@ -324,27 +324,56 @@ def encode_frame(
     )
 
 
-def declared_payload_len(header: bytes) -> int:
-    """The payload length a frame header declares.
+def declared_payload_len(
+    header: bytes, *, max_payload: int = DEFAULT_MAX_PAYLOAD
+) -> int:
+    """The payload length a valid frame header declares.
 
-    The one place the header's length field is read outside
-    :func:`decode_frame` — stream readers (the service's and the socket
-    transport's) that fetch the header and payload separately use this
-    instead of re-deriving the field offset, so the header layout has a
-    single source of truth and cannot drift.
+    Stream readers (the service's and the socket transport's) fetch the
+    header, call this, read that many bytes and decode the whole frame
+    once.  It runs the header checks :func:`decode_frame` runs, so a
+    corrupt or over-cap header raises before any payload byte is read,
+    and the header layout has a single source of truth.
 
     Args:
         header: at least the first :data:`HEADER_SIZE` bytes of a frame.
+        max_payload: reject declared payload lengths above this.
 
     Raises:
-        FrameTruncated: when fewer than :data:`HEADER_SIZE` bytes are
-            given (the length field would be garbage).
+        WireError: the typed subclass :func:`decode_frame` raises for the
+            same header; :class:`FrameTruncated` when fewer than
+            :data:`HEADER_SIZE` bytes are given.
     """
-    if len(header) < HEADER_SIZE:
+    return _frame_header(header, 0, max_payload)[3]
+
+
+def _frame_header(
+    buffer: bytes, offset: int, max_payload: int
+) -> tuple[int, FrameKind, int, int, int]:
+    """Check the frame header at ``offset``: its size, magic, version,
+    kind and declared length.  Returns ``(version, kind, site id,
+    length, crc)``."""
+    if len(buffer) - offset < HEADER_SIZE:
         raise FrameTruncated(
-            f"need {HEADER_SIZE} header bytes, have {len(header)}"
+            f"need {HEADER_SIZE} header bytes, have {len(buffer) - offset}"
         )
-    return int(_HEADER.unpack_from(header, 0)[4])
+    magic, version, kind_byte, site_id, length, crc = _HEADER.unpack_from(
+        buffer, offset
+    )
+    if magic != MAGIC:
+        raise BadMagic(f"bad magic {magic!r}")
+    if version not in (PROTOCOL_VERSION, TRACE_PROTOCOL_VERSION):
+        raise UnsupportedVersion(
+            f"protocol version {version}, expected {PROTOCOL_VERSION} "
+            f"or {TRACE_PROTOCOL_VERSION}"
+        )
+    try:
+        kind = FrameKind(kind_byte)
+    except ValueError:
+        raise UnknownFrameKind(f"unknown frame kind {kind_byte}") from None
+    if length > max_payload:
+        raise FrameTooLarge(f"declared payload {length} exceeds cap {max_payload}")
+    return version, kind, site_id, length, crc
 
 
 def decode_frame(
@@ -372,26 +401,9 @@ def decode_frame(
         WireError: typed subclass per violation; :class:`FrameTruncated`
             when the buffer is merely incomplete.
     """
-    if len(buffer) - offset < HEADER_SIZE:
-        raise FrameTruncated(
-            f"need {HEADER_SIZE} header bytes, have {len(buffer) - offset}"
-        )
-    magic, version, kind_byte, site_id, length, crc = _HEADER.unpack_from(
-        buffer, offset
+    version, kind, site_id, length, crc = _frame_header(
+        buffer, offset, max_payload
     )
-    if magic != MAGIC:
-        raise BadMagic(f"bad magic {magic!r}")
-    if version not in (PROTOCOL_VERSION, TRACE_PROTOCOL_VERSION):
-        raise UnsupportedVersion(
-            f"protocol version {version}, expected {PROTOCOL_VERSION} "
-            f"or {TRACE_PROTOCOL_VERSION}"
-        )
-    try:
-        kind = FrameKind(kind_byte)
-    except ValueError:
-        raise UnknownFrameKind(f"unknown frame kind {kind_byte}") from None
-    if length > max_payload:
-        raise FrameTooLarge(f"declared payload {length} exceeds cap {max_payload}")
     start = offset + HEADER_SIZE
     if len(buffer) - start < length:
         raise FrameTruncated(

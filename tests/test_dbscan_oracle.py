@@ -15,6 +15,8 @@ Every case runs on both of the fit's row sources: the whole
 neighbourhood graph from one index call (what these small inputs get by
 the size rule), and the per-level path, forced by overstating the index's
 pair bound.  The bound itself is checked against the true hit total.
+The grid join's reducing mode (the relabel fold's nearest cover) is
+checked against a brute-force masked argmin.
 """
 
 from __future__ import annotations
@@ -223,6 +225,95 @@ def test_grid_join_rows_counts_and_distances(metric, data, cell_factor):
         assert count == expected.size
 
 
+@st.composite
+def cover_sets(draw, metric):
+    """Indexed points with one radius each, and the queries of the
+    join's reducing mode: Gaussian or integer layouts with duplicates in
+    1–3 dimensions, scaled so squared-Euclidean radii fall below 1,
+    radii equal to an exact query–point distance, queries outside the
+    extent and non-finite rows, empty batches and empty indexes."""
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(0, 40)), draw(st.integers(0, 30))
+    if draw(st.booleans()):
+        # Integer points, half-integer queries: equal distances to points
+        # in neighbouring cells, whose pair order is not index order.
+        points = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        queries = rng.integers(-6, 7, size=(m, dim)) / 2.0
+    else:
+        points = rng.normal(0, 2, size=(n, dim))
+        queries = rng.normal(0, 3, size=(m, dim))
+    if n and draw(st.booleans()):
+        points = np.concatenate([points, points[rng.integers(0, n, size=6)]])
+    if m:
+        # Far outside the extent, and rows with a NaN or infinite value.
+        queries[rng.random(m) < 0.15] += 40.0
+        bad = np.flatnonzero(rng.random(m) < 0.15)
+        queries[bad, rng.integers(0, dim, size=bad.size)] = rng.choice(
+            [np.nan, np.inf, -np.inf], size=bad.size
+        )
+    scale = 2.0 ** draw(st.integers(-3, 1))
+    points, queries = points * scale, queries * scale
+    resolved = get_metric(metric)
+    radii = rng.uniform(0.0, 2.0, size=len(points)) * scale
+    if metric == "squared_euclidean":
+        radii = radii * radii
+    finite = queries[np.isfinite(queries).all(axis=1)]
+    if len(finite):
+        # Radii at an exact pair distance: the boundary must be a hit.
+        exact = np.flatnonzero(rng.random(len(points)) < 0.5)
+        for j, k in zip(exact, rng.integers(0, len(finite), size=exact.size)):
+            radii[j] = resolved.to_many(finite[k], points[j : j + 1])[0]
+    top = float(radii.max()) if len(radii) and radii.max() > 0 else scale
+    cell = top * draw(st.sampled_from([1.0, 0.5, 2.0]))
+    eps = top * draw(st.sampled_from([1.0, 1.0, 0.6]))
+    return points, queries, radii, cell, eps
+
+
+@pytest.mark.parametrize("metric", GRID_METRICS)
+@SETTINGS
+@given(data=st.data())
+def test_grid_join_nearest_matches_masked_argmin(metric, data):
+    """The join's reducing mode is a brute-force masked argmin: per
+    query, among the points within ``min(radius, eps)``, the distance
+    (bitwise ``Metric.to_many``) and the lowest index at it."""
+    points, queries, radii, cell, eps = data.draw(cover_sets(metric))
+    resolved = get_metric(metric)
+    index = GridIndex(points, resolved, cell_size=cell)
+    nearest, distance = index.join(queries, eps, radii=radii)
+    assert nearest.dtype == np.intp and nearest.shape == (len(queries),)
+    for k, query in enumerate(queries):
+        full = (
+            resolved.to_many(query, points)
+            if np.isfinite(query).all()
+            else np.full(len(points), np.inf)
+        )
+        masked = np.where(full <= np.minimum(radii, eps), full, np.inf)
+        best = int(np.argmin(masked)) if len(points) else -1
+        if best < 0 or not np.isfinite(masked[best]):
+            assert (nearest[k], distance[k]) == (-1, np.inf)
+        else:
+            assert nearest[k] == best
+            assert distance[k].tobytes() == masked[best].tobytes()
+
+
+@pytest.mark.parametrize("metric", GRID_METRICS)
+def test_grid_join_nearest_breaks_ties_by_index(metric):
+    """Point 1 sits in the first cell, point 0 in the next: a query
+    halfway between them reads point 1 first, but point 0 wins."""
+    index = GridIndex(np.asarray([[1.0], [0.0]]), metric, cell_size=1.0)
+    nearest, distance = index.join(np.asarray([[0.5]]), 1.0, radii=np.ones(2))
+    half = 0.25 if metric == "squared_euclidean" else 0.5
+    assert nearest.tolist() == [0] and distance.tolist() == [half]
+
+
+def test_grid_join_nearest_refuses_radii_of_another_length():
+    index = GridIndex(np.zeros((3, 2)), cell_size=1.0)
+    for radii in (np.ones(2), np.ones(4), np.ones((3, 1))):
+        with pytest.raises(ValueError, match="radii"):
+            index.join(np.zeros((1, 2)), 1.0, radii=radii)
+
+
 @pytest.mark.parametrize("kind,metric", KIND_METRICS)
 @SETTINGS
 @given(
@@ -247,7 +338,8 @@ def test_candidate_pairs_bound_the_true_hits(kind, metric, data, factor):
 
 def test_budget_cuts_change_nothing(monkeypatch):
     """Join passes and BFS row blocks cut at tiny budgets give the uncut
-    results: the same rows and distances, the same DBSCAN run."""
+    results: the same rows and distances, the same nearest points, the
+    same DBSCAN run."""
     rng = np.random.default_rng(4)
     points = np.concatenate(
         [rng.normal(0, 1, size=(150, 2)), rng.uniform(-5, 5, size=(50, 2))]
@@ -256,11 +348,18 @@ def test_budget_cuts_change_nothing(monkeypatch):
     cut = GridIndex(points, cell_size=0.4)
     cut._pair_budget = 25
     ids = np.arange(len(points))
+    queries = rng.uniform(-6, 6, size=(120, 2))
+    radii = rng.uniform(0.05, 0.4, size=len(points))
     for eps in (0.4, 1.3):
         rows, dists = whole.region_query_batch(ids, eps, return_distances=True)
         cut_rows, cut_dists = cut.region_query_batch(ids, eps, return_distances=True)
         assert all(np.array_equal(a, b) for a, b in zip(rows, cut_rows))
         assert all(np.array_equal(a, b) for a, b in zip(dists, cut_dists))
+        nearest, distance = whole.join(queries, eps, radii=radii)
+        cut_nearest, cut_distance = cut.join(queries, eps, radii=radii)
+        assert np.array_equal(nearest, cut_nearest)
+        assert np.array_equal(distance, cut_distance)
+        assert 0 < np.count_nonzero(nearest >= 0) < len(queries)
     dbscan_module = importlib.import_module("repro.clustering.dbscan")
     # Row blocks of 40 neighbours: far below the graph's pair bound, so
     # the fit takes the per-level path, and most levels take several calls.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +132,52 @@ class TestGridSpecifics:
         points = np.asarray([[0.1, 0.1], [0.2, 0.2], [5.0, 5.0]])
         index = GridIndex(points, cell_size=1.0)
         assert index.n_occupied_cells == 2
+
+    def test_neighbour_table_built_on_first_region_query(self, rng):
+        """Queries of other points never build the neighbour table; the
+        first region query at the build radius builds it, once."""
+        points = rng.uniform(0, 5, size=(80, 2))
+        index = GridIndex(points, cell_size=0.5)
+        assert index._table is None
+        index.range_query_batch(points, 0.5)
+        index.region_query_batch(np.arange(10), 1.2)
+        assert index._table is None
+        index.region_query_batch(np.arange(10), 0.5)
+        table = index._table
+        assert table is not None
+        index.region_query_batch(np.arange(80), 0.5, count_only=True)
+        assert index._table is table
+
+    def test_concurrent_first_region_queries_agree(self, rng):
+        """Threads that race to build a fresh grid's neighbour table all
+        get the serial answer: a table built twice is the same table."""
+        points = rng.uniform(0, 8, size=(600, 2))
+        ids = np.arange(len(points))
+        expected = GridIndex(points, cell_size=0.5).region_query_batch(ids, 0.5)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for __ in range(5):
+                index = GridIndex(points, cell_size=0.5)
+                answers: list = []
+                threads = [
+                    threading.Thread(
+                        target=lambda: answers.append(
+                            index.region_query_batch(ids, 0.5)
+                        )
+                    )
+                    for __ in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert len(answers) == len(threads)
+                for rows in answers:
+                    assert all(map(np.array_equal, rows, expected))
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestKDTreeSpecifics:

@@ -12,6 +12,7 @@ contract pinned here:
 * threads relabelling one fresh model at once build each grid once and
   all equal :func:`~repro.core.relabel.relabel_site_reference`, which
   reads none of the kept state;
+* no cover grid builds the neighbour table region queries read;
 * the columns are read-only and equal a fresh stack of the local models;
 * the grids stay out of pickles, equality and ``repr``;
 * points of another dimensionality than a non-empty model's are refused.
@@ -209,6 +210,22 @@ def test_concurrent_relabels_of_a_fresh_model_build_each_grid_once(grid_builds):
         (appended, "euclidean"): 1,
         (appended, "chebyshev"): 1,
     }
+
+
+def test_cover_grids_build_no_neighbour_table():
+    """A fold's queries are a site's objects, not indexed points, so no
+    cover grid builds the neighbour table that region queries read."""
+    sites, outcomes, base, folded = _session()
+    memos = [CoverMemo() for __ in range(6)]
+    for model in (base, folded):
+        for i, memo in enumerate(memos):
+            labels = outcomes[i].clustering.labels
+            relabel_site(sites[i], labels, model, site_id=i, memo=memo)
+    grids = [
+        grid for model in (base, folded) for __, grid in model._cover_grids.values()
+    ]
+    assert len(grids) == 2
+    assert all(grid._table is None for grid in grids)
 
 
 def test_kept_arrays_are_read_only_and_equal_a_fresh_stack():

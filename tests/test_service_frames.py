@@ -99,6 +99,29 @@ class TestFrameReads:
             counters = handle.service.metrics.to_dict()["counters"]
             assert counters.get("service.connection_deadline_closes", 0) >= 1
 
+    def test_a_payload_frame_is_decoded_once_per_read(self, monkeypatch):
+        """Both stream readers validate the header, read the payload and
+        decode the frame once: one label query costs one ``decode_frame``
+        call on the service's loop thread and one on the client's."""
+        calls: list[tuple[str, int]] = []
+        decode = wire.decode_frame
+
+        def counted(buffer, *args, **kwargs):
+            calls.append((threading.current_thread().name, len(buffer)))
+            return decode(buffer, *args, **kwargs)
+
+        with ServiceHandle.start(ServiceConfig(metrics_port=None)) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                client.health()  # connected, no model yet
+                monkeypatch.setattr(wire, "decode_frame", counted)
+                with pytest.raises(ServiceError):
+                    client.query([[0.0, 0.0]])
+                monkeypatch.undo()
+        main = threading.main_thread().name
+        assert len(calls) == 2
+        assert sorted(name == main for name, __ in calls) == [False, True]
+        assert all(size > wire.HEADER_SIZE for __, size in calls)
+
 
 class TestShutdownNotice:
     def test_stop_sends_shutting_down_to_blocked_waiters(self):

@@ -23,7 +23,14 @@ from repro.data.datasets import load_dataset
 from repro.distributed.site import ClientSite
 from repro.distributed.streaming import run_streaming_session
 from repro.core.models import LocalModel
-from repro.service import ServiceClient, ServiceConfig, ServiceError, ServiceHandle
+from repro.service import (
+    ServiceClient,
+    ServiceConfig,
+    ServiceError,
+    ServiceHandle,
+    journal,
+    wire,
+)
 from repro.scenario import Scenario, run
 from repro.service.worker import run_site_worker_session
 
@@ -263,20 +270,13 @@ class TestDimensionalityGate:
         config = ServiceConfig(
             expected_sites=2, metrics_port=None, journal_dir=str(tmp_path)
         )
-
-        def model(site_id, dim):
-            points = np.asarray([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
-            return LocalModel(
-                site_id, points[:, :dim], [1.0] * 3, [0, 0, 1], 3, "rep_scor", 0.5, 2
-            )
-
         queries = np.asarray([[0.5, 0.0], [5.0, 5.5], [9.0, 9.0]])
         with ServiceHandle.start(config) as handle:
             with ServiceClient(handle.host, handle.port, site_id=0) as client:
-                assert client.submit(model(0, 2)) == "admitted"
+                assert client.submit(_model(0, 2)) == "admitted"
             with ServiceClient(handle.host, handle.port, site_id=1) as client:
                 with pytest.raises(ServiceError) as excinfo:
-                    client.submit(model(1, 3))
+                    client.submit(_model(1, 3))
                 assert excinfo.value.status == "quarantined"
                 assert "dimensionality 3 differs from the session's 2" in str(
                     excinfo.value
@@ -294,6 +294,58 @@ class TestDimensionalityGate:
             counters = restarted.service.metrics.to_dict()["counters"]
         assert health["model_built"] and health["sites_quarantined"] == 1
         assert "service.internal_errors" not in counters
+
+    def test_a_journal_from_before_the_gate_boots(self, tmp_path):
+        """A journal that recorded a 3-D admission after a 2-D one (as
+        the service did before the dimensionality gate) boots: replay
+        applies the 3-D model as the quarantine the gate records, and
+        recovery journals nothing for it."""
+        with journal.WriteAheadJournal(tmp_path) as wal:
+            wal.append(journal.RecordKind.EPOCH, journal.encode_epoch(1))
+            for site_id, dim in ((0, 2), (1, 3)):
+                payload = wire.encode_local_model(_model(site_id, dim))
+                wal.append(
+                    journal.RecordKind.MODEL_ADMITTED,
+                    journal.encode_admitted(-1, payload),
+                )
+        config = ServiceConfig(
+            expected_sites=2, metrics_port=None, journal_dir=str(tmp_path)
+        )
+        queries = np.asarray([[0.5, 0.0], [5.0, 5.5], [9.0, 9.0]])
+        with ServiceHandle.start(config) as handle:
+            server = handle.service.server
+            assert [m.site_id for m in server.local_models] == [0]
+            (__, reason), = server.quarantined_models
+            assert "dimensionality 3 differs from the session's 2" in reason
+            assert handle.service.metrics.to_dict()["counters"][
+                "server.models_quarantined"
+            ] == 1
+            records = journal.WriteAheadJournal(tmp_path).recover().records
+            assert [r.kind for r in records] == [
+                journal.RecordKind.EPOCH,
+                journal.RecordKind.MODEL_ADMITTED,
+                journal.RecordKind.MODEL_ADMITTED,
+                journal.RecordKind.EPOCH,
+            ]
+            with ServiceClient(handle.host, handle.port, site_id=1) as client:
+                assert client.submit(_model(1, 2)) == "admitted"
+                labels = client.query(queries)
+            counters = handle.service.metrics.to_dict()["counters"]
+        assert labels.tolist() == [0, 1, -1]
+        assert "service.internal_errors" not in counters
+        with ServiceHandle.start(config) as restarted:
+            with ServiceClient(restarted.host, restarted.port) as client:
+                np.testing.assert_array_equal(client.query(queries), labels)
+                health = client.health()
+        assert health["model_built"] and health["sites_quarantined"] == 1
+
+
+def _model(site_id: int, dim: int) -> LocalModel:
+    """Three representatives in two local clusters, in ``dim`` dimensions."""
+    points = np.asarray([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
+    return LocalModel(
+        site_id, points[:, :dim], [1.0] * 3, [0, 0, 1], 3, "rep_scor", 0.5, 2
+    )
 
 
 class TestIdempotentResubmission:
