@@ -7,7 +7,8 @@ local clustering "changes considerably".  This example runs that complete
 loop with :class:`repro.distributed.StreamingScenario`:
 
 * four sensor gateways receive readings round after round,
-* each gateway maintains its clustering incrementally (no re-clustering),
+* each gateway keeps its live readings and re-fits them with DBSCAN when
+  it derives a local model (once per round),
 * a gateway uploads a fresh local model only when it drifted past the
   threshold, and the server refreshes the global model from the latest
   models,

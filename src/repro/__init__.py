@@ -5,9 +5,9 @@ Clustering"*, EDBT 2004, from scratch in pure Python + numpy:
 
 * the DBDC protocol (local DBSCAN → ``REP_Scor``/``REP_kMeans`` local
   models → global DBSCAN over representatives → relabeling),
-* every substrate it depends on (DBSCAN, incremental DBSCAN, k-means,
-  OPTICS, grid/kd-tree/R-tree spatial indexes, a simulated site/server
-  network), and
+* every substrate it depends on (DBSCAN, k-means, OPTICS,
+  grid/kd-tree/R-tree spatial indexes, a simulated site/server network),
+  and
 * the paper's quality framework (``P^I``, ``P^II``, ``Q_DBDC``).
 
 Quick start::
@@ -26,7 +26,7 @@ See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.clustering import DBSCAN, IncrementalDBSCAN, dbscan, kmeans, optics
+from repro.clustering import DBSCAN, dbscan, kmeans, optics
 from repro.core import (
     DBDCConfig,
     DBDCResult,
@@ -47,7 +47,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DBSCAN",
-    "IncrementalDBSCAN",
     "dbscan",
     "kmeans",
     "optics",

@@ -1,14 +1,12 @@
 """Clustering algorithms built from scratch for the DBDC reproduction.
 
 * :mod:`repro.clustering.dbscan` — DBSCAN (local and global clustering),
-* :mod:`repro.clustering.incremental` — incremental DBSCAN maintenance,
 * :mod:`repro.clustering.kmeans` — seeded Lloyd iterations (``REP_kMeans``),
 * :mod:`repro.clustering.optics` — OPTICS ordering (global-model variant),
 * :mod:`repro.clustering.labels` — label conventions shared by all of them.
 """
 
 from repro.clustering.dbscan import DBSCAN, DBSCANResult, dbscan
-from repro.clustering.incremental import IncrementalDBSCAN
 from repro.clustering.kmeans import KMeansResult, kmeans, lloyd_iterations
 from repro.clustering.labels import (
     NOISE,
@@ -50,7 +48,6 @@ __all__ = [
     "DBSCAN",
     "DBSCANResult",
     "dbscan",
-    "IncrementalDBSCAN",
     "KMeansResult",
     "kmeans",
     "lloyd_iterations",

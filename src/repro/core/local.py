@@ -48,8 +48,6 @@ __all__ = [
     "build_rep_scor_model",
     "build_rep_kmeans_model",
     "build_local_model",
-    "build_rep_scor_from_clustering",
-    "select_specific_core_points",
     "LocalClusteringOutcome",
     "LOCAL_MODEL_SCHEMES",
 ]
@@ -382,107 +380,6 @@ def build_rep_kmeans_model(
         min_pts_local=int(min_pts),
     )
     return LocalClusteringOutcome(model, result, scor_map)
-
-
-def select_specific_core_points(
-    points: np.ndarray,
-    labels: np.ndarray,
-    core_mask: np.ndarray,
-    eps: float,
-    *,
-    metric: str | Metric = "euclidean",
-) -> dict[int, np.ndarray]:
-    """Greedy Def.-6 selection from an already-finished clustering.
-
-    The observer-based collector needs a live DBSCAN run; incremental
-    sites maintain their clustering with insert/delete operations instead
-    and re-derive ``Scor`` from the current state.  Core points are
-    scanned in ascending index order (the "processing order" of this
-    selection), admitted iff no already-chosen point of the same cluster
-    covers them — the same greedy rule, hence the same guarantees.
-
-    Args:
-        points: the site's objects.
-        labels: finished cluster labels.
-        core_mask: per-object core flags.
-        eps: the clustering's ``Eps``.
-        metric: distance metric.
-
-    Returns:
-        Mapping ``cluster id -> Scor index array``.
-    """
-    resolved = get_metric(metric)
-    points = np.asarray(points, dtype=float)
-    chosen: dict[int, list[int]] = defaultdict(list)
-    for i in np.flatnonzero(core_mask):
-        cid = int(labels[i])
-        current = chosen[cid]
-        if current:
-            distances = resolved.to_many(points[i], points[current])
-            if bool((distances <= eps).any()):
-                continue
-        current.append(int(i))
-    return {cid: np.asarray(idx, dtype=np.intp) for cid, idx in chosen.items()}
-
-
-def build_rep_scor_from_clustering(
-    points: np.ndarray,
-    labels: np.ndarray,
-    core_mask: np.ndarray,
-    eps: float,
-    min_pts: int,
-    *,
-    site_id: int = 0,
-    metric: str | Metric = "euclidean",
-) -> LocalModel:
-    """Build a ``REP_Scor`` local model from clustering state.
-
-    Used by incremental sites (whose clustering is maintained, not
-    re-run).  Equivalent to :func:`build_rep_scor_model` up to the
-    specific-core-point processing order.
-
-    Args:
-        points: the site's objects.
-        labels: finished cluster labels.
-        core_mask: per-object core flags.
-        eps: the clustering's ``Eps``.
-        min_pts: the clustering's ``MinPts`` (model metadata).
-        site_id: identifier stamped on the representatives.
-        metric: distance metric.
-
-    Returns:
-        The :class:`~repro.core.models.LocalModel`.
-    """
-    resolved = get_metric(metric)
-    points = np.asarray(points, dtype=float)
-    labels = np.asarray(labels, dtype=np.intp)
-    core_mask = np.asarray(core_mask, dtype=bool)
-    scor_map = select_specific_core_points(
-        points, labels, core_mask, eps, metric=resolved
-    )
-    chosen, eps_ranges, owners = [], [], []
-    for cid in sorted(scor_map):
-        for s in scor_map[cid]:
-            # Definition 7 without a prebuilt index: scan for core
-            # neighbors directly (the Scor sets are small).
-            distances = resolved.to_many(points[s], points)
-            nearby_cores = np.flatnonzero(
-                (distances <= eps) & core_mask & (np.arange(points.shape[0]) != s)
-            )
-            eps_range = eps + (distances[nearby_cores].max() if nearby_cores.size else 0.0)
-            chosen.append(s)
-            eps_ranges.append(float(eps_range))
-            owners.append(int(cid))
-    return LocalModel(
-        site_id=site_id,
-        points=points[chosen] if chosen else np.empty((0, 0)),
-        eps_ranges=eps_ranges,
-        local_cluster_ids=owners,
-        n_objects=points.shape[0],
-        scheme="rep_scor",
-        eps_local=float(eps),
-        min_pts_local=int(min_pts),
-    )
 
 
 def build_local_model(

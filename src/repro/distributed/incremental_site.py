@@ -5,15 +5,22 @@ incremental version: "only if the local clustering changes 'considerably',
 we have to transmit a new local model to the central site".  This module
 implements that behaviour:
 
-* the site maintains its clustering with
-  :class:`~repro.clustering.incremental.IncrementalDBSCAN` as objects
-  arrive and depart,
-* its ``REP_Scor`` local model can be derived from the maintained state at
-  any time,
-* :meth:`IncrementalClientSite.model_drift` quantifies how far the current
-  model has moved from the last transmitted one, and
+* the site keeps its objects as they arrive and depart, under stable ids
+  (``0, 1, 2, …`` in arrival order, never reused),
+* its ``REP_Scor`` local model is derived by
+  :func:`~repro.core.local.build_rep_scor_model` over the live objects in
+  id order — the one Scor path every site uses — at most once per change
+  of the live set: the derived model is kept until the next arrival or
+  departure,
+* :func:`model_drift` quantifies how far the current model has moved
+  from the last transmitted one, and
   :meth:`IncrementalClientSite.maybe_transmit` retransmits only when the
   drift exceeds a threshold.
+
+Re-fitting costs one batch DBSCAN per derived model, and a site derives
+about one model per round.  Maintaining the clustering per arrival and
+departure instead (incremental DBSCAN) costs more, because a departure
+can split a cluster that must then be re-expanded.
 
 Drift measure: the symmetric share of representatives in either model that
 are *not* covered (within their ε-range) by any representative of the other
@@ -25,12 +32,13 @@ wants.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clustering.incremental import IncrementalDBSCAN
-from repro.core.local import build_rep_scor_from_clustering
+from repro.clustering.dbscan import density_parameters
+from repro.core.local import build_rep_scor_model
 from repro.core.models import LocalModel
 from repro.data.distance import Metric, get_metric
 
@@ -103,6 +111,9 @@ def model_drift(
 class IncrementalClientSite:
     """A client site whose data evolves over time.
 
+    Objects take the ids ``0, 1, 2, …`` in arrival order; an id is never
+    reused.
+
     Args:
         site_id: unique site identifier.
         eps_local: local DBSCAN ``Eps``.
@@ -122,64 +133,149 @@ class IncrementalClientSite:
         metric: str | Metric = "euclidean",
         drift_threshold: float = 0.2,
     ) -> None:
-        if drift_threshold < 0:
+        self.eps_local, self.min_pts_local = density_parameters(
+            eps_local,
+            min_pts_local,
+            eps_name="eps_local",
+            min_pts_name="min_pts_local",
+        )
+        if not drift_threshold >= 0:
             raise ValueError(f"drift_threshold must be >= 0, got {drift_threshold}")
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
         self.site_id = site_id
-        self.eps_local = float(eps_local)
-        self.min_pts_local = int(min_pts_local)
+        self.dim = int(dim)
         self.metric = get_metric(metric)
         self.drift_threshold = float(drift_threshold)
-        self._clustering = IncrementalDBSCAN(
-            eps_local, min_pts_local, dim, metric=self.metric
-        )
+        # Every object ever added, in id order, in buffers that double
+        # when full; ``_live`` marks the ones not removed yet.  Rows past
+        # ``_n_ids`` are never read.
+        self._points = np.empty((0, self.dim))
+        self._live = np.empty(0, dtype=bool)
+        self._n_ids = 0
+        self._model: LocalModel | None = None
         self._transmitted: LocalModel | None = None
         self.n_transmissions = 0
 
     # ------------------------------------------------------------------
     # data evolution
     # ------------------------------------------------------------------
+    def check_change(
+        self, points: np.ndarray, object_ids: Iterable[int] = ()
+    ) -> tuple[np.ndarray, list[int]]:
+        """Check an arrival batch and the ids departing after it.
+
+        Changes nothing.  The batch's objects would take the next ids, so
+        ``object_ids`` may name them.
+
+        Returns:
+            ``(rows, ids)``: the arrivals as a ``(k, dim)`` float array (an
+            empty arrival of any shape reads as zero rows) and the
+            departing ids as a list.
+
+        Raises:
+            ValueError: for arrivals not shaped ``(k, dim)`` or holding a
+                NaN or an infinite value.
+            KeyError: for a departing id that is unknown, already removed
+                or named twice.
+        """
+        rows = np.asarray(points, dtype=float)
+        if rows.size == 0:
+            rows = np.empty((0, self.dim))
+        if rows.ndim != 2 or rows.shape[1] != self.dim:
+            raise ValueError(
+                f"site {self.site_id}: arrivals must be shaped (k, {self.dim}), "
+                f"got {rows.shape}"
+            )
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            raise ValueError(
+                f"site {self.site_id}: arrivals must be finite, row "
+                f"{bad[0]} holds a NaN or an infinite value"
+            )
+        ids = list(object_ids)
+        seen: set[int] = set()
+        for object_id in ids:
+            arriving = self._n_ids <= object_id < self._n_ids + rows.shape[0]
+            if object_id in seen or not (arriving or self._is_live(object_id)):
+                raise KeyError(
+                    f"site {self.site_id} has no live object with id {object_id}"
+                )
+            seen.add(object_id)
+        return rows, ids
+
+    def _is_live(self, object_id: int) -> bool:
+        return 0 <= object_id < self._n_ids and bool(self._live[object_id])
+
     def add_object(self, point: np.ndarray) -> int:
         """Insert one object; returns its stable id."""
-        return self._clustering.insert(point)
+        row = np.asarray(point, dtype=float)
+        if row.shape != (self.dim,):
+            raise ValueError(
+                f"site {self.site_id}: expected a ({self.dim},) point, "
+                f"got shape {row.shape}"
+            )
+        return self.add_objects(row[np.newaxis])[0]
 
     def add_objects(self, points: np.ndarray) -> list[int]:
-        """Insert a batch of objects; returns their stable ids."""
-        return [self._clustering.insert(p) for p in np.asarray(points, dtype=float)]
+        """Insert a batch of objects; returns their stable ids.
+
+        A batch with a malformed row adds none of its rows.
+        """
+        rows, __ = self.check_change(points)
+        start, end = self._n_ids, self._n_ids + rows.shape[0]
+        if end > self._live.size:
+            capacity = max(end, 2 * self._live.size)
+            self._points = np.resize(self._points, (capacity, self.dim))
+            self._live = np.resize(self._live, capacity)
+        self._points[start:end] = rows
+        self._live[start:end] = True
+        self._n_ids = end
+        if rows.shape[0]:
+            self._model = None
+        return list(range(start, end))
 
     def remove_object(self, object_id: int) -> None:
-        """Delete one object by its stable id."""
-        self._clustering.delete(object_id)
+        """Delete one object by its stable id.
+
+        Raises:
+            KeyError: if the id is unknown or already removed.
+        """
+        if not self._is_live(object_id):
+            raise KeyError(
+                f"site {self.site_id} has no live object with id {object_id}"
+            )
+        self._live[object_id] = False
+        self._model = None
 
     @property
     def n_objects(self) -> int:
         """Current number of objects on the site."""
-        return len(self._clustering)
+        return int(np.count_nonzero(self._live[: self._n_ids]))
 
     @property
     def n_local_clusters(self) -> int:
-        """Current number of local clusters."""
-        return self._clustering.cluster_count()
+        """Number of local clusters of the current model's fit."""
+        return self.current_model().n_local_clusters
 
     # ------------------------------------------------------------------
     # model derivation and transmission policy
     # ------------------------------------------------------------------
     def current_model(self) -> LocalModel:
-        """Derive the ``REP_Scor`` model from the maintained clustering."""
-        points = self._clustering.points()
-        labels = self._clustering.labels()
-        live = self._clustering.live_indices()
-        core = np.asarray(
-            [self._clustering.is_core(int(i)) for i in live], dtype=bool
-        )
-        return build_rep_scor_from_clustering(
-            points,
-            labels,
-            core,
-            self.eps_local,
-            self.min_pts_local,
-            site_id=self.site_id,
-            metric=self.metric,
-        )
+        """The ``REP_Scor`` model of the live objects, in id order.
+
+        Fitted on the first call after a change and kept until the next.
+        """
+        if self._model is None:
+            live = self._points[: self._n_ids][self._live[: self._n_ids]]
+            self._model = build_rep_scor_model(
+                live,
+                self.eps_local,
+                self.min_pts_local,
+                site_id=self.site_id,
+                metric=self.metric,
+            ).model
+        return self._model
 
     def drift_since_transmission(self) -> DriftReport:
         """Drift of the current model vs the last transmitted one.

@@ -28,6 +28,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
+from repro.clustering.dbscan import density_parameters
 from repro.core.models import GlobalModel, LocalModel
 from repro.core.relabel import RELABEL_KERNELS, relabel_site
 from repro.core.shm import ShmArrayPool, ShmArrayRef
@@ -358,6 +359,12 @@ class DistributedRunConfig:
     relabel_kernel: str = "auto"
 
     def __post_init__(self) -> None:
+        density_parameters(
+            self.eps_local,
+            self.min_pts_local,
+            eps_name="eps_local",
+            min_pts_name="min_pts_local",
+        )
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
         if self.parallel_backend not in ("thread", "process"):

@@ -1,10 +1,10 @@
 """Multi-round streaming simulation: evolving sites, lazy resynchronization.
 
-This composes the two incremental extensions the paper motivates into a
+This composes the incremental extensions the paper motivates into a
 complete running system:
 
-* every client site maintains its clustering incrementally as objects
-  arrive/depart (§4: the incremental DBSCAN argument),
+* every client site keeps its objects as they arrive and depart, and
+  re-fits them into a local model when it derives one,
 * a site re-transmits its local model only when it drifted "considerably"
   (§4), and
 * the server rebuilds the global model from the latest models and
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.clustering.dbscan import density_parameters
 from repro.core.global_model import build_global_model
 from repro.core.models import GlobalModel, LocalModel
 from repro.data.distance import Metric, get_metric
@@ -94,6 +95,12 @@ class StreamingScenario:
     ) -> None:
         if n_sites < 1:
             raise ValueError(f"n_sites must be >= 1, got {n_sites}")
+        eps_local, min_pts_local = density_parameters(
+            eps_local,
+            min_pts_local,
+            eps_name="eps_local",
+            min_pts_name="min_pts_local",
+        )
         self.metric = get_metric(metric)
         self.eps_global = (
             float(eps_global) if eps_global is not None else 2.0 * eps_local
@@ -135,15 +142,23 @@ class StreamingScenario:
     ) -> RoundStats:
         """Execute one round: mutate the sites, resync lazily, rebuild.
 
+        Every site's arrivals and departures are checked before any site
+        changes, so a refused round changes nothing.
+
         Args:
             arrivals: per site, an array of new objects (may be empty).
-            departures: per site, stable object ids to remove.
+            departures: per site, stable object ids to remove; the ids of
+                this round's arrivals count as live.
 
         Returns:
             The round's :class:`RoundStats`.
 
         Raises:
-            ValueError: when the per-site lists do not match ``n_sites``.
+            ValueError: when the per-site lists do not match ``n_sites``,
+                or when a site's arrivals are not shaped ``(k, dim)`` or
+                hold a NaN or an infinite value.
+            KeyError: when a departure names an id that is not live on
+                its site, or names it twice.
         """
         if len(arrivals) != len(self.sites):
             raise ValueError(
@@ -156,16 +171,18 @@ class StreamingScenario:
                 f"expected {len(self.sites)} departure lists, got {len(departures)}"
             )
 
+        changes = [
+            site.check_change(new_points, leaving)
+            for site, new_points, leaving in zip(self.sites, arrivals, departures)
+        ]
         n_arrived = 0
         n_departed = 0
-        for site, new_points, leaving in zip(self.sites, arrivals, departures):
-            new_points = np.asarray(new_points, dtype=float)
-            if new_points.size:
-                site.add_objects(new_points)
-                n_arrived += new_points.shape[0]
+        for site, (rows, leaving) in zip(self.sites, changes):
+            site.add_objects(rows)
             for object_id in leaving:
                 site.remove_object(object_id)
-                n_departed += 1
+            n_arrived += rows.shape[0]
+            n_departed += len(leaving)
 
         # Lazy resync: only drifted sites upload a fresh model (plus sites
         # whose previous upload was lost and must retry).

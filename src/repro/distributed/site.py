@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.clustering.dbscan import density_parameters
 from repro.clustering.labels import NOISE
 from repro.core.local import LocalClusteringOutcome, build_local_model
 from repro.core.models import GlobalModel, LocalModel
@@ -74,8 +75,12 @@ class ClientSite:
     ) -> None:
         self.site_id = site_id
         self.points = np.asarray(points, dtype=float)
-        self.eps_local = float(eps_local)
-        self.min_pts_local = int(min_pts_local)
+        self.eps_local, self.min_pts_local = density_parameters(
+            eps_local,
+            min_pts_local,
+            eps_name="eps_local",
+            min_pts_name="min_pts_local",
+        )
         self.scheme = scheme
         self.metric = get_metric(metric)
         self.index_kind = index_kind

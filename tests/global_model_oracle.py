@@ -5,7 +5,7 @@ oracles.
 DBSCAN(``Eps_global``, ``MinPts_global = 2``) over every representative,
 its noise promoted to singleton clusters after every cluster, in index
 order.  ``OracleRepairer`` folds late models in one representative at a
-time through :class:`~repro.clustering.incremental.IncrementalDBSCAN`
+time through :class:`~tests.incremental_dbscan_oracle.IncrementalDBSCAN`
 and maps its raw labels onto stable ids: a raw cluster adopts the
 smallest previous id among its members, a raw cluster without previous
 members and every new noise representative take fresh ids in index
@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clustering.dbscan import dbscan
-from repro.clustering.incremental import IncrementalDBSCAN
 from repro.clustering.labels import NOISE
 from repro.core.global_model import (
     MIN_PTS_GLOBAL,
@@ -27,6 +26,7 @@ from repro.core.global_model import (
 )
 from repro.core.models import GlobalModel, LocalModel
 from repro.data.distance import get_metric
+from tests.incremental_dbscan_oracle import IncrementalDBSCAN
 from tests.model_rows import global_model, rows_of
 
 

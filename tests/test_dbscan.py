@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 
 from repro.clustering.dbscan import DBSCAN, dbscan
-from repro.clustering.incremental import IncrementalDBSCAN
 from repro.clustering.labels import NOISE
 from repro.core.dbdc import DBDCConfig
+from repro.distributed.incremental_site import IncrementalClientSite
+from repro.distributed.runner import DistributedRunConfig
+from repro.distributed.scenario import StreamingScenario
+from repro.distributed.site import ClientSite
 from repro.index import build_index
 from tests.conftest import brute_force_neighbors
+from tests.incremental_dbscan_oracle import IncrementalDBSCAN
 
-# The three places DBSCAN's parameters enter, as (eps, min_pts) -> object.
+# The places DBSCAN's parameters enter, as (eps, min_pts) -> object.
 PARAMETER_OWNERS = {
     "DBSCAN": lambda eps, min_pts: DBSCAN(eps, min_pts),
     "IncrementalDBSCAN": lambda eps, min_pts: IncrementalDBSCAN(
@@ -22,6 +26,18 @@ PARAMETER_OWNERS = {
     ),
     "DBDCConfig": lambda eps, min_pts: DBDCConfig(
         eps_local=eps, min_pts_local=min_pts
+    ),
+    "DistributedRunConfig": lambda eps, min_pts: DistributedRunConfig(
+        eps_local=eps, min_pts_local=min_pts
+    ),
+    "ClientSite": lambda eps, min_pts: ClientSite(
+        0, np.zeros((1, 2)), eps_local=eps, min_pts_local=min_pts
+    ),
+    "IncrementalClientSite": lambda eps, min_pts: IncrementalClientSite(
+        0, eps_local=eps, min_pts_local=min_pts, dim=2
+    ),
+    "StreamingScenario": lambda eps, min_pts: StreamingScenario(
+        1, eps_local=eps, min_pts_local=min_pts
     ),
 }
 

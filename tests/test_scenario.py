@@ -99,6 +99,70 @@ class TestRounds:
         assert stats.n_representatives >= 2  # at least one rep per site
 
 
+class TestRefusedRound:
+    """A round refused for a bad input on a later site changes nothing."""
+
+    @staticmethod
+    def _scenario():
+        scenario = StreamingScenario(2, eps_local=1.0, min_pts_local=4)
+        scenario.run_round(_arrivals(2, [[0.0, 0.0]], count=20, seed=1))
+        return scenario
+
+    @staticmethod
+    def _state(scenario):
+        return (
+            [site.n_objects for site in scenario.sites],
+            [site.current_model() for site in scenario.sites],
+            list(scenario.history),
+            scenario.total_bytes_up(),
+            scenario.global_model,
+        )
+
+    @staticmethod
+    def _nan_in_row_2(arrivals):
+        arrivals = [points.copy() for points in arrivals]
+        arrivals[1][2, 0] = np.nan
+        return arrivals
+
+    @pytest.mark.parametrize(
+        "spoil,departures,error",
+        [
+            (None, [[0], [999]], KeyError),
+            (None, [[0], [3, 3]], KeyError),
+            ("nan", [[0], [1]], ValueError),
+            ("shape", [[0], [1]], ValueError),
+        ],
+        ids=["unknown-id", "repeated-id", "nan-arrival", "3-d-arrival"],
+    )
+    def test_refused_round_changes_no_site(self, spoil, departures, error):
+        arrivals = _arrivals(2, [[0.0, 0.0]], count=5, seed=2)
+        if spoil == "nan":
+            bad_arrivals = self._nan_in_row_2(arrivals)
+        elif spoil == "shape":
+            bad_arrivals = [arrivals[0], np.zeros((5, 3))]
+        else:
+            bad_arrivals = arrivals
+        scenario = self._scenario()
+        before = self._state(scenario)
+        with pytest.raises(error, match="site 1"):
+            scenario.run_round(bad_arrivals, departures)
+        assert self._state(scenario) == before
+
+        # The corrected round departs one object that arrives in it.
+        corrected = [[0, 1], [2, 22]]
+        stats = scenario.run_round(arrivals, corrected)
+        untouched = self._scenario()
+        assert stats == untouched.run_round(arrivals, corrected)
+        assert stats.departures == 4
+        assert self._state(scenario) == self._state(untouched)
+
+    def test_empty_arrival_of_any_shape_is_allowed(self):
+        scenario = self._scenario()
+        stats = scenario.run_round([np.empty((0,)), np.empty((0, 5))])
+        assert stats.arrivals == 0
+        assert [site.n_objects for site in scenario.sites] == [20, 20]
+
+
 class TestScenarioTransport:
     def _scenario(self, plan, **policy_kwargs):
         from repro.distributed.network import SimulatedNetwork
