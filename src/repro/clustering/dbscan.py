@@ -73,6 +73,7 @@ __all__ = [
     "DBSCANObserver",
     "dbscan",
     "density_parameters",
+    "global_radius",
 ]
 
 
@@ -99,6 +100,23 @@ def density_parameters(
     if not (count.is_integer() and count >= 1):
         raise ValueError(f"{min_pts_name} must be a whole number >= 1, got {min_pts}")
     return radius, int(count)
+
+
+def global_radius(eps_global: float | None) -> float | None:
+    """Check DBDC's server merge radius ``eps_global``: ``None`` (the
+    owner's default) or positive and finite, returned as a float.
+
+    Raises:
+        ValueError: naming ``eps_global`` and its value.
+    """
+    if eps_global is None:
+        return None
+    radius = float(eps_global)
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(
+            f"eps_global must be None or positive and finite, got {eps_global}"
+        )
+    return radius
 
 
 def _row_budget() -> int:

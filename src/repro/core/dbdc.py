@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clustering.dbscan import density_parameters
+from repro.clustering.dbscan import density_parameters, global_radius
 from repro.clustering.labels import NOISE
 from repro.core.global_model import (
     GlobalClusteringStats,
@@ -81,10 +81,7 @@ class DBDCConfig:
             raise ValueError(
                 f"unknown scheme {self.scheme!r}; known: {LOCAL_MODEL_SCHEMES}"
             )
-        if self.eps_global is not None and self.eps_global <= 0:
-            raise ValueError(
-                f"eps_global must be positive or None, got {self.eps_global}"
-            )
+        global_radius(self.eps_global)
         if self.relabel_kernel not in RELABEL_KERNELS:
             raise ValueError(
                 f"unknown relabel_kernel {self.relabel_kernel!r}; "

@@ -57,7 +57,10 @@ class Metric:
             ``to_many(Q[i], X)``.  ``None`` falls back to a row loop.
         to_pairs: optional ``f(Q, X) -> ndarray`` of shape ``(len(Q),)``
             with ``out[i] = d(Q[i], X[i])``, bitwise identical to
-            ``to_many(Q[i], X[i:i+1])``.  ``None`` falls back to a row loop.
+            ``to_many(Q[i], X[i:i+1])``.  Called as ``f(Q, X, out)`` only
+            when a caller of :meth:`paired` passes ``out``: it then writes
+            the distances there and may overwrite ``X``.  ``None`` falls
+            back to a row loop.
     """
 
     name: str
@@ -65,7 +68,7 @@ class Metric:
     to_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
     to_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    to_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    to_pairs: Callable[..., np.ndarray] | None = None
 
     def matrix(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Full distance matrix between two point sets.
@@ -97,7 +100,9 @@ class Metric:
                 out[i] = self.to_many(row, right)
         return out
 
-    def paired(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    def paired(
+        self, left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Row-paired distances ``out[i] = d(left[i], right[i])``.
 
         Each entry is bitwise equal to ``to_many(left[i], right[i:i+1])``,
@@ -107,15 +112,24 @@ class Metric:
         Args:
             left: array of shape ``(k, d)``.
             right: array of shape ``(k, d)``.
+            out: optional float array of shape ``(k,)`` to write the
+                distances into.  The built-in kernels then use ``right``
+                as scratch and overwrite it with the row differences, so
+                a caller that gathered ``right`` into a buffer of its own
+                allocates nothing here.  The ufunc sequence is the same
+                with and without ``out``, and so is every distance.
 
         Returns:
-            Array of shape ``(k,)``.
+            Array of shape ``(k,)`` (``out`` when given).
         """
         left = np.asarray(left, dtype=float)
         right = np.asarray(right, dtype=float)
         if self.to_pairs is not None:
-            return self.to_pairs(left, right)
-        out = np.empty(left.shape[0], dtype=float)
+            if out is None:
+                return self.to_pairs(left, right)
+            return self.to_pairs(left, right, out)
+        if out is None:
+            out = np.empty(left.shape[0], dtype=float)
         for i, row in enumerate(left):
             out[i] = self.to_many(row, right[i : i + 1])[0]
         return out
@@ -195,24 +209,39 @@ def _chebyshev_matrix(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
 # Row-paired kernels: ``points - queries`` row by row is the ``to_many``
 # subtraction (``points - p``) and the reduction over the last axis of a
 # contiguous ``(k, d)`` array is the ``to_many`` reduction, so each entry
-# is bitwise equal to the one-to-many kernel's.
+# is bitwise equal to the one-to-many kernel's.  With ``out`` the same
+# ufuncs write into ``out`` and, for the row differences, into ``points``.
 
-def _euclidean_pairs(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    diff = points - queries
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
-def _squared_pairs(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    diff = points - queries
-    return np.einsum("ij,ij->i", diff, diff)
-
-
-def _manhattan_pairs(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    return np.abs(points - queries).sum(axis=1)
+def _euclidean_pairs(
+    queries: np.ndarray, points: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    scratch = None if out is None else points
+    diff = np.subtract(points, queries, out=scratch)
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff, out=out), out=out)
 
 
-def _chebyshev_pairs(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    return np.abs(points - queries).max(axis=1)
+def _squared_pairs(
+    queries: np.ndarray, points: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    scratch = None if out is None else points
+    diff = np.subtract(points, queries, out=scratch)
+    return np.einsum("ij,ij->i", diff, diff, out=out)
+
+
+def _manhattan_pairs(
+    queries: np.ndarray, points: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    scratch = None if out is None else points
+    diff = np.abs(np.subtract(points, queries, out=scratch), out=scratch)
+    return diff.sum(axis=1, out=out)
+
+
+def _chebyshev_pairs(
+    queries: np.ndarray, points: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    scratch = None if out is None else points
+    diff = np.abs(np.subtract(points, queries, out=scratch), out=scratch)
+    return diff.max(axis=1, out=out)
 
 
 euclidean = Metric(

@@ -28,7 +28,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from repro.clustering.dbscan import density_parameters
+from repro.clustering.dbscan import density_parameters, global_radius
 from repro.core.models import GlobalModel, LocalModel
 from repro.core.relabel import RELABEL_KERNELS, relabel_site
 from repro.core.shm import ShmArrayPool, ShmArrayRef
@@ -365,6 +365,7 @@ class DistributedRunConfig:
             eps_name="eps_local",
             min_pts_name="min_pts_local",
         )
+        global_radius(self.eps_global)
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
         if self.parallel_backend not in ("thread", "process"):

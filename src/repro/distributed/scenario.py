@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clustering.dbscan import density_parameters
+from repro.clustering.dbscan import density_parameters, global_radius
 from repro.core.global_model import build_global_model
 from repro.core.models import GlobalModel, LocalModel
 from repro.data.distance import Metric, get_metric
@@ -102,9 +102,8 @@ class StreamingScenario:
             min_pts_name="min_pts_local",
         )
         self.metric = get_metric(metric)
-        self.eps_global = (
-            float(eps_global) if eps_global is not None else 2.0 * eps_local
-        )
+        eps_global = global_radius(eps_global)
+        self.eps_global = eps_global if eps_global is not None else 2.0 * eps_local
         self.network = network or SimulatedNetwork()
         if transport is not None and transport.network is not self.network:
             raise ValueError(

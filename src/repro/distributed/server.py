@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.clustering.dbscan import global_radius
 from repro.core.global_model import (
     GlobalClusteringStats,
     GlobalModelRepairer,
@@ -91,7 +92,8 @@ class CentralServer:
     representatives it receives".
 
     Args:
-        eps_global: merge radius; ``None`` → the paper's default (max ε_r).
+        eps_global: merge radius, positive and finite; ``None`` → the
+            paper's default (max ε_r).
         metric: distance metric.
         index_kind: neighbor index for the global build and its folds.
         deadline_s: admission deadline (``None`` = never reject).
@@ -118,7 +120,7 @@ class CentralServer:
             raise ValueError(f"deadline_s must be positive, got {deadline_s}")
         if not 0.0 <= quorum <= 1.0:
             raise ValueError(f"quorum must be in [0, 1], got {quorum}")
-        self.eps_global = eps_global
+        self.eps_global = global_radius(eps_global)
         self.metric = get_metric(metric)
         self.index_kind = index_kind
         self.deadline_s = deadline_s
@@ -565,9 +567,13 @@ class IncrementalServer:
     default) when in doubt.
 
     Args:
-        eps_global: merge radius (required, positive).
+        eps_global: merge radius (required, positive and finite).
         dim: representative dimensionality.
         metric: distance metric.
+
+    Raises:
+        ValueError: if ``eps_global`` is ``None``, NaN, infinite or not
+            positive.
     """
 
     def __init__(
@@ -577,9 +583,9 @@ class IncrementalServer:
         *,
         metric: str | Metric = "euclidean",
     ) -> None:
-        if eps_global <= 0:
-            raise ValueError(f"eps_global must be positive, got {eps_global}")
-        self.eps_global = float(eps_global)
+        if eps_global is None:
+            raise ValueError("eps_global is required here, got None")
+        self.eps_global = global_radius(eps_global)
         self.dim = int(dim)
         self.metric = get_metric(metric)
         self._repairer = GlobalModelRepairer(

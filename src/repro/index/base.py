@@ -45,13 +45,24 @@ import numpy as np
 
 from repro.data.distance import Metric, get_metric
 
-__all__ = ["NeighborIndex", "PAIR_BUDGET_BYTES", "require_finite"]
+__all__ = [
+    "NeighborIndex",
+    "PAIR_BUDGET_BYTES",
+    "PASS_BUDGET_BYTES",
+    "require_finite",
+]
 
-#: Bytes one vectorized query pass may allocate — the ~32 MB bound
-#: ``Metric.matrix`` already uses.  The grid join sizes its passes of
-#: ``(query, candidate)`` pairs from it, and DBSCAN sizes the neighbour
-#: rows it fetches or holds at once from it.
+#: Bytes one vectorized query block may allocate — the ~32 MB bound
+#: ``Metric.matrix`` already uses.  DBSCAN sizes the neighbour rows it
+#: fetches or holds at once from it, and so decides whether a fit fetches
+#: its whole neighbour graph in one call.
 PAIR_BUDGET_BYTES = 32 * 2**20
+
+#: Bytes of ``(query, candidate)`` pair arrays one grid-join pass works
+#: on.  A block of queries is cut into passes of this size, small enough
+#: to stay in the CPU caches, and the pass buffers are reused from one
+#: pass and one join to the next (``repro.index.grid``).
+PASS_BUDGET_BYTES = 4 * 2**20
 
 
 def coordinate_reach(metric: Metric, eps: float) -> float:

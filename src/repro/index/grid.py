@@ -29,32 +29,46 @@ join** that runs in a fixed number of NumPy passes per block of queries:
    query points outside the occupied cells, are looked up per call the
    same way);
 2. the block's ``(query, candidate)`` pairs are generated with two ragged
-   ``repeat``/``arange`` expansions: query → its cell's neighbour cells →
-   their points, so the pairs arrive grouped by query;
+   expansions: query → its cell's neighbour cells → their points, so the
+   pairs arrive grouped by query (each pair's point and query index are
+   running sums written into the pass buffers);
 3. one row-paired distance kernel (:meth:`Metric.paired`, bitwise equal to
    ``Metric.to_many``) filters the pairs;
-4. one sort puts the survivors in CSR order: a flat hit array, ascending
+4. one sort of ``(query, point)`` keys, the pairs out of range keyed past
+   every hit, puts the survivors in CSR order: a flat hit array, ascending
    within each query, plus per-query row offsets (:meth:`GridIndex.join`
    returns them as they are).  The join's reducing mode lists no hits:
    two ``np.minimum.reduceat`` over each query's pairs give its nearest
    point within that point's own radius (the relabel fold's cover).
 
-A block is cut into passes of at most ``PAIR_BUDGET_BYTES`` worth of pairs,
-so one call allocates a bounded amount however large the block.  Only the
-neighbour table is filled in after construction, and it is a pure function
-of the points: threads that race to build it build equal tables, so
-concurrent queries need no locking.
+A block is cut into passes of at most ``PASS_BUDGET_BYTES`` (4 MiB) of
+pair arrays, small enough to stay in the CPU caches.  A pass writes its
+pair arrays with ``out=`` into one buffer set, which the join takes from
+a module-level free list and gives back when it returns, so later passes
+and later joins reuse the same pages instead of faulting fresh ones in.
+A row answer is staged in the set pass by pass and copied out once, so
+nothing a join returns aliases a buffer.  The list keeps at most one set
+per join that ran at the same time; a set holds one pass of pair arrays
+(a lone query over the budget gets buffers that are not kept) and a
+staged answer of at most a quarter pass per array, so at most 1.5 passes
+(6 MiB).  Taking and giving back a set are single atomic ``deque``
+operations: a set serves one join at a time, no lock is held across a
+pass, and a forked child inherits the list as it is.  Only the neighbour
+table is filled in after construction, and it is a pure function of the
+points: threads that race to build it build equal tables.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 
 import numpy as np
 
 from repro.data.distance import Metric
 from repro.index.base import (
-    PAIR_BUDGET_BYTES,
+    PASS_BUDGET_BYTES,
     NeighborIndex,
     _as_query_batch,
     _budget_runs,
@@ -69,6 +83,72 @@ _GRID_METRICS = {"euclidean", "manhattan", "chebyshev", "squared_euclidean"}
 # while the extent's cell count stays below this; beyond it the neighbour
 # lookup compares coordinate rows instead, so a key can never overflow.
 _KEY_LIMIT = 2**62
+
+# The sort key of a pair beyond the query radius: past every hit's key.
+_MISS = np.iinfo(np.intp).max
+
+# The bytes of a staged row answer, per array, that a kept buffer set
+# keeps: a quarter of a pass, so a kept set holds at most 1.5 passes.
+_STAGE_BYTES = PASS_BUDGET_BYTES // 4
+
+
+class _PassBuffers:
+    """The pair arrays of one join's passes, kept for later joins.
+
+    Each named array grows to the largest pass it served and is handed
+    out as a leading slice, so passes and joins write into the same
+    pages instead of asking the allocator for fresh ones.
+    """
+
+    __slots__ = ("_arrays",)
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(
+        self, name: str, size: int, dtype=np.intp, keep: int = 0
+    ) -> np.ndarray:
+        """The first ``size`` entries of the named array.  A growth keeps
+        the first ``keep`` entries and then, as a staged answer grows pass
+        by pass, doubles the array: up to ``_STAGE_BYTES`` while the answer
+        fits there, so that the set keeps it, and freely past it."""
+        array = self._arrays.get(name)
+        if array is None or array.size < size:
+            if keep:
+                cap = _STAGE_BYTES // array.itemsize
+                double = 2 * array.size if size > cap else min(2 * array.size, cap)
+                grown = np.empty(max(size, double), dtype)
+                grown[:keep] = array[:keep]
+            else:
+                grown = np.empty(size, dtype)
+            array = self._arrays[name] = grown
+        return array[:size]
+
+    @classmethod
+    def take(cls) -> _PassBuffers:
+        """A set from the free list, or a new one.  One ``pop``: testing
+        the list first would race with another join's ``pop``."""
+        try:
+            return _FREE_BUFFERS.pop()
+        except IndexError:
+            return cls()
+
+    def release(self) -> None:
+        """Return to the free list, dropping a staged answer array over
+        ``_STAGE_BYTES`` (the pass arrays never outgrow one pass)."""
+        for name in ("hits", "hit_distances"):
+            if name in self._arrays and self._arrays[name].nbytes > _STAGE_BYTES:
+                del self._arrays[name]
+        _FREE_BUFFERS.append(self)
+
+
+# Buffer sets between joins.  A join pops one (or makes one) and appends
+# it back when done: ``deque.pop`` and ``append`` are atomic, so no lock
+# is held across a pass, a forked child inherits the sets as they are,
+# and a set serves one join at a time.  Module-level, because services
+# start fresh threads for every session; at most one set per join that
+# ran at the same time is kept.
+_FREE_BUFFERS: collections.deque[_PassBuffers] = collections.deque()
 
 
 class GridIndex(NeighborIndex):
@@ -121,9 +201,10 @@ class GridIndex(NeighborIndex):
             else np.zeros(dim, dtype=np.int64)
         )
         self._strides, self._keys = _linear_keys(self._cell_coords, self._extent)
-        # Bytes one pair costs in a join pass: two gathered coordinate
-        # rows and their difference, plus the index and distance arrays.
-        self._pair_budget = max(1, PAIR_BUDGET_BYTES // (24 * dim + 40))
+        # Bytes one pair costs in a join pass's buffers, whatever the
+        # mode: two gathered coordinate rows (the point rows then hold
+        # their difference), five index arrays, two float arrays, a mask.
+        self._pair_budget = max(1, PASS_BUDGET_BYTES // (16 * dim + 57))
         self._rings0 = self._rings(self._cell_size)
         # The neighbour table at the build radius, built on first use.
         self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -289,7 +370,8 @@ class GridIndex(NeighborIndex):
             count_only: return just the ``intp`` hit counts.
             radii: one radius per indexed point: point ``j`` matches a
                 query within ``radii[j]`` of it.  A radius above ``eps``
-                is cut to ``eps``, the reach of the candidate cells.
+                (``inf`` included) is cut to ``eps``, the reach of the
+                candidate cells.
 
         Returns:
             With ``radii``, ``(nearest, distance)``: per query, the index
@@ -298,10 +380,12 @@ class GridIndex(NeighborIndex):
             and ``inf`` where no point matches.  Otherwise the hit counts
             with ``count_only``, or ``(hits, offsets, hit distances or
             None)`` in CSR form: row ``k`` is
-            ``hits[offsets[k]:offsets[k + 1]]``, ascending.
+            ``hits[offsets[k]:offsets[k + 1]]``, ascending.  Every array
+            is fresh: none shares memory with the pass buffers.
 
         Raises:
-            ValueError: if ``radii`` is not one value per indexed point.
+            ValueError: if ``radii`` is not one value per indexed point,
+                or one of them is NaN or negative (naming the first).
         """
         m = queries.shape[0]
         if radii is not None:
@@ -309,6 +393,12 @@ class GridIndex(NeighborIndex):
             if radii.shape != (len(self),):
                 raise ValueError(
                     f"radii of shape {radii.shape} for {len(self)} indexed points"
+                )
+            if not (radii >= 0).all():
+                bad = np.flatnonzero(~(radii >= 0))
+                raise ValueError(
+                    f"radii must be non-negative numbers; radii[{bad[0]}] "
+                    f"is {radii[bad[0]]}"
                 )
             radii = np.minimum(radii, eps)
             nearest, nearest_distance = np.full(m, -1, np.intp), np.full(m, np.inf)
@@ -321,102 +411,163 @@ class GridIndex(NeighborIndex):
             return np.empty(0, dtype=np.intp), np.zeros(m + 1, dtype=np.intp), (
                 np.empty(0, dtype=float) if distances else None
             )
+        queries = np.asarray(queries, dtype=float)
         group_of, (offsets, neighbours, group_size) = self._query_groups(
             queries, self._rings(eps), cells
         )
         pairs = group_size[group_of]
-        hits, dists = [], []
-        for lo, hi in _budget_runs(pairs.cumsum(), self._pair_budget):
+        ends = _through(pairs)
+        total = 0
+        pooled = _PassBuffers.take()
+        for lo, hi in _budget_runs(ends[1:], self._pair_budget):
+            query_through = ends[lo : hi + 1] - ends[lo]
+            # A lone query over the pass budget gets buffers of its own,
+            # so the kept set never outgrows one pass.
+            oversize = query_through[-1] > self._pair_budget
+            buffers = _PassBuffers() if oversize else pooled
             grouped = self._pairs(
                 queries[lo:hi],
                 _take_rows(offsets, neighbours, group_of[lo:hi]),
-                pairs[lo:hi],
+                query_through,
+                buffers,
             )
             if radii is not None:
                 self._nearest(
                     grouped,
+                    query_through,
                     pairs[lo:hi],
                     radii,
                     nearest[lo:hi],
                     nearest_distance[lo:hi],
+                    buffers,
                 )
                 continue
             counts[lo:hi], pass_hits, pass_dists = self._hits(
-                grouped, eps, rows=not count_only, distances=distances
+                grouped,
+                query_through,
+                eps,
+                buffers,
+                rows=not count_only,
+                distances=distances,
             )
-            hits.append(pass_hits)
-            dists.append(pass_dists)
+            if count_only:
+                continue
+            # The passes' hits are staged in the kept set, so the answer
+            # is one fresh array, copied out at the end.
+            end = total + pass_hits.size
+            pooled("hits", end, keep=total)[total:] = pass_hits
+            if distances:
+                pooled("hit_distances", end, float, keep=total)[total:] = pass_dists
+            total = end
         if radii is not None:
-            return nearest, nearest_distance
-        if count_only:
-            return counts
-        flat = np.concatenate(hits)
-        return flat, _through(counts), np.concatenate(dists) if distances else None
+            answer = nearest, nearest_distance
+        elif count_only:
+            answer = counts
+        else:
+            answer = (
+                pooled("hits", total).copy(),
+                _through(counts),
+                pooled("hit_distances", total, float).copy() if distances else None,
+            )
+        pooled.release()
+        return answer
 
     def _pairs(
         self,
         queries: np.ndarray,
         cells: tuple[np.ndarray, np.ndarray],
-        pairs: np.ndarray,
+        query_through: np.ndarray,
+        buffers: _PassBuffers,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One budgeted pass's pairs: every query against the points of
-        its neighbour cells (``cells``: per-query CSR of cell ids; the
-        query has ``pairs`` candidates).
+        """One pass's pairs: every query against the points of its
+        neighbour cells (``cells``: per-query CSR of cell ids; query ``q``
+        owns pairs ``query_through[q]:query_through[q + 1]``).
 
-        Returns the per-query pair offsets, each pair's point and its
-        distance, the pairs grouped by query.  The temporaries die with
-        the pass, so passes never overlap in memory.
+        Returns each pair's query, its point and its distance, the pairs
+        grouped by query, in ``buffers``.
         """
         seg_through, segs = cells
-        pair_through = _through(self._cell_sizes[segs])
-        pair_point = self._flat[_ranges(self._cell_start[segs], pair_through)]
-        # ``take`` and ``repeat`` gather rows far faster than fancy
-        # indexing; the queries are already in pair order.
-        d = self._metric.paired(
-            np.repeat(queries, pairs, axis=0),
-            np.take(self._points, pair_point, axis=0),
-        )
-        return pair_through[seg_through], pair_point, d
+        sizes = self._cell_sizes[segs]
+        k = int(query_through[-1])
+        # Each segment (a query and one of its cells, never empty) is a run
+        # of pairs: the cell's points in turn, the query repeated.
+        seg_query = np.repeat(np.arange(len(queries)), np.diff(seg_through))
+        at = _ramps(self._cell_start[segs], sizes, 1, buffers("at", k))
+        pair_query = _ramps(seg_query, sizes, 0, buffers("query", k))
+        pair_point = np.take(self._flat, at, out=buffers("point", k), mode="clip")
+        # ``take`` into a buffer needs ``mode="clip"``: with the default
+        # ``"raise"`` NumPy gathers into a fresh array and copies it over.
+        # The indices are in range by construction.
+        dim = queries.shape[1]
+        left = buffers("left", k * dim, float).reshape(k, dim)
+        right = buffers("right", k * dim, float).reshape(k, dim)
+        np.take(queries, pair_query, axis=0, out=left, mode="clip")
+        np.take(self._points, pair_point, axis=0, out=right, mode="clip")
+        d = self._metric.paired(left, right, out=buffers("distance", k, float))
+        return pair_query, pair_point, d
 
     def _hits(
         self,
         grouped: tuple[np.ndarray, np.ndarray, np.ndarray],
+        query_through: np.ndarray,
         eps: float,
+        buffers: _PassBuffers,
         *,
         rows: bool,
         distances: bool,
     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         """The hit counts of a pass's pairs within ``eps`` and, with
         ``rows``, the hits (ascending within each query) and, with
-        ``distances``, their distances."""
-        query_through, pair_point, d = grouped
-        hit = d <= eps
-        counts = np.diff(_through(hit)[query_through])
+        ``distances``, their distances, as views of ``buffers``."""
+        pair_query, pair_point, d = grouped
+        k, n = d.size, len(self)
         if not rows:
+            # Summed over 0/1 index flags: a sum over a bool mask into
+            # index counts would copy the mask first.
+            flags = np.less_equal(d, eps, out=buffers("work", k))
+            has_pairs = np.flatnonzero(np.diff(query_through))
+            counts = np.zeros(query_through.size - 1, dtype=np.intp)
+            if has_pairs.size:
+                counts[has_pairs] = np.add.reduceat(flags, query_through[has_pairs])
             return counts, None, None
-        # One sort puts every query's hits in ascending order.
-        row = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        row *= len(self)
-        key = pair_point[hit] + row
-        if not distances:
+        key = np.multiply(pair_query, n, out=buffers("work", k))
+        key += pair_point
+        miss = np.greater(d, eps, out=buffers("mask", k, bool))
+        hit_distance = None
+        if distances:
+            # The hits first, then their argsort: one over the misses too
+            # costs three times as much.  Only this mode allocates arrays
+            # per pass, each the size of the pass's hits.
+            hit = np.flatnonzero(np.logical_not(miss, out=miss))
+            hit = np.take(hit, np.take(key, hit).argsort())
+            hit_distance = np.take(
+                d, hit, out=buffers("spare", hit.size, float), mode="clip"
+            )
+            key = np.take(key, hit, out=buffers("sorted", hit.size), mode="clip")
+        else:
+            # One sort with each miss keyed past every hit puts the hits
+            # first, by query and ascending within each.
+            np.copyto(key, _MISS, where=miss)
             key.sort()
-            return counts, key - row, None
-        order = key.argsort()
-        return counts, key[order] - row, d[hit][order]
+        bounds = np.searchsorted(key, np.arange(query_through.size) * n)
+        hits = np.remainder(key[: bounds[-1]], n, out=key[: bounds[-1]])
+        return np.diff(bounds), hits, hit_distance
 
     def _nearest(
         self,
         grouped: tuple[np.ndarray, np.ndarray, np.ndarray],
+        query_through: np.ndarray,
         pairs: np.ndarray,
         radii: np.ndarray,
         nearest: np.ndarray,
         distance: np.ndarray,
+        buffers: _PassBuffers,
     ) -> None:
         """Write, per query of a pass, the nearest point within its own
         radius into ``nearest`` and that distance into ``distance`` (left
         at ``-1``/``inf`` where none).
 
-        Works in place on the pass's arrays: a pair beyond its point's
+        Works in place on the pass's buffers: a pair beyond its point's
         radius reads as ``inf``, then the first ``reduceat`` over the
         query groups takes each minimum distance, and the second the
         lowest point index at it (a group's pairs are not in index order
@@ -424,14 +575,20 @@ class GridIndex(NeighborIndex):
         ``reduceat`` reads one element for an empty group, so only
         queries with pairs are reduced.
         """
-        query_through, pair_point, d = grouped
+        pair_query, pair_point, d = grouped
         has_pairs = np.flatnonzero(pairs)
         if not has_pairs.size:
             return
-        d[d > np.take(radii, pair_point)] = np.inf
+        k = d.size
+        bound, off = buffers("spare", k, float), buffers("mask", k, bool)
+        np.take(radii, pair_point, out=bound, mode="clip")
+        np.copyto(d, np.inf, where=np.greater(d, bound, out=off))
         starts = query_through[has_pairs]
         best = np.minimum.reduceat(d, starts)
-        pair_point[d != np.repeat(best, pairs[has_pairs])] = len(self)
+        minima = np.empty(nearest.size)
+        minima[has_pairs] = best
+        np.take(minima, pair_query, out=bound, mode="clip")
+        np.copyto(pair_point, len(self), where=np.not_equal(d, bound, out=off))
         lowest = np.minimum.reduceat(pair_point, starts)
         covered = np.isfinite(best)
         nearest[has_pairs[covered]] = lowest[covered]
@@ -564,13 +721,21 @@ def _linear_keys(
     return strides, cells @ strides
 
 
+@functools.lru_cache(maxsize=64)
 def _stencil(rings: int, dim: int) -> np.ndarray:
-    """All integer offsets in ``[-rings, rings]^dim``, lexicographic."""
+    """All integer offsets in ``[-rings, rings]^dim``, lexicographic.
+
+    Cached and read-only: building one costs more than a small join's
+    own passes, and every label query of a cover grid asks for the same.
+    """
     if dim == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    axis = np.arange(-rings, rings + 1, dtype=np.int64)
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, dim)
+        stencil = np.zeros((1, 0), dtype=np.int64)
+    else:
+        axis = np.arange(-rings, rings + 1, dtype=np.int64)
+        grids = np.meshgrid(*([axis] * dim), indexing="ij")
+        stencil = np.stack(grids, axis=-1).reshape(-1, dim)
+    stencil.setflags(write=False)
+    return stencil
 
 
 def _through(lengths: np.ndarray) -> np.ndarray:
@@ -585,6 +750,25 @@ def _ranges(starts: np.ndarray, through: np.ndarray) -> np.ndarray:
     length ``l`` (given as the running totals ``through``)."""
     lengths = np.diff(through)
     return np.repeat(starts - through[:-1], lengths) + np.arange(through[-1])
+
+
+def _ramps(
+    starts: np.ndarray, lengths: np.ndarray, step: int, out: np.ndarray
+) -> np.ndarray:
+    """Write ``starts[i] + step * j`` for every ``j < lengths[i]`` (each
+    length at least 1), row after row, into ``out`` and return it:
+    ``step`` 1 concatenates ``arange(s, s + l)``, ``step`` 0 repeats each
+    start.  Each row's first entry holds the step from the row before,
+    and one running sum in place spreads them, so nothing the size of
+    ``out`` is allocated."""
+    if out.size:
+        out.fill(step)
+        out[0] = starts[0]
+        out[np.cumsum(lengths[:-1])] = (
+            starts[1:] - starts[:-1] - step * (lengths[:-1] - 1)
+        )
+        np.cumsum(out, out=out)
+    return out
 
 
 def _take_rows(

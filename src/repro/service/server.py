@@ -58,6 +58,7 @@ from functools import partial
 
 import numpy as np
 
+from repro.clustering.dbscan import global_radius
 from repro.clustering.labels import NOISE
 from repro.core.models import LocalModel
 from repro.core.relabel import relabel_site, require_model_dimensionality
@@ -139,6 +140,7 @@ class ServiceConfig:
     retry_after_s: float = 0.05
 
     def __post_init__(self) -> None:
+        global_radius(self.eps_global)
         if self.idle_timeout_s <= 0:
             raise ValueError(
                 f"idle_timeout_s must be positive, got {self.idle_timeout_s}"

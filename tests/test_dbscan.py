@@ -13,8 +13,10 @@ from repro.core.dbdc import DBDCConfig
 from repro.distributed.incremental_site import IncrementalClientSite
 from repro.distributed.runner import DistributedRunConfig
 from repro.distributed.scenario import StreamingScenario
+from repro.distributed.server import CentralServer, IncrementalServer
 from repro.distributed.site import ClientSite
 from repro.index import build_index
+from repro.service.server import ServiceConfig
 from tests.conftest import brute_force_neighbors
 from tests.incremental_dbscan_oracle import IncrementalDBSCAN
 
@@ -39,6 +41,22 @@ PARAMETER_OWNERS = {
     "StreamingScenario": lambda eps, min_pts: StreamingScenario(
         1, eps_local=eps, min_pts_local=min_pts
     ),
+}
+
+# The places DBDC's server merge radius enters, as eps_global -> object.
+GLOBAL_RADIUS_OWNERS = {
+    "CentralServer": lambda eps_global: CentralServer(eps_global),
+    "DBDCConfig": lambda eps_global: DBDCConfig(
+        eps_local=1.0, min_pts_local=3, eps_global=eps_global
+    ),
+    "DistributedRunConfig": lambda eps_global: DistributedRunConfig(
+        eps_local=1.0, min_pts_local=3, eps_global=eps_global
+    ),
+    "ServiceConfig": lambda eps_global: ServiceConfig(eps_global=eps_global),
+    "StreamingScenario": lambda eps_global: StreamingScenario(
+        1, eps_local=1.0, min_pts_local=3, eps_global=eps_global
+    ),
+    "IncrementalServer": lambda eps_global: IncrementalServer(eps_global, dim=2),
 }
 
 
@@ -81,6 +99,29 @@ class TestParameterValidation:
         self, owner, eps, min_pts
     ):
         PARAMETER_OWNERS[owner](eps, min_pts)
+
+    @pytest.mark.parametrize("owner", sorted(GLOBAL_RADIUS_OWNERS))
+    @pytest.mark.parametrize("eps_global", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_a_non_finite_or_non_positive_eps_global(self, owner, eps_global):
+        """A NaN merge radius merges nothing and an infinite one cannot
+        size a grid: both used to build a wrong model or fail untyped."""
+        with pytest.raises(ValueError, match=rf"eps_global must be .*{eps_global}"):
+            GLOBAL_RADIUS_OWNERS[owner](eps_global)
+
+    @pytest.mark.parametrize("owner", sorted(GLOBAL_RADIUS_OWNERS))
+    def test_accepts_a_positive_eps_global(self, owner):
+        GLOBAL_RADIUS_OWNERS[owner](2.0)
+
+    @pytest.mark.parametrize(
+        "owner", sorted(set(GLOBAL_RADIUS_OWNERS) - {"IncrementalServer"})
+    )
+    def test_accepts_no_eps_global(self, owner):
+        GLOBAL_RADIUS_OWNERS[owner](None)
+
+    def test_incremental_server_requires_eps_global(self):
+        """A streaming server cannot wait for every model to derive one."""
+        with pytest.raises(ValueError, match="eps_global is required"):
+            IncrementalServer(None, dim=2)
 
     def test_whole_valued_min_pts_runs_as_an_int(self, tiny_grid_points):
         runner = DBSCAN(np.float64(1.5), 3.0)

@@ -61,6 +61,40 @@ class TestToManyConsistency:
         scalar = np.asarray([metric.pairwise(q, p) for p in points])
         np.testing.assert_allclose(vector, scalar, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "metric",
+        [euclidean, squared_euclidean, manhattan, chebyshev],
+        ids=lambda m: m.name,
+    )
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    def test_paired_into_out_is_bitwise_to_many(self, metric, dim, rng):
+        """With ``out`` the pair kernels run the same ufuncs in the same
+        order, so every distance stays bitwise the one-to-many kernel's."""
+        scale = 10.0 ** rng.uniform(-3, 3, size=(300, 1))
+        left = rng.normal(size=(300, dim)) * scale
+        right = rng.normal(size=(300, dim)) * scale
+        expected = np.asarray(
+            [metric.to_many(q, p[None, :])[0] for q, p in zip(left, right)]
+        )
+        assert np.array_equal(metric.paired(left, right), expected)
+        out = np.empty(300)
+        assert metric.paired(left, right.copy(), out=out) is out
+        assert np.array_equal(out, expected)
+
+    def test_paired_calls_a_two_argument_to_pairs_without_out(self, rng):
+        """A registered metric's ``to_pairs(Q, X)`` keeps working: it is
+        handed ``out`` only when the caller of ``paired`` passes one."""
+        custom = Metric(
+            name="custom_pairs",
+            pairwise=euclidean.pairwise,
+            to_many=euclidean.to_many,
+            to_pairs=lambda left, right: np.abs(left - right).sum(axis=1),
+        )
+        left, right = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+        np.testing.assert_array_equal(
+            custom.paired(left, right), np.abs(left - right).sum(axis=1)
+        )
+
     def test_matrix_shape_and_values(self, rng):
         left = rng.normal(size=(5, 2))
         right = rng.normal(size=(7, 2))
