@@ -35,7 +35,7 @@ from repro.core.shm import ShmArrayPool, ShmArrayRef
 from repro.data.distance import Metric
 from repro.distributed.network import SERVER, NetworkStats, SimulatedNetwork
 from repro.distributed.partition import partition, split
-from repro.distributed.server import RoundCore
+from repro.distributed.server import RoundCore, round_deadline
 from repro.distributed.site import ClientSite
 from repro.faults.plan import FaultPlan
 from repro.faults.transport import (
@@ -404,8 +404,7 @@ class RoundPolicy:
     compute_rate_objects_per_s: float = 50_000.0
 
     def __post_init__(self) -> None:
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
+        round_deadline(self.deadline_s)
         if not 0.0 <= self.quorum <= 1.0:
             raise ValueError(f"quorum must be in [0, 1], got {self.quorum}")
         if self.compute_rate_objects_per_s <= 0:
@@ -465,8 +464,7 @@ class RecoveryPolicy:
             raise ValueError(
                 f"max_recovery_rounds must be >= 0, got {self.max_recovery_rounds}"
             )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
+        round_deadline(self.deadline_s)
         if self.rejoin_backoff_s < 0:
             raise ValueError(
                 f"rejoin_backoff_s must be >= 0, got {self.rejoin_backoff_s}"

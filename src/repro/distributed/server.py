@@ -25,6 +25,7 @@ streaming variant.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -39,7 +40,51 @@ from repro.core.global_model import (
 from repro.core.models import GlobalModel, LocalModel
 from repro.data.distance import Metric, get_metric
 
-__all__ = ["CentralServer", "Decision", "IncrementalServer", "RoundCore"]
+__all__ = [
+    "CentralServer",
+    "Decision",
+    "IncrementalServer",
+    "RoundCore",
+    "round_deadline",
+    "round_sites",
+]
+
+
+def round_deadline(deadline_s: float | None) -> float | None:
+    """Check a round's admission deadline ``deadline_s``: ``None`` (never
+    reject) or positive, ``+inf`` included, returned as a float.  A NaN
+    deadline is refused: no arrival compares later than it, so it would
+    silently turn the deadline off.
+
+    Raises:
+        ValueError: naming ``deadline_s`` and its value.
+    """
+    if deadline_s is None:
+        return None
+    seconds = float(deadline_s)
+    if not seconds > 0:
+        raise ValueError(f"deadline_s must be None or positive, got {deadline_s}")
+    return seconds
+
+
+def round_sites(expected_sites: int | None) -> int | None:
+    """Check the sites of one round ``expected_sites``: ``None`` (a round
+    closes only on an explicit commit) or a whole number of at least one
+    (whole-valued floats and NumPy integers are accepted), returned as an
+    int.
+
+    Raises:
+        ValueError: naming ``expected_sites`` and its value.
+    """
+    if expected_sites is None:
+        return None
+    count = float(expected_sites)
+    if not (math.isfinite(count) and count.is_integer() and count >= 1):
+        raise ValueError(
+            f"expected_sites must be None or a whole number >= 1, got "
+            f"{expected_sites}"
+        )
+    return int(count)
 
 
 def _by_site(models: list[LocalModel]) -> list[LocalModel]:
@@ -58,7 +103,8 @@ class Decision:
         record: the journal record kind that makes the decision durable
             (``"MODEL_ADMITTED"``, ``"QUARANTINE"``, ``"ROUND_OPEN"`` or
             ``"ROUND_COMMIT"``); ``None`` when it changes no durable state.
-        round_index: the round it belongs to (``-1`` outside a session).
+        round_index: the round it belongs to (``-1`` when no round is
+            open).
         model: the arrived local model (arrivals).
         detail: quarantine reason, or a human explanation of the verdict.
         at_s: when the round opened (``ROUND_OPEN``), on the caller's clock.
@@ -96,11 +142,13 @@ class CentralServer:
             paper's default (max ε_r).
         metric: distance metric.
         index_kind: neighbor index for the global build and its folds.
-        deadline_s: admission deadline (``None`` = never reject).
+        deadline_s: admission deadline, positive (``None`` = never
+            reject; see :func:`round_deadline`).
         quorum: minimum fraction of expected sites that must be admitted
             for the round to count as healthy (``0`` = any).
-        expected_sites: how many sites should report (``None`` → inferred
-            from the models seen, admitted or rejected).
+        expected_sites: how many sites should report, a whole number of
+            at least one (``None`` → inferred from the models seen,
+            admitted or rejected; see :func:`round_sites`).
         metrics: optional :class:`~repro.obs.MetricsRegistry`; admission
             decisions and the global build record ``server.*`` metrics.
     """
@@ -116,16 +164,14 @@ class CentralServer:
         expected_sites: int | None = None,
         metrics=None,
     ) -> None:
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {deadline_s}")
         if not 0.0 <= quorum <= 1.0:
             raise ValueError(f"quorum must be in [0, 1], got {quorum}")
         self.eps_global = global_radius(eps_global)
         self.metric = get_metric(metric)
         self.index_kind = index_kind
-        self.deadline_s = deadline_s
+        self.deadline_s = round_deadline(deadline_s)
         self.quorum = quorum
-        self.expected_sites = expected_sites
+        self.expected_sites = round_sites(expected_sites)
         self.metrics = metrics
         self.local_models: list[LocalModel] = []
         self.rejected_models: list[LocalModel] = []
@@ -138,7 +184,7 @@ class CentralServer:
         self.n_builds = 0
         # The open round's clock: arrival deadlines count from _opened_s.
         self._opened_s = 0.0
-        self._round_deadline_s = deadline_s
+        self._round_deadline_s = self.deadline_s
         self._model: GlobalModel | None = None
         self._stats: GlobalClusteringStats | None = None
 
@@ -329,12 +375,11 @@ class CentralServer:
 class RoundCore(CentralServer):
     """The round protocol: the one object every caller feeds events to.
 
-    Without any :meth:`open_round` it is the one-shot
-    :class:`CentralServer` — an implicit round opened at time 0 under the
-    constructor's deadline — whose model :meth:`build` rebuilds.
-    :meth:`open_round` starts a *session* of numbered rounds, and
-    committing a round (:meth:`commit_round`) makes its models part of the
-    committed global model.  A round with no base model — none yet, or
+    Models are admitted only into an open round: :meth:`open_round`
+    opens the next numbered round, and committing it
+    (:meth:`commit_round`) makes its models part of the committed global
+    model — the only model reads are served from.  The paper's one-shot
+    protocol is round 0.  A round with no base model — none yet, or
     one without representatives, so ``eps_global`` never got a real value
     — commits by the site-sorted build over every admitted model; later
     rounds fold their models, sorted by site id, into the base through
@@ -345,20 +390,18 @@ class RoundCore(CentralServer):
     ``server.label_churn`` and ``server.cluster_merges`` counters.
 
     Before the gate, :meth:`arrive` answers a model from a site already
-    admitted as a ``duplicate`` (acknowledged, never merged twice) and,
-    inside a session, one arriving while no round is open as
-    ``no_round_open``.  Re-opening the open round and re-committing a
-    committed one are acknowledged and change nothing.
+    admitted as a ``duplicate`` (acknowledged, never merged twice) and
+    one arriving while no round is open as ``no_round_open``.
+    Re-opening the open round and re-committing a committed one are
+    acknowledged and change nothing.
 
     Takes :class:`CentralServer`'s arguments; ``expected_sites`` also
-    marks a session round holding that many models as :attr:`round_full`.
+    marks an open round holding that many models as :attr:`round_full`.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.n_repairs = 0
-        # Session state: the first applied ROUND_OPEN starts a session.
-        self.session = False
         self.round_index: int | None = None
         self.rounds_committed = 0
         self.round_models: list[LocalModel] = []
@@ -380,7 +423,7 @@ class RoundCore(CentralServer):
                 no deadline applies).
             crc_ok: whether the transport's checksum check passed.
         """
-        index = self.round_index if self.session else -1
+        index = self.round_index
         site = model.site_id
         if crc_ok and site in self._admitted_ids:
             return Decision(
@@ -393,7 +436,7 @@ class RoundCore(CentralServer):
             return Decision(
                 "no_round_open",
                 model=model,
-                detail="streaming session active; send ROUND_OPEN first",
+                detail="no round is open; send ROUND_OPEN first",
             )
         return super().arrive(model, at_s=at_s, crc_ok=crc_ok, round_index=index)
 
@@ -426,7 +469,7 @@ class RoundCore(CentralServer):
                 detail=f"round {self.round_index} is open; cannot open "
                 f"{round_index}",
             )
-        if self.session and 0 <= round_index < self.rounds_committed:
+        if 0 <= round_index < self.rounds_committed:
             # A reconnecting site may re-open a round that committed while
             # its acknowledgement was lost: answer idempotently.
             return Decision(
@@ -439,13 +482,6 @@ class RoundCore(CentralServer):
                 "bad_round",
                 round_index=round_index,
                 detail=f"next round is {self.rounds_committed}, got {round_index}",
-            )
-        if not self.session and self.local_models:
-            return Decision(
-                "bad_round",
-                round_index=round_index,
-                detail="models were admitted outside a session; restart the "
-                "service to stream",
             )
         return Decision(
             "round_open",
@@ -499,7 +535,6 @@ class RoundCore(CentralServer):
         """
         record = decision.record
         if record == "ROUND_OPEN":
-            self.session = True
             self.round_index = decision.round_index
             self.round_models = []
             self._opened_s = decision.at_s
@@ -510,8 +545,7 @@ class RoundCore(CentralServer):
         super().apply(decision)
         if record == "MODEL_ADMITTED":
             self._admitted_ids.add(decision.model.site_id)
-            if self.session:
-                self.round_models.append(decision.model)
+            self.round_models.append(decision.model)
         return None
 
     def _commit(self) -> GlobalModel:
@@ -547,9 +581,8 @@ class RoundCore(CentralServer):
     @property
     def committed(self) -> GlobalModel | None:
         """The global model reads are served from: the last committed
-        round's in a session, else the last build (``None`` before any,
-        and after a newer one-shot admission)."""
-        return self._committed if self.session else self._model
+        round's (``None`` before the first commit)."""
+        return self._committed
 
 
 class IncrementalServer:

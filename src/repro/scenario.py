@@ -62,7 +62,7 @@ from repro.distributed.streaming import run_streaming_session
 from repro.experiments.common import central_reference, dataset_trial
 from repro.faults import FaultPlan, TransportPolicy
 from repro.faults.transport import BreakerPolicy, ResilientTransport
-from repro.index import build_index
+from repro.index import build_index, grid
 from repro.obs import (
     MetricsRegistry,
     RunRegistry,
@@ -618,7 +618,10 @@ def _best_of(fn, repeats: int):
 def _probe(fn):
     """Run ``fn`` under the memory budget probe: ``(result, wall seconds,
     tracemalloc peak MB, process RSS high-water MB)``.  ``ru_maxrss`` is
-    monotone, so per-phase values are a running maximum."""
+    monotone, so per-phase values are a running maximum.  The grid join's
+    free list is emptied first, so the peak counts the pass buffers the
+    phase needs, whatever earlier work left behind."""
+    grid._FREE_BUFFERS.clear()
     tracemalloc.start()
     start = time.perf_counter()
     result = fn()
@@ -1411,7 +1414,9 @@ def _socket_sweep(spec: Scenario, report: Report) -> None:
     :class:`ResilientTransport`, so the seed-keyed :class:`FaultPlan`
     sabotages real TCP links: drops and truncations drive the retry
     loop, corrupted frames hit the server's CRC quarantine, breakers
-    trip.  Injection is keyed by per-link call counters, so every count
+    trip.  The first upload to arrive opens round 0; once every site has
+    had its turn the trial commits the round and fetches its model.
+    Injection is keyed by per-link call counters, so every count
     reproduces across machines.  ``server_crashes = k`` kills and
     restarts the journaled service before the uploads of sites 1…k.
     """
@@ -1456,10 +1461,15 @@ def _socket_sweep(spec: Scenario, report: Report) -> None:
                         sites[site_id] = site
                 labels = np.full(data.points.shape[0], NOISE, dtype=np.intp)
                 if sites:
+                    # A degraded round 0 (opened by the first bare upload)
+                    # closes on an explicit commit.
                     with ServiceClient(
                         server.host, server.port, timeout_s=10.0
                     ) as client:
-                        global_model = client.await_global_model(timeout_s=10.0)
+                        client.commit_round(0)
+                        global_model = client.await_model_delta(
+                            0, None, timeout_s=10.0
+                        )
                     for site_id, site in sites.items():
                         site.receive_global_model(global_model)
                         labels[assignment == site_id] = site.global_labels

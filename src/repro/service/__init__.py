@@ -14,8 +14,8 @@ machinery — behind a versioned binary wire protocol:
 * :mod:`repro.service.journal` — the CRC-guarded write-ahead journal
   behind crash-restart recovery (:class:`WriteAheadJournal`).
 * :mod:`repro.service.client` — the blocking :class:`ServiceClient`.
-* :mod:`repro.service.worker` — the site-worker process body (one-shot
-  and streaming-session loops).
+* :mod:`repro.service.worker` — the site-worker process body (the
+  session loop; a one-shot worker runs its round 0).
 * :mod:`repro.service.faulting` — socket-level fault injection
   (:class:`FaultingSocketTransport` replays the FaultPlan DSL against
   real connections).

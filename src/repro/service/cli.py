@@ -41,7 +41,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--expected-sites",
         type=int,
         default=None,
-        help="sites per round (build the global model when all arrived)",
+        help="sites per round: a round commits when that many models are "
+        "in (default: only on an explicit ROUND_COMMIT)",
     )
     parser.add_argument(
         "--eps-global",
@@ -53,7 +54,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--deadline",
         type=float,
         default=None,
-        help="admission deadline in service-uptime seconds",
+        help="admission deadline in seconds after a round opens (round 0 "
+        "opened by a bare upload: after service start)",
     )
     parser.add_argument(
         "--quorum",
@@ -179,7 +181,7 @@ def build_worker_parser() -> argparse.ArgumentParser:
         "--await-global",
         type=float,
         default=60.0,
-        help="seconds to wait for the global model",
+        help="seconds to wait for round 0's global model",
     )
     return parser
 

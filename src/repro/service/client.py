@@ -4,8 +4,8 @@
 connection with the protocol verbs a site (or an operator tool) needs:
 
 >>> with ServiceClient("127.0.0.1", 7171, site_id=0) as client:   # doctest: +SKIP
-...     client.submit(local_model)
-...     model = client.await_global_model(timeout_s=30.0)
+...     client.submit(local_model)                    # opens round 0 if needed
+...     model = client.await_model_delta(0, None, timeout_s=30.0)
 ...     labels = client.query(points)
 
 Every method is synchronous and raises typed errors —
@@ -120,6 +120,10 @@ class ServiceClient:
             :meth:`SocketTransport.current_context`).
         metrics: forwarded to the built transport (per-frame-kind byte
             counters).
+
+    Attributes:
+        uploads: :meth:`submit` requests sent, resubmissions included.
+        upload_bytes: their payload bytes.
     """
 
     def __init__(
@@ -142,6 +146,8 @@ class ServiceClient:
             metrics=metrics,
         )
         self.site_id = self.transport.site_id
+        self.uploads = 0
+        self.upload_bytes = 0
 
     @property
     def tracer(self):
@@ -190,36 +196,25 @@ class ServiceClient:
     def submit(self, model: LocalModel) -> str:
         """Upload one local model through the admission gate.
 
+        On a service where no round was ever opened, the upload opens
+        round 0 first.
+
         Returns:
             The admission verdict (``"admitted"``).
 
         Raises:
             ServiceError: when the gate quarantines or rejects the model
-                (``error.status`` carries the verdict).
+                (``error.status`` carries the verdict; ``"no_round_open"``
+                once round 0 committed and no later round is open).
         """
-        response = self.transport.request(
-            wire.FrameKind.LOCAL_MODEL, wire.encode_local_model(model)
-        )
+        payload = wire.encode_local_model(model)
+        self.uploads += 1
+        self.upload_bytes += len(payload)
+        response = self.transport.request(wire.FrameKind.LOCAL_MODEL, payload)
         return self._ack_status(response)
 
-    def await_global_model(self, timeout_s: float = 30.0) -> GlobalModel:
-        """Block until the global model exists, then fetch it.
-
-        Args:
-            timeout_s: how long the *server* may hold the request open
-                waiting for a build (capped by its config).
-
-        Raises:
-            ServiceError: ``status == "no_model"`` when the timeout
-                passes without a build.
-        """
-        response = self.transport.request(
-            wire.FrameKind.AWAIT_GLOBAL, wire.encode_await_global(timeout_s)
-        )
-        return wire.decode_global_model(response.payload)
-
     # ------------------------------------------------------------------
-    # streaming sessions
+    # rounds
     # ------------------------------------------------------------------
     def open_round(self, round_index: int) -> str:
         """Open streaming round ``round_index`` (idempotent per round).
@@ -256,11 +251,13 @@ class ServiceClient:
         Representatives strictly append across rounds, so the reply only
         carries the representatives beyond ``known_model`` plus the full
         (small) label vector; the client reassembles the complete model.
+        ``await_model_delta(0, None)`` fetches the whole current model.
 
         Args:
             round_index: the round whose commit to wait for.
             known_model: the model from the previous round (``None`` on
-                round 0 — the full model is shipped).
+                round 0, or for a full fetch — the whole model is
+                shipped).
             timeout_s: how long the server may hold the request open.
 
         Raises:

@@ -3,7 +3,7 @@
 :class:`DBDCService` is the I/O shell around the round protocol core,
 :class:`~repro.distributed.server.RoundCore`: sites connect over
 TCP (the wire protocol of :mod:`repro.service.wire`), upload local
-models, await the global model, and issue label queries; operators
+models, await a round's model, and issue label queries; operators
 probe health frames and scrape a plaintext HTTP endpoint serving the
 existing OpenMetrics exporter.  Every protocol rule — admission, round
 open/commit and their idempotence, the commit rule, duplicate
@@ -25,14 +25,16 @@ every read (one budget per frame, header and payload together), and
 waiters receive a typed ``shutting_down`` frame before their connection
 closes.
 
-Streaming sessions (ROUND_OPEN / ROUND_COMMIT / MODEL_DELTA) put the
-core's rounds behind the same wire: the first round with
-representatives commits by the site-sorted build, every later round
-folds into the session model — representatives strictly append, so
-MODEL_DELTA replies are exact.  Sites submit each round's batch under a
-fresh *effective* site id, which keeps the ``(site_id,
-local_cluster_id)`` inheritance keys of the relabel step collision-free
-across rounds.  See ``docs/service.md``.
+Rounds (ROUND_OPEN / ROUND_COMMIT / MODEL_DELTA) put the core's
+rounds behind the same wire: the first round with representatives
+commits by the site-sorted build, every later round folds into the
+session model — representatives strictly append, so MODEL_DELTA replies
+are exact.  A one-shot deployment is round 0: the first LOCAL_MODEL to
+reach a service where no round was ever opened opens it, and it commits
+at ``expected_sites`` models or on ROUND_COMMIT.  Streaming sites submit
+each round's batch under a fresh *effective* site id, which keeps the
+``(site_id, local_cluster_id)`` inheritance keys of the relabel step
+collision-free across rounds.  See ``docs/service.md``.
 
 Durability: with ``journal_dir`` configured, each core decision that
 changes state (an admission, a quarantine, a round open or commit) is
@@ -62,7 +64,12 @@ from repro.clustering.dbscan import global_radius
 from repro.clustering.labels import NOISE
 from repro.core.models import LocalModel
 from repro.core.relabel import relabel_site, require_model_dimensionality
-from repro.distributed.server import Decision, RoundCore
+from repro.distributed.server import (
+    Decision,
+    RoundCore,
+    round_deadline,
+    round_sites,
+)
 from repro.obs import MetricsRegistry, NULL_TRACER, shift_span_times, trace_document
 from repro.obs.openmetrics import OPENMETRICS_CONTENT_TYPE, render_registry
 from repro.service import journal, wire
@@ -82,11 +89,13 @@ class ServiceConfig:
         eps_global: server merge radius (``None`` → the paper default).
         metric: distance metric name.
         index_kind: neighbor index for the global DBSCAN.
-        expected_sites: sites of one protocol round; when set, the
-            global model is built as soon as that many models are
-            admitted.  ``None`` = build lazily on first demand.
-        deadline_s: admission deadline in *service uptime* seconds (the
-            socket path's arrival clock), ``None`` = never reject.
+        expected_sites: sites of one round, a whole number >= 1; when
+            set, the open round commits as soon as that many models are
+            admitted.  ``None`` = a round commits only on ROUND_COMMIT.
+        deadline_s: admission deadline of each round in *service uptime*
+            seconds (the socket path's arrival clock) after the round
+            opened — round 0 opened by a bare upload counts from service
+            start; ``None`` = never reject.
         quorum: minimum admitted fraction for a healthy round.
         relabel_kernel: kernel used to answer label queries.
         idle_timeout_s: per-connection deadline — a connection that
@@ -94,11 +103,11 @@ class ServiceConfig:
             covers one *whole* frame: header and payload reads share a
             single deadline, so a slow-loris client cannot stretch a
             frame to twice the configured limit.
-        await_timeout_cap_s: upper bound an AWAIT_GLOBAL or MODEL_DELTA
-            request may block, whatever timeout the client asked for.
+        await_timeout_cap_s: upper bound a MODEL_DELTA request may
+            block, whatever timeout the client asked for.
         max_frame_bytes: reject frames declaring more payload than this.
         shutdown_grace_s: how long :meth:`DBDCService.stop` waits for
-            in-flight requests (e.g. released AWAIT_GLOBAL waiters) to
+            in-flight requests (e.g. released MODEL_DELTA waiters) to
             flush their response frames before cancelling connections.
         journal_dir: directory of the write-ahead journal; ``None``
             disables durability (the pre-journal behavior).  When set,
@@ -110,8 +119,8 @@ class ServiceConfig:
             frames (LOCAL_MODEL / LABEL_QUERY / TRACE_UPLOAD); excess
             requests are shed with a typed ``overloaded`` reply carrying
             ``retry_after_s`` instead of queueing unboundedly.  Parked
-            AWAIT_GLOBAL / MODEL_DELTA waiters never count — they hold
-            no work, and counting them would deadlock small caps.
+            MODEL_DELTA waiters never count — they hold no work, and
+            counting them would deadlock small caps.
             ``None`` = unbounded (the pre-overload behavior).
         max_connections: cap on concurrent protocol connections; excess
             connects receive one ``overloaded`` frame and are closed.
@@ -141,6 +150,8 @@ class ServiceConfig:
 
     def __post_init__(self) -> None:
         global_radius(self.eps_global)
+        round_sites(self.expected_sites)
+        round_deadline(self.deadline_s)
         if self.idle_timeout_s <= 0:
             raise ValueError(
                 f"idle_timeout_s must be positive, got {self.idle_timeout_s}"
@@ -225,7 +236,6 @@ class DBDCService:
             self.config.eps_global,
             metric=self.config.metric,
             index_kind=self.config.index_kind,
-            deadline_s=self.config.deadline_s,
             quorum=self.config.quorum,
             expected_sites=self.config.expected_sites,
             metrics=self.metrics,
@@ -234,7 +244,6 @@ class DBDCService:
         self._http_server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
         self._busy: set[asyncio.Task] = set()
-        self._built = asyncio.Event()
         self._shutdown = asyncio.Event()
         self._started_monotonic = 0.0
         self._frames_total = 0
@@ -294,8 +303,8 @@ class DBDCService:
     async def stop(self) -> None:
         """Graceful shutdown: stop accepting, drain connections.
 
-        Setting the shutdown event releases every in-flight AWAIT_GLOBAL
-        / MODEL_DELTA waiter (their wait races the event), and each
+        Setting the shutdown event releases every in-flight MODEL_DELTA
+        waiter (their wait races the event), and each
         replies to its client with a typed ``shutting_down`` frame before
         its serve loop exits.  Those in-dispatch connections get a grace
         window to flush that frame; only connections still idle after it
@@ -365,12 +374,16 @@ class DBDCService:
 
         Every record is a core decision that was journaled before it was
         applied; recovery applies the same decisions in the same order,
-        so the recovered core equals one that never crashed.  A recorded
-        admission the gate's dimensionality check now refuses (a journal
-        written before that check) is applied as the quarantine the gate
-        would have recorded.  The journal is attached only after replay —
-        recovery itself never journals — and the new epoch is the first
-        record of the generation that just started.
+        so the recovered core equals one that never crashed.  Two kinds of
+        record from journals written by older services replay as today's
+        service would have decided: an admission the gate's
+        dimensionality check now refuses applies as the quarantine the
+        gate would have recorded, and an arrival outside any round
+        (round ``-1``, the one-shot uploads of a service without round
+        0) applies as an arrival in round 0, opening it first.  The
+        journal is attached only after replay — recovery itself never
+        journals — and the new epoch is the first record of the
+        generation that just started.
         """
         start = time.perf_counter()
         wal = journal.WriteAheadJournal(self.config.journal_dir)
@@ -380,6 +393,12 @@ class DBDCService:
                 self._epoch = max(self._epoch, journal.decode_epoch(record.payload))
                 continue
             decision = self._decision_from_record(record)
+            if decision.round_index < 0 and self._never_opened():
+                self._apply(
+                    self.server.open_round(
+                        0, at_s=self.uptime_s, deadline_s=self.config.deadline_s
+                    )
+                )
             self._apply(decision)
             self._recovered_models += decision.record == "MODEL_ADMITTED"
         self._epoch += 1
@@ -472,7 +491,6 @@ class DBDCService:
         if decision.record == "ROUND_OPEN":
             self.metrics.inc("service.rounds_opened")
         elif decision.record == "ROUND_COMMIT":
-            self._built.set()
             self._commit_event(decision.round_index).set()
             self.metrics.set(
                 "service.rounds_committed", self.server.rounds_committed
@@ -481,51 +499,27 @@ class DBDCService:
             self.metrics.set("service.model_builds", self.server.n_builds)
 
     def _settle(self) -> None:
-        """Commit (session) or build (one-shot) once ``expected_sites``
-        models are in."""
-        server = self.server
-        expected = self.config.expected_sites
-        if server.round_full:
-            self._commit_round(server.round_index)
-        elif (
-            not server.session
-            and expected is not None
-            and server.committed is None
-            and len(server.local_models) >= expected
-        ):
-            self._build_global_model()
+        """Commit the open round once ``expected_sites`` models are in."""
+        if self.server.round_full:
+            self._commit_round(self.server.round_index)
 
-    def _build_global_model(self) -> None:
-        """Build the one-shot global model from every admitted model."""
-        self.server.build(allow_empty=True)
-        self._built.set()
-        self.metrics.set("service.model_builds", self.server.n_builds)
-
-    def _current_model(self):
-        """The up-to-date global model, rebuilding a one-shot model if
-        admissions landed since the last build (``None`` when nothing
-        was ever admitted).
-
-        In a streaming session the committed model is authoritative — it
-        only advances at round commits, never on individual admissions.
-        """
-        server = self.server
-        if (
-            not server.session
-            and server.committed is None
-            and server.local_models
-        ):
-            self._build_global_model()
-        return server.committed
+    def _never_opened(self) -> bool:
+        """Whether no round was ever opened (none open, none committed)."""
+        return self.server.round_index is None and not self.server.rounds_committed
 
     def _admit(self, frame: wire.Frame) -> Decision:
         """Run one upload through the core's admission gate.
 
-        Durability before acknowledgement: the decision is journaled (and
+        An upload that reaches a service where no round was ever opened
+        first opens round 0, at uptime 0 so its deadline counts from
+        service start: a one-shot deployment is round 0 of a session.
+        Durability before acknowledgement: each decision is journaled (and
         fsynced) before it is applied — a crash after the append replays
-        it, a crash before it never acknowledged anything.  A session
-        round commits once ``expected_sites`` models are in.
+        it, a crash before it never acknowledged anything.  The round
+        commits once ``expected_sites`` models are in.
         """
+        if self._never_opened():
+            self._open_round(0, at_s=0.0)
         crc_ok = frame.crc_ok
         undecodable = ""
         try:
@@ -559,21 +553,27 @@ class DBDCService:
         return wire.FrameKind.ACK, self._status(status, decision.detail)
 
     # ------------------------------------------------------------------
-    # streaming sessions
+    # rounds
     # ------------------------------------------------------------------
     def _commit_event(self, round_index: int) -> asyncio.Event:
         if round_index not in self._commit_events:
             self._commit_events[round_index] = asyncio.Event()
         return self._commit_events[round_index]
 
-    def _open_round(self, round_index: int) -> tuple[wire.FrameKind, bytes]:
-        """Handle ROUND_OPEN (idempotent for the currently open round)."""
+    def _open_round(
+        self, round_index: int, *, at_s: float | None = None
+    ) -> Decision:
+        """Open a round through the core at ``at_s`` (default: now) —
+        idempotent for the currently open round.  The decision is
+        journaled before it is applied."""
         decision = self.server.open_round(
-            round_index, at_s=self.uptime_s, deadline_s=self.config.deadline_s
+            round_index,
+            at_s=self.uptime_s if at_s is None else at_s,
+            deadline_s=self.config.deadline_s,
         )
         self._journal_decision(decision)
         self._apply(decision)
-        return self._reply_for(decision)
+        return decision
 
     def _commit_round(self, round_index: int) -> Decision:
         """Commit a round through the core (explicit or automatic).
@@ -691,7 +691,7 @@ class DBDCService:
         """Whether one more request of ``kind`` exceeds the admission cap.
 
         Only *work* kinds count toward (and against) the in-flight
-        budget: parked AWAIT_GLOBAL / MODEL_DELTA waiters hold no CPU
+        budget: parked MODEL_DELTA waiters hold no CPU
         and shedding on them would deadlock sessions whose workers park
         while their peers still need to submit.
         """
@@ -904,33 +904,10 @@ class DBDCService:
                     attrs=attrs,
                 )
             return self._reply_for(decision)
-        if kind == wire.FrameKind.AWAIT_GLOBAL:
-            timeout = min(
-                wire.decode_await_global(frame.payload),
-                self.config.await_timeout_cap_s,
-            )
-            # With expected_sites configured the protocol is round-based:
-            # an awaiting site must see the *round's* model, never one
-            # eagerly built from whichever uploads happened to be first —
-            # that is the determinism the bit-identity tests pin.  Without
-            # expected_sites, wait only when nothing was ever admitted.
-            round_pending = (
-                self.config.expected_sites is not None
-                or not self.server.local_models
-            )
-            if round_pending and not self._built.is_set():
-                outcome = await self._wait_or_shutdown(self._built, timeout)
-                if outcome == "shutting_down":
-                    return self._shutdown_notice()
-                if outcome == "timeout":
-                    return wire.FrameKind.ERROR, self._status(
-                        "no_model", f"no global model after {timeout:.3f}s"
-                    )
-            model = self._current_model()
-            assert model is not None
-            return wire.FrameKind.GLOBAL_MODEL, wire.encode_global_model(model)
         if kind == wire.FrameKind.ROUND_OPEN:
-            return self._open_round(wire.decode_round_open(frame.payload))
+            return self._reply_for(
+                self._open_round(wire.decode_round_open(frame.payload))
+            )
         if kind == wire.FrameKind.ROUND_COMMIT:
             return self._reply_for(
                 self._commit_round(wire.decode_round_commit(frame.payload))
@@ -950,11 +927,8 @@ class DBDCService:
                     "no_model",
                     f"round {round_index} not committed after {timeout:.3f}s",
                 )
+            # Every commit leaves a committed model behind.
             model = self.server.committed
-            if model is None:
-                return wire.FrameKind.ERROR, self._status(
-                    "no_model", "session has no committed model"
-                )
             if not 0 <= known_reps <= len(model):
                 return wire.FrameKind.ERROR, self._status(
                     "bad_delta",
@@ -982,10 +956,10 @@ class DBDCService:
             return wire.FrameKind.MODEL_DELTA, payload
         if kind == wire.FrameKind.LABEL_QUERY:
             points = wire.decode_points(frame.payload)
-            model = self._current_model()
+            model = self.server.committed
             if model is None:
                 return wire.FrameKind.ERROR, self._status(
-                    "no_model", "no local model admitted yet"
+                    "no_model", "no round has committed yet"
                 )
             try:
                 require_model_dimensionality(points, model)
@@ -1067,7 +1041,6 @@ class DBDCService:
             "connections_active": len(self._connections),
             "frames_total": self._frames_total,
             "protocol_version": wire.PROTOCOL_VERSION,
-            "session_active": server.session,
             "rounds_committed": server.rounds_committed,
             "round_open": server.round_index,
             "shutdown_notices": self._n_shutdown_notices,

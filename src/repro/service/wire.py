@@ -3,7 +3,7 @@
 One protocol implementation serves both deployment shapes.  The payload
 codecs here serialize exactly the objects the in-process protocol
 exchanges (:class:`~repro.core.models.LocalModel` uploads,
-:class:`~repro.core.models.GlobalModel` broadcasts, label queries,
+:class:`~repro.core.models.GlobalModel` deltas, label queries,
 health/metrics probes), and the frame header carries the same CRC-32
 stamp :mod:`repro.faults.integrity` gives the simulated network — so a
 payload that survives the socket path is admissible, bit for bit, under
@@ -93,14 +93,10 @@ __all__ = [
     "decode_frame",
     "encode_local_model",
     "decode_local_model",
-    "encode_global_model",
-    "decode_global_model",
     "encode_points",
     "decode_points",
     "encode_labels",
     "decode_labels",
-    "encode_await_global",
-    "decode_await_global",
     "encode_json",
     "decode_json",
     "encode_status",
@@ -135,13 +131,13 @@ HEADER_SIZE = _HEADER.size
 
 
 class FrameKind(IntEnum):
-    """Every frame kind of protocol version 1."""
+    """Every frame kind of protocol version 1.  Kinds 4 and 5 stay
+    unassigned, so an older client's whole-model request of kind 5 gets
+    a typed ``protocol_error``, never another meaning."""
 
     ACK = 1            # generic success reply (status + detail strings)
     ERROR = 2          # generic failure reply (status + detail strings)
     LOCAL_MODEL = 3    # site -> server: LocalModel upload
-    GLOBAL_MODEL = 4   # server -> site: GlobalModel broadcast
-    AWAIT_GLOBAL = 5   # site -> server: block until the global model exists
     LABEL_QUERY = 6    # client -> server: points to classify
     LABEL_REPLY = 7    # server -> client: global label per query point
     HEALTH = 8         # client -> server: liveness/health probe
@@ -452,17 +448,14 @@ def decode_frame(
 
 _LOCAL_HEADER = struct.Struct("<iqdIIIH")  # site, n_objects, eps, min_pts,
 #                                            n_reps, dim, scheme length
-_GLOBAL_HEADER = struct.Struct("<dIII")    # eps_global, min_pts, n_reps, dim
 # One packed record per representative, after the header.  Coordinates
 # follow as ``<{dim}d`` (``record_dtype`` appends them).
 _EPS = ("eps_ranges", "<f8")
 _IDS = (("site_ids", "<i4"), ("local_cluster_ids", "<i4"))
 _LOCAL_RECORD = (("local_cluster_ids", "<i4"), _EPS)
-_GLOBAL_RECORD = (*_IDS, ("global_labels", "<i8"), _EPS)
 _DELTA_RECORD = (*_IDS, _EPS)
 _ARRAY_HEADER = struct.Struct("<II")       # rows, dim
 _COUNT = struct.Struct("<I")
-_TIMEOUT = struct.Struct("<d")
 _SHORT_STR = struct.Struct("<H")
 
 
@@ -580,35 +573,6 @@ def peek_local_model_site(payload: bytes) -> int | None:
     return int(struct.unpack_from("<i", payload, 0)[0])
 
 
-def encode_global_model(model: GlobalModel) -> bytes:
-    """Serialize a full :class:`GlobalModel` broadcast.
-
-    Unlike the accounting-only ``GlobalModel.to_bytes`` this keeps every
-    representative's originating site and local cluster id, so the
-    receiving site reconstructs the model the server built bit for bit —
-    the precondition for the socket path's relabel step matching the
-    in-process run exactly.
-
-    Raises:
-        ValueError: when a site or local cluster id does not fit an int32.
-    """
-    header = _GLOBAL_HEADER.pack(
-        model.eps_global, model.min_pts_global, len(model), model.dim
-    )
-    return header + pack_records(record_dtype(_GLOBAL_RECORD, model.dim), model)
-
-
-@_codec_guard("invalid GlobalModel payload")
-def decode_global_model(payload: bytes) -> GlobalModel:
-    """Inverse of :func:`encode_global_model`."""
-    eps_global, min_pts_global, n_reps, dim = _GLOBAL_HEADER.unpack_from(payload, 0)
-    return GlobalModel(
-        **_record_columns(payload, _GLOBAL_HEADER.size, _GLOBAL_RECORD, n_reps, dim),
-        eps_global=eps_global,
-        min_pts_global=int(min_pts_global),
-    )
-
-
 def encode_points(points: np.ndarray) -> bytes:
     """Serialize an ``(n, d)`` float64 point array (label queries)."""
     points = np.ascontiguousarray(points, dtype="<f8")
@@ -662,21 +626,6 @@ def decode_labels(payload: bytes) -> np.ndarray:
         )
     data = np.frombuffer(payload, dtype="<i8", offset=_COUNT.size)
     return data.astype(np.intp)
-
-
-def encode_await_global(timeout_s: float) -> bytes:
-    """Serialize an AWAIT_GLOBAL request (how long the server may block)."""
-    return _TIMEOUT.pack(float(timeout_s))
-
-
-@_codec_guard("invalid AWAIT_GLOBAL payload")
-def decode_await_global(payload: bytes) -> float:
-    """Inverse of :func:`encode_await_global`."""
-    if len(payload) != _TIMEOUT.size:
-        raise CodecError(
-            f"payload is {len(payload)} bytes, expected {_TIMEOUT.size}"
-        )
-    return float(_TIMEOUT.unpack(payload)[0])
 
 
 def encode_json(document: dict) -> bytes:
@@ -860,12 +809,20 @@ def encode_delta_request(
 
 @_codec_guard("invalid MODEL_DELTA request payload")
 def decode_delta_request(payload: bytes) -> tuple[int, int, float]:
-    """Inverse of :func:`encode_delta_request`."""
+    """Inverse of :func:`encode_delta_request`.
+
+    Raises:
+        CodecError: on a size mismatch, or a NaN or negative timeout
+            (``0`` is a poll, ``+inf`` waits as long as the server
+            allows).
+    """
     if len(payload) != _DELTA_REQUEST.size:
         raise CodecError(
             f"payload is {len(payload)} bytes, expected {_DELTA_REQUEST.size}"
         )
     round_index, known_reps, timeout_s = _DELTA_REQUEST.unpack(payload)
+    if not timeout_s >= 0:
+        raise CodecError(f"timeout must be >= 0, got {timeout_s}")
     return int(round_index), int(known_reps), float(timeout_s)
 
 

@@ -1,16 +1,14 @@
-"""Site-worker entry point: one DBDC site as a service client.
+"""Site-worker entry points: one DBDC site as a service client.
 
-:func:`run_site_worker` executes the full protocol for one site against
-a live :class:`~repro.service.server.DBDCService` — local DBSCAN, model
-derivation, upload, await-global, relabel — and returns the site's
-global labels plus transfer bookkeeping.  It is the process body behind
-``python -m repro serve-worker`` and the thread body the integration
-tests and the sustained-load bench fan out.
-
-The upload rides :class:`~repro.faults.transport.ResilientTransport`
-over the :class:`~repro.service.transport.SocketTransport` — the exact
-retry/backoff/breaker machinery the simulated deployments use, run
-unchanged over a real socket (the seam ISSUE 7's tentpole demands).
+:func:`run_site_worker_session` runs one site through the rounds of a
+session against a live :class:`~repro.service.server.DBDCService`:
+per round it opens the round, clusters its batch, uploads the local
+model, waits for the round's MODEL_DELTA and relabels everything it
+holds.  :func:`run_site_worker` is the paper's one-shot protocol — local
+DBSCAN, upload, await the global model, relabel — as round 0 of such a
+session; it is the process body behind ``python -m repro serve-worker``
+and the thread body the integration tests and the scenario presets fan
+out.
 """
 
 from __future__ import annotations
@@ -22,12 +20,10 @@ import numpy as np
 
 from repro.core.models import GlobalModel
 from repro.distributed.site import ClientSite
-from repro.faults.plan import FaultPlan
-from repro.faults.transport import ResilientTransport, TransportPolicy
 from repro.obs import NULL_TRACER
 from repro.service import wire
-from repro.service.client import ServiceClient, upload_trace
-from repro.service.transport import ServiceError, SocketTransport
+from repro.service.client import ServiceClient
+from repro.service.transport import ServiceError
 
 __all__ = [
     "SiteWorkerResult",
@@ -43,19 +39,19 @@ class SiteWorkerResult:
 
     Attributes:
         site_id: the worker's site id.
-        verdict: admission verdict of the upload (``"admitted"`` /
-            ``"quarantined"`` / ``"deadline_missed"`` / ``"failed"``).
+        verdict: admission verdict of the upload (``"admitted"``, the
+            gate's refusal such as ``"quarantined"``, or ``"failed"``).
         labels: the site's global labels (noise = -1); local labels
             renumbered nowhere — exactly what ``receive_global_model``
             would have produced in process.
         n_objects: objects the site clustered.
-        upload_attempts: transport attempts the upload took.
-        bytes_sent: payload bytes the worker put on the wire.
+        upload_attempts: LOCAL_MODEL requests the upload took.
+        bytes_sent: payload bytes of the model upload.
         wall_seconds: end-to-end worker wall time.
-        phase_seconds: per-phase wall breakdown (``local_dbscan`` /
-            ``upload`` / ``await_global`` / ``relabel``) — populated
-            only when the worker ran with an enabled tracer.
-        error: the failure detail when ``verdict == "failed"``.
+        phase_seconds: the round's wall breakdown (``open_round`` /
+            ``local_dbscan`` / ``upload`` / ``await_delta`` /
+            ``relabel``).
+        error: the failure or refusal detail (empty on success).
     """
 
     site_id: int
@@ -85,13 +81,15 @@ def run_site_worker(
     relabel_kernel: str = "auto",
     timeout_s: float = 30.0,
     await_global_s: float = 30.0,
-    transport_policy: TransportPolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-    breaker_policy=None,
     tracer=None,
     metrics=None,
 ) -> SiteWorkerResult:
-    """Run one site through the full protocol against a live service.
+    """Run one site through the one-shot protocol against a live service:
+    round 0 of :func:`run_site_worker_session` over ``[points]``.
+
+    Round 0 commits when the service's ``expected_sites`` models are in,
+    or on an explicit ROUND_COMMIT; the worker waits up to
+    ``await_global_s`` for it.
 
     Args:
         host: service host.
@@ -105,17 +103,11 @@ def run_site_worker(
         index_kind: neighbor index kind.
         relabel_kernel: coverage kernel for the update step.
         timeout_s: per-operation socket timeout.
-        await_global_s: how long to wait for the global model.
-        transport_policy: retry/backoff policy of the upload (default:
-            the fault layer's defaults).
-        fault_plan: socket-level fault plan; when set, the upload runs
-            through a :class:`~repro.service.faulting.FaultingSocketTransport`
-            so drops/truncation/corruption hit the *real* connection.
-        breaker_policy: optional per-link circuit breaker
-            (:class:`~repro.faults.transport.BreakerPolicy`).
+        await_global_s: how long to wait for round 0's model.
         tracer: optional :class:`~repro.obs.Tracer` — records the
-            worker's phase spans, stamps trace contexts on outgoing
-            frames, and ships the span forest to the service at the end.
+            worker's ``session`` / ``round`` / phase spans, stamps trace
+            contexts on outgoing frames, and ships the span forest to the
+            service at the end.
         metrics: optional registry for the transport's per-frame-kind
             byte counters.
 
@@ -123,168 +115,38 @@ def run_site_worker(
         A :class:`SiteWorkerResult`; never raises for protocol-level
         refusals — the verdict records them.
     """
-    tracer = NULL_TRACER if tracer is None else tracer
-    start = time.perf_counter()
-    site = ClientSite(
+    session = run_site_worker_session(
+        host,
+        port,
         site_id,
-        points,
+        [points],
+        n_sites=1,
         eps_local=eps_local,
         min_pts_local=min_pts_local,
         scheme=scheme,
         metric=metric,
         index_kind=index_kind,
         relabel_kernel=relabel_kernel,
-    )
-    result = SiteWorkerResult(
-        site_id=site_id, verdict="failed", n_objects=int(points.shape[0])
-    )
-    socket_transport = SocketTransport(
-        host,
-        port,
-        site_id=site_id,
         timeout_s=timeout_s,
+        await_global_s=await_global_s,
         tracer=tracer,
         metrics=metrics,
     )
-    worker_span = tracer.span(
-        "site_worker",
-        (
-            {
-                "process": f"site-{site_id}",
-                "site": int(site_id),
-                "n_objects": int(points.shape[0]),
-            }
-            if tracer.enabled
-            else None
-        ),
+    # The upload's verdict stands unless a later step failed.
+    verdict = session.verdicts[0] if session.verdicts else "failed"
+    if session.error and verdict == "admitted":
+        verdict = "failed"
+    return SiteWorkerResult(
+        site_id=site_id,
+        verdict=verdict,
+        labels=(session.labels or [np.empty(0, dtype=np.intp)])[0],
+        n_objects=int(points.shape[0]),
+        upload_attempts=session.upload_attempts,
+        bytes_sent=session.bytes_sent,
+        wall_seconds=session.wall_seconds,
+        phase_seconds=(session.round_phase_seconds or [{}])[0],
+        error=session.error,
     )
-    if tracer.enabled:
-        # Anchor the root at the same read that feeds wall_seconds so
-        # the trace and the result reconcile exactly.
-        worker_span.span.wall_start = start
-    try:
-        with socket_transport, worker_span:
-            model = site.run_local_clustering()
-            local_done = time.perf_counter()
-            if tracer.enabled:
-                tracer.record(
-                    "local_dbscan", wall_start=start, wall_end=local_done
-                )
-            # The simulated deployments' retry/backoff/breaker layer,
-            # pointed at the socket instead of SimulatedNetwork.  When a
-            # fault plan is set, the injector sits between the two and
-            # sabotages the real connection; the retry loop treats its
-            # failures exactly like in-flight drops.
-            # Socket failures are always retryable: a connect refused
-            # during a server restart window, a connection severed by a
-            # crash, a torn frame — all of them ride the retry/backoff
-            # seam instead of surfacing raw (the transport closed the
-            # connection, so each retry reconnects from scratch).
-            network = socket_transport
-            retryable: tuple = (OSError, wire.WireError)
-            if fault_plan is not None:
-                from repro.service.faulting import FaultingSocketTransport
-
-                network = FaultingSocketTransport(socket_transport, fault_plan)
-                retryable = FaultingSocketTransport.RETRYABLE
-            resilient = ResilientTransport(
-                network,
-                FaultPlan.none(),
-                transport_policy,
-                breaker_policy=breaker_policy,
-                retryable_errors=retryable,
-                sleep=time.sleep,
-            )
-            payload = wire.encode_local_model(model)
-            overload_budget = 50
-            while True:
-                try:
-                    outcome = resilient.deliver(
-                        site_id, wire.SERVER_ID, "local_model", payload
-                    )
-                    break
-                except ServiceError as error:
-                    if (
-                        error.status == "overloaded"
-                        and error.retry_after_s is not None
-                        and overload_budget > 0
-                    ):
-                        # Typed backpressure: honor the server's retry
-                        # hint instead of treating the shed as a verdict.
-                        overload_budget -= 1
-                        time.sleep(error.retry_after_s)
-                        continue
-                    # The admission gate said no: surface its verdict.
-                    result.verdict = error.status
-                    result.error = error.detail
-                    return result
-            result.upload_attempts = outcome.attempts
-            result.bytes_sent = outcome.bytes_sent
-            if not outcome.delivered:
-                result.error = "upload not delivered"
-                return result
-            response = socket_transport.last_response
-            if response is not None and response.kind == wire.FrameKind.ACK:
-                result.verdict, __ = wire.decode_status(response.payload)
-            else:
-                result.verdict = "admitted"
-            upload_done = time.perf_counter()
-            if tracer.enabled:
-                tracer.record(
-                    "upload",
-                    wall_start=local_done,
-                    wall_end=upload_done,
-                    attrs={
-                        "attempts": outcome.attempts,
-                        "bytes": outcome.bytes_sent,
-                    },
-                )
-            global_model = _await_global(socket_transport, await_global_s)
-            await_done = time.perf_counter()
-            if tracer.enabled:
-                tracer.record(
-                    "await_global", wall_start=upload_done, wall_end=await_done
-                )
-            site.receive_global_model(global_model)
-            result.labels = site.global_labels
-            if tracer.enabled:
-                tracer.record(
-                    "relabel",
-                    wall_start=await_done,
-                    wall_end=time.perf_counter(),
-                )
-    except (OSError, wire.WireError, ServiceError) as error:
-        result.verdict = "failed"
-        result.error = f"{type(error).__name__}: {error}"
-    finally:
-        result.wall_seconds = time.perf_counter() - start
-    if tracer.enabled:
-        for root in tracer.roots:
-            if root is worker_span.span:
-                result.phase_seconds = {
-                    child.name: child.wall_seconds for child in root.children
-                }
-                break
-        try:
-            with socket_transport:
-                upload_trace(
-                    socket_transport,
-                    tracer,
-                    process=f"site-{site_id}",
-                    site=int(site_id),
-                )
-        except (OSError, wire.WireError, ServiceError):
-            pass  # tracing is best-effort; never fail the protocol result
-    return result
-
-
-def _await_global(
-    transport: SocketTransport, timeout_s: float
-) -> GlobalModel:
-    response = transport.request(
-        wire.FrameKind.AWAIT_GLOBAL, wire.encode_await_global(timeout_s)
-    )
-    return wire.decode_global_model(response.payload)
 
 
 @dataclass
@@ -295,12 +157,17 @@ class SiteSessionResult:
         site_id: the worker's *base* site id (round ``r`` submits under
             effective id ``site_id + r * n_sites``).
         n_rounds: batches the worker processed.
-        verdicts: per-round admission verdicts.
+        verdicts: per-round admission verdicts; an upload the gate
+            refuses ends the session with the refusal (``"quarantined"``,
+            ``"no_round_open"``, …) as its last verdict.
         labels: per-round label arrays — ``labels[r]`` are the global
-            labels of batch ``r`` under the *final* session model.
+            labels of batch ``r`` under the last model the worker
+            received (a round whose model never came has none).
         model: the final session :class:`GlobalModel` (``None`` when the
             session failed before round 0 committed).
-        bytes_sent: payload bytes the worker put on the wire.
+        upload_attempts: LOCAL_MODEL requests sent, resubmissions
+            included.
+        bytes_sent: payload bytes of those model uploads.
         wall_seconds: end-to-end worker wall time.
         round_wall_seconds: wall time of each completed round, measured
             from the same ``perf_counter`` reads that bound the round's
@@ -322,6 +189,7 @@ class SiteSessionResult:
     verdicts: list = field(default_factory=list)
     labels: list = field(default_factory=list)
     model: GlobalModel | None = None
+    upload_attempts: int = 0
     bytes_sent: int = 0
     wall_seconds: float = 0.0
     round_wall_seconds: list = field(default_factory=list)
@@ -371,7 +239,8 @@ def run_site_worker_session(
     Args:
         host: service host.
         port: service port.
-        site_id: this worker's base site id in ``[0, n_sites)``.
+        site_id: this worker's base site id (in ``[0, n_sites)`` when
+            it runs more than one round).
         batches: one point array per round, shape ``(n_r, d)`` each.
         n_sites: total workers in the session (the effective-id stride).
         eps_local: local DBSCAN ``Eps``.
@@ -412,15 +281,16 @@ def run_site_worker_session(
     result = SiteSessionResult(site_id=site_id, n_rounds=len(batches))
     sites: list[ClientSite] = []
     model: GlobalModel | None = None
+    client = ServiceClient(
+        host,
+        port,
+        site_id=site_id,
+        timeout_s=timeout_s,
+        tracer=tracer,
+        metrics=metrics,
+    )
     try:
-        with ServiceClient(
-            host,
-            port,
-            site_id=site_id,
-            timeout_s=timeout_s,
-            tracer=tracer,
-            metrics=metrics,
-        ) as client:
+        with client:
 
             def call(verb, *args, **kwargs):
                 """One protocol verb through the reconnect-and-resume seam.
@@ -493,9 +363,12 @@ def run_site_worker_session(
                     )
                     local_model = site.run_local_clustering()
                     r1 = time.perf_counter()
-                    result.verdicts.append(call(client.submit, local_model))
+                    try:
+                        result.verdicts.append(call(client.submit, local_model))
+                    except ServiceError as error:
+                        result.verdicts.append(error.status)
+                        raise
                     r2 = time.perf_counter()
-                    sites.append(site)
                     model = call(
                         client.await_model_delta,
                         round_index,
@@ -505,6 +378,7 @@ def run_site_worker_session(
                     r3 = time.perf_counter()
                     # True streaming: every batch seen so far is
                     # relabeled against the round's committed model.
+                    sites.append(site)
                     for seen in sites:
                         seen.receive_global_model(model)
                     r4 = time.perf_counter()
@@ -546,7 +420,6 @@ def run_site_worker_session(
                     note_epoch()
                     if round_hook is not None:
                         round_hook(round_index, model)
-            result.bytes_sent = client.transport.bytes_sent
             if tracer.enabled:
                 try:
                     client.upload_trace(
@@ -558,6 +431,8 @@ def run_site_worker_session(
         result.error = f"{error.status}: {error.detail}"
     except (OSError, wire.WireError) as error:
         result.error = f"{type(error).__name__}: {error}"
+    result.upload_attempts = client.uploads
+    result.bytes_sent = client.upload_bytes
     result.labels = [site.global_labels for site in sites]
     result.model = model
     result.wall_seconds = time.perf_counter() - start

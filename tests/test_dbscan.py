@@ -11,9 +11,13 @@ from repro.clustering.dbscan import DBSCAN, dbscan
 from repro.clustering.labels import NOISE
 from repro.core.dbdc import DBDCConfig
 from repro.distributed.incremental_site import IncrementalClientSite
-from repro.distributed.runner import DistributedRunConfig
+from repro.distributed.runner import (
+    DistributedRunConfig,
+    RecoveryPolicy,
+    RoundPolicy,
+)
 from repro.distributed.scenario import StreamingScenario
-from repro.distributed.server import CentralServer, IncrementalServer
+from repro.distributed.server import CentralServer, IncrementalServer, RoundCore
 from repro.distributed.site import ClientSite
 from repro.index import build_index
 from repro.service.server import ServiceConfig
@@ -57,6 +61,21 @@ GLOBAL_RADIUS_OWNERS = {
         1, eps_local=1.0, min_pts_local=3, eps_global=eps_global
     ),
     "IncrementalServer": lambda eps_global: IncrementalServer(eps_global, dim=2),
+}
+
+# The places a round's admission deadline enters, as deadline_s -> object.
+ROUND_DEADLINE_OWNERS = {
+    "CentralServer": lambda deadline_s: CentralServer(deadline_s=deadline_s),
+    "RecoveryPolicy": lambda deadline_s: RecoveryPolicy(deadline_s=deadline_s),
+    "RoundPolicy": lambda deadline_s: RoundPolicy(deadline_s=deadline_s),
+    "ServiceConfig": lambda deadline_s: ServiceConfig(deadline_s=deadline_s),
+}
+
+# The places the sites of one round enter, as expected_sites -> object.
+ROUND_SITES_OWNERS = {
+    "CentralServer": lambda sites: CentralServer(expected_sites=sites),
+    "RoundCore": lambda sites: RoundCore(expected_sites=sites),
+    "ServiceConfig": lambda sites: ServiceConfig(expected_sites=sites),
 }
 
 
@@ -117,6 +136,36 @@ class TestParameterValidation:
     )
     def test_accepts_no_eps_global(self, owner):
         GLOBAL_RADIUS_OWNERS[owner](None)
+
+    @pytest.mark.parametrize("owner", sorted(ROUND_DEADLINE_OWNERS))
+    @pytest.mark.parametrize("deadline_s", [math.nan, 0.0, -1.0, -math.inf])
+    def test_rejects_a_nan_or_non_positive_deadline(self, owner, deadline_s):
+        """A NaN deadline is never passed, so it silently turned the
+        deadline off."""
+        with pytest.raises(ValueError, match=rf"deadline_s must be .*{deadline_s}"):
+            ROUND_DEADLINE_OWNERS[owner](deadline_s)
+
+    @pytest.mark.parametrize("owner", sorted(ROUND_DEADLINE_OWNERS))
+    @pytest.mark.parametrize("deadline_s", [None, 0.25, math.inf, np.float64(2.0)])
+    def test_accepts_no_deadline_or_a_positive_one(self, owner, deadline_s):
+        ROUND_DEADLINE_OWNERS[owner](deadline_s)
+
+    @pytest.mark.parametrize("owner", sorted(ROUND_SITES_OWNERS))
+    @pytest.mark.parametrize("sites", [0, -2, 2.5, math.nan, math.inf])
+    def test_rejects_a_round_of_no_whole_sites(self, owner, sites):
+        """0 or -2 sites committed round 0 at its first upload, 2.5 or NaN
+        never committed it."""
+        with pytest.raises(ValueError, match=rf"expected_sites must be .*{sites}"):
+            ROUND_SITES_OWNERS[owner](sites)
+
+    @pytest.mark.parametrize("owner", sorted(ROUND_SITES_OWNERS))
+    @pytest.mark.parametrize("sites", [None, 1, 4, np.int64(3), 2.0])
+    def test_accepts_no_site_count_or_a_whole_one(self, owner, sites):
+        ROUND_SITES_OWNERS[owner](sites)
+
+    def test_a_whole_valued_site_count_runs_as_an_int(self):
+        core = RoundCore(expected_sites=np.float64(2.0))
+        assert type(core.expected_sites) is int and core.expected_sites == 2
 
     def test_incremental_server_requires_eps_global(self):
         """A streaming server cannot wait for every model to derive one."""

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import repro.scenario as scenario
+from repro.index import grid
 from repro.scenario import PRESETS, SECTIONS, Scenario, build_parser, run
 
 SMALL = replace(
@@ -203,6 +204,23 @@ class TestStandaloneSections:
         report = _sections(cardinality=(64,), sites=4, sections=("shm_pool",))
         assert report.metrics["shm.roundtrip_ok"] == 1.0
         assert report.metrics["shm.bytes_shared"] == 64 * 2 * 8
+
+    def test_scale_peaks_count_the_join_buffers(self):
+        """Each probed phase starts with the grid join's free list empty,
+        so its peak counts the pass buffers it needs: a run that follows
+        one which left buffer sets behind reads the same peaks (within
+        the few KB small allocations move between runs).  The local peak
+        used to drop to less than half.  A first run fills the process's
+        one-time state (lazy imports, the neighbour stencil cache)
+        before the free list is emptied."""
+        _sections(sections=("scale",))
+        grid._FREE_BUFFERS.clear()
+        first, second = (
+            _sections(sections=("scale",)).metrics for __ in range(2)
+        )
+        for phase in ("local", "relabel"):
+            name = f"scale.tracemalloc_peak_mb[400:{phase}]"
+            assert second[name] == pytest.approx(first[name], rel=0.05), name
 
     def test_scale_pipeline_budgets(self):
         report = _sections(cardinality=(250,), sections=("scale",))

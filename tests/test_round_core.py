@@ -16,7 +16,8 @@ and commits drive a live core, and every schedule checks that:
 The same replay runs once more through the service's real journal: a
 write-ahead log that spans three server generations, cut at every
 record boundary, restarts to the state the live service had when it
-wrote that record.
+wrote that record — once for a streaming session, once for a one-shot
+deployment driven by bare uploads alone (round 0 opened by the first).
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ _ROUND = st.tuples(_OFFSET, st.lists(_ARRIVAL, max_size=5), _OFFSET).map(
 _STEP = st.one_of(
     st.tuples(st.just("open"), _OFFSET), _ARRIVAL, st.tuples(st.just("commit"), _OFFSET)
 )
-#: A schedule: maybe a few one-shot arrivals first (which make sessions
-#: impossible), then rounds, then loose steps in any order.
+#: A schedule: maybe a few arrivals before any round (refused: no round
+#: is open), then rounds, then loose steps in any order.
 _SCHEDULE = st.tuples(
     st.one_of(st.just([]), st.just([]), st.just([]), st.lists(_ARRIVAL, max_size=2)),
     st.lists(_ROUND, min_size=1, max_size=5),
@@ -177,7 +178,7 @@ class TestReplayEqualsLive:
         live, __, __ = _run_schedule(steps)
         if live.round_index is not None:
             live.apply(live.commit_round(live.round_index))
-        if not live.session:
+        if live.committed is None:
             return
         rebuilt, __ = build_global_model(
             sorted(live.local_models, key=lambda model: model.site_id)
@@ -237,10 +238,14 @@ def _upload(model: LocalModel, *, corrupt: bool = False) -> wire.Frame:
     return frame
 
 
-def _booted(directory) -> DBDCService:
+def _booted(directory, expected_sites=None) -> DBDCService:
     """A socket-free service recovered from the journal in ``directory``."""
     service = DBDCService(
-        ServiceConfig(journal_dir=str(directory), metrics_port=None)
+        ServiceConfig(
+            journal_dir=str(directory),
+            metrics_port=None,
+            expected_sites=expected_sites,
+        )
     )
     service._recover_from_journal()
     return service
@@ -314,6 +319,89 @@ class TestServiceJournalReplay:
             restarted._journal.close()
 
 
+    def test_one_shot_journal_cut_at_every_record_restarts_to_the_live_state(
+        self, tmp_path
+    ):
+        """Bare uploads alone: the first opens round 0 (``ROUND_OPEN(0)``
+        before its admission), an admission and a quarantine follow, the
+        service restarts mid-round, the round auto-commits at
+        ``expected_sites``, and a late bare upload is refused
+        ``no_round_open`` without a record.  A cut at every record
+        boundary restarts to the live state at that record; a cut
+        between the filling admission and its commit restarts to the
+        committed state, since recovery commits a full round."""
+        directory = tmp_path / "live"
+        live = _booted(directory, expected_sites=3)
+        snapshots = [_fingerprint(live.server)]  # after each record
+
+        def track(service):
+            apply = service._apply
+
+            def tracked(decision):
+                apply(decision)
+                if decision.record is not None:
+                    snapshots.append(_fingerprint(service.server))
+
+            service._apply = tracked
+            return service
+
+        def restart():
+            nonlocal live
+            before = _fingerprint(live.server)
+            live._journal.close()
+            live = track(_booted(directory, expected_sites=3))
+            snapshots.append(before)  # the new EPOCH record
+            assert _fingerprint(live.server) == before
+
+        track(live)
+        verdicts = [
+            live._admit(_upload(_model(0, [0, 1]))).verdict,
+            live._admit(_upload(_model(1, [2]), corrupt=True)).verdict,
+        ]
+        restart()  # mid round 0
+        verdicts.append(live._admit(_upload(_model(2, [3]))).verdict)
+        verdicts.append(live._admit(_upload(_model(3, [2, 4]))).verdict)
+        committed = _fingerprint(live.server)
+        late = live._admit(_upload(_model(4, [4])))
+        assert late.verdict == "no_round_open" and late.record is None
+        assert _fingerprint(live.server) == committed
+        live._journal.close()
+
+        assert verdicts == ["admitted", "quarantined", "admitted", "admitted"]
+        assert live.server.rounds_committed == 1
+        assert live.server.admitted_site_ids == [0, 2, 3]
+        assert live.server.quarantined_site_ids == [1]
+        kinds = journal.RecordKind
+        records = live._journal.recover().records
+        assert [r.kind for r in records] == [
+            kinds.EPOCH,
+            kinds.ROUND_OPEN,
+            kinds.MODEL_ADMITTED,
+            kinds.QUARANTINE,
+            kinds.EPOCH,
+            kinds.MODEL_ADMITTED,
+            kinds.MODEL_ADMITTED,
+            kinds.ROUND_COMMIT,
+        ]
+        assert journal.decode_round_marker(records[1].payload) == 0
+        assert len(snapshots) == len(records)
+        for cut in range(1, len(records) + 1):
+            cut_dir = tmp_path / f"cut-{cut}"
+            cut_dir.mkdir()
+            (cut_dir / "wal.log").write_bytes(
+                b"".join(
+                    journal.encode_record(r.kind, r.seq, r.payload)
+                    for r in records[:cut]
+                )
+            )
+            restarted = _booted(cut_dir, expected_sites=3)
+            want = snapshots[cut - 1]
+            if cut < len(records) and records[cut].kind == kinds.ROUND_COMMIT:
+                want = snapshots[cut]
+            assert _fingerprint(restarted.server) == want, cut
+            restarted._journal.close()
+
+
 def _cube(site_id: int, dim: int, n: int = 3) -> LocalModel:
     """``n`` representatives of ``dim`` coordinates each."""
     return LocalModel(
@@ -341,6 +429,7 @@ class TestDimensionalityGate:
 
     def test_one_shot(self):
         core = RoundCore(None)
+        core.apply(core.open_round(0))
         assert self._arrive(core, _cube(0, 2)).verdict == "admitted"
         deep = self._arrive(core, _cube(1, 3))
         assert deep.verdict == "quarantined"
@@ -350,7 +439,7 @@ class TestDimensionalityGate:
         assert flat.detail == "representatives have no coordinates"
         assert self._arrive(core, _cube(3, 5, n=0)).verdict == "admitted"
         assert self._arrive(core, _cube(4, 2)).verdict == "admitted"
-        model = core.build()
+        model = core.apply(core.commit_round(0))
         assert model.dim == 2 and len(model) == 6
         assert core.quarantined_site_ids == [1, 2]
 

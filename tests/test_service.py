@@ -1,7 +1,8 @@
 """Integration tests: the live socket service against the in-process oracle.
 
 The load-bearing guarantee (ISSUE 7): a 4-site workload run over real
-sockets — concurrent uploads, await-global, relabel — produces labels
+sockets — concurrent uploads into round 0, its MODEL_DELTA, relabel —
+produces labels
 **bit-identical** to the same seed/config run through
 ``SimulatedNetwork``/``DistributedRunner``.  Around it: the admission
 gate quarantines corrupt frames instead of dropping connections, the
@@ -212,13 +213,6 @@ class TestAdmissionGate:
                     client.query(np.zeros((3, 2)))
                 assert excinfo.value.status == "no_model"
 
-    def test_await_global_times_out_with_typed_error(self):
-        with ServiceHandle.start(ServiceConfig(expected_sites=2)) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                with pytest.raises(ServiceError) as excinfo:
-                    client.await_global_model(timeout_s=0.1)
-                assert excinfo.value.status == "no_model"
-
 
 class TestTransportSeam:
     def test_simulated_and_socket_transports_satisfy_the_protocol(self):
@@ -249,6 +243,21 @@ class TestTransportSeam:
                 status, detail = wire.decode_status(response.payload)
                 assert status == "protocol_error"
                 assert "magic" in detail  # magic is checked before length
+
+    @pytest.mark.parametrize("kind", [4, 5])
+    def test_a_retired_frame_kind_gets_a_typed_protocol_error(self, kind):
+        """Kinds 4 and 5 (the whole-model broadcast and its wait) are
+        unassigned: an old client's request is refused, typed."""
+        frame = bytearray(wire.encode_frame(wire.FrameKind.HEALTH, b"\0" * 8))
+        frame[5] = kind  # the kind byte; the CRC covers the payload only
+        with ServiceHandle.start(ServiceConfig(metrics_port=None)) as handle:
+            with SocketTransport(handle.host, handle.port) as sock:
+                sock.connect()._sock.sendall(bytes(frame))
+                response = sock.read_frame()
+        assert response.kind == wire.FrameKind.ERROR
+        status, detail = wire.decode_status(response.payload)
+        assert status == "protocol_error"
+        assert detail == f"unknown frame kind {kind}"
 
     def test_oversized_declared_payload_is_rejected(self):
         with ServiceHandle.start(

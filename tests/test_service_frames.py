@@ -5,7 +5,7 @@ path: a clean EOF between frames is not an error, mid-header and
 mid-payload truncation each get a typed ``protocol_error`` reply, the
 per-frame deadline is ONE budget shared by header and payload (a
 slow-loris client cannot stretch a frame to twice ``idle_timeout_s``),
-and a graceful ``stop()`` hands blocked AWAIT_GLOBAL waiters a typed
+and a graceful ``stop()`` hands blocked MODEL_DELTA waiters a typed
 ``shutting_down`` frame before their connection closes.
 """
 
@@ -124,18 +124,19 @@ class TestFrameReads:
 
 
 class TestShutdownNotice:
-    def test_stop_sends_shutting_down_to_blocked_waiters(self):
-        """Graceful stop: an in-flight AWAIT_GLOBAL waiter receives a
-        typed ``shutting_down`` ERROR frame, not a dead socket."""
-        handle = ServiceHandle.start(
-            ServiceConfig(expected_sites=2, metrics_port=None)
-        )
+    def test_stop_sends_shutting_down_to_delta_waiters(self):
+        """Graceful stop: an in-flight MODEL_DELTA waiter (its wait races
+        the shutdown event) receives a typed ``shutting_down`` ERROR
+        frame, not a dead socket."""
+        handle = ServiceHandle.start(ServiceConfig(metrics_port=None))
         outcomes: list[object] = []
 
         def wait() -> None:
             try:
                 with ServiceClient(handle.host, handle.port) as client:
-                    outcomes.append(client.await_global_model(timeout_s=30.0))
+                    outcomes.append(
+                        client.await_model_delta(0, None, timeout_s=30.0)
+                    )
             except Exception as error:  # noqa: BLE001 - recorded for asserts
                 outcomes.append(error)
 
@@ -152,28 +153,3 @@ class TestShutdownNotice:
         assert handle.service._n_shutdown_notices >= 1
         gauges = handle.service.metrics.to_dict()["gauges"]
         assert gauges["service.shutdown_notices"] >= 1
-
-    def test_stop_sends_shutting_down_to_delta_waiters(self):
-        """The MODEL_DELTA wait races the same shutdown event."""
-        handle = ServiceHandle.start(ServiceConfig(metrics_port=None))
-        outcomes: list[object] = []
-
-        def wait() -> None:
-            try:
-                with ServiceClient(handle.host, handle.port) as client:
-                    outcomes.append(
-                        client.await_model_delta(0, None, timeout_s=30.0)
-                    )
-            except Exception as error:  # noqa: BLE001 - recorded for asserts
-                outcomes.append(error)
-
-        thread = threading.Thread(target=wait)
-        thread.start()
-        time.sleep(0.4)
-        handle.stop()
-        thread.join(10.0)
-        assert not thread.is_alive()
-        assert len(outcomes) == 1
-        error = outcomes[0]
-        assert isinstance(error, ServiceError), f"got {error!r}"
-        assert error.status == "shutting_down"

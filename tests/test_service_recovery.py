@@ -19,6 +19,8 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.global_model import build_global_model
+from repro.core.relabel import relabel_site
 from repro.data.datasets import load_dataset
 from repro.distributed.site import ClientSite
 from repro.distributed.streaming import run_streaming_session
@@ -134,7 +136,7 @@ def _run_crash_session(workload, journal_dir, *, kill_after_round=0):
             thread.join()
         with ServiceClient(config.host, config.port) as client:
             health = client.health()
-            full_model = client.await_global_model(timeout_s=5.0)
+            full_model = client.await_model_delta(0, None, timeout_s=5.0)
         gauges = handles[-1].service.metrics.to_dict()["gauges"]
     finally:
         for handle in handles:
@@ -265,8 +267,8 @@ class TestKillReleasesTheJournal:
 class TestDimensionalityGate:
     def test_another_dimensionality_is_quarantined_and_replayed(self, tmp_path):
         """A 3-D upload after a 2-D one is quarantined, journaled with
-        its reason; label queries keep answering, also after a restart
-        from the journal."""
+        its reason; once the partial round 0 commits, label queries keep
+        answering, also after a restart from the journal."""
         config = ServiceConfig(
             expected_sites=2, metrics_port=None, journal_dir=str(tmp_path)
         )
@@ -281,6 +283,7 @@ class TestDimensionalityGate:
                 assert "dimensionality 3 differs from the session's 2" in str(
                     excinfo.value
                 )
+                assert client.commit_round(0) == "round_committed"
                 labels = client.query(queries)
                 health = client.health()
             counters = handle.service.metrics.to_dict()["counters"]
@@ -340,9 +343,51 @@ class TestDimensionalityGate:
         assert health["model_built"] and health["sites_quarantined"] == 1
 
 
-def _model(site_id: int, dim: int) -> LocalModel:
-    """Three representatives in two local clusters, in ``dim`` dimensions."""
+    def test_a_one_shot_journal_boots_as_round_zero(self, tmp_path):
+        """A journal of one-shot uploads outside any round (round -1, as
+        services wrote before a one-shot deployment became round 0)
+        replays them into round 0, which commits at ``expected_sites``:
+        the restart journals only its epoch and that commit, and serves
+        the labels of the site-sorted build over those models."""
+        models = [_model(1, 2, at=(9.0, 9.0)), _model(0, 2)]
+        with journal.WriteAheadJournal(tmp_path) as wal:
+            wal.append(journal.RecordKind.EPOCH, journal.encode_epoch(1))
+            for model in models:
+                wal.append(
+                    journal.RecordKind.MODEL_ADMITTED,
+                    journal.encode_admitted(-1, wire.encode_local_model(model)),
+                )
+        queries = np.asarray([[0.5, 0.0], [5.0, 5.5], [9.0, 9.5], [20.0, 0.0]])
+        built, __ = build_global_model(sorted(models, key=lambda m: m.site_id))
+        expected, __ = relabel_site(
+            queries, np.full(4, -1, dtype=np.intp), built, site_id=None
+        )
+        config = ServiceConfig(
+            expected_sites=2, metrics_port=None, journal_dir=str(tmp_path)
+        )
+        with ServiceHandle.start(config) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                labels = client.query(queries)
+                health = client.health()
+        records = journal.WriteAheadJournal(tmp_path).recover().records
+        assert [r.kind for r in records] == [
+            journal.RecordKind.EPOCH,
+            journal.RecordKind.MODEL_ADMITTED,
+            journal.RecordKind.MODEL_ADMITTED,
+            journal.RecordKind.EPOCH,
+            journal.RecordKind.ROUND_COMMIT,
+        ]
+        assert journal.decode_round_marker(records[-1].payload) == 0
+        np.testing.assert_array_equal(labels, expected)
+        assert len(set(expected.tolist())) == 4  # three clusters and noise
+        assert health["rounds_committed"] == 1 and health["epoch"] == 2
+
+
+def _model(site_id: int, dim: int, at=(0.0, 0.0)) -> LocalModel:
+    """Three representatives in two local clusters, in ``dim`` dimensions,
+    moved by ``at`` in the first two."""
     points = np.asarray([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
+    points[:, :2] += at
     return LocalModel(
         site_id, points[:, :dim], [1.0] * 3, [0, 0, 1], 3, "rep_scor", 0.5, 2
     )

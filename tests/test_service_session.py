@@ -5,12 +5,15 @@ socket session — ROUND_OPEN, per-round uploads, MODEL_DELTA — produces
 labels **bit-identical** to N sequential in-process incremental rounds
 through :func:`~repro.distributed.streaming.run_streaming_session`.
 Around it: the delta chain reconstructs exactly the model a full
-AWAIT_GLOBAL fetch returns, and every round protocol violation surfaces
-as a typed error (``bad_round`` / ``no_round_open`` / ``bad_delta``).
+fetch (``await_model_delta(0, None)``) returns, a one-shot deployment is
+round 0 of a session (a bare upload opens it), and every round protocol
+violation surfaces as a typed error (``bad_round`` / ``no_round_open`` /
+``bad_delta`` / ``bad_request``).
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -24,9 +27,10 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
     ServiceHandle,
+    journal,
     wire,
 )
-from repro.service.worker import run_site_worker_session
+from repro.service.worker import run_site_worker, run_site_worker_session
 
 N_SITES = 2
 N_ROUNDS = 3
@@ -89,7 +93,7 @@ def socket_session(stream_workload):
             thread.join()
         with ServiceClient(handle.host, handle.port) as client:
             health = client.health()
-            full_model = client.await_global_model(timeout_s=5.0)
+            full_model = client.await_model_delta(0, None, timeout_s=5.0)
         snapshot = handle.service.metrics.to_dict()
     return {
         "results": results,
@@ -140,8 +144,8 @@ class TestStreamingBitIdentity:
             assert model == oracle.model
 
     def test_delta_chain_equals_full_fetch(self, socket_session):
-        """A fresh AWAIT_GLOBAL fetch returns exactly the model the
-        per-round MODEL_DELTA chain assembled client-side."""
+        """A fresh full fetch returns exactly the model the per-round
+        MODEL_DELTA chain assembled client-side."""
         full = socket_session["full_model"]
         for result in socket_session["results"].values():
             assert np.array_equal(
@@ -151,7 +155,6 @@ class TestStreamingBitIdentity:
 
     def test_session_bookkeeping(self, stream_workload, socket_session):
         health = socket_session["health"]
-        assert health["session_active"] is True
         assert health["rounds_committed"] == N_ROUNDS
         assert health["round_open"] is None
         gauges = socket_session["gauges"]
@@ -195,13 +198,111 @@ class TestRoundProtocolErrors:
                     client.submit(_tiny_model(1))
                 assert excinfo.value.status == "no_round_open"
 
-    def test_session_cannot_retrofit_one_shot_uploads(self):
-        with ServiceHandle.start(ServiceConfig(metrics_port=None)) as handle:
+    def test_a_bare_upload_opens_round_zero(self, tmp_path):
+        """A one-shot upload is round 0 of a session: the service journals
+        ``ROUND_OPEN(0)`` before its admission, a later ``ROUND_OPEN(0)``
+        is acknowledged, and the round commits at ``expected_sites``."""
+        config = ServiceConfig(
+            expected_sites=2, metrics_port=None, journal_dir=str(tmp_path)
+        )
+        with ServiceHandle.start(config) as handle:
+            with ServiceClient(handle.host, handle.port, site_id=0) as client:
+                assert client.submit(_tiny_model(0)) == "admitted"
+                assert client.open_round(0) == "round_open"
+                assert client.health()["round_open"] == 0
+                assert client.submit(_tiny_model(1)) == "admitted"
+                model = client.await_model_delta(0, None, timeout_s=5.0)
+                health = client.health()
+        assert len(model) == 2
+        assert health["rounds_committed"] == 1 and health["round_open"] is None
+        records = journal.WriteAheadJournal(tmp_path).recover().records
+        kinds = journal.RecordKind
+        assert [r.kind for r in records] == [
+            kinds.EPOCH,
+            kinds.ROUND_OPEN,
+            kinds.MODEL_ADMITTED,
+            kinds.MODEL_ADMITTED,
+            kinds.ROUND_COMMIT,
+        ]
+        assert journal.decode_round_marker(records[1].payload) == 0
+        assert [journal.decode_admitted(r.payload)[0] for r in records[2:4]] == [
+            0,
+            0,
+        ]
+        assert journal.decode_round_marker(records[4].payload) == 0
+
+    def test_a_late_bare_upload_is_refused_no_round_open(self):
+        """After round 0 committed, a bare upload from a new site gets
+        the session's typed refusal and changes nothing served; the
+        admitted site's resubmission is still acknowledged."""
+        queries = np.asarray([[0.0, 0.0], [0.5, 0.0], [9.0, 9.0]])
+        with ServiceHandle.start(
+            ServiceConfig(expected_sites=1, metrics_port=None)
+        ) as handle:
+            with ServiceClient(handle.host, handle.port, site_id=0) as client:
+                assert client.submit(_tiny_model(0)) == "admitted"
+                before = client.query(queries)
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit(_tiny_model(1, at=(9.0, 9.0)))
+                assert excinfo.value.status == "no_round_open"
+                np.testing.assert_array_equal(client.query(queries), before)
+                assert client.health()["n_representatives"] == 1
+                assert client.submit(_tiny_model(0)) == "admitted"
+        assert before.tolist() == [0, 0, -1]
+
+    def test_a_label_query_before_round_zero_commits_is_no_model(self):
+        with ServiceHandle.start(
+            ServiceConfig(expected_sites=2, metrics_port=None)
+        ) as handle:
             with ServiceClient(handle.host, handle.port, site_id=0) as client:
                 assert client.submit(_tiny_model(0)) == "admitted"
                 with pytest.raises(ServiceError) as excinfo:
-                    client.open_round(0)
-                assert excinfo.value.status == "bad_round"
+                    client.query(np.zeros((2, 2)))
+                assert excinfo.value.status == "no_model"
+                assert client.submit(_tiny_model(1)) == "admitted"
+                assert client.query(np.zeros((2, 2))).tolist() == [0, 0]
+
+    def test_a_round_that_never_commits_fails_its_workers_typed(
+        self, stream_workload
+    ):
+        """Workers whose round 0 does not commit in time come home with
+        the typed ``no_model`` and no labels (the session worker used to
+        raise reading the labels of a batch no model had reached)."""
+        data = stream_workload["data"]
+        batches = stream_workload["batches"][0]
+        kwargs = dict(
+            eps_local=data.eps_local, min_pts_local=data.min_pts, await_global_s=0.2
+        )
+        with ServiceHandle.start(
+            ServiceConfig(expected_sites=3, metrics_port=None)
+        ) as handle:
+            session = run_site_worker_session(
+                handle.host, handle.port, 0, [batches[0]], n_sites=3, **kwargs
+            )
+            one_shot = run_site_worker(
+                handle.host, handle.port, 1, batches[1], **kwargs
+            )
+        assert session.verdicts == ["admitted"]
+        assert session.error.startswith("no_model")
+        assert session.labels == [] and session.model is None
+        assert one_shot.verdict == "failed"
+        assert one_shot.error.startswith("no_model")
+        assert one_shot.labels.size == 0 and one_shot.upload_attempts == 1
+
+    @pytest.mark.parametrize("timeout", [math.nan, -1.0])
+    def test_a_nan_or_negative_delta_timeout_is_a_bad_request(self, timeout):
+        """Such a wait used to be answered at once with ``no_model``; the
+        connection survives the refusal."""
+        with ServiceHandle.start(
+            ServiceConfig(expected_sites=1, metrics_port=None)
+        ) as handle:
+            with ServiceClient(handle.host, handle.port, site_id=0) as client:
+                assert client.submit(_tiny_model(0)) == "admitted"
+                with pytest.raises(ServiceError) as excinfo:
+                    client.await_model_delta(0, None, timeout_s=timeout)
+                assert excinfo.value.status == "bad_request"
+                assert "timeout" in excinfo.value.detail
+                assert client.query(np.zeros((1, 2))).tolist() == [0]
 
     def test_explicit_commit_closes_a_partial_round(self):
         """Without ``expected_sites`` a round only closes on an explicit
@@ -241,12 +342,12 @@ class TestRoundProtocolErrors:
                 assert excinfo.value.status == "no_model"
 
 
-def _tiny_model(site_id: int):
+def _tiny_model(site_id: int, at=(0.0, 0.0)):
     from repro.core.models import LocalModel
 
     return LocalModel(
         site_id=site_id,
-        points=[[0.0, 0.0]],
+        points=[list(at)],
         eps_ranges=[1.0],
         local_cluster_ids=[0],
         n_objects=1,

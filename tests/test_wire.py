@@ -323,16 +323,6 @@ class TestCodecRoundTrips:
         assert decoded == model
 
     @settings(max_examples=50, deadline=None)
-    @given(model=global_models())
-    def test_global_model(self, model):
-        decoded = wire.decode_global_model(wire.encode_global_model(model))
-        assert decoded.eps_global == model.eps_global
-        assert decoded.min_pts_global == model.min_pts_global
-        assert np.array_equal(decoded.global_labels, model.global_labels)
-        assert_columns_equal(decoded, model)
-        assert decoded == model
-
-    @settings(max_examples=50, deadline=None)
     @given(
         rows=st.integers(min_value=0, max_value=20),
         dim=st.integers(min_value=1, max_value=5),
@@ -358,11 +348,6 @@ class TestCodecRoundTrips:
         decoded = wire.decode_labels(wire.encode_labels(array))
         assert decoded.dtype == np.intp
         assert np.array_equal(decoded, array)
-
-    @settings(max_examples=50, deadline=None)
-    @given(timeout=st.floats(allow_nan=False, min_value=0.0, max_value=1e6))
-    def test_await_global(self, timeout):
-        assert wire.decode_await_global(wire.encode_await_global(timeout)) == timeout
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -496,6 +481,17 @@ class TestSessionCodecs:
         )
         assert decoded == (round_index, known, timeout)
 
+    @pytest.mark.parametrize("timeout", [float("nan"), -1.0, -float("inf")])
+    def test_delta_request_refuses_a_nan_or_negative_timeout(self, timeout):
+        payload = wire.encode_delta_request(0, 0, timeout)
+        with pytest.raises(wire.CodecError, match="timeout must be >= 0"):
+            wire.decode_delta_request(payload)
+
+    @pytest.mark.parametrize("timeout", [0.0, float("inf")])
+    def test_delta_request_takes_a_poll_and_an_unbounded_wait(self, timeout):
+        payload = wire.encode_delta_request(0, 0, timeout)
+        assert wire.decode_delta_request(payload) == (0, 0, timeout)
+
     @settings(max_examples=50, deadline=None)
     @given(model=global_models(), data=st.data())
     def test_model_delta_reconstructs_the_model(self, model, data):
@@ -584,23 +580,11 @@ CODEC_SAMPLES = [
         ),
         wire.decode_local_model,
     ),
-    (
-        "global_model",
-        lambda: wire.encode_global_model(
-            global_model([Row((2.0, 3.0), 1.5, 0, 2)], [0], eps_global=3.0)
-        ),
-        wire.decode_global_model,
-    ),
     ("points", lambda: wire.encode_points(np.ones((3, 2))), wire.decode_points),
     (
         "labels",
         lambda: wire.encode_labels(np.asarray([0, 1, -1], dtype=np.intp)),
         wire.decode_labels,
-    ),
-    (
-        "await_global",
-        lambda: wire.encode_await_global(5.0),
-        wire.decode_await_global,
     ),
     ("status", lambda: wire.encode_status("ok", "detail"), wire.decode_status),
     ("round_open", lambda: wire.encode_round_open(3), wire.decode_round_open),
@@ -767,27 +751,6 @@ GOLDEN_LOCAL_MODEL = {
         "08007265705f73636f72"
     ),
 }
-GOLDEN_GLOBAL_MODEL = {
-    "global_1d": (
-        "000000000000f83f020000000200000001000000000000000000000001000000"
-        "00000000000000000000f03f0000000000000840010000000000000000000000"
-        "00000000000000000000f03f0000000000001240"
-    ),
-    "global_2d": (
-        "0000000000000440020000000300000002000000000000000300000000000000"
-        "00000000000000000000f03f000000000000e03f000000000000f8bf01000000"
-        "000000800000000000000000000000000000e03f000000000000008000000000"
-        "00000240ffffff7f00000000000000000001000000000000000000402be6708b"
-        "681200000000000000001040"
-    ),
-    "global_3d": (
-        "0000000000000840030000000200000003000000070000000100000005000000"
-        "00000000000000000000e03f000000000000f03f000000000000004000000000"
-        "0000084008000000020000000600000000000000000000000000e83f00000000"
-        "0000104000000000000014400000000000001840"
-    ),
-    "global_empty": "0000000000000000020000000000000000000000",
-}
 #: (model, base_count) → MODEL_DELTA payload; base 3 of ``global_2d``
 #: is an empty tail, whose header says dimensionality 0.
 GOLDEN_MODEL_DELTA = {
@@ -855,13 +818,6 @@ class TestGoldenBytes:
         assert payload.hex() == GOLDEN_LOCAL_MODEL[name]
         assert wire.decode_local_model(payload) == model
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_GLOBAL_MODEL))
-    def test_global_model(self, name):
-        model = _golden_global(name)
-        payload = wire.encode_global_model(model)
-        assert payload.hex() == GOLDEN_GLOBAL_MODEL[name]
-        assert wire.decode_global_model(payload) == model
-
     @pytest.mark.parametrize(
         "name,known", sorted(GOLDEN_MODEL_DELTA), ids=str
     )
@@ -912,20 +868,6 @@ class TestAgainstTheStructOracle:
                              ("points", "eps_ranges", "local_cluster_ids"))
 
     @ORACLE_SETTINGS
-    @given(model=global_models(max_dim=5, max_size=50, coordinates=oracle_coordinates))
-    def test_global_model(self, model):
-        payload = wire.encode_global_model(model)
-        assert payload == wire_oracle.encode_global_model(model)
-        header, columns = wire_oracle.decode_global_model(payload)
-        decoded = wire.decode_global_model(payload)
-        assert header == (decoded.eps_global, decoded.min_pts_global)
-        assert_columns_equal(
-            decoded, _namespace(columns),
-            ("points", "eps_ranges", "site_ids", "local_cluster_ids",
-             "global_labels"),
-        )
-
-    @ORACLE_SETTINGS
     @given(
         model=global_models(max_dim=5, max_size=50, coordinates=oracle_coordinates),
         data=st.data(),
@@ -973,11 +915,9 @@ def _namespace(columns: dict):
 
 MODEL_PAYLOADS = (
     [("local", n, wire.decode_local_model) for n in sorted(GOLDEN_LOCAL_MODEL)]
-    + [("global", n, wire.decode_global_model) for n in sorted(GOLDEN_GLOBAL_MODEL)]
     + [("delta", k, wire.decode_model_delta) for k in sorted(GOLDEN_MODEL_DELTA)]
 )
-_GOLDEN = {"local": GOLDEN_LOCAL_MODEL, "global": GOLDEN_GLOBAL_MODEL,
-           "delta": GOLDEN_MODEL_DELTA}
+_GOLDEN = {"local": GOLDEN_LOCAL_MODEL, "delta": GOLDEN_MODEL_DELTA}
 
 
 class TestModelCodecRefusals:
@@ -996,10 +936,6 @@ class TestModelCodecRefusals:
         local[-8:] = np.float64(poison).tobytes()
         with pytest.raises(wire.CodecError, match="finite"):
             wire.decode_local_model(bytes(local))
-        glob = bytearray(bytes.fromhex(GOLDEN_GLOBAL_MODEL["global_3d"]))
-        glob[-8:] = np.float64(poison).tobytes()
-        with pytest.raises(wire.CodecError, match="finite"):
-            wire.decode_global_model(bytes(glob))
         delta = bytearray(bytes.fromhex(GOLDEN_MODEL_DELTA[("global_3d", 1)]))
         delta[-24:-16] = np.float64(poison).tobytes()
         with pytest.raises(wire.CodecError, match="finite"):
@@ -1012,10 +948,6 @@ class TestModelCodecRefusals:
         local[-32:-24] = np.float64(eps).tobytes()
         with pytest.raises(wire.CodecError, match="eps_range"):
             wire.decode_local_model(bytes(local))
-        glob = bytearray(bytes.fromhex(GOLDEN_GLOBAL_MODEL["global_3d"]))
-        glob[-32:-24] = np.float64(eps).tobytes()
-        with pytest.raises(wire.CodecError, match="eps_range"):
-            wire.decode_global_model(bytes(glob))
         delta = bytearray(bytes.fromhex(GOLDEN_MODEL_DELTA[("global_3d", 1)]))
         delta[-48:-40] = np.float64(eps).tobytes()
         with pytest.raises(wire.CodecError, match="eps_range"):
@@ -1031,8 +963,6 @@ class TestModelCodecRefusals:
         ]:
             model = global_model([row], [0])
             with pytest.raises(ValueError, match=field):
-                wire.encode_global_model(model)
-            with pytest.raises(ValueError, match=field):
                 wire.encode_model_delta(wire.delta_from_model(model, 0))
 
     @pytest.mark.parametrize("value", [-(2**31), 2**31 - 1])
@@ -1040,7 +970,6 @@ class TestModelCodecRefusals:
         local = local_model(0, [Row((0.0,), 1.0, 0, value)])
         assert wire.decode_local_model(wire.encode_local_model(local)) == local
         model = global_model([Row((0.0,), 1.0, value, value)], [0])
-        assert wire.decode_global_model(wire.encode_global_model(model)) == model
         delta = wire.decode_model_delta(
             wire.encode_model_delta(wire.delta_from_model(model, 0))
         )

@@ -15,7 +15,6 @@ import struct
 import numpy as np
 
 _LOCAL_HEADER = struct.Struct("<iqdIIIH")
-_GLOBAL_HEADER = struct.Struct("<dIII")
 _DELTA_HEADER = struct.Struct("<dIIII")
 _ACCOUNTING_HEADER = struct.Struct("<III")
 
@@ -75,36 +74,6 @@ def decode_local_model(payload: bytes) -> tuple[tuple, dict]:
     ]
     scheme = payload[_LOCAL_HEADER.size : offset].decode("utf-8")
     return (*header[:4], scheme), _columns(rows, dim, ("local_cluster_ids",))
-
-
-def encode_global_model(model) -> bytes:
-    dim = _dim(model.points)
-    record = struct.Struct(f"<iiqd{dim}d")
-    chunks = [
-        _GLOBAL_HEADER.pack(
-            model.eps_global, model.min_pts_global, len(model.eps_ranges), dim
-        )
-    ]
-    for site, cid, label, eps, point in zip(
-        model.site_ids.tolist(),
-        model.local_cluster_ids.tolist(),
-        model.global_labels.tolist(),
-        model.eps_ranges.tolist(),
-        model.points.tolist(),
-    ):
-        chunks.append(record.pack(site, cid, label, eps, *point))
-    return b"".join(chunks)
-
-
-def decode_global_model(payload: bytes) -> tuple[tuple, dict]:
-    eps_global, min_pts, n_reps, dim = _GLOBAL_HEADER.unpack_from(payload, 0)
-    record = struct.Struct(f"<iiqd{dim}d")
-    rows = [
-        record.unpack_from(payload, _GLOBAL_HEADER.size + i * record.size)
-        for i in range(n_reps)
-    ]
-    fields = ("site_ids", "local_cluster_ids", "global_labels")
-    return (eps_global, min_pts), _columns(rows, dim, fields)
 
 
 def encode_model_delta(delta) -> bytes:
