@@ -8,7 +8,9 @@ simulates that setting end to end:
   sky and cluster their detections locally,
 * only the tiny local models travel over a simulated WAN link,
 * the server builds the global model **incrementally** as models arrive
-  (the §6 extension: "we do not have to wait for all clients"),
+  (the §6 extension: "we do not have to wait for all clients"): each
+  arrival is one round of the server's round protocol, and every commit
+  folds it into the global model,
 * the final broadcast lets each observatory tag its detections with global
   source ids.
 
@@ -24,8 +26,8 @@ import numpy as np
 from repro.data.generators import gaussian_blobs, uniform_noise
 from repro.distributed import (
     ClientSite,
-    IncrementalServer,
     LinkSpec,
+    RoundCore,
     SimulatedNetwork,
 )
 from repro.distributed.network import SERVER
@@ -66,14 +68,17 @@ def main() -> None:
         )
 
     network = SimulatedNetwork(LinkSpec(bandwidth_bytes_per_s=1.25e6, latency_s=0.12))
-    server = IncrementalServer(eps_global=2 * EPS_LOCAL, dim=2)
+    # A streaming server cannot wait for every model to derive the merge
+    # radius, so it is fixed up front (the paper's observed default).
+    server = RoundCore(eps_global=2 * EPS_LOCAL)
 
     print("== local clustering and streaming model upload ==")
-    for name, site in observatories:
+    for round_index, (name, site) in enumerate(observatories):
         model = site.run_local_clustering()
         message = network.send(site.site_id, SERVER, "local_model", model.to_bytes())
-        server.receive_local_model(model)
-        snapshot = server.snapshot()
+        server.apply(server.open_round(round_index))
+        server.apply(server.arrive(model))
+        snapshot = server.apply(server.commit_round(round_index))
         print(
             f"{name:15s}: {site.points.shape[0]:5d} detections → "
             f"{len(model):3d} representatives ({message.n_bytes} bytes, "
@@ -82,7 +87,7 @@ def main() -> None:
             f"{len(snapshot)} representatives"
         )
 
-    global_model = server.snapshot()
+    global_model = server.committed
     print("\n== broadcast and relabeling ==")
     payload = global_model.to_bytes()
     for name, site in observatories:

@@ -26,7 +26,7 @@ from repro.clustering.parameters import (
 )
 from repro.core.dbdc import DBDCConfig, run_dbdc_partitioned
 from repro.data.generators import random_cluster_dataset
-from repro.distributed import CentralServer, ClientSite, FederationQueries
+from repro.distributed import ClientSite, FederationQueries, RoundCore
 from repro.distributed.partition import split, uniform_random
 from repro.quality import evaluate_quality
 
@@ -72,10 +72,11 @@ def main() -> None:
         ClientSite(sid, part, eps_local=eps, min_pts_local=min_pts)
         for sid, part in enumerate(split(points, assignment))
     ]
-    server = CentralServer()
+    server = RoundCore()
+    server.apply(server.open_round(0))
     for site in sites:
-        server.receive_local_model(site.run_local_clustering())
-    model = server.build()
+        server.apply(server.arrive(site.run_local_clustering()))
+    model = server.apply(server.commit_round(0))
     for site in sites:
         site.receive_global_model(model)
     queries = FederationQueries(sites)

@@ -233,7 +233,7 @@ class LocalModel(_Table):
         Construction already rejects NaN/inf coordinates, non-positive
         ε-ranges and rows of another dimensionality; this method covers
         the cross-field consistency a server must check before merging a
-        model it did not build itself (see ``CentralServer.admit``):
+        model it did not build itself (see ``RoundCore.arrive``):
 
         * the site id is a valid client id (non-negative),
         * every representative claims the model's site id,

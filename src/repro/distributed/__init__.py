@@ -39,12 +39,7 @@ from repro.distributed.queries import (
     SitePartial,
 )
 from repro.distributed.scenario import RoundStats, StreamingScenario
-from repro.distributed.server import (
-    CentralServer,
-    Decision,
-    IncrementalServer,
-    RoundCore,
-)
+from repro.distributed.server import Decision, RoundCore
 from repro.distributed.site import ClientSite
 
 __all__ = [
@@ -76,9 +71,7 @@ __all__ = [
     "DistributedRunner",
     "DistributedRunReport",
     "RoundPolicy",
-    "CentralServer",
     "Decision",
-    "IncrementalServer",
     "RoundCore",
     "ClientSite",
 ]

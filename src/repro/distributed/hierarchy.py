@@ -243,7 +243,7 @@ def run_hierarchical_dbdc(
             site_id += 1
 
         # Regional admission gate: semantically invalid models never
-        # reach condensation (same rule as CentralServer.admit).
+        # reach condensation (same rule as RoundCore.arrive).
         admitted_models = [m for m in site_models if not m.validate()]
         n_quarantined = len(site_models) - len(admitted_models)
         site_models = admitted_models

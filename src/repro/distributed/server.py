@@ -1,26 +1,26 @@
-"""The central server: the paper's server, its round protocol core, and a
-streaming variant.
+"""The central server as a *sans-I/O* round protocol.
 
-* :class:`CentralServer` — the paper's mainline: admit local models
-  through the integrity/deadline gate, then run DBSCAN(``Eps_global``,
-  ``MinPts_global = 2``) over the union of representatives once.
-* :class:`RoundCore` — the *sans-I/O* round protocol every entry point shares:
-  the in-process :class:`~repro.distributed.runner.DistributedRunner`,
-  the streaming oracle
-  :func:`~repro.distributed.streaming.run_streaming_session`, and the
-  socket :class:`~repro.service.server.DBDCService` with its write-ahead
-  journal.  It has no sockets, clock or files: events go in (round
-  opened at ``t``, model arrived at ``t``, commit requested),
-  :class:`Decision` objects come out, and :meth:`RoundCore.apply` turns a
-  decision into state.  A caller that journals writes each decision down
-  *between* deciding and applying, and recovery applies the decoded
-  records — so a replayed core equals an uninterrupted one by
-  construction.
-* :class:`IncrementalServer` — the extension Section 6 motivates ("the
-  incremental version of DBSCAN allows us to start with the construction of
-  the global model after the first representatives of any local model come
-  in"): representatives are folded into a global model as they arrive, so
-  a consistent global model is available at any time.
+:class:`RoundCore` is the paper's server (§2, Figure 2): it admits the
+sites' local models through an integrity/deadline gate and clusters
+their representatives, DBSCAN(``Eps_global``, ``MinPts_global = 2``),
+into the global model.  Models are admitted only inside a round, so
+the paper's one-shot protocol is round 0, and Section 6's incremental
+server ("the incremental version of DBSCAN allows us to start with the
+construction of the global model after the first representatives of any
+local model come in") is one round per arriving model: every commit
+folds the round's models into the committed global model.
+
+Every entry point drives this one object: the in-process
+:class:`~repro.distributed.runner.DistributedRunner`, the streaming
+oracle :func:`~repro.distributed.streaming.run_streaming_session`, and
+the socket :class:`~repro.service.server.DBDCService` with its
+write-ahead journal.  It has no sockets, clock or files: events go in
+(round opened at ``t``, model arrived at ``t``, commit requested),
+:class:`Decision` objects come out, and :meth:`RoundCore.apply` turns a
+decision into state.  A caller that journals writes each decision down
+*between* deciding and applying, and recovery applies the decoded
+records — so a replayed core equals an uninterrupted one by
+construction.
 """
 
 from __future__ import annotations
@@ -32,18 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.clustering.dbscan import global_radius
-from repro.core.global_model import (
-    GlobalClusteringStats,
-    GlobalModelRepairer,
-    build_global_model,
-)
+from repro.core.global_model import GlobalModelRepairer, build_global_model
 from repro.core.models import GlobalModel, LocalModel
 from repro.data.distance import Metric, get_metric
 
 __all__ = [
-    "CentralServer",
     "Decision",
-    "IncrementalServer",
     "RoundCore",
     "round_deadline",
     "round_sites",
@@ -93,7 +87,7 @@ def _by_site(models: list[LocalModel]) -> list[LocalModel]:
 
 @dataclass(frozen=True)
 class Decision:
-    """One protocol decision of :class:`CentralServer` / :class:`RoundCore`.
+    """One protocol decision of :class:`RoundCore`.
 
     Attributes:
         verdict: what the sender is told — ``"admitted"``,
@@ -120,37 +114,51 @@ class Decision:
     deadline_s: float | None = None
 
 
-class CentralServer:
-    """Batch server: one global clustering over the admitted models.
+class RoundCore:
+    """The central server: the one object every caller feeds events to.
 
-    The admission gate (:meth:`arrive`) checks, in this order: a payload
-    whose checksum failed, a model that fails
+    Models are admitted only into an open round: :meth:`open_round`
+    opens the next numbered round, and committing it
+    (:meth:`commit_round`) makes its models part of the committed global
+    model — the only model reads are served from.  A round with no base
+    model — none yet, or one without representatives, so ``eps_global``
+    never got a real value — commits by the site-sorted build over every
+    admitted model, so the global model does not depend on arrival
+    order; later rounds fold their models, sorted by site id, into the
+    base through :class:`~repro.core.global_model.GlobalModelRepairer`
+    with ``eps_global`` frozen, over the build's ``index_kind``.  Every
+    commit sets the ``server.representatives`` and ``server.clusters``
+    gauges of the committed model and adds what it changed to the
+    ``server.label_churn`` and ``server.cluster_merges`` counters.
+
+    :meth:`arrive` decides, in this order: a model from a site already
+    admitted is a ``duplicate`` (acknowledged, never merged twice); one
+    arriving while no round is open is ``no_round_open``; a payload whose
+    checksum failed, a model that fails
     :meth:`~repro.core.models.LocalModel.validate`, or a non-empty model
     without coordinates or of another dimensionality than the first
-    admitted non-empty one (so than every admitted and committed one) is
-    ``quarantined`` — poison regardless of when it arrived; a model
-    arriving more than the deadline after the round opened (time 0 here)
-    is ``deadline_missed`` — arrival exactly *at* the deadline is
-    admitted.  :meth:`build` clusters every admitted model, sorted by
-    site id, so the global model does not depend on arrival order.
-    :attr:`quorum_met` only classifies the round as degraded: the server
-    clusters whatever it admitted — "the server clusters whatever
-    representatives it receives".
+    admitted non-empty one is ``quarantined`` — poison regardless of when
+    it arrived; a model arriving more than the round's deadline after the
+    round opened is ``deadline_missed`` — arrival exactly *at* the
+    deadline is admitted.  Re-opening the open round and re-committing a
+    committed one are acknowledged and change nothing.  :attr:`quorum_met`
+    only classifies the run as degraded: the server clusters whatever it
+    admitted — "the server clusters whatever representatives it
+    receives".
 
     Args:
         eps_global: merge radius, positive and finite; ``None`` → the
-            paper's default (max ε_r).
+            paper's default (max ε_r of the first build's models).
         metric: distance metric.
         index_kind: neighbor index for the global build and its folds.
-        deadline_s: admission deadline, positive (``None`` = never
-            reject; see :func:`round_deadline`).
         quorum: minimum fraction of expected sites that must be admitted
-            for the round to count as healthy (``0`` = any).
+            for the run to count as healthy (``0`` = any).
         expected_sites: how many sites should report, a whole number of
             at least one (``None`` → inferred from the models seen,
-            admitted or rejected; see :func:`round_sites`).
+            admitted or rejected; see :func:`round_sites`); it also marks
+            an open round holding that many models as :attr:`round_full`.
         metrics: optional :class:`~repro.obs.MetricsRegistry`; admission
-            decisions and the global build record ``server.*`` metrics.
+            decisions, builds and commits record ``server.*`` metrics.
     """
 
     def __init__(
@@ -159,7 +167,6 @@ class CentralServer:
         *,
         metric: str | Metric = "euclidean",
         index_kind: str = "auto",
-        deadline_s: float | None = None,
         quorum: float = 0.0,
         expected_sites: int | None = None,
         metrics=None,
@@ -169,7 +176,6 @@ class CentralServer:
         self.eps_global = global_radius(eps_global)
         self.metric = get_metric(metric)
         self.index_kind = index_kind
-        self.deadline_s = round_deadline(deadline_s)
         self.quorum = quorum
         self.expected_sites = round_sites(expected_sites)
         self.metrics = metrics
@@ -179,232 +185,16 @@ class CentralServer:
         # payloads and semantically invalid models never reach the global
         # DBSCAN.
         self.quarantined_models: list[tuple[LocalModel, str]] = []
-        # Wall-clock seconds of the last global DBSCAN (perf_counter delta).
+        # Wall-clock seconds of the last global build (perf_counter delta).
         self.global_seconds = 0.0
         self.n_builds = 0
-        # The open round's clock: arrival deadlines count from _opened_s.
-        self._opened_s = 0.0
-        self._round_deadline_s = self.deadline_s
-        self._model: GlobalModel | None = None
-        self._stats: GlobalClusteringStats | None = None
-
-    def arrive(
-        self,
-        model: LocalModel,
-        *,
-        at_s: float | None = 0.0,
-        crc_ok: bool = True,
-        round_index: int = -1,
-    ) -> Decision:
-        """The admission gate: decide on one arrived model (pure).
-
-        Args:
-            model: the site's local model.
-            at_s: arrival time on the caller's clock (``None`` = unknown:
-                no deadline applies).
-            crc_ok: whether the transport's checksum check passed.
-            round_index: the round the decision belongs to.
-        """
-        problems = ["checksum_mismatch"] if not crc_ok else model.validate()
-        if not problems:
-            problems = self.dimensionality_problems(model)
-        if problems:
-            return Decision(
-                "quarantined", "QUARANTINE", round_index, model, "; ".join(problems)
-            )
-        deadline = self._round_deadline_s
-        if (
-            at_s is not None
-            and deadline is not None
-            and at_s - self._opened_s > deadline
-        ):
-            return Decision("deadline_missed", None, round_index, model)
-        return Decision("admitted", "MODEL_ADMITTED", round_index, model)
-
-    def dimensionality_problems(self, model: LocalModel) -> list[str]:
-        """A non-empty model needs coordinates, as many as every admitted
-        one has: the representatives of one global model share a space.
-        An empty model has none to check."""
-        if not len(model):
-            return []
-        if not model.dim:
-            return ["representatives have no coordinates"]
-        dim = next((m.dim for m in self.local_models if len(m)), model.dim)
-        if model.dim != dim:
-            return [f"dimensionality {model.dim} differs from the session's {dim}"]
-        return []
-
-    def apply(self, decision: Decision) -> GlobalModel | None:
-        """Turn one admission decision into state (returns ``None``)."""
-        model = decision.model
-        metrics = self.metrics
-        if decision.record == "MODEL_ADMITTED":
-            self.local_models.append(model)
-            self._model = None  # a new admission invalidates any build
-            if metrics is not None:
-                metrics.inc("server.models_admitted")
-                metrics.observe("server.representatives_per_model", len(model))
-        elif decision.record == "QUARANTINE":
-            self.quarantined_models.append((model, decision.detail))
-            if metrics is not None:
-                metrics.inc("server.models_quarantined")
-        elif decision.verdict == "deadline_missed":
-            self.rejected_models.append(model)
-            if metrics is not None:
-                metrics.inc("server.models_rejected")
-        return None
-
-    def admit(
-        self,
-        model: LocalModel,
-        *,
-        arrival_s: float = 0.0,
-        checksum_ok: bool = True,
-        enforce_deadline: bool = True,
-    ) -> str:
-        """Run one local model through the gate and apply the decision.
-
-        Args:
-            model: the site's local model.
-            arrival_s: arrival time, against the round's deadline.
-            checksum_ok: whether the transport's CRC check passed.
-            enforce_deadline: apply the round deadline.
-
-        Returns:
-            The verdict (``"admitted"``, ``"quarantined"``,
-            ``"deadline_missed"``, …).
-        """
-        decision = self.arrive(
-            model,
-            at_s=arrival_s if enforce_deadline else None,
-            crc_ok=checksum_ok,
-        )
-        self.apply(decision)
-        return decision.verdict
-
-    def receive_local_model(
-        self, model: LocalModel, *, arrival_s: float = 0.0
-    ) -> bool:
-        """Store a site's local model (any arrival order).
-
-        Returns:
-            Whether the model was admitted into the round.
-        """
-        return self.admit(model, arrival_s=arrival_s) == "admitted"
-
-    @property
-    def admitted_site_ids(self) -> list[int]:
-        """Sites whose models were admitted, in admission order."""
-        return [model.site_id for model in self.local_models]
-
-    @property
-    def rejected_site_ids(self) -> list[int]:
-        """Sites whose models missed the deadline, in arrival order."""
-        return [model.site_id for model in self.rejected_models]
-
-    @property
-    def quarantined_site_ids(self) -> list[int]:
-        """Sites whose models the integrity gate refused, in arrival order."""
-        return [model.site_id for model, __ in self.quarantined_models]
-
-    @property
-    def quorum_met(self) -> bool:
-        """Whether enough expected sites were admitted."""
-        expected = self.expected_sites
-        if expected is None:
-            expected = len(self.local_models) + len(self.rejected_models)
-        if expected == 0:
-            return True
-        return len(self.local_models) / expected >= self.quorum
-
-    def build(self, *, allow_empty: bool = False) -> GlobalModel:
-        """Step 3: cluster every admitted model, sorted by site id.
-
-        Args:
-            allow_empty: return an empty global model instead of raising
-                when no model was admitted (degraded-mode runs where every
-                site failed).
-
-        Raises:
-            RuntimeError: when no local model has arrived and
-                ``allow_empty`` is false.
-        """
-        if not self.local_models:
-            if not allow_empty:
-                raise RuntimeError("no local models received")
-            self.n_builds += 1
-            self._model = GlobalModel(
-                np.empty((0, 0)), [], [], [], [],
-                eps_global=float(self.eps_global or 0.0),
-            )
-            self._stats = None
-            self.global_seconds = 0.0
-            return self._model
-        start = time.perf_counter()
-        self._model, self._stats = build_global_model(
-            _by_site(self.local_models),
-            eps_global=self.eps_global,
-            metric=self.metric,
-            index_kind=self.index_kind,
-        )
-        self.global_seconds = time.perf_counter() - start
-        self.n_builds += 1
-        if self.metrics is not None:
-            self.metrics.inc("server.builds")
-            self.metrics.set("server.representatives", len(self._model))
-            self.metrics.set(
-                "server.global_build_wall_seconds", self.global_seconds
-            )
-        return self._model
-
-    @property
-    def model(self) -> GlobalModel:
-        """The built global model (raises before :meth:`build`)."""
-        if self._model is None:
-            raise RuntimeError("global model has not been built yet")
-        return self._model
-
-    @property
-    def stats(self) -> GlobalClusteringStats:
-        """Server-side clustering statistics (raises before :meth:`build`)."""
-        if self._stats is None:
-            raise RuntimeError("global model has not been built yet")
-        return self._stats
-
-
-class RoundCore(CentralServer):
-    """The round protocol: the one object every caller feeds events to.
-
-    Models are admitted only into an open round: :meth:`open_round`
-    opens the next numbered round, and committing it
-    (:meth:`commit_round`) makes its models part of the committed global
-    model — the only model reads are served from.  The paper's one-shot
-    protocol is round 0.  A round with no base model — none yet, or
-    one without representatives, so ``eps_global`` never got a real value
-    — commits by the site-sorted build over every admitted model; later
-    rounds fold their models, sorted by site id, into the base through
-    :class:`~repro.core.global_model.GlobalModelRepairer` with
-    ``eps_global`` frozen, over the build's ``index_kind``.  Every commit
-    sets the ``server.representatives`` and ``server.clusters`` gauges of
-    the committed model and adds what it changed to the
-    ``server.label_churn`` and ``server.cluster_merges`` counters.
-
-    Before the gate, :meth:`arrive` answers a model from a site already
-    admitted as a ``duplicate`` (acknowledged, never merged twice) and
-    one arriving while no round is open as ``no_round_open``.
-    Re-opening the open round and re-committing a committed one are
-    acknowledged and change nothing.
-
-    Takes :class:`CentralServer`'s arguments; ``expected_sites`` also
-    marks an open round holding that many models as :attr:`round_full`.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
         self.n_repairs = 0
         self.round_index: int | None = None
         self.rounds_committed = 0
         self.round_models: list[LocalModel] = []
+        # The open round's clock: arrival deadlines count from _opened_s.
+        self._opened_s = 0.0
+        self._deadline_s: float | None = None
         self._admitted_ids: set[int] = set()
         self._committed: GlobalModel | None = None
         self._repairer: GlobalModelRepairer | None = None
@@ -438,7 +228,34 @@ class RoundCore(CentralServer):
                 model=model,
                 detail="no round is open; send ROUND_OPEN first",
             )
-        return super().arrive(model, at_s=at_s, crc_ok=crc_ok, round_index=index)
+        problems = ["checksum_mismatch"] if not crc_ok else model.validate()
+        if not problems:
+            problems = self.dimensionality_problems(model)
+        if problems:
+            return Decision(
+                "quarantined", "QUARANTINE", index, model, "; ".join(problems)
+            )
+        deadline = self._deadline_s
+        if (
+            at_s is not None
+            and deadline is not None
+            and at_s - self._opened_s > deadline
+        ):
+            return Decision("deadline_missed", None, index, model)
+        return Decision("admitted", "MODEL_ADMITTED", index, model)
+
+    def dimensionality_problems(self, model: LocalModel) -> list[str]:
+        """A non-empty model needs coordinates, as many as every admitted
+        one has: the representatives of one global model share a space.
+        An empty model has none to check."""
+        if not len(model):
+            return []
+        if not model.dim:
+            return ["representatives have no coordinates"]
+        dim = next((m.dim for m in self.local_models if len(m)), model.dim)
+        if model.dim != dim:
+            return [f"dimensionality {model.dim} differs from the session's {dim}"]
+        return []
 
     def open_round(
         self,
@@ -454,8 +271,13 @@ class RoundCore(CentralServer):
             at_s: when it opens, on the caller's clock; arrival deadlines
                 count from here.
             deadline_s: the round's admission deadline relative to
-                ``at_s`` (``None`` = never reject).
+                ``at_s``, positive (``None`` = never reject; see
+                :func:`round_deadline`).
+
+        Raises:
+            ValueError: for a NaN, zero or negative ``deadline_s``.
         """
+        deadline_s = round_deadline(deadline_s)
         if self.round_index is not None:
             if round_index == self.round_index:
                 return Decision(
@@ -493,7 +315,9 @@ class RoundCore(CentralServer):
         )
 
     def commit_round(self, round_index: int) -> Decision:
-        """Decide on committing round ``round_index``."""
+        """Decide on committing round ``round_index``: the open round
+        commits, a committed one is acknowledged, and any other index —
+        a negative one included — is ``bad_round``."""
         if round_index == self.round_index:
             return Decision(
                 "round_committed",
@@ -501,7 +325,7 @@ class RoundCore(CentralServer):
                 round_index,
                 detail=f"round {round_index} committed",
             )
-        if round_index < self.rounds_committed:
+        if 0 <= round_index < self.rounds_committed:
             return Decision(
                 "round_committed",
                 round_index=round_index,
@@ -515,6 +339,31 @@ class RoundCore(CentralServer):
         )
 
     @property
+    def admitted_site_ids(self) -> list[int]:
+        """Sites whose models were admitted, in admission order."""
+        return [model.site_id for model in self.local_models]
+
+    @property
+    def rejected_site_ids(self) -> list[int]:
+        """Sites whose models missed the deadline, in arrival order."""
+        return [model.site_id for model in self.rejected_models]
+
+    @property
+    def quarantined_site_ids(self) -> list[int]:
+        """Sites whose models the integrity gate refused, in arrival order."""
+        return [model.site_id for model, __ in self.quarantined_models]
+
+    @property
+    def quorum_met(self) -> bool:
+        """Whether enough expected sites were admitted."""
+        expected = self.expected_sites
+        if expected is None:
+            expected = len(self.local_models) + len(self.rejected_models)
+        if expected == 0:
+            return True
+        return len(self.local_models) / expected >= self.quorum
+
+    @property
     def round_full(self) -> bool:
         """Whether the open round holds ``expected_sites`` models."""
         return (
@@ -522,6 +371,12 @@ class RoundCore(CentralServer):
             and self.expected_sites is not None
             and len(self.round_models) >= self.expected_sites
         )
+
+    @property
+    def committed(self) -> GlobalModel | None:
+        """The global model reads are served from: the last committed
+        round's (``None`` before the first commit)."""
+        return self._committed
 
     # ------------------------------------------------------------------
     # applying decisions
@@ -534,28 +389,68 @@ class RoundCore(CentralServer):
             ``None`` otherwise.
         """
         record = decision.record
+        model = decision.model
+        metrics = self.metrics
         if record == "ROUND_OPEN":
             self.round_index = decision.round_index
             self.round_models = []
             self._opened_s = decision.at_s
-            self._round_deadline_s = decision.deadline_s
-            return None
-        if record == "ROUND_COMMIT":
+            self._deadline_s = decision.deadline_s
+        elif record == "ROUND_COMMIT":
             return self._commit()
-        super().apply(decision)
-        if record == "MODEL_ADMITTED":
-            self._admitted_ids.add(decision.model.site_id)
-            self.round_models.append(decision.model)
+        elif record == "MODEL_ADMITTED":
+            self.local_models.append(model)
+            self.round_models.append(model)
+            self._admitted_ids.add(model.site_id)
+            if metrics is not None:
+                metrics.inc("server.models_admitted")
+                metrics.observe("server.representatives_per_model", len(model))
+        elif record == "QUARANTINE":
+            self.quarantined_models.append((model, decision.detail))
+            if metrics is not None:
+                metrics.inc("server.models_quarantined")
+        elif decision.verdict == "deadline_missed":
+            self.rejected_models.append(model)
+            if metrics is not None:
+                metrics.inc("server.models_rejected")
         return None
+
+    def _build(self) -> tuple[GlobalModel, int]:
+        """Step 3: cluster every admitted model, sorted by site id (an
+        empty global model when none was admitted — every site failed).
+
+        Returns:
+            The global model and its number of clusters.
+        """
+        self.n_builds += 1
+        if not self.local_models:
+            self.global_seconds = 0.0
+            empty = GlobalModel(
+                np.empty((0, 0)), [], [], [], [],
+                eps_global=float(self.eps_global or 0.0),
+            )
+            return empty, 0
+        start = time.perf_counter()
+        model, stats = build_global_model(
+            _by_site(self.local_models),
+            eps_global=self.eps_global,
+            metric=self.metric,
+            index_kind=self.index_kind,
+        )
+        self.global_seconds = time.perf_counter() - start
+        if self.metrics is not None:
+            self.metrics.inc("server.builds")
+            self.metrics.set(
+                "server.global_build_wall_seconds", self.global_seconds
+            )
+        return model, stats.n_merged_clusters + stats.n_singletons
 
     def _commit(self) -> GlobalModel:
         base = self._committed
         churn = merges = 0
         if base is None or not len(base):
-            self._committed = self.build(allow_empty=True)
+            self._committed, n_clusters = self._build()
             self._repairer = None
-            stats = self._stats
-            n_clusters = stats.n_merged_clusters + stats.n_singletons if stats else 0
         else:
             repairer = self._repairer
             if repairer is None:
@@ -577,80 +472,3 @@ class RoundCore(CentralServer):
         self.round_index = None
         self.round_models = []
         return self._committed
-
-    @property
-    def committed(self) -> GlobalModel | None:
-        """The global model reads are served from: the last committed
-        round's (``None`` before the first commit)."""
-        return self._committed
-
-
-class IncrementalServer:
-    """Streaming server: the global clustering is maintained as
-    representatives arrive.
-
-    It is a :class:`~repro.core.global_model.GlobalModelRepairer` over an
-    empty base: what arrived since the last :meth:`snapshot` is folded in
-    by it, so every snapshot keeps the cluster ids the previous one handed
-    out and partitions the representatives exactly as a batch build would.
-
-    Unlike :class:`CentralServer`, the merge radius must be fixed up front —
-    the paper's ε_r-derived default needs all models, a streaming server
-    cannot wait for them.  Use ``2·Eps_local`` (the paper's observed
-    default) when in doubt.
-
-    Args:
-        eps_global: merge radius (required, positive and finite).
-        dim: representative dimensionality.
-        metric: distance metric.
-
-    Raises:
-        ValueError: if ``eps_global`` is ``None``, NaN, infinite or not
-            positive.
-    """
-
-    def __init__(
-        self,
-        eps_global: float,
-        dim: int,
-        *,
-        metric: str | Metric = "euclidean",
-    ) -> None:
-        if eps_global is None:
-            raise ValueError("eps_global is required here, got None")
-        self.eps_global = global_radius(eps_global)
-        self.dim = int(dim)
-        self.metric = get_metric(metric)
-        self._repairer = GlobalModelRepairer(
-            GlobalModel(np.empty((0, 0)), [], [], [], [], self.eps_global),
-            metric=self.metric,
-        )
-        self._pending: list[LocalModel] = []
-
-    def receive_local_model(self, model: LocalModel) -> None:
-        """Add all representatives of one local model to the evolving
-        global clustering.
-
-        Raises:
-            ValueError: if a non-empty model's points are not ``dim``-D.
-        """
-        if len(model) and model.dim != self.dim:
-            raise ValueError(f"expected {self.dim}-D points, got {model.dim}-D")
-        self._pending.append(model)
-
-    @property
-    def n_representatives(self) -> int:
-        """Representatives received so far."""
-        return self._repairer.n_representatives + sum(map(len, self._pending))
-
-    def snapshot(self) -> GlobalModel:
-        """A consistent global model over everything received so far.
-
-        Isolated representatives are singleton clusters, exactly as in the
-        batch server.
-
-        Returns:
-            A :class:`~repro.core.models.GlobalModel`.
-        """
-        pending, self._pending = self._pending, []
-        return self._repairer.add_models(pending)[0]

@@ -8,7 +8,7 @@ data; :class:`ResilientTransport` moves messages through those faults
 with timeouts, capped exponential backoff and retry budgets; and the
 degraded-mode path of :class:`~repro.distributed.runner.DistributedRunner`
 plus the deadline/quorum policy of
-:class:`~repro.distributed.server.CentralServer` turn whatever survives
+:class:`~repro.distributed.server.RoundCore` turn whatever survives
 into a (possibly degraded) global clustering.
 
 See ``docs/fault_model.md`` for the fault taxonomy and the degraded-mode

@@ -20,7 +20,7 @@ Two integrity/health mechanisms ride on top:
   stamped on the :class:`~repro.distributed.network.Message`, so the
   ``corrupt_prob`` fault (flipped bytes in flight) is *detectable* —
   the outcome reports ``checksum_ok=False`` and the receiver decides
-  (the central server quarantines, see ``CentralServer.admit``);
+  (the central server quarantines, see ``RoundCore.arrive``);
 * an optional per-link circuit breaker (:class:`BreakerPolicy`)
   fast-fails messages to links that keep failing, instead of burning the
   full retry budget every time, and re-probes on a deterministic

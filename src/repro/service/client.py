@@ -263,7 +263,8 @@ class ServiceClient:
         Raises:
             ServiceError: ``"no_model"`` on timeout, ``"shutting_down"``
                 when the service stops first, ``"bad_delta"`` when
-                ``known_model`` is not a prefix of the server's model.
+                ``known_model`` is not a prefix of the server's model,
+                ``"bad_round"`` at once for a negative round.
         """
         known = 0 if known_model is None else len(known_model)
         response = self.transport.request(

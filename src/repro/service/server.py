@@ -916,6 +916,11 @@ class DBDCService:
             round_index, known_reps, timeout_s = wire.decode_delta_request(
                 frame.payload
             )
+            if round_index < 0:
+                # No round -1 ever commits: answer now, not at the timeout.
+                return wire.FrameKind.ERROR, self._status(
+                    "bad_round", f"no round {round_index}: rounds count from 0"
+                )
             timeout = min(timeout_s, self.config.await_timeout_cap_s)
             outcome = await self._wait_or_shutdown(
                 self._commit_event(round_index), timeout

@@ -6,7 +6,7 @@ accounting, in-process) and :class:`SocketTransport` (a real framed TCP
 connection to a live :class:`~repro.service.server.DBDCService`).  The
 fault machinery from PRs 2 and 5 —
 :class:`~repro.faults.transport.ResilientTransport` retries, backoff and
-circuit breakers, plus ``CentralServer.admit``'s integrity gate — only
+circuit breakers, plus ``RoundCore.arrive``'s integrity gate — only
 ever calls ``send(sender, receiver, kind, payload)``, so it runs
 unchanged over either backend; the integration tests pin exactly that.
 

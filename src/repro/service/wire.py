@@ -102,7 +102,6 @@ __all__ = [
     "encode_status",
     "decode_status",
     "decode_status_ext",
-    "peek_local_model_site",
     "ModelDelta",
     "encode_round_open",
     "decode_round_open",
@@ -559,18 +558,6 @@ def decode_local_model(payload: bytes) -> LocalModel:
         eps_local=eps_local,
         min_pts_local=min_pts,
     )
-
-
-def peek_local_model_site(payload: bytes) -> int | None:
-    """The site id of a LOCAL_MODEL payload without a full decode.
-
-    The site id is the first header field, so peeking it skips decoding
-    the representative records.  ``None`` when the payload is too short
-    to carry one.
-    """
-    if len(payload) < 4:
-        return None
-    return int(struct.unpack_from("<i", payload, 0)[0])
 
 
 def encode_points(points: np.ndarray) -> bytes:

@@ -17,7 +17,7 @@ from repro.distributed.runner import (
     RoundPolicy,
 )
 from repro.distributed.scenario import StreamingScenario
-from repro.distributed.server import CentralServer, IncrementalServer, RoundCore
+from repro.distributed.server import RoundCore
 from repro.distributed.site import ClientSite
 from repro.index import build_index
 from repro.service.server import ServiceConfig
@@ -49,31 +49,31 @@ PARAMETER_OWNERS = {
 
 # The places DBDC's server merge radius enters, as eps_global -> object.
 GLOBAL_RADIUS_OWNERS = {
-    "CentralServer": lambda eps_global: CentralServer(eps_global),
     "DBDCConfig": lambda eps_global: DBDCConfig(
         eps_local=1.0, min_pts_local=3, eps_global=eps_global
     ),
     "DistributedRunConfig": lambda eps_global: DistributedRunConfig(
         eps_local=1.0, min_pts_local=3, eps_global=eps_global
     ),
+    "RoundCore": lambda eps_global: RoundCore(eps_global),
     "ServiceConfig": lambda eps_global: ServiceConfig(eps_global=eps_global),
     "StreamingScenario": lambda eps_global: StreamingScenario(
         1, eps_local=1.0, min_pts_local=3, eps_global=eps_global
     ),
-    "IncrementalServer": lambda eps_global: IncrementalServer(eps_global, dim=2),
 }
 
 # The places a round's admission deadline enters, as deadline_s -> object.
 ROUND_DEADLINE_OWNERS = {
-    "CentralServer": lambda deadline_s: CentralServer(deadline_s=deadline_s),
     "RecoveryPolicy": lambda deadline_s: RecoveryPolicy(deadline_s=deadline_s),
+    "RoundCore.open_round": lambda deadline_s: RoundCore().open_round(
+        0, deadline_s=deadline_s
+    ),
     "RoundPolicy": lambda deadline_s: RoundPolicy(deadline_s=deadline_s),
     "ServiceConfig": lambda deadline_s: ServiceConfig(deadline_s=deadline_s),
 }
 
 # The places the sites of one round enter, as expected_sites -> object.
 ROUND_SITES_OWNERS = {
-    "CentralServer": lambda sites: CentralServer(expected_sites=sites),
     "RoundCore": lambda sites: RoundCore(expected_sites=sites),
     "ServiceConfig": lambda sites: ServiceConfig(expected_sites=sites),
 }
@@ -131,9 +131,7 @@ class TestParameterValidation:
     def test_accepts_a_positive_eps_global(self, owner):
         GLOBAL_RADIUS_OWNERS[owner](2.0)
 
-    @pytest.mark.parametrize(
-        "owner", sorted(set(GLOBAL_RADIUS_OWNERS) - {"IncrementalServer"})
-    )
+    @pytest.mark.parametrize("owner", sorted(GLOBAL_RADIUS_OWNERS))
     def test_accepts_no_eps_global(self, owner):
         GLOBAL_RADIUS_OWNERS[owner](None)
 
@@ -166,11 +164,6 @@ class TestParameterValidation:
     def test_a_whole_valued_site_count_runs_as_an_int(self):
         core = RoundCore(expected_sites=np.float64(2.0))
         assert type(core.expected_sites) is int and core.expected_sites == 2
-
-    def test_incremental_server_requires_eps_global(self):
-        """A streaming server cannot wait for every model to derive one."""
-        with pytest.raises(ValueError, match="eps_global is required"):
-            IncrementalServer(None, dim=2)
 
     def test_whole_valued_min_pts_runs_as_an_int(self, tiny_grid_points):
         runner = DBSCAN(np.float64(1.5), 3.0)

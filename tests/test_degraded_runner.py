@@ -17,7 +17,7 @@ from repro.distributed.runner import (
     DistributedRunner,
     RoundPolicy,
 )
-from repro.distributed.server import CentralServer
+from repro.distributed.server import RoundCore
 from repro.distributed.site import ClientSite
 from repro.faults import FaultPlan, SiteFaults, TransportPolicy
 
@@ -54,14 +54,15 @@ def _manual_legacy_run(site_points, config):
         )
         for site_id, points in enumerate(site_points)
     ]
-    server = CentralServer(
+    server = RoundCore(
         config.eps_global, metric=config.metric, index_kind=config.index_kind
     )
+    server.apply(server.open_round(0))
     for site in sites:
         model = site.run_local_clustering()
         network.send(site.site_id, SERVER, "local_model", model.to_bytes())
-        server.receive_local_model(model)
-    global_model = server.build()
+        server.apply(server.arrive(model))
+    global_model = server.apply(server.commit_round(0))
     payload = global_model.to_bytes()
     for site in sites:
         network.send(SERVER, site.site_id, "global_model", payload)

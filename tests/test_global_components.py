@@ -11,8 +11,9 @@ the incremental-DBSCAN repairer they replace:
 * every fold of a 1–5 fold sequence equals the incremental repairer in
   labels and ``relabeled``;
 * a fold sequence partitions the representatives like a rebuild;
-* an :class:`~repro.distributed.server.IncrementalServer` snapshot
-  partitions them like the build.
+* a :class:`~repro.distributed.server.RoundCore` that commits after any
+  arrivals (Section 6's incremental server) partitions them like the
+  build.
 
 Cases are blobs, lattices whose neighbours sit at exactly ε, exact
 duplicates, ε ≤ 0, empty models and an empty base, over every index kind
@@ -30,7 +31,7 @@ from hypothesis import strategies as st
 from repro.core.global_model import GlobalModelRepairer, build_global_model
 from repro.core.models import LocalModel
 from repro.data.distance import minkowski_metric
-from repro.distributed.server import IncrementalServer, RoundCore
+from repro.distributed.server import RoundCore
 from repro.distributed.streaming import run_streaming_session
 from repro.obs import MetricsRegistry
 from tests.global_model_oracle import OracleRepairer, oracle_build
@@ -165,19 +166,25 @@ class TestFold:
         assert _same_partition(repairer.model().global_labels, rebuilt.global_labels)
 
     @SETTINGS
-    @given(case=fold_cases(), snapshots=st.lists(st.booleans(), min_size=6, max_size=6))
-    def test_incremental_server_snapshot_equals_build(self, case, snapshots):
+    @given(case=fold_cases(), commits=st.lists(st.booleans(), min_size=6, max_size=6))
+    def test_incremental_server_snapshot_equals_build(self, case, commits):
+        """The round core committing wherever hypothesis draws (one round
+        per arriving model at most): the last commit partitions the
+        representatives like one build over every model."""
         metric, eps, models = case
         assume(eps > 0)
-        dim = next((m.dim for m in models if len(m)), 1)
-        server = IncrementalServer(eps, dim, metric=metric)
-        for model, snapshot in zip(models, snapshots):
-            server.receive_local_model(model)
-            if snapshot:
-                server.snapshot()
+        server = RoundCore(eps, metric=metric)
+        index = 0
+        server.apply(server.open_round(index))
+        for model, commit in zip(models, commits):
+            server.apply(server.arrive(model))
+            if commit:
+                server.apply(server.commit_round(index))
+                index += 1
+                server.apply(server.open_round(index))
+        snap = server.apply(server.commit_round(index))
         built, __ = build_global_model(models, eps_global=eps, metric=metric)
-        snap = server.snapshot()
-        assert server.n_representatives == len(built)
+        assert len(snap) == len(built)
         assert _same_partition(snap.global_labels, built.global_labels)
 
 

@@ -3,6 +3,10 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -221,6 +225,31 @@ class TestStandaloneSections:
         for phase in ("local", "relabel"):
             name = f"scale.tracemalloc_peak_mb[400:{phase}]"
             assert second[name] == pytest.approx(first[name], rel=0.05), name
+
+    def test_a_fresh_process_charges_no_lazy_import_to_a_phase(self):
+        """NumPy imports ``numpy.ma`` on the first ``np.unique`` and
+        ``numpy.random`` on the first generator.  The scenario module
+        imports both up front, so a process's first scale run, with no
+        warm-up, reads every phase's peak within 5% of its second run.
+        Without them the first 2,000-point run read 1.89 MB in relabel
+        and 0.85 MB in generate against 0.81 and 0.11 MB."""
+        code = (
+            "import json\n"
+            "from dataclasses import replace\n"
+            "from repro.scenario import PRESETS, run\n"
+            "spec = replace(PRESETS['hotpaths-smoke'], cardinality=(2000,),"
+            " sections=('scale',))\n"
+            "print(json.dumps([run(spec, 'hotpaths-smoke').metrics for __ in range(2)]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=os.environ.copy(), timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        first, second = json.loads(result.stdout.splitlines()[-1])
+        for phase in PHASES:
+            name = f"scale.tracemalloc_peak_mb[2000:{phase}]"
+            assert first[name] == pytest.approx(second[name], rel=0.05), name
 
     def test_scale_pipeline_budgets(self):
         report = _sections(cardinality=(250,), sections=("scale",))

@@ -135,13 +135,15 @@ class TestIncrementalClientSite:
 
     def test_model_interoperates_with_server(self, blob):
         """The incremental site's model plugs into the normal server."""
-        from repro.distributed.server import CentralServer
+        from repro.distributed.server import RoundCore
 
         site = self._site()
         site.add_objects(blob)
-        server = CentralServer()
-        server.receive_local_model(site.maybe_transmit())
-        global_model = server.build()
+        server = RoundCore()
+        server.apply(server.open_round(0))
+        server.apply(server.arrive(site.maybe_transmit()))
+        assert server.admitted_site_ids == [site.site_id]
+        global_model = server.apply(server.commit_round(0))
         assert global_model.n_global_clusters >= 1
 
     def test_malformed_batch_adds_nothing(self, blob):

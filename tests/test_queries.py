@@ -7,7 +7,7 @@ import pytest
 
 from repro.data.generators import gaussian_blobs
 from repro.distributed.queries import ClusterAggregate, FederationQueries, SitePartial
-from repro.distributed.server import CentralServer
+from repro.distributed.server import RoundCore
 from repro.distributed.site import ClientSite
 
 
@@ -23,10 +23,11 @@ def federation():
         ClientSite(sid, points[assignment == sid], eps_local=1.0, min_pts_local=5)
         for sid in range(3)
     ]
-    server = CentralServer()
+    server = RoundCore()
+    server.apply(server.open_round(0))
     for site in sites:
-        server.receive_local_model(site.run_local_clustering())
-    model = server.build()
+        server.apply(server.arrive(site.run_local_clustering()))
+    model = server.apply(server.commit_round(0))
     for site in sites:
         site.receive_global_model(model)
     return points, sites

@@ -31,7 +31,7 @@ from repro.distributed.runner import (
     RecoveryPolicy,
     RoundPolicy,
 )
-from repro.distributed.server import CentralServer
+from repro.distributed.server import RoundCore
 from repro.faults import FaultPlan, LinkFaults, SiteFaults
 from tests.model_rows import Row, local_model
 
@@ -246,59 +246,79 @@ class TestCorruptionQuarantine:
             assert stats.recovered_sites == []
 
 
+def _open(*, deadline_s=None, **kwargs) -> RoundCore:
+    """A core with round 0 open at time 0."""
+    core = RoundCore(**kwargs)
+    core.apply(core.open_round(0, deadline_s=deadline_s))
+    return core
+
+
+def _arrive(core, model, *, at_s=0.0, crc_ok=True) -> str:
+    """Run one arrival through the core's gate and apply the decision."""
+    decision = core.arrive(model, at_s=at_s, crc_ok=crc_ok)
+    core.apply(decision)
+    return decision.verdict
+
+
 class TestAdmissionGate:
     def test_arrival_exactly_at_deadline_admitted(self):
-        server = CentralServer(deadline_s=5.0)
-        assert server.admit(_model(0, [_rep(0, 0)]), arrival_s=5.0) == "admitted"
+        core = _open(deadline_s=5.0)
+        assert _arrive(core, _model(0, [_rep(0, 0)]), at_s=5.0) == "admitted"
 
     def test_arrival_just_after_deadline_rejected(self):
-        server = CentralServer(deadline_s=5.0)
-        verdict = server.admit(_model(0, [_rep(0, 0)]), arrival_s=5.0 + 1e-9)
+        core = _open(deadline_s=5.0)
+        verdict = _arrive(core, _model(0, [_rep(0, 0)]), at_s=5.0 + 1e-9)
         assert verdict == "deadline_missed"
-        assert server.rejected_site_ids == [0]
+        assert core.rejected_site_ids == [0]
 
     def test_checksum_failure_beats_deadline(self):
         """A corrupt payload is poison regardless of when it arrived: it
         must land in quarantine, not in the late bucket."""
-        server = CentralServer(deadline_s=5.0)
-        verdict = server.admit(
-            _model(0, [_rep(0, 0)]), arrival_s=99.0, checksum_ok=False
-        )
+        core = _open(deadline_s=5.0)
+        verdict = _arrive(core, _model(0, [_rep(0, 0)]), at_s=99.0, crc_ok=False)
         assert verdict == "quarantined"
-        assert server.quarantined_site_ids == [0]
-        assert server.rejected_site_ids == []
-        assert server.quarantined_models[0][1] == "checksum_mismatch"
+        assert core.quarantined_site_ids == [0]
+        assert core.rejected_site_ids == []
+        assert core.quarantined_models[0][1] == "checksum_mismatch"
 
     def test_invalid_model_quarantined_with_reason(self):
-        server = CentralServer()
+        core = _open()
         bad = _model(0, [_rep(0, 0, site_id=3)])
-        assert server.admit(bad) == "quarantined"
-        assert "claims site" in server.quarantined_models[0][1]
+        assert _arrive(core, bad) == "quarantined"
+        assert "claims site" in core.quarantined_models[0][1]
 
-    def test_enforce_deadline_false_admits_late_model(self):
-        """Recovery rounds run their own deadline and disable the round's."""
-        server = CentralServer(deadline_s=5.0)
-        verdict = server.admit(
-            _model(0, [_rep(0, 0)]), arrival_s=99.0, enforce_deadline=False
-        )
-        assert verdict == "admitted"
+    def test_a_later_rounds_deadline_replaces_the_earlier_one(self):
+        """Recovery rounds run their own deadline, counted from their own
+        open: round 1 admits what round 0's deadline refused, and a round
+        opened without one admits at any time."""
+        core = _open(deadline_s=5.0)
+        assert _arrive(core, _model(0, [_rep(0, 0)]), at_s=6.0) == "deadline_missed"
+        core.apply(core.commit_round(0))
+        core.apply(core.open_round(1, at_s=10.0, deadline_s=60.0))
+        assert _arrive(core, _model(0, [_rep(0, 0)]), at_s=69.0) == "admitted"
+        core.apply(core.commit_round(1))
+        core.apply(core.open_round(2, at_s=100.0))
+        late = _model(1, [_rep(5.0, 0.0, site_id=1)])
+        assert _arrive(core, late, at_s=1e9) == "admitted"
+        assert core.admitted_site_ids == [0, 1]
+        assert core.rejected_site_ids == [0]
 
     def test_full_quorum_with_one_failed_site(self):
-        server = CentralServer(quorum=1.0, expected_sites=4)
+        core = _open(quorum=1.0, expected_sites=4)
         for site_id in range(3):
-            server.admit(_model(site_id, [_rep(site_id, 0.0, site_id=site_id)]))
-        assert not server.quorum_met
-        server.admit(_model(3, [_rep(3.0, 0.0, site_id=3)]))
-        assert server.quorum_met
+            _arrive(core, _model(site_id, [_rep(site_id, 0.0, site_id=site_id)]))
+        assert not core.quorum_met
+        _arrive(core, _model(3, [_rep(3.0, 0.0, site_id=3)]))
+        assert core.quorum_met
 
     def test_quorum_is_a_fraction_not_a_rounded_count(self):
         """1 of 3 admitted is 33.3%: it meets quorum=1/3 exactly but not
         quorum=0.34 — no hidden rounding either way."""
-        met = CentralServer(quorum=1.0 / 3.0, expected_sites=3)
-        met.admit(_model(0, [_rep(0, 0)]))
+        met = _open(quorum=1.0 / 3.0, expected_sites=3)
+        _arrive(met, _model(0, [_rep(0, 0)]))
         assert met.quorum_met
-        missed = CentralServer(quorum=0.34, expected_sites=3)
-        missed.admit(_model(0, [_rep(0, 0)]))
+        missed = _open(quorum=0.34, expected_sites=3)
+        _arrive(missed, _model(0, [_rep(0, 0)]))
         assert not missed.quorum_met
 
     def test_round_policy_validation(self):

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.data.datasets import load_dataset
+from repro.distributed.server import RoundCore
 from repro.distributed.streaming import run_streaming_session
 from repro.obs import MetricsRegistry
 from repro.service import (
@@ -319,6 +321,41 @@ class TestRoundProtocolErrors:
                 assert client.commit_round(0) == "round_committed"  # idem.
                 model = client.await_model_delta(0, None, timeout_s=5.0)
                 assert len(model) == 1
+
+    def test_committing_a_negative_round_is_bad_round(self):
+        """No round -1 exists, before or after a commit: the core used to
+        answer ``round_committed`` ("already committed"), so a
+        ``ROUND_COMMIT(-1)`` frame got an ACK."""
+        core = RoundCore()
+        assert core.commit_round(-1).verdict == "bad_round"
+        core.apply(core.open_round(0))
+        assert core.commit_round(-1).verdict == "bad_round"
+        core.apply(core.commit_round(0))
+        decision = core.commit_round(-1)
+        assert (decision.verdict, decision.record) == ("bad_round", None)
+        with ServiceHandle.start(ServiceConfig(metrics_port=None)) as handle:
+            with ServiceClient(handle.host, handle.port, site_id=0) as client:
+                assert client.open_round(0) == "round_open"
+                assert client.commit_round(0) == "round_committed"
+                with pytest.raises(ServiceError) as excinfo:
+                    client.commit_round(-1)
+                assert excinfo.value.status == "bad_round"
+                assert client.health()["rounds_committed"] == 1
+
+    def test_a_delta_for_a_negative_round_is_bad_round_at_once(self):
+        """A MODEL_DELTA for round -1 used to wait out its timeout and
+        then answer ``no_model``; the connection survives the refusal."""
+        with ServiceHandle.start(
+            ServiceConfig(expected_sites=1, metrics_port=None)
+        ) as handle:
+            with ServiceClient(handle.host, handle.port, site_id=0) as client:
+                assert client.submit(_tiny_model(0)) == "admitted"
+                start = time.monotonic()
+                with pytest.raises(ServiceError) as excinfo:
+                    client.await_model_delta(-1, None, timeout_s=5.0)
+                assert time.monotonic() - start < 2.5
+                assert excinfo.value.status == "bad_round"
+                assert len(client.await_model_delta(0, None, timeout_s=5.0)) == 1
 
     def test_delta_claiming_unknown_reps_is_bad_delta(self):
         with ServiceHandle.start(

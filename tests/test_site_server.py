@@ -1,4 +1,4 @@
-"""Unit tests for ClientSite, CentralServer and IncrementalServer."""
+"""Unit tests for ClientSite and RoundCore, the paper's server."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 from repro.clustering.labels import NOISE
 from repro.core.global_model import build_global_model
 from repro.data.generators import gaussian_blobs
-from repro.distributed.server import CentralServer, IncrementalServer
+from repro.distributed.server import RoundCore
 from repro.distributed.site import ClientSite
 
 
@@ -24,6 +24,24 @@ def two_sites():
         sid, pts, eps_local=1.0, min_pts_local=5, scheme="rep_scor"
     )
     return make(0, points[mask]), make(1, points[~mask])
+
+
+def _serve(models, **kwargs):
+    """The paper's one-shot protocol, round 0: open, admit every model,
+    commit.  Returns the server and the committed global model."""
+    server = RoundCore(**kwargs)
+    server.apply(server.open_round(0))
+    for model in models:
+        server.apply(server.arrive(model))
+    return server, server.apply(server.commit_round(0))
+
+
+def _stream(server, model):
+    """Section 6's incremental server: one round per arriving model."""
+    index = server.rounds_committed
+    server.apply(server.open_round(index))
+    server.apply(server.arrive(model))
+    return server.apply(server.commit_round(index))
 
 
 class TestClientSite:
@@ -49,10 +67,7 @@ class TestClientSite:
 
     def test_full_protocol_and_membership_query(self, two_sites):
         site_a, site_b = two_sites
-        server = CentralServer()
-        for site in (site_a, site_b):
-            server.receive_local_model(site.run_local_clustering())
-        model = server.build()
+        __, model = _serve([site.run_local_clustering() for site in (site_a, site_b)])
         for site in (site_a, site_b):
             stats = site.receive_global_model(model)
             assert stats.n_objects == site.points.shape[0]
@@ -69,79 +84,71 @@ class TestClientSite:
 
     def test_noise_objects_query(self, two_sites):
         site_a, site_b = two_sites
-        server = CentralServer()
-        for site in (site_a, site_b):
-            server.receive_local_model(site.run_local_clustering())
-        model = server.build()
+        __, model = _serve([site.run_local_clustering() for site in (site_a, site_b)])
         site_a.receive_global_model(model)
         noise = site_a.noise_objects()
         assert noise.shape[0] == int(np.sum(site_a.global_labels == NOISE))
 
 
-class TestCentralServer:
-    def test_build_requires_models(self):
-        with pytest.raises(RuntimeError, match="no local models"):
-            CentralServer().build()
+class TestRoundCore:
+    def test_a_round_without_models_commits_an_empty_model(self):
+        __, model = _serve([])
+        assert len(model) == 0 and model.n_global_clusters == 0
 
-    def test_model_property_guard(self):
-        server = CentralServer()
-        with pytest.raises(RuntimeError, match="not been built"):
-            __ = server.model
-        with pytest.raises(RuntimeError, match="not been built"):
-            __ = server.stats
+    def test_no_model_before_the_first_commit(self, two_sites):
+        site_a, __ = two_sites
+        server = RoundCore()
+        assert server.committed is None
+        server.apply(server.open_round(0))
+        server.apply(server.arrive(site_a.run_local_clustering()))
+        assert server.committed is None
 
     def test_explicit_eps_global_respected(self, two_sites):
         site_a, site_b = two_sites
         models = [site_a.run_local_clustering(), site_b.run_local_clustering()]
-        server = CentralServer(eps_global=2.5)
-        for model in models:
-            server.receive_local_model(model)
-        built = server.build()
+        server, built = _serve(models, eps_global=2.5)
         assert built.eps_global == 2.5
         assert server.global_seconds > 0
 
-
-class TestIncrementalServer:
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError, match="eps_global"):
-            IncrementalServer(0.0, dim=2)
+            RoundCore(0.0)
 
     def test_snapshot_matches_batch_cluster_count(self, two_sites):
         site_a, site_b = two_sites
         models = [site_a.run_local_clustering(), site_b.run_local_clustering()]
         eps_global = 2.0
         batch, __ = build_global_model(models, eps_global=eps_global)
-        streaming = IncrementalServer(eps_global, dim=2)
+        streaming = RoundCore(eps_global)
         for model in models:
-            streaming.receive_local_model(model)
-        snapshot = streaming.snapshot()
+            snapshot = _stream(streaming, model)
         assert snapshot.n_global_clusters == batch.n_global_clusters
         assert len(snapshot) == len(batch)
 
     def test_snapshot_available_mid_stream(self, two_sites):
         site_a, site_b = two_sites
         model_a = site_a.run_local_clustering()
-        streaming = IncrementalServer(2.0, dim=2)
-        streaming.receive_local_model(model_a)
-        early = streaming.snapshot()
+        streaming = RoundCore(2.0)
+        early = _stream(streaming, model_a)
         assert len(early) == len(model_a)
         assert (early.global_labels >= 0).all()
-        # Second site arrives later; snapshot grows consistently.
-        streaming.receive_local_model(site_b.run_local_clustering())
-        late = streaming.snapshot()
-        assert len(late) == len(model_a) + streaming.n_representatives - len(model_a)
+        # Second site arrives later; the committed model grows by it.
+        model_b = site_b.run_local_clustering()
+        late = _stream(streaming, model_b)
+        assert len(late) == len(model_a) + len(model_b)
+        assert streaming.committed is late
 
     def test_snapshot_arrival_order_invariant(self, two_sites):
         site_a, site_b = two_sites
         model_a = site_a.run_local_clustering()
         model_b = site_b.run_local_clustering()
-        forward = IncrementalServer(2.0, dim=2)
-        forward.receive_local_model(model_a)
-        forward.receive_local_model(model_b)
-        backward = IncrementalServer(2.0, dim=2)
-        backward.receive_local_model(model_b)
-        backward.receive_local_model(model_a)
+        forward = RoundCore(2.0)
+        for model in (model_a, model_b):
+            _stream(forward, model)
+        backward = RoundCore(2.0)
+        for model in (model_b, model_a):
+            _stream(backward, model)
         assert (
-            forward.snapshot().n_global_clusters
-            == backward.snapshot().n_global_clusters
+            forward.committed.n_global_clusters
+            == backward.committed.n_global_clusters
         )

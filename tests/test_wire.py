@@ -439,18 +439,6 @@ class TestStatusDurabilityExt:
         assert wire.decode_status(payload) == (status, detail)
 
 
-class TestPeekLocalModelSite:
-    @settings(max_examples=40, deadline=None)
-    @given(model=local_models())
-    def test_peek_matches_full_decode(self, model):
-        payload = wire.encode_local_model(model)
-        assert wire.peek_local_model_site(payload) == model.site_id
-
-    def test_short_payload_returns_none(self):
-        assert wire.peek_local_model_site(b"") is None
-        assert wire.peek_local_model_site(b"\x01\x02") is None
-
-
 # ----------------------------------------------------------------------
 # streaming-session codecs (ROUND_OPEN / ROUND_COMMIT / MODEL_DELTA)
 # ----------------------------------------------------------------------
