@@ -40,7 +40,6 @@ from repro.core.relabel import (
     relabel_site,
     relabel_site_reference,
 )
-from repro.core.shm import ShmArrayPool, ShmArrayRef, attach_array
 
 __all__ = [
     "DBDCConfig",
@@ -67,7 +66,4 @@ __all__ = [
     "RelabelStats",
     "relabel_site",
     "relabel_site_reference",
-    "ShmArrayPool",
-    "ShmArrayRef",
-    "attach_array",
 ]

@@ -22,16 +22,16 @@ to a sequential run except for wall-clock timing fields.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar
+from functools import partial
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from repro.clustering.dbscan import density_parameters, global_radius
 from repro.core.models import GlobalModel, LocalModel
 from repro.core.relabel import RELABEL_KERNELS, relabel_site
-from repro.core.shm import ShmArrayPool, ShmArrayRef
 from repro.data.distance import Metric
 from repro.distributed.network import SERVER, NetworkStats, SimulatedNetwork
 from repro.distributed.partition import partition, split
@@ -57,7 +57,6 @@ __all__ = [
     "RoundPolicy",
 ]
 
-_T = TypeVar("_T")
 _R = TypeVar("_R")
 
 #: A parallel fan-out engages only when the largest site holds at least
@@ -126,21 +125,13 @@ class _RoundLog:
     attrs: dict = field(default_factory=dict)
 
 
-def _local_clustering_task(site: ClientSite):
-    """Worker task: a site's pure local-clustering compute (picklable)."""
-    return site.compute_local_clustering()
-
-
-def _relabel_task(item: tuple[ClientSite, GlobalModel]):
-    """Worker task: a site's pure relabel compute (picklable)."""
-    site, model = item
-    return site.compute_relabel(model)
-
-
-def _observed_local_task(site: ClientSite):
-    """Observed worker task: local clustering under a worker-local tracer
-    and metrics registry, whose exports ride back with the result so the
-    driver can graft/merge them (works for thread *and* process pools)."""
+def _local_task(site: ClientSite, observed: bool):
+    """A site's local-phase compute.  Observed, it runs under a
+    worker-local tracer and metrics registry whose exports ride back with
+    the result, so the driver can graft and merge them (thread and
+    process workers alike)."""
+    if not observed:
+        return site.compute_local_clustering()
     tracer = Tracer()
     metrics = MetricsRegistry()
     with tracer.span(
@@ -153,15 +144,13 @@ def _observed_local_task(site: ClientSite):
     return outcome, wall_s, cpu_s, tracer.export_spans(origin=0.0), metrics.to_dict()
 
 
-def _observed_relabel_task(item: tuple[ClientSite, GlobalModel]):
-    """Observed worker task: relabel with a worker-local tracer."""
-    site, model = item
+def _observed_relabel(site_id: int, relabel: Callable[[], tuple]):
+    """``relabel()`` under a worker-local tracer whose export rides back
+    with its ``(labels, stats, wall_s, cpu_s)``."""
     tracer = Tracer()
-    with tracer.span(
-        f"site[{site.site_id}].relabel", attrs={"site": site.site_id}
-    ):
-        labels, stats, wall_s, cpu_s = site.compute_relabel(model)
-    return labels, stats, wall_s, cpu_s, tracer.export_spans(origin=0.0)
+    with tracer.span(f"site[{site_id}].relabel", attrs={"site": site_id}):
+        result = relabel()
+    return (*result, tracer.export_spans(origin=0.0))
 
 
 def _shift_span_dict(span: dict, delta: float) -> None:
@@ -187,122 +176,68 @@ def _graft_worker_spans(parent: Span, exported: list[dict]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory fan-out (process backend).
+# Process fan-outs.
 #
-# The plain process-pool path pickles every site's full point array into
-# the worker task — and the worker pickles it *back* inside the result's
-# neighbor index.  With shared memory enabled the driver copies each
-# site's points into an OS shared-memory block once (ShmArrayPool) and
-# ships only a tiny ShmArrayRef per task; the worker attaches zero-copy
-# and strips the neighbor index from the returned outcome so the result
-# carries labels + model, never the points.
+# A process worker gets one site's arrays inline, pickled with its task:
+# the points and settings for the local phase, plus the local labels and
+# the model for a relabel.  It never gets the ClientSite, whose neighbour
+# index and cover memo would be pickled along, and a local outcome comes
+# back without its neighbour index, which would pickle the points back.
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class _ShmLocalSpec:
-    """Picklable task spec of one site's shared-memory local phase.
-
-    Exactly one of ``points_ref`` / ``points`` is set (zero-size arrays
-    cannot live in shared memory and travel inline instead).
-    """
+class _SiteTask:
+    """Picklable inputs of one site's work on a process worker."""
 
     site_id: int
-    points_ref: ShmArrayRef | None
-    points: np.ndarray | None
-    eps_local: float
-    min_pts_local: int
-    scheme: str
-    metric: str | Metric
-    index_kind: str
-    relabel_kernel: str
+    points: np.ndarray
+    config: DistributedRunConfig
     observed: bool
+    labels: np.ndarray | None = None
+    model: GlobalModel | None = None
 
 
-@dataclass(frozen=True)
-class _ShmRelabelSpec:
-    """Picklable task spec of one site's shared-memory relabel pass."""
-
-    site_id: int
-    points_ref: ShmArrayRef | None
-    points: np.ndarray | None
-    labels_ref: ShmArrayRef | None
-    labels: np.ndarray | None
-    metric: str | Metric
-    relabel_kernel: str
-    model: GlobalModel
-    observed: bool
-
-
-def _shm_local_task(spec: _ShmLocalSpec):
-    """Worker task: local clustering against shared-memory points."""
-    if spec.points_ref is not None:
-        points, segment = spec.points_ref.open()
-    else:
-        points, segment = spec.points, None
-    try:
-        site = ClientSite(
-            spec.site_id,
-            points,
-            eps_local=spec.eps_local,
-            min_pts_local=spec.min_pts_local,
-            scheme=spec.scheme,
-            metric=spec.metric,
-            index_kind=spec.index_kind,
-            relabel_kernel=spec.relabel_kernel,
-        )
-        task = _observed_local_task if spec.observed else _local_clustering_task
-        result = task(site)
-        # The clustering's neighbor index references the (shared) point
-        # array; stripping it keeps the pickled result at labels + model
-        # size instead of shipping the points back to the driver.
-        result[0].clustering.index = None
-        return result
-    finally:
-        if segment is not None:
-            segment.close()
+def _site(site_id: int, points: np.ndarray, config: DistributedRunConfig) -> ClientSite:
+    """A client site holding ``points`` under ``config``'s settings."""
+    return ClientSite(
+        site_id,
+        points,
+        eps_local=config.eps_local,
+        min_pts_local=config.min_pts_local,
+        scheme=config.scheme,
+        metric=config.metric,
+        index_kind=config.index_kind,
+        relabel_kernel=config.relabel_kernel,
+    )
 
 
-def _shm_relabel_task(spec: _ShmRelabelSpec):
-    """Worker task: relabel against shared-memory points and labels."""
-    segments = []
-    try:
-        if spec.points_ref is not None:
-            points, segment = spec.points_ref.open()
-            segments.append(segment)
-        else:
-            points = spec.points
-        if spec.labels_ref is not None:
-            labels, segment = spec.labels_ref.open()
-            segments.append(segment)
-        else:
-            labels = spec.labels
-        if not spec.observed:
-            return _timed_relabel(points, labels, spec)
-        tracer = Tracer()
-        with tracer.span(
-            f"site[{spec.site_id}].relabel", attrs={"site": spec.site_id}
-        ):
-            global_labels, stats, wall_s, cpu_s = _timed_relabel(
-                points, labels, spec
-            )
-        return global_labels, stats, wall_s, cpu_s, tracer.export_spans(origin=0.0)
-    finally:
-        for segment in segments:
-            segment.close()
+def _process_local_task(task: _SiteTask):
+    """Process-worker task: one site's local phase, returned without the
+    clustering's neighbour index."""
+    result = _local_task(_site(task.site_id, task.points, task.config), task.observed)
+    result[0].clustering.index = None
+    return result
 
 
-def _timed_relabel(points, labels, spec: _ShmRelabelSpec):
+def _process_relabel_task(task: _SiteTask):
+    """Process-worker task: one site's relabel from its points, local
+    labels and the model (a worker keeps no cover memo)."""
+    relabel = partial(_timed_relabel, task)
+    return _observed_relabel(task.site_id, relabel) if task.observed else relabel()
+
+
+def _timed_relabel(task: _SiteTask):
     """One relabel pass with the wall/CPU timing of ``compute_relabel``."""
     wall_start = time.perf_counter()
     cpu_start = time.thread_time()
     global_labels, stats = relabel_site(
-        points,
-        labels,
-        spec.model,
-        site_id=spec.site_id,
-        metric=spec.metric,
-        kernel=spec.relabel_kernel,
+        task.points,
+        task.labels,
+        task.model,
+        site_id=task.site_id,
+        metric=task.config.metric,
+        kernel=task.config.relabel_kernel,
     )
     return (
         global_labels,
@@ -341,9 +276,7 @@ class DistributedRunConfig:
     :data:`FALLBACK_MIN_POINTS` objects.  The decision lands on the report
     as :attr:`DistributedRunReport.effective_parallelism` /
     ``parallelism_fallback_reason``; results are identical either way.
-    Process-backend fan-outs pass site arrays through
-    ``multiprocessing.shared_memory`` (zero-copy attach) instead of
-    pickling them per task.
+    A process worker gets one site's arrays inline with its task.
     """
 
     eps_local: float
@@ -393,20 +326,15 @@ class RoundPolicy:
     Attributes:
         deadline_s: simulated time after which the server rejects late
             local models (``None`` = wait forever, the paper's behavior).
-        quorum: minimum fraction of sites whose models must be admitted
-            for the round to count as healthy.
         compute_rate_objects_per_s: nominal local clustering throughput
             used to convert a site's object count into simulated seconds.
     """
 
     deadline_s: float | None = None
-    quorum: float = 0.0
     compute_rate_objects_per_s: float = 50_000.0
 
     def __post_init__(self) -> None:
         round_deadline(self.deadline_s)
-        if not 0.0 <= self.quorum <= 1.0:
-            raise ValueError(f"quorum must be in [0, 1], got {self.quorum}")
         if self.compute_rate_objects_per_s <= 0:
             raise ValueError(
                 "compute_rate_objects_per_s must be positive, got "
@@ -570,8 +498,7 @@ class DistributedRunReport:
             never received the global model back.
         retries: transport retries across all messages of the round.
         degraded: whether the round was degraded — any site failed (even
-            after recovery), a site holds stale labels, or the server's
-            quorum was missed.
+            after recovery) or a site holds stale labels.
         transport_stats: detailed transport bookkeeping (``None``
             without an active fault plan, whose transport sends each
             message once).
@@ -598,13 +525,6 @@ class DistributedRunReport:
         parallelism_fallback_reason: why a parallel config degraded to
             sequential execution (``"single_cpu"`` / ``"small_sites"``),
             ``None`` when it did not.
-        shm_bytes_shared: payload bytes placed in shared-memory blocks
-            instead of being pickled per worker task (0 without the
-            shared-memory path).
-        shm_setup_seconds: wall time spent copying arrays into the
-            shared-memory pool.
-        shm_teardown_seconds: wall time spent closing and unlinking the
-            pool's blocks.
     """
 
     sites: list[ClientSite]
@@ -634,9 +554,6 @@ class DistributedRunReport:
     trace: dict | None = None
     effective_parallelism: int = 1
     parallelism_fallback_reason: str | None = None
-    shm_bytes_shared: int = 0
-    shm_setup_seconds: float = 0.0
-    shm_teardown_seconds: float = 0.0
 
     @property
     def max_local_seconds(self) -> float:
@@ -734,9 +651,6 @@ class DistributedRunReport:
             "parallel.fallback_count": float(
                 self.parallelism_fallback_reason is not None
             ),
-            "shm.bytes_shared": float(self.shm_bytes_shared),
-            "shm.setup_seconds": self.shm_setup_seconds,
-            "shm.teardown_seconds": self.shm_teardown_seconds,
         }
         if self.transport_stats is not None:
             metrics["transport.corrupted"] = float(self.transport_stats.n_corrupted)
@@ -796,7 +710,7 @@ class DistributedRunner:
     pass, recovery rounds are the rest.  With an active ``fault_plan``
     messages travel via a :class:`ResilientTransport` (timeouts, retries,
     backoff) on a simulated clock, the core applies the ``round_policy``'s
-    deadline and quorum, the global model is built from whichever local
+    deadline, the global model is built from whichever local
     models were admitted, and sites that missed the round fall back to
     their local labels.  Without a plan (or with an inactive one) the
     same loop runs over a transport that sends each message once and
@@ -813,7 +727,7 @@ class DistributedRunner:
         network: optional pre-configured network (fresh default otherwise).
         fault_plan: faults to inject (``None`` or inactive = clean run).
         transport_policy: retry/backoff parameters for the fault path.
-        round_policy: server deadline/quorum policy for the fault path.
+        round_policy: server deadline policy for the fault path.
         recovery_policy: optional :class:`RecoveryPolicy`; with
             ``max_recovery_rounds > 0`` failed sites get recovery rounds
             to rejoin and the global model is repaired incrementally.
@@ -853,26 +767,6 @@ class DistributedRunner:
         self.metrics = metrics
         self._effective_parallelism = config.parallelism
         self._fallback_reason: str | None = None
-        self._shm_pool: ShmArrayPool | None = None
-        self._shm_point_refs: dict[int, ShmArrayRef] = {}
-        self._shm_bytes_shared = 0
-        self._shm_setup_seconds = 0.0
-        self._shm_teardown_seconds = 0.0
-
-    def _make_sites(self, site_points: list[np.ndarray]) -> list[ClientSite]:
-        return [
-            ClientSite(
-                site_id,
-                points,
-                eps_local=self.config.eps_local,
-                min_pts_local=self.config.min_pts_local,
-                scheme=self.config.scheme,
-                metric=self.config.metric,
-                index_kind=self.config.index_kind,
-                relabel_kernel=self.config.relabel_kernel,
-            )
-            for site_id, points in enumerate(site_points)
-        ]
 
     def _resolve_parallelism(
         self, site_points: list[np.ndarray]
@@ -896,41 +790,6 @@ class DistributedRunner:
             return 1, "small_sites"
         return config.parallelism, None
 
-    def _setup_shm_pool(self, sites: list[ClientSite]) -> None:
-        """Copy every site's points into shared memory, once, traced."""
-        setup_start = time.perf_counter()
-        pool = ShmArrayPool()
-        for site in sites:
-            if site.points.size:
-                self._shm_point_refs[site.site_id] = pool.share(site.points)
-        self._shm_pool = pool
-        self._shm_bytes_shared = pool.bytes_shared
-        self._shm_setup_seconds = time.perf_counter() - setup_start
-        if self.tracer is not None:
-            self.tracer.record(
-                "shm_pool.setup",
-                wall_start=setup_start,
-                wall_end=setup_start + self._shm_setup_seconds,
-                attrs={"arrays": pool.n_arrays, "bytes": pool.bytes_shared},
-            )
-
-    def _close_shm_pool(self) -> None:
-        """Unlink every shared block (idempotent), traced."""
-        pool = self._shm_pool
-        if pool is None:
-            return
-        self._shm_pool = None
-        self._shm_bytes_shared = pool.bytes_shared
-        teardown_start = time.perf_counter()
-        pool.close()
-        self._shm_teardown_seconds = time.perf_counter() - teardown_start
-        if self.tracer is not None:
-            self.tracer.record(
-                "shm_pool.teardown",
-                wall_start=teardown_start,
-                wall_end=teardown_start + self._shm_teardown_seconds,
-            )
-
     def run_on_sites(
         self,
         site_points: list[np.ndarray],
@@ -953,48 +812,20 @@ class DistributedRunner:
         self._effective_parallelism, self._fallback_reason = (
             self._resolve_parallelism(site_points)
         )
-        self._shm_point_refs = {}
-        self._shm_bytes_shared = 0
-        self._shm_setup_seconds = 0.0
-        self._shm_teardown_seconds = 0.0
-        sites = self._make_sites(site_points)
-        if (
-            self._effective_parallelism > 1
-            and len(sites) > 1
-            and self.config.parallel_backend == "process"
-        ):
-            self._setup_shm_pool(sites)
-        try:
-            return self._run(sites, site_points, assignment)
-        finally:
-            # Normally a no-op: the run tears the pool down before
-            # assembling its report so the teardown cost is recorded.
-            self._close_shm_pool()
+        sites = [
+            _site(site_id, points, self.config)
+            for site_id, points in enumerate(site_points)
+        ]
+        return self._run(sites, site_points, assignment)
 
     def _local_fanout(self, sites: list[ClientSite], observing: bool) -> list:
-        """Fan the local-phase compute out (shared-memory aware)."""
-        if self._shm_pool is None:
-            task = _observed_local_task if observing else _local_clustering_task
-            return self._map_over(task, sites)
-        config = self.config
-        specs = [
-            _ShmLocalSpec(
-                site_id=site.site_id,
-                points_ref=self._shm_point_refs.get(site.site_id),
-                points=(
-                    None if site.site_id in self._shm_point_refs else site.points
-                ),
-                eps_local=config.eps_local,
-                min_pts_local=config.min_pts_local,
-                scheme=config.scheme,
-                metric=config.metric,
-                index_kind=config.index_kind,
-                relabel_kernel=config.relabel_kernel,
-                observed=observing,
-            )
-            for site in sites
-        ]
-        return self._map_over(_shm_local_task, specs)
+        """Fan the local-phase compute out."""
+        return self._fan_out(
+            sites,
+            partial(_local_task, observed=observing),
+            _process_local_task,
+            lambda site: _SiteTask(site.site_id, site.points, self.config, observing),
+        )
 
     def _relabel_fanout(
         self,
@@ -1002,34 +833,25 @@ class DistributedRunner:
         global_model: GlobalModel,
         observing: bool,
     ) -> list:
-        """Fan the step-4 relabel compute out (shared-memory aware)."""
-        if self._shm_pool is None:
-            task = _observed_relabel_task if observing else _relabel_task
-            return self._map_over(task, [(site, global_model) for site in sites])
-        config = self.config
-        specs = []
-        for site in sites:
-            labels = site.local_outcome.clustering.labels
-            labels_ref = self._shm_pool.share(labels) if labels.size else None
-            specs.append(
-                _ShmRelabelSpec(
-                    site_id=site.site_id,
-                    points_ref=self._shm_point_refs.get(site.site_id),
-                    points=(
-                        None
-                        if site.site_id in self._shm_point_refs
-                        else site.points
-                    ),
-                    labels_ref=labels_ref,
-                    labels=None if labels_ref is not None else labels,
-                    metric=config.metric,
-                    relabel_kernel=config.relabel_kernel,
-                    model=global_model,
-                    observed=observing,
-                )
-            )
-        self._shm_bytes_shared = self._shm_pool.bytes_shared
-        return self._map_over(_shm_relabel_task, specs)
+        """Fan the step-4 relabel compute out."""
+
+        def task(site: ClientSite):
+            relabel = partial(site.compute_relabel, global_model)
+            return _observed_relabel(site.site_id, relabel) if observing else relabel()
+
+        return self._fan_out(
+            sites,
+            task,
+            _process_relabel_task,
+            lambda site: _SiteTask(
+                site.site_id,
+                site.points,
+                self.config,
+                observing,
+                labels=site.local_outcome.clustering.labels,
+                model=global_model,
+            ),
+        )
 
     def _raw_cost(self, site_points: list[np.ndarray]) -> tuple[int, float]:
         dim = site_points[0].shape[1] if site_points[0].ndim == 2 else 0
@@ -1079,7 +901,6 @@ class DistributedRunner:
             self.config.eps_global,
             metric=self.config.metric,
             index_kind=self.config.index_kind,
-            quorum=policy.quorum,
             expected_sites=len(sites),
             metrics=metrics,
         )
@@ -1328,11 +1149,10 @@ class DistributedRunner:
                 next_id = site.apply_degraded_labels(
                     failed[site.site_id], id_offset=next_id
                 )
-        self._close_shm_pool()
         run_end = time.perf_counter()
 
         participating = core.admitted_site_ids
-        degraded = bool(failed) or bool(stale) or not core.quorum_met
+        degraded = bool(failed) or bool(stale)
         if metrics is not None:
             metrics.set("runner.participating_sites", len(participating))
             metrics.set("runner.failed_sites", len(failed))
@@ -1383,9 +1203,6 @@ class DistributedRunner:
             trace=trace,
             effective_parallelism=self._effective_parallelism,
             parallelism_fallback_reason=self._fallback_reason,
-            shm_bytes_shared=self._shm_bytes_shared,
-            shm_setup_seconds=self._shm_setup_seconds,
-            shm_teardown_seconds=self._shm_teardown_seconds,
         )
 
     def _record_run_spans(
@@ -1497,21 +1314,28 @@ class DistributedRunner:
                 parent=run_span,
             )
 
-    def _map_over(self, task: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
-        """Run ``task`` over ``items``, in order, possibly concurrently.
+    def _fan_out(
+        self,
+        sites: list[ClientSite],
+        task: Callable[[ClientSite], _R],
+        process_task: Callable[[_SiteTask], _R],
+        process_item: Callable[[ClientSite], _SiteTask],
+    ) -> list[_R]:
+        """Run one task per site, in site order, possibly concurrently.
 
         ``_effective_parallelism`` (the post-fallback worker count
-        resolved by :meth:`run_on_sites`) bounds the pool size."""
-        workers = min(self._effective_parallelism, len(items))
+        resolved by :meth:`run_on_sites`) bounds the pool size.  In this
+        process and on threads ``task`` gets the site itself; a process
+        worker runs ``process_task`` on ``process_item(site)``.
+        """
+        workers = min(self._effective_parallelism, len(sites))
         if workers <= 1:
-            return [task(item) for item in items]
-        executor_cls: type[Executor] = (
-            ThreadPoolExecutor
-            if self.config.parallel_backend == "thread"
-            else ProcessPoolExecutor
-        )
-        with executor_cls(max_workers=workers) as executor:
-            return list(executor.map(task, items))
+            return [task(site) for site in sites]
+        if self.config.parallel_backend == "thread":
+            with ThreadPoolExecutor(max_workers=workers) as executor:
+                return list(executor.map(task, sites))
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            return list(executor.map(process_task, map(process_item, sites)))
 
     def run(self, points: np.ndarray, n_sites: int) -> DistributedRunReport:
         """Partition ``points`` and run the protocol.

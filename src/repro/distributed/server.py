@@ -142,17 +142,17 @@ class RoundCore:
     round opened is ``deadline_missed`` — arrival exactly *at* the
     deadline is admitted.  Re-opening the open round and re-committing a
     committed one are acknowledged and change nothing.  :attr:`quorum_met`
-    only classifies the run as degraded: the server clusters whatever it
-    admitted — "the server clusters whatever representatives it
-    receives".
+    only reports whether the current round admitted enough models: the
+    server clusters whatever it admitted — "the server clusters whatever
+    representatives it receives".
 
     Args:
         eps_global: merge radius, positive and finite; ``None`` → the
             paper's default (max ε_r of the first build's models).
         metric: distance metric.
         index_kind: neighbor index for the global build and its folds.
-        quorum: minimum fraction of expected sites that must be admitted
-            for the run to count as healthy (``0`` = any).
+        quorum: minimum fraction of expected sites a round must admit
+            for :attr:`quorum_met` (``0`` = any).
         expected_sites: how many sites should report, a whole number of
             at least one (``None`` → inferred from the models seen,
             admitted or rejected; see :func:`round_sites`); it also marks
@@ -191,7 +191,10 @@ class RoundCore:
         self.n_repairs = 0
         self.round_index: int | None = None
         self.rounds_committed = 0
+        # The current round's admitted models and deadline misses: the
+        # open round's, else the last committed round's.
         self.round_models: list[LocalModel] = []
+        self._round_missed = 0
         # The open round's clock: arrival deadlines count from _opened_s.
         self._opened_s = 0.0
         self._deadline_s: float | None = None
@@ -355,13 +358,17 @@ class RoundCore:
 
     @property
     def quorum_met(self) -> bool:
-        """Whether enough expected sites were admitted."""
+        """Whether the current round — the open one, else the last
+        committed one — admitted ``quorum`` of its expected sites
+        (``expected_sites``, else its admitted plus deadline-missed
+        models)."""
+        admitted = len(self.round_models)
         expected = self.expected_sites
         if expected is None:
-            expected = len(self.local_models) + len(self.rejected_models)
+            expected = admitted + self._round_missed
         if expected == 0:
             return True
-        return len(self.local_models) / expected >= self.quorum
+        return admitted / expected >= self.quorum
 
     @property
     def round_full(self) -> bool:
@@ -394,6 +401,7 @@ class RoundCore:
         if record == "ROUND_OPEN":
             self.round_index = decision.round_index
             self.round_models = []
+            self._round_missed = 0
             self._opened_s = decision.at_s
             self._deadline_s = decision.deadline_s
         elif record == "ROUND_COMMIT":
@@ -411,6 +419,7 @@ class RoundCore:
                 metrics.inc("server.models_quarantined")
         elif decision.verdict == "deadline_missed":
             self.rejected_models.append(model)
+            self._round_missed += 1
             if metrics is not None:
                 metrics.inc("server.models_rejected")
         return None
@@ -470,5 +479,4 @@ class RoundCore:
             self.metrics.inc("server.cluster_merges", merges)
         self.rounds_committed = self.round_index + 1
         self.round_index = None
-        self.round_models = []
         return self._committed

@@ -56,7 +56,6 @@ from repro.clustering.labels import NOISE
 from repro.core.global_model import GlobalModelRepairer, build_global_model
 from repro.core.local import build_local_model
 from repro.core.relabel import CoverMemo, relabel_site
-from repro.core.shm import ShmArrayPool, attach_array
 from repro.data.datasets import load_dataset
 from repro.distributed.partition import partition, split
 from repro.distributed.runner import (
@@ -120,7 +119,6 @@ SECTIONS = (
     "local_phase",
     "relabel_kernels",
     "global_model",
-    "shm_pool",
     "scale",
 )
 
@@ -134,8 +132,8 @@ _INDEX_KINDS = ("brute", "grid", "kdtree")
 #: pointless to time at 10^6.
 _CLASSIC_MAX = 50_000
 #: Largest primary cardinality the relabel-kernel comparison (it runs the
-#: dense O(n·m) reference sweep on purpose), the global-model section and
-#: the shm pool run at.
+#: dense O(n·m) reference sweep on purpose) and the global-model section
+#: run at.
 _KERNELS_MAX = 200_000
 
 #: Health probes each socket-sweep site sends through its resilient link
@@ -327,7 +325,7 @@ def namespace(spec: Scenario) -> str:
 
     Each kind keeps the prefix its baseline has always gated; the
     in-process paper run, the traced run and the hot-path sections write
-    bare names (``quality.q_p2_percent``, ``shm.roundtrip_ok``).
+    bare names (``quality.q_p2_percent``, ``relabel_kernels.labels_identical``).
     """
     return _KINDS[_kind(spec)][1]
 
@@ -685,19 +683,20 @@ def _hot_paths(spec: Scenario, report: Report) -> None:
     """Single vs. batched vs. parallel execution, and memory at scale.
 
     Every timed pair or set also checks its outputs agree (DBSCAN over
-    every index kind against the brute-force index); a divergence is a
+    every index kind against the brute-force index, every local-phase
+    variant's labels against the sequential run's); a divergence is a
     problem, not a number.  The ``scale`` section runs the whole pipeline
     per swept cardinality under tracemalloc (its walls are upper bounds).
     Above ``_CLASSIC_MAX`` primary points the classic sections are
-    skipped, above ``_KERNELS_MAX`` the kernel and shm sections too; each
-    skip is a note.
+    skipped, above ``_KERNELS_MAX`` the kernel and global-model sections
+    too; each skip is a note.
     """
     sections, repeats, put = set(spec.sections), spec.repeats, report.put
     # The data sets' own (paper) sizes are far below both limits.
     primary = spec.cardinality[0] if spec.cardinality else 0
     for limit, heavy in (
         (_CLASSIC_MAX, ("region_queries", "dbscan", "local_phase")),
-        (_KERNELS_MAX, ("relabel_kernels", "global_model", "shm_pool")),
+        (_KERNELS_MAX, ("relabel_kernels", "global_model")),
     ):
         if primary > limit:
             report.notes += [
@@ -754,6 +753,7 @@ def _hot_paths(spec: Scenario, report: Report) -> None:
         # one CPU a parallel config legitimately runs sequentially.
         width = spec.parallelism
         sequential = None
+        labels = {}
         for name, parallelism, backend in (
             ("sequential", 1, "thread"),
             (f"thread_x{width}", width, "thread"),
@@ -763,6 +763,7 @@ def _hot_paths(spec: Scenario, report: Report) -> None:
                 eps_local=eps, min_pts_local=min_pts, seed=spec.seed,
                 parallelism=parallelism, parallel_backend=backend,
             )).run(points, spec.sites)
+            labels[name] = outcome.labels_in_original_order()
             wall = outcome.local_wall_seconds
             put("local_phase.wall_seconds", wall, name)
             put("local_phase.cpu_seconds", outcome.local_cpu_seconds, name)
@@ -778,13 +779,21 @@ def _hot_paths(spec: Scenario, report: Report) -> None:
                     f"{outcome.effective_parallelism} worker(s) "
                     f"({outcome.parallelism_fallback_reason})"
                 )
-    if sections & {"relabel_kernels", "shm_pool"}:
-        site_points = split(
-            points, partition(points, spec.sites, "uniform_random", spec.seed)
-        )
+        reference = labels.pop("sequential")
+        diverged = [
+            name for name, got in labels.items() if not np.array_equal(got, reference)
+        ]
+        put("local_phase.labels_identical", report.check(
+            not diverged,
+            f"local phase {', '.join(diverged)}: labels diverged from the "
+            "sequential run",
+        ))
     if "relabel_kernels" in sections:
         # The dense reference sweep vs. the vectorized kernel over the
         # same sites and global model: labels and stats bit-identical.
+        site_points = split(
+            points, partition(points, spec.sites, "uniform_random", spec.seed)
+        )
         outcomes = _local_models(site_points, eps, min_pts)
         global_model, __ = build_global_model([o.model for o in outcomes])
         seconds, outputs = {}, {}
@@ -834,21 +843,6 @@ def _hot_paths(spec: Scenario, report: Report) -> None:
             "relabeling the 4 base sites through a cover memo diverged from "
             "a fresh relabel against the folded model",
         ))
-    if "shm_pool" in sections:
-        parts = [part for part in np.array_split(points, spec.sites) if part.size]
-        start = time.perf_counter()
-        pool = ShmArrayPool()
-        refs = [pool.share(part) for part in parts]
-        put("shm.setup_seconds", time.perf_counter() - start)
-        start = time.perf_counter()
-        copies = [attach_array(ref) for ref in refs]
-        put("shm.attach_seconds", time.perf_counter() - start)
-        roundtrip = all(np.array_equal(c, p) for c, p in zip(copies, parts))
-        start = time.perf_counter()
-        pool.close()
-        put("shm.teardown_seconds", time.perf_counter() - start)
-        put("shm.bytes_shared", sum(ref.nbytes for ref in refs))
-        put("shm.roundtrip_ok", report.check(roundtrip, "shm round-trip differs"))
     if "scale" in sections:
         for value in spec.cardinality or (None,):
             _scale_pipeline(spec, report, value)

@@ -248,7 +248,9 @@ class DBDCService:
         self._started_monotonic = 0.0
         self._frames_total = 0
         self._n_shutdown_notices = 0
-        self._commit_events: dict[int, asyncio.Event] = {}
+        # Set, then replaced, at every commit: a waiter wakes and
+        # re-checks the round it awaits.
+        self._commit_signal = asyncio.Event()
         # Durability + overload state: the journal is only attached
         # *after* recovery replay, so replaying never journals.
         self._journal: journal.WriteAheadJournal | None = None
@@ -491,7 +493,8 @@ class DBDCService:
         if decision.record == "ROUND_OPEN":
             self.metrics.inc("service.rounds_opened")
         elif decision.record == "ROUND_COMMIT":
-            self._commit_event(decision.round_index).set()
+            self._commit_signal.set()
+            self._commit_signal = asyncio.Event()
             self.metrics.set(
                 "service.rounds_committed", self.server.rounds_committed
             )
@@ -555,11 +558,6 @@ class DBDCService:
     # ------------------------------------------------------------------
     # rounds
     # ------------------------------------------------------------------
-    def _commit_event(self, round_index: int) -> asyncio.Event:
-        if round_index not in self._commit_events:
-            self._commit_events[round_index] = asyncio.Event()
-        return self._commit_events[round_index]
-
     def _open_round(
         self, round_index: int, *, at_s: float | None = None
     ) -> Decision:
@@ -601,39 +599,39 @@ class DBDCService:
             )
         return decision
 
-    async def _wait_or_shutdown(
-        self, event: asyncio.Event, timeout_s: float
-    ) -> str:
-        """Wait for ``event``, racing graceful shutdown.
+    async def _await_commit(self, round_index: int, timeout_s: float) -> str:
+        """Wait until round ``round_index`` has committed, racing graceful
+        shutdown.
 
         Returns ``"ready"``, ``"shutting_down"`` or ``"timeout"`` — the
         waiter is never torn down by bare cancellation while the service
         stops; it gets the verdict and replies before its connection
-        closes (counted in ``service.shutdown_notices``).
+        closes (counted in ``service.shutdown_notices``).  A commit of
+        another round wakes the waiter, which waits again for the time
+        left.
         """
-        if event.is_set():
-            return "ready"
-        if self._shutdown.is_set():
-            return "shutting_down"
-        waiters = [
-            asyncio.ensure_future(event.wait()),
-            asyncio.ensure_future(self._shutdown.wait()),
-        ]
-        try:
-            await asyncio.wait(
-                waiters,
-                timeout=max(timeout_s, 0.0),
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-        finally:
-            for waiter in waiters:
-                waiter.cancel()
-            await asyncio.gather(*waiters, return_exceptions=True)
-        if event.is_set():
-            return "ready"
-        if self._shutdown.is_set():
-            return "shutting_down"
-        return "timeout"
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + max(timeout_s, 0.0)
+        while True:
+            if self.server.rounds_committed > round_index:
+                return "ready"
+            if self._shutdown.is_set():
+                return "shutting_down"
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                return "timeout"
+            waiters = [
+                asyncio.ensure_future(self._commit_signal.wait()),
+                asyncio.ensure_future(self._shutdown.wait()),
+            ]
+            try:
+                await asyncio.wait(
+                    waiters, timeout=remaining, return_when=asyncio.FIRST_COMPLETED
+                )
+            finally:
+                for waiter in waiters:
+                    waiter.cancel()
+                await asyncio.gather(*waiters, return_exceptions=True)
 
     def _shutdown_notice(self) -> tuple[wire.FrameKind, bytes]:
         """The typed frame an in-flight waiter receives at shutdown."""
@@ -922,9 +920,7 @@ class DBDCService:
                     "bad_round", f"no round {round_index}: rounds count from 0"
                 )
             timeout = min(timeout_s, self.config.await_timeout_cap_s)
-            outcome = await self._wait_or_shutdown(
-                self._commit_event(round_index), timeout
-            )
+            outcome = await self._await_commit(round_index, timeout)
             if outcome == "shutting_down":
                 return self._shutdown_notice()
             if outcome == "timeout":

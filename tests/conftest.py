@@ -16,6 +16,17 @@ def rng():
 
 
 @pytest.fixture
+def force_width(monkeypatch):
+    """Let a parallel run keep its configured width: eight usable CPUs
+    and no size floor, so a few hundred points run the pool a test
+    names instead of falling back to one worker."""
+    import repro.distributed.runner as runner
+
+    monkeypatch.setattr(runner, "usable_cpu_count", lambda: 8)
+    monkeypatch.setattr(runner, "FALLBACK_MIN_POINTS", 0)
+
+
+@pytest.fixture
 def small_blobs():
     """Three well-separated 2-D blobs + a little noise (n=330)."""
     points, truth = gaussian_blobs(

@@ -15,6 +15,7 @@ from repro.distributed.partition import split, uniform_random
 from repro.distributed.runner import (
     DistributedRunConfig,
     DistributedRunner,
+    RecoveryPolicy,
     RoundPolicy,
 )
 from repro.distributed.server import RoundCore
@@ -215,7 +216,7 @@ class TestDeadlineAndQuorum:
             seed=3, site_overrides={0: SiteFaults(crash_before_local_prob=1.0)}
         )
         strict = DistributedRunner(
-            config, fault_plan=plan, round_policy=RoundPolicy(quorum=1.0)
+            config, fault_plan=plan, round_policy=RoundPolicy()
         ).run_on_sites(site_points, assignment)
         assert strict.degraded is True
 
@@ -228,7 +229,7 @@ class TestDeadlineAndQuorum:
             seed=4, site=SiteFaults(straggler_prob=1.0, straggler_factor=1.0)
         )
         degraded_path = DistributedRunner(
-            config, fault_plan=plan, round_policy=RoundPolicy(quorum=1.0)
+            config, fault_plan=plan, round_policy=RoundPolicy()
         ).run_on_sites(site_points, assignment)
         clean = DistributedRunner(config).run_on_sites(site_points, assignment)
         assert degraded_path.degraded is False
@@ -334,12 +335,12 @@ class TestDeterminism:
                 DistributedRunConfig(eps_local=1.0, min_pts_local=5),
                 fault_plan=FaultPlan.chaos(intensity, seed=seed),
                 transport_policy=TransportPolicy(max_attempts=3),
-                round_policy=RoundPolicy(deadline_s=60.0, quorum=0.5),
+                round_policy=RoundPolicy(deadline_s=60.0),
             ).run_on_sites(site_points, assignment)
 
         assert _report_fingerprint(run()) == _report_fingerprint(run())
 
-    def test_parallel_run_matches_sequential(self, workload, config):
+    def test_parallel_run_matches_sequential(self, workload, config, force_width):
         """The keyed RNG streams make injected faults independent of
         execution order — a parallel local phase changes nothing."""
         site_points, assignment = workload
@@ -355,4 +356,44 @@ class TestDeterminism:
                 site_points, assignment
             )
 
-        assert _report_fingerprint(run(1)) == _report_fingerprint(run(4))
+        parallel = run(4)
+        assert parallel.effective_parallelism == 4
+        assert _report_fingerprint(run(1)) == _report_fingerprint(parallel)
+
+    def test_process_run_with_recovery_matches_sequential(
+        self, workload, config, force_width
+    ):
+        """Process workers relabel against a repaired model: sites 2 and
+        3 crash before their local phase and site 1 after its upload, so
+        the recovery round computes two sites, folds their models in and
+        relabels all four, each on a worker of its own."""
+        site_points, assignment = workload
+        plan = FaultPlan.chaos(0.5, seed=4)
+
+        def run(parallelism, backend):
+            cfg = DistributedRunConfig(
+                eps_local=config.eps_local,
+                min_pts_local=config.min_pts_local,
+                parallelism=parallelism,
+                parallel_backend=backend,
+            )
+            return DistributedRunner(
+                cfg,
+                fault_plan=plan,
+                recovery_policy=RecoveryPolicy(max_recovery_rounds=1),
+            ).run_on_sites(site_points, assignment)
+
+        reference = run(1, "thread")
+        candidate = run(N_SITES, "process")
+        assert candidate.effective_parallelism == N_SITES
+        (recovery,) = candidate.recovery_rounds
+        assert recovery.recovered_sites == [1, 2, 3]
+        assert recovery.rebroadcast_sites == list(range(N_SITES))
+        assert _report_fingerprint(candidate) == _report_fingerprint(reference)
+        assert candidate.global_model.to_bytes() == reference.global_model.to_bytes()
+        for got, want in zip(candidate.sites, reference.sites):
+            assert got.relabel_stats == want.relabel_stats
+            assert (
+                got.local_outcome.model.to_bytes()
+                == want.local_outcome.model.to_bytes()
+            )

@@ -38,7 +38,7 @@ class TestReportShape:
         families = {name.split(".")[0] for name in small_report.metrics}
         assert {
             "region_queries", "dbscan", "local_phase", "relabel_kernels",
-            "global_model", "shm", "scale",
+            "global_model", "scale",
         } <= families
         assert small_report.problems == []
 
@@ -67,9 +67,11 @@ class TestReportShape:
             "global_model.representatives_count"
         ]
 
-    def test_shm_pool_section(self, small_report):
-        assert small_report.metrics["shm.roundtrip_ok"] == 1.0
-        assert small_report.metrics["shm.bytes_shared"] == 400 * 2 * 8
+    def test_local_phase_section(self, small_report):
+        metrics = small_report.metrics
+        assert metrics["local_phase.labels_identical"] == 1.0
+        for name in VARIANTS:
+            assert metrics[f"local_phase.wall_seconds[{name}]"] > 0
 
     def test_local_phase_stamps_effective_workers(self, small_report):
         for name in VARIANTS:
@@ -96,7 +98,7 @@ class TestReportShape:
     def test_flat_metrics_expose_gateable_names(self, small_report):
         metrics = small_report.metrics
         assert metrics["relabel_kernels.labels_identical"] == 1.0
-        assert metrics["shm.roundtrip_ok"] == 1.0
+        assert metrics["local_phase.labels_identical"] == 1.0
         for name in (
             "relabel_kernels.wall_seconds[reference]",
             "relabel_kernels.wall_seconds[vectorized]",
@@ -127,7 +129,7 @@ class TestSweepSemantics:
         assert report.spec.cardinality == (300,)
         skipped = [note for note in report.notes if note.startswith("skipped ")]
         assert [note.split(":")[0] for note in skipped] == [
-            f"skipped {name}" for name in SECTIONS[:6]
+            f"skipped {name}" for name in SECTIONS[:5]
         ]
 
     def test_mid_primary_skips_only_classic_sections(self, monkeypatch):
@@ -135,7 +137,7 @@ class TestSweepSemantics:
         report = _sections(cardinality=(300,))
         families = {name.split(".")[0] for name in report.metrics}
         assert not families & {"region_queries", "dbscan", "local_phase"}
-        assert {"relabel_kernels", "shm", "scale"} <= families
+        assert {"relabel_kernels", "global_model", "scale"} <= families
         assert report.problems == []
 
     def test_sweep_runs_scale_per_entry(self):
@@ -181,7 +183,7 @@ class TestGitProvenance:
     def test_dirty_tree_warns_without_strict(self, monkeypatch, capsys):
         environment = dict(scenario.run_environment(), git_dirty=True)
         monkeypatch.setattr(scenario, "run_environment", lambda: environment)
-        spec = replace(SMALL, cardinality=(100,), sections=("shm_pool",))
+        spec = replace(SMALL, cardinality=(100,), sections=("region_queries",))
         assert scenario.execute(spec, "hotpaths-smoke", registry=None) == 0
         assert "dirty" in capsys.readouterr().err
 
@@ -204,10 +206,28 @@ class TestStandaloneSections:
             "vectorized relabel diverged from the reference kernel"
         ]
 
-    def test_shm_pool_roundtrip(self):
-        report = _sections(cardinality=(64,), sites=4, sections=("shm_pool",))
-        assert report.metrics["shm.roundtrip_ok"] == 1.0
-        assert report.metrics["shm.bytes_shared"] == 64 * 2 * 8
+    def test_local_phase_asserts_identity(self, monkeypatch):
+        spec = dict(cardinality=(300,), sections=("local_phase",))
+        assert _sections(**spec).problems == []
+
+        class Diverging(scenario.DistributedRunner):
+            """A runner whose process runs shift every global label."""
+
+            def run(self, points, n_sites):
+                outcome = super().run(points, n_sites)
+                if self.config.parallel_backend == "process":
+                    for site in outcome.sites:
+                        site.apply_relabel(
+                            site.global_labels + 1, site.relabel_stats, 0.0
+                        )
+                return outcome
+
+        monkeypatch.setattr(scenario, "DistributedRunner", Diverging)
+        report = _sections(**spec)
+        assert report.metrics["local_phase.labels_identical"] == 0.0
+        assert report.problems == [
+            "local phase process_x2: labels diverged from the sequential run"
+        ]
 
     def test_scale_peaks_count_the_join_buffers(self):
         """Each probed phase starts with the grid join's free list empty,

@@ -404,13 +404,14 @@ class TestRunnerIntegration:
             "count"
         ] == 3
 
-    def test_worker_spans_grafted_under_compute(self, blobs):
+    def test_worker_spans_grafted_under_compute(self, blobs, force_width):
         for backend, parallelism in (("thread", 2), ("process", 2)):
             report = DistributedRunner(
                 _config(parallelism=parallelism, parallel_backend=backend),
                 tracer=Tracer(),
                 metrics=MetricsRegistry(),
             ).run(blobs, 3)
+            assert report.effective_parallelism == parallelism
             doc = report.trace
             run = doc["spans"][0]
             local = next(c for c in run["children"] if c["name"] == "local_phase")

@@ -83,7 +83,7 @@ class TestTraceProperties:
             DistributedRunConfig(eps_local=1.0, min_pts_local=5, seed=3),
             fault_plan=plan,
             transport_policy=TransportPolicy(max_attempts=3),
-            round_policy=RoundPolicy(deadline_s=deadline_s, quorum=0.5),
+            round_policy=RoundPolicy(deadline_s=deadline_s),
             tracer=Tracer(),
             metrics=MetricsRegistry(),
         ).run(blobs, 3)

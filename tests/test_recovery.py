@@ -321,11 +321,35 @@ class TestAdmissionGate:
         _arrive(missed, _model(0, [_rep(0, 0)]))
         assert not missed.quorum_met
 
+    def test_quorum_counts_the_current_round(self):
+        """Two models in round 0 and one in round 1 of two expected
+        sites: round 1 missed its quorum.  The core used to divide every
+        model admitted in the session by one round's sites (3 / 2)."""
+        core = _open(quorum=1.0, expected_sites=2)
+        for site_id in range(2):
+            _arrive(core, _model(site_id, [_rep(site_id, 0.0, site_id=site_id)]))
+        core.apply(core.commit_round(0))
+        assert core.quorum_met
+        core.apply(core.open_round(1))
+        _arrive(core, _model(2, [_rep(2.0, 0.0, site_id=2)]))
+        assert not core.quorum_met
+        core.apply(core.commit_round(1))
+        assert not core.quorum_met
+
+    def test_quorum_without_expected_sites_counts_the_rounds_misses(self):
+        """Without ``expected_sites`` a round expects its admitted plus
+        deadline-missed models; round 0's miss does not count in round 1."""
+        core = _open(quorum=1.0, deadline_s=5.0)
+        _arrive(core, _model(0, [_rep(0, 0)]), at_s=6.0)
+        assert not core.quorum_met
+        core.apply(core.commit_round(0))
+        core.apply(core.open_round(1))
+        assert _arrive(core, _model(0, [_rep(0, 0)])) == "admitted"
+        assert core.quorum_met
+
     def test_round_policy_validation(self):
         with pytest.raises(ValueError, match="deadline_s"):
             RoundPolicy(deadline_s=-1.0)
-        with pytest.raises(ValueError, match="quorum"):
-            RoundPolicy(quorum=1.5)
 
 
 class TestGlobalModelRepairer:

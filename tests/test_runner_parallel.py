@@ -4,7 +4,9 @@
 executes, never *what* it computes: parallel runs must agree with
 ``parallelism=1`` on every deterministic report field (labels, global
 model, relabel stats, network traffic) — only the wall-clock timings may
-differ.
+differ.  These sites hold a few hundred points, far below the runner's
+fallback floor, so every test that means to run a pool forces its width
+(the ``force_width`` fixture) and checks that the run kept it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.distributed.runner as runner_mod
 from repro.data.generators import gaussian_blobs
 from repro.distributed.network import SimulatedNetwork
 from repro.distributed.runner import DistributedRunConfig, DistributedRunner
@@ -61,27 +64,43 @@ def _assert_reports_equal(reference, candidate):
     assert reference.network.bytes_downstream == candidate.network.bytes_downstream
 
 
+def _run_wide(points, config, n_sites=4):
+    """A run that must have kept its configured width."""
+    report = _run(points, config, n_sites)
+    assert report.effective_parallelism == config.parallelism
+    assert report.parallelism_fallback_reason is None
+    return report
+
+
 @pytest.mark.parametrize("parallelism", [2, 4, 8])
-def test_thread_parallelism_matches_sequential(blobs, parallelism):
+def test_thread_parallelism_matches_sequential(blobs, force_width, parallelism):
     reference = _run(blobs, _config(parallelism=1))
-    candidate = _run(blobs, _config(parallelism=parallelism))
+    candidate = _run_wide(blobs, _config(parallelism=parallelism))
     _assert_reports_equal(reference, candidate)
 
 
-def test_process_backend_matches_sequential(blobs):
+def test_process_backend_matches_sequential(blobs, force_width):
+    """Two process workers for four sites: each runs two tasks."""
     reference = _run(blobs, _config(parallelism=1))
-    candidate = _run(blobs, _config(parallelism=2, parallel_backend="process"))
+    candidate = _run_wide(blobs, _config(parallelism=2, parallel_backend="process"))
     _assert_reports_equal(reference, candidate)
 
 
-def test_parallelism_larger_than_site_count(blobs):
+def test_process_worker_per_site_matches_sequential(blobs, force_width):
+    """One process worker per site, each task carrying its site's arrays."""
+    reference = _run(blobs, _config(parallelism=1))
+    candidate = _run_wide(blobs, _config(parallelism=4, parallel_backend="process"))
+    _assert_reports_equal(reference, candidate)
+
+
+def test_parallelism_larger_than_site_count(blobs, force_width):
     reference = _run(blobs, _config(parallelism=1), n_sites=2)
-    candidate = _run(blobs, _config(parallelism=16), n_sites=2)
+    candidate = _run_wide(blobs, _config(parallelism=16), n_sites=2)
     _assert_reports_equal(reference, candidate)
 
 
-def test_wall_times_recorded(blobs):
-    report = _run(blobs, _config(parallelism=2))
+def test_wall_times_recorded(blobs, force_width):
+    report = _run_wide(blobs, _config(parallelism=2))
     assert report.local_wall_seconds > 0
     assert report.relabel_wall_seconds > 0
     # Wall time of the whole phase can't beat the slowest *measured* site
@@ -89,12 +108,12 @@ def test_wall_times_recorded(blobs):
     assert report.overall_seconds > 0
 
 
-def test_parallel_report_separates_wall_and_cpu(blobs):
+def test_parallel_report_separates_wall_and_cpu(blobs, force_width):
     """Satellite of the observability sweep: a parallel local phase must
     report max-over-sites *wall* time and aggregate *CPU* time as
     separate, clock-named fields — the historical single number silently
     mixed the two."""
-    report = _run(blobs, _config(parallelism=4))
+    report = _run_wide(blobs, _config(parallelism=4))
     # max_local_wall_seconds is a max, not a sum: it can never exceed the
     # whole phase's wall time but must cover the slowest site.
     slowest = max(site.times.local_wall_seconds for site in report.sites)
@@ -114,8 +133,8 @@ def test_parallel_report_separates_wall_and_cpu(blobs):
     assert report.overall_seconds == report.overall_wall_seconds
 
 
-def test_per_site_times_name_their_clock(blobs):
-    report = _run(blobs, _config(parallelism=2))
+def test_per_site_times_name_their_clock(blobs, force_width):
+    report = _run_wide(blobs, _config(parallelism=2))
     for site in report.sites:
         assert site.times.local_wall_seconds > 0
         assert site.times.local_cpu_seconds >= 0
@@ -149,20 +168,10 @@ def test_labels_in_original_order_validates_assignment(blobs):
 
 
 # ---------------------------------------------------------------------------
-# auto-fallback + shared memory (million-point-scale PR)
+# auto-fallback
 # ---------------------------------------------------------------------------
 def _patch_cpus(monkeypatch, n):
-    import repro.distributed.runner as runner_mod
-
     monkeypatch.setattr(runner_mod, "usable_cpu_count", lambda: n)
-
-
-def _force_width(monkeypatch):
-    """Let a parallel config keep its width: several CPUs, no size floor."""
-    import repro.distributed.runner as runner_mod
-
-    _patch_cpus(monkeypatch, 8)
-    monkeypatch.setattr(runner_mod, "FALLBACK_MIN_POINTS", 0)
 
 
 def test_auto_fallback_single_cpu(blobs, monkeypatch):
@@ -197,8 +206,7 @@ def test_auto_fallback_small_sites(blobs, monkeypatch):
     assert report.parallelism_fallback_reason == "small_sites"
 
 
-def test_auto_fallback_can_be_disabled(blobs, monkeypatch):
-    _force_width(monkeypatch)
+def test_auto_fallback_can_be_disabled(blobs, force_width):
     report = _run(blobs, _config(parallelism=4))
     assert report.effective_parallelism == 4
     assert report.parallelism_fallback_reason is None
@@ -208,9 +216,9 @@ def test_fallback_run_matches_parallel_run(blobs, monkeypatch):
     """The fallback decision may change *when* work runs, never results."""
     _patch_cpus(monkeypatch, 8)
     fell_back = _run(blobs, _config(parallelism=4))
-    _force_width(monkeypatch)
-    forced = _run(blobs, _config(parallelism=4))
-    assert forced.parallelism_fallback_reason is None
+    assert fell_back.parallelism_fallback_reason == "small_sites"
+    monkeypatch.setattr(runner_mod, "FALLBACK_MIN_POINTS", 0)
+    forced = _run_wide(blobs, _config(parallelism=4))
     _assert_reports_equal(fell_back, forced)
 
 
@@ -224,30 +232,6 @@ def test_fallback_fields_in_flat_metrics(blobs):
     metrics = _run(blobs, _config(parallelism=4)).flat_metrics()
     assert metrics["parallel.effective_workers"] == 1.0
     assert metrics["parallel.fallback_count"] == 1.0
-    assert "shm.bytes_shared" in metrics
-    assert "shm.setup_seconds" in metrics
-    assert "shm.teardown_seconds" in metrics
-
-
-def test_process_shm_matches_sequential(blobs, monkeypatch):
-    reference = _run(blobs, _config(parallelism=1))
-    _force_width(monkeypatch)
-    candidate = _run(blobs, _config(parallelism=2, parallel_backend="process"))
-    _assert_reports_equal(reference, candidate)
-    assert candidate.effective_parallelism == 2
-    # Point arrays for the local phase + labels for the relabel phase
-    # travelled via shared memory, not pickle.
-    assert candidate.shm_bytes_shared > blobs.nbytes
-    assert candidate.shm_setup_seconds >= 0.0
-    assert candidate.shm_teardown_seconds >= 0.0
-    assert reference.shm_bytes_shared == 0
-
-
-def test_thread_backend_never_uses_shm(blobs, monkeypatch):
-    _force_width(monkeypatch)
-    report = _run(blobs, _config(parallelism=4))
-    assert report.effective_parallelism == 4
-    assert report.shm_bytes_shared == 0
 
 
 def test_config_rejects_bad_new_knobs():

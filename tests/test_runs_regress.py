@@ -345,7 +345,7 @@ class TestRuleCoverage:
             "*failed*": "sites.failed",
             "*drops*": "chaos.drops",
             "*identical*": "relabel_kernels.labels_identical",
-            "*roundtrip_ok*": "shm.roundtrip_ok",
+            "*roundtrip_ok*": "serve.scrape_roundtrip_ok",
             "*tracemalloc_peak_mb*": "scale.tracemalloc_peak_mb[20000:local]",
             "*rss_peak_mb*": "scale.rss_peak_mb[20000]",
             "*_rps": "serve.query_throughput_rps",

@@ -42,7 +42,7 @@ ALTERNATIVES = {
     "clients": 2,
     "query_batch": 32,
     "max_inflight": 1,
-    "sections": ("shm_pool",),
+    "sections": ("local_phase",),
     "parallelism": 2,
     "repeats": 3,
 }

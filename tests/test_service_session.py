@@ -378,6 +378,77 @@ class TestRoundProtocolErrors:
                     client.await_model_delta(0, None, timeout_s=0.1)
                 assert excinfo.value.status == "no_model"
 
+    def test_polled_rounds_leave_no_state_behind(self):
+        """200 timeout-0 polls for rounds 1000-1199 leave nothing in the
+        service (it used to keep one commit event per polled round for
+        its lifetime), and waiters parked before a commit still get their
+        deltas: one on the open round, one on the round after it, which
+        sees round 0 commit first and waits on."""
+        with ServiceHandle.start(
+            ServiceConfig(expected_sites=1, metrics_port=None)
+        ) as handle:
+            service = handle.service
+            with ServiceClient(handle.host, handle.port, site_id=0) as client:
+                assert client.open_round(0) == "round_open"
+                before = _container_sizes(service)
+                for round_index in range(1000, 1200):
+                    with pytest.raises(ServiceError) as excinfo:
+                        client.await_model_delta(round_index, None, timeout_s=0.0)
+                    assert excinfo.value.status == "no_model"
+                assert _container_sizes(service) == before
+                models: dict[int, object] = {}
+
+                def wait(round_index: int) -> None:
+                    with ServiceClient(handle.host, handle.port) as waiter:
+                        models[round_index] = waiter.await_model_delta(
+                            round_index, None, timeout_s=10.0
+                        )
+
+                threads = [
+                    threading.Thread(target=wait, args=(r,)) for r in (0, 1)
+                ]
+                for thread in threads:
+                    thread.start()
+                time.sleep(0.4)  # let both waiters block server-side
+                assert client.submit(_tiny_model(0)) == "admitted"
+                assert client.open_round(1) == "round_open"
+                assert client.submit(_tiny_model(1, at=(5.0, 0.0))) == "admitted"
+                for thread in threads:
+                    thread.join(10.0)
+                    assert not thread.is_alive()
+        assert [len(models[r]) for r in (0, 1)] == [1, 2]
+
+    def test_health_quorum_counts_the_current_round(self):
+        """Quorum 1.0 of two expected sites: round 0 admits two models,
+        round 1 one, so round 1 missed its quorum.  The service used to
+        count all three admitted models against one round's two sites."""
+        with ServiceHandle.start(
+            ServiceConfig(expected_sites=2, quorum=1.0, metrics_port=None)
+        ) as handle:
+            with ServiceClient(handle.host, handle.port, site_id=0) as client:
+                assert client.open_round(0) == "round_open"
+                assert client.submit(_tiny_model(0)) == "admitted"
+                assert client.submit(_tiny_model(1, at=(5.0, 0.0))) == "admitted"
+                assert client.health()["quorum_met"] is True
+                assert client.open_round(1) == "round_open"
+                assert client.submit(_tiny_model(2, at=(9.0, 0.0))) == "admitted"
+                health = client.health()
+        assert (health["rounds_committed"], health["round_open"]) == (1, 1)
+        assert health["sites_admitted"] == 3
+        assert health["quorum_met"] is False
+
+
+def _container_sizes(service) -> dict[str, int]:
+    """The size of every container the service object holds directly,
+    but for its open connections and in-flight requests, which a reply
+    races."""
+    return {
+        name: len(value)
+        for name, value in vars(service).items()
+        if isinstance(value, (dict, list, set, tuple))
+        and name not in ("_connections", "_busy")
+    }
+
 
 def _tiny_model(site_id: int, at=(0.0, 0.0)):
     from repro.core.models import LocalModel
