@@ -26,7 +26,10 @@ output (labels, core flags, ``n_region_queries``, the observer stream):
    When the bound is within one BFS row block (``PAIR_BUDGET_BYTES //
    64`` neighbour entries), a single ``region_query_batch`` call fetches
    the whole ``Eps``-neighbourhood graph: the row lengths fix the core
-   mask, and every BFS level reads its rows from the graph.  Larger
+   mask, and every BFS level reads its rows from the graph.  On the grid
+   that call takes the join's self mode, which evaluates each unordered
+   candidate pair once and mirrors its hit: ``(candidates - n) / 2``
+   distances instead of every candidate pair from both ends.  Larger
    inputs keep the budgeted path: one ``count_only`` call sizes every
    neighbourhood, and each level fetches its own rows.  Noise is never
    queried on its own on either path.
@@ -36,7 +39,8 @@ output (labels, core flags, ``n_region_queries``, the observer stream):
    whole core frontier come from the graph or from one
    ``region_query_batch`` call; the observer sees each frontier object
    with its neighbour array, in order; then every still-unlabelled object
-   in those rows is claimed, in order of first occurrence, and the
+   in those rows is claimed, in order of first occurrence (found with one
+   ``np.minimum.at`` into a per-fit position array, no sort), and the
    claimed core objects form the next level.  Both row sources feed this
    one expansion.
 
@@ -269,6 +273,9 @@ class DBSCAN:
             ):
                 raise ValueError("order must be a permutation of range(n)")
         labels = np.full(n, UNCLASSIFIED, dtype=np.intp)
+        # Per object, its first position among a level's claims: a working
+        # array of this fit (never of the instance, which threads may share).
+        first = np.empty(n, dtype=np.intp)
         next_cluster = 0
         observe_index = metrics is not None and hasattr(index, "attach_metrics")
         if observe_index:
@@ -305,6 +312,7 @@ class DBSCAN:
                     np.asarray([start], dtype=np.intp),
                     cluster_id,
                     labels,
+                    first,
                     core_mask,
                     counts,
                     observer,
@@ -337,6 +345,7 @@ class DBSCAN:
         frontier: np.ndarray,
         cluster_id: int,
         labels: np.ndarray,
+        first: np.ndarray,
         core_mask: np.ndarray,
         counts: np.ndarray,
         observer: DBSCANObserver | None,
@@ -357,7 +366,13 @@ class DBSCAN:
             frontier = np.concatenate(
                 [
                     self._claim(
-                        rows, frontier[lo:hi], cluster_id, labels, core_mask, observer
+                        rows,
+                        frontier[lo:hi],
+                        cluster_id,
+                        labels,
+                        first,
+                        core_mask,
+                        observer,
                     )
                     for lo, hi in runs
                 ]
@@ -369,12 +384,18 @@ class DBSCAN:
         block: np.ndarray,
         cluster_id: int,
         labels: np.ndarray,
+        first: np.ndarray,
         core_mask: np.ndarray,
         observer: DBSCANObserver | None,
     ) -> np.ndarray:
         """Fetch the rows of one frontier block, report each frontier
         object to the observer in order, and claim the rows' unlabelled
         objects in order of first occurrence (see the module docstring).
+
+        ``first`` is the fit's working array of first positions: each
+        unlabelled entry writes its position there, the least one stays,
+        and only the entries the block touches are reset, so a block costs
+        O(its rows), never O(n).
 
         Returns:
             The claimed core objects, in claim order: the next level.
@@ -385,8 +406,10 @@ class DBSCAN:
                 observer.on_core_point(current, cluster_id, neighbors)
         reached = np.concatenate(block_rows)
         fresh = reached[labels[reached] == UNCLASSIFIED]
-        __, first = np.unique(fresh, return_index=True)
-        fresh = fresh[np.sort(first)]
+        position = np.arange(fresh.size)
+        first[fresh] = fresh.size
+        np.minimum.at(first, fresh, position)
+        fresh = fresh[first[fresh] == position]
         labels[fresh] = cluster_id
         return fresh[core_mask[fresh]]
 

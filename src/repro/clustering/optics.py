@@ -73,9 +73,10 @@ def optics(
         An :class:`OPTICSResult`.
 
     Raises:
-        ValueError: for non-positive ``eps`` or ``min_pts < 1``.
+        ValueError: for a NaN or non-positive ``eps`` (``inf``, the usual
+            OPTICS setting, is accepted) or ``min_pts < 1``.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")

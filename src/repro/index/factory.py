@@ -10,6 +10,8 @@ the original system would fall back from R*-tree to sequential scan.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.data.distance import Metric, get_metric
@@ -24,6 +26,11 @@ __all__ = ["build_index", "available_indexes"]
 
 _GRID_OK = {"euclidean", "manhattan", "chebyshev", "squared_euclidean"}
 _TREE_OK = _GRID_OK | set()  # kd-tree/R-tree prune with L_inf cubes: same family
+
+
+def _usable_cell_size(eps: float | None) -> bool:
+    """Whether ``eps`` can be a grid's cell size: positive and finite."""
+    return eps is not None and math.isfinite(eps) and eps > 0
 
 
 def available_indexes() -> list[str]:
@@ -47,7 +54,9 @@ def build_index(
         kind: one of :func:`available_indexes`.
         metric: metric name or instance.
         eps: typical query radius; required cell size hint for ``"grid"``
-            and used by ``"auto"`` to prefer the grid.
+            and used by ``"auto"`` to prefer the grid, which it picks only
+            for a finite, positive ``eps`` (a grid scans finitely many
+            cell rings).
         leaf_size: kd-tree leaf size.
         node_capacity: R-tree fanout.
 
@@ -55,12 +64,13 @@ def build_index(
         A ready-to-query :class:`~repro.index.base.NeighborIndex`.
 
     Raises:
-        ValueError: unknown ``kind`` or ``grid`` requested without ``eps``.
+        ValueError: unknown ``kind``, or ``grid`` requested without a
+            positive, finite ``eps``.
     """
     resolved = get_metric(metric)
     points = np.asarray(points, dtype=float)
     if kind == "auto":
-        if resolved.name in _GRID_OK and eps is not None and eps > 0 and len(points):
+        if resolved.name in _GRID_OK and _usable_cell_size(eps) and len(points):
             return GridIndex(points, resolved, cell_size=eps)
         if resolved.name in _TREE_OK and len(points):
             return KDTreeIndex(points, resolved, leaf_size=leaf_size)
@@ -72,8 +82,11 @@ def build_index(
     if kind == "brute":
         return BruteForceIndex(points, resolved)
     if kind == "grid":
-        if eps is None or eps <= 0:
-            raise ValueError("grid index needs a positive eps as cell-size hint")
+        if not _usable_cell_size(eps):
+            raise ValueError(
+                f"grid index needs a positive, finite eps as cell-size hint, "
+                f"got {eps}"
+            )
         return GridIndex(points, resolved, cell_size=eps)
     if kind == "kdtree":
         return KDTreeIndex(points, resolved, leaf_size=leaf_size)

@@ -41,6 +41,18 @@ join** that runs in a fixed number of NumPy passes per block of queries:
    two ``np.minimum.reduceat`` over each query's pairs give its nearest
    point within that point's own radius (the relabel fold's cover).
 
+A region query of every indexed point, in index order and at the build
+radius's ring reach (DBSCAN's one-call graph fetch, the global model's
+first build) takes the join's **self mode** instead of steps 2–4: each
+unordered candidate pair is evaluated once.  A point is paired with the
+rest of its own cell after it and with the points of its neighbour cells
+of a higher id (half the neighbour table); each hit is staged as the two
+keys ``(q, p)`` and ``(p, q)`` (:meth:`Metric.paired` is bitwise
+symmetric), plus one self key per point, and one in-place sort of the
+staged keys gives the per-query rows bit for bit.  Such a fetch evaluates
+``(candidate_pairs - n) / 2`` distances; every other block (a subset, a
+permutation, counts, distances, another radius) keeps the per-query path.
+
 A block is cut into passes of at most ``PASS_BUDGET_BYTES`` (4 MiB) of
 pair arrays, small enough to stay in the CPU caches.  A pass writes its
 pair arrays with ``out=`` into one buffer set, which the join takes from
@@ -90,6 +102,12 @@ _MISS = np.iinfo(np.intp).max
 # The bytes of a staged row answer, per array, that a kept buffer set
 # keeps: a quarter of a pass, so a kept set holds at most 1.5 passes.
 _STAGE_BYTES = PASS_BUDGET_BYTES // 4
+
+# Entries of a per-call index or key temporary made at once: 64 KiB of
+# int64, below glibc's default mmap threshold (128 KiB), so such a
+# temporary comes from the heap instead of being mapped and faulted in
+# afresh on every call.
+_CHUNK = 8192
 
 
 class _PassBuffers:
@@ -164,8 +182,8 @@ class GridIndex(NeighborIndex):
             radius (DBSCAN's ``Eps``) for single-ring queries.
 
     Raises:
-        ValueError: if ``cell_size`` is not positive, the metric is not
-            grid-compatible or a point has a non-finite coordinate.
+        ValueError: if ``cell_size`` is not positive and finite, the metric
+            is not grid-compatible or a point has a non-finite coordinate.
     """
 
     def __init__(
@@ -176,8 +194,8 @@ class GridIndex(NeighborIndex):
         cell_size: float,
     ) -> None:
         super().__init__(points, metric)
-        if cell_size <= 0:
-            raise ValueError(f"cell_size must be positive, got {cell_size}")
+        if not (math.isfinite(cell_size) and cell_size > 0):
+            raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
         if self._metric.name not in _GRID_METRICS:
             raise ValueError(
                 f"GridIndex supports metrics {sorted(_GRID_METRICS)}, "
@@ -234,9 +252,23 @@ class GridIndex(NeighborIndex):
         }
 
     def _rings(self, eps: float) -> int:
-        """Cell rings around a query's own cell that can hold hits."""
+        """Cell rings around a query's own cell that can hold hits (none
+        for a NaN radius).
+
+        Raises:
+            ValueError: naming ``eps`` when its reach is infinite: the
+                grid scans a finite number of rings.
+        """
         reach = coordinate_reach(self._metric, eps)
-        return int(math.ceil(reach / self._cell_size)) if reach > 0 else 0
+        if not reach > 0:
+            return 0
+        rings = reach / self._cell_size
+        if not math.isfinite(rings):
+            raise ValueError(
+                f"eps must be finite for a grid query (the grid scans a "
+                f"finite number of cell rings), got {eps}"
+            )
+        return int(math.ceil(rings))
 
     # ------------------------------------------------------------------
     # the cell-pair join
@@ -252,7 +284,10 @@ class GridIndex(NeighborIndex):
         cell ids)`` with ids ascending within each row.  A stencil of
         ``(2 rings + 1)^d`` key lookups is used while it is smaller than
         the occupied cell count and the keys fit; otherwise every occupied
-        cell is compared with the row (the high-dimensional case).
+        cell is compared with the row (the high-dimensional case).  Both
+        build their keys and masks one axis at a time, in blocks of rows of
+        about ``_CHUNK`` (row, cell) entries, so no temporary is larger
+        than ``(rows, stencil or cells)``.
         """
         m, dim = cells.shape
         n_cells = len(self._cell_coords)
@@ -263,22 +298,35 @@ class GridIndex(NeighborIndex):
         found: list[np.ndarray] = []
         if self._keys is not None and span**dim <= n_cells:
             stencil = _stencil(rings, dim)
-            step = max(1, self._pair_budget // len(stencil))
+            step = max(1, _CHUNK // len(stencil))
             for lo in range(0, m, step):
-                near = cells[lo : lo + step, None, :] + stencil[None, :, :]
-                inside = ((near >= 0) & (near < self._extent)).all(axis=2)
-                keys = near @ self._strides
+                block = cells[lo : lo + step]
+                shape = (len(block), len(stencil))
+                near, keys = np.empty(shape, np.int64), np.zeros(shape, np.int64)
+                inside, test = np.ones(shape, bool), np.empty(shape, bool)
+                for axis in range(dim):
+                    np.add(block[:, axis, None], stencil[:, axis], out=near)
+                    inside &= np.greater_equal(near, 0, out=test)
+                    inside &= np.less(near, self._extent[axis], out=test)
+                    keys += np.multiply(near, self._strides[axis], out=near)
                 pos = np.searchsorted(self._keys, keys)
                 np.minimum(pos, n_cells - 1, out=pos)
-                row, col = np.nonzero(inside & (self._keys[pos] == keys))
+                found_keys = np.take(self._keys, pos, out=near, mode="clip")
+                inside &= np.equal(found_keys, keys, out=test)
+                row, col = np.nonzero(inside)
                 rows.append(row + lo)
                 found.append(pos[row, col])
         else:
-            step = max(1, self._pair_budget // n_cells)
+            step = max(1, _CHUNK // n_cells)
             for lo in range(0, m, step):
-                block = cells[lo : lo + step, None, :]
-                gap = np.abs(self._cell_coords[None, :, :] - block)
-                row, cell = np.nonzero((gap <= rings).all(axis=2))
+                block = cells[lo : lo + step]
+                shape = (len(block), n_cells)
+                gap = np.empty(shape, np.int64)
+                inside, test = np.ones(shape, bool), np.empty(shape, bool)
+                for axis in range(dim):
+                    np.subtract(self._cell_coords[:, axis], block[:, axis, None], out=gap)
+                    inside &= np.less_equal(np.abs(gap, out=gap), rings, out=test)
+                row, cell = np.nonzero(inside)
                 rows.append(row + lo)
                 found.append(cell)
         row = np.concatenate(rows)
@@ -292,6 +340,17 @@ class GridIndex(NeighborIndex):
         its neighbour cells)."""
         through = _through(self._cell_sizes[neighbours])
         return offsets, neighbours, through[offsets[1:]] - through[offsets[:-1]]
+
+    def _neighbour_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The neighbour table at the build radius, built on first use: per
+        occupied cell its neighbour cells (CSR) and candidate count."""
+        if self._table is None:
+            # A pure function of the points: threads that race here build
+            # equal tables.
+            self._table = self._with_sizes(
+                *self._neighbour_cells(self._cell_coords, self._rings0)
+            )
+        return self._table
 
     def _query_groups(
         self, queries: np.ndarray, rings: int, cells: np.ndarray | None
@@ -308,13 +367,7 @@ class GridIndex(NeighborIndex):
         """
         if cells is not None:
             if rings == self._rings0:
-                if self._table is None:
-                    # A pure function of the points: threads that race
-                    # here build equal tables.
-                    self._table = self._with_sizes(
-                        *self._neighbour_cells(self._cell_coords, rings)
-                    )
-                return cells, self._table
+                return cells, self._neighbour_table()
             groups, group_of = np.unique(cells, return_inverse=True)
             table = self._neighbour_cells(self._cell_coords[groups], rings)
             return group_of.reshape(-1), self._with_sizes(*table)
@@ -361,7 +414,7 @@ class GridIndex(NeighborIndex):
         Args:
             queries: ``(m, d)`` float query points.  A row with a NaN or
                 infinite coordinate matches nothing.
-            eps: query radius.
+            eps: query radius; a NaN or negative one matches nothing.
             cells: the occupied cell id of each query when the queries
                 are indexed points (how :meth:`region_query_batch` calls
                 it); ``None`` for any other queries.
@@ -384,8 +437,9 @@ class GridIndex(NeighborIndex):
             is fresh: none shares memory with the pass buffers.
 
         Raises:
-            ValueError: if ``radii`` is not one value per indexed point,
-                or one of them is NaN or negative (naming the first).
+            ValueError: if ``eps`` is infinite, or ``radii`` is not one
+                value per indexed point, or one of them is NaN or negative
+                (naming the first).
         """
         m = queries.shape[0]
         if radii is not None:
@@ -403,7 +457,8 @@ class GridIndex(NeighborIndex):
             radii = np.minimum(radii, eps)
             nearest, nearest_distance = np.full(m, -1, np.intp), np.full(m, np.inf)
         counts = np.zeros(m, dtype=np.intp)
-        if m == 0 or len(self) == 0:
+        rings = self._rings(eps)
+        if m == 0 or len(self) == 0 or not eps >= 0:
             if radii is not None:
                 return nearest, nearest_distance
             if count_only:
@@ -413,24 +468,21 @@ class GridIndex(NeighborIndex):
             )
         queries = np.asarray(queries, dtype=float)
         group_of, (offsets, neighbours, group_size) = self._query_groups(
-            queries, self._rings(eps), cells
+            queries, rings, cells
         )
         pairs = group_size[group_of]
-        ends = _through(pairs)
         total = 0
         pooled = _PassBuffers.take()
-        for lo, hi in _budget_runs(ends[1:], self._pair_budget):
-            query_through = ends[lo : hi + 1] - ends[lo]
-            # A lone query over the pass budget gets buffers of its own,
-            # so the kept set never outgrows one pass.
-            oversize = query_through[-1] > self._pair_budget
-            buffers = _PassBuffers() if oversize else pooled
-            grouped = self._pairs(
-                queries[lo:hi],
-                _take_rows(offsets, neighbours, group_of[lo:hi]),
-                query_through,
-                buffers,
+        for lo, hi, query_through, buffers in self._passes(pairs, pooled):
+            through, segs = _take_rows(offsets, neighbours, group_of[lo:hi])
+            # Each segment is a query and one of its neighbour cells.
+            segments = (
+                np.repeat(np.arange(hi - lo), np.diff(through)),
+                self._cell_start[segs],
+                self._cell_sizes[segs],
             )
+            k = int(query_through[-1])
+            grouped = self._pairs(queries[lo:hi], segments, k, buffers)
             if radii is not None:
                 self._nearest(
                     grouped,
@@ -472,28 +524,100 @@ class GridIndex(NeighborIndex):
         pooled.release()
         return answer
 
+    def _self_join(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of every indexed point, in index order: the join's
+        self mode, for a positive ``eps`` whose ring reach is the build
+        radius's (the neighbour table's).
+
+        Each unordered candidate pair is evaluated once: a point is paired
+        with the rest of its own cell after it (the flat array holds a
+        cell's points ascending) and with the points of its neighbour
+        cells of a higher id, half the neighbour table.  Each hit is staged
+        as the keys ``(q, p)`` and ``(p, q)`` (``Metric.paired`` is bitwise
+        symmetric), plus one self key per point, in the kept buffer set;
+        one in-place sort of the staged keys then gives the per-query
+        join's ascending rows bit for bit.
+
+        Returns:
+            ``(hits, offsets)`` in CSR form, both fresh arrays.
+        """
+        n = len(self)
+        offsets, neighbours, __ = self._neighbour_table()
+        owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        upper = neighbours > owner
+        up_offsets, up_cells, up_size = self._with_sizes(
+            _through(np.bincount(owner[upper], minlength=len(offsets) - 1)),
+            neighbours[upper],
+        )
+        tail_start = np.empty(n, dtype=np.intp)
+        tail_start[self._flat] = np.arange(1, n + 1)
+        tail_size = self._cell_start[self._point_cell + 1] - tail_start
+        pooled = _PassBuffers.take()
+        total = n
+        np.multiply(np.arange(n), n + 1, out=pooled("hits", n))
+        pairs = tail_size + up_size[self._point_cell]
+        for lo, hi, query_through, buffers in self._passes(pairs, pooled):
+            through, segs = _take_rows(up_offsets, up_cells, self._point_cell[lo:hi])
+            tails = lo + np.flatnonzero(tail_size[lo:hi])
+            # A segment is a query and one of its upper cells, or its tail;
+            # the queries are global indices, so are the pairs' queries.
+            segments = (
+                np.concatenate([np.repeat(np.arange(lo, hi), np.diff(through)), tails]),
+                np.concatenate([self._cell_start[segs], tail_start[tails]]),
+                np.concatenate([self._cell_sizes[segs], tail_size[tails]]),
+            )
+            k = int(query_through[-1])
+            pair_query, pair_point, d = self._pairs(self._points, segments, k, buffers)
+            hit = _positions(
+                np.less_equal(d, eps, out=buffers("mask", k, bool)), buffers("work", k)
+            )
+            h = hit.size
+            q = np.take(pair_query, hit, out=buffers("at", h), mode="clip")
+            p = np.take(pair_point, hit, out=buffers("sorted", h), mode="clip")
+            keys = pooled("hits", total + 2 * h, keep=total)
+            forward, backward = keys[total : total + h], keys[total + h :]
+            np.add(np.multiply(q, n, out=forward), p, out=forward)
+            np.add(np.multiply(p, n, out=backward), q, out=backward)
+            total += 2 * h
+        keys = pooled("hits", total)
+        keys.sort()
+        answer = np.remainder(keys, n), np.searchsorted(keys, np.arange(n + 1) * n)
+        pooled.release()
+        return answer
+
+    def _passes(self, pairs: np.ndarray, pooled: _PassBuffers):
+        """Cut a block of queries, with ``pairs`` pairs each, into passes
+        of at most the pair budget: yields each pass's query run ``lo,
+        hi``, the running pair totals of its queries from 0 and the
+        buffers its pair arrays go to."""
+        ends = _through(pairs)
+        for lo, hi in _budget_runs(ends[1:], self._pair_budget):
+            query_through = ends[lo : hi + 1] - ends[lo]
+            # A lone query over the pass budget gets buffers of its own,
+            # so the kept set never outgrows one pass.
+            oversize = query_through[-1] > self._pair_budget
+            yield lo, hi, query_through, _PassBuffers() if oversize else pooled
+
     def _pairs(
         self,
         queries: np.ndarray,
-        cells: tuple[np.ndarray, np.ndarray],
-        query_through: np.ndarray,
+        segments: tuple[np.ndarray, np.ndarray, np.ndarray],
+        k: int,
         buffers: _PassBuffers,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One pass's pairs: every query against the points of its
-        neighbour cells (``cells``: per-query CSR of cell ids; query ``q``
-        owns pairs ``query_through[q]:query_through[q + 1]``).
+        """One pass's ``k`` pairs, cut into segments ``(query, start,
+        length)``, each never empty: query row ``query`` of ``queries``
+        against the ``length`` points of the flat cell array from
+        ``start`` on (one of its neighbour cells, or the rest of its own).
 
         Returns each pair's query, its point and its distance, the pairs
-        grouped by query, in ``buffers``.
+        in segment order, in ``buffers``.
         """
-        seg_through, segs = cells
-        sizes = self._cell_sizes[segs]
-        k = int(query_through[-1])
-        # Each segment (a query and one of its cells, never empty) is a run
-        # of pairs: the cell's points in turn, the query repeated.
-        seg_query = np.repeat(np.arange(len(queries)), np.diff(seg_through))
-        at = _ramps(self._cell_start[segs], sizes, 1, buffers("at", k))
-        pair_query = _ramps(seg_query, sizes, 0, buffers("query", k))
+        seg_query, seg_start, seg_len = segments
+        # Each segment is a run of pairs: its points in turn, the query
+        # repeated.
+        at = _ramps(seg_start, seg_len, 1, buffers("at", k))
+        pair_query = _ramps(seg_query, seg_len, 0, buffers("query", k))
         pair_point = np.take(self._flat, at, out=buffers("point", k), mode="clip")
         # ``take`` into a buffer needs ``mode="clip"``: with the default
         # ``"raise"`` NumPy gathers into a fresh array and copies it over.
@@ -606,9 +730,12 @@ class GridIndex(NeighborIndex):
     # the NeighborIndex API: thin views over the join
     # ------------------------------------------------------------------
     def candidate_pairs(self, eps: float) -> int:
-        """The pairs the join evaluates for a region query of every
-        indexed point: each point against the points of its cell's
-        neighbour cells (the prebuilt table at the build radius)."""
+        """The candidate pairs of a region query of every indexed point:
+        each point against the points of its cell's neighbour cells (the
+        prebuilt table at the build radius).  They bound the hits.  The
+        per-query join evaluates every one of them; a whole-graph fetch in
+        the self mode evaluates each unordered pair once, ``(candidates -
+        n) / 2`` distances, about half."""
         group_of, (__, __, group_size) = self._query_groups(
             self._points, self._rings(eps), self._point_cell
         )
@@ -656,6 +783,14 @@ class GridIndex(NeighborIndex):
         return_distances: bool,
         count_only: bool,
     ):
+        if (
+            not (return_distances or count_only)
+            and indices.size == len(self)
+            and self._rings(eps) == self._rings0
+            and np.array_equal(indices, np.arange(len(self)))
+        ):
+            # The whole neighbour graph: each cell pair is joined once.
+            return _split(*self._self_join(eps))
         joined = self.join(
             self._points[indices],
             eps,
@@ -769,6 +904,19 @@ def _ramps(
         )
         np.cumsum(out, out=out)
     return out
+
+
+def _positions(mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The positions of the true entries of ``mask``, written into ``out``
+    and returned as its leading slice.  Listed ``_CHUNK`` entries at a
+    time: a pass-sized array of positions would be mapped and faulted in
+    afresh on every pass."""
+    count = 0
+    for lo in range(0, mask.size, _CHUNK):
+        found = np.flatnonzero(mask[lo : lo + _CHUNK])
+        np.add(found, lo, out=out[count : count + found.size])
+        count += found.size
+    return out[:count]
 
 
 def _take_rows(

@@ -81,6 +81,25 @@ class TestToManyConsistency:
         assert metric.paired(left, right.copy(), out=out) is out
         assert np.array_equal(out, expected)
 
+    @pytest.mark.parametrize(
+        "metric",
+        [euclidean, squared_euclidean, manhattan, chebyshev],
+        ids=lambda m: m.name,
+    )
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_paired_is_bitwise_symmetric(self, metric, dim, rng):
+        """``paired(a, b) == paired(b, a)`` bit for bit: the grid's
+        whole-graph fetch evaluates each pair from one end and mirrors the
+        hit, so both ends must see the same distance."""
+        scale = 10.0 ** rng.uniform(-3, 3, size=(400, 1))
+        left = rng.normal(size=(400, dim)) * scale
+        right = rng.normal(size=(400, dim)) * scale + left * 0.999
+        forward = metric.paired(left, right)
+        assert np.array_equal(forward, metric.paired(right, left))
+        out = np.empty(400)
+        metric.paired(right, left.copy(), out=out)
+        assert np.array_equal(forward, out)
+
     def test_paired_calls_a_two_argument_to_pairs_without_out(self, rng):
         """A registered metric's ``to_pairs(Q, X)`` keeps working: it is
         handed ``out`` only when the caller of ``paired`` passes one."""

@@ -1,7 +1,8 @@
 """The grid join's pass buffers: answers never alias them, one join uses a
 buffer set at a time, and a repeated join reuses its set instead of
-allocating its pair arrays again.  Also the join's refusal of a NaN or
-negative radius."""
+allocating its pair arrays again, in every mode of the join (the self
+mode of a whole-graph fetch included).  Also the join's refusal of a NaN
+or negative radius."""
 
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ def _answers(grid: GridIndex, seed: int) -> dict:
     cells = grid._point_cell
     return {
         "rows": grid.join(points, 0.5, cells=cells),
+        "graph": grid._self_join(0.5),
         "distances": grid.join(points, 0.5, cells=cells, distances=True),
         "counts": grid.join(points, 0.5, cells=cells, count_only=True),
         "range": grid.join(queries, 0.8, distances=True),
@@ -151,6 +153,9 @@ def test_kept_buffer_sets_stay_within_their_bound():
     for queries in (2_000, 400):
         hits, __, __ = grid.join(grid.points[:queries], 1.0, distances=True)
         assert hits.nbytes > PASS_BUDGET_BYTES // 4
+    # A whole-graph fetch stages every hit from both ends.
+    hits, __ = GridIndex(grid.points[:3_000], cell_size=1.0)._self_join(1.0)
+    assert hits.nbytes > PASS_BUDGET_BYTES // 4
     dense = GridIndex(rng.uniform(0, 1, size=(100_000, 2)), cell_size=1.0)
     assert len(dense) > dense._pair_budget  # one cell: a lone oversize query
     dense.join(dense.points[:1], 1.0, distances=True)

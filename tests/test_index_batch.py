@@ -72,14 +72,43 @@ def test_range_query_batch_equals_per_query(kind, metric, seed):
 
 @pytest.mark.parametrize("kind,metric", INDEX_METRICS)
 def test_region_query_batch_equals_per_query(kind, metric):
+    """A few indices, every point in index order (the grid's whole-graph
+    fetch), and a subset, a permutation and a repeat of every point."""
     points = _point_set(3)
+    n = points.shape[0]
     index = build_index(points, kind, metric=metric, eps=BUILD_EPS)
-    indices = np.asarray([0, 5, 5, 17, points.shape[0] - 1], dtype=np.intp)
-    for eps in (0.4, BUILD_EPS):
-        batch = index.region_query_batch(indices, eps)
-        assert len(batch) == indices.size
-        for i, hits in zip(indices, batch):
-            assert np.array_equal(hits, index.region_query(int(i), eps))
+    everyone = np.arange(n)
+    for indices in (
+        np.asarray([0, 5, 5, 17, n - 1], dtype=np.intp),
+        everyone,
+        everyone[1:],
+        np.random.default_rng(3).permutation(n),
+        np.concatenate([everyone, everyone]),
+    ):
+        for eps in (0.4, BUILD_EPS, 2.5):
+            batch = index.region_query_batch(indices, eps)
+            assert len(batch) == indices.size
+            for i, hits in zip(indices, batch):
+                assert np.array_equal(hits, index.region_query(int(i), eps))
+
+
+@pytest.mark.parametrize("kind,metric", INDEX_METRICS)
+def test_region_counts_and_distances_of_every_point(kind, metric):
+    """``count_only`` and ``return_distances`` over every point agree with
+    the rows of the whole-graph fetch."""
+    points = _point_set(4)
+    index = build_index(points, kind, metric=metric, eps=BUILD_EPS)
+    everyone = np.arange(points.shape[0])
+    rows = index.region_query_batch(everyone, BUILD_EPS)
+    hits, distances = index.region_query_batch(
+        everyone, BUILD_EPS, return_distances=True
+    )
+    counts = index.region_query_batch(everyone, BUILD_EPS, count_only=True)
+    resolved = get_metric(metric)
+    for i, row in enumerate(rows):
+        assert np.array_equal(hits[i], row)
+        assert np.array_equal(distances[i], resolved.to_many(points[i], points[row]))
+        assert counts[i] == row.size
 
 
 @pytest.mark.parametrize("kind", ["brute", "grid", "kdtree", "rtree", "mtree"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +376,60 @@ class TestGridCSRStorage:
             expected = brute.range_query(query, eps)
             np.testing.assert_array_equal(index.range_query(query, eps), expected)
             np.testing.assert_array_equal(np.sort(batch_hits), expected)
+
+
+def _neighbour_sets(dim: int) -> dict[str, GridIndex]:
+    """A grid in ``dim`` dimensions per branch of ``_neighbour_cells``:
+    more occupied cells than a one-ring stencil has offsets (key lookups)
+    and fewer (every occupied cell compared)."""
+    rng = np.random.default_rng(dim)
+    dense = GridIndex(rng.uniform(0, 4, size=(2 * 3**dim + 40, dim)), cell_size=1.0)
+    sparse = GridIndex(rng.uniform(0, 40, size=(3**dim - 1, dim)), cell_size=1.0)
+    assert 3**dim <= dense.n_occupied_cells and dense._keys is not None
+    assert sparse.n_occupied_cells < 3**dim
+    return {"stencil": dense, "compare": sparse}
+
+
+class TestNeighbourCells:
+    """``GridIndex._neighbour_cells`` against the cell coordinates: per
+    row, every occupied cell within ``rings`` in L-inf, ids ascending."""
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    @pytest.mark.parametrize("branch", ["stencil", "compare"])
+    def test_equals_the_cells_within_reach(self, dim, branch):
+        grid = _neighbour_sets(dim)[branch]
+        coords = grid._cell_coords
+        rng = np.random.default_rng(dim + 10)
+        # Occupied cells and query cells anywhere up to one ring outside
+        # the occupied extent, as query points are clipped.
+        outside = rng.integers(-2, grid._extent + 2, size=(40, dim))
+        cells = np.concatenate([coords[rng.permutation(len(coords))[:40]], outside])
+        for rings in (1, 2) if dim <= 4 else (1,):
+            offsets, ids = grid._neighbour_cells(cells, rings)
+            assert offsets.dtype == ids.dtype == np.intp
+            assert offsets[0] == 0 and offsets[-1] == ids.size
+            for k, row in enumerate(cells):
+                expected = np.flatnonzero(np.abs(coords - row).max(axis=1) <= rings)
+                assert np.array_equal(ids[offsets[k] : offsets[k + 1]], expected)
+
+    @pytest.mark.parametrize("branch", ["stencil", "compare"])
+    def test_temporaries_stay_two_dimensional(self, branch):
+        """At d = 8 a call used to build ``(rows, stencil or cells, d)``
+        int64 offsets or gaps, faulted in afresh on every call; one axis at
+        a time, no temporary holds more than ``(rows, stencil or cells)``."""
+        grid = _neighbour_sets(8)[branch]
+        cells = grid._cell_coords[:60]
+        expected = grid._neighbour_cells(cells, 1)
+        tracemalloc.start()
+        try:
+            got = grid._neighbour_cells(cells, 1)
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(map(np.array_equal, got, expected))
+        # One (rows, stencil or cells, d) int64 array: a block holds
+        # about ``_pair_budget`` (row, cell) entries.
+        assert peak < 8 * 8 * grid._pair_budget
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev", "squared_euclidean"])

@@ -7,6 +7,10 @@ and a label query's other rows changed labels.  Every index now refuses
 the row when it is built, every relabel kernel refuses a site holding
 one, the wire codec refuses it on decode, and the service answers such a
 label query with a typed error and keeps serving.
+
+Non-finite radii get one answer from every index: a NaN radius matches
+nothing.  The grid refuses an infinite radius and a non-finite cell size
+with an error that names it, since it scans finitely many cell rings.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from repro.core.local import build_local_model
 from repro.core.relabel import relabel_site
 from repro.data.datasets import load_dataset
 from repro.data.distance import minkowski_metric
-from repro.index import available_indexes, build_index
+from repro.index import GridIndex, available_indexes, build_index
 from repro.service import ServiceClient, ServiceConfig, ServiceError, ServiceHandle, wire
 from repro.service.worker import run_site_worker
 
@@ -114,3 +118,68 @@ def test_service_answers_nan_query_with_typed_error_and_keeps_serving():
             assert "non-finite" in excinfo.value.detail
             # The same connection still gets answers.
             assert np.array_equal(client.query(data.points[:64]), expected)
+
+
+@pytest.mark.parametrize("kind", ["brute", "grid", "kdtree", "rtree", "mtree"])
+def test_a_nan_radius_matches_nothing_on_every_index(kind):
+    """The grid used to answer each query's own-cell points (``d > nan``
+    marks no pair as a miss) while its own count said 0."""
+    points = np.random.default_rng(3).normal(size=(200, 2))
+    index = build_index(points, kind, eps=0.3)
+    everyone = np.arange(len(points))
+    for rows in (
+        index.range_query_batch(points[:20], np.nan),
+        index.region_query_batch(everyone, np.nan),
+        [index.range_query(points[0], np.nan), index.region_query(5, np.nan)],
+    ):
+        assert all(row.size == 0 for row in rows)
+    counts = index.region_query_batch(everyone, np.nan, count_only=True)
+    assert np.array_equal(counts, np.zeros(len(points), dtype=np.intp))
+    rows, distances = index.region_query_batch(
+        everyone, np.nan, return_distances=True
+    )
+    assert all(row.size == 0 for row in rows)
+    assert all(distance.size == 0 for distance in distances)
+
+
+def test_a_nan_radius_covers_nothing_in_the_grid_join():
+    """The reducing mode used to return covers beyond their own radius."""
+    points = np.random.default_rng(3).normal(size=(200, 2))
+    grid = GridIndex(points, cell_size=0.5)
+    queries = points[:30] + 0.01
+    hits, offsets, distances = grid.join(queries, np.nan, distances=True)
+    assert hits.size == distances.size == 0
+    assert np.array_equal(offsets, np.zeros(31, dtype=np.intp))
+    nearest, distance = grid.join(queries, np.nan, radii=np.full(200, 0.5))
+    assert np.array_equal(nearest, np.full(30, -1))
+    assert np.array_equal(distance, np.full(30, np.inf))
+
+
+def test_the_grid_refuses_an_infinite_radius():
+    """It used to raise a bare ``OverflowError`` from its ring count."""
+    grid = GridIndex(np.random.default_rng(3).normal(size=(50, 2)), cell_size=0.5)
+    for call in (
+        lambda: grid.region_query_batch(np.arange(50), np.inf),
+        lambda: grid.range_query(np.zeros(2), np.inf),
+        lambda: grid.join(np.zeros((1, 2)), np.inf, radii=np.full(50, 0.5)),
+        lambda: grid.candidate_pairs(np.inf),
+    ):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_the_grid_refuses_a_non_finite_cell_size(bad):
+    """A NaN cell size used to be accepted with a cast warning, after
+    which every query raised "cannot convert float NaN to integer"."""
+    points = np.random.default_rng(3).normal(size=(50, 2))
+    with pytest.raises(ValueError, match="cell_size must be positive and finite"):
+        GridIndex(points, cell_size=bad)
+    with pytest.raises(ValueError, match="eps"):
+        build_index(points, "grid", eps=bad)
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+def test_auto_picks_no_grid_for_a_non_finite_radius(bad):
+    index = build_index(np.random.default_rng(3).normal(size=(50, 2)), eps=bad)
+    assert not isinstance(index, GridIndex)

@@ -15,6 +15,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="eps"):
             optics(rng.normal(size=(5, 2)), 0.0, 3)
 
+    def test_rejects_a_nan_eps(self, rng):
+        """A NaN used to pass the ``eps <= 0`` check."""
+        with pytest.raises(ValueError, match="eps"):
+            optics(rng.normal(size=(5, 2)), np.nan, 3)
+
+    def test_infinite_eps_runs_as_on_brute_force(self, small_blobs):
+        """An infinite generating distance, the usual OPTICS setting,
+        used to crash in the automatically picked grid; it runs on the
+        kd-tree now."""
+        points, __ = small_blobs
+        result = optics(points, np.inf, 5)
+        oracle = optics(points, np.inf, 5, index_kind="brute")
+        np.testing.assert_array_equal(result.ordering, oracle.ordering)
+        np.testing.assert_array_equal(result.reachability, oracle.reachability)
+        np.testing.assert_array_equal(result.core_distance, oracle.core_distance)
+        assert np.isfinite(result.reachability[result.ordering[1:]]).all()
+
     def test_rejects_bad_min_pts(self, rng):
         with pytest.raises(ValueError, match="min_pts"):
             optics(rng.normal(size=(5, 2)), 1.0, 0)
