@@ -25,8 +25,9 @@ output (labels, core flags, ``n_region_queries``, the observer stream):
    the grid sums its cell-pair candidates, other indexes answer n²).
    When the bound is within one BFS row block (``PAIR_BUDGET_BYTES //
    64`` neighbour entries), a single ``region_query_batch`` call fetches
-   the whole ``Eps``-neighbourhood graph: the row lengths fix the core
-   mask, and every BFS level reads its rows from the graph.  On the grid
+   the whole ``Eps``-neighbourhood graph as CSR ``(hits, offsets)``: the
+   row lengths ``np.diff(offsets)`` fix the core mask, and every BFS
+   level slices its rows out of ``hits``.  On the grid
    that call takes the join's self mode, which evaluates each unordered
    candidate pair once and mirrors its hit: ``(candidates - n) / 2``
    distances instead of every candidate pair from both ends.  Larger
@@ -36,10 +37,11 @@ output (labels, core flags, ``n_region_queries``, the observer stream):
 2. **Clusters start at core objects, in processing order.**  Each
    unlabelled core object opens the next cluster.
 3. **Breadth-first expansion, one row fetch per level.**  The rows of the
-   whole core frontier come from the graph or from one
-   ``region_query_batch`` call; the observer sees each frontier object
-   with its neighbour array, in order; then every still-unlabelled object
-   in those rows is claimed, in order of first occurrence (found with one
+   whole core frontier come as one flat array: slices of the graph's
+   ``hits`` joined together, or the ``hits`` of one ``region_query_batch``
+   call as they come.  The observer sees each frontier object with a view
+   of its row, in order; then every still-unlabelled object in the flat
+   rows is claimed, in order of first occurrence (found with one
    ``np.minimum.at`` into a per-fit position array, no sort), and the
    claimed core objects form the next level.  Both row sources feed this
    one expansion.
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -121,6 +123,12 @@ def global_radius(eps_global: float | None) -> float | None:
             f"eps_global must be None or positive and finite, got {eps_global}"
         )
     return radius
+
+
+#: The rows of one frontier block: every row's hits in one flat array, in
+#: block order, and each row as a view of its hits (the per-level source
+#: makes those only as the observer reads them).
+_Rows = tuple[np.ndarray, Iterable[np.ndarray]]
 
 
 def _row_budget() -> int:
@@ -286,17 +294,23 @@ class DBSCAN:
                 # The whole graph fits one row block: fetch it once, read
                 # the counts off its row lengths and every level's rows
                 # out of it.
-                graph = index.region_query_batch(everyone, self.eps)
-                counts = np.fromiter(map(len, graph), dtype=np.intp, count=n)
+                graph, offsets = index.region_query_batch(everyone, self.eps)
+                counts = np.diff(offsets)
+                bounds = offsets.tolist()
 
-                def rows(block: np.ndarray) -> list[np.ndarray]:
-                    return [graph[i] for i in block.tolist()]
+                def rows(block: np.ndarray) -> _Rows:
+                    views = [graph[bounds[i] : bounds[i + 1]] for i in block.tolist()]
+                    return np.concatenate(views), views
 
             else:
                 counts = index.region_query_batch(everyone, self.eps, count_only=True)
 
-                def rows(block: np.ndarray) -> list[np.ndarray]:
-                    return index.region_query_batch(block, self.eps)
+                def rows(block: np.ndarray) -> _Rows:
+                    hits, offsets = index.region_query_batch(block, self.eps)
+                    bounds = offsets.tolist()
+                    return hits, (
+                        hits[a:b] for a, b in zip(bounds[:-1], bounds[1:])
+                    )
 
             core_mask = counts >= self.min_pts
             for start in start_order[core_mask[start_order]].tolist():
@@ -341,7 +355,7 @@ class DBSCAN:
 
     def _expand(
         self,
-        rows: Callable[[np.ndarray], list[np.ndarray]],
+        rows: Callable[[np.ndarray], _Rows],
         frontier: np.ndarray,
         cluster_id: int,
         labels: np.ndarray,
@@ -353,9 +367,9 @@ class DBSCAN:
     ) -> None:
         """Grow ``cluster_id`` level by level from a labelled core frontier.
 
-        Each level takes its rows from ``rows`` (the held graph, or one
-        ``region_query_batch`` call), cut into blocks of at most one row
-        budget of neighbour entries when the rows would be larger (the
+        Each level takes its rows from ``rows`` (slices of the held graph,
+        or one ``region_query_batch`` call), cut into blocks of at most one
+        row budget of neighbour entries when the rows would be larger (the
         neighbourhood sizes are known up front).
         """
         row_budget = _row_budget()
@@ -380,7 +394,7 @@ class DBSCAN:
 
     def _claim(
         self,
-        rows: Callable[[np.ndarray], list[np.ndarray]],
+        rows: Callable[[np.ndarray], _Rows],
         block: np.ndarray,
         cluster_id: int,
         labels: np.ndarray,
@@ -400,11 +414,10 @@ class DBSCAN:
         Returns:
             The claimed core objects, in claim order: the next level.
         """
-        block_rows = rows(block)
+        reached, block_rows = rows(block)
         if observer is not None:
             for current, neighbors in zip(block.tolist(), block_rows):
                 observer.on_core_point(current, cluster_id, neighbors)
-        reached = np.concatenate(block_rows)
         fresh = reached[labels[reached] == UNCLASSIFIED]
         position = np.arange(fresh.size)
         first[fresh] = fresh.size

@@ -30,7 +30,6 @@ from repro.core.local import (
     build_local_model,
     build_rep_kmeans_model,
     build_rep_scor_model,
-    specific_eps_range,
     verify_specific_core_set,
 )
 from repro.core.models import GlobalModel, LocalModel
@@ -58,7 +57,6 @@ __all__ = [
     "build_local_model",
     "build_rep_kmeans_model",
     "build_rep_scor_model",
-    "specific_eps_range",
     "verify_specific_core_set",
     "GlobalModel",
     "LocalModel",

@@ -103,9 +103,8 @@ def _neighbour_pairs(
         none = np.empty(0, dtype=np.intp)
         return none, none
     index = build_index(points, index_kind, metric=metric, eps=eps)
-    rows = index.region_query_batch(queries, eps)
-    sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    return np.repeat(queries, sizes), np.concatenate(rows).astype(np.intp)
+    hits, offsets = index.region_query_batch(queries, eps)
+    return np.repeat(queries, np.diff(offsets)), hits
 
 
 def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:

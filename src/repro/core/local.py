@@ -42,7 +42,6 @@ from repro.index import NeighborIndex
 
 __all__ = [
     "SpecificCorePointCollector",
-    "specific_eps_range",
     "specific_eps_ranges",
     "verify_specific_core_set",
     "build_rep_scor_model",
@@ -59,17 +58,13 @@ class SpecificCorePointCollector:
     """DBSCAN observer that greedily picks specific core points (Def. 6).
 
     Args:
-        points: the site's point array (shape ``(n, d)``).
-        eps: the local DBSCAN ``Eps``.
-        metric: distance metric (must match the DBSCAN run's).  The
-            coverage test reads the run's neighbour rows, which were
-            computed at this ``eps`` under this metric.
+        n_points: the number of objects the DBSCAN run clusters.  The
+            coverage test reads the run's neighbour rows, so it needs
+            neither the points nor the metric.
     """
 
-    def __init__(
-        self, points: np.ndarray, eps: float, metric: str | Metric = "euclidean"
-    ) -> None:
-        self._covered = np.zeros(np.asarray(points).shape[0], dtype=bool)
+    def __init__(self, n_points: int) -> None:
+        self._covered = np.zeros(n_points, dtype=bool)
         self._scor: dict[int, list[int]] = defaultdict(list)
 
     def on_cluster_start(self, cluster_id: int, seed_index: int) -> None:
@@ -100,8 +95,9 @@ def specific_eps_ranges(
     maximum runs over *core* points inside ``s``'s ``Eps``-neighborhood, so
     ``s`` also covers the neighborhoods of the core points it suppressed.
     With no other core point nearby the range degenerates to ``Eps``.  All
-    neighbourhoods and their distances come from one batched index call;
-    the distances are bitwise those of ``metric.to_many``.
+    neighbourhoods come from one batched index call; only the distances
+    to the other core points in them are computed, with ``Metric.paired``,
+    bitwise ``metric.to_many``.
 
     Args:
         point_indices: indices of the specific core points.
@@ -113,36 +109,17 @@ def specific_eps_ranges(
     point_indices = np.asarray(point_indices, dtype=np.intp)
     if point_indices.size == 0:
         return np.empty(0, dtype=float)
-    rows, distances = result.index.region_query_batch(
-        point_indices, result.eps, return_distances=True
+    index = result.index
+    neighbors, offsets = index.region_query_batch(point_indices, result.eps)
+    owner = np.repeat(point_indices, np.diff(offsets))
+    others = np.flatnonzero(result.core_mask[neighbors] & (neighbors != owner))
+    reach = np.full(neighbors.size, -np.inf)
+    reach[others] = index.metric.paired(
+        index.points[owner[others]], index.points[neighbors[others]]
     )
-    sizes = np.fromiter((row.size for row in rows), dtype=np.intp, count=len(rows))
-    neighbors = np.concatenate(rows)
-    owner = np.repeat(point_indices, sizes)
-    others = result.core_mask[neighbors] & (neighbors != owner)
     # Every row holds its own point, so no row is empty for reduceat.
-    reach = np.where(others, np.concatenate(distances), -np.inf)
-    farthest = np.maximum.reduceat(reach, np.cumsum(sizes) - sizes)
+    farthest = np.maximum.reduceat(reach, offsets[:-1])
     return np.where(np.isneginf(farthest), result.eps, result.eps + farthest)
-
-
-def specific_eps_range(
-    point_index: int,
-    result: DBSCANResult,
-    *,
-    metric: Metric,
-) -> float:
-    """Specific ε-range of one core point (see :func:`specific_eps_ranges`).
-
-    Args:
-        point_index: index of the specific core point ``s``.
-        result: the finished DBSCAN run (provides core flags and the index).
-        metric: distance metric (the run's index already carries it).
-
-    Returns:
-        The ε_s value.
-    """
-    return float(specific_eps_ranges(np.asarray([point_index]), result)[0])
 
 
 def verify_specific_core_set(
@@ -211,7 +188,7 @@ def _run_local_dbscan(
     tracer=None,
     metrics=None,
 ) -> tuple[DBSCANResult, dict[int, np.ndarray]]:
-    collector = SpecificCorePointCollector(points, eps, metric)
+    collector = SpecificCorePointCollector(points.shape[0])
     runner = DBSCAN(eps, min_pts, metric=metric, index_kind=index_kind)
     if tracer is None and metrics is None:
         result = runner.fit(points, observer=collector, index=index)

@@ -39,46 +39,68 @@ from repro.data.distance import Metric, get_metric
 __all__ = [
     "Decision",
     "RoundCore",
+    "count_setting",
     "round_deadline",
     "round_sites",
+    "seconds_setting",
 ]
+
+
+def seconds_setting(
+    name: str, seconds: float, *, zero: bool = False, finite: bool = False
+) -> float:
+    """Check a duration ``name`` in seconds: positive (with ``zero``, at
+    least 0) and never NaN, which every comparison reads as false and so
+    would silently turn its guard off; infinite means "never" unless
+    ``finite`` refuses it.  Returned as a float.
+
+    Raises:
+        ValueError: naming ``name`` and its value.
+    """
+    value = float(seconds)
+    if not (value >= 0 if zero else value > 0) or (finite and math.isinf(value)):
+        bound = "at least 0" if zero else "positive"
+        kind = "finite and " if finite else ""
+        raise ValueError(f"{name} must be {kind}{bound}, got {seconds}")
+    return value
+
+
+def count_setting(name: str, count: int, *, minimum: int = 1) -> int:
+    """Check a count or cap ``name``: a whole number of at least
+    ``minimum`` (whole-valued floats and NumPy integers are accepted),
+    returned as an int.
+
+    Raises:
+        ValueError: naming ``name`` and its value.
+    """
+    value = float(count)
+    if not (math.isfinite(value) and value.is_integer() and value >= minimum):
+        raise ValueError(f"{name} must be a whole number >= {minimum}, got {count}")
+    return int(value)
 
 
 def round_deadline(deadline_s: float | None) -> float | None:
     """Check a round's admission deadline ``deadline_s``: ``None`` (never
-    reject) or positive, ``+inf`` included, returned as a float.  A NaN
-    deadline is refused: no arrival compares later than it, so it would
-    silently turn the deadline off.
+    reject) or positive seconds, ``+inf`` included, returned as a float
+    (see :func:`seconds_setting`).
 
     Raises:
         ValueError: naming ``deadline_s`` and its value.
     """
-    if deadline_s is None:
-        return None
-    seconds = float(deadline_s)
-    if not seconds > 0:
-        raise ValueError(f"deadline_s must be None or positive, got {deadline_s}")
-    return seconds
+    return None if deadline_s is None else seconds_setting("deadline_s", deadline_s)
 
 
 def round_sites(expected_sites: int | None) -> int | None:
     """Check the sites of one round ``expected_sites``: ``None`` (a round
-    closes only on an explicit commit) or a whole number of at least one
-    (whole-valued floats and NumPy integers are accepted), returned as an
-    int.
+    closes only on an explicit commit) or a whole number of at least one,
+    returned as an int (see :func:`count_setting`).
 
     Raises:
         ValueError: naming ``expected_sites`` and its value.
     """
     if expected_sites is None:
         return None
-    count = float(expected_sites)
-    if not (math.isfinite(count) and count.is_integer() and count >= 1):
-        raise ValueError(
-            f"expected_sites must be None or a whole number >= 1, got "
-            f"{expected_sites}"
-        )
-    return int(count)
+    return count_setting("expected_sites", expected_sites)
 
 
 def _by_site(models: list[LocalModel]) -> list[LocalModel]:

@@ -8,7 +8,6 @@ benchmark harness print them, and EXPERIMENTS.md embeds the markdown form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 __all__ = ["ExperimentTable"]
 
@@ -84,10 +83,3 @@ class ExperimentTable:
         """All raw values of one column (for assertions in tests/benches)."""
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
-
-
-def print_tables(tables: Iterable[ExperimentTable]) -> None:
-    """Print several tables separated by blank lines."""
-    for table in tables:
-        print(table.to_text())
-        print()

@@ -12,11 +12,11 @@ structures, all built from scratch:
 Use :func:`~repro.index.factory.build_index` to construct one by name.
 
 All indexes also answer *batched* queries (``range_query_batch`` /
-``region_query_batch``, optionally with hit distances or just counts):
-brute and kd-tree override the generic fallback with vectorized group
-evaluation, and the grid answers every query through one vectorized
-cell-pair join — what DBSCAN's level-synchronous expansion rides on (see
-``docs/performance.md``).
+``region_query_batch``) in one CSR shape, ``(hits, offsets)``, or just
+counts: brute and kd-tree compute the per-query rows with vectorized
+group evaluation, and the grid answers every query through one
+vectorized cell-pair join — what DBSCAN's level-synchronous expansion
+rides on (see ``docs/performance.md``).
 """
 
 from repro.index.base import NeighborIndex

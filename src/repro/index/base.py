@@ -14,16 +14,21 @@ An index is built once over an immutable point set and answers:
   definition of ``N_Eps(q)`` in the paper),
 * ``range_query(q, eps)`` — same for an arbitrary query point ``q``,
 * ``range_query_batch(Q, eps)`` / ``region_query_batch(indices, eps)`` —
-  the batched forms: one call answers a whole block of queries and returns
-  one index array per query (with ``return_distances=True`` also the hit
-  distances, with ``count_only=True`` just the neighbour counts).  The
-  generic fallback defined here simply loops;
-  :class:`~repro.index.brute.BruteForceIndex`,
-  :class:`~repro.index.grid.GridIndex` and
-  :class:`~repro.index.kdtree.KDTreeIndex` override it with genuinely
-  vectorized sweeps.  Batched results are contractually identical
-  (element-wise ``array_equal``) to the per-query results — DBSCAN's
-  level-synchronous expansion relies on this.
+  the batched forms: one call answers a whole block of queries in CSR
+  form, ``(hits, offsets)``: two fresh ``intp`` arrays, row ``k`` being
+  ``hits[offsets[k]:offsets[k + 1]]``, ascending (with
+  ``count_only=True`` just the neighbour counts, ``np.diff(offsets)``).
+  The rows are contractually identical (element-wise ``array_equal``)
+  to the per-query results — DBSCAN's level-synchronous expansion relies
+  on this.  The base class assembles the CSR once from per-query answers:
+  the generic fallback loops over ``range_query``, and
+  :class:`~repro.index.brute.BruteForceIndex` and
+  :class:`~repro.index.kdtree.KDTreeIndex` compute those answers with
+  vectorized sweeps; :class:`~repro.index.grid.GridIndex` answers
+  through its cell-pair join, which is CSR already.  No mode returns
+  distances: a caller that needs them for some of the hits computes
+  those with ``metric.paired(points[query], points[hit])``, bitwise
+  ``metric.to_many``.
 * ``candidate_pairs(eps)`` — an upper bound on the total hits of a region
   query of every indexed point, known before any distance is computed:
   n² here, the grid's cell-pair candidate count in
@@ -134,6 +139,23 @@ def _as_query_batch(queries: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+def _through(lengths: np.ndarray) -> np.ndarray:
+    """Running totals with a leading zero: CSR offsets of ``lengths``."""
+    out = np.zeros(lengths.size + 1, dtype=np.intp)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _csr(rows: list[np.ndarray], count_only: bool):
+    """The batch answer of per-query hit arrays: their counts with
+    ``count_only``, else CSR ``(hits, offsets)``, both fresh ``intp``."""
+    counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    if count_only:
+        return counts
+    hits = np.concatenate(rows) if rows else np.empty(0, dtype=np.intp)
+    return hits.astype(np.intp, copy=False), _through(counts)
+
+
 class NeighborIndex(abc.ABC):
     """Abstract exact ``Eps``-neighborhood index over a fixed point set.
 
@@ -227,110 +249,63 @@ class NeighborIndex(abc.ABC):
         """
 
     def range_query_batch(
-        self,
-        queries: np.ndarray,
-        eps: float,
-        *,
-        return_distances: bool = False,
-        count_only: bool = False,
+        self, queries: np.ndarray, eps: float, *, count_only: bool = False
     ):
         """Answer many range queries at once.
 
-        The generic fallback loops over :meth:`range_query`; subclasses
-        override it with vectorized group evaluation.  Results are
-        guaranteed identical to issuing the queries one at a time.
-
         Args:
             queries: array of shape ``(q, d)`` (an empty array is allowed
-                and yields an empty list).
+                and yields no rows).
             eps: neighborhood radius (inclusive), shared by all queries.
-            return_distances: also return each query's hit distances,
-                bitwise equal to ``metric.to_many(query, points[hits])``.
             count_only: return just the ``intp`` array of hit counts.
 
         Returns:
-            A list of ``q`` sorted integer index arrays, one per query
-            row; ``(hits, distances)`` lists with ``return_distances``;
-            an array of ``q`` counts with ``count_only``.
+            ``(hits, offsets)`` in CSR form: fresh ``intp`` arrays, row
+            ``k`` is ``hits[offsets[k]:offsets[k + 1]]``, ascending and
+            equal to ``range_query(queries[k], eps)``; the ``q`` counts
+            with ``count_only``.
         """
         dim = self._points.shape[1] if self._points.ndim == 2 else 0
         queries = _as_query_batch(queries, dim)
-        hits = [self.range_query(query, eps) for query in queries]
-        return self._batch_result(queries, hits, return_distances, count_only)
+        return _csr(self._range_rows(queries, eps), count_only)
 
-    def _batch_result(
-        self,
-        queries: np.ndarray,
-        hits: list[np.ndarray],
-        return_distances: bool,
-        count_only: bool,
-    ):
-        """Shape per-query hit arrays into the requested batch result."""
-        if count_only:
-            return np.fromiter((h.size for h in hits), dtype=np.intp, count=len(hits))
-        if return_distances:
-            distances = [
-                self._metric.to_many(query, self._points[h])
-                for query, h in zip(queries, hits)
-            ]
-            return hits, distances
-        return hits
+    def _range_rows(self, queries: np.ndarray, eps: float) -> list[np.ndarray]:
+        """The sorted hits of each query row: the generic fallback loops
+        over :meth:`range_query`; subclasses vectorize it."""
+        return [self.range_query(query, eps) for query in queries]
 
     def region_query_batch(
-        self,
-        indices: np.ndarray,
-        eps: float,
-        *,
-        return_distances: bool = False,
-        count_only: bool = False,
+        self, indices: np.ndarray, eps: float, *, count_only: bool = False
     ):
         """``N_Eps`` of many indexed points at once.
 
         Args:
             indices: integer array of row indices into the indexed set.
             eps: neighborhood radius (inclusive), shared by all queries.
-            return_distances: also return the hit distances (see
-                :meth:`range_query_batch`).
             count_only: return just the neighbourhood sizes.
 
         Returns:
-            A list of sorted integer index arrays, one per entry of
-            ``indices``; element ``k`` equals ``region_query(indices[k],
-            eps)``.  ``return_distances`` and ``count_only`` reshape it
-            as in :meth:`range_query_batch`.
+            ``(hits, offsets)`` in CSR form, as :meth:`range_query_batch`:
+            row ``k`` equals ``region_query(indices[k], eps)``; the
+            neighbourhood sizes with ``count_only``.
         """
         indices = np.asarray(indices, dtype=np.intp)
         if indices.size == 0:
-            return self._batch_result(
-                np.empty((0, self._points.shape[1])), [], return_distances, count_only
-            )
+            return _csr([], count_only)
         if self._obs_metrics is None:
-            return self._region_batch(indices, eps, return_distances, count_only)
+            return self._region_batch(indices, eps, count_only)
         start = time.perf_counter()
-        results = self._region_batch(indices, eps, return_distances, count_only)
-        if count_only:
-            counts = results
-        else:
-            hits = results[0] if return_distances else results
-            counts = [result.size for result in hits]
+        results = self._region_batch(indices, eps, count_only)
+        counts = results if count_only else np.diff(results[1])
         self._record_queries(
             indices.size, time.perf_counter() - start, counts, batch=True
         )
         return results
 
-    def _region_batch(
-        self,
-        indices: np.ndarray,
-        eps: float,
-        return_distances: bool,
-        count_only: bool,
-    ):
+    def _region_batch(self, indices: np.ndarray, eps: float, count_only: bool):
         """The uninstrumented body of :meth:`region_query_batch`."""
         return self.range_query_batch(
-            self._points[indices],
-            eps,
-            return_distances=return_distances,
-            count_only=count_only,
+            self._points[indices], eps, count_only=count_only
         )
 
     def candidate_pairs(self, eps: float) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.distance import Metric
-from repro.index.base import NeighborIndex, _as_query_batch
+from repro.index.base import NeighborIndex
 
 __all__ = ["BruteForceIndex"]
 
@@ -75,32 +75,19 @@ class BruteForceIndex(NeighborIndex):
         self._proj_points = self._points[self._proj_order]
         self._proj_values = self._proj_points[:, self._proj_dim]
 
-    def range_query_batch(
-        self,
-        queries: np.ndarray,
-        eps: float,
-        *,
-        return_distances: bool = False,
-        count_only: bool = False,
-    ):
-        dim = self._points.shape[1] if self._points.ndim == 2 else 0
-        queries = _as_query_batch(queries, dim)
-        n_queries = queries.shape[0]
-        if n_queries == 0 or len(self) == 0:
-            hits = [np.empty(0, dtype=np.intp) for _ in range(n_queries)]
-            return self._batch_result(queries, hits, return_distances, count_only)
+    def _range_rows(self, queries: np.ndarray, eps: float) -> list[np.ndarray]:
         reach = self._projection_reach(eps)
-        if reach is None:
-            # Non-L_p metric: no valid coordinate bound, full scan per query.
-            hits = [self.range_query(query, eps) for query in queries]
-            return self._batch_result(queries, hits, return_distances, count_only)
+        if reach is None or len(self) == 0:
+            # Non-L_p metric (no valid coordinate bound) or nothing indexed:
+            # one full scan per query.
+            return super()._range_rows(queries, eps)
         self._ensure_projection()
         assert self._proj_values is not None  # for type checkers
         projected = queries[:, self._proj_dim]
         lo = np.searchsorted(self._proj_values, projected - reach, side="left")
         hi = np.searchsorted(self._proj_values, projected + reach, side="right")
         out: list[np.ndarray] = []
-        for i in range(n_queries):
+        for i in range(queries.shape[0]):
             if lo[i] >= hi[i]:
                 out.append(np.empty(0, dtype=np.intp))
                 continue
@@ -109,4 +96,4 @@ class BruteForceIndex(NeighborIndex):
             hits = candidates[distances <= eps]
             hits.sort()
             out.append(hits)
-        return self._batch_result(queries, out, return_distances, count_only)
+        return out

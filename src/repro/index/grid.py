@@ -36,10 +36,12 @@ join** that runs in a fixed number of NumPy passes per block of queries:
    ``Metric.to_many``) filters the pairs;
 4. one sort of ``(query, point)`` keys, the pairs out of range keyed past
    every hit, puts the survivors in CSR order: a flat hit array, ascending
-   within each query, plus per-query row offsets (:meth:`GridIndex.join`
-   returns them as they are).  The join's reducing mode lists no hits:
-   two ``np.minimum.reduceat`` over each query's pairs give its nearest
-   point within that point's own radius (the relabel fold's cover).
+   within each query, plus per-query row offsets.  That is the batch
+   answer of every index kind (``range_query_batch`` is the join), so
+   the rows are never split per query.  The join's reducing mode lists no
+   hits: two ``np.minimum.reduceat`` over each query's pairs give its
+   nearest point within that point's own radius (the relabel fold's
+   cover).
 
 A region query of every indexed point, in index order and at the build
 radius's ring reach (DBSCAN's one-call graph fetch, the global model's
@@ -51,7 +53,7 @@ keys ``(q, p)`` and ``(p, q)`` (:meth:`Metric.paired` is bitwise
 symmetric), plus one self key per point, and one in-place sort of the
 staged keys gives the per-query rows bit for bit.  Such a fetch evaluates
 ``(candidate_pairs - n) / 2`` distances; every other block (a subset, a
-permutation, counts, distances, another radius) keeps the per-query path.
+permutation, counts, another radius) keeps the per-query path.
 
 A block is cut into passes of at most ``PASS_BUDGET_BYTES`` (4 MiB) of
 pair arrays, small enough to stay in the CPU caches.  A pass writes its
@@ -62,8 +64,8 @@ A row answer is staged in the set pass by pass and copied out once, so
 nothing a join returns aliases a buffer.  The list keeps at most one set
 per join that ran at the same time; a set holds one pass of pair arrays
 (a lone query over the budget gets buffers that are not kept) and a
-staged answer of at most a quarter pass per array, so at most 1.5 passes
-(6 MiB).  Taking and giving back a set are single atomic ``deque``
+staged answer array of at most a quarter pass, so at most 1.25 passes
+(5 MiB).  Taking and giving back a set are single atomic ``deque``
 operations: a set serves one join at a time, no lock is held across a
 pass, and a forked child inherits the list as it is.  Only the neighbour
 table is filled in after construction, and it is a pure function of the
@@ -84,6 +86,7 @@ from repro.index.base import (
     NeighborIndex,
     _as_query_batch,
     _budget_runs,
+    _through,
     coordinate_reach,
 )
 
@@ -99,8 +102,8 @@ _KEY_LIMIT = 2**62
 # The sort key of a pair beyond the query radius: past every hit's key.
 _MISS = np.iinfo(np.intp).max
 
-# The bytes of a staged row answer, per array, that a kept buffer set
-# keeps: a quarter of a pass, so a kept set holds at most 1.5 passes.
+# The bytes of a staged row answer that a kept buffer set keeps: a
+# quarter of a pass, so a kept set holds at most 1.25 passes.
 _STAGE_BYTES = PASS_BUDGET_BYTES // 4
 
 # Entries of a per-call index or key temporary made at once: 64 KiB of
@@ -154,9 +157,8 @@ class _PassBuffers:
     def release(self) -> None:
         """Return to the free list, dropping a staged answer array over
         ``_STAGE_BYTES`` (the pass arrays never outgrow one pass)."""
-        for name in ("hits", "hit_distances"):
-            if name in self._arrays and self._arrays[name].nbytes > _STAGE_BYTES:
-                del self._arrays[name]
+        if "hits" in self._arrays and self._arrays["hits"].nbytes > _STAGE_BYTES:
+            del self._arrays["hits"]
         _FREE_BUFFERS.append(self)
 
 
@@ -399,17 +401,15 @@ class GridIndex(NeighborIndex):
         eps: float,
         *,
         cells: np.ndarray | None = None,
-        distances: bool = False,
         count_only: bool = False,
         radii: np.ndarray | None = None,
     ):
         """Answer a block of range queries through the cell-pair join.
 
-        The flat form of :meth:`range_query_batch`: callers that reduce
-        the hits with NumPy read the CSR arrays directly instead of one
-        array per query.  With ``radii`` the join reduces instead: per
-        query, the nearest indexed point within that point's own radius
-        (the relabel fold's nearest covering representative).
+        What :meth:`range_query_batch` and :meth:`region_query_batch`
+        return.  With ``radii`` the join reduces instead: per query, the
+        nearest indexed point within that point's own radius (the relabel
+        fold's nearest covering representative).
 
         Args:
             queries: ``(m, d)`` float query points.  A row with a NaN or
@@ -418,8 +418,6 @@ class GridIndex(NeighborIndex):
             cells: the occupied cell id of each query when the queries
                 are indexed points (how :meth:`region_query_batch` calls
                 it); ``None`` for any other queries.
-            distances: also return the hit distances (bitwise
-                ``Metric.to_many``).
             count_only: return just the ``intp`` hit counts.
             radii: one radius per indexed point: point ``j`` matches a
                 query within ``radii[j]`` of it.  A radius above ``eps``
@@ -431,10 +429,10 @@ class GridIndex(NeighborIndex):
             of the nearest matching point (the lowest index on a distance
             tie) and that distance (bitwise ``Metric.to_many``), ``-1``
             and ``inf`` where no point matches.  Otherwise the hit counts
-            with ``count_only``, or ``(hits, offsets, hit distances or
-            None)`` in CSR form: row ``k`` is
-            ``hits[offsets[k]:offsets[k + 1]]``, ascending.  Every array
-            is fresh: none shares memory with the pass buffers.
+            with ``count_only``, or ``(hits, offsets)`` in CSR form: row
+            ``k`` is ``hits[offsets[k]:offsets[k + 1]]``, ascending.
+            Every array is fresh: none shares memory with the pass
+            buffers.
 
         Raises:
             ValueError: if ``eps`` is infinite, or ``radii`` is not one
@@ -463,9 +461,7 @@ class GridIndex(NeighborIndex):
                 return nearest, nearest_distance
             if count_only:
                 return counts
-            return np.empty(0, dtype=np.intp), np.zeros(m + 1, dtype=np.intp), (
-                np.empty(0, dtype=float) if distances else None
-            )
+            return np.empty(0, dtype=np.intp), np.zeros(m + 1, dtype=np.intp)
         queries = np.asarray(queries, dtype=float)
         group_of, (offsets, neighbours, group_size) = self._query_groups(
             queries, rings, cells
@@ -494,13 +490,8 @@ class GridIndex(NeighborIndex):
                     buffers,
                 )
                 continue
-            counts[lo:hi], pass_hits, pass_dists = self._hits(
-                grouped,
-                query_through,
-                eps,
-                buffers,
-                rows=not count_only,
-                distances=distances,
+            counts[lo:hi], pass_hits = self._hits(
+                grouped, query_through, eps, buffers, rows=not count_only
             )
             if count_only:
                 continue
@@ -508,19 +499,13 @@ class GridIndex(NeighborIndex):
             # is one fresh array, copied out at the end.
             end = total + pass_hits.size
             pooled("hits", end, keep=total)[total:] = pass_hits
-            if distances:
-                pooled("hit_distances", end, float, keep=total)[total:] = pass_dists
             total = end
         if radii is not None:
             answer = nearest, nearest_distance
         elif count_only:
             answer = counts
         else:
-            answer = (
-                pooled("hits", total).copy(),
-                _through(counts),
-                pooled("hit_distances", total, float).copy() if distances else None,
-            )
+            answer = pooled("hits", total).copy(), _through(counts)
         pooled.release()
         return answer
 
@@ -638,11 +623,10 @@ class GridIndex(NeighborIndex):
         buffers: _PassBuffers,
         *,
         rows: bool,
-        distances: bool,
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """The hit counts of a pass's pairs within ``eps`` and, with
-        ``rows``, the hits (ascending within each query) and, with
-        ``distances``, their distances, as views of ``buffers``."""
+        ``rows``, the hits (ascending within each query), a view of
+        ``buffers``."""
         pair_query, pair_point, d = grouped
         k, n = d.size, len(self)
         if not rows:
@@ -653,29 +637,16 @@ class GridIndex(NeighborIndex):
             counts = np.zeros(query_through.size - 1, dtype=np.intp)
             if has_pairs.size:
                 counts[has_pairs] = np.add.reduceat(flags, query_through[has_pairs])
-            return counts, None, None
+            return counts, None
         key = np.multiply(pair_query, n, out=buffers("work", k))
         key += pair_point
-        miss = np.greater(d, eps, out=buffers("mask", k, bool))
-        hit_distance = None
-        if distances:
-            # The hits first, then their argsort: one over the misses too
-            # costs three times as much.  Only this mode allocates arrays
-            # per pass, each the size of the pass's hits.
-            hit = np.flatnonzero(np.logical_not(miss, out=miss))
-            hit = np.take(hit, np.take(key, hit).argsort())
-            hit_distance = np.take(
-                d, hit, out=buffers("spare", hit.size, float), mode="clip"
-            )
-            key = np.take(key, hit, out=buffers("sorted", hit.size), mode="clip")
-        else:
-            # One sort with each miss keyed past every hit puts the hits
-            # first, by query and ascending within each.
-            np.copyto(key, _MISS, where=miss)
-            key.sort()
+        # One sort with each miss keyed past every hit puts the hits
+        # first, by query and ascending within each.
+        np.copyto(key, _MISS, where=np.greater(d, eps, out=buffers("mask", k, bool)))
+        key.sort()
         bounds = np.searchsorted(key, np.arange(query_through.size) * n)
         hits = np.remainder(key[: bounds[-1]], n, out=key[: bounds[-1]])
-        return np.diff(bounds), hits, hit_distance
+        return np.diff(bounds), hits
 
     def _nearest(
         self,
@@ -718,14 +689,6 @@ class GridIndex(NeighborIndex):
         nearest[has_pairs[covered]] = lowest[covered]
         distance[has_pairs[covered]] = best[covered]
 
-    def _answer(self, joined, return_distances: bool, count_only: bool):
-        """Shape a join result into the batch API's return value."""
-        if count_only:
-            return joined
-        flat, offsets, dists = joined
-        hits = _split(flat, offsets)
-        return (hits, _split(dists, offsets)) if return_distances else hits
-
     # ------------------------------------------------------------------
     # the NeighborIndex API: thin views over the join
     # ------------------------------------------------------------------
@@ -744,61 +707,32 @@ class GridIndex(NeighborIndex):
     def range_query(self, query: np.ndarray, eps: float) -> np.ndarray:
         dim = self._points.shape[1]
         query = np.asarray(query, dtype=float).reshape(1, dim)
-        flat, __, __ = self.join(query, eps)
-        return flat
+        hits, __ = self.join(query, eps)
+        return hits
 
     def range_query_batch(
-        self,
-        queries: np.ndarray,
-        eps: float,
-        *,
-        return_distances: bool = False,
-        count_only: bool = False,
+        self, queries: np.ndarray, eps: float, *, count_only: bool = False
     ):
-        """Vectorized batch queries through the cell-pair join.
-
-        Args:
-            queries: ``(m, d)`` query points.
-            eps: query radius.
-            return_distances: also return each query's hit distances —
-                the join already evaluated them with a kernel bitwise
-                equal to ``Metric.to_many``, so callers need not
-                recompute them.
-            count_only: return just the ``intp`` hit counts.
-
-        Returns:
-            The per-query hit arrays, ``(hits, distances)`` lists when
-            ``return_distances`` is true, or the counts.
-        """
+        """The cell-pair join of ``queries``: CSR ``(hits, offsets)``, or
+        the counts with ``count_only``."""
         queries = _as_query_batch(queries, self._points.shape[1])
-        joined = self.join(
-            queries, eps, distances=return_distances, count_only=count_only
-        )
-        return self._answer(joined, return_distances, count_only)
+        return self.join(queries, eps, count_only=count_only)
 
-    def _region_batch(
-        self,
-        indices: np.ndarray,
-        eps: float,
-        return_distances: bool,
-        count_only: bool,
-    ):
+    def _region_batch(self, indices: np.ndarray, eps: float, count_only: bool):
         if (
-            not (return_distances or count_only)
+            not count_only
             and indices.size == len(self)
             and self._rings(eps) == self._rings0
             and np.array_equal(indices, np.arange(len(self)))
         ):
             # The whole neighbour graph: each cell pair is joined once.
-            return _split(*self._self_join(eps))
-        joined = self.join(
+            return self._self_join(eps)
+        return self.join(
             self._points[indices],
             eps,
             cells=self._point_cell[indices],
-            distances=return_distances,
             count_only=count_only,
         )
-        return self._answer(joined, return_distances, count_only)
 
 
 def _build_csr(
@@ -873,13 +807,6 @@ def _stencil(rings: int, dim: int) -> np.ndarray:
     return stencil
 
 
-def _through(lengths: np.ndarray) -> np.ndarray:
-    """Running totals with a leading zero: CSR offsets of ``lengths``."""
-    out = np.zeros(lengths.size + 1, dtype=np.intp)
-    np.cumsum(lengths, out=out[1:])
-    return out
-
-
 def _ranges(starts: np.ndarray, through: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(s, s + l)`` for every start ``s`` and
     length ``l`` (given as the running totals ``through``)."""
@@ -925,9 +852,3 @@ def _take_rows(
     """The CSR sub-table of the selected ``rows``."""
     through = _through(offsets[rows + 1] - offsets[rows])
     return through, values[_ranges(offsets[rows], through)]
-
-
-def _split(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
-    """Per-row views of a CSR array."""
-    bounds = offsets.tolist()
-    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]

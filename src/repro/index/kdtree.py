@@ -15,7 +15,7 @@ import heapq
 import numpy as np
 
 from repro.data.distance import Metric
-from repro.index.base import NeighborIndex, _as_query_batch, coordinate_reach
+from repro.index.base import NeighborIndex, coordinate_reach
 
 __all__ = ["KDTreeIndex"]
 
@@ -129,14 +129,7 @@ class KDTreeIndex(NeighborIndex):
         out.sort()
         return out
 
-    def range_query_batch(
-        self,
-        queries: np.ndarray,
-        eps: float,
-        *,
-        return_distances: bool = False,
-        count_only: bool = False,
-    ):
+    def _range_rows(self, queries: np.ndarray, eps: float) -> list[np.ndarray]:
         """Batched range queries via one shared tree traversal.
 
         The whole query group descends the tree together: at every split
@@ -145,14 +138,10 @@ class KDTreeIndex(NeighborIndex):
         matrix call.  Every query visits exactly the leaves the single-query
         traversal would visit, so results are identical.
         """
-        dim = self._points.shape[1] if self._points.ndim == 2 else 0
-        queries = _as_query_batch(queries, dim)
         n_queries = queries.shape[0]
         empty = np.empty(0, dtype=np.intp)
         if n_queries == 0 or len(self) == 0:
-            return self._batch_result(
-                queries, [empty] * n_queries, return_distances, count_only
-            )
+            return [empty] * n_queries
         reach = coordinate_reach(self._metric, eps)
         hits: list[list[np.ndarray]] = [[] for _ in range(n_queries)]
         stack: list[tuple[int, np.ndarray]] = [
@@ -187,7 +176,7 @@ class KDTreeIndex(NeighborIndex):
             merged = np.concatenate(parts)
             merged.sort()
             out.append(merged)
-        return self._batch_result(queries, out, return_distances, count_only)
+        return out
 
     def knn_query(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``k`` nearest indexed points to ``query``.

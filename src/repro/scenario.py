@@ -721,8 +721,10 @@ def _hot_paths(spec: Scenario, report: Report) -> None:
             batched, at_once = _best_of(
                 lambda: index.region_query_batch(queries, eps), repeats
             )
+            hits, offsets = at_once
             report.check(
-                all(np.array_equal(a, b) for a, b in zip(one_by_one, at_once)),
+                np.array_equal(np.diff(offsets), list(map(len, one_by_one)))
+                and np.array_equal(hits, np.concatenate(one_by_one)),
                 f"batched {kind} region queries diverged from per-query results",
             )
             put("region_queries.single_seconds", single, kind)

@@ -67,8 +67,10 @@ from repro.core.relabel import relabel_site, require_model_dimensionality
 from repro.distributed.server import (
     Decision,
     RoundCore,
+    count_setting,
     round_deadline,
     round_sites,
+    seconds_setting,
 )
 from repro.obs import MetricsRegistry, NULL_TRACER, shift_span_times, trace_document
 from repro.obs.openmetrics import OPENMETRICS_CONTENT_TYPE, render_registry
@@ -152,40 +154,18 @@ class ServiceConfig:
         global_radius(self.eps_global)
         round_sites(self.expected_sites)
         round_deadline(self.deadline_s)
-        if self.idle_timeout_s <= 0:
-            raise ValueError(
-                f"idle_timeout_s must be positive, got {self.idle_timeout_s}"
-            )
-        if self.await_timeout_cap_s <= 0:
-            raise ValueError(
-                "await_timeout_cap_s must be positive, got "
-                f"{self.await_timeout_cap_s}"
-            )
-        if self.max_frame_bytes < wire.HEADER_SIZE:
-            raise ValueError(
-                f"max_frame_bytes must be >= {wire.HEADER_SIZE}, "
-                f"got {self.max_frame_bytes}"
-            )
-        if self.shutdown_grace_s < 0:
-            raise ValueError(
-                f"shutdown_grace_s must be >= 0, got {self.shutdown_grace_s}"
-            )
-        if (
-            self.max_inflight_requests is not None
-            and self.max_inflight_requests < 1
-        ):
-            raise ValueError(
-                "max_inflight_requests must be >= 1, got "
-                f"{self.max_inflight_requests}"
-            )
-        if self.max_connections is not None and self.max_connections < 1:
-            raise ValueError(
-                f"max_connections must be >= 1, got {self.max_connections}"
-            )
-        if self.retry_after_s <= 0:
-            raise ValueError(
-                f"retry_after_s must be positive, got {self.retry_after_s}"
-            )
+        # An infinite idle timeout, delta wait cap or grace means "never";
+        # a retry hint must be a finite sleep.
+        seconds_setting("idle_timeout_s", self.idle_timeout_s)
+        seconds_setting("await_timeout_cap_s", self.await_timeout_cap_s)
+        seconds_setting("shutdown_grace_s", self.shutdown_grace_s, zero=True)
+        seconds_setting("retry_after_s", self.retry_after_s, finite=True)
+        count_setting(
+            "max_frame_bytes", self.max_frame_bytes, minimum=wire.HEADER_SIZE
+        )
+        for name in ("max_inflight_requests", "max_connections"):
+            if getattr(self, name) is not None:
+                count_setting(name, getattr(self, name))
 
 
 #: Frame kinds that consume the bounded admission budget; everything

@@ -9,7 +9,8 @@ classic one-region-query-per-seed loop over a full distance scan
 (``tests/dbscan_oracle.py``); labels, core mask, ``n_region_queries`` and
 the whole observer stream (neighbour arrays included) must be equal, and
 ``build_rep_scor_model`` must choose the Scor sets and ε-ranges the
-distance-based collector chooses.
+distance-based collector chooses; ``specific_eps_ranges`` must equal
+Definition 7 computed per Scor point with ``to_many``, bitwise.
 
 Every case runs on both of the fit's row sources: the whole
 neighbourhood graph from one index call (what these small inputs get by
@@ -30,10 +31,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.clustering.dbscan import DBSCAN, _row_budget
-from repro.core.local import build_rep_scor_model
-from repro.data.distance import get_metric
+from repro.core.local import (
+    SpecificCorePointCollector,
+    build_rep_scor_model,
+    specific_eps_ranges,
+)
+from repro.data.distance import Metric, euclidean, get_metric
 from repro.index import GridIndex, build_index
 from repro.obs import MetricsRegistry
+from tests.csr_rows import csr_rows
 from tests.dbscan_oracle import (
     DistanceCollector,
     RecordingObserver,
@@ -209,19 +215,26 @@ def test_high_dimensions_beyond_linear_keys(metric, seed, dim, min_pts):
 @SETTINGS
 @given(data=blob_sets(max_dim=12), cell_factor=st.sampled_from([0.3, 1.0, 2.5]))
 def test_grid_join_rows_counts_and_distances(metric, data, cell_factor):
-    """The join's three forms agree with a full scan, bitwise — at the
-    build radius (prebuilt neighbour table) and at other radii."""
+    """The join's rows and counts agree with a full scan, and the hit
+    distances a caller computes over its CSR pairs with ``Metric.paired``
+    are the scan's, bitwise — at the build radius (prebuilt neighbour
+    table) and at other radii."""
     points, eps, __ = data
     resolved = get_metric(metric)
     index = GridIndex(points, resolved, cell_size=eps * cell_factor)
     picks = np.arange(0, len(points), 3)
-    rows, distances = index.region_query_batch(picks, eps, return_distances=True)
+    hits, offsets = index.region_query_batch(picks, eps)
+    rows = csr_rows((hits, offsets))
     counts = index.region_query_batch(picks, eps, count_only=True)
-    for i, row, dist, count in zip(picks, rows, distances, counts):
+    owner = np.repeat(picks, np.diff(offsets))
+    distances = resolved.paired(points[owner], points[hits])
+    assert len(rows) == len(counts) == picks.size
+    for k, (i, row, count) in enumerate(zip(picks, rows, counts)):
         full = resolved.to_many(points[i], points)
         expected = np.flatnonzero(full <= eps)
         assert np.array_equal(row, expected)
-        assert np.array_equal(dist, full[expected])
+        dist = distances[offsets[k] : offsets[k + 1]]
+        assert dist.tobytes() == full[expected].tobytes()
         assert count == expected.size
 
 
@@ -338,8 +351,8 @@ def test_candidate_pairs_bound_the_true_hits(kind, metric, data, factor):
 
 def test_budget_cuts_change_nothing(monkeypatch):
     """Join passes and BFS row blocks cut at tiny budgets give the uncut
-    results: the same rows and distances, the same nearest points, the
-    same DBSCAN run."""
+    results: the same rows and counts, the same nearest points, the same
+    DBSCAN run."""
     rng = np.random.default_rng(4)
     points = np.concatenate(
         [rng.normal(0, 1, size=(150, 2)), rng.uniform(-5, 5, size=(50, 2))]
@@ -351,10 +364,12 @@ def test_budget_cuts_change_nothing(monkeypatch):
     queries = rng.uniform(-6, 6, size=(120, 2))
     radii = rng.uniform(0.05, 0.4, size=len(points))
     for eps in (0.4, 1.3):
-        rows, dists = whole.region_query_batch(ids, eps, return_distances=True)
-        cut_rows, cut_dists = cut.region_query_batch(ids, eps, return_distances=True)
+        rows = csr_rows(whole.region_query_batch(ids, eps))
+        cut_rows = csr_rows(cut.region_query_batch(ids, eps))
+        assert len(rows) == len(cut_rows) == ids.size
         assert all(np.array_equal(a, b) for a, b in zip(rows, cut_rows))
-        assert all(np.array_equal(a, b) for a, b in zip(dists, cut_dists))
+        counts = cut.region_query_batch(ids, eps, count_only=True)
+        assert np.array_equal(counts, list(map(len, rows)))
         nearest, distance = whole.join(queries, eps, radii=radii)
         cut_nearest, cut_distance = cut.join(queries, eps, radii=radii)
         assert np.array_equal(nearest, cut_nearest)
@@ -408,3 +423,38 @@ def test_rep_scor_model_matches_distance_collector(kind, metric, data):
     ]
     got_ranges = outcome.model.eps_ranges.tolist()
     assert got_ranges == expected_ranges
+
+
+# A metric without a paired kernel: ``Metric.paired`` loops over its rows
+# with ``to_many`` (brute force answers it, the grid refuses it).
+WEIRD = Metric("weird", euclidean.pairwise, euclidean.to_many)
+
+
+@pytest.mark.parametrize("metric", [*GRID_METRICS, WEIRD], ids=str)
+@pytest.mark.parametrize("per_level", [False, True], ids=["graph", "per-level"])
+@SETTINGS
+@given(data=st.one_of(blob_sets(), lattices()))
+def test_specific_eps_ranges_are_definition_7(metric, per_level, data):
+    """Each Scor point's ε-range is Definition 7 computed from it with
+    ``to_many``, bitwise, with the Scor sets read off either row source
+    of the fit (the per-level one forced by an overstated pair bound)."""
+    points, eps, min_pts = data
+    resolved = get_metric(metric)
+    if resolved.name == "squared_euclidean":
+        eps = eps * eps
+    index = build_index(points, metric=resolved, eps=eps)
+    if per_level:
+        index.candidate_pairs = lambda radius: _row_budget() + 1
+    collector = SpecificCorePointCollector(len(points))
+    result = DBSCAN(eps, min_pts, metric=resolved).fit(
+        points, index=index, observer=collector
+    )
+    chosen = np.concatenate(
+        [np.empty(0, dtype=np.intp), *collector.specific_core_points().values()]
+    )
+    expected = np.asarray(
+        [distance_eps_range(points, s, eps, result.core_mask, resolved) for s in chosen],
+        dtype=float,
+    )
+    ranges = specific_eps_ranges(chosen, result)
+    assert ranges.tobytes() == expected.tobytes()

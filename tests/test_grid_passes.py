@@ -41,16 +41,14 @@ def _answers(grid: GridIndex, seed: int) -> dict:
     return {
         "rows": grid.join(points, 0.5, cells=cells),
         "graph": grid._self_join(0.5),
-        "distances": grid.join(points, 0.5, cells=cells, distances=True),
         "counts": grid.join(points, 0.5, cells=cells, count_only=True),
-        "range": grid.join(queries, 0.8, distances=True),
+        "range": grid.join(queries, 0.8),
         "nearest": grid.join(queries, 0.5, radii=radii),
     }
 
 
-def _arrays(answer) -> list[np.ndarray]:
-    parts = answer if isinstance(answer, tuple) else (answer,)
-    return [part for part in parts if part is not None]
+def _arrays(answer) -> tuple[np.ndarray, ...]:
+    return answer if isinstance(answer, tuple) else (answer,)
 
 
 def _equal(left: dict, right: dict) -> bool:
@@ -144,26 +142,26 @@ def test_a_repeated_join_reuses_its_pass_buffers():
 def test_kept_buffer_sets_stay_within_their_bound():
     """A row answer of more than a quarter pass and a lone query over the
     pass budget leave nothing larger behind: every kept set holds at most
-    one pass of pair arrays plus a quarter pass per staged answer array.
+    one pass of pair arrays plus a quarter pass of staged answer.
     (Sets kept by earlier tests may have served grids of other dimensions,
     whose passes differ in shape, so the list starts empty.)"""
     grid_module._FREE_BUFFERS.clear()
     rng = np.random.default_rng(8)
     grid = GridIndex(rng.uniform(0, 10, size=(20_000, 2)), cell_size=1.0)
     for queries in (2_000, 400):
-        hits, __, __ = grid.join(grid.points[:queries], 1.0, distances=True)
+        hits, __ = grid.join(grid.points[:queries], 1.0)
         assert hits.nbytes > PASS_BUDGET_BYTES // 4
     # A whole-graph fetch stages every hit from both ends.
     hits, __ = GridIndex(grid.points[:3_000], cell_size=1.0)._self_join(1.0)
     assert hits.nbytes > PASS_BUDGET_BYTES // 4
     dense = GridIndex(rng.uniform(0, 1, size=(100_000, 2)), cell_size=1.0)
     assert len(dense) > dense._pair_budget  # one cell: a lone oversize query
-    dense.join(dense.points[:1], 1.0, distances=True)
+    dense.join(dense.points[:1], 1.0)
     for kept in list(grid_module._FREE_BUFFERS):
         sizes = {name: array.nbytes for name, array in kept._arrays.items()}
-        staged = sizes.pop("hits", 0) + sizes.pop("hit_distances", 0)
+        staged = sizes.pop("hits", 0)
         assert sum(sizes.values()) <= PASS_BUDGET_BYTES
-        assert staged <= PASS_BUDGET_BYTES // 2
+        assert staged <= PASS_BUDGET_BYTES // 4
 
 
 @pytest.mark.parametrize("bad", [np.nan, -0.5])

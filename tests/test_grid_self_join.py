@@ -18,6 +18,7 @@ from repro.data.datasets import dataset_a
 from repro.data.distance import Metric
 from repro.distributed.partition import partition
 from repro.index import BruteForceIndex, GridIndex
+from tests.csr_rows import csr_rows
 
 METRICS = ("euclidean", "manhattan", "chebyshev", "squared_euclidean")
 
@@ -73,7 +74,7 @@ def _assert_whole_graph(grid: GridIndex, eps: float, calls: list) -> None:
     the brute-force index's rows."""
     n = len(grid)
     before = len(calls)
-    rows = grid.region_query_batch(np.arange(n), eps)
+    rows = csr_rows(grid.region_query_batch(np.arange(n), eps))
     assert len(calls) == before + 1
     brute = BruteForceIndex(grid.points, grid.metric)
     assert len(rows) == n
@@ -164,15 +165,15 @@ def test_a_data_set_a_site_evaluates_half_the_candidates(paired_rows, self_joins
     grid = GridIndex(site, cell_size=eps)
     candidates = grid.candidate_pairs(eps)
     assert paired_rows[0] == 0
-    rows = grid.region_query_batch(np.arange(len(site)), eps)
+    graph = grid.region_query_batch(np.arange(len(site)), eps)
     assert self_joins == [eps]
     assert paired_rows[0] == (candidates - len(site)) // 2
-    hits = sum(map(len, rows))
+    hits = sum(map(len, csr_rows(graph)))
     assert (hits - len(site)) % 2 == 0 and hits <= candidates
     paired_rows[0] = 0
     per_query = grid.join(site, eps, cells=grid._point_cell)
     assert paired_rows[0] == candidates
-    assert np.array_equal(np.concatenate(rows), per_query[0])
+    assert all(map(np.array_equal, graph, per_query))
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -185,7 +186,7 @@ def test_a_lattice_at_exactly_eps(metric, paired_rows, self_joins):
     eps = 1.0
     grid = GridIndex(points, metric, cell_size=eps)
     candidates = grid.candidate_pairs(eps)
-    rows = grid.region_query_batch(np.arange(len(points)), eps)
+    rows = csr_rows(grid.region_query_batch(np.arange(len(points)), eps))
     assert paired_rows[0] == (candidates - len(points)) // 2
     brute = BruteForceIndex(points, metric)
     for i, row in enumerate(rows):
@@ -195,15 +196,15 @@ def test_a_lattice_at_exactly_eps(metric, paired_rows, self_joins):
 
 @pytest.mark.parametrize("metric", METRICS)
 def test_other_blocks_keep_the_per_query_path(metric, self_joins):
-    """A subset, a permutation or a repeated index of all points, counts,
-    distances and another ring reach take the per-query join, and agree
-    with the whole-graph fetch."""
+    """A subset, a permutation or a repeated index of all points, counts
+    and another ring reach take the per-query join, and agree with the
+    whole-graph fetch."""
     eps = _radius(metric)
     points = _cloud(4, 300, 2)
     grid = GridIndex(points, metric, cell_size=eps)
     n = len(points)
     everyone = np.arange(n)
-    graph = grid.region_query_batch(everyone, eps)
+    graph = csr_rows(grid.region_query_batch(everyone, eps))
     assert len(self_joins) == 1
     rng = np.random.default_rng(5)
     for indices in (
@@ -212,16 +213,14 @@ def test_other_blocks_keep_the_per_query_path(metric, self_joins):
         np.concatenate([everyone, everyone]),
         np.repeat(everyone, 2)[:n],
     ):
-        rows = grid.region_query_batch(indices, eps)
+        rows = csr_rows(grid.region_query_batch(indices, eps))
+        assert len(rows) == indices.size
         for i, row in zip(indices, rows):
             assert np.array_equal(row, graph[i])
-    rows, distances = grid.region_query_batch(everyone, eps, return_distances=True)
     counts = grid.region_query_batch(everyone, eps, count_only=True)
     for i in range(n):
-        assert np.array_equal(rows[i], graph[i])
-        assert np.array_equal(distances[i], grid.metric.to_many(points[i], points[graph[i]]))
         assert counts[i] == graph[i].size
     wider = 2.5 * eps
-    for i, row in enumerate(grid.region_query_batch(everyone, wider)):
+    for i, row in enumerate(csr_rows(grid.region_query_batch(everyone, wider))):
         assert np.array_equal(row, grid.region_query(i, wider))
     assert len(self_joins) == 1

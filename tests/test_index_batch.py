@@ -3,7 +3,9 @@
 For every index kind and metric, ``range_query_batch`` /
 ``region_query_batch`` must return exactly the per-query results — on
 random point sets, duplicated points, empty query batches, external query
-points, and (for the grid) radii larger than the build radius.
+points, and (for the grid) radii larger than the build radius — in one
+CSR shape (``tests/csr_rows.py`` checks it), with ``count_only`` giving
+the row lengths.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import pytest
 
 from repro.data.distance import Metric, get_metric
 from repro.index import build_index
+from tests.csr_rows import csr_rows
 
 # (index kind, metric) combinations each index supports exactly.  The
 # M-tree needs the triangle inequality, so squared_euclidean is excluded
@@ -51,11 +54,15 @@ def _point_set(seed: int, n: int = 140, dim: int = 2) -> np.ndarray:
 
 
 def _assert_batch_matches(index, queries: np.ndarray, eps: float) -> None:
-    batch = index.range_query_batch(queries, eps)
+    answer = index.range_query_batch(queries, eps)
+    batch = csr_rows(answer)
     assert len(batch) == len(queries)
     for query, hits in zip(queries, batch):
         expected = index.range_query(query, eps)
         assert np.array_equal(hits, expected)
+    counts = index.range_query_batch(queries, eps, count_only=True)
+    assert counts.dtype == np.intp
+    assert np.array_equal(counts, np.diff(answer[1]))
 
 
 @pytest.mark.parametrize("kind,metric", INDEX_METRICS)
@@ -86,39 +93,55 @@ def test_region_query_batch_equals_per_query(kind, metric):
         np.concatenate([everyone, everyone]),
     ):
         for eps in (0.4, BUILD_EPS, 2.5):
-            batch = index.region_query_batch(indices, eps)
+            answer = index.region_query_batch(indices, eps)
+            batch = csr_rows(answer)
             assert len(batch) == indices.size
             for i, hits in zip(indices, batch):
                 assert np.array_equal(hits, index.region_query(int(i), eps))
+            counts = index.region_query_batch(indices, eps, count_only=True)
+            assert counts.dtype == np.intp
+            assert np.array_equal(counts, np.diff(answer[1]))
 
 
 @pytest.mark.parametrize("kind,metric", INDEX_METRICS)
 def test_region_counts_and_distances_of_every_point(kind, metric):
-    """``count_only`` and ``return_distances`` over every point agree with
-    the rows of the whole-graph fetch."""
+    """``count_only`` over every point agrees with the rows of the
+    whole-graph fetch, and the hit distances a caller computes over the
+    CSR pairs with ``Metric.paired`` are bitwise ``to_many``'s."""
     points = _point_set(4)
     index = build_index(points, kind, metric=metric, eps=BUILD_EPS)
     everyone = np.arange(points.shape[0])
-    rows = index.region_query_batch(everyone, BUILD_EPS)
-    hits, distances = index.region_query_batch(
-        everyone, BUILD_EPS, return_distances=True
-    )
+    hits, offsets = index.region_query_batch(everyone, BUILD_EPS)
+    rows = csr_rows((hits, offsets))
     counts = index.region_query_batch(everyone, BUILD_EPS, count_only=True)
     resolved = get_metric(metric)
+    owner = np.repeat(everyone, np.diff(offsets))
+    distances = resolved.paired(points[owner], points[hits])
     for i, row in enumerate(rows):
-        assert np.array_equal(hits[i], row)
-        assert np.array_equal(distances[i], resolved.to_many(points[i], points[row]))
+        expected = resolved.to_many(points[i], points[row])
+        assert distances[offsets[i] : offsets[i + 1]].tobytes() == expected.tobytes()
         assert counts[i] == row.size
 
 
 @pytest.mark.parametrize("kind", ["brute", "grid", "kdtree", "rtree", "mtree"])
 def test_empty_query_batch(kind):
+    """An empty batch is an empty ``hits`` with ``offsets == [0]``, and
+    no counts."""
     points = _point_set(4)
     index = build_index(points, kind, eps=BUILD_EPS)
-    assert index.range_query_batch([], 1.0) == []
-    assert index.range_query_batch(np.empty((0, 2)), 1.0) == []
-    assert index.region_query_batch([], 1.0) == []
-    assert index.region_query_batch(np.empty(0, dtype=np.intp), 1.0) == []
+    for answer in (
+        index.range_query_batch([], 1.0),
+        index.range_query_batch(np.empty((0, 2)), 1.0),
+        index.region_query_batch([], 1.0),
+        index.region_query_batch(np.empty(0, dtype=np.intp), 1.0),
+    ):
+        assert csr_rows(answer) == []
+        assert answer[0].size == 0 and answer[1].tolist() == [0]
+    for counts in (
+        index.range_query_batch(np.empty((0, 2)), 1.0, count_only=True),
+        index.region_query_batch([], 1.0, count_only=True),
+    ):
+        assert counts.dtype == np.intp and counts.size == 0
 
 
 @pytest.mark.parametrize("kind", ["brute", "grid", "kdtree", "rtree", "mtree"])
@@ -130,13 +153,13 @@ def test_batch_of_another_dimensionality_is_refused(kind, columns):
     index = build_index(_point_set(4), kind, eps=BUILD_EPS)
     with pytest.raises(ValueError, match=f"{columns} columns .* 2-dimensional"):
         index.range_query_batch(np.full((5, columns), 0.5), 1.0)
-    assert index.range_query_batch(np.empty((0, columns)), 1.0) == []
+    assert csr_rows(index.range_query_batch(np.empty((0, columns)), 1.0)) == []
 
 
 @pytest.mark.parametrize("kind", ["brute", "grid", "kdtree"])
 def test_batch_on_empty_index(kind):
     index = build_index(np.empty((0, 2)), kind, eps=BUILD_EPS)
-    batch = index.range_query_batch(np.asarray([[0.0, 0.0], [1.0, 1.0]]), 2.0)
+    batch = csr_rows(index.range_query_batch(np.asarray([[0.0, 0.0], [1.0, 1.0]]), 2.0))
     assert len(batch) == 2
     assert all(hits.size == 0 for hits in batch)
 

@@ -19,6 +19,7 @@ from repro.index import (
     available_indexes,
     build_index,
 )
+from tests.csr_rows import csr_rows
 
 INDEX_BUILDERS = {
     "brute": lambda pts, metric="euclidean": BruteForceIndex(pts, metric),
@@ -154,7 +155,7 @@ class TestGridSpecifics:
         get the serial answer: a table built twice is the same table."""
         points = rng.uniform(0, 8, size=(600, 2))
         ids = np.arange(len(points))
-        expected = GridIndex(points, cell_size=0.5).region_query_batch(ids, 0.5)
+        expected = csr_rows(GridIndex(points, cell_size=0.5).region_query_batch(ids, 0.5))
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -175,7 +176,9 @@ class TestGridSpecifics:
                     thread.join(timeout=60)
                     assert not thread.is_alive()
                 assert len(answers) == len(threads)
-                for rows in answers:
+                for answer in answers:
+                    rows = csr_rows(answer)
+                    assert len(rows) == len(expected)
                     assert all(map(np.array_equal, rows, expected))
         finally:
             sys.setswitchinterval(switch)
@@ -332,10 +335,8 @@ class TestGridCSRStorage:
         index = GridIndex(np.empty((0, 2)), cell_size=1.0)
         assert index.n_occupied_cells == 0
         assert index.range_query(np.zeros(2), 5.0).size == 0
-        assert all(
-            hits.size == 0
-            for hits in index.range_query_batch(np.zeros((3, 2)), 5.0)
-        )
+        rows = csr_rows(index.range_query_batch(np.zeros((3, 2)), 5.0))
+        assert len(rows) == 3 and all(hits.size == 0 for hits in rows)
 
     def test_single_point(self):
         index = GridIndex(np.asarray([[2.0, 2.0]]), cell_size=1.0)
@@ -371,7 +372,8 @@ class TestGridCSRStorage:
         index = GridIndex(points, cell_size=cell)
         brute = BruteForceIndex(points)
         queries = points[:: max(1, n // 7)]
-        batched = index.range_query_batch(queries, eps)
+        batched = csr_rows(index.range_query_batch(queries, eps))
+        assert len(batched) == len(queries)
         for query, batch_hits in zip(queries, batched):
             expected = brute.range_query(query, eps)
             np.testing.assert_array_equal(index.range_query(query, eps), expected)
@@ -459,5 +461,7 @@ class TestEveryKindEveryGridMetric:
             points, kind, metric=metric, eps=eps, leaf_size=4, node_capacity=4
         )
         oracle = BruteForceIndex(points, metric)
-        for got, i in zip(index.region_query_batch(np.arange(n), eps), range(n)):
+        rows = csr_rows(index.region_query_batch(np.arange(n), eps))
+        assert len(rows) == n
+        for got, i in zip(rows, range(n)):
             np.testing.assert_array_equal(got, oracle.range_query(points[i], eps))

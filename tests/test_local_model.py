@@ -13,10 +13,9 @@ from repro.core.local import (
     build_local_model,
     build_rep_kmeans_model,
     build_rep_scor_model,
-    specific_eps_range,
+    specific_eps_ranges,
     verify_specific_core_set,
 )
-from repro.data.distance import euclidean
 from repro.data.generators import gaussian_blobs
 from tests.model_rows import rows_of
 
@@ -50,9 +49,9 @@ class TestSpecificCorePoints:
         from repro.clustering.dbscan import DBSCAN
         from repro.core.local import SpecificCorePointCollector
 
-        forward = SpecificCorePointCollector(blob_site, 1.0)
+        forward = SpecificCorePointCollector(len(blob_site))
         DBSCAN(1.0, 5).fit(blob_site, observer=forward)
-        backward = SpecificCorePointCollector(blob_site, 1.0)
+        backward = SpecificCorePointCollector(len(blob_site))
         DBSCAN(1.0, 5).fit(
             blob_site, observer=backward, order=list(range(len(blob_site)))[::-1]
         )
@@ -108,7 +107,7 @@ class TestSpecificEpsRanges:
         # min_pts=1: a lone point is core with no core neighbors.
         points = np.asarray([[0.0, 0.0], [100.0, 100.0]])
         result = dbscan(points, 1.0, 1)
-        assert specific_eps_range(0, result, metric=euclidean) == pytest.approx(1.0)
+        assert specific_eps_ranges(np.asarray([0]), result).tolist() == [1.0]
 
 
 class TestRepScorModel:

@@ -28,6 +28,7 @@ from repro.data.distance import minkowski_metric
 from repro.index import GridIndex, available_indexes, build_index
 from repro.service import ServiceClient, ServiceConfig, ServiceError, ServiceHandle, wire
 from repro.service.worker import run_site_worker
+from tests.csr_rows import csr_rows
 
 BAD_VALUES = [np.nan, -np.inf, np.inf]
 
@@ -60,7 +61,8 @@ def test_non_finite_query_rows_match_nothing(kind):
     queries = points[:6].copy()
     queries[2, 0] = np.nan
     queries[4, 1] = -np.inf
-    rows = index.range_query_batch(queries, 0.3)
+    rows = csr_rows(index.range_query_batch(queries, 0.3))
+    assert len(rows) == len(queries)
     for i, row in enumerate(rows):
         expected = [] if i in (2, 4) else index.range_query(points[i], 0.3)
         assert np.array_equal(row, expected)
@@ -128,18 +130,13 @@ def test_a_nan_radius_matches_nothing_on_every_index(kind):
     index = build_index(points, kind, eps=0.3)
     everyone = np.arange(len(points))
     for rows in (
-        index.range_query_batch(points[:20], np.nan),
-        index.region_query_batch(everyone, np.nan),
+        csr_rows(index.range_query_batch(points[:20], np.nan)),
+        csr_rows(index.region_query_batch(everyone, np.nan)),
         [index.range_query(points[0], np.nan), index.region_query(5, np.nan)],
     ):
         assert all(row.size == 0 for row in rows)
     counts = index.region_query_batch(everyone, np.nan, count_only=True)
     assert np.array_equal(counts, np.zeros(len(points), dtype=np.intp))
-    rows, distances = index.region_query_batch(
-        everyone, np.nan, return_distances=True
-    )
-    assert all(row.size == 0 for row in rows)
-    assert all(distance.size == 0 for distance in distances)
 
 
 def test_a_nan_radius_covers_nothing_in_the_grid_join():
@@ -147,8 +144,8 @@ def test_a_nan_radius_covers_nothing_in_the_grid_join():
     points = np.random.default_rng(3).normal(size=(200, 2))
     grid = GridIndex(points, cell_size=0.5)
     queries = points[:30] + 0.01
-    hits, offsets, distances = grid.join(queries, np.nan, distances=True)
-    assert hits.size == distances.size == 0
+    hits, offsets = grid.join(queries, np.nan)
+    assert hits.size == 0
     assert np.array_equal(offsets, np.zeros(31, dtype=np.intp))
     nearest, distance = grid.join(queries, np.nan, radii=np.full(200, 0.5))
     assert np.array_equal(nearest, np.full(30, -1))

@@ -13,6 +13,8 @@ HTTP endpoint serves strict-parseable OpenMetrics.
 
 from __future__ import annotations
 
+import asyncio
+import math
 import threading
 import urllib.request
 
@@ -268,6 +270,61 @@ class TestTransportSeam:
                 sock.connect()._sock.sendall(huge)
                 response = sock.read_frame()
             assert response.kind == wire.FrameKind.ERROR
+
+
+class TestConfigGuards:
+    """Values that would switch a guard off are refused by name: a NaN
+    is false in every comparison (a 2 GiB frame passed a NaN size cap, a
+    NaN idle timeout closed every connection at once, a NaN wait cap
+    capped nothing, a NaN retry hint reached clients as no hint), an
+    infinite retry hint overflowed the workers' sleep, and a fractional
+    cap is no count."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_frame_bytes", math.nan),
+            ("max_frame_bytes", 100.5),
+            ("max_frame_bytes", math.inf),
+            ("idle_timeout_s", math.nan),
+            ("await_timeout_cap_s", math.nan),
+            ("retry_after_s", math.nan),
+            ("retry_after_s", math.inf),
+            ("max_inflight_requests", 2.5),
+            ("max_connections", 1.5),
+            ("shutdown_grace_s", math.nan),
+        ],
+    )
+    def test_a_guard_switching_value_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be .*got {value}$"):
+            ServiceConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("idle_timeout_s", math.inf),
+            ("shutdown_grace_s", math.inf),
+            ("shutdown_grace_s", 0.0),
+            ("await_timeout_cap_s", math.inf),
+            ("max_frame_bytes", wire.HEADER_SIZE),
+            ("max_inflight_requests", np.int64(3)),
+            ("max_connections", 2.0),
+        ],
+    )
+    def test_never_and_whole_valued_caps_stay_accepted(self, field, value):
+        """An infinite timeout or grace means "never"."""
+        assert getattr(ServiceConfig(**{field: value}), field) == value
+
+    def test_the_serve_command_refuses_a_nan_idle_timeout(self, monkeypatch):
+        from repro.service.cli import serve_main
+
+        def started(coroutine):
+            coroutine.close()
+            raise AssertionError("the service started")
+
+        monkeypatch.setattr(asyncio, "run", started)
+        with pytest.raises(ValueError, match="idle_timeout_s must be positive, got nan"):
+            serve_main(["--port", "0", "--metrics-port", "-1", "--idle-timeout", "nan"])
 
 
 class TestLifecycle:
