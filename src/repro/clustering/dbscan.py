@@ -63,6 +63,7 @@ sources.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol, Sequence
 
@@ -72,6 +73,7 @@ from repro.clustering.labels import NOISE, UNCLASSIFIED, n_clusters
 from repro.data.distance import Metric, get_metric
 from repro.index import NeighborIndex, build_index
 from repro.index.base import PAIR_BUDGET_BYTES, _budget_runs
+from repro.obs import NULL_METRICS
 
 __all__ = [
     "DBSCAN",
@@ -129,6 +131,27 @@ def global_radius(eps_global: float | None) -> float | None:
 #: block order, and each row as a view of its hits (the per-level source
 #: makes those only as the observer reads them).
 _Rows = tuple[np.ndarray, Iterable[np.ndarray]]
+
+
+def _region_query_batch(
+    index: NeighborIndex, block: np.ndarray, eps: float, metrics, count_only=False
+):
+    """``index.region_query_batch(block, eps)``, recording the ``index.*``
+    metrics of a non-empty call into an enabled registry: the queries,
+    the call and its size, every neighbourhood size and the seconds
+    inside the index."""
+    if not (metrics.enabled and block.size):
+        return index.region_query_batch(block, eps, count_only=count_only)
+    start = time.perf_counter()
+    answer = index.region_query_batch(block, eps, count_only=count_only)
+    seconds = time.perf_counter() - start
+    metrics.inc("index.region_queries", block.size)
+    metrics.inc("index.query_seconds", seconds)
+    metrics.inc("index.batch_queries")
+    metrics.observe("index.batch_size", block.size)
+    for count in (answer if count_only else np.diff(answer[1])).tolist():
+        metrics.observe("index.neighbors_per_query", count)
+    return answer
 
 
 def _row_budget() -> int:
@@ -249,9 +272,8 @@ class DBSCAN:
             order: processing order of start objects; defaults to
                 ascending index.  Must be a permutation of ``range(n)``.
             metrics: optional :class:`~repro.obs.MetricsRegistry`.  The
-                run records its counters (``dbscan.*``) and attaches the
-                registry to the index for the duration of the fit so the
-                per-query metrics (``index.*``) are captured too.  Labels
+                run records its counters (``dbscan.*``) and the metrics of
+                its own ``region_query_batch`` calls (``index.*``).  Labels
                 and query counts are identical with or without it.
 
         Returns:
@@ -261,6 +283,7 @@ class DBSCAN:
             ValueError: if ``index`` holds other points than ``points``,
                 or ``order`` is not a permutation.
         """
+        metrics = NULL_METRICS if metrics is None else metrics
         points = np.asarray(points, dtype=float)
         n = points.shape[0] if points.ndim == 2 else 0
         if index is None:
@@ -285,65 +308,54 @@ class DBSCAN:
         # array of this fit (never of the instance, which threads may share).
         first = np.empty(n, dtype=np.intp)
         next_cluster = 0
-        observe_index = metrics is not None and hasattr(index, "attach_metrics")
-        if observe_index:
-            index.attach_metrics(metrics)
-        try:
-            everyone = np.arange(n, dtype=np.intp)
-            if index.candidate_pairs(self.eps) <= _row_budget():
-                # The whole graph fits one row block: fetch it once, read
-                # the counts off its row lengths and every level's rows
-                # out of it.
-                graph, offsets = index.region_query_batch(everyone, self.eps)
-                counts = np.diff(offsets)
+        everyone = np.arange(n, dtype=np.intp)
+        if index.candidate_pairs(self.eps) <= _row_budget():
+            # The whole graph fits one row block: fetch it once, read the
+            # counts off its row lengths and every level's rows out of it.
+            graph, offsets = _region_query_batch(index, everyone, self.eps, metrics)
+            counts = np.diff(offsets)
+            bounds = offsets.tolist()
+
+            def rows(block: np.ndarray) -> _Rows:
+                views = [graph[bounds[i] : bounds[i + 1]] for i in block.tolist()]
+                return np.concatenate(views), views
+
+        else:
+            counts = _region_query_batch(
+                index, everyone, self.eps, metrics, count_only=True
+            )
+
+            def rows(block: np.ndarray) -> _Rows:
+                hits, offsets = _region_query_batch(index, block, self.eps, metrics)
                 bounds = offsets.tolist()
+                return hits, (hits[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
 
-                def rows(block: np.ndarray) -> _Rows:
-                    views = [graph[bounds[i] : bounds[i + 1]] for i in block.tolist()]
-                    return np.concatenate(views), views
-
-            else:
-                counts = index.region_query_batch(everyone, self.eps, count_only=True)
-
-                def rows(block: np.ndarray) -> _Rows:
-                    hits, offsets = index.region_query_batch(block, self.eps)
-                    bounds = offsets.tolist()
-                    return hits, (
-                        hits[a:b] for a, b in zip(bounds[:-1], bounds[1:])
-                    )
-
-            core_mask = counts >= self.min_pts
-            for start in start_order[core_mask[start_order]].tolist():
-                if labels[start] != UNCLASSIFIED:
-                    continue
-                cluster_id = next_cluster
-                next_cluster += 1
-                if observer is not None:
-                    observer.on_cluster_start(cluster_id, start)
-                labels[start] = cluster_id
-                self._expand(
-                    rows,
-                    np.asarray([start], dtype=np.intp),
-                    cluster_id,
-                    labels,
-                    first,
-                    core_mask,
-                    counts,
-                    observer,
-                    metrics,
-                )
-        finally:
-            if observe_index:
-                # Detached so the registry (which holds a lock) never
-                # rides along when the result's index is pickled.
-                index.detach_metrics()
+        core_mask = counts >= self.min_pts
+        for start in start_order[core_mask[start_order]].tolist():
+            if labels[start] != UNCLASSIFIED:
+                continue
+            cluster_id = next_cluster
+            next_cluster += 1
+            if observer is not None:
+                observer.on_cluster_start(cluster_id, start)
+            labels[start] = cluster_id
+            self._expand(
+                rows,
+                np.asarray([start], dtype=np.intp),
+                cluster_id,
+                labels,
+                first,
+                core_mask,
+                counts,
+                observer,
+                metrics,
+            )
         labels[labels == UNCLASSIFIED] = NOISE
         # The classic loop's cost proxy: one region query per object.
         queries = n
-        if metrics is not None:
-            metrics.inc("dbscan.runs")
-            metrics.inc("dbscan.region_queries", queries)
-            metrics.observe("dbscan.clusters", next_cluster)
+        metrics.inc("dbscan.runs")
+        metrics.inc("dbscan.region_queries", queries)
+        metrics.observe("dbscan.clusters", next_cluster)
         return DBSCANResult(
             labels=labels,
             core_mask=core_mask,
@@ -363,7 +375,7 @@ class DBSCAN:
         core_mask: np.ndarray,
         counts: np.ndarray,
         observer: DBSCANObserver | None,
-        metrics=None,
+        metrics,
     ) -> None:
         """Grow ``cluster_id`` level by level from a labelled core frontier.
 
@@ -374,8 +386,7 @@ class DBSCAN:
         """
         row_budget = _row_budget()
         while frontier.size:
-            if metrics is not None:
-                metrics.observe("dbscan.frontier_batch_size", frontier.size)
+            metrics.observe("dbscan.frontier_batch_size", frontier.size)
             runs = _budget_runs(np.cumsum(counts[frontier]), row_budget)
             frontier = np.concatenate(
                 [

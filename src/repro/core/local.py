@@ -39,6 +39,7 @@ from repro.clustering.kmeans import lloyd_iterations
 from repro.core.models import LocalModel
 from repro.data.distance import Metric, get_metric
 from repro.index import NeighborIndex
+from repro.obs import NULL_METRICS, NULL_TRACER
 
 __all__ = [
     "SpecificCorePointCollector",
@@ -185,19 +186,16 @@ def _run_local_dbscan(
     metric: Metric,
     index_kind: str,
     index: NeighborIndex | None,
-    tracer=None,
-    metrics=None,
+    tracer,
+    metrics,
 ) -> tuple[DBSCANResult, dict[int, np.ndarray]]:
     collector = SpecificCorePointCollector(points.shape[0])
     runner = DBSCAN(eps, min_pts, metric=metric, index_kind=index_kind)
-    if tracer is None and metrics is None:
-        result = runner.fit(points, observer=collector, index=index)
-        return result, collector.specific_core_points()
-    query_s0 = metrics.value("index.query_seconds") if metrics is not None else 0.0
+    query_s0 = metrics.value("index.query_seconds")
     start = time.perf_counter()
     result = runner.fit(points, observer=collector, index=index, metrics=metrics)
     end = time.perf_counter()
-    if tracer is not None:
+    if tracer.enabled:
         span = tracer.record(
             "dbscan",
             wall_start=start,
@@ -208,7 +206,7 @@ def _run_local_dbscan(
                 "n_clusters": result.n_clusters,
             },
         )
-        if metrics is not None and span is not None:
+        if metrics.enabled:
             # A synthetic child summarizing the time spent inside the
             # index: anchored at the dbscan start, its duration is the
             # accumulated per-query seconds measured during this fit
@@ -225,14 +223,13 @@ def _run_local_dbscan(
 
 
 def _record_derive_span(tracer, start: float, scheme: str, n: int) -> None:
-    """Close a ``derive_model`` span opened at ``start`` (no-op untraced)."""
-    if tracer is not None:
-        tracer.record(
-            "derive_model",
-            wall_start=start,
-            wall_end=time.perf_counter(),
-            attrs={"scheme": scheme, "n_representatives": n},
-        )
+    """Close a ``derive_model`` span opened at ``start``."""
+    tracer.record(
+        "derive_model",
+        wall_start=start,
+        wall_end=time.perf_counter(),
+        attrs={"scheme": scheme, "n_representatives": n},
+    )
 
 
 def build_rep_scor_model(
@@ -265,12 +262,14 @@ def build_rep_scor_model(
         A :class:`LocalClusteringOutcome` whose model holds, per local
         cluster, the specific core points with their specific ε-ranges.
     """
+    tracer = NULL_TRACER if tracer is None else tracer
+    metrics = NULL_METRICS if metrics is None else metrics
     resolved = get_metric(metric)
     points = np.asarray(points, dtype=float)
     result, scor_map = _run_local_dbscan(
         points, eps, min_pts, resolved, index_kind, index, tracer, metrics
     )
-    derive_start = time.perf_counter() if tracer is not None else 0.0
+    derive_start = time.perf_counter()
     cluster_ids = sorted(scor_map)
     chosen = (
         np.concatenate([scor_map[cid] for cid in cluster_ids])
@@ -320,12 +319,14 @@ def build_rep_kmeans_model(
     Returns:
         A :class:`LocalClusteringOutcome`.
     """
+    tracer = NULL_TRACER if tracer is None else tracer
+    metrics = NULL_METRICS if metrics is None else metrics
     resolved = get_metric(metric)
     points = np.asarray(points, dtype=float)
     result, scor_map = _run_local_dbscan(
         points, eps, min_pts, resolved, index_kind, index, tracer, metrics
     )
-    derive_start = time.perf_counter() if tracer is not None else 0.0
+    derive_start = time.perf_counter()
     centroids, radii, owners = [], [], []
     for cid in sorted(scor_map):
         members = result.members(cid)

@@ -45,7 +45,14 @@ from repro.faults.transport import (
     TransportPolicy,
     TransportStats,
 )
-from repro.obs import MetricsRegistry, Span, Tracer, trace_document
+from repro.obs import (
+    NULL_METRICS,
+    NULL_TRACER,
+    MetricsRegistry,
+    Span,
+    Tracer,
+    trace_document,
+)
 from repro.obs.registry import usable_cpu_count
 
 __all__ = [
@@ -100,40 +107,15 @@ def _no_sim_time(n_objects: int, slowdown: float = 1.0) -> float:
     return 0.0
 
 
-@dataclass
-class _RoundLog:
-    """Wall-clock marks and trace inputs of one protocol round."""
-
-    index: int
-    sim_start: float
-    wall_start: float
-    sim_end: float = 0.0
-    wall_end: float = 0.0
-    local_start: float = 0.0
-    compute_end: float = 0.0
-    upload_end: float = 0.0
-    global_start: float = 0.0
-    broadcast_start: float = 0.0
-    broadcast_end: float = 0.0
-    relabel_start: float = 0.0
-    relabel_compute_end: float = 0.0
-    relabel_end: float = 0.0
-    local_spans: list = field(default_factory=list)
-    relabel_spans: list = field(default_factory=list)
-    uploads: list = field(default_factory=list)
-    broadcasts: list = field(default_factory=list)
-    attrs: dict = field(default_factory=dict)
-
-
 def _local_task(site: ClientSite, observed: bool):
-    """A site's local-phase compute.  Observed, it runs under a
-    worker-local tracer and metrics registry whose exports ride back with
-    the result, so the driver can graft and merge them (thread and
-    process workers alike)."""
-    if not observed:
-        return site.compute_local_clustering()
-    tracer = Tracer()
-    metrics = MetricsRegistry()
+    """A site's local-phase compute: ``(outcome, wall_s, cpu_s, spans,
+    metrics)``.  Observed, it runs under a worker-local tracer and
+    metrics registry whose exports ride back with the result, so the
+    driver can graft and merge them (thread and process workers alike);
+    unobserved, under the null ones, which export nothing."""
+    tracer, metrics = (
+        (Tracer(), MetricsRegistry()) if observed else (NULL_TRACER, NULL_METRICS)
+    )
     with tracer.span(
         f"site[{site.site_id}].local",
         attrs={"site": site.site_id, "n_objects": int(site.points.shape[0])},
@@ -144,10 +126,10 @@ def _local_task(site: ClientSite, observed: bool):
     return outcome, wall_s, cpu_s, tracer.export_spans(origin=0.0), metrics.to_dict()
 
 
-def _observed_relabel(site_id: int, relabel: Callable[[], tuple]):
-    """``relabel()`` under a worker-local tracer whose export rides back
-    with its ``(labels, stats, wall_s, cpu_s)``."""
-    tracer = Tracer()
+def _relabel_task(site_id: int, relabel: Callable[[], tuple], observed: bool):
+    """``relabel()``'s ``(labels, stats, wall_s, cpu_s)`` plus the spans
+    of a worker-local tracer when observed (none otherwise)."""
+    tracer = Tracer() if observed else NULL_TRACER
     with tracer.span(f"site[{site_id}].relabel", attrs={"site": site_id}):
         result = relabel()
     return (*result, tracer.export_spans(origin=0.0))
@@ -161,17 +143,20 @@ def _shift_span_dict(span: dict, delta: float) -> None:
         _shift_span_dict(child, delta)
 
 
-def _graft_worker_spans(parent: Span, exported: list[dict]) -> None:
+def _graft_worker_spans(
+    parent: Span, exported: list[dict], start: float, end: float
+) -> None:
     """Attach worker-exported span trees under ``parent``.
 
-    Thread workers share the driver's ``perf_counter`` clock, so their
-    timestamps land inside the parent window as-is.  Process workers have
-    their own clock epoch; a span starting outside the parent window is
-    re-anchored at the window start (durations are preserved).
+    ``[start, end]`` is the driver's window around the fan-out.  Thread
+    workers share the driver's ``perf_counter`` clock, so their
+    timestamps land inside it as-is.  Process workers have their own
+    clock epoch; a span starting outside the window is re-anchored at the
+    window start (durations are preserved).
     """
     for data in exported:
-        if not parent.wall_start <= data["wall_start"] <= parent.wall_end:
-            _shift_span_dict(data, parent.wall_start - data["wall_start"])
+        if not start <= data["wall_start"] <= end:
+            _shift_span_dict(data, start - data["wall_start"])
         parent.children.append(Span.from_dict(data))
 
 
@@ -223,8 +208,7 @@ def _process_local_task(task: _SiteTask):
 def _process_relabel_task(task: _SiteTask):
     """Process-worker task: one site's relabel from its points, local
     labels and the model (a worker keeps no cover memo)."""
-    relabel = partial(_timed_relabel, task)
-    return _observed_relabel(task.site_id, relabel) if task.observed else relabel()
+    return _relabel_task(task.site_id, partial(_timed_relabel, task), task.observed)
 
 
 def _timed_relabel(task: _SiteTask):
@@ -736,11 +720,12 @@ class DistributedRunner:
             resilient transport (``None`` = disabled).
         tracer: optional :class:`~repro.obs.Tracer`.  When given, the run
             produces the full span tree (``run > local_phase > site[i]
-            …``) and the report carries the trace document.  ``None``
-            (the default) leaves the hot path untouched: no spans, no
-            allocations, bit-identical output.
+            …``), recording each span as its phase ends, and the
+            report carries the trace document.  ``None`` (the default)
+            is :data:`~repro.obs.NULL_TRACER`: no spans, bit-identical
+            output.
         metrics: optional :class:`~repro.obs.MetricsRegistry` threaded
-            through the index layer, DBSCAN, server and transport.
+            through DBSCAN (and its region queries), server and transport.
     """
 
     def __init__(
@@ -763,8 +748,8 @@ class DistributedRunner:
         self.round_policy = round_policy or RoundPolicy()
         self.recovery_policy = recovery_policy or RecoveryPolicy()
         self.breaker_policy = breaker_policy
-        self.tracer = tracer
-        self.metrics = metrics
+        self.tracer = NULL_TRACER if tracer is None else tracer
+        self.metrics = NULL_METRICS if metrics is None else metrics
         self._effective_parallelism = config.parallelism
         self._fallback_reason: str | None = None
 
@@ -816,7 +801,13 @@ class DistributedRunner:
             _site(site_id, points, self.config)
             for site_id, points in enumerate(site_points)
         ]
-        return self._run(sites, site_points, assignment)
+        active = self.fault_plan is not None and self.fault_plan.is_active()
+        mode = "degraded" if active else "fault_free"
+        with self.tracer.span("run", attrs={"mode": mode, "n_sites": len(sites)}):
+            report = self._run(sites, site_points, assignment, active)
+        if self.tracer.enabled:
+            report.trace = trace_document(self.tracer, self.metrics)
+        return report
 
     def _local_fanout(self, sites: list[ClientSite], observing: bool) -> list:
         """Fan the local-phase compute out."""
@@ -837,7 +828,7 @@ class DistributedRunner:
 
         def task(site: ClientSite):
             relabel = partial(site.compute_relabel, global_model)
-            return _observed_relabel(site.site_id, relabel) if observing else relabel()
+            return _relabel_task(site.site_id, relabel, observing)
 
         return self._fan_out(
             sites,
@@ -864,6 +855,7 @@ class DistributedRunner:
         sites: list[ClientSite],
         site_points: list[np.ndarray],
         assignment: np.ndarray | None,
+        active: bool,
     ) -> DistributedRunReport:
         """The protocol as one round loop over the round core.
 
@@ -876,14 +868,19 @@ class DistributedRunner:
         again, the commit folds the new models in, and the model is
         broadcast to the sites that need it.  Sites failed after the last
         round fall back to their local labels.
+
+        Each span is recorded as its phase ends, from the ``perf_counter``
+        reads that fill the report: round 0's phases are the run's
+        ``local_phase`` / ``global_phase`` / ``broadcast`` / ``relabel``
+        spans, and a recovery round records its work under one
+        ``recovery_round[r]`` span.
         """
         plan = self.fault_plan
         policy = self.round_policy
         recovery = self.recovery_policy
         tracer = self.tracer
         metrics = self.metrics
-        observing = tracer is not None or metrics is not None
-        active = plan is not None and plan.is_active()
+        observing = tracer.enabled or metrics.enabled
         if active:
             transport = ResilientTransport(
                 self.network,
@@ -916,7 +913,6 @@ class DistributedRunner:
         stale: set[int] = set()
         recovered_total: set[int] = set()
         quarantined_total: set[int] = set()
-        logs: list[_RoundLog] = []
         recovery_rounds: list[RecoveryRoundStats] = []
         retries = 0
         round_sim_end = 0.0
@@ -924,33 +920,31 @@ class DistributedRunner:
         relabel_cpu_seconds = 0.0
         global_model: GlobalModel | None = None
 
-        def deliver(entries, sender, receiver, kind, payload, start_s, down=False):
+        def deliver(sender, receiver, kind, payload, start_s, down=False):
             nonlocal retries, round_sim_last
-            send_start = time.perf_counter() if tracer is not None else 0.0
+            send_start = time.perf_counter()
             delivery = transport.deliver(
                 sender, receiver, kind, payload, start_s=start_s, receiver_down=down
             )
-            if tracer is not None:
-                entries.append(
-                    (
-                        send_start,
-                        time.perf_counter(),
-                        start_s,
-                        delivery.arrival_s,
-                        {
-                            "site": receiver if sender == SERVER else sender,
-                            "kind": kind,
-                            "bytes": delivery.bytes_sent,
-                            "delivered": delivery.delivered,
-                            "attempts": delivery.attempts,
-                        },
-                    )
+            if tracer.enabled:
+                tracer.record(
+                    f"send[{kind}]",
+                    wall_start=send_start,
+                    wall_end=time.perf_counter(),
+                    sim_start=start_s,
+                    sim_end=delivery.arrival_s,
+                    attrs={
+                        "site": receiver if sender == SERVER else sender,
+                        "kind": kind,
+                        "bytes": delivery.bytes_sent,
+                        "delivered": delivery.delivered,
+                        "attempts": delivery.attempts,
+                    },
                 )
             retries += delivery.retries
             round_sim_last = max(round_sim_last, delivery.arrival_s)
             return delivery
 
-        run_start = time.perf_counter()
         for round_index in range(recovery.max_recovery_rounds + 1):
             if round_index == 0:
                 attempted = [
@@ -964,214 +958,230 @@ class DistributedRunner:
                     break
                 round_start = round_sim_end + recovery.backoff_seconds(round_index)
                 deadline = recovery.deadline_s
-            log = _RoundLog(round_index, round_start, time.perf_counter())
+            round_wall_start = time.perf_counter()
             round_sim_last = round_start
             retries_before = retries
-
-            # Steps 1+2: sites without a local model compute one (crashed
-            # sites reboot in recovery rounds: crash decisions are not
-            # re-drawn, straggler slowdowns still apply), and every site
-            # whose model the server has not admitted uploads it.
-            computing = [
-                sites_by_id[site_id] for site_id in attempted if site_id not in models
-            ]
-            log.local_start = time.perf_counter()
-            results = self._local_fanout(computing, observing)
-            log.compute_end = time.perf_counter()
-            for site, result in zip(computing, results):
-                outcome, wall_s, cpu_s = result[:3]
-                if observing:
-                    log.local_spans.extend(result[3])
-                    if metrics is not None:
-                        metrics.merge(result[4])
-                local_cpu_seconds += cpu_s
-                models[site.site_id] = site.apply_local_outcome(outcome, wall_s, cpu_s)
-            fresh = {site.site_id for site in computing}
-            admitted = set(core.admitted_site_ids)
-            deliveries: list[tuple[float, int, bool]] = []
-            for site_id in attempted:
-                if site_id in admitted:
-                    continue
-                start_s = round_start + (
-                    sim_local(
-                        sites_by_id[site_id].points.shape[0],
-                        behaviors[site_id].slowdown,
-                    )
-                    if site_id in fresh
-                    else 0.0
-                )
-                delivery = deliver(
-                    log.uploads,
-                    site_id,
-                    SERVER,
-                    "local_model",
-                    models[site_id].to_bytes(),
-                    start_s,
-                )
-                if delivery.delivered:
-                    deliveries.append(
-                        (delivery.arrival_s, site_id, delivery.checksum_ok)
-                    )
-                else:
-                    failed[site_id] = "link_failed"
-            log.upload_end = time.perf_counter()
-
-            # Step 3: the core admits in simulated-arrival order (deadline
-            # relative to the round's start) and commits the round.
-            core.apply(
-                core.open_round(round_index, at_s=round_start, deadline_s=deadline)
+            # Round 0 records the run's phase spans; a recovery round
+            # records its work directly under its own span (workers' spans
+            # are grafted under round 0's ``compute`` or that span).
+            phase_tracer, round_tracer = (
+                (tracer, NULL_TRACER) if round_index == 0 else (NULL_TRACER, tracer)
             )
-            broadcast_start = round_start
-            round_quarantined: list[int] = []
-            for arrival_s, site_id, checksum_ok in sorted(deliveries):
-                decision = core.arrive(
-                    models[site_id], at_s=arrival_s, crc_ok=checksum_ok
-                )
-                core.apply(decision)
-                if decision.verdict == "admitted":
-                    broadcast_start = max(broadcast_start, arrival_s)
-                else:
-                    failed[site_id] = decision.verdict
-                if decision.verdict == "quarantined":
-                    quarantined_total.add(site_id)
-                    round_quarantined.append(site_id)
-            n_before = len(global_model) if global_model is not None else 0
-            log.global_start = time.perf_counter()
-            global_model = core.apply(core.commit_round(round_index))
-            grew = len(global_model) > n_before
-
-            # Broadcast to every attempted site the server holds a model
-            # of, and — when the model grew — to every relabeled site too:
-            # new representatives can promote noise on *any* site
-            # (Definition 9).  A crash-after-send site still gets its
-            # round-0 attempts — the server is not omniscient — they just
-            # never land.
-            admitted = set(core.admitted_site_ids)
-            receivers_needed = {site_id for site_id in attempted if site_id in admitted}
-            receivers_needed |= stale
-            if grew:
-                receivers_needed |= relabeled
-            payload = global_model.to_bytes()
-            log.broadcast_start = time.perf_counter()
-            receivers: list[ClientSite] = []
-            for site_id in sorted(receivers_needed):
-                down = round_index == 0 and behaviors[site_id].crashes_after_send
-                delivery = deliver(
-                    log.broadcasts,
-                    SERVER,
-                    site_id,
-                    "global_model",
-                    payload,
-                    broadcast_start,
-                    down,
-                )
-                if down:
-                    failed[site_id] = "crash_after_send"
-                elif delivery.delivered and delivery.checksum_ok:
-                    receivers.append(sites_by_id[site_id])
-                elif site_id in relabeled and site_id not in failed:
-                    # A healthy site that misses a refresh is *stale*, not
-                    # failed: its old labels are internally consistent,
-                    # just out of date.  It is retried next round.
-                    stale.add(site_id)
-                else:
-                    # Corrupt bytes must not be applied as a global model.
-                    failed[site_id] = (
-                        "broadcast_corrupt" if delivery.delivered else "broadcast_lost"
+            with round_tracer.span(f"recovery_round[{round_index}]") as round_span:
+                # Steps 1+2: sites without a local model compute one
+                # (crashed sites reboot in recovery rounds: crash decisions
+                # are not re-drawn, straggler slowdowns still apply), and
+                # every site whose model the server has not admitted
+                # uploads it.
+                computing = [
+                    sites_by_id[site_id]
+                    for site_id in attempted
+                    if site_id not in models
+                ]
+                with phase_tracer.span("local_phase"):
+                    local_start = time.perf_counter()
+                    results = self._local_fanout(computing, observing)
+                    compute_end = time.perf_counter()
+                    parent = round_span or phase_tracer.record(
+                        "compute", wall_start=local_start, wall_end=compute_end
                     )
-            log.broadcast_end = time.perf_counter()
+                    for site, result in zip(computing, results):
+                        outcome, wall_s, cpu_s, spans, exported = result
+                        if tracer.enabled:
+                            _graft_worker_spans(parent, spans, local_start, compute_end)
+                        metrics.merge(exported)
+                        local_cpu_seconds += cpu_s
+                        models[site.site_id] = site.apply_local_outcome(
+                            outcome, wall_s, cpu_s
+                        )
+                    fresh = {site.site_id for site in computing}
+                    admitted = set(core.admitted_site_ids)
+                    deliveries: list[tuple[float, int, bool]] = []
+                    with phase_tracer.span("upload"):
+                        for site_id in attempted:
+                            if site_id in admitted:
+                                continue
+                            start_s = round_start
+                            if site_id in fresh:
+                                start_s += sim_local(
+                                    sites_by_id[site_id].points.shape[0],
+                                    behaviors[site_id].slowdown,
+                                )
+                            delivery = deliver(
+                                site_id,
+                                SERVER,
+                                "local_model",
+                                models[site_id].to_bytes(),
+                                start_s,
+                            )
+                            if delivery.delivered:
+                                deliveries.append(
+                                    (delivery.arrival_s, site_id, delivery.checksum_ok)
+                                )
+                            else:
+                                failed[site_id] = "link_failed"
 
-            # Step 4 on the sites that hold the committed model.
-            log.relabel_start = time.perf_counter()
-            results = self._relabel_fanout(receivers, global_model, observing)
-            log.relabel_compute_end = time.perf_counter()
-            changed: list[int] = []
-            recovered: list[int] = []
-            for site, result in zip(receivers, results):
-                labels, stats, wall_s, cpu_s = result[:4]
-                if observing:
-                    log.relabel_spans.extend(result[4])
-                relabel_cpu_seconds += cpu_s
-                site_id = site.site_id
-                old_labels = site.global_labels if site_id in relabeled else None
-                site.apply_relabel(labels, stats, wall_s, cpu_s)
-                if old_labels is None or not np.array_equal(
-                    old_labels, site.global_labels
-                ):
-                    changed.append(site_id)
-                if failed.pop(site_id, None) is not None:
-                    recovered_total.add(site_id)
-                    recovered.append(site_id)
-                stale.discard(site_id)
-                relabeled.add(site_id)
-            log.relabel_end = time.perf_counter()
-
-            round_sim_end = max(round_sim_end, round_sim_last)
-            log.sim_end = round_sim_last
-            log.wall_end = time.perf_counter()
-            if round_index == 0:
-                local_sim_seconds = broadcast_start
-            else:
-                recovery_rounds.append(
-                    RecoveryRoundStats(
-                        round_index=round_index,
-                        start_sim_seconds=round_start,
-                        end_sim_seconds=round_sim_last,
-                        wall_seconds=log.wall_end - log.wall_start,
-                        attempted_sites=attempted,
-                        recovered_sites=sorted(recovered),
-                        quarantined_sites=sorted(round_quarantined),
-                        rebroadcast_sites=sorted(receivers_needed),
-                        relabel_changed_sites=sorted(changed),
-                        still_failed_sites=sorted(failed),
-                        retries=retries - retries_before,
-                    )
+                # Step 3: the core admits in simulated-arrival order
+                # (deadline relative to the round's start) and commits the
+                # round.
+                core.apply(
+                    core.open_round(round_index, at_s=round_start, deadline_s=deadline)
                 )
-                log.attrs = {
-                    "attempted": len(attempted),
-                    "recovered": len(recovered),
-                    "rebroadcast": len(receivers_needed),
+                broadcast_start = round_start
+                round_quarantined: list[int] = []
+                for arrival_s, site_id, checksum_ok in sorted(deliveries):
+                    decision = core.arrive(
+                        models[site_id], at_s=arrival_s, crc_ok=checksum_ok
+                    )
+                    core.apply(decision)
+                    if decision.verdict == "admitted":
+                        broadcast_start = max(broadcast_start, arrival_s)
+                    else:
+                        failed[site_id] = decision.verdict
+                    if decision.verdict == "quarantined":
+                        quarantined_total.add(site_id)
+                        round_quarantined.append(site_id)
+                n_before = len(global_model) if global_model is not None else 0
+                global_start = time.perf_counter()
+                global_model = core.apply(core.commit_round(round_index))
+                phase_tracer.record(
+                    "global_phase",
+                    wall_start=global_start,
+                    wall_end=global_start + core.global_seconds,
+                    attrs={"n_representatives": len(global_model)},
+                )
+                grew = len(global_model) > n_before
+
+                # Broadcast to every attempted site the server holds a
+                # model of, and — when the model grew — to every relabeled
+                # site too: new representatives can promote noise on *any*
+                # site (Definition 9).  A crash-after-send site still gets
+                # its round-0 attempts — the server is not omniscient —
+                # they just never land.
+                admitted = set(core.admitted_site_ids)
+                receivers_needed = {
+                    site_id for site_id in attempted if site_id in admitted
                 }
-                if metrics is not None:
+                receivers_needed |= stale
+                if grew:
+                    receivers_needed |= relabeled
+                payload = global_model.to_bytes()
+                receivers: list[ClientSite] = []
+                with phase_tracer.span("broadcast"):
+                    for site_id in sorted(receivers_needed):
+                        down = (
+                            round_index == 0 and behaviors[site_id].crashes_after_send
+                        )
+                        delivery = deliver(
+                            SERVER,
+                            site_id,
+                            "global_model",
+                            payload,
+                            broadcast_start,
+                            down,
+                        )
+                        if down:
+                            failed[site_id] = "crash_after_send"
+                        elif delivery.delivered and delivery.checksum_ok:
+                            receivers.append(sites_by_id[site_id])
+                        elif site_id in relabeled and site_id not in failed:
+                            # A healthy site that misses a refresh is
+                            # *stale*, not failed: its old labels are
+                            # internally consistent, just out of date.  It
+                            # is retried next round.
+                            stale.add(site_id)
+                        else:
+                            # Corrupt bytes must not be applied as a global
+                            # model.
+                            failed[site_id] = (
+                                "broadcast_corrupt"
+                                if delivery.delivered
+                                else "broadcast_lost"
+                            )
+
+                # Step 4 on the sites that hold the committed model.
+                changed: list[int] = []
+                recovered: list[int] = []
+                with phase_tracer.span("relabel"):
+                    relabel_start = time.perf_counter()
+                    results = self._relabel_fanout(receivers, global_model, observing)
+                    relabel_end = time.perf_counter()
+                    parent = round_span or phase_tracer.record(
+                        "compute", wall_start=relabel_start, wall_end=relabel_end
+                    )
+                    for site, result in zip(receivers, results):
+                        labels, stats, wall_s, cpu_s, spans = result
+                        if tracer.enabled:
+                            _graft_worker_spans(
+                                parent, spans, relabel_start, relabel_end
+                            )
+                        relabel_cpu_seconds += cpu_s
+                        site_id = site.site_id
+                        old_labels = (
+                            site.global_labels if site_id in relabeled else None
+                        )
+                        site.apply_relabel(labels, stats, wall_s, cpu_s)
+                        if old_labels is None or not np.array_equal(
+                            old_labels, site.global_labels
+                        ):
+                            changed.append(site_id)
+                        if failed.pop(site_id, None) is not None:
+                            recovered_total.add(site_id)
+                            recovered.append(site_id)
+                        stale.discard(site_id)
+                        relabeled.add(site_id)
+
+                round_sim_end = max(round_sim_end, round_sim_last)
+                if round_index == 0:
+                    local_sim_seconds = broadcast_start
+                    local_wall_seconds = compute_end - local_start
+                    relabel_wall_seconds = relabel_end - relabel_start
+                else:
+                    recovery_rounds.append(
+                        RecoveryRoundStats(
+                            round_index=round_index,
+                            start_sim_seconds=round_start,
+                            end_sim_seconds=round_sim_last,
+                            wall_seconds=time.perf_counter() - round_wall_start,
+                            attempted_sites=attempted,
+                            recovered_sites=sorted(recovered),
+                            quarantined_sites=sorted(round_quarantined),
+                            rebroadcast_sites=sorted(receivers_needed),
+                            relabel_changed_sites=sorted(changed),
+                            still_failed_sites=sorted(failed),
+                            retries=retries - retries_before,
+                        )
+                    )
                     metrics.inc("recovery.rounds")
-            logs.append(log)
-        if metrics is not None and recovered_total:
+                    if tracer.enabled:
+                        round_span.set_sim(round_start, round_sim_last)
+                        round_span.attrs.update(
+                            attempted=len(attempted),
+                            recovered=len(recovered),
+                            rebroadcast=len(receivers_needed),
+                        )
+        if recovered_total:
             metrics.set("recovery.recovered_sites", len(recovered_total))
 
         # Degraded fallback, in deterministic site order: fresh global ids
         # beyond everything the global model handed out.
-        fallback_start = time.perf_counter()
-        next_id = (
-            int(global_model.global_labels.max()) + 1 if len(global_model) else 0
-        )
-        for site in sites:
-            if site.site_id in failed:
-                next_id = site.apply_degraded_labels(
-                    failed[site.site_id], id_offset=next_id
-                )
-        run_end = time.perf_counter()
+        with (tracer if active else NULL_TRACER).span("degraded_fallback"):
+            next_id = (
+                int(global_model.global_labels.max()) + 1 if len(global_model) else 0
+            )
+            for site in sites:
+                if site.site_id in failed:
+                    next_id = site.apply_degraded_labels(
+                        failed[site.site_id], id_offset=next_id
+                    )
 
         participating = core.admitted_site_ids
         degraded = bool(failed) or bool(stale)
-        if metrics is not None:
-            metrics.set("runner.participating_sites", len(participating))
-            metrics.set("runner.failed_sites", len(failed))
-            if degraded:
-                metrics.inc("runner.degraded_rounds")
-        trace = None
-        if tracer is not None:
-            self._record_run_spans(
-                mode="degraded" if active else "fault_free",
-                n_sites=len(sites),
-                run_window=(run_start, run_end),
-                logs=logs,
-                global_seconds=core.global_seconds,
-                n_representatives=len(global_model),
-                fallback_window=(fallback_start, run_end) if active else None,
-            )
-            trace = trace_document(tracer, metrics)
+        metrics.set("runner.participating_sites", len(participating))
+        metrics.set("runner.failed_sites", len(failed))
+        if degraded:
+            metrics.inc("runner.degraded_rounds")
 
-        first = logs[0]
         raw_bytes, raw_seconds = self._raw_cost(site_points)
         return DistributedRunReport(
             sites=sites,
@@ -1184,9 +1194,9 @@ class DistributedRunner:
             ),
             global_wall_seconds=core.global_seconds,
             assignment=assignment,
-            local_wall_seconds=first.compute_end - first.local_start,
+            local_wall_seconds=local_wall_seconds,
             local_cpu_seconds=local_cpu_seconds,
-            relabel_wall_seconds=first.relabel_compute_end - first.relabel_start,
+            relabel_wall_seconds=relabel_wall_seconds,
             relabel_cpu_seconds=relabel_cpu_seconds,
             local_sim_seconds=local_sim_seconds,
             round_sim_seconds=round_sim_end,
@@ -1200,119 +1210,9 @@ class DistributedRunner:
             stale_sites=sorted(stale),
             recovery_rounds_used=len(recovery_rounds),
             recovery_rounds=recovery_rounds,
-            trace=trace,
             effective_parallelism=self._effective_parallelism,
             parallelism_fallback_reason=self._fallback_reason,
         )
-
-    def _record_run_spans(
-        self,
-        *,
-        mode: str,
-        n_sites: int,
-        run_window: tuple[float, float],
-        logs: list[_RoundLog],
-        global_seconds: float,
-        n_representatives: int,
-        fallback_window: tuple[float, float] | None,
-    ) -> None:
-        """Assemble the run's span tree post-hoc from the *same*
-        ``perf_counter`` reads that produced the report's timing fields,
-        so trace and report reconcile exactly.
-
-        Round 0 becomes the run's ``local_phase`` / ``global_phase`` /
-        ``broadcast`` / ``relabel`` spans (the global phase lasts the
-        server's own build measurement); every recovery round becomes one
-        ``recovery_round[i]`` span.  Message entries are ``(wall_start,
-        wall_end, sim_start, sim_end, attrs)`` tuples.
-        """
-        tracer = self.tracer
-        run_span = tracer.record(
-            "run",
-            wall_start=run_window[0],
-            wall_end=run_window[1],
-            attrs={"mode": mode, "n_sites": n_sites},
-        )
-
-        def sends(entries, parent) -> None:
-            for w0, w1, s0, s1, attrs in entries:
-                tracer.record(
-                    f"send[{attrs['kind']}]",
-                    wall_start=w0,
-                    wall_end=w1,
-                    sim_start=s0,
-                    sim_end=s1,
-                    attrs=attrs,
-                    parent=parent,
-                )
-
-        first = logs[0]
-        local_span = tracer.record(
-            "local_phase",
-            wall_start=first.local_start,
-            wall_end=first.upload_end,
-            parent=run_span,
-        )
-        compute_span = tracer.record(
-            "compute",
-            wall_start=first.local_start,
-            wall_end=first.compute_end,
-            parent=local_span,
-        )
-        _graft_worker_spans(compute_span, first.local_spans)
-        upload_span = tracer.record(
-            "upload",
-            wall_start=first.compute_end,
-            wall_end=first.upload_end,
-            parent=local_span,
-        )
-        sends(first.uploads, upload_span)
-        tracer.record(
-            "global_phase",
-            wall_start=first.global_start,
-            wall_end=first.global_start + global_seconds,
-            attrs={"n_representatives": n_representatives},
-            parent=run_span,
-        )
-        broadcast_span = tracer.record(
-            "broadcast",
-            wall_start=first.broadcast_start,
-            wall_end=first.broadcast_end,
-            parent=run_span,
-        )
-        sends(first.broadcasts, broadcast_span)
-        relabel_span = tracer.record(
-            "relabel",
-            wall_start=first.relabel_start,
-            wall_end=first.relabel_end,
-            parent=run_span,
-        )
-        relabel_compute = tracer.record(
-            "compute",
-            wall_start=first.relabel_start,
-            wall_end=first.relabel_compute_end,
-            parent=relabel_span,
-        )
-        _graft_worker_spans(relabel_compute, first.relabel_spans)
-        for log in logs[1:]:
-            round_span = tracer.record(
-                f"recovery_round[{log.index}]",
-                wall_start=log.wall_start,
-                wall_end=log.wall_end,
-                sim_start=log.sim_start,
-                sim_end=log.sim_end,
-                attrs=log.attrs,
-                parent=run_span,
-            )
-            _graft_worker_spans(round_span, log.local_spans + log.relabel_spans)
-            sends(log.uploads + log.broadcasts, round_span)
-        if fallback_window is not None:
-            tracer.record(
-                "degraded_fallback",
-                wall_start=fallback_window[0],
-                wall_end=fallback_window[1],
-                parent=run_span,
-            )
 
     def _fan_out(
         self,

@@ -35,6 +35,7 @@ from repro.clustering.dbscan import global_radius
 from repro.core.global_model import GlobalModelRepairer, build_global_model
 from repro.core.models import GlobalModel, LocalModel
 from repro.data.distance import Metric, get_metric
+from repro.obs import NULL_METRICS
 
 __all__ = [
     "Decision",
@@ -200,7 +201,7 @@ class RoundCore:
         self.index_kind = index_kind
         self.quorum = quorum
         self.expected_sites = round_sites(expected_sites)
-        self.metrics = metrics
+        self.metrics = NULL_METRICS if metrics is None else metrics
         self.local_models: list[LocalModel] = []
         self.rejected_models: list[LocalModel] = []
         # (model, reason) pairs the integrity gate refused — corrupt
@@ -432,18 +433,15 @@ class RoundCore:
             self.local_models.append(model)
             self.round_models.append(model)
             self._admitted_ids.add(model.site_id)
-            if metrics is not None:
-                metrics.inc("server.models_admitted")
-                metrics.observe("server.representatives_per_model", len(model))
+            metrics.inc("server.models_admitted")
+            metrics.observe("server.representatives_per_model", len(model))
         elif record == "QUARANTINE":
             self.quarantined_models.append((model, decision.detail))
-            if metrics is not None:
-                metrics.inc("server.models_quarantined")
+            metrics.inc("server.models_quarantined")
         elif decision.verdict == "deadline_missed":
             self.rejected_models.append(model)
             self._round_missed += 1
-            if metrics is not None:
-                metrics.inc("server.models_rejected")
+            metrics.inc("server.models_rejected")
         return None
 
     def _build(self) -> tuple[GlobalModel, int]:
@@ -469,11 +467,8 @@ class RoundCore:
             index_kind=self.index_kind,
         )
         self.global_seconds = time.perf_counter() - start
-        if self.metrics is not None:
-            self.metrics.inc("server.builds")
-            self.metrics.set(
-                "server.global_build_wall_seconds", self.global_seconds
-            )
+        self.metrics.inc("server.builds")
+        self.metrics.set("server.global_build_wall_seconds", self.global_seconds)
         return model, stats.n_merged_clusters + stats.n_singletons
 
     def _commit(self) -> GlobalModel:
@@ -494,11 +489,10 @@ class RoundCore:
                 churn += repairer.last_fold.label_churn
                 merges += repairer.last_fold.cluster_merges
             n_clusters = repairer.last_fold.n_clusters
-        if self.metrics is not None:
-            self.metrics.set("server.representatives", len(self._committed))
-            self.metrics.set("server.clusters", n_clusters)
-            self.metrics.inc("server.label_churn", churn)
-            self.metrics.inc("server.cluster_merges", merges)
+        self.metrics.set("server.representatives", len(self._committed))
+        self.metrics.set("server.clusters", n_clusters)
+        self.metrics.inc("server.label_churn", churn)
+        self.metrics.inc("server.cluster_merges", merges)
         self.rounds_committed = self.round_index + 1
         self.round_index = None
         return self._committed

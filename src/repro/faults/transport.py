@@ -29,13 +29,14 @@ Two integrity/health mechanisms ride on top:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.faults.integrity import crc_matches
 from repro.faults.plan import FaultPlan
+from repro.obs import NULL_METRICS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.distributed.network import SimulatedNetwork
@@ -297,7 +298,7 @@ class ResilientTransport:
         self.plan = plan
         self.policy = policy or TransportPolicy()
         self.breaker_policy = breaker_policy
-        self.metrics = metrics
+        self.metrics = NULL_METRICS if metrics is None else metrics
         self.retryable_errors = tuple(retryable_errors)
         self._sleep = sleep
         self.stats = TransportStats()
@@ -375,10 +376,9 @@ class ResilientTransport:
             self.stats.n_messages += 1
             self.stats.n_failed += 1
             self.stats.n_fast_failed += 1
-            if self.metrics is not None:
-                self.metrics.inc("transport.messages")
-                self.metrics.inc("transport.failed")
-                self.metrics.inc("breaker.fast_fails")
+            self.metrics.inc("transport.messages")
+            self.metrics.inc("transport.failed")
+            self.metrics.inc("breaker.fast_fails")
             return DeliveryOutcome(
                 delivered=False,
                 attempts=0,
@@ -495,28 +495,22 @@ class ResilientTransport:
         else:
             self.stats.n_failed += 1
         metrics = self.metrics
-        if metrics is not None:
-            metrics.inc("transport.messages")
-            metrics.inc("transport.attempts", attempts)
-            metrics.inc("transport.retries", attempts - 1)
-            if n_dropped:
-                metrics.inc("transport.drops", n_dropped)
-            if n_truncated:
-                metrics.inc("transport.truncated", n_truncated)
-            if n_duplicates:
-                metrics.inc("transport.duplicates", n_duplicates)
-            if n_corrupted:
-                metrics.inc("transport.corrupted", n_corrupted)
-            if breaker is not None:
-                metrics.set(
-                    "breaker.state_changes",
-                    self.stats.n_breaker_state_changes,
-                )
-            metrics.inc(
-                "transport.delivered" if delivered else "transport.failed"
-            )
-            metrics.inc(f"transport.bytes[{kind}]", bytes_sent)
-            metrics.observe("transport.sim_seconds", elapsed)
+        metrics.inc("transport.messages")
+        metrics.inc("transport.attempts", attempts)
+        metrics.inc("transport.retries", attempts - 1)
+        if n_dropped:
+            metrics.inc("transport.drops", n_dropped)
+        if n_truncated:
+            metrics.inc("transport.truncated", n_truncated)
+        if n_duplicates:
+            metrics.inc("transport.duplicates", n_duplicates)
+        if n_corrupted:
+            metrics.inc("transport.corrupted", n_corrupted)
+        if breaker is not None:
+            metrics.set("breaker.state_changes", self.stats.n_breaker_state_changes)
+        metrics.inc("transport.delivered" if delivered else "transport.failed")
+        metrics.inc(f"transport.bytes[{kind}]", bytes_sent)
+        metrics.observe("transport.sim_seconds", elapsed)
         return DeliveryOutcome(
             delivered=delivered,
             attempts=attempts,

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import abc
 import math
-import time
 
 import numpy as np
 
@@ -162,17 +161,7 @@ class NeighborIndex(abc.ABC):
     Subclasses index ``points`` (shape ``(n, d)``) under ``metric`` at
     construction time.  All queries are *exact*: approximate indexes would
     change DBSCAN's output and are out of scope for the reproduction.
-
-    A :class:`~repro.obs.MetricsRegistry` can be attached with
-    :meth:`attach_metrics`; region-level queries then record counts, batch
-    sizes, neighborhood sizes and accumulated query seconds (see
-    ``docs/observability.md``).  With nothing attached (the default) the
-    query paths pay a single ``None`` check and allocate nothing.
     """
-
-    # Class-level default so existing subclass constructors need no
-    # changes and unattached instances carry no extra state.
-    _obs_metrics = None
 
     def __init__(self, points: np.ndarray, metric: str | Metric = "euclidean") -> None:
         points = np.asarray(points, dtype=float)
@@ -195,27 +184,6 @@ class NeighborIndex(abc.ABC):
     def __len__(self) -> int:
         return self._points.shape[0]
 
-    def attach_metrics(self, metrics) -> None:
-        """Record region-query metrics into ``metrics`` from now on."""
-        self._obs_metrics = metrics
-
-    def detach_metrics(self) -> None:
-        """Stop recording (also drops the registry before pickling)."""
-        self._obs_metrics = None
-
-    def _record_queries(
-        self, n: int, seconds: float, neighbor_counts, *, batch: bool = False
-    ) -> None:
-        """Record ``n`` region queries answered in ``seconds``."""
-        metrics = self._obs_metrics
-        metrics.inc("index.region_queries", n)
-        metrics.inc("index.query_seconds", seconds)
-        if batch:
-            metrics.inc("index.batch_queries")
-            metrics.observe("index.batch_size", n)
-        for count in neighbor_counts:
-            metrics.observe("index.neighbors_per_query", count)
-
     def region_query(self, index: int, eps: float) -> np.ndarray:
         """``N_Eps`` of an indexed point.
 
@@ -227,14 +195,7 @@ class NeighborIndex(abc.ABC):
             Sorted integer array of neighbor indices; always contains
             ``index`` itself (a point is in its own ``Eps``-neighborhood).
         """
-        if self._obs_metrics is None:
-            return self.range_query(self._points[index], eps)
-        start = time.perf_counter()
-        neighbors = self.range_query(self._points[index], eps)
-        self._record_queries(
-            1, time.perf_counter() - start, (neighbors.size,)
-        )
-        return neighbors
+        return self.range_query(self._points[index], eps)
 
     @abc.abstractmethod
     def range_query(self, query: np.ndarray, eps: float) -> np.ndarray:
@@ -292,18 +253,11 @@ class NeighborIndex(abc.ABC):
         indices = np.asarray(indices, dtype=np.intp)
         if indices.size == 0:
             return _csr([], count_only)
-        if self._obs_metrics is None:
-            return self._region_batch(indices, eps, count_only)
-        start = time.perf_counter()
-        results = self._region_batch(indices, eps, count_only)
-        counts = results if count_only else np.diff(results[1])
-        self._record_queries(
-            indices.size, time.perf_counter() - start, counts, batch=True
-        )
-        return results
+        return self._region_batch(indices, eps, count_only)
 
     def _region_batch(self, indices: np.ndarray, eps: float, count_only: bool):
-        """The uninstrumented body of :meth:`region_query_batch`."""
+        """The answer of a non-empty :meth:`region_query_batch`: the range
+        queries of the indexed points (the grid joins their cells)."""
         return self.range_query_batch(
             self._points[indices], eps, count_only=count_only
         )

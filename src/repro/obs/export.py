@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.obs.metrics import NULL_METRICS
+
 __all__ = [
     "TRACE_FORMAT_VERSION",
     "trace_document",
@@ -45,6 +47,7 @@ _SCHEMA_PATH = Path(__file__).with_name("trace_schema.json")
 def trace_document(tracer, metrics=None) -> dict:
     """Assemble the canonical trace document from a tracer (and optional
     metrics registry)."""
+    metrics = NULL_METRICS if metrics is None else metrics
     return {
         "version": TRACE_FORMAT_VERSION,
         "clocks": {
@@ -53,11 +56,7 @@ def trace_document(tracer, metrics=None) -> dict:
         },
         "origin": {"wall": tracer.wall_origin},
         "spans": tracer.export_spans(),
-        "metrics": (
-            metrics.to_dict()
-            if metrics is not None
-            else {"counters": {}, "gauges": {}, "histograms": {}}
-        ),
+        "metrics": metrics.to_dict(),
     }
 
 

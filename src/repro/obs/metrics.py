@@ -1,14 +1,14 @@
 """Zero-dependency metrics registry: counters, gauges, histograms.
 
-Every hot layer of the pipeline (the neighbor indexes, DBSCAN, the
+Every hot layer of the pipeline (DBSCAN and its region queries, the
 resilient transport with its checksums and circuit breakers, the central
 server's admission gate, the distributed runner and its recovery rounds)
-records into a :class:`MetricsRegistry` when one is attached, and records
-nothing — not even an allocation — when none is.  The registry is deliberately
-tiny: three metric families, float values, power-of-two histogram
-buckets, and a JSON-ready :meth:`MetricsRegistry.to_dict` export that
-lands in ``DistributedRunReport.trace`` and the traced scenario
-presets' output.
+records into a :class:`MetricsRegistry` when one is passed, and into
+:data:`NULL_METRICS` — nothing, not even an allocation — when none is.
+The registry is deliberately tiny: three metric families, float values,
+power-of-two histogram buckets, and a JSON-ready
+:meth:`MetricsRegistry.to_dict` export that lands in
+``DistributedRunReport.trace`` and the traced scenario presets' output.
 
 Metric names are dotted paths (``"index.region_queries"``); per-kind
 variants append the kind in brackets (``"transport.bytes[local_model]"``).

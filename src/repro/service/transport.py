@@ -24,6 +24,7 @@ import time
 from typing import Protocol, runtime_checkable
 
 from repro.distributed.network import Message
+from repro.distributed.server import count_setting, seconds_setting
 from repro.obs import NULL_METRICS, NULL_TRACER
 from repro.service import wire
 
@@ -106,8 +107,10 @@ class SocketTransport:
         host: service host.
         port: service port.
         site_id: the site id stamped on outgoing frames.
-        timeout_s: per-operation socket timeout (connect, send, read).
-        max_payload: reject response frames declaring more than this.
+        timeout_s: per-operation socket timeout (connect, send, read),
+            positive and finite.
+        max_payload: reject response frames declaring more than this; a
+            whole number of bytes of at least one frame header.
         tracer: when an enabled :class:`~repro.obs.Tracer` is given,
             every request carries a version-2 frame with a
             :class:`~repro.service.wire.TraceContext` naming the
@@ -117,6 +120,10 @@ class SocketTransport:
         metrics: registry for ``service.frame_bytes_{sent,received}``
             per-frame-kind counters (payload bytes, matching the
             ``SimulatedNetwork.bytes_by_kind`` accounting).
+
+    Raises:
+        ValueError: naming ``timeout_s`` or ``max_payload`` when it is
+            out of range (a NaN would turn the frame cap off).
     """
 
     def __init__(
@@ -130,13 +137,13 @@ class SocketTransport:
         tracer=None,
         metrics=None,
     ) -> None:
-        if timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {timeout_s}")
         self.host = host
         self.port = port
         self.site_id = site_id
-        self.timeout_s = timeout_s
-        self.max_payload = max_payload
+        self.timeout_s = seconds_setting("timeout_s", timeout_s, finite=True)
+        self.max_payload = count_setting(
+            "max_payload", max_payload, minimum=wire.HEADER_SIZE
+        )
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.metrics = NULL_METRICS if metrics is None else metrics
         self.bytes_sent = 0

@@ -25,7 +25,6 @@ the same rule as :class:`~repro.index.grid.GridIndex`.
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict, deque
 
 import numpy as np
@@ -179,29 +178,9 @@ class DynamicGridIndex:
         hits.sort()
         return hits
 
-    # Same observability contract as NeighborIndex.attach_metrics; the
-    # dynamic grid is not a NeighborIndex subclass, so it mirrors it.
-    _obs_metrics = None
-
-    def attach_metrics(self, metrics) -> None:
-        """Record region-query metrics into ``metrics`` from now on."""
-        self._obs_metrics = metrics
-
-    def detach_metrics(self) -> None:
-        """Stop recording (also drops the registry before pickling)."""
-        self._obs_metrics = None
-
     def region_query(self, index: int, eps: float) -> np.ndarray:
         """``N_Eps`` of a live indexed point (includes the point itself)."""
-        if self._obs_metrics is None:
-            return self.range_query(self.point(index), eps)
-        start = time.perf_counter()
-        neighbors = self.range_query(self.point(index), eps)
-        metrics = self._obs_metrics
-        metrics.inc("index.region_queries", 1)
-        metrics.inc("index.query_seconds", time.perf_counter() - start)
-        metrics.observe("index.neighbors_per_query", neighbors.size)
-        return neighbors
+        return self.range_query(self.point(index), eps)
 
     def count_in_range(self, query: np.ndarray, eps: float) -> int:
         """Number of live points within ``eps`` of ``query``."""

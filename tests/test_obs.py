@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 from repro.data.generators import gaussian_blobs
-from repro.distributed.runner import DistributedRunConfig, DistributedRunner
+from repro.distributed.runner import (
+    DistributedRunConfig,
+    DistributedRunner,
+    RecoveryPolicy,
+)
 from repro.faults import FaultPlan, SiteFaults
 from repro.obs import (
     NULL_METRICS,
@@ -311,6 +315,28 @@ def _spans_well_nested(spans, parent=None, epsilon=1e-6, check_child_sum=True):
         _spans_well_nested(children, span, epsilon, check_child_sum)
 
 
+#: Site 1 crashes before its local phase; a recovery round reboots it.
+_CRASH_SITE_1 = FaultPlan(
+    seed=2, site_overrides={1: SiteFaults(crash_before_local_prob=1.0)}
+)
+
+
+def _shape(span):
+    """A span tree as nested ``(name, children)`` tuples, the children of a
+    recovery round sorted (they may appear in the order the work ran)."""
+    children = tuple(_shape(child) for child in span.get("children", []))
+    if span["name"].startswith("recovery_round["):
+        children = tuple(sorted(children))
+    return span["name"], children
+
+
+def _walk(span):
+    """``span`` and every span below it, depth first."""
+    yield span
+    for child in span.get("children", []):
+        yield from _walk(child)
+
+
 class TestRunnerIntegration:
     def test_disabled_tracing_is_bit_identical(self, blobs):
         """The acceptance pin: a runner without tracer/metrics produces
@@ -332,21 +358,99 @@ class TestRunnerIntegration:
         assert plain.trace is None
         assert observed.trace is not None
 
-    def test_degraded_observed_matches_plain(self, blobs):
-        plan = FaultPlan(
-            seed=2, site_overrides={1: SiteFaults(crash_before_local_prob=1.0)}
-        )
-        plain = DistributedRunner(_config(), fault_plan=plan).run(blobs, 3)
+    @pytest.mark.parametrize("recovery_rounds", [0, 1])
+    def test_degraded_observed_matches_plain(self, blobs, recovery_rounds):
+        recovery = RecoveryPolicy(max_recovery_rounds=recovery_rounds)
+        plain = DistributedRunner(
+            _config(), fault_plan=_CRASH_SITE_1, recovery_policy=recovery
+        ).run(blobs, 3)
         observed = DistributedRunner(
-            _config(), fault_plan=plan, tracer=Tracer(), metrics=MetricsRegistry()
+            _config(),
+            fault_plan=_CRASH_SITE_1,
+            recovery_policy=recovery,
+            tracer=Tracer(),
+            metrics=MetricsRegistry(),
         ).run(blobs, 3)
         np.testing.assert_array_equal(
             plain.labels_in_original_order(),
             observed.labels_in_original_order(),
         )
         assert plain.failed_sites == observed.failed_sites
+        assert plain.recovered_sites == observed.recovered_sites
         assert plain.retries == observed.retries
         assert plain.network.bytes_total == observed.network.bytes_total
+
+    def test_recovery_round_trace_shape(self, blobs):
+        """The runner's span tree with one recovery round: names and
+        nesting (a recovery round's children in any order), sim stamps on
+        every ``send[*]`` and on the round, the round's attrs, and
+        ``degraded_fallback`` only under an active plan."""
+        report = DistributedRunner(
+            _config(),
+            fault_plan=_CRASH_SITE_1,
+            recovery_policy=RecoveryPolicy(max_recovery_rounds=1),
+            tracer=Tracer(),
+            metrics=MetricsRegistry(),
+        ).run(blobs, 3)
+        assert report.recovered_sites == [1]
+        [run] = report.trace["spans"]
+        assert run["attrs"] == {"mode": "degraded", "n_sites": 3}
+
+        def local(site):
+            dbscan = ("dbscan", (("region_queries", ()),))
+            return (f"site[{site}].local", (dbscan, ("derive_model", ())))
+
+        def relabel(site):
+            return (f"site[{site}].relabel", ())
+
+        upload, broadcast = ("send[local_model]", ()), ("send[global_model]", ())
+        recovery = (local(1), upload, *[broadcast] * 3, *map(relabel, (0, 1, 2)))
+        assert _shape(run) == (
+            "run",
+            (
+                (
+                    "local_phase",
+                    (("compute", (local(0), local(2))), ("upload", (upload,) * 2)),
+                ),
+                ("global_phase", ()),
+                ("broadcast", (broadcast,) * 2),
+                ("relabel", (("compute", (relabel(0), relabel(2))),)),
+                ("recovery_round[1]", tuple(sorted(recovery))),
+                ("degraded_fallback", ()),
+            ),
+        )
+        _spans_well_nested(report.trace["spans"])
+
+        [stats] = report.recovery_rounds
+        [round_span] = [s for s in run["children"] if s["name"] == "recovery_round[1]"]
+        assert round_span["sim_start"] == stats.start_sim_seconds
+        assert round_span["sim_end"] == stats.end_sim_seconds
+        assert round_span["attrs"] == {
+            "attempted": len(stats.attempted_sites),
+            "recovered": len(stats.recovered_sites),
+            "rebroadcast": len(stats.rebroadcast_sites),
+        } == {"attempted": 1, "recovered": 1, "rebroadcast": 3}
+
+        sends = {}
+        for span in _walk(run):
+            stamped = "sim_start" in span and "sim_end" in span
+            if span["name"].startswith("send["):
+                assert stamped and span["sim_end"] >= span["sim_start"]
+                assert span["attrs"]["delivered"] and span["attrs"]["attempts"] == 1
+                sends.setdefault(span["name"], []).append(span["attrs"]["site"])
+            else:
+                assert stamped == (span is round_span), span["name"]
+        assert sends == {
+            "send[local_model]": [0, 2, 1],
+            "send[global_model]": [0, 2, 0, 1, 2],
+        }
+
+        clean = DistributedRunner(_config(), tracer=Tracer()).run(blobs, 3)
+        [clean_run] = clean.trace["spans"]
+        assert clean_run["attrs"] == {"mode": "fault_free", "n_sites": 3}
+        assert [s["name"] for s in clean_run["children"]] == [
+            "local_phase", "global_phase", "broadcast", "relabel"
+        ]
 
     def test_trace_validates_and_reconciles(self, blobs):
         report = DistributedRunner(

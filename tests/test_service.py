@@ -315,6 +315,24 @@ class TestConfigGuards:
         """An infinite timeout or grace means "never"."""
         assert getattr(ServiceConfig(**{field: value}), field) == value
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("timeout_s", math.nan),
+            ("timeout_s", math.inf),
+            ("max_payload", math.nan),
+            ("max_payload", math.inf),
+            ("max_payload", 100.5),
+            ("max_payload", 0),
+        ],
+    )
+    def test_a_transport_refuses_a_guard_switching_value(self, field, value):
+        """The client's response cap and socket timeout: a NaN cap passed
+        every declared length, and a NaN or infinite timeout failed only
+        later, inside ``socket.settimeout``."""
+        with pytest.raises(ValueError, match=rf"^{field} must be .*got {value}$"):
+            SocketTransport("127.0.0.1", 1, **{field: value})
+
     def test_the_serve_command_refuses_a_nan_idle_timeout(self, monkeypatch):
         from repro.service.cli import serve_main
 
