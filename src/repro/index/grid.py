@@ -25,9 +25,18 @@ join** that runs in a fixed number of NumPy passes per block of queries:
 1. a *neighbour table* lists, for every occupied cell, the occupied cells
    within the ring reach of the build radius; it is built once, by the
    first query of indexed points at that radius, so a grid queried only
-   with other points never builds it (cells reached by other radii, or by
-   query points outside the occupied cells, are looked up per call the
-   same way);
+   with other points never builds it.  Other points (a relabel fold's
+   objects, a label query's) land in any cell, so the first such query
+   at that reach builds a *query table* instead: every cell within the
+   reach of an occupied cell, with its neighbour cells and candidate
+   count, plus one empty row for every other cell.  Its neighbour lists
+   hold exactly ``n_occupied × (2 rings + 1)^d`` entries (each occupied
+   cell is a neighbour of every cell of its stencil), and a block of
+   queries finds its rows with one ``searchsorted`` of their cell keys.
+   A grid builds it only while that count stays within
+   ``_TABLE_ENTRIES`` (1 MiB of cell ids) and the stencil lookup applies;
+   otherwise, and for every other ring reach, the queries are grouped by
+   cell and their neighbour cells looked up per call;
 2. the block's ``(query, candidate)`` pairs are generated with two ragged
    expansions: query → its cell's neighbour cells → their points, so the
    pairs arrive grouped by query (each pair's point and query index are
@@ -68,8 +77,9 @@ staged answer array of at most a quarter pass, so at most 1.25 passes
 (5 MiB).  Taking and giving back a set are single atomic ``deque``
 operations: a set serves one join at a time, no lock is held across a
 pass, and a forked child inherits the list as it is.  Only the neighbour
-table is filled in after construction, and it is a pure function of the
-points: threads that race to build it build equal tables.
+and query tables are filled in after construction, and each is a pure
+function of the points: threads that race to build one build equal
+tables.
 """
 
 from __future__ import annotations
@@ -111,6 +121,11 @@ _STAGE_BYTES = PASS_BUDGET_BYTES // 4
 # temporary comes from the heap instead of being mapped and faulted in
 # afresh on every call.
 _CHUNK = 8192
+
+# Neighbour entries a query table may hold: 1 MiB of cell ids.  A table
+# row has at least one entry, so its per-cell arrays (keys, offsets,
+# counts) are at most three times that again: a table stays under 4 MiB.
+_TABLE_ENTRIES = 1 << 17
 
 
 class _PassBuffers:
@@ -228,6 +243,10 @@ class GridIndex(NeighborIndex):
         self._rings0 = self._rings(self._cell_size)
         # The neighbour table at the build radius, built on first use.
         self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # The query table at the build radius, built on first use where
+        # it applies (``_box`` holds its key strides, else ``None``).
+        self._box = self._query_box()
+        self._query_table: tuple[np.ndarray, ...] | None = None
 
     @property
     def cell_size(self) -> float:
@@ -354,6 +373,56 @@ class GridIndex(NeighborIndex):
             )
         return self._table
 
+    def _query_box(self) -> np.ndarray | None:
+        """Row-major strides of the box that query cells are clipped to at
+        the build radius's ring reach (the occupied extent and ``rings +
+        1`` cells on each side), or ``None`` where the query table does
+        not apply: the stencil lookup of :meth:`_neighbour_cells` does
+        not, the table would hold over ``_TABLE_ENTRIES`` neighbour
+        entries, or the box's keys would not fit."""
+        n_cells, dim = self._cell_coords.shape
+        stencil = (2 * self._rings0 + 1) ** dim
+        if (
+            self._keys is None
+            or stencil > n_cells
+            or n_cells * stencil > _TABLE_ENTRIES
+        ):
+            return None
+        strides, __ = _linear_keys(
+            self._cell_coords[:0], self._extent + 2 * self._rings0 + 2
+        )
+        return strides
+
+    def _cell_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The query table at the build radius, built on first use: the
+        ascending box keys of every cell within the ring reach of an
+        occupied cell, then per such cell its neighbour cells (CSR, ids
+        ascending) and candidate count, plus a last row without
+        neighbours for every other cell.
+
+        Each occupied cell is entered once per stencil offset, cell after
+        cell, so a stable sort by the entries' keys groups them into rows
+        with their cell ids ascending, as :meth:`_neighbour_cells` lists
+        them.
+        """
+        if self._query_table is None:
+            stencil = _stencil(self._rings0, self._cell_coords.shape[1])
+            keys = (
+                (self._cell_coords + self._rings0 + 1) @ self._box
+            )[:, None] + stencil @ self._box
+            keys = keys.reshape(-1)
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            rows = np.flatnonzero(np.diff(keys)) + 1
+            offsets = np.concatenate([[0], rows, [keys.size, keys.size]])
+            # A pure function of the points: threads that race here build
+            # equal tables.
+            self._query_table = (
+                keys[offsets[:-2]],
+                *self._with_sizes(offsets, order // len(stencil)),
+            )
+        return self._query_table
+
     def _query_groups(
         self, queries: np.ndarray, rings: int, cells: np.ndarray | None
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -362,10 +431,12 @@ class GridIndex(NeighborIndex):
 
         ``cells`` gives the occupied cell of each query when the queries
         are indexed points; at the build radius those cells' rows of the
-        neighbour table are the groups.  Other queries are
-        grouped by their (possibly unoccupied) cell, whose neighbour cells
-        are looked up for this call.  Non-finite queries land in a final
-        group without neighbours (they can match nothing).
+        neighbour table are the groups.  Other queries at the build
+        radius's ring reach read their rows of the query table where the
+        grid has one; otherwise they are grouped by their (possibly
+        unoccupied) cell, whose neighbour cells are looked up for this
+        call.  Non-finite queries land in a final group without
+        neighbours (they can match nothing).
         """
         if cells is not None:
             if rings == self._rings0:
@@ -377,6 +448,15 @@ class GridIndex(NeighborIndex):
         scaled = np.floor((queries[finite] - self._origin) / self._cell_size)
         np.clip(scaled, -rings - 1, self._extent + rings, out=scaled)
         coords = scaled.astype(np.int64)
+        if rings == self._rings0 and self._box is not None:
+            cell_keys, offsets, neighbours, group_size = self._cell_table()
+            keys = (coords + rings + 1) @ self._box
+            row = np.searchsorted(cell_keys, keys)
+            # A cell the table lacks reads the last row, the empty one.
+            row[cell_keys.take(row, mode="clip") != keys] = cell_keys.size
+            group_of = np.full(queries.shape[0], cell_keys.size, dtype=np.intp)
+            group_of[finite] = row
+            return group_of, (offsets, neighbours, group_size)
         # Group by one row-major key per cell of the clipped box: a 1-D
         # ``unique`` in the rows' lexicographic order, far cheaper than a
         # row-wise one, which is left for boxes beyond the key range.

@@ -1016,26 +1016,39 @@ def _percentile(samples: list, q: float) -> float:
     return float(np.percentile(samples, q)) if samples else 0.0
 
 
-def _query_storm(report: Report, server: _Server, points: np.ndarray) -> None:
+def _query_storm(
+    report: Report, server: _Server, points: np.ndarray, model
+) -> None:
     """``clients`` threads send ``queries`` label queries in total.
 
     Every client walks fixed slices of the data, so the work is
     deterministic.  A typed ``overloaded`` reply is retried after its
-    ``retry_after_s`` hint; anything else — a wrong-sized answer, an
-    untyped error, a dropped connection — fails the query.
+    ``retry_after_s`` hint; anything else — an untyped error, a dropped
+    connection, labels other than the in-process pure-coverage relabel of
+    the slice against the oracle's global ``model`` — fails the query.
     """
     spec = report.spec
     batch, n = spec.query_batch, points.shape[0]
     lock = threading.Lock()
     latencies: list[float] = []
-    counts = {"ok": 0, "shed": 0}
+    counts = {"ok": 0, "shed": 0, "wrong": 0}
+    blocks = {
+        lo: points[lo: lo + batch]
+        for lo in {(query * batch) % max(n - batch, 1) for query in range(spec.queries)}
+    }
+    expected = {
+        lo: relabel_site(
+            block, np.full(len(block), NOISE, dtype=np.intp), model, site_id=None
+        )[0]
+        for lo, block in blocks.items()
+    }
 
     def client(index: int) -> None:
         try:
             with ServiceClient(server.host, server.port) as service:
                 for query in range(index, spec.queries, spec.clients):
                     lo = (query * batch) % max(n - batch, 1)
-                    block = points[lo: lo + batch]
+                    block = blocks[lo]
                     for __ in range(500):
                         start = time.perf_counter()
                         try:
@@ -1048,9 +1061,11 @@ def _query_storm(report: Report, server: _Server, points: np.ndarray) -> None:
                                 counts["shed"] += 1
                             time.sleep(hint)
                             continue
+                        right = np.array_equal(labels, expected[lo])
                         with lock:
                             latencies.append(time.perf_counter() - start)
-                            counts["ok"] += labels.size == block.shape[0]
+                            counts["ok"] += right
+                            counts["wrong"] += not right
                         break
         except (OSError, wire.WireError):
             pass  # the unanswered queries count as failed
@@ -1068,6 +1083,11 @@ def _query_storm(report: Report, server: _Server, points: np.ndarray) -> None:
         report.put(f"query_p{q}_wall_seconds", _percentile(latencies, q))
     report.put("query_max_wall_seconds", max(latencies, default=0.0))
     report.put("overload_shed_count", counts["shed"])
+    report.check(
+        counts["wrong"] == 0,
+        f"query storm: {counts['wrong']} of {spec.queries} replies differ "
+        "from the in-process relabel",
+    )
     report.put("overload_typed_ok", report.check(
         failed == 0, f"query storm: {failed} of {spec.queries} queries failed"
     ))
@@ -1092,13 +1112,19 @@ def _scrape(report: Report, server: _Server) -> None:
     ))
 
 
-def _reference_labels(spec: Scenario, data) -> np.ndarray:
-    """The in-process runner's labels for the spec's partition — the
-    oracle every fault-free socket upload must match bit for bit."""
+def _reference_run(spec: Scenario, data):
+    """The in-process runner's report for the spec's partition — the
+    oracle every fault-free socket upload must match bit for bit (its
+    labels) and the storm's label queries too (its global model)."""
     return DistributedRunner(DistributedRunConfig(
         eps_local=data.eps_local, min_pts_local=data.min_pts,
         scheme=spec.scheme, seed=spec.seed,
-    )).run(data.points, spec.sites).labels_in_original_order()
+    )).run(data.points, spec.sites)
+
+
+def _reference_labels(spec: Scenario, data) -> np.ndarray:
+    """The reference run's labels, in the original point order."""
+    return _reference_run(spec, data).labels_in_original_order()
 
 
 def _one_shot(spec: Scenario, report: Report) -> None:
@@ -1107,7 +1133,8 @@ def _one_shot(spec: Scenario, report: Report) -> None:
     drill (the restarted server must label the data identically)."""
     data = _load(spec)
     points = data.points
-    reference = _reference_labels(spec, data)
+    oracle = _reference_run(spec, data)
+    reference = oracle.labels_in_original_order()
     assignment = partition(points, spec.sites, "uniform_random", spec.seed)
     parts = split(points, assignment)
     server_tracer = Tracer() if spec.trace else None
@@ -1142,7 +1169,7 @@ def _one_shot(spec: Scenario, report: Report) -> None:
             len(admitted) == spec.sites and np.array_equal(reference, labels),
             "socket labels diverge from the in-process runner",
         ))
-        _serve_tail(report, server, points)
+        _serve_tail(report, server, points, oracle.global_model)
         if spec.trace:
             _service_trace_gates(report, server.handle.merged_trace())
         if spec.server_crashes:
@@ -1166,10 +1193,11 @@ def _one_shot(spec: Scenario, report: Report) -> None:
     )
 
 
-def _serve_tail(report: Report, server: _Server, points: np.ndarray) -> None:
-    """After the commit: query storm, scrape, and the health document."""
+def _serve_tail(report: Report, server: _Server, points: np.ndarray, model) -> None:
+    """After the commit: query storm (its replies checked against the
+    oracle's global ``model``), scrape, and the health document."""
     if report.spec.queries:
-        _query_storm(report, server, points)
+        _query_storm(report, server, points, model)
     if server.metrics_port:
         _scrape(report, server)
     health = server.health()
@@ -1282,7 +1310,7 @@ def _session(spec: Scenario, report: Report) -> None:
             _session_trace_gates(
                 report, server.handle.merged_trace(), results, server_tracer
             )
-        _serve_tail(report, server, points)
+        _serve_tail(report, server, points, oracle.model)
     if server.tail and report.problems:
         report.notes.append("server log tail:\n" + server.tail)
     report.notes.append(

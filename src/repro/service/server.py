@@ -18,8 +18,16 @@ guarantee the integration tests pin.
 
 Concurrency model: one event loop owns all protocol state, so admission
 and build are race-free by construction; only the numpy-heavy label
-relabeling runs in the default executor (on a model snapshot) to keep
-the loop responsive under query load.  Per-connection deadlines bound
+relabeling runs in the default executor, to keep the loop responsive
+under query load.  A label query queues its points with the model
+snapshot it read on arrival, and one fold at a time runs: whenever none
+is running, every queued query of the first one's model and
+dimensionality is relabeled by one ``relabel_site`` call over their
+concatenated points, and each gets its slice of the labels.  A query's
+labels do not depend on the other objects, so each reply is bit for bit
+the one a lone relabel gives; a lone query waits for nothing, and
+queries with no rows or against an empty model are answered without a
+fold.  Per-connection deadlines bound
 every read (one budget per frame, header and payload together), and
 :meth:`DBDCService.stop` drains connections gracefully — in-flight
 waiters receive a typed ``shutting_down`` frame before their connection
@@ -62,7 +70,7 @@ import numpy as np
 
 from repro.clustering.dbscan import global_radius
 from repro.clustering.labels import NOISE
-from repro.core.models import LocalModel
+from repro.core.models import GlobalModel, LocalModel
 from repro.core.relabel import relabel_site, require_model_dimensionality
 from repro.distributed.server import (
     Decision,
@@ -241,6 +249,10 @@ class DBDCService:
         self._n_load_shed = 0
         self._n_connections_refused = 0
         self._n_duplicate_uploads = 0
+        # Label queries waiting for a fold — (model, points, reply) — and
+        # the task that runs folds while any wait.
+        self._label_queue: list[tuple[GlobalModel, np.ndarray, asyncio.Future]] = []
+        self._label_folds: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -288,11 +300,16 @@ class DBDCService:
         Setting the shutdown event releases every in-flight MODEL_DELTA
         waiter (their wait races the event), and each
         replies to its client with a typed ``shutting_down`` frame before
-        its serve loop exits.  Those in-dispatch connections get a grace
-        window to flush that frame; only connections still idle after it
-        (parked in a read, no request in flight) are cancelled.
+        its serve loop exits; so does every label query still queued for
+        a fold.  Those in-dispatch connections, and the queries of a
+        running fold, get a grace window to flush their frames; only
+        connections still idle or waiting after it are cancelled, and
+        then the fold.
         """
         self._shutdown.set()
+        for __, __, reply in self._label_queue:
+            reply.set_result(None)
+        self._label_queue.clear()
         listeners = [
             listener
             for listener in (self._asyncio_server, self._http_server)
@@ -318,6 +335,9 @@ class DBDCService:
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._label_folds is not None:
+            self._label_folds.cancel()
+            await asyncio.gather(self._label_folds, return_exceptions=True)
         if self._journal is not None:
             self._journal.close()
         self.metrics.set("service.up", 0)
@@ -612,6 +632,76 @@ class DBDCService:
                 for waiter in waiters:
                     waiter.cancel()
                 await asyncio.gather(*waiters, return_exceptions=True)
+
+    # ------------------------------------------------------------------
+    # label queries
+    # ------------------------------------------------------------------
+    async def _fold_labels(
+        self, points: np.ndarray, model: GlobalModel
+    ) -> np.ndarray | None:
+        """The labels of one query's points against ``model``, from the
+        fold that takes them: the running one's successor, or a fold of
+        its own when none is running.  ``None`` when the service stops
+        first; the fold's exception when it raises."""
+        if self._shutdown.is_set():
+            return None
+        reply = asyncio.get_running_loop().create_future()
+        self._label_queue.append((model, points, reply))
+        if self._label_folds is None:
+            self._label_folds = asyncio.ensure_future(self._run_label_folds())
+        return await reply
+
+    async def _run_label_folds(self) -> None:
+        """Run folds until no label query is queued.
+
+        A fold takes every queued query of the first one's model and
+        dimensionality and relabels their concatenated points with one
+        pure-coverage ``relabel_site`` call (no local clustering to
+        inherit from) on an executor thread; each query gets its slice.
+        A fold that raises hands every query in it the exception.
+        """
+        loop = asyncio.get_running_loop()
+        fold: list = []
+        try:
+            while self._label_queue:
+                model, first, __ = self._label_queue[0]
+                fold, rest = [], []
+                for query in self._label_queue:
+                    same = query[0] is model and query[1].shape[1] == first.shape[1]
+                    (fold if same else rest).append(query)
+                self._label_queue = rest
+                self.metrics.observe("service.label_query_batch", len(fold))
+                points = np.concatenate([query[1] for query in fold])
+                try:
+                    labels, __ = await loop.run_in_executor(
+                        None,
+                        partial(
+                            relabel_site,
+                            points,
+                            np.full(points.shape[0], NOISE, dtype=np.intp),
+                            model,
+                            site_id=None,
+                            metric=self.config.metric,
+                            kernel=self.config.relabel_kernel,
+                        ),
+                    )
+                except Exception as error:
+                    for __, __, reply in fold:
+                        if not reply.done():
+                            reply.set_exception(error)
+                else:
+                    start = 0
+                    for __, block, reply in fold:
+                        if not reply.done():
+                            reply.set_result(labels[start : start + len(block)])
+                        start += len(block)
+                fold = []
+        finally:
+            # Cancelled by stop(): the queries of the abandoned fold had
+            # their grace.
+            for __, __, reply in fold:
+                reply.cancel()
+            self._label_folds = None
 
     def _shutdown_notice(self) -> tuple[wire.FrameKind, bytes]:
         """The typed frame an in-flight waiter receives at shutdown."""
@@ -949,20 +1039,13 @@ class DBDCService:
                     "bad_request", str(error)
                 )
             start = time.perf_counter()
-            # Pure-coverage relabel (no local clustering to inherit from)
-            # on a model snapshot, off the loop thread.
-            labels, __stats = await asyncio.get_event_loop().run_in_executor(
-                None,
-                partial(
-                    relabel_site,
-                    points,
-                    np.full(points.shape[0], NOISE, dtype=np.intp),
-                    model,
-                    site_id=None,
-                    metric=self.config.metric,
-                    kernel=self.config.relabel_kernel,
-                ),
-            )
+            if len(points) and len(model):
+                labels = await self._fold_labels(points, model)
+                if labels is None:
+                    return self._shutdown_notice()
+            else:
+                # Nothing to join: every point (if any) is noise.
+                labels = np.full(len(points), NOISE, dtype=np.intp)
             self.metrics.observe(
                 "service.label_query_seconds", time.perf_counter() - start
             )

@@ -2,7 +2,10 @@
 buffer set at a time, and a repeated join reuses its set instead of
 allocating its pair arrays again, in every mode of the join (the self
 mode of a whole-graph fetch included).  Also the join's refusal of a NaN
-or negative radius."""
+or negative radius, and the query table: queries that are not indexed
+points, at the build radius's ring reach, find their cells in a table
+built once per grid, and get what brute force and the dense relabel
+reference give."""
 
 from __future__ import annotations
 
@@ -12,8 +15,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.index import GridIndex
+from repro.clustering.labels import NOISE
+from repro.core.models import GlobalModel
+from repro.core.relabel import relabel_site_reference
+from repro.data.distance import get_metric
+from repro.index import BruteForceIndex, GridIndex
 from repro.index import grid as grid_module
 from repro.index.base import PASS_BUDGET_BYTES
 
@@ -173,3 +182,158 @@ def test_join_refuses_a_nan_or_negative_radius(bad):
     assert nearest.tolist() == [-1] and distance.tolist() == [np.inf]
     with pytest.raises(ValueError, match=r"radii\[0\]"):
         index.join(query, 1.0, radii=[bad, 0.5])
+
+
+def _table_case(seed: int, dim: int, n: int, metric: str, cell: float):
+    """A grid, and queries that are not indexed points: inside the
+    extent, on indexed points, far outside it, and with a NaN or infinite
+    coordinate."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-3, 3, size=(n, dim))
+    points[: n // 3] = rng.normal(0, 0.4, size=(n // 3, dim))
+    queries = np.concatenate(
+        [
+            rng.uniform(-5, 5, size=(2 * n, dim)),
+            points[rng.integers(n, size=n // 4 + 1)],
+            rng.uniform(-1, 1, size=(6, dim))
+            * [[1e6], [1e12], [-1e6], [1e300], [3.5], [-7]],
+        ]
+    )
+    rows = rng.integers(len(queries), size=3)
+    for row, bad in zip(rows, (np.nan, np.inf, -np.inf)):
+        queries[row, rng.integers(dim)] = bad
+    return GridIndex(points, metric, cell_size=cell), queries
+
+
+def _radii_sweep(grid: GridIndex) -> list[float]:
+    """The build radius, one below it with the same ring reach, and one
+    of another ring reach."""
+    cell = grid.cell_size
+    reach = grid._rings0
+    below = next(f * cell for f in (0.6, 0.8, 0.95) if grid._rings(f * cell) == reach)
+    other = next(f * cell for f in (2.5, 4.0) if grid._rings(f * cell) != reach)
+    return [cell, below, other]
+
+
+def _assert_table_answers(grid: GridIndex, queries: np.ndarray, seed: int) -> None:
+    """Rows, counts and the reducing join equal brute force and the dense
+    relabel reference bit for bit, at every radius of the sweep."""
+    metric = get_metric(grid.metric.name)
+    points = grid.points
+    brute = BruteForceIndex(points, metric)
+    rng = np.random.default_rng(seed)
+    radii = rng.uniform(0, 1.5 * grid.cell_size, size=len(points))
+    for eps in _radii_sweep(grid):
+        hits, offsets = grid.range_query_batch(queries, eps)
+        expected_hits, expected_offsets = brute.range_query_batch(queries, eps)
+        assert np.array_equal(hits, expected_hits)
+        assert np.array_equal(offsets, expected_offsets)
+        counts = grid.range_query_batch(queries, eps, count_only=True)
+        assert np.array_equal(counts, np.diff(expected_offsets))
+        nearest, distance = grid.join(queries, eps, radii=radii)
+        model = GlobalModel(
+            points=points,
+            eps_ranges=np.minimum(radii, eps),
+            site_ids=np.zeros(len(points), dtype=np.intp),
+            local_cluster_ids=np.zeros(len(points), dtype=np.intp),
+            global_labels=np.arange(len(points)),
+            eps_global=1.0,
+            min_pts_global=2,
+        )
+        labels, __ = relabel_site_reference(
+            queries, np.full(len(queries), NOISE), model, metric=metric
+        )
+        assert np.array_equal(nearest, labels)
+        covered = nearest >= 0
+        assert np.isinf(distance[~covered]).all()
+        exact = [
+            metric.to_many(query, points[[j]])[0]
+            for query, j in zip(queries[covered], nearest[covered])
+        ]
+        assert distance[covered].tobytes() == np.asarray(exact, dtype=float).tobytes()
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    n=st.integers(1, 160),
+    metric=st.sampled_from(METRICS),
+    cell=st.sampled_from([0.5, 0.75, 1.25]),
+)
+def test_the_query_table_answers_as_brute_force(seed, dim, n, metric, cell):
+    grid, queries = _table_case(seed, dim, n, metric, cell)
+    stencil = (2 * grid._rings0 + 1) ** dim
+    assert (grid._box is not None) == (stencil <= grid.n_occupied_cells)
+    _assert_table_answers(grid, queries, seed)
+    if grid._box is not None:
+        cell_keys, offsets, neighbours, counts = grid._query_table
+        # Every occupied cell is a neighbour of each cell of its stencil;
+        # the last row is the empty one.
+        assert neighbours.size == grid.n_occupied_cells * stencil
+        assert offsets.size == cell_keys.size + 2 and counts[-1] == 0
+        assert (np.diff(cell_keys) > 0).all()
+
+
+@pytest.mark.parametrize("guard", ["few cells", "entry budget"])
+def test_the_per_call_lookup_answers_where_the_table_does_not_apply(
+    guard, monkeypatch
+):
+    """A grid with fewer occupied cells than the stencil has, or one whose
+    table would exceed the entry budget, groups its queries per call."""
+    if guard == "few cells":
+        grid, queries = _table_case(3, 3, 12, "euclidean", 0.5)
+    else:
+        monkeypatch.setattr(grid_module, "_TABLE_ENTRIES", 100)
+        grid, queries = _table_case(4, 2, 120, "euclidean", 0.5)
+        assert grid.n_occupied_cells * 9 > 100
+    assert grid._box is None
+    _assert_table_answers(grid, queries, seed=5)
+    assert grid._query_table is None
+
+
+def test_threads_racing_the_first_query_get_the_sequential_answers():
+    """Eight threads ask a fresh grid's first queries at once, under a
+    shortened switch interval; each gets what one thread asking alone
+    gets."""
+    cases = [_table_case(20 + dim, dim, 150, "euclidean", 0.75) for dim in (1, 2, 3)]
+    rng = np.random.default_rng(9)
+    expected = []
+    for grid, queries in cases:
+        radii = rng.uniform(0, 1.0, size=len(grid))
+        alone = GridIndex(grid.points, grid.metric, cell_size=grid.cell_size)
+        eps = alone.cell_size
+        expected.append(
+            (radii, alone.join(queries, eps), alone.join(queries, eps, radii=radii))
+        )
+    for (grid, queries), (radii, rows, reduced) in zip(cases, expected):
+        assert grid._box is not None and grid._query_table is None
+        barrier = threading.Barrier(8)
+        wrong: list[int] = []
+
+        def work(k: int) -> None:
+            barrier.wait()
+            answer = (
+                grid.join(queries, grid.cell_size, radii=radii)
+                if k % 2
+                else grid.join(queries, grid.cell_size)
+            )
+            if not all(map(np.array_equal, answer, reduced if k % 2 else rows)):
+                wrong.append(k)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert wrong == []
