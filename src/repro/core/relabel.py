@@ -25,20 +25,42 @@ Two interchangeable kernels implement the coverage step, selected by the
 * ``"vectorized"`` is a **fold** over the model's representatives.  A
   :class:`CoverMemo` keeps, per object, the index and distance of its
   nearest covering representative over the model prefix it has seen, and
-  a new model folds in only the representatives it appends: one uniform
-  grid over them (cell edge: their largest ε_r), the site's objects as
-  the queries of one reducing cell-pair join (:meth:`GridIndex.join`
-  with ``radii``), which hands back, per object, the nearest appended
+  a new model folds in only the representatives it appends, in two
+  stages of the reducing cell-pair join (:meth:`GridIndex.join` with
+  ``radii``), which hands back, per object, the nearest appended
   representative within its own ε_r and that distance — no hit list.
-  It replaces the kept cover only when it is strictly nearer.  A full
-  relabel is the same fold from an empty memo.  The grid depends
-  on the model alone, so each model builds it once per ``(first folded
-  index, metric)`` and keeps it beside its columns: the label queries
-  against one committed model, the sites relabeled against one broadcast
-  and a session's folds of one commit share it.
-  Work is proportional to the candidate pairs of the appended
-  representatives' cells, which is what makes 10^6-point relabels and
-  per-round session relabels cheap.
+  The *near* stage joins every object at ρ, a quarter of the appended
+  representatives' largest ε_r, against a grid whose cell edge is ρ's
+  coordinate reach (one ring of cells); the *cover* stage joins only the
+  objects with no cover within ρ, neither found now nor kept, against a
+  grid whose cell edge is that largest ε_r.  An appended cover replaces
+  the kept one only when it is strictly nearer.  A full relabel is the
+  same fold from an empty memo.
+
+  The near stage changes no answer.  A cover found within ρ is the
+  nearest: every covering representative at its distance or nearer lies
+  within ρ, so the near join evaluated it with the same kernel and the
+  same lowest-index tie-break; and an object whose kept cover is within
+  ρ has nothing strictly nearer beyond ρ.  On the paper's data a
+  specific ε-range is ``Eps_local`` plus up to ``Eps_local`` more and the
+  sites' representatives interleave, so most objects have a cover within
+  ρ, and the near join's cells hold about a 4^-d share of the cover
+  join's candidates (a sixteenth in 2-D).  The near stage runs where
+  both grids find a query's cells in a query table (the grid's own
+  stencil rule: enough occupied cells, a table of bounded size, ρ's ring
+  reach equal to the build radius's) and the fold has at least
+  ``_NEAR_MIN_OBJECTS`` objects, enough to pay for a second join;
+  elsewhere, high-dimensional folds and small label queries included,
+  the cover join runs alone.
+
+  The grids depend on the model alone, so each model builds them once
+  per ``(first folded index, metric)``, the near grid only when a fold
+  first takes the near stage, and keeps them beside its columns: the
+  label queries against one committed model, the sites
+  relabeled against one broadcast and a session's folds of one commit
+  share them.  Work is proportional to the candidate pairs of the
+  appended representatives' cells, which is what makes 10^6-point
+  relabels and per-round session relabels cheap.
 
 Both kernels are **bit-identical**: the join computes every distance with
 a kernel bitwise equal to ``Metric.to_many`` (and ``d(p, q)`` is bitwise
@@ -62,7 +84,7 @@ import numpy as np
 from repro.clustering.labels import NOISE, validate_labels
 from repro.core.models import GlobalModel
 from repro.data.distance import Metric, get_metric
-from repro.index.base import require_finite
+from repro.index.base import coordinate_reach, require_finite
 from repro.index.grid import GridIndex
 
 __all__ = [
@@ -84,6 +106,20 @@ _GRID_METRICS = {"euclidean", "manhattan", "chebyshev", "squared_euclidean"}
 #: relabels against one model (the service's executor threads, the
 #: runner's thread pool) build each once.
 _BUILD_LOCK = threading.Lock()
+
+#: The near stage's radius ρ as a share of the largest ε_r folded.  A
+#: specific ε-range is ``Eps_local`` plus up to ``Eps_local`` more, so on
+#: the paper's data most objects have a cover within a quarter of it,
+#: while the near join's cells hold a 4^-d share of the cover join's
+#: candidates.  Of a half, a third, a quarter, a fifth and a sixth, a
+#: quarter relabeled data sets A and B fastest.
+_NEAR_SHARE = 0.25
+
+#: Objects a fold needs before the near stage pays for its second join:
+#: a join costs about as much fixed work as a few thousand pairs, and on
+#: the query storm's model a fold of fewer objects than this was slower
+#: in two stages (256 objects: 0.68 → 0.88 ms; 1,024: even).
+_NEAR_MIN_OBJECTS = 1024
 
 
 @dataclass(frozen=True)
@@ -110,25 +146,52 @@ class RelabelStats:
     n_local_clusters_merged: int
 
 
-def _cover_grid(model: GlobalModel, start: int, metric: Metric) -> GridIndex:
-    """The cover grid over the model's representatives from ``start`` on
-    (cell edge: their largest ε_r), built on first use per ``(start,
-    metric)`` and kept in the model's private slot (a model is never
-    changed in place).  A fold from an empty memo reads the one at 0, a
-    fold over what a commit appended the one at the previous model's
-    length.  The metric is keyed by identity and held with its grid, as
-    :class:`CoverMemo` holds it."""
+def _kept(model: GlobalModel, key: tuple, build):
+    """The value the model keeps under ``key`` in its private slot,
+    ``build()`` on first use under ``_BUILD_LOCK`` (a model is never
+    changed in place).  Keys hold a fold start and a metric, keyed by
+    identity: values hold the metric, as :class:`CoverMemo` holds it."""
     grids = model._cover_grids
-    key = (start, id(metric))
     entry = grids.get(key)
     if entry is None:
         with _BUILD_LOCK:
             entry = grids.get(key)
             if entry is None:
-                cell = float(model.eps_ranges[start:].max())
-                grid = GridIndex(model.points[start:], metric, cell_size=cell)
-                entry = grids[key] = (metric, grid)
+                entry = grids[key] = build()
     return entry[1]
+
+
+def _cover_grid(model: GlobalModel, start: int, metric: Metric) -> GridIndex:
+    """The cover grid over the model's representatives from ``start`` on
+    (cell edge: their largest ε_r).  A fold from an empty memo reads the
+    one at 0, a fold over what a commit appended the one at the previous
+    model's length."""
+
+    def build():
+        cell = float(model.eps_ranges[start:].max())
+        return metric, GridIndex(model.points[start:], metric, cell_size=cell)
+
+    return _kept(model, (start, id(metric)), build)
+
+
+def _near_grid(
+    model: GlobalModel, start: int, metric: Metric, cover: GridIndex
+) -> GridIndex | None:
+    """The near grid over the same representatives as ``cover`` (cell
+    edge: the coordinate reach of ρ), or ``None`` where the near stage
+    does not run: either grid would look a query's cells up per call.
+    Built by the first fold of at least ``_NEAR_MIN_OBJECTS`` objects, so
+    small label queries never build it."""
+
+    def build():
+        if not cover.reads_query_table(cover.cell_size):
+            return metric, None
+        radius = cover.cell_size * _NEAR_SHARE
+        reach = coordinate_reach(metric, radius)
+        near = GridIndex(model.points[start:], metric, cell_size=reach)
+        return metric, near if near.reads_query_table(radius) else None
+
+    return _kept(model, (start, id(metric), "near"), build)
 
 
 class CoverMemo:
@@ -193,18 +256,39 @@ class CoverMemo:
         model: GlobalModel,
         base: int,
     ) -> None:
-        """The model's grid over the representatives from ``base`` on,
-        the points as the queries of its reducing join (each
-        representative covers its own ε_r); an appended cover replaces a
-        kept one only when strictly nearer, so distance ties keep the
-        lower model index."""
-        grid = _cover_grid(model, base, metric)
-        nearest, distance = grid.join(
-            points, grid.cell_size, radii=model.eps_ranges[base:]
-        )
-        nearer = np.flatnonzero(distance < self.distance)
-        self.nearest[nearer] = base + nearest[nearer]
-        self.distance[nearer] = distance[nearer]
+        """The model's grids over the representatives from ``base`` on,
+        the points as the queries of their reducing joins (each
+        representative covers its own ε_r): first the near grid's at ρ
+        where the near stage runs, then the cover grid's for the objects
+        whose cover, kept or found, is not within ρ."""
+        cover = _cover_grid(model, base, metric)
+        radii = model.eps_ranges[base:]
+        rows = np.arange(points.shape[0])
+        near = None
+        if points.shape[0] >= _NEAR_MIN_OBJECTS:
+            near = _near_grid(model, base, metric, cover)
+        if near is not None:
+            near_radius = cover.cell_size * _NEAR_SHARE
+            self._merge(rows, base, *near.join(points, near_radius, radii=radii))
+            rows = np.flatnonzero(self.distance > near_radius)
+        if rows.size:
+            queries = points if rows.size == points.shape[0] else points[rows]
+            found = cover.join(queries, cover.cell_size, radii=radii)
+            self._merge(rows, base, *found)
+
+    def _merge(
+        self,
+        rows: np.ndarray,
+        base: int,
+        nearest: np.ndarray,
+        distance: np.ndarray,
+    ) -> None:
+        """Take the folded cover of each of ``rows`` where it is strictly
+        nearer than the kept one, so distance ties keep the lower model
+        index."""
+        nearer = np.flatnonzero(distance < self.distance[rows])
+        self.nearest[rows[nearer]] = base + nearest[nearer]
+        self.distance[rows[nearer]] = distance[nearer]
 
 
 def _apply_inheritance(

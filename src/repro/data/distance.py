@@ -50,7 +50,11 @@ class Metric:
         name: registry key (e.g. ``"euclidean"``).
         pairwise: ``f(p, q) -> float`` distance between two points.
         to_many: ``f(p, X) -> ndarray`` distances from point ``p`` to every
-            row of ``X`` (shape ``(len(X),)``).
+            row of ``X`` (shape ``(len(X),)``).  It must be element-wise:
+            entry ``j`` of ``to_many(p, X)`` is bitwise ``to_many(p,
+            X[j:j+1])[0]``, whatever the other rows of ``X``, which is
+            what lets the kernels below (and :meth:`paired`'s fallback)
+            answer a block of rows at once.
         params: optional metric parameters (e.g. Minkowski ``p``).
         to_matrix: optional ``f(Q, X) -> ndarray`` of shape ``(len(Q),
             len(X))``; row ``i`` must be bitwise identical to
@@ -60,7 +64,8 @@ class Metric:
             ``to_many(Q[i], X[i:i+1])``.  Called as ``f(Q, X, out)`` only
             when a caller of :meth:`paired` passes ``out``: it then writes
             the distances there and may overwrite ``X``.  ``None`` falls
-            back to a row loop.
+            back to one ``to_many`` call per run of equal consecutive
+            rows of ``Q``.
     """
 
     name: str
@@ -128,10 +133,19 @@ class Metric:
             if out is None:
                 return self.to_pairs(left, right)
             return self.to_pairs(left, right, out)
+        k = left.shape[0]
         if out is None:
-            out = np.empty(left.shape[0], dtype=float)
-        for i, row in enumerate(left):
-            out[i] = self.to_many(row, right[i : i + 1])[0]
+            out = np.empty(k, dtype=float)
+        if not k:
+            return out
+        # Pairs of one query run consecutively (a CSR block): one call per
+        # run of bitwise-equal left rows, element-wise ``to_many`` making
+        # each entry the per-pair call's.
+        bits = np.ascontiguousarray(left).view(np.uint64)
+        starts = np.flatnonzero(np.any(bits[1:] != bits[:-1], axis=1)) + 1
+        bounds = [0, *starts.tolist(), k]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            out[lo:hi] = self.to_many(left[lo], right[lo:hi])
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

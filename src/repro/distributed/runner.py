@@ -752,6 +752,9 @@ class DistributedRunner:
         self.metrics = NULL_METRICS if metrics is None else metrics
         self._effective_parallelism = config.parallelism
         self._fallback_reason: str | None = None
+        # The process pool of the run in progress (see ``_fan_out``).
+        self._pool: ProcessPoolExecutor | None = None
+        self._pool_width = 1
 
     def _resolve_parallelism(
         self, site_points: list[np.ndarray]
@@ -803,8 +806,14 @@ class DistributedRunner:
         ]
         active = self.fault_plan is not None and self.fault_plan.is_active()
         mode = "degraded" if active else "fault_free"
-        with self.tracer.span("run", attrs={"mode": mode, "n_sites": len(sites)}):
-            report = self._run(sites, site_points, assignment, active)
+        self._pool_width = min(self._effective_parallelism, len(sites))
+        try:
+            with self.tracer.span("run", attrs={"mode": mode, "n_sites": len(sites)}):
+                report = self._run(sites, site_points, assignment, active)
+        finally:
+            if self._pool is not None:
+                self._pool.shutdown()
+                self._pool = None
         if self.tracer.enabled:
             report.trace = trace_document(self.tracer, self.metrics)
         return report
@@ -1226,7 +1235,11 @@ class DistributedRunner:
         ``_effective_parallelism`` (the post-fallback worker count
         resolved by :meth:`run_on_sites`) bounds the pool size.  In this
         process and on threads ``task`` gets the site itself; a process
-        worker runs ``process_task`` on ``process_item(site)``.
+        worker runs ``process_task`` on ``process_item(site)``.  A run
+        has one process pool, started at its first process fan-out, so
+        the local phase, the relabel and every recovery round share its
+        workers; :meth:`run_on_sites` shuts it down when the run returns
+        or raises.
         """
         workers = min(self._effective_parallelism, len(sites))
         if workers <= 1:
@@ -1234,8 +1247,9 @@ class DistributedRunner:
         if self.config.parallel_backend == "thread":
             with ThreadPoolExecutor(max_workers=workers) as executor:
                 return list(executor.map(task, sites))
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            return list(executor.map(process_task, map(process_item, sites)))
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self._pool_width)
+        return list(self._pool.map(process_task, map(process_item, sites)))
 
     def run(self, points: np.ndarray, n_sites: int) -> DistributedRunReport:
         """Partition ``points`` and run the protocol.

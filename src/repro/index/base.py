@@ -118,15 +118,17 @@ def require_finite(points: np.ndarray) -> None:
 def _as_query_batch(queries: np.ndarray, dim: int) -> np.ndarray:
     """Normalize a batch of query points to a float array of shape ``(q, d)``.
 
-    Accepts an empty list/array (→ shape ``(0, dim)``) so callers can issue
-    degenerate batches without special-casing.
+    Accepts a batch without rows (an empty list, shape ``(0,)`` or ``(0,
+    k)``; → shape ``(0, dim)``) so callers can issue degenerate batches
+    without special-casing.  Emptiness is the row count: zero-dimensional
+    queries hold no elements but are still queries.
 
     Raises:
-        ValueError: for a non-empty batch that is not 2-D or whose column
+        ValueError: for a batch with rows that is not 2-D or whose column
             count is not the index's ``dim``.
     """
     out = np.asarray(queries, dtype=float)
-    if out.size == 0:
+    if out.ndim and out.shape[0] == 0:
         return np.empty((0, dim), dtype=float)
     if out.ndim != 2:
         raise ValueError(f"queries must be a 2-D array, got shape {out.shape}")
@@ -167,6 +169,10 @@ class NeighborIndex(abc.ABC):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
             raise ValueError(f"points must be a 2-D array, got shape {points.shape}")
+        if len(points) and not points.shape[1]:
+            raise ValueError(
+                f"points must have at least one coordinate, got shape {points.shape}"
+            )
         require_finite(points)
         self._points = points
         self._metric = get_metric(metric)

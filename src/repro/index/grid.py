@@ -258,6 +258,13 @@ class GridIndex(NeighborIndex):
         """Number of non-empty grid cells."""
         return len(self._cell_coords)
 
+    def reads_query_table(self, eps: float) -> bool:
+        """Whether a join of points that are not indexed, at ``eps``,
+        finds their cells in the query table (``eps``'s ring reach is the
+        build radius's and the grid has a table) instead of looking them
+        up per call."""
+        return self._box is not None and self._rings(eps) == self._rings0
+
     @property
     def _cells(self) -> dict[tuple[int, ...], tuple[int, int]]:
         """``cell key -> (start, stop)`` slice table over ``_flat``.
@@ -833,14 +840,6 @@ def _build_csr(
             np.zeros(1, dtype=np.intp),
             np.empty(0, dtype=np.intp),
         )
-    if dim == 0:
-        # Zero-dimensional points: everything lives in the single () cell.
-        return (
-            np.arange(n, dtype=np.intp),
-            np.empty((1, 0), dtype=np.int64),
-            np.asarray([0, n], dtype=np.intp),
-            np.zeros(n, dtype=np.intp),
-        )
     # lexsort keys run last-to-first, so reversing the columns sorts rows
     # lexicographically; the sort is stable, keeping point indices
     # ascending inside each cell.
@@ -877,12 +876,9 @@ def _stencil(rings: int, dim: int) -> np.ndarray:
     Cached and read-only: building one costs more than a small join's
     own passes, and every label query of a cover grid asks for the same.
     """
-    if dim == 0:
-        stencil = np.zeros((1, 0), dtype=np.int64)
-    else:
-        axis = np.arange(-rings, rings + 1, dtype=np.int64)
-        grids = np.meshgrid(*([axis] * dim), indexing="ij")
-        stencil = np.stack(grids, axis=-1).reshape(-1, dim)
+    axis = np.arange(-rings, rings + 1, dtype=np.int64)
+    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    stencil = np.stack(grids, axis=-1).reshape(-1, dim)
     stencil.setflags(write=False)
     return stencil
 

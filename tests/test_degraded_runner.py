@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.distributed.runner as runner_mod
 from repro.clustering.labels import NOISE
 from repro.data.generators import gaussian_blobs
 from repro.distributed.network import SERVER, SimulatedNetwork
@@ -37,6 +38,29 @@ def workload():
 @pytest.fixture
 def config():
     return DistributedRunConfig(eps_local=1.0, min_pts_local=5)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """``(started, shut down)``: the runner's process pools."""
+    started, closed = [], []
+
+    class CountingPool(runner_mod.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            closed.append(self)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", CountingPool)
+    return started, closed
+
+
+def _failing_relabel_task(task):
+    """A process relabel task that fails (module level, so it pickles)."""
+    raise RuntimeError(f"relabel of site {task.site_id} failed")
 
 
 def _manual_legacy_run(site_points, config):
@@ -397,3 +421,46 @@ class TestDeterminism:
                 got.local_outcome.model.to_bytes()
                 == want.local_outcome.model.to_bytes()
             )
+
+    def _recovery_run(self, workload, config, parallelism, backend):
+        site_points, assignment = workload
+        cfg = DistributedRunConfig(
+            eps_local=config.eps_local,
+            min_pts_local=config.min_pts_local,
+            parallelism=parallelism,
+            parallel_backend=backend,
+        )
+        return DistributedRunner(
+            cfg,
+            fault_plan=FaultPlan.chaos(0.5, seed=4),
+            recovery_policy=RecoveryPolicy(max_recovery_rounds=1),
+        ).run_on_sites(site_points, assignment)
+
+    def test_a_process_run_with_recovery_starts_one_pool(
+        self, workload, config, force_width, pools
+    ):
+        """Round 0's local phase and relabel and the recovery round's
+        local phase and relabel share one process pool, shut down once
+        when the run returns; the labels are the sequential run's."""
+        started, closed = pools
+        reference = self._recovery_run(workload, config, 1, "thread")
+        assert started == []
+        candidate = self._recovery_run(workload, config, N_SITES, "process")
+        assert candidate.recovery_rounds_used == 1
+        assert len(started) == 1 and closed == started
+        np.testing.assert_array_equal(
+            candidate.labels_in_original_order(),
+            reference.labels_in_original_order(),
+        )
+        assert _report_fingerprint(candidate) == _report_fingerprint(reference)
+
+    def test_a_process_run_that_raises_shuts_its_pool_down(
+        self, workload, config, force_width, pools, monkeypatch
+    ):
+        started, closed = pools
+        monkeypatch.setattr(
+            runner_mod, "_process_relabel_task", _failing_relabel_task
+        )
+        with pytest.raises(RuntimeError, match="relabel of site"):
+            self._recovery_run(workload, config, N_SITES, "process")
+        assert len(started) == 1 and closed == started

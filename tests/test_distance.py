@@ -114,6 +114,45 @@ class TestToManyConsistency:
             custom.paired(left, right), np.abs(left - right).sum(axis=1)
         )
 
+    def test_paired_without_to_pairs_calls_to_many_per_run_of_left_rows(
+        self, rng
+    ):
+        """A registered metric with ``to_many`` alone: ``paired`` calls it
+        once per run of bitwise-equal consecutive left rows (CSR pairs of
+        one query), and every distance is bitwise the per-pair call's —
+        ``-0.0`` and ``0.0`` start separate runs, a NaN row's run holds its
+        equal neighbours."""
+        calls = []
+
+        def great_circle(p, points):
+            calls.append(len(points))
+            dlat, dlon = points[:, 0] - p[0], points[:, 1] - p[1]
+            a = np.sin(dlat / 2) ** 2 + np.cos(p[0]) * np.cos(
+                points[:, 0]
+            ) * np.sin(dlon / 2) ** 2
+            return 2 * np.arcsin(np.sqrt(np.clip(a, 0, 1)))
+
+        custom = Metric("great_circle_test", lambda p, q: 0.0, great_circle)
+        register_metric(custom)
+        queries = rng.uniform(-1.5, 1.5, size=(6, 2))
+        queries[3] = [0.0, 0.5]
+        queries[4] = [-0.0, 0.5]
+        queries[5] = [np.nan, 0.5]
+        run_lengths = [3, 1, 4, 2, 2, 3]
+        left = np.repeat(queries, run_lengths, axis=0)
+        right = rng.uniform(-1.5, 1.5, size=(len(left), 2))
+        expected = np.asarray(
+            [great_circle(q, p[None, :])[0] for q, p in zip(left, right)]
+        )
+        for out in (None, np.empty(len(left))):
+            calls.clear()
+            got = get_metric("great_circle_test").paired(left, right, out=out)
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert calls == run_lengths
+        calls.clear()
+        assert custom.paired(left[:0], right[:0]).shape == (0,)
+        assert calls == []
+
     def test_matrix_shape_and_values(self, rng):
         left = rng.normal(size=(5, 2))
         right = rng.normal(size=(7, 2))

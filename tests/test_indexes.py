@@ -19,6 +19,7 @@ from repro.index import (
     available_indexes,
     build_index,
 )
+from repro.index.mtree import MTreeIndex
 from tests.csr_rows import csr_rows
 
 INDEX_BUILDERS = {
@@ -108,6 +109,30 @@ class TestAllIndexes:
         np.testing.assert_array_equal(
             index.range_query(query, eps), _oracle(points, query, eps)
         )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *INDEX_BUILDERS.values(),
+        lambda pts: MTreeIndex(pts, node_capacity=4),
+    ],
+    ids=[*INDEX_BUILDERS, "mtree"],
+)
+def test_zero_dimensional_points_and_queries(build):
+    """Points without coordinates are refused by name, but an empty
+    ``(0, 0)`` point set is an index: a batch of two zero-dimensional
+    queries gets two empty rows there (a zero-dimensional batch holds no
+    elements, yet its rows are queries), and a 2-D index refuses it."""
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        build(np.zeros((3, 0)))
+    empty = build(np.zeros((0, 0)))
+    queries = np.zeros((2, 0))
+    hits, offsets = empty.range_query_batch(queries, 1.0)
+    assert hits.size == 0 and offsets.tolist() == [0, 0, 0]
+    assert empty.range_query_batch(queries, 1.0, count_only=True).tolist() == [0, 0]
+    with pytest.raises(ValueError, match="0 columns"):
+        build(np.zeros((3, 2))).range_query_batch(queries, 1.0)
 
 
 class TestGridSpecifics:

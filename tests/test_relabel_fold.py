@@ -18,7 +18,13 @@ contract is bit-identity with a relabel from scratch:
   from scratch continues it, and anything it was not built from — a
   prefix rebuilt in another order or differing in one coordinate or one
   ε_r, other points, another metric, a shorter model — restarts it from
-  empty.
+  empty;
+* a fold first joins at ρ, a quarter of the largest folded ε_r, and
+  only the objects with no cover within ρ, found or kept, go on to the
+  cover grid's join: layouts on that boundary (a cover at exactly ρ, an
+  ε_r below ρ, ties on either side of it, a kept cover at exactly ρ)
+  equal the reference, and a 5-d fold, whose grids have no query table,
+  takes the single join.
 """
 
 from __future__ import annotations
@@ -28,11 +34,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import relabel
 from repro.core.global_model import GlobalModelRepairer, build_global_model
 from repro.core.local import build_local_model
 from repro.core.relabel import CoverMemo, relabel_site, relabel_site_reference
 from repro.distributed.server import RoundCore
 from repro.distributed.site import ClientSite
+from repro.index.grid import GridIndex
 from repro.service import wire
 from tests.model_rows import Row, global_model, rows_of
 
@@ -372,3 +380,150 @@ def test_client_site_keeps_one_memo_across_relabels():
         "euclidean",
     )[2])
 
+
+
+# ----------------------------------------------------------------------
+# the near stage's boundary
+# ----------------------------------------------------------------------
+#: Far representatives, one per cell of either grid, so a fold's cover
+#: grid (cell edge 4) and near grid (cell edge ρ = 1) both fill enough
+#: cells for a query table and the near stage runs.  They cover none of
+#: the objects below.
+FILLER = [
+    _rep(100.0 + 10 * i, 100.0 + 10 * j) for i in range(4) for j in range(4)
+]
+
+#: The objects of the boundary layouts, ten apart so that no
+#: representative placed for one reaches another.
+OBJECTS = np.asarray([[0.0, 10.0 * k] for k in range(6)])
+
+
+@pytest.fixture()
+def small_folds_staged(monkeypatch):
+    """Let folds of a few objects take the near stage, which by default
+    waits for ``_NEAR_MIN_OBJECTS`` (a speed choice, not an exactness
+    one)."""
+    monkeypatch.setattr(relabel, "_NEAR_MIN_OBJECTS", 0)
+
+
+@pytest.fixture()
+def joins(monkeypatch):
+    """``(cell edge, queries)`` of every grid join a fold makes."""
+    calls: list[tuple[float, np.ndarray]] = []
+    join = GridIndex.join
+
+    def spy(self, queries, eps, **kwargs):
+        calls.append((self.cell_size, np.array(queries)))
+        return join(self, queries, eps, **kwargs)
+
+    monkeypatch.setattr(GridIndex, "join", spy)
+    return calls
+
+
+def _labels_equal_reference(points, model, metric="euclidean"):
+    memo = CoverMemo()
+    got = _relabel(points, model, memo, metric)
+    expected = relabel_site_reference(
+        points, np.full(len(points), -1), model, metric=metric
+    )
+    np.testing.assert_array_equal(got[0], expected[0])
+    assert got[1] == expected[1]
+    return memo
+
+
+def _boundary_model():
+    reps = [
+        _rep(3.0, 0.0, 4.0),  # 0: covers object 0 at 3
+        _rep(1.0, 0.0, 4.0),  # 1: covers object 0 at exactly ρ
+        _rep(0.0, 10.5, 0.25),  # 2: ε_r below ρ, misses object 1 at 0.5
+        _rep(0.0, 12.0, 4.0),  # 3: covers object 1 at 2
+        _rep(0.0, 20.25, 0.5),  # 4: ε_r below ρ, covers object 2 at 0.25
+        _rep(2.0, 30.0, 4.0),  # 5: ties with 6 at 2 for object 3
+        _rep(-2.0, 30.0, 4.0),  # 6
+        _rep(0.0, 41.0, 1.0),  # 7: ε_r = ρ, ties with 8 at exactly ρ
+        _rep(0.0, 39.0, 4.0),  # 8
+        *FILLER,  # object 5 has no cover
+    ]
+    return _model(reps, range(len(reps)))
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
+def test_covers_within_rho_resolve_in_the_near_join(
+    small_folds_staged, joins, metric
+):
+    """ρ is 1 (the largest ε_r is 4).  Each object's representatives lie
+    on one axis, so the three metrics measure the same distances."""
+    memo = _labels_equal_reference(OBJECTS, _boundary_model(), metric)
+    assert memo.nearest.tolist() == [1, 3, 4, 5, 7, -1]
+    assert memo.distance.tolist() == [1.0, 2.0, 0.25, 2.0, 1.0, np.inf]
+    assert [cell for cell, __ in joins] == [1.0, 4.0]
+    np.testing.assert_array_equal(joins[0][1], OBJECTS)
+    # Only the objects with no cover within ρ reach the cover grid's join.
+    np.testing.assert_array_equal(joins[1][1], OBJECTS[[1, 3, 5]])
+
+
+def test_a_fold_of_few_objects_takes_the_single_join(joins):
+    """Below ``_NEAR_MIN_OBJECTS`` objects a second join costs more than
+    the pairs it saves, so the cover grid's join runs alone."""
+    assert len(OBJECTS) < relabel._NEAR_MIN_OBJECTS
+    memo = _labels_equal_reference(OBJECTS, _boundary_model())
+    assert memo.nearest.tolist() == [1, 3, 4, 5, 7, -1]
+    assert [cell for cell, __ in joins] == [4.0]
+
+
+def test_a_cover_kept_at_exactly_rho_skips_the_cover_join(
+    small_folds_staged, joins
+):
+    """Kept covers at exactly the fold's ρ (1) and beyond it: an object
+    whose kept cover is within ρ has nothing strictly nearer beyond ρ, so
+    it goes no further than the near join."""
+    points = OBJECTS[:5]
+    base_reps = [
+        _rep(1.0, 0.0, 4.0),  # object 0 kept at exactly ρ
+        _rep(1.0, 10.0, 4.0),  # object 1 kept at exactly ρ
+        _rep(0.0, 22.0, 4.0),  # object 2 kept at 2
+        _rep(0.0, 32.0, 4.0),  # object 3 kept at 2
+        _rep(0.0, 41.0, 4.0),  # object 4 kept at exactly ρ
+    ]
+    appended = [
+        _rep(0.0, 1.0, 4.0),  # ties object 0's kept cover: not taken
+        _rep(0.0, 10.5, 4.0),  # strictly nearer for object 1
+        _rep(1.5, 20.0, 4.0),  # strictly nearer for object 2, beyond ρ
+        _rep(0.0, 27.0, 4.0),  # farther than object 3's kept cover
+        _rep(0.0, 42.5, 4.0),  # covers object 4 beyond ρ only
+        *FILLER,
+    ]
+    memo = CoverMemo()
+    _relabel(points, _model(base_reps, range(5)), memo)
+    joins.clear()
+    reps = base_reps + appended
+    model = _model(reps, range(len(reps)))
+    labels, stats = _relabel(points, model, memo)
+    expected = relabel_site_reference(points, np.full(5, -1), model)
+    np.testing.assert_array_equal(labels, expected[0])
+    assert stats == expected[1]
+    assert memo.nearest.tolist() == [0, 6, 7, 3, 4]
+    assert memo.distance.tolist() == [1.0, 0.5, 1.5, 2.0, 1.0]
+    assert [cell for cell, __ in joins] == [1.0, 4.0]
+    np.testing.assert_array_equal(joins[1][1], points[[2, 3]])
+    _assert_fresh(points, model, memo)
+
+
+def test_a_five_dimensional_fold_takes_the_single_join(small_folds_staged, joins):
+    """3^5 stencil cells outnumber the cover grid's occupied cells, so it
+    has no query table and the fold makes the cover grid's join alone."""
+    rng = np.random.default_rng(5)
+    reps = [
+        Row(tuple(point), float(eps), 0, 0)
+        for point, eps in zip(
+            rng.integers(0, 8, size=(60, 5)).astype(float),
+            rng.choice([0.5, 1.0, 2.0, 4.0], size=60),
+        )
+    ]
+    model = _model(reps, rng.integers(0, 6, size=60))
+    points = rng.integers(0, 16, size=(200, 5)) / 2.0
+    memo = _labels_equal_reference(points, model)
+    assert (memo.nearest >= 0).sum() > 50
+    assert [cell for cell, __ in joins] == [4.0]
+    (__, cover), (__, near) = model._cover_grids.values()
+    assert near is None and cover.n_occupied_cells < 3**5

@@ -2,17 +2,19 @@
 relabel against it.
 
 :func:`~repro.core.relabel.relabel_site` reads the model's columns and,
-per ``(start, metric)``, the cover grid over the representatives from
-``start`` on, which the model builds on first use and keeps.  The
-contract pinned here:
+per ``(start, metric)``, the grids over the representatives from
+``start`` on — the cover grid (cell edge: their largest ε_r) and, where
+the near stage runs, the near grid (cell edge: a quarter of it) — which
+the model builds on first use and keeps.  The contract pinned here:
 
-* many relabels against one model build one grid per ``(start,
-  metric)``; a session-shaped sequence builds two per commit (folds from
-  the previous model's length and from 0), and two metrics build two;
+* many relabels against one model build one grid set per ``(start,
+  metric)``; a session-shaped sequence builds two sets per commit (folds
+  from the previous model's length and from 0), and two metrics build
+  two; a fold too small for the near stage builds no near grid;
 * threads relabelling one fresh model at once build each grid once and
   all equal :func:`~repro.core.relabel.relabel_site_reference`, which
   reads none of the kept state;
-* no cover grid builds the neighbour table region queries read;
+* no grid builds the neighbour table region queries read;
 * the columns are read-only and equal a fresh stack of the local models;
 * the grids stay out of pickles, equality and ``repr``;
 * points of another dimensionality than a non-empty model's are refused.
@@ -42,17 +44,29 @@ from tests.model_rows import Row, global_model
 
 @pytest.fixture()
 def grid_builds(monkeypatch):
-    """``(representatives, metric name)`` of every cover grid the relabel
-    module builds while the test runs."""
-    builds: list[tuple[int, str]] = []
+    """``(representatives, metric name, cell edge)`` of every grid the
+    relabel module builds while the test runs, where a fold of any size
+    takes the near stage (these sites hold 90 objects)."""
+    monkeypatch.setattr(relabel, "_NEAR_MIN_OBJECTS", 0)
+    builds: list[tuple[int, str, float]] = []
 
     class CountingGrid(GridIndex):
         def __init__(self, points, metric, *, cell_size):
             super().__init__(points, metric, cell_size=cell_size)
-            builds.append((len(points), self.metric.name))
+            builds.append((len(points), self.metric.name, cell_size))
 
     monkeypatch.setattr(relabel, "GridIndex", CountingGrid)
     return builds
+
+
+def _grid_set(model, start=0, metric="euclidean"):
+    """The builds of one fold start's grid set, where the near stage runs
+    (these layouts fill enough cells for both query tables): the cover
+    grid, then the near grid at a quarter of its cell edge (euclidean and
+    chebyshev reach as far as their radius)."""
+    cell = float(model.eps_ranges[start:].max())
+    n = len(model) - start
+    return [(n, metric, cell), (n, metric, cell / 4)]
 
 
 def _sites(seed: int, n_sites: int, n: int = 90) -> list[np.ndarray]:
@@ -111,12 +125,31 @@ def test_relabels_against_one_model_build_one_grid(grid_builds):
             labels = outcome.clustering.labels
             got = relabel_site(points, labels, model, site_id=i)
             _assert_equal(got, _reference(points, labels, model, i))
-    assert grid_builds == [(len(model), "euclidean")]
+    assert grid_builds == _grid_set(model)
+
+
+def test_a_fold_below_the_near_floor_builds_the_cover_grid_alone(
+    grid_builds, monkeypatch
+):
+    """The near grid is built by the first fold large enough for the
+    near stage, so label queries of a few hundred objects never pay for
+    it."""
+    monkeypatch.setattr(relabel, "_NEAR_MIN_OBJECTS", 91)
+    sites = _sites(1, 4)
+    outcomes = _outcomes(sites)
+    model, __ = build_global_model([o.model for o in outcomes])
+    labels = outcomes[0].clustering.labels
+    relabel_site(sites[0], labels, model, site_id=0)
+    assert grid_builds == _grid_set(model)[:1]
+    both = np.concatenate([sites[0], sites[1]])
+    got = relabel_site(both, np.full(len(both), -1), model)
+    _assert_equal(got, _reference(both, np.full(len(both), -1), model, None))
+    assert grid_builds == _grid_set(model)
 
 
 def test_a_session_commit_builds_one_grid_per_fold_start(grid_builds):
     """Sites seen before the commit fold from the previous model's length,
-    a new site folds from 0: two grids over the commit, however many
+    a new site folds from 0: two grid sets over the commit, however many
     sites relabel against it."""
     sites, outcomes, base, folded = _session()
     memos = [CoverMemo() for __ in range(3)]
@@ -124,20 +157,21 @@ def test_a_session_commit_builds_one_grid_per_fold_start(grid_builds):
         relabel_site(
             sites[i], outcomes[i].clustering.labels, base, site_id=i, memo=memo
         )
-    assert grid_builds == [(len(base), "euclidean")]
+    assert grid_builds == _grid_set(base)
     grid_builds.clear()
     for i in range(6):
         labels = outcomes[i].clustering.labels
         memo = memos[i] if i < 3 else CoverMemo()
         got = relabel_site(sites[i], labels, folded, site_id=i, memo=memo)
         _assert_equal(got, _reference(sites[i], labels, folded, i))
-    appended = len(folded) - len(base)
-    assert grid_builds == [(appended, "euclidean"), (len(folded), "euclidean")]
+    assert grid_builds == _grid_set(folded, len(base)) + _grid_set(folded)
 
 
 def test_each_metric_builds_its_own_grid(grid_builds):
     """One model relabeled under two metrics: the chebyshev ball covers
-    points the euclidean ball of the same ε_r misses."""
+    points the euclidean ball of the same ε_r misses.  Two
+    representatives fill too few cells for a query table, so each metric
+    builds its cover grid alone."""
     reps = [Row((0.0, 0.0), 1.0, 0, 0), Row((4.0, 0.0), 1.0, 1, 0)]
     model = global_model(reps, [0, 1], eps_global=1.0)
     points = np.asarray([[0.9, 0.9], [0.5, 0.0], [4.8, 0.8], [2.0, 2.0]])
@@ -147,7 +181,7 @@ def test_each_metric_builds_its_own_grid(grid_builds):
         got = relabel_site(points, noise, model, metric=metric)
         _assert_equal(got, _reference(points, noise, model, None, metric))
         assert got[0].tolist() == expected[metric]
-    assert grid_builds == [(2, "euclidean"), (2, "chebyshev")]
+    assert grid_builds == [(2, "euclidean", 1.0), (2, "chebyshev", 1.0)]
 
 
 def test_concurrent_relabels_of_a_fresh_model_build_each_grid_once(grid_builds):
@@ -203,18 +237,21 @@ def test_concurrent_relabels_of_a_fresh_model_build_each_grid_once(grid_builds):
     for (i, metric, __), got in zip(jobs, results):
         labels = outcomes[i].clustering.labels
         _assert_equal(got, _reference(sites[i], labels, folded, i, metric))
-    appended = len(folded) - len(base)
-    assert Counter(grid_builds) == {
-        (len(folded), "euclidean"): 1,
-        (len(folded), "chebyshev"): 1,
-        (appended, "euclidean"): 1,
-        (appended, "chebyshev"): 1,
-    }
+    expected = [
+        build
+        for metric in ("euclidean", "chebyshev")
+        for start in (0, len(base))
+        for build in _grid_set(folded, start, metric)
+    ]
+    assert len(expected) == 8
+    assert Counter(grid_builds) == Counter(expected)
 
 
-def test_cover_grids_build_no_neighbour_table():
+def test_cover_grids_build_no_neighbour_table(monkeypatch):
     """A fold's queries are a site's objects, not indexed points, so no
-    cover grid builds the neighbour table that region queries read."""
+    cover or near grid builds the neighbour table that region queries
+    read."""
+    monkeypatch.setattr(relabel, "_NEAR_MIN_OBJECTS", 0)
     sites, outcomes, base, folded = _session()
     memos = [CoverMemo() for __ in range(6)]
     for model in (base, folded):
@@ -224,7 +261,7 @@ def test_cover_grids_build_no_neighbour_table():
     grids = [
         grid for model in (base, folded) for __, grid in model._cover_grids.values()
     ]
-    assert len(grids) == 2
+    assert len(grids) == 4 and None not in grids
     assert all(grid._table is None for grid in grids)
 
 
