@@ -10,7 +10,9 @@ example exercises that property through the whole DBDC pipeline:
   actual objects and distances),
 * region queries run through the M-tree, the paper's cited access method
   for metric data (grids/kd-trees need coordinate axes, the M-tree needs
-  only the triangle inequality),
+  only the triangle inequality): named for the central run, picked by
+  ``build_index("auto")`` for each data center's few hundred stations,
+  while the server's few dozen representatives get a linear scan,
 * three regional data centers each hold a share of the stations; storm
   systems spanning data centers are recovered by the global merge.
 
@@ -92,7 +94,6 @@ def main() -> None:
         min_pts_local=min_pts,
         scheme="rep_scor",  # representatives must be real stations on a sphere
         metric=haversine,
-        index_kind="mtree",
     )
     run = run_dbdc_partitioned(stations, assignment, config)
     result = run.result

@@ -56,7 +56,6 @@ def optics(
     min_pts: int,
     *,
     metric: str | Metric = "euclidean",
-    index_kind: str = "auto",
     index: NeighborIndex | None = None,
 ) -> OPTICSResult:
     """Compute the OPTICS ordering of ``points``.
@@ -66,8 +65,8 @@ def optics(
         eps: generating radius (upper bound for later cuts).
         min_pts: density threshold (neighborhood cardinality incl. self).
         metric: metric name or instance.
-        index_kind: neighbor index kind for region queries.
-        index: optional pre-built index over the same points.
+        index: optional pre-built index over the same points (default:
+            the one ``build_index("auto")`` picks for ``eps``).
 
     Returns:
         An :class:`OPTICSResult`.
@@ -84,7 +83,7 @@ def optics(
     n = points.shape[0] if points.ndim == 2 else 0
     resolved = get_metric(metric)
     if index is None:
-        index = build_index(points, index_kind, metric=resolved, eps=eps)
+        index = build_index(points, "auto", metric=resolved, eps=eps)
     reachability = np.full(n, UNDEFINED)
     core_distance = np.full(n, UNDEFINED)
     processed = np.zeros(n, dtype=bool)

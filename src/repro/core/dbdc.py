@@ -56,7 +56,6 @@ class DBDCConfig:
         eps_global: server merge radius; ``None`` selects the paper's
             default (max ε_r over all representatives ≈ ``2·eps_local``).
         metric: distance metric name or instance.
-        index_kind: neighbor index used by all DBSCAN runs.
         relabel_kernel: coverage kernel of the update step —
             ``"auto"``, ``"vectorized"`` or ``"reference"``.  All kernels
             produce bit-identical labels; the knob trades constants only.
@@ -67,7 +66,6 @@ class DBDCConfig:
     scheme: str = "rep_scor"
     eps_global: float | None = None
     metric: str | Metric = "euclidean"
-    index_kind: str = "auto"
     relabel_kernel: str = "auto"
 
     def __post_init__(self) -> None:
@@ -240,7 +238,6 @@ def run_dbdc(
             scheme=config.scheme,
             site_id=site_id,
             metric=config.metric,
-            index_kind=config.index_kind,
         )
         local_times.append(time.perf_counter() - start)
         outcomes.append(outcome)
@@ -258,7 +255,6 @@ def run_dbdc(
         local_models,
         eps_global=eps_global if eps_global > 0 else None,
         metric=config.metric,
-        index_kind=config.index_kind,
     )
     global_seconds = time.perf_counter() - start
     bytes_down = len(global_model.to_bytes())

@@ -90,7 +90,6 @@ def _neighbour_pairs(
     queries: np.ndarray,
     eps: float,
     metric: Metric,
-    index_kind: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every ``(query, neighbour)`` pair of one batched region query.
 
@@ -102,7 +101,7 @@ def _neighbour_pairs(
     if eps <= 0 or not queries.size:
         none = np.empty(0, dtype=np.intp)
         return none, none
-    index = build_index(points, index_kind, metric=metric, eps=eps)
+    index = build_index(points, "auto", metric=metric, eps=eps)
     hits, offsets = index.region_query_batch(queries, eps)
     return np.repeat(queries, np.diff(offsets)), hits
 
@@ -138,7 +137,6 @@ def build_global_model(
     *,
     eps_global: float | None = None,
     metric: str | Metric = "euclidean",
-    index_kind: str = "auto",
 ) -> tuple[GlobalModel, GlobalClusteringStats]:
     """Merge local models into the global model (Section 6).
 
@@ -153,7 +151,6 @@ def build_global_model(
             :func:`default_eps_global` (≈ ``2·Eps_local``).  At
             ``eps_global <= 0`` nothing merges.
         metric: distance metric (must match the sites').
-        index_kind: neighbor index kind for the server-side join.
 
     Returns:
         ``(global_model, stats)``.
@@ -169,7 +166,7 @@ def build_global_model(
     if n:
         nodes = np.arange(n, dtype=np.intp)
         roots = _component_roots(
-            n, *_neighbour_pairs(points, nodes, eps_global, resolved, index_kind)
+            n, *_neighbour_pairs(points, nodes, eps_global, resolved)
         )
         size = np.bincount(roots, minlength=n)
         merged = size[roots] >= 2
@@ -245,7 +242,6 @@ class GlobalModelRepairer:
         model: the global model to repair (usually the round's build; an
             empty one starts from nothing).
         metric: distance metric (must match the server's).
-        index_kind: neighbor index kind for the join (the build's).
     """
 
     def __init__(
@@ -253,10 +249,8 @@ class GlobalModelRepairer:
         model: GlobalModel,
         *,
         metric: str | Metric = "euclidean",
-        index_kind: str = "auto",
     ) -> None:
         self.metric = get_metric(metric)
-        self.index_kind = index_kind
         self.eps_global = float(model.eps_global)
         self._model = model
         labels = model.global_labels
@@ -303,7 +297,6 @@ class GlobalModelRepairer:
             np.arange(n_prev, n_prev + m, dtype=np.intp),
             self.eps_global,
             self.metric,
-            self.index_kind,
         )
         roots = _component_roots(k + m, node[u], node[v])
         # A component with existing clusters is rooted at the smallest of

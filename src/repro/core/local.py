@@ -184,13 +184,12 @@ def _run_local_dbscan(
     eps: float,
     min_pts: int,
     metric: Metric,
-    index_kind: str,
     index: NeighborIndex | None,
     tracer,
     metrics,
 ) -> tuple[DBSCANResult, dict[int, np.ndarray]]:
     collector = SpecificCorePointCollector(points.shape[0])
-    runner = DBSCAN(eps, min_pts, metric=metric, index_kind=index_kind)
+    runner = DBSCAN(eps, min_pts, metric=metric)
     query_s0 = metrics.value("index.query_seconds")
     start = time.perf_counter()
     result = runner.fit(points, observer=collector, index=index, metrics=metrics)
@@ -239,7 +238,6 @@ def build_rep_scor_model(
     *,
     site_id: int = 0,
     metric: str | Metric = "euclidean",
-    index_kind: str = "auto",
     index: NeighborIndex | None = None,
     tracer=None,
     metrics=None,
@@ -252,7 +250,6 @@ def build_rep_scor_model(
         min_pts: local DBSCAN ``MinPts``.
         site_id: identifier stamped on the representatives.
         metric: distance metric.
-        index_kind: neighbor index kind.
         index: optional pre-built index over ``points``.
         tracer: optional :class:`~repro.obs.Tracer`; records ``dbscan``
             (with a ``region_queries`` child) and ``derive_model`` spans.
@@ -267,7 +264,7 @@ def build_rep_scor_model(
     resolved = get_metric(metric)
     points = np.asarray(points, dtype=float)
     result, scor_map = _run_local_dbscan(
-        points, eps, min_pts, resolved, index_kind, index, tracer, metrics
+        points, eps, min_pts, resolved, index, tracer, metrics
     )
     derive_start = time.perf_counter()
     cluster_ids = sorted(scor_map)
@@ -301,7 +298,6 @@ def build_rep_kmeans_model(
     *,
     site_id: int = 0,
     metric: str | Metric = "euclidean",
-    index_kind: str = "auto",
     index: NeighborIndex | None = None,
     max_iter: int = 100,
     tracer=None,
@@ -324,7 +320,7 @@ def build_rep_kmeans_model(
     resolved = get_metric(metric)
     points = np.asarray(points, dtype=float)
     result, scor_map = _run_local_dbscan(
-        points, eps, min_pts, resolved, index_kind, index, tracer, metrics
+        points, eps, min_pts, resolved, index, tracer, metrics
     )
     derive_start = time.perf_counter()
     centroids, radii, owners = [], [], []
@@ -368,7 +364,6 @@ def build_local_model(
     scheme: str = "rep_scor",
     site_id: int = 0,
     metric: str | Metric = "euclidean",
-    index_kind: str = "auto",
     index: NeighborIndex | None = None,
     tracer=None,
     metrics=None,
@@ -382,7 +377,6 @@ def build_local_model(
         scheme: ``"rep_scor"`` or ``"rep_kmeans"``.
         site_id: identifier stamped on representatives.
         metric: distance metric.
-        index_kind: neighbor index kind.
         index: optional pre-built index.
         tracer: optional :class:`~repro.obs.Tracer`.
         metrics: optional :class:`~repro.obs.MetricsRegistry`.
@@ -400,7 +394,6 @@ def build_local_model(
             min_pts,
             site_id=site_id,
             metric=metric,
-            index_kind=index_kind,
             index=index,
             tracer=tracer,
             metrics=metrics,
@@ -412,7 +405,6 @@ def build_local_model(
             min_pts,
             site_id=site_id,
             metric=metric,
-            index_kind=index_kind,
             index=index,
             tracer=tracer,
             metrics=metrics,

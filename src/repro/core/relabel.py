@@ -33,9 +33,10 @@ Two interchangeable kernels implement the coverage step, selected by the
   representatives' largest ε_r, against a grid whose cell edge is ρ's
   coordinate reach (one ring of cells); the *cover* stage joins only the
   objects with no cover within ρ, neither found now nor kept, against a
-  grid whose cell edge is that largest ε_r.  An appended cover replaces
-  the kept one only when it is strictly nearer.  A full relabel is the
-  same fold from an empty memo.
+  grid whose cell edge is that largest ε_r or, where shorter, its
+  coordinate reach (``squared_euclidean`` above 1).  An appended cover
+  replaces the kept one only when it is strictly nearer.  A full relabel
+  is the same fold from an empty memo.
 
   The near stage changes no answer.  A cover found within ρ is the
   nearest: every covering representative at its distance or nearer lies
@@ -84,7 +85,7 @@ import numpy as np
 from repro.clustering.labels import NOISE, validate_labels
 from repro.core.models import GlobalModel
 from repro.data.distance import Metric, get_metric
-from repro.index.base import coordinate_reach, require_finite
+from repro.index.base import LINF_BOUNDED_METRICS, coordinate_reach, require_finite
 from repro.index.grid import GridIndex
 
 __all__ = [
@@ -97,10 +98,6 @@ __all__ = [
 ]
 
 RELABEL_KERNELS = ("auto", "reference", "vectorized")
-
-#: Metrics whose ε-balls are bounded by L_inf cubes — the grid-index
-#: family (mirrors ``repro.index.grid._GRID_METRICS``).
-_GRID_METRICS = {"euclidean", "manhattan", "chebyshev", "squared_euclidean"}
 
 #: Held while one of a model's cover grids is built, so concurrent
 #: relabels against one model (the service's executor threads, the
@@ -161,21 +158,24 @@ def _kept(model: GlobalModel, key: tuple, build):
     return entry[1]
 
 
-def _cover_grid(model: GlobalModel, start: int, metric: Metric) -> GridIndex:
-    """The cover grid over the model's representatives from ``start`` on
-    (cell edge: their largest ε_r).  A fold from an empty memo reads the
-    one at 0, a fold over what a commit appended the one at the previous
-    model's length."""
+def _cover_grid(
+    model: GlobalModel, start: int, metric: Metric, top: float
+) -> GridIndex:
+    """The cover grid over the model's representatives from ``start`` on,
+    whose largest ε_r is ``top`` (cell edge: ``top`` or, where shorter,
+    its coordinate reach, so one ring of cells holds every cover).  A
+    fold from an empty memo reads the one at 0, a fold over what a commit
+    appended the one at the previous model's length."""
 
     def build():
-        cell = float(model.eps_ranges[start:].max())
+        cell = min(top, coordinate_reach(metric, top))
         return metric, GridIndex(model.points[start:], metric, cell_size=cell)
 
     return _kept(model, (start, id(metric)), build)
 
 
 def _near_grid(
-    model: GlobalModel, start: int, metric: Metric, cover: GridIndex
+    model: GlobalModel, start: int, metric: Metric, cover: GridIndex, top: float
 ) -> GridIndex | None:
     """The near grid over the same representatives as ``cover`` (cell
     edge: the coordinate reach of ρ), or ``None`` where the near stage
@@ -184,9 +184,9 @@ def _near_grid(
     small label queries never build it."""
 
     def build():
-        if not cover.reads_query_table(cover.cell_size):
+        if not cover.reads_query_table(top):
             return metric, None
-        radius = cover.cell_size * _NEAR_SHARE
+        radius = top * _NEAR_SHARE
         reach = coordinate_reach(metric, radius)
         near = GridIndex(model.points[start:], metric, cell_size=reach)
         return metric, near if near.reads_query_table(radius) else None
@@ -261,19 +261,20 @@ class CoverMemo:
         representative covers its own ε_r): first the near grid's at ρ
         where the near stage runs, then the cover grid's for the objects
         whose cover, kept or found, is not within ρ."""
-        cover = _cover_grid(model, base, metric)
         radii = model.eps_ranges[base:]
+        top = float(radii.max())
+        cover = _cover_grid(model, base, metric, top)
         rows = np.arange(points.shape[0])
         near = None
         if points.shape[0] >= _NEAR_MIN_OBJECTS:
-            near = _near_grid(model, base, metric, cover)
+            near = _near_grid(model, base, metric, cover, top)
         if near is not None:
-            near_radius = cover.cell_size * _NEAR_SHARE
+            near_radius = top * _NEAR_SHARE
             self._merge(rows, base, *near.join(points, near_radius, radii=radii))
             rows = np.flatnonzero(self.distance > near_radius)
         if rows.size:
             queries = points if rows.size == points.shape[0] else points[rows]
-            found = cover.join(queries, cover.cell_size, radii=radii)
+            found = cover.join(queries, top, radii=radii)
             self._merge(rows, base, *found)
 
     def _merge(
@@ -477,7 +478,7 @@ def resolve_relabel_kernel(
     if kernel != "auto":
         return kernel
     resolved = get_metric(metric)
-    return "vectorized" if resolved.name in _GRID_METRICS else "reference"
+    return "vectorized" if resolved.name in LINF_BOUNDED_METRICS else "reference"
 
 
 def relabel_site(

@@ -178,7 +178,6 @@ def run_hierarchical_dbdc(
     eps_global: float | None = None,
     condense_radius: float | None = None,
     metric: str | Metric = "euclidean",
-    index_kind: str = "auto",
     network: SimulatedNetwork | None = None,
 ) -> HierarchicalReport:
     """Run DBDC over a two-tier site hierarchy.
@@ -194,7 +193,6 @@ def run_hierarchical_dbdc(
         condense_radius: regional absorption radius (``None`` →
             ``eps_local``; 0 disables condensation entirely).
         metric: distance metric.
-        index_kind: neighbor index kind.
         network: optional pre-configured simulated network.
 
     Returns:
@@ -228,7 +226,6 @@ def run_hierarchical_dbdc(
                 min_pts_local=min_pts_local,
                 scheme=scheme,
                 metric=resolved,
-                index_kind=index_kind,
             )
             model = site.run_local_clustering()
             payload = model.to_bytes()
@@ -282,10 +279,7 @@ def run_hierarchical_dbdc(
         )
 
     global_model, __stats = build_global_model(
-        regional_models,
-        eps_global=eps_global,
-        metric=resolved,
-        index_kind=index_kind,
+        regional_models, eps_global=eps_global, metric=resolved
     )
     payload = global_model.to_bytes()
     for site in sites:

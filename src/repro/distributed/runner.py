@@ -51,6 +51,7 @@ from repro.obs import (
     MetricsRegistry,
     Span,
     Tracer,
+    shift_span_times,
     trace_document,
 )
 from repro.obs.registry import usable_cpu_count
@@ -135,14 +136,6 @@ def _relabel_task(site_id: int, relabel: Callable[[], tuple], observed: bool):
     return (*result, tracer.export_spans(origin=0.0))
 
 
-def _shift_span_dict(span: dict, delta: float) -> None:
-    """Shift an exported span tree's wall timestamps by ``delta``."""
-    span["wall_start"] += delta
-    span["wall_end"] += delta
-    for child in span.get("children", []):
-        _shift_span_dict(child, delta)
-
-
 def _graft_worker_spans(
     parent: Span, exported: list[dict], start: float, end: float
 ) -> None:
@@ -156,7 +149,7 @@ def _graft_worker_spans(
     """
     for data in exported:
         if not start <= data["wall_start"] <= end:
-            _shift_span_dict(data, start - data["wall_start"])
+            data = shift_span_times(data, start - data["wall_start"])
         parent.children.append(Span.from_dict(data))
 
 
@@ -192,7 +185,6 @@ def _site(site_id: int, points: np.ndarray, config: DistributedRunConfig) -> Cli
         min_pts_local=config.min_pts_local,
         scheme=config.scheme,
         metric=config.metric,
-        index_kind=config.index_kind,
         relabel_kernel=config.relabel_kernel,
     )
 
@@ -241,7 +233,6 @@ class DistributedRunConfig:
         scheme: local model scheme.
         eps_global: server merge radius (``None`` → paper default).
         metric: distance metric.
-        index_kind: neighbor index kind.
         partition_strategy: how the data is spread over sites.
         seed: partitioning seed.
         parallelism: maximum number of sites whose local phase / relabel
@@ -268,7 +259,6 @@ class DistributedRunConfig:
     scheme: str = "rep_scor"
     eps_global: float | None = None
     metric: str | Metric = "euclidean"
-    index_kind: str = "auto"
     partition_strategy: str = "uniform_random"
     seed: int = 0
     parallelism: int = 1
@@ -443,8 +433,6 @@ class DistributedRunReport:
     ``*_cpu_seconds`` is accumulated per-thread CPU time, and
     ``*_sim_seconds`` is the deterministic simulated protocol clock
     (the one ``RoundPolicy`` deadlines and transport delays run on).
-    The legacy un-clocked names (``max_local_seconds`` …) remain as
-    read-only aliases.
 
     Attributes:
         sites: the client sites (holding their labels and stats).
@@ -540,24 +528,9 @@ class DistributedRunReport:
     parallelism_fallback_reason: str | None = None
 
     @property
-    def max_local_seconds(self) -> float:
-        """Back-compat alias for :attr:`max_local_wall_seconds`."""
-        return self.max_local_wall_seconds
-
-    @property
-    def global_seconds(self) -> float:
-        """Back-compat alias for :attr:`global_wall_seconds`."""
-        return self.global_wall_seconds
-
-    @property
-    def overall_seconds(self) -> float:
+    def overall_wall_seconds(self) -> float:
         """The paper's overall runtime (max local + global, wall clock)."""
         return self.max_local_wall_seconds + self.global_wall_seconds
-
-    @property
-    def overall_wall_seconds(self) -> float:
-        """Clock-named alias for :attr:`overall_seconds`."""
-        return self.overall_seconds
 
     @property
     def n_objects(self) -> int:
@@ -906,7 +879,6 @@ class DistributedRunner:
         core = RoundCore(
             self.config.eps_global,
             metric=self.config.metric,
-            index_kind=self.config.index_kind,
             expected_sites=len(sites),
             metrics=metrics,
         )

@@ -149,9 +149,9 @@ class RoundCore:
     admitted model, so the global model does not depend on arrival
     order; later rounds fold their models, sorted by site id, into the
     base through :class:`~repro.core.global_model.GlobalModelRepairer`
-    with ``eps_global`` frozen, over the build's ``index_kind``.  Every
-    commit sets the ``server.representatives`` and ``server.clusters``
-    gauges of the committed model and adds what it changed to the
+    with ``eps_global`` frozen.  Every commit sets the
+    ``server.representatives`` and ``server.clusters`` gauges of the
+    committed model and adds what it changed to the
     ``server.label_churn`` and ``server.cluster_merges`` counters.
 
     :meth:`arrive` decides, in this order: a model from a site already
@@ -173,7 +173,6 @@ class RoundCore:
         eps_global: merge radius, positive and finite; ``None`` → the
             paper's default (max ε_r of the first build's models).
         metric: distance metric.
-        index_kind: neighbor index for the global build and its folds.
         quorum: minimum fraction of expected sites a round must admit
             for :attr:`quorum_met` (``0`` = any).
         expected_sites: how many sites should report, a whole number of
@@ -189,7 +188,6 @@ class RoundCore:
         eps_global: float | None = None,
         *,
         metric: str | Metric = "euclidean",
-        index_kind: str = "auto",
         quorum: float = 0.0,
         expected_sites: int | None = None,
         metrics=None,
@@ -198,7 +196,6 @@ class RoundCore:
             raise ValueError(f"quorum must be in [0, 1], got {quorum}")
         self.eps_global = global_radius(eps_global)
         self.metric = get_metric(metric)
-        self.index_kind = index_kind
         self.quorum = quorum
         self.expected_sites = round_sites(expected_sites)
         self.metrics = NULL_METRICS if metrics is None else metrics
@@ -464,7 +461,6 @@ class RoundCore:
             _by_site(self.local_models),
             eps_global=self.eps_global,
             metric=self.metric,
-            index_kind=self.index_kind,
         )
         self.global_seconds = time.perf_counter() - start
         self.metrics.inc("server.builds")
@@ -481,7 +477,7 @@ class RoundCore:
             repairer = self._repairer
             if repairer is None:
                 repairer = self._repairer = GlobalModelRepairer(
-                    base, metric=self.metric, index_kind=self.index_kind
+                    base, metric=self.metric
                 )
             for model in _by_site(self.round_models):
                 self._committed, __ = repairer.add_model(model)

@@ -35,16 +35,6 @@ class _SitePhaseTimes:
     relabel_wall_seconds: float = 0.0
     relabel_cpu_seconds: float = 0.0
 
-    @property
-    def local_seconds(self) -> float:
-        """Back-compat alias for :attr:`local_wall_seconds`."""
-        return self.local_wall_seconds
-
-    @property
-    def relabel_seconds(self) -> float:
-        """Back-compat alias for :attr:`relabel_wall_seconds`."""
-        return self.relabel_wall_seconds
-
 
 class ClientSite:
     """One client of the DBDC protocol.
@@ -56,7 +46,6 @@ class ClientSite:
         min_pts_local: local DBSCAN ``MinPts``.
         scheme: local model scheme (``"rep_scor"`` / ``"rep_kmeans"``).
         metric: distance metric.
-        index_kind: neighbor index kind.
         relabel_kernel: coverage kernel of the update step (``"auto"`` /
             ``"vectorized"`` / ``"reference"``; bit-identical labels).
     """
@@ -70,7 +59,6 @@ class ClientSite:
         min_pts_local: int,
         scheme: str = "rep_scor",
         metric: str | Metric = "euclidean",
-        index_kind: str = "auto",
         relabel_kernel: str = "auto",
     ) -> None:
         self.site_id = site_id
@@ -83,7 +71,6 @@ class ClientSite:
         )
         self.scheme = scheme
         self.metric = get_metric(metric)
-        self.index_kind = index_kind
         self.relabel_kernel = relabel_kernel
         self.times = _SitePhaseTimes()
         self.failure: str | None = None
@@ -126,7 +113,6 @@ class ClientSite:
             scheme=self.scheme,
             site_id=self.site_id,
             metric=self.metric,
-            index_kind=self.index_kind,
             tracer=tracer,
             metrics=metrics,
         )

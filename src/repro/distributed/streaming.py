@@ -58,7 +58,6 @@ def run_streaming_session(
     eps_global: float | None = None,
     scheme: str = "rep_scor",
     metric: str = "euclidean",
-    index_kind: str = "auto",
     relabel_kernel: str = "auto",
     metrics=None,
 ) -> StreamingResult:
@@ -74,7 +73,6 @@ def run_streaming_session(
             frozen at the value of the first round with representatives).
         scheme: local model scheme.
         metric: distance metric.
-        index_kind: neighbor index kind.
         relabel_kernel: coverage kernel for the update step.
         metrics: optional :class:`~repro.obs.MetricsRegistry`; the round
             core records its ``server.*`` metrics into it, as the
@@ -96,9 +94,7 @@ def run_streaming_session(
                 f"expected {n_sites}"
             )
 
-    core = RoundCore(
-        eps_global, metric=metric, index_kind=index_kind, metrics=metrics
-    )
+    core = RoundCore(eps_global, metric=metric, metrics=metrics)
     sites: list[list[ClientSite]] = []
     model: GlobalModel | None = None
     for round_index, round_batches in enumerate(batches):
@@ -110,7 +106,6 @@ def run_streaming_session(
                 min_pts_local=min_pts_local,
                 scheme=scheme,
                 metric=metric,
-                index_kind=index_kind,
                 relabel_kernel=relabel_kernel,
             )
             for site_index, batch in enumerate(round_batches)

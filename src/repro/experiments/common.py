@@ -40,14 +40,14 @@ def timed(fn, *args, **kwargs):
 
 
 def central_reference(
-    points: np.ndarray, eps: float, min_pts: int, *, index_kind: str = "auto"
+    points: np.ndarray, eps: float, min_pts: int
 ) -> tuple[DBSCANResult, float]:
     """Central DBSCAN over the complete data set, timed.
 
     Returns:
         ``(result, seconds)``.
     """
-    return timed(dbscan, points, eps, min_pts, index_kind=index_kind)
+    return timed(dbscan, points, eps, min_pts)
 
 
 @dataclass

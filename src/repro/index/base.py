@@ -50,6 +50,7 @@ import numpy as np
 from repro.data.distance import Metric, get_metric
 
 __all__ = [
+    "LINF_BOUNDED_METRICS",
     "NeighborIndex",
     "PAIR_BUDGET_BYTES",
     "PASS_BUDGET_BYTES",
@@ -67,6 +68,14 @@ PAIR_BUDGET_BYTES = 32 * 2**20
 #: to stay in the CPU caches, and the pass buffers are reused from one
 #: pass and one join to the next (``repro.index.grid``).
 PASS_BUDGET_BYTES = 4 * 2**20
+
+
+#: Metrics whose ``eps``-balls fit in the ``L_inf`` cube of half-width
+#: :func:`coordinate_reach`: the grid takes only these, and brute force,
+#: the kd-tree and the R-tree prune with such cubes.
+LINF_BOUNDED_METRICS = frozenset(
+    {"euclidean", "manhattan", "chebyshev", "squared_euclidean"}
+)
 
 
 def coordinate_reach(metric: Metric, eps: float) -> float:

@@ -22,13 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.distance import Metric
-from repro.index.base import NeighborIndex
+from repro.index.base import LINF_BOUNDED_METRICS, NeighborIndex, coordinate_reach
 
 __all__ = ["BruteForceIndex"]
-
-# Metrics for which the per-coordinate distance lower-bounds the metric
-# distance, making the sorted-projection pruning exact.
-_PROJECTION_METRICS = {"euclidean", "manhattan", "chebyshev", "squared_euclidean"}
 
 
 class BruteForceIndex(NeighborIndex):
@@ -54,16 +50,13 @@ class BruteForceIndex(NeighborIndex):
         return np.flatnonzero(distances <= eps)
 
     def _projection_reach(self, eps: float) -> float | None:
-        """Slab half-width for projection pruning, ``None`` if unsupported.
-
-        ``squared_euclidean`` thresholds the *squared* distance, so its
-        coordinate reach is ``sqrt(eps)``; the true metrics use ``eps``.
-        """
+        """Slab half-width for projection pruning, ``None`` if unsupported:
+        the coordinate reach of an ``L_inf``-bounded metric, or of a
+        Minkowski metric, whose per-coordinate distance also lower-bounds
+        it."""
         name = self._metric.name
-        if name == "squared_euclidean":
-            return float(np.sqrt(max(eps, 0.0)))
-        if name in _PROJECTION_METRICS or name.startswith("minkowski"):
-            return float(max(eps, 0.0))
+        if name in LINF_BOUNDED_METRICS or name.startswith("minkowski"):
+            return coordinate_reach(self._metric, eps)
         return None
 
     def _ensure_projection(self) -> None:

@@ -1,11 +1,15 @@
 """Index construction by name, plus the automatic default used by DBSCAN.
 
 Clustering code never instantiates a concrete index class directly; it calls
-:func:`build_index` with a configured name (``"grid"``, ``"kdtree"``,
-``"rtree"``, ``"brute"`` or ``"auto"``).  ``"auto"`` picks the uniform grid
-when the metric allows it and a sensible cell size is known (DBSCAN passes
-its ``Eps``), otherwise the kd-tree, otherwise brute force — mirroring how
-the original system would fall back from R*-tree to sequential scan.
+:func:`build_index` with a name (``"grid"``, ``"kdtree"``, ``"rtree"``,
+``"mtree"``, ``"brute"`` or ``"auto"``).  Every kind answers the same exact
+queries, so only DBSCAN's index ablation names one; everything else takes
+``"auto"``.  For a metric whose balls fit in ``L_inf`` cubes, ``"auto"``
+picks the uniform grid when a usable cell size is known (DBSCAN passes its
+``Eps``) and brute force otherwise (its sorted-projection sweep beats the
+kd-tree on batched queries); for any other metric it picks the M-tree
+above 256 points and brute force below — mirroring how the original system
+would fall back from R*-tree to sequential scan.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 import numpy as np
 
 from repro.data.distance import Metric, get_metric
-from repro.index.base import NeighborIndex
+from repro.index.base import LINF_BOUNDED_METRICS, NeighborIndex
 from repro.index.brute import BruteForceIndex
 from repro.index.grid import GridIndex
 from repro.index.kdtree import KDTreeIndex
@@ -24,8 +28,12 @@ from repro.index.rtree import RTreeIndex
 
 __all__ = ["build_index", "available_indexes"]
 
-_GRID_OK = {"euclidean", "manhattan", "chebyshev", "squared_euclidean"}
-_TREE_OK = _GRID_OK | set()  # kd-tree/R-tree prune with L_inf cubes: same family
+_BY_NAME = {
+    "brute": BruteForceIndex,
+    "kdtree": KDTreeIndex,
+    "rtree": RTreeIndex,
+    "mtree": MTreeIndex,
+}
 
 
 def _usable_cell_size(eps: float | None) -> bool:
@@ -44,8 +52,6 @@ def build_index(
     *,
     metric: str | Metric = "euclidean",
     eps: float | None = None,
-    leaf_size: int = 16,
-    node_capacity: int = 32,
 ) -> NeighborIndex:
     """Build a neighbor index over ``points``.
 
@@ -57,8 +63,6 @@ def build_index(
             and used by ``"auto"`` to prefer the grid, which it picks only
             for a finite, positive ``eps`` (a grid scans finitely many
             cell rings).
-        leaf_size: kd-tree leaf size.
-        node_capacity: R-tree fanout.
 
     Returns:
         A ready-to-query :class:`~repro.index.base.NeighborIndex`.
@@ -70,17 +74,14 @@ def build_index(
     resolved = get_metric(metric)
     points = np.asarray(points, dtype=float)
     if kind == "auto":
-        if resolved.name in _GRID_OK and _usable_cell_size(eps) and len(points):
-            return GridIndex(points, resolved, cell_size=eps)
-        if resolved.name in _TREE_OK and len(points):
-            return KDTreeIndex(points, resolved, leaf_size=leaf_size)
-        if len(points) > 256:
+        if resolved.name not in LINF_BOUNDED_METRICS:
             # Unknown (non-L_p) metric over a large set: the M-tree only
             # needs the triangle inequality, like the paper's fallback.
-            return MTreeIndex(points, resolved, node_capacity=node_capacity)
-        return BruteForceIndex(points, resolved)
-    if kind == "brute":
-        return BruteForceIndex(points, resolved)
+            kind = "mtree" if len(points) > 256 else "brute"
+        elif _usable_cell_size(eps) and len(points):
+            kind = "grid"
+        else:
+            kind = "brute"
     if kind == "grid":
         if not _usable_cell_size(eps):
             raise ValueError(
@@ -88,10 +89,8 @@ def build_index(
                 f"got {eps}"
             )
         return GridIndex(points, resolved, cell_size=eps)
-    if kind == "kdtree":
-        return KDTreeIndex(points, resolved, leaf_size=leaf_size)
-    if kind == "rtree":
-        return RTreeIndex(points, resolved, node_capacity=node_capacity)
-    if kind == "mtree":
-        return MTreeIndex(points, resolved, node_capacity=node_capacity)
-    raise ValueError(f"unknown index kind {kind!r}; known: {available_indexes()}")
+    if kind not in _BY_NAME:
+        raise ValueError(
+            f"unknown index kind {kind!r}; known: {available_indexes()}"
+        )
+    return _BY_NAME[kind](points, resolved)

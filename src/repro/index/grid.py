@@ -92,6 +92,7 @@ import numpy as np
 
 from repro.data.distance import Metric
 from repro.index.base import (
+    LINF_BOUNDED_METRICS,
     PASS_BUDGET_BYTES,
     NeighborIndex,
     _as_query_batch,
@@ -101,8 +102,6 @@ from repro.index.base import (
 )
 
 __all__ = ["GridIndex"]
-
-_GRID_METRICS = {"euclidean", "manhattan", "chebyshev", "squared_euclidean"}
 
 # Linearized cell keys (row-major over the occupied extent) are used only
 # while the extent's cell count stays below this; beyond it the neighbour
@@ -213,9 +212,9 @@ class GridIndex(NeighborIndex):
         super().__init__(points, metric)
         if not (math.isfinite(cell_size) and cell_size > 0):
             raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
-        if self._metric.name not in _GRID_METRICS:
+        if self._metric.name not in LINF_BOUNDED_METRICS:
             raise ValueError(
-                f"GridIndex supports metrics {sorted(_GRID_METRICS)}, "
+                f"GridIndex supports metrics {sorted(LINF_BOUNDED_METRICS)}, "
                 f"got {self._metric.name!r}"
             )
         self._cell_size = float(cell_size)

@@ -98,7 +98,6 @@ class ServiceConfig:
             disable the endpoint).
         eps_global: server merge radius (``None`` → the paper default).
         metric: distance metric name.
-        index_kind: neighbor index for the global DBSCAN.
         expected_sites: sites of one round, a whole number >= 1; when
             set, the open round commits as soon as that many models are
             admitted.  ``None`` = a round commits only on ROUND_COMMIT.
@@ -144,7 +143,6 @@ class ServiceConfig:
     metrics_port: int | None = 0
     eps_global: float | None = None
     metric: str = "euclidean"
-    index_kind: str = "auto"
     expected_sites: int | None = None
     deadline_s: float | None = None
     quorum: float = 0.0
@@ -223,7 +221,6 @@ class DBDCService:
         self.server = RoundCore(
             self.config.eps_global,
             metric=self.config.metric,
-            index_kind=self.config.index_kind,
             quorum=self.config.quorum,
             expected_sites=self.config.expected_sites,
             metrics=self.metrics,

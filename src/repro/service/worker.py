@@ -77,7 +77,6 @@ def run_site_worker(
     min_pts_local: int,
     scheme: str = "rep_scor",
     metric: str = "euclidean",
-    index_kind: str = "auto",
     relabel_kernel: str = "auto",
     timeout_s: float = 30.0,
     await_global_s: float = 30.0,
@@ -100,7 +99,6 @@ def run_site_worker(
         min_pts_local: local DBSCAN ``MinPts``.
         scheme: local model scheme.
         metric: distance metric.
-        index_kind: neighbor index kind.
         relabel_kernel: coverage kernel for the update step.
         timeout_s: per-operation socket timeout.
         await_global_s: how long to wait for round 0's model.
@@ -125,7 +123,6 @@ def run_site_worker(
         min_pts_local=min_pts_local,
         scheme=scheme,
         metric=metric,
-        index_kind=index_kind,
         relabel_kernel=relabel_kernel,
         timeout_s=timeout_s,
         await_global_s=await_global_s,
@@ -210,7 +207,6 @@ def run_site_worker_session(
     min_pts_local: int,
     scheme: str = "rep_scor",
     metric: str = "euclidean",
-    index_kind: str = "auto",
     relabel_kernel: str = "auto",
     timeout_s: float = 30.0,
     await_global_s: float = 30.0,
@@ -247,7 +243,6 @@ def run_site_worker_session(
         min_pts_local: local DBSCAN ``MinPts``.
         scheme: local model scheme.
         metric: distance metric.
-        index_kind: neighbor index kind.
         relabel_kernel: coverage kernel for the update step.
         timeout_s: per-operation socket timeout.
         await_global_s: how long each MODEL_DELTA may block server-side.
@@ -358,7 +353,6 @@ def run_site_worker_session(
                         min_pts_local=min_pts_local,
                         scheme=scheme,
                         metric=metric,
-                        index_kind=index_kind,
                         relabel_kernel=relabel_kernel,
                     )
                     local_model = site.run_local_clustering()

@@ -45,9 +45,9 @@ def oracle_build(
     *,
     eps_global: float | None = None,
     metric="euclidean",
-    index_kind: str = "auto",
 ) -> tuple[GlobalModel, GlobalClusteringStats]:
-    """The global build through DBSCAN over the representatives."""
+    """The global build through DBSCAN over the representatives, on the
+    brute-force index (no index shared with the build under test)."""
     representatives = [rep for model in local_models for rep in rows_of(model)]
     if eps_global is None:
         eps_global = default_eps_global(local_models)
@@ -65,7 +65,7 @@ def oracle_build(
             eps_global,
             MIN_PTS_GLOBAL,
             metric=get_metric(metric),
-            index_kind=index_kind,
+            index_kind="brute",
         )
         labels = _promote(result.labels)
         n_merged, n_singletons = result.n_clusters, result.n_noise

@@ -32,11 +32,9 @@ import numpy as np
 from repro.clustering.dbscan import density_parameters
 from repro.clustering.labels import NOISE
 from repro.data.distance import Metric, get_metric
-from repro.index.base import coordinate_reach
+from repro.index.base import LINF_BOUNDED_METRICS, coordinate_reach
 
 __all__ = ["DynamicGridIndex", "IncrementalDBSCAN"]
-
-_GRID_METRICS = {"euclidean", "manhattan", "chebyshev", "squared_euclidean"}
 
 
 class DynamicGridIndex:
@@ -62,9 +60,9 @@ class DynamicGridIndex:
         if cell_size <= 0:
             raise ValueError(f"cell_size must be positive, got {cell_size}")
         self._metric = get_metric(metric)
-        if self._metric.name not in _GRID_METRICS:
+        if self._metric.name not in LINF_BOUNDED_METRICS:
             raise ValueError(
-                f"DynamicGridIndex supports {sorted(_GRID_METRICS)}, "
+                f"DynamicGridIndex supports {sorted(LINF_BOUNDED_METRICS)}, "
                 f"got {self._metric.name!r}"
             )
         self._dim = int(dim)

@@ -409,9 +409,8 @@ def test_rep_scor_model_matches_distance_collector(kind, metric, data):
         eps = eps * eps
     collector = DistanceCollector(points, eps, metric)
     oracle = classic_dbscan(points, eps, min_pts, metric=metric, observer=collector)
-    outcome = build_rep_scor_model(
-        points, eps, min_pts, metric=metric, index_kind=kind
-    )
+    index = build_index(points, kind, metric=metric, eps=eps)
+    outcome = build_rep_scor_model(points, eps, min_pts, metric=metric, index=index)
     assert np.array_equal(outcome.clustering.labels, oracle.labels)
     expected = dict(collector.scor)
     got = {cid: s.tolist() for cid, s in outcome.specific_core_points.items()}

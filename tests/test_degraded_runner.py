@@ -75,13 +75,10 @@ def _manual_legacy_run(site_points, config):
             min_pts_local=config.min_pts_local,
             scheme=config.scheme,
             metric=config.metric,
-            index_kind=config.index_kind,
         )
         for site_id, points in enumerate(site_points)
     ]
-    server = RoundCore(
-        config.eps_global, metric=config.metric, index_kind=config.index_kind
-    )
+    server = RoundCore(config.eps_global, metric=config.metric)
     server.apply(server.open_round(0))
     for site in sites:
         model = site.run_local_clustering()
@@ -282,10 +279,6 @@ class TestClockNamedReportFields:
         assert report.round_sim_seconds == 0.0
         assert report.max_local_wall_seconds > 0
         assert report.global_wall_seconds > 0
-        # Back-compat aliases resolve to the wall-clock fields.
-        assert report.max_local_seconds == report.max_local_wall_seconds
-        assert report.global_seconds == report.global_wall_seconds
-        assert report.overall_seconds == report.overall_wall_seconds
 
     def test_degraded_run_reports_simulated_round(self, workload, config):
         site_points, assignment = workload

@@ -16,9 +16,10 @@ the incremental-DBSCAN repairer they replace:
   build.
 
 Cases are blobs, lattices whose neighbours sit at exactly ε, exact
-duplicates, ε ≤ 0, empty models and an empty base, over every index kind
-and grid metric; ``minkowski_metric(3)``, which no grid supports, is
-checked against the brute-force index.
+duplicates, ε ≤ 0, empty models and an empty base, drawn over the grid
+metrics and ``minkowski_metric(3)``, which no grid supports; the build
+and its folds use the index ``build_index("auto")`` picks (the grid or
+brute force), the oracle build DBSCAN on the brute-force index.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from tests.global_model_oracle import OracleRepairer, oracle_build
 from tests.incremental_dbscan_oracle import IncrementalDBSCAN
 from tests.model_rows import Row, local_model
 
-KINDS = ("auto", "brute", "grid", "kdtree", "rtree", "mtree")
 GRID_METRICS = ("euclidean", "manhattan", "chebyshev", "squared_euclidean")
-# The grid refuses a Minkowski metric; every other kind answers it.
-MINKOWSKI_KINDS = ("auto", "brute", "kdtree", "rtree", "mtree")
+# The grid refuses a Minkowski metric, so "auto" answers it on brute force.
+METRICS = (*GRID_METRICS, minkowski_metric(3))
 
 SETTINGS = settings(
     max_examples=60,
@@ -113,15 +113,11 @@ def fold_cases(draw, metrics=GRID_METRICS):
 
 class TestBuild:
     @SETTINGS
-    @given(case=fold_cases(), kind=st.sampled_from(KINDS))
-    def test_build_equals_dbscan_build(self, case, kind):
+    @given(case=fold_cases(metrics=METRICS))
+    def test_build_equals_dbscan_build(self, case):
         metric, eps, models = case
-        model, stats = build_global_model(
-            models, eps_global=eps, metric=metric, index_kind=kind
-        )
-        expected, expected_stats = oracle_build(
-            models, eps_global=eps, metric=metric, index_kind=kind
-        )
+        model, stats = build_global_model(models, eps_global=eps, metric=metric)
+        expected, expected_stats = oracle_build(models, eps_global=eps, metric=metric)
         np.testing.assert_array_equal(model.global_labels, expected.global_labels)
         assert stats == expected_stats
 
@@ -137,13 +133,11 @@ class TestBuild:
 
 class TestFold:
     @SETTINGS
-    @given(case=fold_cases(), kind=st.sampled_from(KINDS))
-    def test_folds_equal_incremental_repairer(self, case, kind):
+    @given(case=fold_cases())
+    def test_folds_equal_incremental_repairer(self, case):
         metric, eps, models = case
-        base, __ = build_global_model(
-            models[:1], eps_global=eps, metric=metric, index_kind=kind
-        )
-        repairer = GlobalModelRepairer(base, metric=metric, index_kind=kind)
+        base, __ = build_global_model(models[:1], eps_global=eps, metric=metric)
+        repairer = GlobalModelRepairer(base, metric=metric)
         oracle = OracleRepairer(base, metric=metric)
         for late in models[1:]:
             before = repairer.model().global_labels
@@ -160,9 +154,7 @@ class TestFold:
             assert fold.cluster_merges == (
                 np.unique(before).size - np.unique(after[: before.size]).size
             )
-        rebuilt, __ = build_global_model(
-            models, eps_global=eps, metric=metric, index_kind=kind
-        )
+        rebuilt, __ = build_global_model(models, eps_global=eps, metric=metric)
         assert _same_partition(repairer.model().global_labels, rebuilt.global_labels)
 
     @SETTINGS
@@ -189,33 +181,25 @@ class TestFold:
 
 
 class TestMinkowski:
-    """No grid supports ``minkowski_metric(3)``: the build and the folds
-    must work on every other index, checked against the brute force."""
+    """No grid supports ``minkowski_metric(3)``: the build and every fold
+    partition the representatives like the DBSCAN build on brute force
+    (the incremental oracle's dynamic grid refuses the metric too)."""
 
     @SETTINGS
-    @given(case=fold_cases(metrics=("euclidean",)), kind=st.sampled_from(MINKOWSKI_KINDS))
-    def test_build_and_folds_against_brute_force(self, case, kind):
+    @given(case=fold_cases(metrics=("euclidean",)))
+    def test_build_and_folds_against_brute_force(self, case):
         __, eps, models = case
         metric = minkowski_metric(3)
-        model, stats = build_global_model(
-            models, eps_global=eps, metric=metric, index_kind=kind
-        )
-        expected, expected_stats = oracle_build(
-            models, eps_global=eps, metric=metric, index_kind="brute"
-        )
+        model, stats = build_global_model(models, eps_global=eps, metric=metric)
+        expected, expected_stats = oracle_build(models, eps_global=eps, metric=metric)
         np.testing.assert_array_equal(model.global_labels, expected.global_labels)
         assert stats == expected_stats
         base, __ = build_global_model(models[:1], eps_global=eps, metric=metric)
-        repairer = GlobalModelRepairer(base, metric=metric, index_kind=kind)
-        brute = GlobalModelRepairer(base, metric=metric, index_kind="brute")
-        for late in models[1:]:
-            repaired, relabeled = repairer.add_model(late)
-            expected_fold, expected_relabeled = brute.add_model(late)
-            np.testing.assert_array_equal(
-                repaired.global_labels, expected_fold.global_labels
-            )
-            assert relabeled == expected_relabeled
-        assert _same_partition(repaired.global_labels, expected.global_labels)
+        repairer = GlobalModelRepairer(base, metric=metric)
+        for count in range(2, len(models) + 1):
+            repaired, __ = repairer.add_model(models[count - 1])
+            rebuilt, __ = oracle_build(models[:count], eps_global=eps, metric=metric)
+            assert _same_partition(repaired.global_labels, rebuilt.global_labels)
 
     def test_repairer_fold_equals_rebuild(self):
         metric = minkowski_metric(3)

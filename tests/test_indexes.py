@@ -277,10 +277,12 @@ class TestFactory:
         index = build_index(points, "auto", eps=1.0)
         assert isinstance(index, GridIndex)
 
-    def test_auto_without_eps_uses_kdtree(self, rng):
+    def test_auto_without_eps_uses_brute_force(self, rng):
+        """No cell size: the sorted-projection sweep, which beats the
+        kd-tree on batched queries."""
         points = rng.normal(size=(20, 2))
         index = build_index(points, "auto")
-        assert isinstance(index, KDTreeIndex)
+        assert isinstance(index, BruteForceIndex)
 
     def test_auto_empty_points_brute(self):
         index = build_index(np.empty((0, 2)), "auto", eps=1.0)
@@ -459,8 +461,18 @@ class TestNeighbourCells:
         assert peak < 8 * 8 * grid._pair_budget
 
 
+# The grid at the query radius, and trees of small leaves and fanouts, so
+# a few dozen points already make deep trees.
+DEEP_INDEXES = {
+    "grid": lambda pts, metric, eps: GridIndex(pts, metric, cell_size=eps),
+    "kdtree": lambda pts, metric, eps: KDTreeIndex(pts, metric, leaf_size=4),
+    "rtree": lambda pts, metric, eps: RTreeIndex(pts, metric, node_capacity=4),
+    "mtree": lambda pts, metric, eps: MTreeIndex(pts, metric, node_capacity=4),
+}
+
+
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev", "squared_euclidean"])
-@pytest.mark.parametrize("kind", ["grid", "kdtree", "rtree", "mtree"])
+@pytest.mark.parametrize("kind", sorted(DEEP_INDEXES))
 class TestEveryKindEveryGridMetric:
     """Every index answers every grid metric exactly: squared_euclidean
     below ε 1 (its ball reaches √ε > ε along an axis) and lattices whose
@@ -482,9 +494,7 @@ class TestEveryKindEveryGridMetric:
         else:
             points = rng.uniform(-2, 2, size=(n, dim))
             eps = float(rng.uniform(0.05, 1.5))
-        index = build_index(
-            points, kind, metric=metric, eps=eps, leaf_size=4, node_capacity=4
-        )
+        index = DEEP_INDEXES[kind](points, metric, eps)
         oracle = BruteForceIndex(points, metric)
         rows = csr_rows(index.region_query_batch(np.arange(n), eps))
         assert len(rows) == n

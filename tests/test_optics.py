@@ -8,6 +8,7 @@ import pytest
 from repro.clustering.dbscan import dbscan
 from repro.clustering.labels import NOISE
 from repro.clustering.optics import extract_dbscan_clustering, optics
+from repro.index import BruteForceIndex
 
 
 class TestValidation:
@@ -22,11 +23,11 @@ class TestValidation:
 
     def test_infinite_eps_runs_as_on_brute_force(self, small_blobs):
         """An infinite generating distance, the usual OPTICS setting,
-        used to crash in the automatically picked grid; it runs on the
-        kd-tree now."""
+        used to crash in the automatically picked grid; it runs on brute
+        force now."""
         points, __ = small_blobs
         result = optics(points, np.inf, 5)
-        oracle = optics(points, np.inf, 5, index_kind="brute")
+        oracle = optics(points, np.inf, 5, index=BruteForceIndex(points))
         np.testing.assert_array_equal(result.ordering, oracle.ordering)
         np.testing.assert_array_equal(result.reachability, oracle.reachability)
         np.testing.assert_array_equal(result.core_distance, oracle.core_distance)

@@ -24,7 +24,10 @@ contract is bit-identity with a relabel from scratch:
   cover grid's join: layouts on that boundary (a cover at exactly ρ, an
   ε_r below ρ, ties on either side of it, a kept cover at exactly ρ)
   equal the reference, and a 5-d fold, whose grids have no query table,
-  takes the single join.
+  takes the single join;
+* under ``squared_euclidean`` the cover grid's cell edge is the largest
+  ε_r or, above 1, its coordinate reach √ε_r, so the join's candidates
+  stay within one ring of cells of that reach.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.core import relabel
 from repro.core.global_model import GlobalModelRepairer, build_global_model
 from repro.core.local import build_local_model
 from repro.core.relabel import CoverMemo, relabel_site, relabel_site_reference
+from repro.data.distance import Metric
 from repro.distributed.server import RoundCore
 from repro.distributed.site import ClientSite
 from repro.index.grid import GridIndex
@@ -527,3 +531,40 @@ def test_a_five_dimensional_fold_takes_the_single_join(small_folds_staged, joins
     assert [cell for cell, __ in joins] == [4.0]
     (__, cover), (__, near) = model._cover_grids.values()
     assert near is None and cover.n_occupied_cells < 3**5
+
+
+@pytest.mark.parametrize(
+    "low,high,cell,pairs",
+    [(0.04, 0.16, 0.1593, 690), (0.25, 4.0, 1.9944, 772), (9.0, 16.0, 3.9948, 774)],
+)
+def test_squared_euclidean_cover_cells_are_the_reach(
+    monkeypatch, low, high, cell, pairs
+):
+    """ε_r below 1, on both sides of 1 and above it: the single cover
+    join equals the reference and evaluates about one pair per object.
+    Cells as wide as the largest ε_r in squared units (16 where the
+    reach is 4) would hold 2,913 and 10,388 pairs in the last two."""
+    rows = [0]
+    paired = Metric.paired
+
+    def counted(self, left, right, out=None):
+        rows[0] += len(left)
+        return paired(self, left, right, out=out)
+
+    monkeypatch.setattr(Metric, "paired", counted)
+    rng = np.random.default_rng(0)
+    side = 25.0 * np.sqrt(high)
+    reps = [
+        Row(tuple(point), float(eps), 0, 0)
+        for point, eps in zip(
+            rng.uniform(0.0, side, size=(100, 2)), rng.uniform(low, high, size=100)
+        )
+    ]
+    model = _model(reps, rng.integers(0, 8, size=100))
+    points = rng.uniform(0.0, side, size=(600, 2))
+    memo = _labels_equal_reference(points, model, "squared_euclidean")
+    assert rows[0] == pairs
+    assert (memo.nearest >= 0).sum() > 100
+    ((__, cover),) = model._cover_grids.values()
+    top = model.eps_ranges.max()
+    assert cover.cell_size == min(top, np.sqrt(top)) == pytest.approx(cell, abs=1e-4)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -29,8 +31,8 @@ class TestRun:
         assert len(report.sites) == 3
         assert report.n_objects == blobs.shape[0]
         assert report.n_representatives == len(report.global_model)
-        assert report.overall_seconds > 0
-        assert report.global_seconds >= 0
+        assert report.overall_wall_seconds > 0
+        assert report.global_wall_seconds >= 0
 
     def test_network_traffic_accounted(self, blobs, config):
         network = SimulatedNetwork()
@@ -120,3 +122,56 @@ class TestRun:
         report = DistributedRunner(config).run(blobs, n_sites=2)
         outcome = report.sites[0].local_outcome
         assert outcome.model.scheme == "rep_kmeans"
+
+
+class TestNonLpMetric:
+    """A registered non-L_p metric through the whole runner: every site
+    runs DBSCAN on the index ``build_index("auto")`` picks for it, the
+    M-tree above 256 points and brute force at 256 or fewer."""
+
+    def test_haversine_labels_equal_plain_pipeline(self, monkeypatch):
+        from repro.core.dbdc import DBDCConfig, run_dbdc_partitioned
+        from repro.index import BruteForceIndex, MTreeIndex
+        from tests.test_mtree import haversine
+
+        dbscan_module = importlib.import_module("repro.clustering.dbscan")
+        rng = np.random.default_rng(7)
+        hubs = np.asarray([[0.85, 0.2], [0.1, -1.4], [-0.6, 2.2]])
+        stations = np.concatenate(
+            [hub + rng.normal(0.0, 0.02, size=(220, 2)) for hub in hubs]
+            + [rng.uniform([-1.0, -3.0], [1.0, 3.0], size=(40, 2))]
+        )
+        sizes = (257, 256, 187)
+        assignment = rng.permutation(np.repeat(np.arange(3), sizes))
+        built = []
+        build_index = dbscan_module.build_index
+
+        def spy(points, *args, **kwargs):
+            index = build_index(points, *args, **kwargs)
+            built.append((len(points), type(index)))
+            return index
+
+        monkeypatch.setattr(dbscan_module, "build_index", spy)
+        config = DistributedRunConfig(
+            eps_local=0.06, min_pts_local=5, metric=haversine
+        )
+        report = DistributedRunner(config).run_on_sites(
+            [stations[assignment == s] for s in range(3)], assignment
+        )
+        expected = [
+            (257, MTreeIndex), (256, BruteForceIndex), (187, BruteForceIndex)
+        ]
+        assert built == expected
+        plain = run_dbdc_partitioned(
+            stations,
+            assignment,
+            DBDCConfig(eps_local=0.06, min_pts_local=5, metric=haversine),
+        )
+        assert built == expected * 2
+        labels = report.labels_in_original_order()
+        np.testing.assert_array_equal(labels, plain.labels_in_original_order())
+        # Each hub, spread over all three sites, is one global cluster.
+        hubs = [labels[start : start + 220] for start in (0, 220, 440)]
+        clusters = [np.unique(hub[hub >= 0]) for hub in hubs]
+        assert [c.size for c in clusters] == [1, 1, 1]
+        assert len({int(c[0]) for c in clusters}) == 3

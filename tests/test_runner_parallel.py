@@ -105,7 +105,7 @@ def test_wall_times_recorded(blobs, force_width):
     assert report.relabel_wall_seconds > 0
     # Wall time of the whole phase can't beat the slowest *measured* site
     # by more than scheduling noise; sanity-check the fields are coherent.
-    assert report.overall_seconds > 0
+    assert report.overall_wall_seconds > 0
 
 
 def test_parallel_report_separates_wall_and_cpu(blobs, force_width):
@@ -127,10 +127,6 @@ def test_parallel_report_separates_wall_and_cpu(blobs, force_width):
     assert report.relabel_cpu_seconds == pytest.approx(
         sum(site.times.relabel_cpu_seconds for site in report.sites)
     )
-    # Clock-named aliases agree with the legacy field names.
-    assert report.max_local_seconds == report.max_local_wall_seconds
-    assert report.global_seconds == report.global_wall_seconds
-    assert report.overall_seconds == report.overall_wall_seconds
 
 
 def test_per_site_times_name_their_clock(blobs, force_width):
@@ -138,8 +134,7 @@ def test_per_site_times_name_their_clock(blobs, force_width):
     for site in report.sites:
         assert site.times.local_wall_seconds > 0
         assert site.times.local_cpu_seconds >= 0
-        assert site.times.local_seconds == site.times.local_wall_seconds
-        assert site.times.relabel_seconds == site.times.relabel_wall_seconds
+        assert site.times.relabel_wall_seconds > 0
 
 
 def test_config_rejects_bad_parallelism():

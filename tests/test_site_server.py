@@ -57,7 +57,7 @@ class TestClientSite:
         model = site.run_local_clustering()
         assert model.site_id == 0
         assert len(model) > 0
-        assert site.times.local_seconds > 0
+        assert site.times.local_wall_seconds > 0
 
     def test_global_labels_unavailable_before_update(self, two_sites):
         site, __ = two_sites
