@@ -8,11 +8,12 @@ example exercises that property through the whole DBDC pipeline:
   great-circle (haversine) — a metric with no meaningful coordinate
   arithmetic (so k-means-style centroids are out; ``REP_Scor`` uses only
   actual objects and distances),
-* region queries run through the M-tree, the paper's cited access method
-  for metric data (grids/kd-trees need coordinate axes, the M-tree needs
-  only the triangle inequality): named for the central run, picked by
-  ``build_index("auto")`` for each data center's few hundred stations,
-  while the server's few dozen representatives get a linear scan,
+* the central run's region queries go through the M-tree, the paper's
+  cited access method for metric data (grids/kd-trees need coordinate
+  axes, the M-tree needs only the triangle inequality), named here;
+  ``build_index("auto")`` gives each data center's few hundred stations
+  and the server's few dozen representatives a vectorized linear scan,
+  which is faster than the M-tree under haversine at these sizes,
 * three regional data centers each hold a share of the stations; storm
   systems spanning data centers are recovered by the global merge.
 

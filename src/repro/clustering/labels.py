@@ -26,6 +26,8 @@ __all__ = [
     "compact_labels",
     "relabel",
     "contingency_table",
+    "distinct",
+    "distinct_count",
     "validate_labels",
 ]
 
@@ -53,6 +55,41 @@ def validate_labels(labels: np.ndarray) -> np.ndarray:
     if labels.size and labels.min() < NOISE:
         raise ValueError("labels contain UNCLASSIFIED entries; clustering unfinished")
     return labels
+
+
+def distinct(
+    values: np.ndarray, *, return_inverse: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of a 1-D array, and with
+    ``return_inverse`` each value's index among them: what
+    ``np.unique(values, return_inverse=True)`` answers, from one sort and
+    one comparison of neighbours.  On the few thousand integer ids of a
+    relabel or a global fold that is several times cheaper than
+    ``np.unique`` (``docs/performance.md``)."""
+    if not return_inverse:
+        ordered = np.sort(values)
+        return ordered[_run_starts(ordered)]
+    # Equal values share their rank, so the sort need not be stable.
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = _run_starts(ordered)
+    inverse = np.empty(values.size, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
+
+
+def distinct_count(values: np.ndarray) -> int:
+    """How many distinct values a 1-D array holds (one sort, one
+    comparison of neighbours)."""
+    return int(np.count_nonzero(_run_starts(np.sort(values))))
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a sorted array starts."""
+    starts = np.empty(ordered.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
 
 
 def cluster_ids(labels: np.ndarray) -> np.ndarray:

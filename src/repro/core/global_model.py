@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clustering.labels import NOISE
+from repro.clustering.labels import NOISE, distinct, distinct_count
 from repro.clustering.optics import extract_dbscan_clustering, optics
 from repro.core.models import GlobalModel, LocalModel, stack_columns
 from repro.data.distance import Metric, get_metric
@@ -174,7 +174,7 @@ def build_global_model(
         n_singletons = n - int(np.count_nonzero(merged))
         # Merged components sort by their root, singletons after them.
         rank = np.where(merged, roots, n + nodes)
-        labels = np.unique(rank, return_inverse=True)[1].reshape(-1)
+        labels = distinct(rank, return_inverse=True)[1]
     model = GlobalModel(
         *columns,
         global_labels=labels,
@@ -289,9 +289,9 @@ class GlobalModelRepairer:
             return base, False
         # Nodes: the k existing clusters in id order, then the new
         # representatives in index order.
-        ids, cluster_of = np.unique(base.global_labels, return_inverse=True)
+        ids, cluster_of = distinct(base.global_labels, return_inverse=True)
         k = ids.size
-        node = np.concatenate([cluster_of.reshape(-1), k + np.arange(m)])
+        node = np.concatenate([cluster_of, k + np.arange(m)])
         u, v = _neighbour_pairs(
             columns[0],
             np.arange(n_prev, n_prev + m, dtype=np.intp),
@@ -356,7 +356,7 @@ def build_global_model_via_optics(
     ordering = optics(points, eps_max, MIN_PTS_GLOBAL, metric=resolved)
     labels = extract_dbscan_clustering(ordering, eps_cut)
     n_singletons = int(np.count_nonzero(labels == NOISE))
-    n_merged = int(np.unique(labels[labels >= 0]).size)
+    n_merged = distinct_count(labels[labels >= 0])
     labels = _promote_singletons(labels)
     model = GlobalModel(
         *columns,

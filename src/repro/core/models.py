@@ -29,6 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.clustering.labels import distinct_count
+
 __all__ = [
     "LocalModel",
     "GlobalModel",
@@ -220,7 +222,7 @@ class LocalModel(_Table):
     @property
     def n_local_clusters(self) -> int:
         """Number of local clusters the model describes."""
-        return int(np.unique(self.local_cluster_ids).size)
+        return distinct_count(self.local_cluster_ids)
 
     @property
     def max_eps_range(self) -> float:
@@ -322,8 +324,8 @@ class GlobalModel(_Table):
 
     A model is never changed in place: a repair or a fold builds a new
     one.  The relabel step (:mod:`repro.core.relabel`) relies on that: it
-    keeps the cover grids it builds over a model in a private slot that
-    equality, ``repr`` and pickling leave out.
+    keeps the cover grids and the label table it builds over a model in a
+    private slot that equality, ``repr`` and pickling leave out.
     """
 
     points: np.ndarray
@@ -357,7 +359,7 @@ class GlobalModel(_Table):
     @property
     def n_global_clusters(self) -> int:
         """Number of distinct global clusters."""
-        return int(np.unique(self.global_labels).size) if len(self) else 0
+        return distinct_count(self.global_labels)
 
     def members_of(self, global_id: int) -> np.ndarray:
         """Row indices of the representatives assigned to ``global_id``."""

@@ -73,6 +73,15 @@ never changes the prefix it extends, so the nearest cover over the union
 is the kept cover or an appended one.  ``"auto"`` picks the vectorized
 kernel whenever the metric supports grid indexing and falls back to the
 reference otherwise.
+
+Label queries (:func:`coverage_labels`) are relabels without local
+labels, so a point's label depends on its position alone.  Each model
+keeps a *label table* for them: over cells of a quarter of its largest
+ε_r, the label of every cell that one representative covers whole and
+no representative of another label reaches, noise for every cell none
+reaches, and *undecided* elsewhere (a cover boundary, two labels within
+reach).  A point reads its cell, and only the points of undecided cells
+fold.  On the query storm's model 2.75% of the points fold.
 """
 
 from __future__ import annotations
@@ -82,7 +91,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.clustering.labels import NOISE, validate_labels
+from repro.clustering.labels import NOISE, distinct, distinct_count, validate_labels
 from repro.core.models import GlobalModel
 from repro.data.distance import Metric, get_metric
 from repro.index.base import LINF_BOUNDED_METRICS, coordinate_reach, require_finite
@@ -92,6 +101,7 @@ __all__ = [
     "RELABEL_KERNELS",
     "CoverMemo",
     "RelabelStats",
+    "coverage_labels",
     "relabel_site",
     "relabel_site_reference",
     "require_model_dimensionality",
@@ -117,6 +127,25 @@ _NEAR_SHARE = 0.25
 #: the query storm's model a fold of fewer objects than this was slower
 #: in two stages (256 objects: 0.68 → 0.88 ms; 1,024: even).
 _NEAR_MIN_OBJECTS = 1024
+
+#: Metrics a label table serves: true metrics (the triangle inequality
+#: bounds a point's distance through its cell's centre) whose balls fit
+#: in ``L_inf`` cubes.  ``squared_euclidean`` is no metric.
+_TABLE_METRICS = LINF_BOUNDED_METRICS - {"squared_euclidean"}
+
+#: A label table's cell edge as a share of the model's largest ε_r.  On
+#: the query storm a third, a quarter and a sixth served queries equally
+#: fast within the runs' spread (a half slower); a quarter keeps the
+#: storm's table at 50 KiB and its build near 2 ms (``docs/performance.md``).
+_TABLE_SHARE = 0.25
+
+#: Caps on a label table: its cells, and the (representative, cell)
+#: pairs its build evaluates.  A model over either folds every point.
+_TABLE_CELLS = 2**18
+_TABLE_PAIRS = 2**18
+
+#: A label table's value for a cell whose points it cannot decide.
+_UNDECIDED = -2
 
 
 @dataclass(frozen=True)
@@ -146,8 +175,9 @@ class RelabelStats:
 def _kept(model: GlobalModel, key: tuple, build):
     """The value the model keeps under ``key`` in its private slot,
     ``build()`` on first use under ``_BUILD_LOCK`` (a model is never
-    changed in place).  Keys hold a fold start and a metric, keyed by
-    identity: values hold the metric, as :class:`CoverMemo` holds it."""
+    changed in place).  Keys hold a fold start (or ``"labels"``, the
+    label table's) and a metric, keyed by identity: values hold the
+    metric, as :class:`CoverMemo` holds it."""
     grids = model._cover_grids
     entry = grids.get(key)
     if entry is None:
@@ -192,6 +222,126 @@ def _near_grid(
         return metric, near if near.reads_query_table(radius) else None
 
     return _kept(model, (start, id(metric), "near"), build)
+
+
+@dataclass(frozen=True)
+class _LabelTable:
+    """A model's coverage labels over a grid of ``shape`` cells of edge
+    ``cell`` (cell ``i`` spans ``origin + i * cell`` to the next), framed
+    by one layer of noise cells that every point outside the grid reads:
+    per cell the global label, ``NOISE`` or ``_UNDECIDED``, flattened in
+    C order (``strides``, ``base`` the frame's offset)."""
+
+    origin: np.ndarray
+    cell: float
+    shape: np.ndarray
+    strides: np.ndarray
+    base: float
+    values: np.ndarray
+
+    def lookup(self, points: np.ndarray) -> np.ndarray:
+        """Each point's cell value (a fresh array)."""
+        # A far point's index may overflow to inf; the clip frames it.
+        with np.errstate(over="ignore"):
+            index = _cell_index(points, self.origin, self.cell)
+        np.minimum(np.maximum(index, -1.0, out=index), self.shape, out=index)
+        return self.values[(index @ self.strides + self.base).astype(np.intp)]
+
+
+def _cell_index(coords: np.ndarray, origin: np.ndarray, cell: float) -> np.ndarray:
+    """Per coordinate, the (float) index of the cell holding it.  The
+    table's lookups and its build's cell ranges share it, so both round
+    alike and the ranges are monotone in the coordinates."""
+    return np.floor((coords - origin) / cell)
+
+
+def _build_label_table(model: GlobalModel, metric: Metric) -> _LabelTable | None:
+    """The model's label table, or ``None`` outside its limits.
+
+    With ``h`` the metric's distance from a cell's centre to its corners,
+    a representative *reaches* a cell when its distance to the centre
+    minus ``h`` is at most its ε_r plus a slack, and *covers* it when
+    that distance plus ``h`` is at most its ε_r minus the slack.  A cell
+    that some representative covers, and whose reaching representatives
+    all share one label, takes that label: every point in it is covered,
+    and its nearest cover reaches the cell.  A cell no representative
+    reaches is noise; any other is undecided.  The slack, ``(d + 3) *
+    2^-40`` times the largest coordinate magnitude within reach plus the
+    largest ε_r, exceeds the rounding of the cell lookup and of the
+    distances by thousands of ulps; a model whose slack is not small
+    beside the cells gets no table.
+    """
+    points, ranges = model.points, model.eps_ranges
+    m, dim = points.shape
+    top = float(ranges.max())
+    cell = top * _TABLE_SHARE
+    low = (points - ranges[:, None]).min(axis=0)
+    high = (points + ranges[:, None]).max(axis=0)
+    scale = max(float(np.abs(low).max()), float(np.abs(high).max())) + top
+    slack = (dim + 3) * 2.0**-40 * scale
+    if not slack < cell / 8:
+        return None
+    # One spare cell below the reach of every representative, one above.
+    origin = low - cell
+    extent = _cell_index(high, origin, cell) + 2
+    if float(np.prod(extent)) > _TABLE_CELLS:
+        return None
+    shape = extent.astype(np.intp)
+    # Each representative's box of cells, wide enough for its ε_r + slack.
+    reach = (ranges + slack)[:, None]
+    first, last = (
+        np.clip(_cell_index(bound, origin, cell), 0, shape - 1).astype(np.intp)
+        for bound in (points - reach, points + reach)
+    )
+    widths = last - first + 1
+    counts = widths.prod(axis=1)
+    total = int(counts.sum())
+    if total > _TABLE_PAIRS:
+        return None
+    # Every cell of each representative's box, as (representative, cell).
+    rep = np.repeat(np.arange(m), counts)
+    offset = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    cells = np.empty((total, dim), dtype=np.intp)
+    for axis in range(dim - 1, -1, -1):
+        width = widths[rep, axis]
+        cells[:, axis] = first[rep, axis] + offset % width
+        offset //= width
+    centre = metric.paired(points[rep], origin + (cells + 0.5) * cell)
+    corner = float(metric.to_many(np.zeros(dim), np.full((1, dim), cell / 2))[0])
+    radius = ranges[rep]
+    reaches = np.flatnonzero(centre - corner <= radius + slack)
+    covers = centre + corner <= radius - slack
+    flat = np.ravel_multi_index(tuple(cells.T), tuple(shape))
+    # Per cell one reaching representative's label (any will do), then
+    # whether another reaching one has a different label.
+    n_cells = int(np.prod(shape))
+    labels = model.global_labels[rep[reaches]]
+    reached = flat[reaches]
+    pivot = np.full(n_cells, NOISE, dtype=np.intp)
+    pivot[reached] = labels
+    mixed = np.zeros(n_cells, dtype=bool)
+    mixed[reached[labels != pivot[reached]]] = True
+    covered = np.zeros(n_cells, dtype=bool)
+    covered[flat[covers]] = True
+    decided = (covered & ~mixed) | (pivot == NOISE)
+    values = np.where(decided, pivot, _UNDECIDED).reshape(shape)
+    framed = np.pad(values, 1, constant_values=NOISE)
+    strides = np.cumprod(np.r_[1, framed.shape[:0:-1]])[::-1].astype(float)
+    return _LabelTable(
+        origin, cell, extent, strides, float(strides.sum()), framed.ravel()
+    )
+
+
+def _label_table(model: GlobalModel, metric: Metric) -> _LabelTable | None:
+    """The label table the model keeps per metric, built by the first
+    label query against it; ``None`` where the table does not apply."""
+
+    def build():
+        if metric.name not in _TABLE_METRICS or not model.dim:
+            return metric, None
+        return metric, _build_label_table(model, metric)
+
+    return _kept(model, ("labels", id(metric)), build)
 
 
 class CoverMemo:
@@ -324,7 +474,7 @@ def _apply_inheritance(
     own_points = model.points[own]
     n_inherited = 0
     uncovered_locals = local_labels[uncovered]
-    for local_id in np.unique(uncovered_locals):
+    for local_id in distinct(uncovered_locals):
         members = uncovered[uncovered_locals == local_id]
         reps_of_cluster = np.flatnonzero(own_local == local_id)
         if reps_of_cluster.size == 0:
@@ -357,8 +507,8 @@ def _count_merged(
     if not np.any(counted):
         return 0
     globals_, locals_ = out[counted], local_labels[counted]
-    pairs = np.unique(globals_ * (int(locals_.max()) + 1) + locals_).size
-    return pairs - int(np.unique(globals_).size)
+    pairs = distinct_count(globals_ * (int(locals_.max()) + 1) + locals_)
+    return pairs - distinct_count(globals_)
 
 
 def _finish(
@@ -539,3 +689,60 @@ def relabel_site(
     return _finish(
         points, local_labels, out, covered.size, global_model, site_id, resolved
     )
+
+
+def coverage_labels(
+    points: np.ndarray,
+    model: GlobalModel,
+    *,
+    metric: str | Metric = "euclidean",
+    kernel: str = "auto",
+) -> tuple[np.ndarray, int]:
+    """The pure-coverage labels of ``points`` against ``model`` (no local
+    clustering to inherit from): bit for bit ``relabel_site``'s with
+    ``site_id=None`` and noise local labels.
+
+    The label of a point depends on the model and its position alone, so
+    the model keeps a label table over cells of a quarter of its largest
+    ε_r, built by the first call and shared by every later one: each
+    point reads its cell's label or noise, and only the points of cells
+    the table cannot decide — a cover boundary or two labels within
+    reach — go through ``relabel_site``'s fold.  The table serves the
+    euclidean, manhattan and chebyshev metrics within a cap on its cells
+    and on its build's work; elsewhere every point folds.
+
+    Args:
+        points: the objects, shape ``(n, d)``.
+        model: the global model.
+        metric: distance metric.
+        kernel: the fold's kernel, as in :func:`relabel_site`.
+
+    Returns:
+        ``(labels, n_folded)``: global cluster ids (noise = -1), and how
+        many of the points went through the fold.
+
+    Raises:
+        ValueError: as :func:`relabel_site` does, for an unknown kernel,
+            a point with a NaN or infinite coordinate or points of another
+            dimensionality than a non-empty model's.
+    """
+    resolved = get_metric(metric)
+    points = np.asarray(points, dtype=float)
+    require_finite(points)
+    require_model_dimensionality(points, model)
+    resolve_relabel_kernel(kernel, resolved)
+
+    def fold(rows: np.ndarray) -> np.ndarray:
+        noise = np.full(rows.shape[0], NOISE, dtype=np.intp)
+        return relabel_site(
+            rows, noise, model, site_id=None, metric=resolved, kernel=kernel
+        )[0]
+
+    table = _label_table(model, resolved) if len(model) and len(points) else None
+    if table is None:
+        return fold(points), points.shape[0]
+    labels = table.lookup(points)
+    undecided = np.flatnonzero(labels == _UNDECIDED)
+    if undecided.size:
+        labels[undecided] = fold(points[undecided])
+    return labels, int(undecided.size)

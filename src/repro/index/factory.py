@@ -7,9 +7,10 @@ queries, so only DBSCAN's index ablation names one; everything else takes
 ``"auto"``.  For a metric whose balls fit in ``L_inf`` cubes, ``"auto"``
 picks the uniform grid when a usable cell size is known (DBSCAN passes its
 ``Eps``) and brute force otherwise (its sorted-projection sweep beats the
-kd-tree on batched queries); for any other metric it picks the M-tree
-above 256 points and brute force below — mirroring how the original system
-would fall back from R*-tree to sequential scan.
+kd-tree on batched queries); for any other metric it picks brute force,
+whose vectorized sweep beat the M-tree on DBSCAN under haversine at every
+size measured (500 to 20,000 stations, ``docs/performance.md``).  The
+M-tree, the paper's access method for metric data, stays a named kind.
 """
 
 from __future__ import annotations
@@ -74,14 +75,8 @@ def build_index(
     resolved = get_metric(metric)
     points = np.asarray(points, dtype=float)
     if kind == "auto":
-        if resolved.name not in LINF_BOUNDED_METRICS:
-            # Unknown (non-L_p) metric over a large set: the M-tree only
-            # needs the triangle inequality, like the paper's fallback.
-            kind = "mtree" if len(points) > 256 else "brute"
-        elif _usable_cell_size(eps) and len(points):
-            kind = "grid"
-        else:
-            kind = "brute"
+        usable = resolved.name in LINF_BOUNDED_METRICS and _usable_cell_size(eps)
+        kind = "grid" if usable and len(points) else "brute"
     if kind == "grid":
         if not _usable_cell_size(eps):
             raise ValueError(

@@ -22,8 +22,10 @@ relabeling runs in the default executor, to keep the loop responsive
 under query load.  A label query queues its points with the model
 snapshot it read on arrival, and one fold at a time runs: whenever none
 is running, every queued query of the first one's model and
-dimensionality is relabeled by one ``relabel_site`` call over their
-concatenated points, and each gets its slice of the labels.  A query's
+dimensionality is labeled by one ``coverage_labels`` call over their
+concatenated points, and each gets its slice of the labels: each point
+reads the model's label table, and only the points it cannot decide go
+through the relabel fold (``relabel_site``).  A query's
 labels do not depend on the other objects, so each reply is bit for bit
 the one a lone relabel gives; a lone query waits for nothing, and
 queries with no rows or against an empty model are answered without a
@@ -71,7 +73,7 @@ import numpy as np
 from repro.clustering.dbscan import global_radius
 from repro.clustering.labels import NOISE
 from repro.core.models import GlobalModel, LocalModel
-from repro.core.relabel import relabel_site, require_model_dimensionality
+from repro.core.relabel import coverage_labels, require_model_dimensionality
 from repro.distributed.server import (
     Decision,
     RoundCore,
@@ -106,7 +108,8 @@ class ServiceConfig:
             opened — round 0 opened by a bare upload counts from service
             start; ``None`` = never reject.
         quorum: minimum admitted fraction for a healthy round.
-        relabel_kernel: kernel used to answer label queries.
+        relabel_kernel: kernel of the fold that labels the query points
+            the model's label table cannot decide.
         idle_timeout_s: per-connection deadline — a connection that
             sends no complete frame for this long is closed.  The budget
             covers one *whole* frame: header and payload reads share a
@@ -652,10 +655,11 @@ class DBDCService:
         """Run folds until no label query is queued.
 
         A fold takes every queued query of the first one's model and
-        dimensionality and relabels their concatenated points with one
-        pure-coverage ``relabel_site`` call (no local clustering to
-        inherit from) on an executor thread; each query gets its slice.
-        A fold that raises hands every query in it the exception.
+        dimensionality and labels their concatenated points with one
+        ``coverage_labels`` call (a pure-coverage relabel, no local
+        clustering to inherit from) on an executor thread; each query
+        gets its slice.  A fold that raises hands every query in it the
+        exception.
         """
         loop = asyncio.get_running_loop()
         fold: list = []
@@ -670,14 +674,12 @@ class DBDCService:
                 self.metrics.observe("service.label_query_batch", len(fold))
                 points = np.concatenate([query[1] for query in fold])
                 try:
-                    labels, __ = await loop.run_in_executor(
+                    labels, folded = await loop.run_in_executor(
                         None,
                         partial(
-                            relabel_site,
+                            coverage_labels,
                             points,
-                            np.full(points.shape[0], NOISE, dtype=np.intp),
                             model,
-                            site_id=None,
                             metric=self.config.metric,
                             kernel=self.config.relabel_kernel,
                         ),
@@ -687,6 +689,10 @@ class DBDCService:
                         if not reply.done():
                             reply.set_exception(error)
                 else:
+                    self.metrics.inc(
+                        "service.label_points_from_table", len(labels) - folded
+                    )
+                    self.metrics.inc("service.label_points_folded", folded)
                     start = 0
                     for __, block, reply in fold:
                         if not reply.done():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clustering.labels import (
     NOISE,
@@ -13,6 +15,8 @@ from repro.clustering.labels import (
     cluster_sizes,
     compact_labels,
     contingency_table,
+    distinct,
+    distinct_count,
     n_clusters,
     noise_mask,
     noise_ratio,
@@ -87,3 +91,21 @@ class TestContingency:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="align"):
             contingency_table([0], [0, 1])
+
+
+@given(
+    values=st.lists(st.integers(-(2**40), 2**40), max_size=60),
+    repeat=st.integers(1, 4),
+)
+@settings(max_examples=150, deadline=None)
+def test_distinct_equals_np_unique(values, repeat):
+    """The sort-and-compare distinct values, inverse and count of the hot
+    paths equal ``np.unique``'s (1-D ``intp``, empty included)."""
+    array = np.asarray(values * repeat, dtype=np.intp)
+    unique, inverse = np.unique(array, return_inverse=True)
+    got, got_inverse = distinct(array, return_inverse=True)
+    np.testing.assert_array_equal(got, unique)
+    np.testing.assert_array_equal(got_inverse, inverse.reshape(-1))
+    assert got_inverse.dtype == np.intp
+    np.testing.assert_array_equal(distinct(array), unique)
+    assert distinct_count(array) == unique.size

@@ -122,10 +122,10 @@ class TestNonVectorMetric:
             clustered = block[block >= 0]
             assert np.unique(clustered).size == 1
 
-    def test_auto_factory_uses_mtree_for_unknown_metric(self, rng):
+    def test_auto_factory_uses_brute_force_for_unknown_metric(self, rng):
         points = rng.normal(0, 0.3, size=(500, 2))
         index = build_index(points, "auto", metric=haversine)
-        assert isinstance(index, MTreeIndex)
+        assert isinstance(index, BruteForceIndex)
 
     def test_factory_explicit_mtree(self, rng):
         index = build_index(rng.normal(size=(20, 2)), "mtree")

@@ -126,12 +126,12 @@ class TestRun:
 
 class TestNonLpMetric:
     """A registered non-L_p metric through the whole runner: every site
-    runs DBSCAN on the index ``build_index("auto")`` picks for it, the
-    M-tree above 256 points and brute force at 256 or fewer."""
+    runs DBSCAN on the index ``build_index("auto")`` picks for it, brute
+    force at any size (the M-tree is a named kind only)."""
 
     def test_haversine_labels_equal_plain_pipeline(self, monkeypatch):
         from repro.core.dbdc import DBDCConfig, run_dbdc_partitioned
-        from repro.index import BruteForceIndex, MTreeIndex
+        from repro.index import BruteForceIndex
         from tests.test_mtree import haversine
 
         dbscan_module = importlib.import_module("repro.clustering.dbscan")
@@ -159,7 +159,7 @@ class TestNonLpMetric:
             [stations[assignment == s] for s in range(3)], assignment
         )
         expected = [
-            (257, MTreeIndex), (256, BruteForceIndex), (187, BruteForceIndex)
+            (257, BruteForceIndex), (256, BruteForceIndex), (187, BruteForceIndex)
         ]
         assert built == expected
         plain = run_dbdc_partitioned(

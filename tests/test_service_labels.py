@@ -1,9 +1,9 @@
 """Label queries share folds: concurrent queries against one committed
-model are relabeled by one ``relabel_site`` call, and every reply equals
+model are labeled by one ``coverage_labels`` call, and every reply equals
 a lone relabel of its own points bit for bit.
 
 The folds are made deterministic by wrapping the service module's
-``relabel_site``: the first fold waits for a release event while the
+``coverage_labels``: the first fold waits for a release event while the
 test queues more queries behind it, so the second fold's make-up is
 known.
 """
@@ -19,7 +19,7 @@ import pytest
 
 from repro.clustering.labels import NOISE
 from repro.core.local import build_local_model
-from repro.core.relabel import relabel_site
+from repro.core.relabel import coverage_labels, relabel_site
 from repro.data.datasets import load_dataset
 from repro.service import (
     ServiceClient,
@@ -33,9 +33,9 @@ from tests.model_rows import local_model
 
 
 class HeldFolds:
-    """Stands in for the service's ``relabel_site``: records each fold's
-    row count, holds the first fold until :attr:`release` is set, and
-    raises in the folds numbered in ``fail``."""
+    """Stands in for the service's ``coverage_labels``: records each
+    fold's row count, holds the first fold until :attr:`release` is set,
+    and raises in the folds numbered in ``fail``."""
 
     def __init__(self, fail: tuple[int, ...] = ()) -> None:
         self.entered = threading.Event()
@@ -50,13 +50,13 @@ class HeldFolds:
             assert self.release.wait(30.0)
         if len(self.rows) in self.fail:
             raise RuntimeError(f"fold {len(self.rows)} failed")
-        return relabel_site(points, *args, **kwargs)
+        return coverage_labels(points, *args, **kwargs)
 
 
 @pytest.fixture()
 def held(monkeypatch):
     folds = HeldFolds()
-    monkeypatch.setattr(server_module, "relabel_site", folds)
+    monkeypatch.setattr(server_module, "coverage_labels", folds)
     yield folds
     folds.release.set()
 
@@ -185,6 +185,24 @@ def test_mixed_sizes_with_empty_and_single_row_queries(data, held):
         assert np.array_equal(outcomes[key], _lone(block, model)), key
 
 
+def test_the_counters_split_each_folds_points_between_table_and_fold(data):
+    """``service.label_points_from_table`` and ``service.label_points_folded``
+    add up to the points queried, and the folded ones are the points
+    ``coverage_labels`` sends through ``relabel_site``."""
+    with _start() as handle:
+        model = _commit(handle, 0, _site_model(data, 0), _site_model(data, 1))
+        blocks = [data.points[:256], data.points[256:600]]
+        with ServiceClient(handle.host, handle.port) as client:
+            outcomes = [client.query(block) for block in blocks]
+        from_table = handle.service.metrics.value("service.label_points_from_table")
+        folded = handle.service.metrics.value("service.label_points_folded")
+    assert folded == sum(coverage_labels(block, model)[1] for block in blocks)
+    assert from_table + folded == 600
+    assert from_table > folded
+    for outcome, block in zip(outcomes, blocks):
+        assert np.array_equal(outcome, _lone(block, model))
+
+
 def test_an_empty_model_answers_either_dimensionality_without_a_fold(held):
     with _start() as handle:
         model = _commit(handle, 0, local_model(0, []), local_model(1, []))
@@ -231,7 +249,7 @@ def test_a_fold_that_raises_fails_its_queries_and_the_next_is_served(
     data, monkeypatch
 ):
     folds = HeldFolds(fail=(2,))
-    monkeypatch.setattr(server_module, "relabel_site", folds)
+    monkeypatch.setattr(server_module, "coverage_labels", folds)
     try:
         with _start() as handle:
             model = _commit(handle, 0, _site_model(data, 0), _site_model(data, 1))
